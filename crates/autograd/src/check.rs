@@ -76,17 +76,12 @@ mod tests {
     use super::*;
     use crate::Tape;
     use magic_tensor::Rng64;
+    use std::sync::Arc;
 
     /// Helper: checks the tape gradient of `build` (which must create a
-    /// scalar loss from a single leaf) against finite differences, under
-    /// the given convolution lowering.
-    fn check_op_with(
-        lowering: crate::ConvLowering,
-        input: Tensor,
-        build: impl Fn(&mut Tape, crate::Var) -> crate::Var,
-    ) {
+    /// scalar loss from a single leaf) against finite differences.
+    fn check_op(input: Tensor, build: impl Fn(&mut Tape, crate::Var) -> crate::Var) {
         let mut tape = Tape::new();
-        tape.set_conv_lowering(lowering);
         let x = tape.leaf(input.clone(), true);
         let loss = build(&mut tape, x);
         tape.backward(loss);
@@ -94,27 +89,16 @@ mod tests {
 
         let numeric = finite_difference_gradient(&input, 1e-2, |t| {
             let mut tape = Tape::new();
-            tape.set_conv_lowering(lowering);
             let x = tape.leaf(t.clone(), false);
             let loss = build(&mut tape, x);
             tape.value(loss).item()
         });
         let err = max_grad_error(&analytic, &numeric);
-        assert!(err < 2e-2, "gradient mismatch under {lowering:?}: {err}");
+        assert!(err < 2e-2, "gradient mismatch: {err}");
     }
 
-    fn check_op(input: Tensor, build: impl Fn(&mut Tape, crate::Var) -> crate::Var) {
-        check_op_with(crate::ConvLowering::default(), input, build);
-    }
-
-    /// Both convolution lowerings, for ops whose kernels dispatch on it.
-    fn check_op_both_lowerings(
-        input: Tensor,
-        build: impl Fn(&mut Tape, crate::Var) -> crate::Var,
-    ) {
-        check_op_with(crate::ConvLowering::Naive, input.clone(), &build);
-        check_op_with(crate::ConvLowering::Im2colGemm, input, &build);
-    }
+    /// Per-sample 2-D map extents for a batch of one and a batch of three.
+    const MAP_BATCHES: [&[(usize, usize)]; 2] = [&[(5, 4)], &[(5, 4), (3, 3), (4, 6)]];
 
     #[test]
     fn grad_check_matmul_chain() {
@@ -146,29 +130,35 @@ mod tests {
         let input = Tensor::rand_uniform([4, 3], -1.0, 1.0, &mut rng);
         check_op(input, |tape, x| {
             let lp = tape.log_softmax_rows(x);
-            tape.nll_loss(lp, vec![0, 2, 1, 1])
+            let rows = tape.nll_loss_rows(lp, vec![0, 2, 1, 1]);
+            tape.mean(rows)
         });
     }
 
     #[test]
     fn grad_check_spmm_norm() {
         use magic_tensor::CsrMatrix;
-        use std::sync::Arc;
 
         let mut rng = Rng64::new(19);
-        let (adj, inv) = CsrMatrix::augmented_from_edges(
+        let (paper, paper_inv) = CsrMatrix::augmented_from_edges(
             5,
             [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 1), (4, 4)],
         );
-        let adj = Arc::new(adj);
-        let adj_t = Arc::new(adj.transpose());
-        let inv = Arc::new(inv);
-        let input = Tensor::rand_uniform([5, 3], -1.0, 1.0, &mut rng);
-        check_op(input, move |tape, x| {
-            let y = tape.spmm_norm(adj.clone(), adj_t.clone(), inv.clone(), x);
-            let sq = tape.mul(y, y);
-            tape.sum(sq)
-        });
+        let (chain, chain_inv) = CsrMatrix::augmented_from_edges(3, [(0, 1), (1, 2)]);
+        // A batch of one, then the block diagonal of a batch of three.
+        for blocks in [vec![(&paper, &paper_inv)], vec![(&paper, &paper_inv), (&chain, &chain_inv), (&paper, &paper_inv)]] {
+            let mats: Vec<&CsrMatrix> = blocks.iter().map(|&(m, _)| m).collect();
+            let adj = Arc::new(CsrMatrix::block_diagonal(&mats));
+            let adj_t = Arc::new(adj.transpose());
+            let inv: Arc<Vec<f32>> =
+                Arc::new(blocks.iter().flat_map(|&(_, d)| d.iter().copied()).collect());
+            let input = Tensor::rand_uniform([adj.rows(), 3], -1.0, 1.0, &mut rng);
+            check_op(input, move |tape, x| {
+                let y = tape.spmm_norm(adj.clone(), adj_t.clone(), inv.clone(), x);
+                let sq = tape.mul(y, y);
+                tape.sum(sq)
+            });
+        }
     }
 
     #[test]
@@ -188,103 +178,112 @@ mod tests {
         let mut rng = Rng64::new(14);
         let input = Tensor::rand_uniform([4, 3], -1.0, 1.0, &mut rng);
         check_op(input, |tape, x| {
-            let g = tape.gather_rows(x, vec![3, 1, 1]);
-            let p = tape.pad_or_truncate_rows(g, 5);
+            let p = tape.gather_rows_pad(x, vec![3, 1, 1, usize::MAX, usize::MAX]);
             let sq = tape.mul(p, p);
             tape.sum(sq)
         });
     }
 
     #[test]
-    fn grad_check_conv1d_both_lowerings() {
+    fn grad_check_conv1d() {
         let mut rng = Rng64::new(15);
-        let input = Tensor::rand_uniform([2, 8], -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform([3], -0.5, 0.5, &mut rng);
-        check_op_both_lowerings(input, move |tape, x| {
-            let wv = tape.leaf(w.clone(), false);
-            let bv = tape.leaf(b.clone(), false);
-            let y = tape.conv1d(x, wv, bv, 2);
-            let r = tape.relu(y);
-            tape.sum(r)
-        });
+        for batch in [1, 3] {
+            let input = Tensor::rand_uniform([2, 8 * batch], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform([3], -0.5, 0.5, &mut rng);
+            check_op(input, move |tape, x| {
+                let wv = tape.leaf(w.clone(), false);
+                let bv = tape.leaf(b.clone(), false);
+                let y = tape.conv1d(x, wv, bv, 2, 8);
+                let r = tape.relu(y);
+                tape.sum(r)
+            });
+        }
     }
 
     #[test]
-    fn grad_check_conv2d_input_both_lowerings() {
-        // Padded, strided conv: exercises the col2im scatter of the GEMM
-        // lowering (and the zero-skip-free naive backward).
+    fn grad_check_conv2d_input() {
+        // Padded, strided conv over maps of different extents: exercises
+        // the per-sample col2im scatter.
         let mut rng = Rng64::new(21);
-        let input = Tensor::rand_uniform([2, 5, 4], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 3, 3], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([3], -0.5, 0.5, &mut rng);
-        check_op_both_lowerings(input, move |tape, x| {
-            let wv = tape.leaf(w.clone(), false);
-            let bv = tape.leaf(b.clone(), false);
-            let y = tape.conv2d(x, wv, bv, 2, 1);
-            // Square instead of ReLU: smooth everywhere, so the central
-            // difference cannot straddle an activation kink.
-            let sq = tape.mul(y, y);
-            tape.sum(sq)
-        });
+        for dims in MAP_BATCHES {
+            let total: usize = dims.iter().map(|&(h, w)| h * w).sum();
+            let input = Tensor::rand_uniform([2, total], -1.0, 1.0, &mut rng);
+            let (w, b) = (w.clone(), b.clone());
+            let dims = Arc::new(dims.to_vec());
+            check_op(input, move |tape, x| {
+                let wv = tape.leaf(w.clone(), false);
+                let bv = tape.leaf(b.clone(), false);
+                let y = tape.conv2d(x, wv, bv, 2, 1, Arc::clone(&dims));
+                // Square instead of ReLU: smooth everywhere, so the
+                // central difference cannot straddle an activation kink.
+                let sq = tape.mul(y, y);
+                tape.sum(sq)
+            });
+        }
     }
 
     #[test]
-    fn grad_check_conv2d_weights_both_lowerings() {
-        // Differentiate w.r.t. the *weights* here to cover that path.
+    fn grad_check_conv2d_weights() {
+        // Differentiate w.r.t. the *weights*, whose gradient is unstacked
+        // per sample and chained in sample order.
         let mut rng = Rng64::new(16);
-        let x = Tensor::rand_uniform([1, 5, 5], -1.0, 1.0, &mut rng);
         let w0 = Tensor::rand_uniform([2, 1, 3, 3], -1.0, 1.0, &mut rng);
-
-        for lowering in [crate::ConvLowering::Im2colGemm, crate::ConvLowering::Naive] {
+        for dims in MAP_BATCHES {
+            let total: usize = dims.iter().map(|&(h, w)| h * w).sum();
+            let x = Tensor::rand_uniform([1, total], -1.0, 1.0, &mut rng);
+            let dims = Arc::new(dims.to_vec());
+            let loss = |tape: &mut Tape, w: Tensor, requires_grad: bool| {
+                let xv = tape.leaf(x.clone(), false);
+                let wv = tape.leaf(w, requires_grad);
+                let b = tape.leaf(Tensor::zeros([2]), false);
+                let y = tape.conv2d(xv, wv, b, 1, 1, Arc::clone(&dims));
+                (wv, tape.sum(y))
+            };
             let mut tape = Tape::new();
-            tape.set_conv_lowering(lowering);
-            let xv = tape.leaf(x.clone(), false);
-            let wv = tape.leaf(w0.clone(), true);
-            let b = tape.leaf(Tensor::zeros([2]), false);
-            let y = tape.conv2d(xv, wv, b, 1, 1);
-            let s = tape.sum(y);
+            let (wv, s) = loss(&mut tape, w0.clone(), true);
             tape.backward(s);
             let analytic = tape.grad(wv).unwrap().clone();
 
             let numeric = finite_difference_gradient(&w0, 1e-2, |w| {
                 let mut tape = Tape::new();
-                tape.set_conv_lowering(lowering);
-                let xv = tape.leaf(x.clone(), false);
-                let wv = tape.leaf(w.clone(), false);
-                let b = tape.leaf(Tensor::zeros([2]), false);
-                let y = tape.conv2d(xv, wv, b, 1, 1);
-                tape.value(y).sum()
+                let (_, s) = loss(&mut tape, w.clone(), false);
+                tape.value(s).item()
             });
-            assert!(max_grad_error(&analytic, &numeric) < 2e-2, "{lowering:?}");
+            assert!(max_grad_error(&analytic, &numeric) < 2e-2, "{} maps", dims.len());
         }
     }
 
     #[test]
     fn grad_check_adaptive_max_pool() {
-        let mut rng = Rng64::new(17);
-        // Distinct values so the argmax is stable under the epsilon nudge.
-        let mut input = Tensor::zeros([1, 4, 6]);
-        for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
-            *v = (i as f32 * 0.731).sin() * 3.0;
+        for dims in MAP_BATCHES {
+            // Distinct values so the argmax is stable under the epsilon nudge.
+            let total: usize = dims.iter().map(|&(h, w)| h * w).sum();
+            let mut input = Tensor::zeros([1, total]);
+            for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
+                *v = (i as f32 * 0.731).sin() * 3.0;
+            }
+            check_op(input, |tape, x| {
+                let p = tape.adaptive_max_pool2d(x, dims, 2, 3);
+                tape.sum(p)
+            });
         }
-        let _ = &mut rng;
-        check_op(input, |tape, x| {
-            let p = tape.adaptive_max_pool2d(x, 2, 3);
-            tape.sum(p)
-        });
     }
 
     #[test]
     fn grad_check_maxpool1d() {
-        let mut input = Tensor::zeros([2, 8]);
-        for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i * 7 + 3) % 11) as f32;
+        for batch in [1, 3] {
+            let mut input = Tensor::zeros([2, 8 * batch]);
+            for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 7 + 3) % 11) as f32;
+            }
+            check_op(input, |tape, x| {
+                let p = tape.max_pool1d(x, 2, 8);
+                tape.sum(p)
+            });
         }
-        check_op(input, |tape, x| {
-            let p = tape.max_pool1d(x, 2);
-            tape.sum(p)
-        });
     }
 
     #[test]

@@ -6,41 +6,35 @@
 //! weights are `(out_channels, in_channels, k)` or
 //! `(out_channels, in_channels, kh, kw)`.
 //!
-//! # Two lowerings
+//! Every kernel runs a whole mini-batch in one call by stacking samples
+//! along the length/width axis (1-D: equal `seg_len` segments; 2-D:
+//! heterogeneous `(h, w)` segments of a column-stacked `(c, Σ hⱼ·wⱼ)`
+//! matrix); a single sample is a batch of one.
 //!
-//! Each convolution exists in two numerically equivalent forms selected by
-//! the tape's `ConvLowering`:
+//! # im2col + GEMM lowering
 //!
-//! - **im2col + GEMM** (default): [`im2col_1d`]/[`im2col_2d`] gather input
-//!   patches into a `(c_in·k, out)` column buffer (zero padding becomes
-//!   zero columns entries), then the whole convolution is one
-//!   register-blocked [`magic_tensor::gemm_into`] against the weight
-//!   matrix viewed as `(c_out, c_in·k)`, with the bias pre-loaded into the
-//!   output. The backward pass recomputes the columns and runs two
-//!   transpose-GEMMs — `gW = gOut · colsᵀ` ([`magic_tensor::gemm_nt_into`])
-//!   and `gCols = Wᵀ · gOut` ([`magic_tensor::gemm_tn_into`]) — followed
-//!   by a col2im scatter-add for `gX`. All scratch and output buffers come
-//!   from the caller's [`Workspace`], so steady-state training reuses them.
-//! - **naive** (`MAGIC_NAIVE_CONV=1` escape hatch): the original scalar
-//!   loops, kept for A/B timing and parity testing.
+//! [`im2col_1d`]/[`im2col_2d`] gather input patches into a
+//! `(c_in·k, Σ out)` column buffer (zero padding becomes zero column
+//! entries), then the whole convolution is one register-blocked
+//! [`magic_tensor::gemm_into`] against the weight matrix viewed as
+//! `(c_out, c_in·k)`, with the bias pre-loaded into the output. The
+//! backward pass recomputes the columns and runs two transpose-GEMMs —
+//! `gW = gOut · colsᵀ` ([`magic_tensor::gemm_nt_into`]) and
+//! `gCols = Wᵀ · gOut` ([`magic_tensor::gemm_tn_into`]) — followed by a
+//! col2im scatter-add for `gX`. All scratch and output buffers come from
+//! the caller's [`Workspace`], so steady-state training reuses them.
 //!
-//! Both lowerings visit every tap unconditionally (no data-dependent
-//! zero skipping) with a loop order fixed by the shapes alone, so each is
-//! individually bitwise deterministic; across lowerings they accumulate in
-//! different orders and agree to float tolerance (~1e-5), not bitwise.
+//! # Determinism
 //!
-//! # Batched kernels
-//!
-//! The `*_batched` variants below run a whole mini-batch through one
-//! kernel call by stacking samples along the length/width axis (1-D:
-//! equal `seg_len` segments; 2-D: heterogeneous `(h, w)` segments of a
-//! column-stacked `(c, Σ hⱼ·wⱼ)` matrix). Forward outputs and backward
-//! input gradients are computed per output element / per sample segment
-//! exactly as the per-sample kernels compute them, and the *shared*
-//! weight/bias gradients are unstacked per sample and combined in sample
-//! order with the same `((0 + g₀) + g₁) + …` chain the per-sample
-//! gradient buffers use — so batched execution is bitwise identical to
-//! the per-sample path, not merely close.
+//! Every tap is visited unconditionally (no data-dependent zero
+//! skipping) with a loop order fixed by the shapes alone. Forward outputs
+//! and input gradients are computed per output element / per sample
+//! segment, and the *shared* weight/bias gradients are unstacked per
+//! sample and combined in sample order with the `((0 + g₀) + g₁) + …`
+//! chain the trainer's per-sample gradient buffers use — so a batch of
+//! `B` is bitwise identical to `B` batches of one, not merely close. The
+//! scalar-loop reference kernels these are checked against live in the
+//! workspace `tests` crate.
 
 use magic_tensor::{gemm_into, gemm_nt_into, gemm_tn_into, Tensor, Workspace};
 
@@ -79,461 +73,19 @@ pub(crate) fn adaptive_window(i: usize, out: usize, n: usize) -> (usize, usize) 
     (start, end.max(start + 1).min(n.max(1)))
 }
 
-/// Forward 1-D convolution. `x` is `(c_in, len)`, `w` is flattened
-/// `(c_out, c_in, k)`, `b` has `c_out` entries. Returns `(c_out, out_len)`.
-pub(crate) fn conv1d_forward(x: &Tensor, w: &Tensor, b: &[f32], k: usize, stride: usize) -> Tensor {
-    let c_in = x.rows();
-    let len = x.cols();
-    let c_out = w.shape().dim(0);
-    debug_assert_eq!(w.shape().dims(), &[c_out, c_in, k]);
-    let out_len = conv1d_shape(len, k, stride);
-    let mut out = Tensor::zeros([c_out, out_len]);
-    let ws = w.as_slice();
-    let os = out.as_mut_slice();
-    for o in 0..c_out {
-        for t in 0..out_len {
-            let mut acc = b[o];
-            for ci in 0..c_in {
-                let xr = x.row(ci);
-                let w_row = (o * c_in + ci) * k;
-                for j in 0..k {
-                    acc += ws[w_row + j] * xr[t * stride + j];
-                }
-            }
-            os[o * out_len + t] = acc;
-        }
-    }
-    out
-}
-
-/// Backward 1-D convolution. Returns `(grad_x, grad_w, grad_b)`.
-pub(crate) fn conv1d_backward(
-    x: &Tensor,
-    w: &Tensor,
-    k: usize,
-    stride: usize,
-    gout: &Tensor,
-) -> (Tensor, Tensor, Vec<f32>) {
-    let c_in = x.rows();
-    let len = x.cols();
-    let c_out = w.shape().dim(0);
-    let out_len = gout.cols();
-    let mut gx = Tensor::zeros([c_in, len]);
-    let mut gw = Tensor::zeros(w.shape().clone());
-    let mut gb = vec![0.0; c_out];
-    let xs = x.as_slice();
-    let ws = w.as_slice();
-    let gs = gout.as_slice();
-    for o in 0..c_out {
-        for t in 0..out_len {
-            // No data-dependent skip on g == 0.0: backward cost must be a
-            // function of the shapes alone (determinism/FLOP-honesty
-            // contract, DESIGN.md).
-            let g = gs[o * out_len + t];
-            gb[o] += g;
-            for ci in 0..c_in {
-                for j in 0..k {
-                    let xi = t * stride + j;
-                    let gw_off = (o * c_in + ci) * k + j;
-                    gw.as_mut_slice()[gw_off] += g * xs[ci * len + xi];
-                    gx.as_mut_slice()[ci * len + xi] += g * ws[gw_off];
-                }
-            }
-        }
-    }
-    (gx, gw, gb)
-}
-
-/// Forward 2-D convolution with zero padding. `x` is `(c_in, h, w)`,
-/// `wt` is `(c_out, c_in, kh, kw)`. Returns `(c_out, oh, ow)`.
-pub(crate) fn conv2d_forward(
-    x: &Tensor,
-    wt: &Tensor,
-    b: &[f32],
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    let (c_in, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
-    debug_assert_eq!(wt.shape().dim(1), c_in);
-    let (oh, ow) = conv2d_shape(h, w, kh, kw, stride, pad);
-    let mut out = Tensor::zeros([c_out, oh, ow]);
-    let xs = x.as_slice();
-    let ws = wt.as_slice();
-    let os = out.as_mut_slice();
-    for o in 0..c_out {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b[o];
-                for ci in 0..c_in {
-                    for dy in 0..kh {
-                        let iy = (oy * stride + dy) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let x_row = (ci * h + iy as usize) * w;
-                        let w_row = ((o * c_in + ci) * kh + dy) * kw;
-                        for dx in 0..kw {
-                            let ix = (ox * stride + dx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += ws[w_row + dx] * xs[x_row + ix as usize];
-                        }
-                    }
-                }
-                os[(o * oh + oy) * ow + ox] = acc;
-            }
-        }
-    }
-    out
-}
-
-/// Backward 2-D convolution. Returns `(grad_x, grad_w, grad_b)`.
-pub(crate) fn conv2d_backward(
-    x: &Tensor,
-    wt: &Tensor,
-    stride: usize,
-    pad: usize,
-    gout: &Tensor,
-) -> (Tensor, Tensor, Vec<f32>) {
-    let (c_in, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
-    let (oh, ow) = (gout.shape().dim(1), gout.shape().dim(2));
-    let mut gx = Tensor::zeros(x.shape().clone());
-    let mut gw = Tensor::zeros(wt.shape().clone());
-    let mut gb = vec![0.0; c_out];
-    let gs = gout.as_slice();
-    for o in 0..c_out {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                // No g == 0.0 skip — see conv1d_backward.
-                let g = gs[(o * oh + oy) * ow + ox];
-                gb[o] += g;
-                for ci in 0..c_in {
-                    for dy in 0..kh {
-                        let iy = (oy * stride + dy) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for dx in 0..kw {
-                            let ix = (ox * stride + dx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let x_off = (ci * h + iy as usize) * w + ix as usize;
-                            let w_off = ((o * c_in + ci) * kh + dy) * kw + dx;
-                            gw.as_mut_slice()[w_off] += g * x.as_slice()[x_off];
-                            gx.as_mut_slice()[x_off] += g * wt.as_slice()[w_off];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (gx, gw, gb)
-}
-
-/// Gathers 1-D convolution patches into a `(c_in·k, out_len)` column
-/// buffer checked out of `ws`: `cols[ci·k + j, t] = x[ci, t·stride + j]`.
-///
-/// The caller owns the returned buffer and must recycle it.
-pub(crate) fn im2col_1d(x: &Tensor, k: usize, stride: usize, ws: &mut Workspace) -> Vec<f32> {
-    let c_in = x.rows();
-    let len = x.cols();
-    let out_len = conv1d_shape(len, k, stride);
-    let mut cols = ws.take(c_in * k * out_len);
-    for ci in 0..c_in {
-        let xr = x.row(ci);
-        for j in 0..k {
-            let row = &mut cols[(ci * k + j) * out_len..(ci * k + j + 1) * out_len];
-            for (t, c) in row.iter_mut().enumerate() {
-                *c = xr[t * stride + j];
-            }
-        }
-    }
-    cols
-}
-
-/// GEMM half of the im2col 1-D convolution: `out = b ⊕ W₂ @ cols` where
-/// `W₂` is the weight viewed as `(c_out, c_in·k)` and `cols` comes from
-/// [`im2col_1d`]. Returns a pooled `(c_out, out_len)` tensor.
-pub(crate) fn conv1d_forward_gemm(
-    cols: &[f32],
-    w: &Tensor,
-    b: &[f32],
-    out_len: usize,
-    ws: &mut Workspace,
-) -> Tensor {
-    let c_out = w.shape().dim(0);
-    let ck = w.shape().dim(1) * w.shape().dim(2);
-    debug_assert_eq!(cols.len(), ck * out_len);
-    let mut out = ws.take_tensor([c_out, out_len]);
-    let os = out.as_mut_slice();
-    for (o, row) in os.chunks_exact_mut(out_len).enumerate() {
-        row.fill(b[o]);
-    }
-    gemm_into(c_out, ck, out_len, w.as_slice(), cols, os);
-    out
-}
-
-/// Scatters 1-D column gradients back onto the input:
-/// `gx[ci, t·stride + j] += gcols[ci·k + j, t]`, in a fixed loop order.
-fn col2im_1d(gcols: &[f32], c_in: usize, len: usize, k: usize, stride: usize, gx: &mut [f32]) {
-    let out_len = gcols.len() / (c_in * k);
-    for ci in 0..c_in {
-        let gxr = &mut gx[ci * len..(ci + 1) * len];
-        for j in 0..k {
-            let row = &gcols[(ci * k + j) * out_len..(ci * k + j + 1) * out_len];
-            for (t, &g) in row.iter().enumerate() {
-                gxr[t * stride + j] += g;
-            }
-        }
-    }
-}
-
-/// Backward 1-D convolution on the im2col lowering. Recomputes the column
-/// buffer, then `gW = gOut · colsᵀ`, `gCols = W₂ᵀ · gOut`, and a col2im
-/// scatter for `gX`. All outputs are pooled. Returns `(gx, gw, gb)`.
-pub(crate) fn conv1d_backward_gemm(
-    x: &Tensor,
-    w: &Tensor,
-    k: usize,
-    stride: usize,
-    gout: &Tensor,
-    ws: &mut Workspace,
-) -> (Tensor, Tensor, Vec<f32>) {
-    let c_in = x.rows();
-    let c_out = w.shape().dim(0);
-    let out_len = gout.cols();
-    let ck = c_in * k;
-    let cols = im2col_1d(x, k, stride, ws);
-    let mut gb = ws.take(c_out);
-    for (o, row) in gout.as_slice().chunks_exact(out_len).enumerate() {
-        gb[o] = row.iter().sum();
-    }
-    let mut gw = ws.take_tensor(w.shape().clone());
-    gemm_nt_into(c_out, out_len, ck, gout.as_slice(), &cols, gw.as_mut_slice());
-    let mut gcols = ws.take(ck * out_len);
-    gemm_tn_into(ck, c_out, out_len, w.as_slice(), gout.as_slice(), &mut gcols);
-    let mut gx = ws.take_tensor(x.shape().clone());
-    col2im_1d(&gcols, c_in, x.cols(), k, stride, gx.as_mut_slice());
-    ws.recycle(cols);
-    ws.recycle(gcols);
-    (gx, gw, gb)
-}
-
-/// Gathers 2-D convolution patches into a `(c_in·kh·kw, oh·ow)` column
-/// buffer checked out of `ws`. Taps that fall in the zero padding stay at
-/// the buffer's zero fill, so padding costs nothing extra in the GEMM.
-///
-/// The caller owns the returned buffer and must recycle it.
-pub(crate) fn im2col_2d(
-    x: &Tensor,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    ws: &mut Workspace,
-) -> Vec<f32> {
-    let (c_in, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    let (oh, ow) = conv2d_shape(h, w, kh, kw, stride, pad);
-    let mut cols = ws.take(c_in * kh * kw * oh * ow);
-    let xs = x.as_slice();
-    for ci in 0..c_in {
-        for dy in 0..kh {
-            for dx in 0..kw {
-                let row =
-                    &mut cols[((ci * kh + dy) * kw + dx) * oh * ow..][..oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * stride + dy) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let x_row = (ci * h + iy as usize) * w;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + dx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        row[oy * ow + ox] = xs[x_row + ix as usize];
-                    }
-                }
-            }
-        }
-    }
-    cols
-}
-
-/// GEMM half of the im2col 2-D convolution. `cols` comes from
-/// [`im2col_2d`]; returns a pooled `(c_out, oh, ow)` tensor.
-pub(crate) fn conv2d_forward_gemm(
-    cols: &[f32],
-    wt: &Tensor,
-    b: &[f32],
-    oh: usize,
-    ow: usize,
-    ws: &mut Workspace,
-) -> Tensor {
-    let c_out = wt.shape().dim(0);
-    let ckk = wt.shape().dim(1) * wt.shape().dim(2) * wt.shape().dim(3);
-    debug_assert_eq!(cols.len(), ckk * oh * ow);
-    let mut out = ws.take_tensor([c_out, oh, ow]);
-    let os = out.as_mut_slice();
-    for (o, row) in os.chunks_exact_mut(oh * ow).enumerate() {
-        row.fill(b[o]);
-    }
-    gemm_into(c_out, ckk, oh * ow, wt.as_slice(), cols, os);
-    out
-}
-
-/// Scatters 2-D column gradients back onto the input, skipping taps in
-/// the zero padding, in a fixed loop order.
-#[allow(clippy::too_many_arguments)]
-fn col2im_2d(
-    gcols: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-    gx: &mut [f32],
-) {
-    for ci in 0..c_in {
-        for dy in 0..kh {
-            for dx in 0..kw {
-                let row = &gcols[((ci * kh + dy) * kw + dx) * oh * ow..][..oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * stride + dy) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let x_row = (ci * h + iy as usize) * w;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + dx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        gx[x_row + ix as usize] += row[oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Backward 2-D convolution on the im2col lowering (see
-/// [`conv1d_backward_gemm`]). Returns pooled `(gx, gw, gb)`.
-pub(crate) fn conv2d_backward_gemm(
-    x: &Tensor,
-    wt: &Tensor,
-    stride: usize,
-    pad: usize,
-    gout: &Tensor,
-    ws: &mut Workspace,
-) -> (Tensor, Tensor, Vec<f32>) {
-    let (c_in, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
-    let (oh, ow) = (gout.shape().dim(1), gout.shape().dim(2));
-    let ckk = c_in * kh * kw;
-    let cols = im2col_2d(x, kh, kw, stride, pad, ws);
-    let mut gb = ws.take(c_out);
-    for (o, row) in gout.as_slice().chunks_exact(oh * ow).enumerate() {
-        gb[o] = row.iter().sum();
-    }
-    let mut gw = ws.take_tensor(wt.shape().clone());
-    gemm_nt_into(c_out, oh * ow, ckk, gout.as_slice(), &cols, gw.as_mut_slice());
-    let mut gcols = ws.take(ckk * oh * ow);
-    gemm_tn_into(ckk, c_out, oh * ow, wt.as_slice(), gout.as_slice(), &mut gcols);
-    let mut gx = ws.take_tensor(x.shape().clone());
-    col2im_2d(&gcols, c_in, h, w, kh, kw, stride, pad, oh, ow, gx.as_mut_slice());
-    ws.recycle(cols);
-    ws.recycle(gcols);
-    (gx, gw, gb)
-}
-
-/// Forward adaptive max pooling of a `(c, h, w)` tensor to `(c, oh, ow)`.
-/// Returns the output and, per output cell, the flat index of the winning
-/// input element (for the backward scatter). Both buffers are checked out
-/// of `ws`; ties break to the *first* maximum in window scan order
-/// (`v > best`, strict), so reusing pooled buffers cannot change winners.
-pub(crate) fn adaptive_max_pool2d_forward(
-    x: &Tensor,
-    oh: usize,
-    ow: usize,
-    ws: &mut Workspace,
-) -> (Tensor, Vec<usize>) {
-    let (c, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
-    let mut out = ws.take_tensor([c, oh, ow]);
-    let mut argmax = ws.take_indices(c * oh * ow);
-    for ci in 0..c {
-        for oy in 0..oh {
-            let (y0, y1) = adaptive_window(oy, oh, h);
-            for ox in 0..ow {
-                let (x0, x1) = adaptive_window(ox, ow, w);
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = (ci * h + y0) * w + x0;
-                for iy in y0..y1 {
-                    for ix in x0..x1 {
-                        let off = (ci * h + iy) * w + ix;
-                        let v = x.as_slice()[off];
-                        if v > best {
-                            best = v;
-                            best_idx = off;
-                        }
-                    }
-                }
-                out.set(&[ci, oy, ox], best);
-                argmax.push(best_idx);
-            }
-        }
-    }
-    (out, argmax)
-}
-
-/// Forward 1-D max pooling of a `(c, len)` matrix with window `k` and
-/// stride `k` (non-overlapping, as in the original DGCNN head). Returns the
-/// output and per-cell argmax flat indices, both checked out of `ws`;
-/// ties break to the first maximum (strict `>`).
-pub(crate) fn max_pool1d_forward(x: &Tensor, k: usize, ws: &mut Workspace) -> (Tensor, Vec<usize>) {
-    let (c, len) = (x.rows(), x.cols());
-    let out_len = len / k;
-    assert!(out_len > 0, "pooling window {k} larger than input {len}");
-    let mut out = ws.take_tensor([c, out_len]);
-    let mut argmax = ws.take_indices(c * out_len);
-    for ci in 0..c {
-        for t in 0..out_len {
-            let mut best = f32::NEG_INFINITY;
-            let mut best_idx = ci * len + t * k;
-            for j in 0..k {
-                let off = ci * len + t * k + j;
-                let v = x.as_slice()[off];
-                if v > best {
-                    best = v;
-                    best_idx = off;
-                }
-            }
-            out.set2(ci, t, best);
-            argmax.push(best_idx);
-        }
-    }
-    (out, argmax)
-}
-
-/// [`im2col_1d`] over a batch of `x.cols() / seg_len` equal-length
-/// segments: `cols[ci·k + j, s·L + t] = x[ci, s·seg_len + t·stride + j]`
+/// Gathers 1-D convolution patches of a batch of `x.cols() / seg_len`
+/// equal-length segments into a `(c_in·k, B·L)` column buffer checked
+/// out of `ws`: `cols[ci·k + j, s·L + t] = x[ci, s·seg_len + t·stride + j]`
 /// where `L` is the per-sample output length. Each sample's columns are
-/// the contiguous range `[s·L, (s+1)·L)` of every row, so the batched
-/// GEMM computes exactly the per-sample outputs side by side.
+/// the contiguous range `[s·L, (s+1)·L)` of every row, so one GEMM
+/// computes every sample's output side by side.
+///
+/// The caller owns the returned buffer and must recycle it.
 ///
 /// # Panics
 ///
 /// Panics if `x.cols()` is not a multiple of `seg_len`.
-pub(crate) fn im2col_1d_batched(
+pub(crate) fn im2col_1d(
     x: &Tensor,
     k: usize,
     stride: usize,
@@ -566,12 +118,35 @@ pub(crate) fn im2col_1d_batched(
     cols
 }
 
-/// Backward of the batched 1-D convolution (`x` is `(c_in, B·seg_len)`,
-/// `gout` is `(c_out, B·L)`). Input gradients scatter per sample segment
-/// in the per-sample col2im order; the shared `gw`/`gb` are unstacked per
-/// sample and combined in sample order (see the module docs on bitwise
-/// parity). Returns pooled `(gx, gw, gb)`.
-pub(crate) fn conv1d_batched_backward(
+/// GEMM half of the im2col 1-D convolution: `out = b ⊕ W₂ @ cols` where
+/// `W₂` is the weight viewed as `(c_out, c_in·k)` and `cols` comes from
+/// [`im2col_1d`]. Returns a pooled `(c_out, out_len)` tensor, where
+/// `out_len` is the total output width over the batch.
+pub(crate) fn conv1d_forward_gemm(
+    cols: &[f32],
+    w: &Tensor,
+    b: &[f32],
+    out_len: usize,
+    ws: &mut Workspace,
+) -> Tensor {
+    let c_out = w.shape().dim(0);
+    let ck = w.shape().dim(1) * w.shape().dim(2);
+    debug_assert_eq!(cols.len(), ck * out_len);
+    let mut out = ws.take_tensor([c_out, out_len]);
+    let os = out.as_mut_slice();
+    for (o, row) in os.chunks_exact_mut(out_len).enumerate() {
+        row.fill(b[o]);
+    }
+    gemm_into(c_out, ck, out_len, w.as_slice(), cols, os);
+    out
+}
+
+/// Backward of the 1-D convolution (`x` is `(c_in, B·seg_len)`, `gout`
+/// is `(c_out, B·L)`). Input gradients scatter per sample segment in a
+/// fixed col2im order; the shared `gw`/`gb` are unstacked per sample and
+/// combined in sample order (see the module docs on determinism).
+/// Returns pooled `(gx, gw, gb)`.
+pub(crate) fn conv1d_backward(
     x: &Tensor,
     w: &Tensor,
     k: usize,
@@ -588,11 +163,11 @@ pub(crate) fn conv1d_batched_backward(
     let out_total = batch * out_len;
     debug_assert_eq!(gout.cols(), out_total);
     let ck = c_in * k;
-    let cols = im2col_1d_batched(x, k, stride, seg_len, ws);
+    let cols = im2col_1d(x, k, stride, seg_len, ws);
     let gs = gout.as_slice();
 
     // gb: per-sample segment sums added in sample order — the reduction
-    // chain the per-sample gradient buffer uses.
+    // chain the trainer's per-sample gradient buffers use.
     let mut gb = ws.take(c_out);
     for s in 0..batch {
         for (o, g) in gb.iter_mut().enumerate() {
@@ -631,7 +206,7 @@ pub(crate) fn conv1d_batched_backward(
     let mut gcols = ws.take(ck * out_total);
     gemm_tn_into(ck, c_out, out_total, w.as_slice(), gout.as_slice(), &mut gcols);
 
-    // gX: per-sample col2im scatter in the per-sample order (ci, j, t).
+    // gX: per-sample col2im scatter in the order (ci, j, t).
     let mut gx = ws.take_tensor(x.shape().clone());
     let gxs = gx.as_mut_slice();
     for s in 0..batch {
@@ -650,8 +225,8 @@ pub(crate) fn conv1d_batched_backward(
     (gx, gw, gb)
 }
 
-/// Per-sample output dims of a batched 2-D convolution over `dims`.
-pub(crate) fn conv2d_batched_out_dims(
+/// Per-sample output dims of a 2-D convolution over maps of `dims`.
+pub(crate) fn conv2d_out_dims(
     dims: &[(usize, usize)],
     kh: usize,
     kw: usize,
@@ -661,12 +236,16 @@ pub(crate) fn conv2d_batched_out_dims(
     dims.iter().map(|&(h, w)| conv2d_shape(h, w, kh, kw, stride, pad)).collect()
 }
 
-/// [`im2col_2d`] over a column-stacked batch: `x` is `(c_in, Σ hⱼ·wⱼ)`
-/// with sample `j`'s `(hⱼ, wⱼ)` map flattened into the column range
-/// starting at `Σ_{i<j} hᵢ·wᵢ` of every row. Produces a
-/// `(c_in·kh·kw, Σ ohⱼ·owⱼ)` column buffer whose sample column ranges
-/// are laid out the same way; padding taps stay at the zero fill.
-pub(crate) fn im2col_2d_batched(
+/// Gathers 2-D convolution patches of a column-stacked batch: `x` is
+/// `(c_in, Σ hⱼ·wⱼ)` with sample `j`'s `(hⱼ, wⱼ)` map flattened into the
+/// column range starting at `Σ_{i<j} hᵢ·wᵢ` of every row. Produces a
+/// `(c_in·kh·kw, Σ ohⱼ·owⱼ)` column buffer checked out of `ws` whose
+/// sample column ranges are laid out the same way; taps that fall in the
+/// zero padding stay at the buffer's zero fill, so padding costs nothing
+/// extra in the GEMM.
+///
+/// The caller owns the returned buffer and must recycle it.
+pub(crate) fn im2col_2d(
     x: &Tensor,
     dims: &[(usize, usize)],
     kh: usize,
@@ -678,7 +257,7 @@ pub(crate) fn im2col_2d_batched(
     let c_in = x.rows();
     let total_in = x.cols();
     debug_assert_eq!(total_in, dims.iter().map(|&(h, w)| h * w).sum::<usize>());
-    let out_dims = conv2d_batched_out_dims(dims, kh, kw, stride, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
     let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
     let mut cols = ws.take(c_in * kh * kw * out_total);
     let xs = x.as_slice();
@@ -713,10 +292,10 @@ pub(crate) fn im2col_2d_batched(
     cols
 }
 
-/// GEMM half of the batched im2col 2-D convolution. Unlike
-/// [`conv2d_forward_gemm`], the output is the flat `(c_out, Σ ohⱼ·owⱼ)`
-/// column-stacked matrix (per-sample maps are not materialized).
-pub(crate) fn conv2d_batched_forward_gemm(
+/// GEMM half of the im2col 2-D convolution. `cols` comes from
+/// [`im2col_2d`]; the output is the flat, pooled `(c_out, Σ ohⱼ·owⱼ)`
+/// column-stacked matrix.
+pub(crate) fn conv2d_forward_gemm(
     cols: &[f32],
     wt: &Tensor,
     b: &[f32],
@@ -735,10 +314,10 @@ pub(crate) fn conv2d_batched_forward_gemm(
     out
 }
 
-/// Backward of the batched 2-D convolution (`x` column-stacked as in
-/// [`im2col_2d_batched`]). Same unstacking strategy as
-/// [`conv1d_batched_backward`]. Returns pooled `(gx, gw, gb)`.
-pub(crate) fn conv2d_batched_backward(
+/// Backward of the 2-D convolution (`x` column-stacked as in
+/// [`im2col_2d`]). Same unstacking strategy as [`conv1d_backward`].
+/// Returns pooled `(gx, gw, gb)`.
+pub(crate) fn conv2d_backward(
     x: &Tensor,
     wt: &Tensor,
     stride: usize,
@@ -751,10 +330,10 @@ pub(crate) fn conv2d_batched_backward(
     let total_in = x.cols();
     let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
     let ckk = c_in * kh * kw;
-    let out_dims = conv2d_batched_out_dims(dims, kh, kw, stride, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
     let out_total = gout.cols();
     debug_assert_eq!(out_total, out_dims.iter().map(|&(oh, ow)| oh * ow).sum::<usize>());
-    let cols = im2col_2d_batched(x, dims, kh, kw, stride, pad, ws);
+    let cols = im2col_2d(x, dims, kh, kw, stride, pad, ws);
     let gs = gout.as_slice();
 
     let mut gb = ws.take(c_out);
@@ -799,7 +378,7 @@ pub(crate) fn conv2d_batched_backward(
     let mut in_off = 0;
     let mut out_off = 0;
     for (&(h, w), &(oh, ow)) in dims.iter().zip(&out_dims) {
-        // Per-sample col2im in the per-sample order (ci, dy, dx, oy, ox).
+        // Per-sample col2im in the order (ci, dy, dx, oy, ox).
         for ci in 0..c_in {
             for dy in 0..kh {
                 for dx in 0..kw {
@@ -829,14 +408,16 @@ pub(crate) fn conv2d_batched_backward(
     (gx, gw, gb)
 }
 
-/// [`adaptive_max_pool2d_forward`] over a column-stacked batch: `x` is
+/// Forward adaptive max pooling of a column-stacked batch: `x` is
 /// `(c, Σ hⱼ·wⱼ)`, the output is `(c, B·oh·ow)` with sample `j`'s pooled
-/// map in the column range `[j·oh·ow, (j+1)·oh·ow)`. Argmax indices are
-/// pushed in ascending output flat order (channel-major, then sample),
-/// so the standard enumerate-scatter backward applies unchanged; within
-/// each `(sample, channel)` the window scan order — and hence strict-`>`
-/// tie-breaking — matches the per-sample kernel exactly.
-pub(crate) fn adaptive_max_pool2d_batched_forward(
+/// map in the column range `[j·oh·ow, (j+1)·oh·ow)`. Returns the output
+/// and, per output cell, the flat index of the winning input element,
+/// both checked out of `ws`. Argmax indices are pushed in ascending
+/// output flat order (channel-major, then sample), so the backward is
+/// one enumerate-scatter. Ties break to the *first* maximum in window
+/// scan order (`v > best`, strict), so reusing pooled buffers cannot
+/// change winners.
+pub(crate) fn adaptive_max_pool2d_forward(
     x: &Tensor,
     dims: &[(usize, usize)],
     oh: usize,
@@ -885,11 +466,14 @@ pub(crate) fn adaptive_max_pool2d_batched_forward(
     (out, argmax)
 }
 
-/// [`max_pool1d_forward`] over a batch of equal `seg_len` segments.
-/// Windows never straddle a segment boundary and each segment's tail
-/// (`seg_len % k`) is dropped exactly as the per-sample kernel drops it.
-/// Argmax indices are pushed in ascending output flat order.
-pub(crate) fn max_pool1d_batched_forward(
+/// Forward 1-D max pooling with window `k` and stride `k`
+/// (non-overlapping, as in the original DGCNN head) over a batch of
+/// equal `seg_len` segments. Windows never straddle a segment boundary
+/// and each segment's tail (`seg_len % k`) is dropped. Returns the
+/// output and per-cell argmax flat indices (ascending output order),
+/// both checked out of `ws`; ties break to the first maximum (strict
+/// `>`).
+pub(crate) fn max_pool1d_forward(
     x: &Tensor,
     k: usize,
     seg_len: usize,
@@ -930,6 +514,43 @@ pub(crate) fn max_pool1d_batched_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use magic_tensor::Rng64;
+
+    /// Forward 1-D convolution through the im2col + GEMM pair.
+    fn conv1d(
+        x: &Tensor,
+        w: &Tensor,
+        b: &[f32],
+        stride: usize,
+        seg_len: usize,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let k = w.shape().dim(2);
+        let out_len = x.cols() / seg_len * conv1d_shape(seg_len, k, stride);
+        let cols = im2col_1d(x, k, stride, seg_len, ws);
+        let out = conv1d_forward_gemm(&cols, w, b, out_len, ws);
+        ws.recycle(cols);
+        out
+    }
+
+    /// Forward 2-D convolution of a column-stacked batch of `dims` maps.
+    fn conv2d(
+        x: &Tensor,
+        dims: &[(usize, usize)],
+        wt: &Tensor,
+        b: &[f32],
+        stride: usize,
+        pad: usize,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let (kh, kw) = (wt.shape().dim(2), wt.shape().dim(3));
+        let out_total =
+            conv2d_out_dims(dims, kh, kw, stride, pad).iter().map(|&(oh, ow)| oh * ow).sum();
+        let cols = im2col_2d(x, dims, kh, kw, stride, pad, ws);
+        let out = conv2d_forward_gemm(&cols, wt, b, out_total, ws);
+        ws.recycle(cols);
+        out
+    }
 
     #[test]
     fn conv1d_shape_basic() {
@@ -972,7 +593,7 @@ mod tests {
     fn conv1d_identity_kernel() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0]]);
         let w = Tensor::from_vec(vec![1.0], [1, 1, 1]);
-        let y = conv1d_forward(&x, &w, &[0.0], 1, 1);
+        let y = conv1d(&x, &w, &[0.0], 1, 3, &mut Workspace::new());
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -980,44 +601,44 @@ mod tests {
     fn conv1d_sums_window() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
         let w = Tensor::from_vec(vec![1.0, 1.0], [1, 1, 2]);
-        let y = conv1d_forward(&x, &w, &[0.0], 2, 2);
+        let y = conv1d(&x, &w, &[0.0], 2, 4, &mut Workspace::new());
         assert_eq!(y.as_slice(), &[3.0, 7.0]);
     }
 
     #[test]
     fn conv2d_averaging_kernel() {
-        let x = Tensor::from_vec((1..=4).map(|v| v as f32).collect(), [1, 2, 2]);
+        let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
         let w = Tensor::from_vec(vec![0.25; 4], [1, 1, 2, 2]);
-        let y = conv2d_forward(&x, &w, &[0.0], 1, 0);
+        let y = conv2d(&x, &[(2, 2)], &w, &[0.0], 1, 0, &mut Workspace::new());
         assert_eq!(y.as_slice(), &[2.5]);
     }
 
     #[test]
     fn conv2d_padding_preserves_size() {
-        let x = Tensor::ones([1, 3, 3]);
+        let x = Tensor::ones([1, 9]);
         let w = Tensor::from_vec(vec![1.0; 9], [1, 1, 3, 3]);
-        let y = conv2d_forward(&x, &w, &[0.0], 1, 1);
-        assert_eq!(y.shape().dims(), &[1, 3, 3]);
+        let y = conv2d(&x, &[(3, 3)], &w, &[0.0], 1, 1, &mut Workspace::new());
+        assert_eq!(y.shape().dims(), &[1, 9]);
         // Center cell sees all nine ones; corner sees four.
-        assert_eq!(y.at(&[0, 1, 1]), 9.0);
-        assert_eq!(y.at(&[0, 0, 0]), 4.0);
+        assert_eq!(y.get2(0, 4), 9.0);
+        assert_eq!(y.get2(0, 0), 4.0);
     }
 
     #[test]
     fn amp_forward_picks_window_maxima() {
         // Fig. 6 style: pool a 4x7 map (1 channel) into 3x3.
-        let x = Tensor::from_vec((0..28).map(|v| v as f32).collect(), [1, 4, 7]);
-        let (y, argmax) = adaptive_max_pool2d_forward(&x, 3, 3, &mut Workspace::new());
-        assert_eq!(y.shape().dims(), &[1, 3, 3]);
+        let x = Tensor::from_vec((0..28).map(|v| v as f32).collect(), [1, 28]);
+        let (y, argmax) = adaptive_max_pool2d_forward(&x, &[(4, 7)], 3, 3, &mut Workspace::new());
+        assert_eq!(y.shape().dims(), &[1, 9]);
         // Bottom-right window must contain the global max (27).
-        assert_eq!(y.at(&[0, 2, 2]), 27.0);
+        assert_eq!(y.get2(0, 8), 27.0);
         assert_eq!(argmax[8], 27);
     }
 
     #[test]
     fn maxpool1d_nonoverlapping() {
         let x = Tensor::from_rows(&[&[1.0, 5.0, 2.0, 4.0]]);
-        let (y, argmax) = max_pool1d_forward(&x, 2, &mut Workspace::new());
+        let (y, argmax) = max_pool1d_forward(&x, 2, 4, &mut Workspace::new());
         assert_eq!(y.as_slice(), &[5.0, 4.0]);
         assert_eq!(argmax, vec![1, 3]);
     }
@@ -1027,16 +648,16 @@ mod tests {
         // All-equal input: every window's winner must be its first cell in
         // scan order, and pooled-buffer reuse must not change that.
         let mut ws = Workspace::new();
-        let x = Tensor::ones([1, 4, 4]);
-        let (y, argmax) = adaptive_max_pool2d_forward(&x, 2, 2, &mut ws);
+        let x = Tensor::ones([1, 16]);
+        let (y, argmax) = adaptive_max_pool2d_forward(&x, &[(4, 4)], 2, 2, &mut ws);
         assert!(y.as_slice().iter().all(|&v| v == 1.0));
         assert_eq!(argmax, vec![0, 2, 8, 10]);
         // Recycle and pool a different tensor through the same workspace:
         // stale winners from the first call must not leak.
         ws.recycle_indices(argmax);
         ws.recycle_tensor(y);
-        let x2 = Tensor::from_vec(vec![2.0; 16], [1, 4, 4]);
-        let (y2, argmax2) = adaptive_max_pool2d_forward(&x2, 2, 2, &mut ws);
+        let x2 = Tensor::from_vec(vec![2.0; 16], [1, 16]);
+        let (y2, argmax2) = adaptive_max_pool2d_forward(&x2, &[(4, 4)], 2, 2, &mut ws);
         assert!(y2.as_slice().iter().all(|&v| v == 2.0));
         assert_eq!(argmax2, vec![0, 2, 8, 10]);
         assert!(ws.stats().hits >= 2, "second call should reuse pooled buffers");
@@ -1045,14 +666,95 @@ mod tests {
     #[test]
     fn maxpool1d_tie_breaking_first_max_wins() {
         let x = Tensor::from_rows(&[&[7.0, 7.0, 7.0, 7.0]]);
-        let (y, argmax) = max_pool1d_forward(&x, 2, &mut Workspace::new());
+        let (y, argmax) = max_pool1d_forward(&x, 2, 4, &mut Workspace::new());
         assert_eq!(y.as_slice(), &[7.0, 7.0]);
         assert_eq!(argmax, vec![0, 2]);
     }
 
+    /// Visits every in-bounds tap of a zero-padded 2-D convolution of one
+    /// `(c_in, h·w)` map by `(c_out, c_in, kh, kw)` weights: calls `f` with
+    /// the output channel, the flat output cell, the flat input index and
+    /// the flat weight index. A 1-D convolution is the `h = kh = 1`,
+    /// `pad = 0` case, since `(c_out, c_in, k)` weights share the layout.
+    fn for_each_tap(
+        c_in: usize,
+        (h, w): (usize, usize),
+        (c_out, kh, kw): (usize, usize, usize),
+        stride: usize,
+        pad: usize,
+        mut f: impl FnMut(usize, usize, usize, usize),
+    ) {
+        let (oh, ow) = conv2d_shape(h, w, kh, kw, stride, pad);
+        for o in 0..c_out {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for ci in 0..c_in {
+                        for dy in 0..kh {
+                            let iy = (oy * stride + dy) as isize - pad as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for dx in 0..kw {
+                                let ix = (ox * stride + dx) as isize - pad as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                f(
+                                    o,
+                                    oy * ow + ox,
+                                    ci * h * w + iy as usize * w + ix as usize,
+                                    ((o * c_in + ci) * kh + dy) * kw + dx,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scalar-loop forward and backward from [`for_each_tap`]: returns
+    /// `(out, gx, gw, gb)` for upstream gradient `gout`.
+    #[allow(clippy::too_many_arguments)]
+    fn naive_conv(
+        x: &Tensor,
+        (h, w): (usize, usize),
+        wt: &[f32],
+        (c_out, kh, kw): (usize, usize, usize),
+        b: &[f32],
+        stride: usize,
+        pad: usize,
+        gout: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let c_in = x.rows();
+        let (oh, ow) = conv2d_shape(h, w, kh, kw, stride, pad);
+        let cells = oh * ow;
+        let xs = x.as_slice();
+        let mut out: Vec<f32> = (0..c_out * cells).map(|i| b[i / cells]).collect();
+        let mut gx = vec![0.0; xs.len()];
+        let mut gw = vec![0.0; wt.len()];
+        let mut gb = vec![0.0; c_out];
+        for_each_tap(c_in, (h, w), (c_out, kh, kw), stride, pad, |o, cell, xi, wi| {
+            let g = gout[o * cells + cell];
+            out[o * cells + cell] += wt[wi] * xs[xi];
+            gw[wi] += g * xs[xi];
+            gx[xi] += g * wt[wi];
+        });
+        for (o, acc) in gb.iter_mut().enumerate() {
+            *acc = gout[o * cells..(o + 1) * cells].iter().sum();
+        }
+        (out, gx, gw, gb)
+    }
+
+    fn assert_close(got: &[f32], want: &[f32], tol: f32, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (g, n) in got.iter().zip(want) {
+            assert!((g - n).abs() < tol, "{what}: {g} vs {n}");
+        }
+    }
+
     #[test]
     fn conv1d_gemm_matches_naive_forward_and_backward() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(21);
         let mut ws = Workspace::new();
         for (c_in, len, c_out, k, stride) in
@@ -1062,28 +764,19 @@ mod tests {
             let w = Tensor::rand_uniform([c_out, c_in, k], -1.0, 1.0, &mut rng);
             let b: Vec<f32> = (0..c_out).map(|i| 0.1 * i as f32 - 0.2).collect();
             let out_len = conv1d_shape(len, k, stride);
+            let gout = Tensor::rand_uniform([c_out, out_len], -1.0, 1.0, &mut rng);
+            let case = format!("({c_in},{len},{c_out},{k},{stride})");
 
-            let naive = conv1d_forward(&x, &w, &b, k, stride);
-            let cols = im2col_1d(&x, k, stride, &mut ws);
-            let gemm = conv1d_forward_gemm(&cols, &w, &b, out_len, &mut ws);
-            ws.recycle(cols);
-            assert_eq!(gemm.shape(), naive.shape());
-            for (g, n) in gemm.as_slice().iter().zip(naive.as_slice()) {
-                assert!((g - n).abs() < 1e-5, "fwd ({c_in},{len},{c_out},{k},{stride}): {g} vs {n}");
-            }
+            let (nout, ngx, ngw, ngb) =
+                naive_conv(&x, (1, len), w.as_slice(), (c_out, 1, k), &b, stride, 0, gout.as_slice());
+            let gemm = conv1d(&x, &w, &b, stride, len, &mut ws);
+            assert_eq!(gemm.shape().dims(), &[c_out, out_len]);
+            assert_close(gemm.as_slice(), &nout, 1e-5, &format!("fwd {case}"));
 
-            let gout = Tensor::rand_uniform(naive.shape().clone(), -1.0, 1.0, &mut rng);
-            let (ngx, ngw, ngb) = conv1d_backward(&x, &w, k, stride, &gout);
-            let (ggx, ggw, ggb) = conv1d_backward_gemm(&x, &w, k, stride, &gout, &mut ws);
-            for (g, n) in ggx.as_slice().iter().zip(ngx.as_slice()) {
-                assert!((g - n).abs() < 1e-4, "gx: {g} vs {n}");
-            }
-            for (g, n) in ggw.as_slice().iter().zip(ngw.as_slice()) {
-                assert!((g - n).abs() < 1e-4, "gw: {g} vs {n}");
-            }
-            for (g, n) in ggb.iter().zip(&ngb) {
-                assert!((g - n).abs() < 1e-4, "gb: {g} vs {n}");
-            }
+            let (ggx, ggw, ggb) = conv1d_backward(&x, &w, k, stride, len, &gout, &mut ws);
+            assert_close(ggx.as_slice(), &ngx, 1e-4, &format!("gx {case}"));
+            assert_close(ggw.as_slice(), &ngw, 1e-4, &format!("gw {case}"));
+            assert_close(&ggb, &ngb, 1e-4, &format!("gb {case}"));
             ws.recycle_tensor(ggx);
             ws.recycle_tensor(ggw);
             ws.recycle(ggb);
@@ -1093,7 +786,6 @@ mod tests {
 
     #[test]
     fn conv2d_gemm_matches_naive_forward_and_backward() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(22);
         let mut ws = Workspace::new();
         for (c_in, h, w_dim, c_out, kh, kw, stride, pad) in [
@@ -1103,35 +795,32 @@ mod tests {
             (3, 4, 7, 2, 2, 4, 1, 0),
             (2, 5, 5, 4, 3, 3, 2, 2),
         ] {
-            let x = Tensor::rand_uniform([c_in, h, w_dim], -1.0, 1.0, &mut rng);
+            let x = Tensor::rand_uniform([c_in, h * w_dim], -1.0, 1.0, &mut rng);
             let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
             let b: Vec<f32> = (0..c_out).map(|i| 0.05 * i as f32 + 0.1).collect();
             let (oh, ow) = conv2d_shape(h, w_dim, kh, kw, stride, pad);
+            let gout = Tensor::rand_uniform([c_out, oh * ow], -1.0, 1.0, &mut rng);
+            let case = format!("({c_in},{h},{w_dim},{c_out},{kh},{kw},{stride},{pad})");
 
-            let naive = conv2d_forward(&x, &wt, &b, stride, pad);
-            let cols = im2col_2d(&x, kh, kw, stride, pad, &mut ws);
-            let gemm = conv2d_forward_gemm(&cols, &wt, &b, oh, ow, &mut ws);
-            ws.recycle(cols);
-            assert_eq!(gemm.shape(), naive.shape());
-            for (g, n) in gemm.as_slice().iter().zip(naive.as_slice()) {
-                assert!(
-                    (g - n).abs() < 1e-5,
-                    "fwd ({c_in},{h},{w_dim},{c_out},{kh},{kw},{stride},{pad}): {g} vs {n}"
-                );
-            }
+            let (nout, ngx, ngw, ngb) = naive_conv(
+                &x,
+                (h, w_dim),
+                wt.as_slice(),
+                (c_out, kh, kw),
+                &b,
+                stride,
+                pad,
+                gout.as_slice(),
+            );
+            let dims = [(h, w_dim)];
+            let gemm = conv2d(&x, &dims, &wt, &b, stride, pad, &mut ws);
+            assert_eq!(gemm.shape().dims(), &[c_out, oh * ow]);
+            assert_close(gemm.as_slice(), &nout, 1e-5, &format!("fwd {case}"));
 
-            let gout = Tensor::rand_uniform(naive.shape().clone(), -1.0, 1.0, &mut rng);
-            let (ngx, ngw, ngb) = conv2d_backward(&x, &wt, stride, pad, &gout);
-            let (ggx, ggw, ggb) = conv2d_backward_gemm(&x, &wt, stride, pad, &gout, &mut ws);
-            for (g, n) in ggx.as_slice().iter().zip(ngx.as_slice()) {
-                assert!((g - n).abs() < 1e-4, "gx: {g} vs {n}");
-            }
-            for (g, n) in ggw.as_slice().iter().zip(ngw.as_slice()) {
-                assert!((g - n).abs() < 1e-4, "gw: {g} vs {n}");
-            }
-            for (g, n) in ggb.iter().zip(&ngb) {
-                assert!((g - n).abs() < 1e-4, "gb: {g} vs {n}");
-            }
+            let (ggx, ggw, ggb) = conv2d_backward(&x, &wt, stride, pad, &dims, &gout, &mut ws);
+            assert_close(ggx.as_slice(), &ngx, 1e-4, &format!("gx {case}"));
+            assert_close(ggw.as_slice(), &ngw, 1e-4, &format!("gw {case}"));
+            assert_close(&ggb, &ngb, 1e-4, &format!("gb {case}"));
             ws.recycle_tensor(ggx);
             ws.recycle_tensor(ggw);
             ws.recycle(ggb);
@@ -1141,9 +830,8 @@ mod tests {
 
     #[test]
     fn gemm_lowering_is_bitwise_deterministic() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(33);
-        let x = Tensor::rand_uniform([2, 6, 6], -1.0, 1.0, &mut rng);
+        let x = Tensor::rand_uniform([2, 36], -1.0, 1.0, &mut rng);
         let wt = Tensor::rand_uniform([3, 2, 3, 3], -1.0, 1.0, &mut rng);
         let b = vec![0.1, 0.2, 0.3];
         let run = || {
@@ -1151,9 +839,7 @@ mod tests {
             let mut ws = Workspace::new();
             let mut last = None;
             for _ in 0..2 {
-                let cols = im2col_2d(&x, 3, 3, 1, 1, &mut ws);
-                let out = conv2d_forward_gemm(&cols, &wt, &b, 6, 6, &mut ws);
-                ws.recycle(cols);
+                let out = conv2d(&x, &[(6, 6)], &wt, &b, 1, 1, &mut ws);
                 if let Some(prev) = last.take() {
                     assert_eq!(prev, out, "warm pool changed the numbers");
                 }
@@ -1165,69 +851,76 @@ mod tests {
     }
 
     #[test]
-    fn naive_backward_does_not_skip_zero_gradients() {
-        // A gout of exactly zero must flow through the same code path —
-        // gradients are zero either way, but this pins the no-skip
-        // contract by checking the all-zero case still writes zeros (not
-        // stale values) everywhere, matching the gemm path bitwise.
-        let x = Tensor::ones([1, 4]);
-        let w = Tensor::from_vec(vec![1.0, 1.0], [1, 1, 2]);
-        let gout = Tensor::zeros([1, 2]);
-        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 2, &gout);
+    fn backward_of_zero_gradient_writes_zeros_from_a_warm_pool() {
+        // A gout of exactly zero flows through the same code path as any
+        // other: with the pool warmed by a nonzero backward, every
+        // gradient must still come out as exact zeros, not stale values.
+        let mut rng = Rng64::new(5);
         let mut ws = Workspace::new();
-        let (ggx, ggw, ggb) = conv1d_backward_gemm(&x, &w, 2, 2, &gout, &mut ws);
-        assert_eq!(gx.as_slice(), ggx.as_slice());
-        assert_eq!(gw.as_slice(), ggw.as_slice());
-        assert_eq!(gb, ggb);
+        let x = Tensor::rand_uniform([2, 8], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
+        let gout = Tensor::rand_uniform([3, 4], -1.0, 1.0, &mut rng);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 2, 4, &gout, &mut ws);
+        ws.recycle_tensor(gx);
+        ws.recycle_tensor(gw);
+        ws.recycle(gb);
+        let zero = Tensor::zeros([3, 4]);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 2, 4, &zero, &mut ws);
+        assert!(ws.stats().hits > 0, "second backward should reuse pooled buffers");
+        let bits = |s: &[f32]| s.iter().all(|v| v.to_bits() == 0);
+        assert!(bits(gx.as_slice()) && bits(gw.as_slice()) && bits(&gb));
     }
 
     #[test]
     fn conv1d_backward_grads_match_finite_difference() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(3);
+        let mut ws = Workspace::new();
         let x = Tensor::rand_uniform([2, 6], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
         let b = vec![0.1, -0.2, 0.3];
-        let y = conv1d_forward(&x, &w, &b, 2, 2);
+        let y = conv1d(&x, &w, &b, 2, 6, &mut ws);
         let gout = Tensor::ones(y.shape().clone());
-        let (gx, gw, _gb) = conv1d_backward(&x, &w, 2, 2, &gout);
+        let (gx, gw, _gb) = conv1d_backward(&x, &w, 2, 2, 6, &gout, &mut ws);
 
         let eps = 1e-3;
+        let mut loss = |x: &Tensor, w: &Tensor| conv1d(x, w, &b, 2, 6, &mut ws).sum();
         // Check one x element and one w element by central differences.
         let mut xp = x.clone();
         xp.as_mut_slice()[3] += eps;
         let mut xm = x.clone();
         xm.as_mut_slice()[3] -= eps;
-        let num = (conv1d_forward(&xp, &w, &b, 2, 2).sum() - conv1d_forward(&xm, &w, &b, 2, 2).sum()) / (2.0 * eps);
+        let num = (loss(&xp, &w) - loss(&xm, &w)) / (2.0 * eps);
         assert!((num - gx.as_slice()[3]).abs() < 1e-2, "{num} vs {}", gx.as_slice()[3]);
 
         let mut wp = w.clone();
         wp.as_mut_slice()[5] += eps;
         let mut wm = w.clone();
         wm.as_mut_slice()[5] -= eps;
-        let numw = (conv1d_forward(&x, &wp, &b, 2, 2).sum() - conv1d_forward(&x, &wm, &b, 2, 2).sum()) / (2.0 * eps);
+        let numw = (loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps);
         assert!((numw - gw.as_slice()[5]).abs() < 1e-2);
     }
 
     #[test]
     fn conv2d_backward_grads_match_finite_difference() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(4);
-        let x = Tensor::rand_uniform([2, 4, 4], -1.0, 1.0, &mut rng);
+        let mut ws = Workspace::new();
+        let dims = [(4, 4)];
+        let x = Tensor::rand_uniform([2, 16], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([2, 2, 3, 3], -1.0, 1.0, &mut rng);
         let b = vec![0.0, 0.0];
-        let y = conv2d_forward(&x, &w, &b, 1, 1);
+        let y = conv2d(&x, &dims, &w, &b, 1, 1, &mut ws);
         let gout = Tensor::ones(y.shape().clone());
-        let (gx, gw, gb) = conv2d_backward(&x, &w, 1, 1, &gout);
+        let (gx, gw, gb) = conv2d_backward(&x, &w, 1, 1, &dims, &gout, &mut ws);
         assert_eq!(gb, vec![16.0, 16.0]);
 
         let eps = 1e-2;
+        let mut loss = |x: &Tensor, w: &Tensor| conv2d(x, &dims, w, &b, 1, 1, &mut ws).sum();
         for &idx in &[0usize, 7, 20] {
             let mut xp = x.clone();
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let num = (conv2d_forward(&xp, &w, &b, 1, 1).sum() - conv2d_forward(&xm, &w, &b, 1, 1).sum()) / (2.0 * eps);
+            let num = (loss(&xp, &w) - loss(&xm, &w)) / (2.0 * eps);
             assert!((num - gx.as_slice()[idx]).abs() < 1e-2);
         }
         for &idx in &[0usize, 9, 17] {
@@ -1235,13 +928,13 @@ mod tests {
             wp.as_mut_slice()[idx] += eps;
             let mut wm = w.clone();
             wm.as_mut_slice()[idx] -= eps;
-            let num = (conv2d_forward(&x, &wp, &b, 1, 1).sum() - conv2d_forward(&x, &wm, &b, 1, 1).sum()) / (2.0 * eps);
+            let num = (loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps);
             assert!((num - gw.as_slice()[idx]).abs() < 1e-1);
         }
     }
 
     /// Adds `parts` elementwise in order starting from zero — the exact
-    /// reduction chain the per-sample gradient buffers use.
+    /// reduction chain the trainer's per-sample gradient buffers use.
     fn chain_add(parts: &[&[f32]]) -> Vec<f32> {
         let mut acc = vec![0.0f32; parts[0].len()];
         for p in parts {
@@ -1266,9 +959,10 @@ mod tests {
         Tensor::from_vec(data, [c, total])
     }
 
+    /// A batch of three against three batches of one: outputs and input
+    /// gradients match per segment, shared gradients match the chain.
     #[test]
     fn conv1d_batched_is_bitwise_equal_to_per_sample() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(41);
         let mut ws = Workspace::new();
         let (c_in, c_out, k, stride, seg_len, batch) = (2, 3, 3, 1, 9, 3);
@@ -1281,18 +975,14 @@ mod tests {
             (0..batch).map(|_| Tensor::rand_uniform([c_out, out_len], -1.0, 1.0, &mut rng)).collect();
 
         let x = hstack(&samples.iter().collect::<Vec<_>>());
-        let cols = im2col_1d_batched(&x, k, stride, seg_len, &mut ws);
-        let out = conv1d_forward_gemm(&cols, &w, &b, batch * out_len, &mut ws);
-        ws.recycle(cols);
+        let out = conv1d(&x, &w, &b, stride, seg_len, &mut ws);
         let gout = hstack(&gouts.iter().collect::<Vec<_>>());
-        let (gx, gw, gb) = conv1d_batched_backward(&x, &w, k, stride, seg_len, &gout, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, k, stride, seg_len, &gout, &mut ws);
 
         let mut per_gw = Vec::new();
         let mut per_gb = Vec::new();
         for s in 0..batch {
-            let scols = im2col_1d(&samples[s], k, stride, &mut ws);
-            let sout = conv1d_forward_gemm(&scols, &w, &b, out_len, &mut ws);
-            ws.recycle(scols);
+            let sout = conv1d(&samples[s], &w, &b, stride, seg_len, &mut ws);
             for o in 0..c_out {
                 assert_eq!(
                     &out.row(o)[s * out_len..(s + 1) * out_len],
@@ -1301,7 +991,7 @@ mod tests {
                 );
             }
             let (sgx, sgw, sgb) =
-                conv1d_backward_gemm(&samples[s], &w, k, stride, &gouts[s], &mut ws);
+                conv1d_backward(&samples[s], &w, k, stride, seg_len, &gouts[s], &mut ws);
             for ci in 0..c_in {
                 assert_eq!(
                     &gx.row(ci)[s * seg_len..(s + 1) * seg_len],
@@ -1320,41 +1010,26 @@ mod tests {
 
     #[test]
     fn conv2d_batched_is_bitwise_equal_to_per_sample_with_varied_dims() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(42);
         let mut ws = Workspace::new();
         let (c_in, c_out, kh, kw, stride, pad) = (2, 3, 3, 3, 1, 1);
         let dims = [(4, 5), (3, 3), (5, 2)];
         let samples: Vec<Tensor> = dims
             .iter()
-            .map(|&(h, w)| Tensor::rand_uniform([c_in, h, w], -1.0, 1.0, &mut rng))
+            .map(|&(h, w)| Tensor::rand_uniform([c_in, h * w], -1.0, 1.0, &mut rng))
             .collect();
         let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
         let b: Vec<f32> = (0..c_out).map(|i| 0.05 * i as f32).collect();
-        let out_dims = conv2d_batched_out_dims(&dims, kh, kw, stride, pad);
+        let out_dims = conv2d_out_dims(&dims, kh, kw, stride, pad);
         let gouts: Vec<Tensor> = out_dims
             .iter()
-            .map(|&(oh, ow)| Tensor::rand_uniform([c_out, oh, ow], -1.0, 1.0, &mut rng))
+            .map(|&(oh, ow)| Tensor::rand_uniform([c_out, oh * ow], -1.0, 1.0, &mut rng))
             .collect();
 
-        // Column-stack each sample's flattened maps per channel row.
-        let flat: Vec<Tensor> = samples
-            .iter()
-            .zip(&dims)
-            .map(|(s, &(h, w))| s.reshape([c_in, h * w]))
-            .collect();
-        let x = hstack(&flat.iter().collect::<Vec<_>>());
-        let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
-        let cols = im2col_2d_batched(&x, &dims, kh, kw, stride, pad, &mut ws);
-        let out = conv2d_batched_forward_gemm(&cols, &wt, &b, out_total, &mut ws);
-        ws.recycle(cols);
-        let gflat: Vec<Tensor> = gouts
-            .iter()
-            .zip(&out_dims)
-            .map(|(g, &(oh, ow))| g.reshape([c_out, oh * ow]))
-            .collect();
-        let gout = hstack(&gflat.iter().collect::<Vec<_>>());
-        let (gx, gw, gb) = conv2d_batched_backward(&x, &wt, stride, pad, &dims, &gout, &mut ws);
+        let x = hstack(&samples.iter().collect::<Vec<_>>());
+        let out = conv2d(&x, &dims, &wt, &b, stride, pad, &mut ws);
+        let gout = hstack(&gouts.iter().collect::<Vec<_>>());
+        let (gx, gw, gb) = conv2d_backward(&x, &wt, stride, pad, &dims, &gout, &mut ws);
 
         let mut per_gw = Vec::new();
         let mut per_gb = Vec::new();
@@ -1363,22 +1038,20 @@ mod tests {
         for s in 0..dims.len() {
             let (h, w) = dims[s];
             let (oh, ow) = out_dims[s];
-            let scols = im2col_2d(&samples[s], kh, kw, stride, pad, &mut ws);
-            let sout = conv2d_forward_gemm(&scols, &wt, &b, oh, ow, &mut ws);
-            ws.recycle(scols);
+            let sout = conv2d(&samples[s], &dims[s..=s], &wt, &b, stride, pad, &mut ws);
             for o in 0..c_out {
                 assert_eq!(
                     &out.row(o)[out_off..out_off + oh * ow],
-                    &sout.as_slice()[o * oh * ow..(o + 1) * oh * ow],
+                    sout.row(o),
                     "fwd sample {s} channel {o}"
                 );
             }
             let (sgx, sgw, sgb) =
-                conv2d_backward_gemm(&samples[s], &wt, stride, pad, &gouts[s], &mut ws);
+                conv2d_backward(&samples[s], &wt, stride, pad, &dims[s..=s], &gouts[s], &mut ws);
             for ci in 0..c_in {
                 assert_eq!(
                     &gx.row(ci)[in_off..in_off + h * w],
-                    &sgx.as_slice()[ci * h * w..(ci + 1) * h * w],
+                    sgx.row(ci),
                     "gx sample {s} channel {ci}"
                 );
             }
@@ -1395,29 +1068,23 @@ mod tests {
 
     #[test]
     fn amp_batched_matches_per_sample_outputs_and_winners() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(43);
         let mut ws = Workspace::new();
         let (c, oh, ow) = (3, 3, 3);
         let dims = [(4, 7), (3, 3), (2, 9)];
         let total_in: usize = dims.iter().map(|&(h, w)| h * w).sum();
         let samples: Vec<Tensor> =
-            dims.iter().map(|&(h, w)| Tensor::rand_uniform([c, h, w], -1.0, 1.0, &mut rng)).collect();
-        let flat: Vec<Tensor> = samples
-            .iter()
-            .zip(&dims)
-            .map(|(s, &(h, w))| s.reshape([c, h * w]))
-            .collect();
-        let x = hstack(&flat.iter().collect::<Vec<_>>());
-        let (out, argmax) = adaptive_max_pool2d_batched_forward(&x, &dims, oh, ow, &mut ws);
+            dims.iter().map(|&(h, w)| Tensor::rand_uniform([c, h * w], -1.0, 1.0, &mut rng)).collect();
+        let x = hstack(&samples.iter().collect::<Vec<_>>());
+        let (out, argmax) = adaptive_max_pool2d_forward(&x, &dims, oh, ow, &mut ws);
         let mut in_off = 0;
         for s in 0..dims.len() {
             let (h, w) = dims[s];
-            let (sout, sarg) = adaptive_max_pool2d_forward(&samples[s], oh, ow, &mut ws);
+            let (sout, sarg) = adaptive_max_pool2d_forward(&samples[s], &dims[s..=s], oh, ow, &mut ws);
             for ci in 0..c {
                 assert_eq!(
                     &out.row(ci)[s * oh * ow..(s + 1) * oh * ow],
-                    &sout.as_slice()[ci * oh * ow..(ci + 1) * oh * ow],
+                    sout.row(ci),
                     "out sample {s} channel {ci}"
                 );
                 for cell in 0..oh * ow {
@@ -1435,7 +1102,6 @@ mod tests {
 
     #[test]
     fn maxpool1d_batched_matches_per_sample_and_drops_tails_per_segment() {
-        use magic_tensor::Rng64;
         let mut rng = Rng64::new(44);
         let mut ws = Workspace::new();
         let (c, k, seg_len, batch) = (2, 2, 7, 3); // 7 % 2 == 1: one dropped tail per segment
@@ -1443,10 +1109,10 @@ mod tests {
         let samples: Vec<Tensor> =
             (0..batch).map(|_| Tensor::rand_uniform([c, seg_len], -1.0, 1.0, &mut rng)).collect();
         let x = hstack(&samples.iter().collect::<Vec<_>>());
-        let (out, argmax) = max_pool1d_batched_forward(&x, k, seg_len, &mut ws);
+        let (out, argmax) = max_pool1d_forward(&x, k, seg_len, &mut ws);
         assert_eq!(out.shape().dims(), &[c, batch * out_len]);
         for s in 0..batch {
-            let (sout, sarg) = max_pool1d_forward(&samples[s], k, &mut ws);
+            let (sout, sarg) = max_pool1d_forward(&samples[s], k, seg_len, &mut ws);
             for ci in 0..c {
                 assert_eq!(
                     &out.row(ci)[s * out_len..(s + 1) * out_len],

@@ -13,6 +13,8 @@
 //! row gathering and padding for SortPooling, 1-D/2-D convolutions and
 //! adaptive max pooling for the two classification heads, plus the usual
 //! activations, dropout and the negative log-likelihood loss of Eq. (5).
+//! The model-facing ops all run over a block-diagonal mini-batch; a
+//! single graph is a batch of one.
 //!
 //! # Example
 //!
@@ -38,4 +40,4 @@ mod tape;
 pub use check::{finite_difference_gradient, first_bitwise_mismatch, max_grad_error};
 pub use conv::{conv1d_shape, conv2d_shape};
 pub use profile::{OpKey, OpProfile, OpStat};
-pub use tape::{ConvLowering, Tape, Var};
+pub use tape::{Tape, Var};

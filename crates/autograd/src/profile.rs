@@ -23,39 +23,37 @@
 //! * [`spmm_norm_flops`]: `2·nnz·c + rows·c` for the fused
 //!   `D̂⁻¹ (Â F)` — one multiply-add per nonzero per feature column plus
 //!   the row-scaling multiply. Scales with *edges*, not `rows²`. The
-//!   backward step (`spmm_norm_t`, the transpose-CSR product) has the
+//!   backward step (`spmm_norm_t.batched`, the transpose-CSR product) has the
 //!   same nnz and is charged exactly 1× this count, not the dense 2×
 //!   heuristic.
 //! * [`conv1d_flops`]: `out_elems · (2·c_in·k + 1)` — the `+1` is the
 //!   bias add per output element.
 //! * [`conv2d_flops`]: `out_elems · (2·c_in·kh·kw + 1)`.
-//! * `conv1d.gemm` / `conv2d.gemm` (the im2col-GEMM lowerings) use the
-//!   *same* formulas — the math is identical, only the loop order
-//!   differs — so naive-vs-GEMM profiles compare like for like. The
-//!   patch gather is profiled separately as a forward-only `im2col` row
-//!   with 0 FLOPs and `bytes_out` = column-buffer size. The backward
+//! * The im2col-GEMM convolutions (`conv1d.batched` / `conv2d.batched`)
+//!   are charged these formulas — the direct-convolution arithmetic,
+//!   whatever the loop order. The patch gather is profiled separately as
+//!   a forward-only `im2col` row with 0 FLOPs and `bytes_out` =
+//!   column-buffer size. The backward
 //!   GEMM step *recomputes* im2col internally (cheaper than keeping the
 //!   buffer alive across the tape); that recompute is charged inside the
-//!   `conv*.gemm` backward row's standard 2× heuristic, not as a second
-//!   `im2col` row.
-//! * Batched op kinds (`gemm.batched`, `spmm_norm.batched` /
-//!   `spmm_norm_t.batched`, `conv1d.batched`, `conv2d.batched`) reuse the
-//!   formulas above applied to the *concatenated* output — a block-diagonal
+//!   `conv*.batched` backward row's standard 2× heuristic, not as a
+//!   second `im2col` row.
+//! * The batch op kinds (`gemm.batched`, `spmm_norm.batched` /
+//!   `spmm_norm_t.batched`, `conv1d.batched`, `conv2d.batched`) apply the
+//!   formulas above to the *concatenated* output — a block-diagonal
 //!   propagation over `Σ nnz_j` nonzeros or a column-stacked convolution
-//!   over `Σ out_j` positions performs exactly the per-sample FLOPs summed,
-//!   so per-sample and batched profiles of the same mini-batch report the
-//!   same totals and `magic profile` attribution stays comparable across
-//!   the two execution modes. `matmul_row_blocks` (also `gemm.batched`)
-//!   charges `2·B·block_rows·c` via `matmul_flops(B, block_rows, c)`.
-//!   Batched data movement (`gather_pad.batched`, `unstack_cols.batched`,
+//!   over `Σ out_j` positions performs exactly the members' FLOPs summed,
+//!   so an epoch's FLOP totals do not depend on how its samples were
+//!   batched. `matmul_row_blocks` (also `gemm.batched`) charges
+//!   `2·B·block_rows·c` via `matmul_flops(B, block_rows, c)`. Data
+//!   movement (`gather_pad.batched`, `unstack_cols.batched`,
 //!   `max_pool1d.batched`, `adaptive_max_pool2d.batched`) counts zero
-//!   FLOPs like its per-sample counterparts; `nll_loss.batched` counts one
-//!   FLOP per row.
+//!   FLOPs; `nll_loss.batched` counts one FLOP per row.
 //! * Cheap elementwise ops count one FLOP per output element;
 //!   transcendentals (`sigmoid`, `tanh`, `log_softmax`) count a few.
-//! * Data movement (`transpose`, `reshape`, `gather_rows`, pooling,
-//!   `concat_cols`, `pad_rows`) counts zero FLOPs; `bytes_out` captures
-//!   its cost instead.
+//! * Data movement (`transpose`, `reshape`, `concat_cols`, gathers,
+//!   unstacking, pooling) counts zero FLOPs; `bytes_out` captures its
+//!   cost instead.
 //! * Backward steps are charged `2×` the forward FLOPs of their op (the
 //!   usual two-gradient heuristic for dense kernels).
 

@@ -1,41 +1,18 @@
 //! The recording tape: forward operations and the reverse gradient sweep.
+//!
+//! Every model-facing op works on a block-diagonal mini-batch: samples
+//! are row-stacked (graph features) or column-stacked (conv signals and
+//! feature maps), and a single graph is simply a batch of one. Forward
+//! values are the per-sample values laid side by side, and gradients of
+//! shared parameters are unstacked per sample and combined in sample
+//! order, so a batch of `B` is bitwise identical to `B` batches of one
+//! (see DESIGN.md, "Batched execution").
 
 use crate::conv;
 use crate::profile::{self, OpKey, OpProfile, PHASE_BACKWARD, PHASE_FORWARD};
 use magic_tensor::{CsrMatrix, Rng64, Shape, Tensor, Workspace, WorkspaceStats};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Which convolution implementation the tape dispatches to.
-///
-/// Both lowerings are individually bitwise deterministic; they accumulate
-/// in different orders, so *across* lowerings results agree to float
-/// tolerance (~1e-5), not bitwise. See `crates/autograd/src/conv.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvLowering {
-    /// im2col patch gather + one register-blocked GEMM per conv, with
-    /// workspace-pooled buffers. The default.
-    #[default]
-    Im2colGemm,
-    /// The original scalar loops. Escape hatch (`MAGIC_NAIVE_CONV=1`) for
-    /// A/B timing and parity testing.
-    Naive,
-}
-
-impl ConvLowering {
-    /// The lowering selected by the `MAGIC_NAIVE_CONV` environment
-    /// variable (`1` → [`ConvLowering::Naive`]), read once per process.
-    pub fn from_env() -> Self {
-        static CACHE: OnceLock<ConvLowering> = OnceLock::new();
-        *CACHE.get_or_init(|| {
-            if std::env::var("MAGIC_NAIVE_CONV").map(|v| v == "1").unwrap_or(false) {
-                ConvLowering::Naive
-            } else {
-                ConvLowering::Im2colGemm
-            }
-        })
-    }
-}
 
 /// Handle to a value recorded on a [`Tape`].
 ///
@@ -57,51 +34,42 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     ScaleRows(Var, Vec<f32>),
-    /// Fused `D̂⁻¹ (Â F)` of Eq. (1) over a CSR adjacency. The matrices
-    /// and scale vector are per-graph constants shared via `Arc`, so the
-    /// backward sweep's op clone stays O(1). `batched` marks a
-    /// block-diagonal batch adjacency (same math, own profile kind).
+    /// Fused `D̂⁻¹ (Â F)` of Eq. (1) over a (block-diagonal) CSR
+    /// adjacency. The matrices and scale vector are batch constants
+    /// shared via `Arc`, so the backward sweep's op clone stays O(1).
     SpmmNorm {
         adj: Arc<CsrMatrix>,
         adj_t: Arc<CsrMatrix>,
         inv_degree: Arc<Vec<f32>>,
         f: Var,
-        batched: bool,
     },
     Transpose(Var),
     ConcatCols(Vec<Var>),
-    GatherRows(Var, Vec<usize>),
-    PadRows(Var),
     Reshape(Var),
     LogSoftmaxRows(Var),
-    NllLoss(Var, Vec<usize>),
     Sum(Var),
     Mean(Var),
     Dropout(Var, Vec<f32>),
-    Conv1d { x: Var, w: Var, b: Var, k: usize, stride: usize, gemm: bool },
-    Conv2d { x: Var, w: Var, b: Var, stride: usize, pad: usize, gemm: bool },
-    AdaptiveMaxPool2d { x: Var, argmax: Vec<usize> },
-    MaxPool1d { x: Var, argmax: Vec<usize> },
     /// `a @ b` where `a` row-stacks one segment per sample (`bounds` are
     /// the `B+1` segment boundaries). The forward is a plain matmul; the
     /// backward unstacks `b`'s gradient per sample so the shared-operand
-    /// reduction chain matches per-sample execution bitwise.
+    /// reduction chain matches a batch of one per sample bitwise.
     MatmulBatched { a: Var, b: Var, bounds: Arc<Vec<usize>> },
     /// One single-row GEMM per `block_rows`-row block of `x` against the
     /// shared `(1, block_rows)` operand `w` — the batched
     /// WeightedVertices head. Output row `j` is `w @ x[j·k..(j+1)·k]`.
     MatmulRowBlocks { w: Var, x: Var, block_rows: usize },
-    /// [`Op::GatherRows`] with a `usize::MAX` pad sentinel: sentinel
-    /// destinations read (and backprop) a zero row. Fuses SortPooling's
-    /// gather + pad for a whole batch.
+    /// Row gather with a `usize::MAX` pad sentinel: sentinel destinations
+    /// read (and backprop) a zero row. SortPooling's gather + pad for a
+    /// whole batch.
     GatherRowsPad(Var, Vec<usize>),
     /// `(C, B·L)` → `(B, C·L)`: row `j` of the output is sample `j`'s
     /// per-sample row-major flatten. Pure data movement.
     UnstackColumns { a: Var, seg_len: usize },
     /// Per-row NLL: `out[j] = -lp[j, targets[j]]` as a `(B, 1)` column.
     NllLossRows(Var, Vec<usize>),
-    Conv1dBatched { x: Var, w: Var, b: Var, k: usize, stride: usize, seg_len: usize },
-    Conv2dBatched {
+    Conv1d { x: Var, w: Var, b: Var, k: usize, stride: usize, seg_len: usize },
+    Conv2d {
         x: Var,
         w: Var,
         b: Var,
@@ -109,15 +77,16 @@ enum Op {
         pad: usize,
         dims: Arc<Vec<(usize, usize)>>,
     },
-    AdaptiveMaxPool2dBatched { x: Var, argmax: Vec<usize> },
-    MaxPool1dBatched { x: Var, argmax: Vec<usize> },
+    AdaptiveMaxPool2d { x: Var, argmax: Vec<usize> },
+    MaxPool1d { x: Var, argmax: Vec<usize> },
 }
 
 impl Op {
     /// Stable kind name used by the profiler and the `magic-trace/2`
     /// `op_profile` event. These strings are part of the trace schema:
     /// renaming one is a reader-visible change and belongs in
-    /// `docs/OBSERVABILITY.md`'s op-kind registry.
+    /// `docs/OBSERVABILITY.md`'s op-kind registry. The `.batched` suffix
+    /// marks the ops that run over a whole block-diagonal batch.
     fn kind(&self) -> &'static str {
         match self {
             Op::Leaf => "leaf",
@@ -131,32 +100,22 @@ impl Op {
             Op::Sigmoid(..) => "sigmoid",
             Op::Tanh(..) => "tanh",
             Op::ScaleRows(..) => "scale_rows",
-            Op::SpmmNorm { batched: false, .. } => "spmm_norm",
-            Op::SpmmNorm { batched: true, .. } => "spmm_norm.batched",
+            Op::SpmmNorm { .. } => "spmm_norm.batched",
             Op::Transpose(..) => "transpose",
             Op::ConcatCols(..) => "concat_cols",
-            Op::GatherRows(..) => "gather_rows",
-            Op::PadRows(..) => "pad_rows",
             Op::Reshape(..) => "reshape",
             Op::LogSoftmaxRows(..) => "log_softmax",
-            Op::NllLoss(..) => "nll_loss",
             Op::Sum(..) => "sum",
             Op::Mean(..) => "mean",
             Op::Dropout(..) => "dropout",
-            Op::Conv1d { gemm: false, .. } => "conv1d",
-            Op::Conv1d { gemm: true, .. } => "conv1d.gemm",
-            Op::Conv2d { gemm: false, .. } => "conv2d",
-            Op::Conv2d { gemm: true, .. } => "conv2d.gemm",
-            Op::AdaptiveMaxPool2d { .. } => "adaptive_max_pool2d",
-            Op::MaxPool1d { .. } => "max_pool1d",
             Op::MatmulBatched { .. } | Op::MatmulRowBlocks { .. } => "gemm.batched",
             Op::GatherRowsPad(..) => "gather_pad.batched",
             Op::UnstackColumns { .. } => "unstack_cols.batched",
             Op::NllLossRows(..) => "nll_loss.batched",
-            Op::Conv1dBatched { .. } => "conv1d.batched",
-            Op::Conv2dBatched { .. } => "conv2d.batched",
-            Op::AdaptiveMaxPool2dBatched { .. } => "adaptive_max_pool2d.batched",
-            Op::MaxPool1dBatched { .. } => "max_pool1d.batched",
+            Op::Conv1d { .. } => "conv1d.batched",
+            Op::Conv2d { .. } => "conv2d.batched",
+            Op::AdaptiveMaxPool2d { .. } => "adaptive_max_pool2d.batched",
+            Op::MaxPool1d { .. } => "max_pool1d.batched",
         }
     }
 
@@ -166,8 +125,7 @@ impl Op {
     /// pseudo-op name.
     fn backward_kind(&self) -> &'static str {
         match self {
-            Op::SpmmNorm { batched: false, .. } => "spmm_norm_t",
-            Op::SpmmNorm { batched: true, .. } => "spmm_norm_t.batched",
+            Op::SpmmNorm { .. } => "spmm_norm_t.batched",
             other => other.kind(),
         }
     }
@@ -182,9 +140,9 @@ struct Node {
 
 /// A gradient tape: records a forward computation, then differentiates it.
 ///
-/// One tape is used per training example (graphs have varying sizes, so
-/// MAGIC batches by accumulating gradients across per-graph tapes). Call
-/// [`Tape::clear`] to reuse the allocation for the next example.
+/// One tape records one forward/backward pass over a (block-diagonal)
+/// batch of graphs; training lanes keep a tape each and call
+/// [`Tape::reset`] between passes to reuse its buffers.
 ///
 /// # Example
 ///
@@ -212,25 +170,12 @@ pub struct Tape {
     /// per worker lane across batches while the executor's threads are
     /// respawned per batch.
     workspace: Workspace,
-    conv_lowering: ConvLowering,
 }
 
 impl Tape {
-    /// Creates an empty tape. The convolution lowering comes from
-    /// [`ConvLowering::from_env`] (im2col-GEMM unless `MAGIC_NAIVE_CONV=1`).
+    /// Creates an empty tape.
     pub fn new() -> Self {
-        Tape { conv_lowering: ConvLowering::from_env(), ..Tape::default() }
-    }
-
-    /// The convolution lowering in effect for new conv ops.
-    pub fn conv_lowering(&self) -> ConvLowering {
-        self.conv_lowering
-    }
-
-    /// Overrides the convolution lowering — in-process A/B and parity
-    /// tests use this instead of the environment variable.
-    pub fn set_conv_lowering(&mut self, lowering: ConvLowering) {
-        self.conv_lowering = lowering;
+        Tape::default()
     }
 
     /// Pool hit/miss counters of this tape's workspace. After a warm-up
@@ -298,10 +243,9 @@ impl Tape {
         for node in nodes.drain(..) {
             match node.op {
                 Op::Dropout(_, mask) => workspace.recycle(mask),
-                Op::AdaptiveMaxPool2d { argmax, .. }
-                | Op::MaxPool1d { argmax, .. }
-                | Op::AdaptiveMaxPool2dBatched { argmax, .. }
-                | Op::MaxPool1dBatched { argmax, .. } => workspace.recycle_indices(argmax),
+                Op::AdaptiveMaxPool2d { argmax, .. } | Op::MaxPool1d { argmax, .. } => {
+                    workspace.recycle_indices(argmax)
+                }
                 _ => {}
             }
             workspace.recycle_tensor(node.value);
@@ -356,15 +300,11 @@ impl Tape {
             Op::Leaf
             | Op::Transpose(_)
             | Op::ConcatCols(_)
-            | Op::GatherRows(..)
             | Op::GatherRowsPad(..)
-            | Op::PadRows(_)
             | Op::Reshape(_)
             | Op::UnstackColumns { .. }
             | Op::AdaptiveMaxPool2d { .. }
-            | Op::MaxPool1d { .. }
-            | Op::AdaptiveMaxPool2dBatched { .. }
-            | Op::MaxPool1dBatched { .. } => 0,
+            | Op::MaxPool1d { .. } => 0,
             Op::Matmul(a, b) | Op::MatmulBatched { a, b, .. } => profile::matmul_flops(
                 self.value(*a).rows(),
                 self.value(*a).cols(),
@@ -387,26 +327,15 @@ impl Tape {
             Op::Sigmoid(_) | Op::Tanh(_) => 4 * out.len() as u64,
             Op::LogSoftmaxRows(_) => 5 * out.len() as u64,
             Op::Sum(a) | Op::Mean(a) => self.value(*a).len() as u64,
-            Op::NllLoss(_, targets) | Op::NllLossRows(_, targets) => targets.len() as u64,
-            Op::Conv1d { x, k, .. } | Op::Conv1dBatched { x, k, .. } => profile::conv1d_flops(
+            Op::NllLossRows(_, targets) => targets.len() as u64,
+            Op::Conv1d { x, k, .. } => profile::conv1d_flops(
                 out.shape().dim(0),
                 out.shape().dim(1),
                 self.value(*x).shape().dim(0),
                 *k,
             ),
-            Op::Conv2d { w, .. } => {
-                let ws = self.value(*w).shape().clone();
-                profile::conv2d_flops(
-                    out.shape().dim(0),
-                    out.shape().dim(1),
-                    out.shape().dim(2),
-                    ws.dim(1),
-                    ws.dim(2),
-                    ws.dim(3),
-                )
-            }
             // Flat column-stacked output: same formula over oh·ow = Σ ohⱼ·owⱼ.
-            Op::Conv2dBatched { w, .. } => {
+            Op::Conv2d { w, .. } => {
                 let ws = self.value(*w).shape().clone();
                 profile::conv2d_flops(
                     out.shape().dim(0),
@@ -544,14 +473,16 @@ impl Tape {
     /// constant-matrix half of Eq. (1) in one pass over the adjacency
     /// nonzeros.
     ///
-    /// * `adj` — the augmented adjacency `Â` in CSR form.
+    /// * `adj` — the augmented adjacency `Â` in CSR form; for a batch,
+    ///   the block diagonal of the per-graph matrices.
     /// * `adj_t` — `Âᵀ`, precomputed once per graph; the backward pass
     ///   is the transpose-CSR product `Âᵀ (D̂⁻¹ g)`.
     /// * `inv_degree` — the diagonal of `D̂⁻¹` (one entry per vertex).
     /// * `f` — the dense feature matrix `F = Z W`, `(n, c)`.
     ///
-    /// Only `f` is differentiable; the graph structure is a per-sample
-    /// constant.
+    /// Only `f` is differentiable; the graph structure is constant. A
+    /// block-diagonal row holds exactly the nonzeros of the graph's own
+    /// row, so every graph's output is bitwise what it gets alone.
     ///
     /// # Panics
     ///
@@ -563,33 +494,6 @@ impl Tape {
         adj_t: Arc<CsrMatrix>,
         inv_degree: Arc<Vec<f32>>,
         f: Var,
-    ) -> Var {
-        self.spmm_norm_impl(adj, adj_t, inv_degree, f, false)
-    }
-
-    /// [`Tape::spmm_norm`] over a block-diagonal batch adjacency: one
-    /// fused pass propagates a whole mini-batch's concatenated node
-    /// features. The kernel walks each output row's nonzeros exactly as
-    /// the per-sample call does (a block-diagonal row *is* the sample's
-    /// row), so results are bitwise identical to per-sample execution;
-    /// the op records under its own `spmm_norm.batched` profile kind.
-    pub fn spmm_norm_batched(
-        &mut self,
-        adj: Arc<CsrMatrix>,
-        adj_t: Arc<CsrMatrix>,
-        inv_degree: Arc<Vec<f32>>,
-        f: Var,
-    ) -> Var {
-        self.spmm_norm_impl(adj, adj_t, inv_degree, f, true)
-    }
-
-    fn spmm_norm_impl(
-        &mut self,
-        adj: Arc<CsrMatrix>,
-        adj_t: Arc<CsrMatrix>,
-        inv_degree: Arc<Vec<f32>>,
-        f: Var,
-        batched: bool,
     ) -> Var {
         let t = self.prof_start();
         assert_eq!(
@@ -605,7 +509,7 @@ impl Tape {
         );
         let value = adj.spmm_row_scaled(&inv_degree, self.value(f));
         let rg = self.any_requires(&[f]);
-        self.push_profiled(value, Op::SpmmNorm { adj, adj_t, inv_degree, f, batched }, rg, t)
+        self.push_profiled(value, Op::SpmmNorm { adj, adj_t, inv_degree, f }, rg, t)
     }
 
     /// Matrix transpose.
@@ -623,24 +527,6 @@ impl Tape {
         let value = Tensor::concat_cols(&tensors);
         let rg = self.any_requires(parts);
         self.push_profiled(value, Op::ConcatCols(parts.to_vec()), rg, t)
-    }
-
-    /// Gathers matrix rows by (constant) indices. Gradients scatter-add
-    /// back, so repeated indices accumulate.
-    pub fn gather_rows(&mut self, a: Var, indices: Vec<usize>) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).gather_rows(&indices);
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::GatherRows(a, indices), rg, t)
-    }
-
-    /// Pads with zero rows or truncates to exactly `rows` rows
-    /// (SortPooling's size unification).
-    pub fn pad_or_truncate_rows(&mut self, a: Var, rows: usize) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).pad_or_truncate_rows(rows);
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::PadRows(a), rg, t)
     }
 
     /// Reshapes without changing data.
@@ -664,27 +550,6 @@ impl Tape {
         self.push_profiled(value, Op::LogSoftmaxRows(a), rg, t)
     }
 
-    /// Mean negative log-likelihood (Eq. 5) of row-wise log-probabilities
-    /// against integer class targets. Returns a scalar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets.len()` differs from the row count or a target is
-    /// out of range.
-    pub fn nll_loss(&mut self, log_probs: Var, targets: Vec<usize>) -> Var {
-        let t = self.prof_start();
-        let lp = self.value(log_probs);
-        assert_eq!(lp.rows(), targets.len(), "one target per row required");
-        let mut total = 0.0;
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < lp.cols(), "target {t} out of range");
-            total -= lp.get2(i, t);
-        }
-        let value = Tensor::scalar(total / targets.len() as f32);
-        let rg = self.any_requires(&[log_probs]);
-        self.push_profiled(value, Op::NllLoss(log_probs, targets), rg, t)
-    }
-
     /// Sum of all elements (scalar output).
     pub fn sum(&mut self, a: Var) -> Var {
         let t = self.prof_start();
@@ -701,40 +566,10 @@ impl Tape {
         self.push_profiled(value, Op::Mean(a), rg, t)
     }
 
-    /// Inverted dropout: zeroes each element with probability `p` and
-    /// scales survivors by `1/(1-p)`. Identity when `p == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= p < 1`.
-    pub fn dropout(&mut self, a: Var, p: f32, rng: &mut Rng64) -> Var {
-        assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-        let t = self.prof_start();
-        let keep = 1.0 - p;
-        // Mask and output come from the workspace; the RNG is drawn in
-        // the same element order as before pooling, so masks are
-        // unchanged bitwise.
-        let (masked, mask) = {
-            let Tape { nodes, workspace, .. } = &mut *self;
-            let av = &nodes[a.0].value;
-            let mut mask = workspace.take(av.len());
-            for m in mask.iter_mut() {
-                *m = if rng.next_f32() < p { 0.0 } else { 1.0 / keep };
-            }
-            let mut masked = workspace.take_tensor(av.shape().clone());
-            for ((o, &x), &m) in masked.as_mut_slice().iter_mut().zip(av.as_slice()).zip(&mask) {
-                *o = x * m;
-            }
-            (masked, mask)
-        };
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(masked, Op::Dropout(a, mask), rg, t)
-    }
-
     /// Records the patch-gather half of a GEMM-lowered convolution as its
     /// own forward profile row: `im2col` is pure data movement (0 FLOPs,
     /// `bytes_out` = column buffer size), timed separately so the
-    /// `conv*.gemm` rows cover only the GEMM + bias.
+    /// `conv*.batched` rows cover only the GEMM + bias.
     fn record_im2col(&mut self, started: Option<Instant>, elems: usize) {
         if let Some(t0) = started {
             let key = OpKey {
@@ -746,131 +581,6 @@ impl Tape {
             self.profile.record(key, t0.elapsed().as_nanos() as u64, 0, bytes);
         }
     }
-
-    /// 1-D convolution of `(c_in, len)` by `(c_out, c_in, k)` weights with
-    /// the given stride, plus a `c_out` bias. Dispatches on the tape's
-    /// [`ConvLowering`].
-    pub fn conv1d(&mut self, x: Var, w: Var, b: Var, stride: usize) -> Var {
-        let k = self.value(w).shape().dim(2);
-        let rg = self.any_requires(&[x, w, b]);
-        match self.conv_lowering {
-            ConvLowering::Naive => {
-                let t = self.prof_start();
-                let value = conv::conv1d_forward(
-                    self.value(x),
-                    self.value(w),
-                    self.value(b).as_slice(),
-                    k,
-                    stride,
-                );
-                self.push_profiled(value, Op::Conv1d { x, w, b, k, stride, gemm: false }, rg, t)
-            }
-            ConvLowering::Im2colGemm => {
-                let out_len = conv::conv1d_shape(self.value(x).cols(), k, stride);
-                let t_cols = self.prof_start();
-                let cols = {
-                    let Tape { nodes, workspace, .. } = &mut *self;
-                    conv::im2col_1d(&nodes[x.0].value, k, stride, workspace)
-                };
-                self.record_im2col(t_cols, cols.len());
-                let t = self.prof_start();
-                let value = {
-                    let Tape { nodes, workspace, .. } = &mut *self;
-                    conv::conv1d_forward_gemm(
-                        &cols,
-                        &nodes[w.0].value,
-                        nodes[b.0].value.as_slice(),
-                        out_len,
-                        workspace,
-                    )
-                };
-                self.workspace.recycle(cols);
-                self.push_profiled(value, Op::Conv1d { x, w, b, k, stride, gemm: true }, rg, t)
-            }
-        }
-    }
-
-    /// 2-D convolution of `(c_in, h, w)` by `(c_out, c_in, kh, kw)` weights
-    /// with the given stride and zero padding, plus a `c_out` bias.
-    /// Dispatches on the tape's [`ConvLowering`].
-    pub fn conv2d(&mut self, x: Var, w: Var, b: Var, stride: usize, pad: usize) -> Var {
-        let rg = self.any_requires(&[x, w, b]);
-        match self.conv_lowering {
-            ConvLowering::Naive => {
-                let t = self.prof_start();
-                let value = conv::conv2d_forward(
-                    self.value(x),
-                    self.value(w),
-                    self.value(b).as_slice(),
-                    stride,
-                    pad,
-                );
-                self.push_profiled(value, Op::Conv2d { x, w, b, stride, pad, gemm: false }, rg, t)
-            }
-            ConvLowering::Im2colGemm => {
-                let (kh, kw) = {
-                    let ws = self.value(w).shape();
-                    (ws.dim(2), ws.dim(3))
-                };
-                let (oh, ow) = {
-                    let xs = self.value(x).shape();
-                    conv::conv2d_shape(xs.dim(1), xs.dim(2), kh, kw, stride, pad)
-                };
-                let t_cols = self.prof_start();
-                let cols = {
-                    let Tape { nodes, workspace, .. } = &mut *self;
-                    conv::im2col_2d(&nodes[x.0].value, kh, kw, stride, pad, workspace)
-                };
-                self.record_im2col(t_cols, cols.len());
-                let t = self.prof_start();
-                let value = {
-                    let Tape { nodes, workspace, .. } = &mut *self;
-                    conv::conv2d_forward_gemm(
-                        &cols,
-                        &nodes[w.0].value,
-                        nodes[b.0].value.as_slice(),
-                        oh,
-                        ow,
-                        workspace,
-                    )
-                };
-                self.workspace.recycle(cols);
-                self.push_profiled(value, Op::Conv2d { x, w, b, stride, pad, gemm: true }, rg, t)
-            }
-        }
-    }
-
-    /// Adaptive max pooling of `(c, h, w)` to `(c, oh, ow)` — the paper's
-    /// AMP layer (Section III-C). Output and winner-index buffers are
-    /// pooled; ties break to the first maximum in scan order.
-    pub fn adaptive_max_pool2d(&mut self, x: Var, oh: usize, ow: usize) -> Var {
-        let t = self.prof_start();
-        let (value, argmax) = {
-            let Tape { nodes, workspace, .. } = &mut *self;
-            conv::adaptive_max_pool2d_forward(&nodes[x.0].value, oh, ow, workspace)
-        };
-        let rg = self.any_requires(&[x]);
-        self.push_profiled(value, Op::AdaptiveMaxPool2d { x, argmax }, rg, t)
-    }
-
-    /// Non-overlapping 1-D max pooling with window `k` over `(c, len)`.
-    pub fn max_pool1d(&mut self, x: Var, k: usize) -> Var {
-        let t = self.prof_start();
-        let (value, argmax) = {
-            let Tape { nodes, workspace, .. } = &mut *self;
-            conv::max_pool1d_forward(&nodes[x.0].value, k, workspace)
-        };
-        let rg = self.any_requires(&[x]);
-        self.push_profiled(value, Op::MaxPool1d { x, argmax }, rg, t)
-    }
-
-    // ------------------------------------------------------------------
-    // Batched ops: one tape node per mini-batch instead of per sample.
-    // Forward values equal the per-sample values laid side by side, and
-    // shared-parameter gradients are unstacked per sample and combined
-    // in sample order, so per-sample and batched execution are bitwise
-    // identical end to end (see DESIGN.md, "Batched execution").
-    // ------------------------------------------------------------------
 
     /// `a @ b` where `a` row-stacks one segment per sample and `b` is a
     /// shared parameter. `bounds` holds the `B+1` row boundaries
@@ -935,9 +645,11 @@ impl Tape {
         self.push_profiled(value, Op::MatmulRowBlocks { w, x, block_rows }, rg, t)
     }
 
-    /// [`Tape::gather_rows`] with padding: an index of `usize::MAX` reads
-    /// a zero row (and receives no gradient). Fuses SortPooling's
-    /// gather-then-pad for every sample of a batch into one op.
+    /// Gathers rows of `a` by (constant) indices, where an index of
+    /// `usize::MAX` reads a zero row (and receives no gradient) —
+    /// SortPooling's truncate-or-pad to `k` rows for every sample of a
+    /// batch in one op. Gradients scatter-add back, so repeated indices
+    /// accumulate.
     pub fn gather_rows_pad(&mut self, a: Var, indices: Vec<usize>) -> Var {
         let t = self.prof_start();
         let value = {
@@ -957,8 +669,8 @@ impl Tape {
 
     /// Reorders a `(C, B·seg_len)` column-stacked batch into `(B, C·seg_len)`
     /// where row `j` is sample `j`'s channels flattened row-major — the
-    /// batched equivalent of the per-sample `reshape([1, C·seg_len])`
-    /// after a conv/pool head. Pure data movement.
+    /// per-sample feature rows after a conv/pool head. Pure data
+    /// movement.
     pub fn unstack_columns(&mut self, a: Var, seg_len: usize) -> Var {
         let t = self.prof_start();
         let value = {
@@ -1010,10 +722,10 @@ impl Tape {
         self.push_profiled(value, Op::NllLossRows(log_probs, targets), rg, t)
     }
 
-    /// [`Tape::dropout`] over a batch with one RNG stream per row: row
-    /// `j`'s mask is drawn from `rngs[j]` in element order, so it is
-    /// bitwise the mask the per-sample call would draw for that sample.
-    /// Records a plain dropout op — the backward is unchanged.
+    /// Inverted dropout with one RNG stream per row: zeroes each element
+    /// with probability `p` and scales survivors by `1/(1-p)`. Row `j`'s
+    /// mask is drawn from `rngs[j]` in element order, so a sample's mask
+    /// does not depend on which other samples share its batch.
     ///
     /// # Panics
     ///
@@ -1042,14 +754,15 @@ impl Tape {
         self.push_profiled(masked, Op::Dropout(a, mask), rg, t)
     }
 
-    /// Batched 1-D convolution over `x = (c_in, B·seg_len)` — every
-    /// sample occupies one `seg_len` column segment. Always lowered via
-    /// the batched im2col + one GEMM (there is no naive batched path).
+    /// 1-D convolution of `(c_out, c_in, k)` weights plus a `c_out` bias
+    /// over `x = (c_in, B·seg_len)`, where every sample occupies one
+    /// `seg_len` column segment (windows never straddle a boundary).
+    /// Lowered to an im2col patch gather and one GEMM.
     ///
     /// # Panics
     ///
     /// Panics if `x`'s width is not a multiple of `seg_len`.
-    pub fn conv1d_batched(&mut self, x: Var, w: Var, b: Var, stride: usize, seg_len: usize) -> Var {
+    pub fn conv1d(&mut self, x: Var, w: Var, b: Var, stride: usize, seg_len: usize) -> Var {
         let k = self.value(w).shape().dim(2);
         let rg = self.any_requires(&[x, w, b]);
         let batch = self.value(x).cols() / seg_len;
@@ -1057,7 +770,7 @@ impl Tape {
         let t_cols = self.prof_start();
         let cols = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::im2col_1d_batched(&nodes[x.0].value, k, stride, seg_len, workspace)
+            conv::im2col_1d(&nodes[x.0].value, k, stride, seg_len, workspace)
         };
         self.record_im2col(t_cols, cols.len());
         let t = self.prof_start();
@@ -1072,13 +785,15 @@ impl Tape {
             )
         };
         self.workspace.recycle(cols);
-        self.push_profiled(value, Op::Conv1dBatched { x, w, b, k, stride, seg_len }, rg, t)
+        self.push_profiled(value, Op::Conv1d { x, w, b, k, stride, seg_len }, rg, t)
     }
 
-    /// Batched 2-D convolution over a column-stacked `x = (c_in, Σ hⱼ·wⱼ)`
-    /// with per-sample map dims in `dims`. The output is the flat
-    /// `(c_out, Σ ohⱼ·owⱼ)` column-stacked matrix. Always im2col + GEMM.
-    pub fn conv2d_batched(
+    /// 2-D convolution of `(c_out, c_in, kh, kw)` weights with the given
+    /// stride and zero padding, plus a `c_out` bias, over a column-stacked
+    /// `x = (c_in, Σ hⱼ·wⱼ)` with per-sample map dims in `dims`. The
+    /// output is the flat `(c_out, Σ ohⱼ·owⱼ)` column-stacked matrix.
+    /// Lowered to an im2col patch gather and one GEMM.
+    pub fn conv2d(
         &mut self,
         x: Var,
         w: Var,
@@ -1092,20 +807,20 @@ impl Tape {
             let ws = self.value(w).shape();
             (ws.dim(2), ws.dim(3))
         };
-        let out_total: usize = conv::conv2d_batched_out_dims(&dims, kh, kw, stride, pad)
+        let out_total: usize = conv::conv2d_out_dims(&dims, kh, kw, stride, pad)
             .iter()
             .map(|&(oh, ow)| oh * ow)
             .sum();
         let t_cols = self.prof_start();
         let cols = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::im2col_2d_batched(&nodes[x.0].value, &dims, kh, kw, stride, pad, workspace)
+            conv::im2col_2d(&nodes[x.0].value, &dims, kh, kw, stride, pad, workspace)
         };
         self.record_im2col(t_cols, cols.len());
         let t = self.prof_start();
         let value = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::conv2d_batched_forward_gemm(
+            conv::conv2d_forward_gemm(
                 &cols,
                 &nodes[w.0].value,
                 nodes[b.0].value.as_slice(),
@@ -1114,12 +829,15 @@ impl Tape {
             )
         };
         self.workspace.recycle(cols);
-        self.push_profiled(value, Op::Conv2dBatched { x, w, b, stride, pad, dims }, rg, t)
+        self.push_profiled(value, Op::Conv2d { x, w, b, stride, pad, dims }, rg, t)
     }
 
-    /// Batched adaptive max pooling of a column-stacked `(c, Σ hⱼ·wⱼ)`
-    /// batch to `(c, B·oh·ow)` (sample `j` in columns `[j·oh·ow, …)`).
-    pub fn adaptive_max_pool2d_batched(
+    /// Adaptive max pooling — the paper's AMP layer (Section III-C) — of
+    /// a column-stacked `(c, Σ hⱼ·wⱼ)` batch with per-sample extents
+    /// `dims` to `(c, B·oh·ow)` (sample `j` in columns `[j·oh·ow, …)`).
+    /// Output and winner-index buffers are pooled; ties break to the
+    /// first maximum in scan order.
+    pub fn adaptive_max_pool2d(
         &mut self,
         x: Var,
         dims: &[(usize, usize)],
@@ -1129,22 +847,23 @@ impl Tape {
         let t = self.prof_start();
         let (value, argmax) = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::adaptive_max_pool2d_batched_forward(&nodes[x.0].value, dims, oh, ow, workspace)
+            conv::adaptive_max_pool2d_forward(&nodes[x.0].value, dims, oh, ow, workspace)
         };
         let rg = self.any_requires(&[x]);
-        self.push_profiled(value, Op::AdaptiveMaxPool2dBatched { x, argmax }, rg, t)
+        self.push_profiled(value, Op::AdaptiveMaxPool2d { x, argmax }, rg, t)
     }
 
-    /// Batched non-overlapping 1-D max pooling over `(c, B·seg_len)`;
-    /// windows never straddle a sample's segment boundary.
-    pub fn max_pool1d_batched(&mut self, x: Var, k: usize, seg_len: usize) -> Var {
+    /// Non-overlapping 1-D max pooling with window `k` over
+    /// `(c, B·seg_len)`; windows never straddle a sample's segment
+    /// boundary.
+    pub fn max_pool1d(&mut self, x: Var, k: usize, seg_len: usize) -> Var {
         let t = self.prof_start();
         let (value, argmax) = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::max_pool1d_batched_forward(&nodes[x.0].value, k, seg_len, workspace)
+            conv::max_pool1d_forward(&nodes[x.0].value, k, seg_len, workspace)
         };
         let rg = self.any_requires(&[x]);
-        self.push_profiled(value, Op::MaxPool1dBatched { x, argmax }, rg, t)
+        self.push_profiled(value, Op::MaxPool1d { x, argmax }, rg, t)
     }
 
     fn accumulate(&mut self, v: Var, g: Tensor) {
@@ -1369,31 +1088,6 @@ impl Tape {
                         offset += c;
                     }
                 }
-                Op::GatherRows(a, indices) => {
-                    if self.needs(a) {
-                        let shape = self.value(a).shape().clone();
-                        let mut ga = self.workspace.take_tensor(shape);
-                        let cols = ga.cols();
-                        for (dst, &src) in indices.iter().enumerate() {
-                            for j in 0..cols {
-                                let cur = ga.get2(src, j);
-                                ga.set2(src, j, cur + gout.get2(dst, j));
-                            }
-                        }
-                        self.accumulate(a, ga);
-                    }
-                }
-                Op::PadRows(a) => {
-                    if self.needs(a) {
-                        let rows = self.value(a).rows();
-                        let shape = self.value(a).shape().clone();
-                        let mut ga = self.workspace.take_tensor(shape);
-                        for i in 0..rows.min(gout.rows()) {
-                            ga.set_row(i, gout.row(i));
-                        }
-                        self.accumulate(a, ga);
-                    }
-                }
                 Op::Reshape(a) => {
                     if self.needs(a) {
                         let shape = self.value(a).shape().clone();
@@ -1416,18 +1110,6 @@ impl Tape {
                             ga.set_row(i, &row);
                         }
                         self.accumulate(a, ga);
-                    }
-                }
-                Op::NllLoss(lp, targets) => {
-                    if self.needs(lp) {
-                        let n = targets.len() as f32;
-                        let g = gout.item();
-                        let shape = self.value(lp).shape().clone();
-                        let mut glp = self.workspace.take_tensor(shape);
-                        for (i, &t) in targets.iter().enumerate() {
-                            glp.set2(i, t, -g / n);
-                        }
-                        self.accumulate(lp, glp);
                     }
                 }
                 Op::Sum(a) => {
@@ -1460,75 +1142,10 @@ impl Tape {
                         self.accumulate(a, gm);
                     }
                 }
-                Op::Conv1d { x, w, b, k, stride, gemm } => {
-                    let (gx, gw, gb) = if gemm {
-                        let Tape { nodes, workspace, .. } = &mut *self;
-                        conv::conv1d_backward_gemm(
-                            &nodes[x.0].value,
-                            &nodes[w.0].value,
-                            k,
-                            stride,
-                            &gout,
-                            workspace,
-                        )
-                    } else {
-                        conv::conv1d_backward(self.value(x), self.value(w), k, stride, &gout)
-                    };
-                    if self.needs(x) {
-                        self.accumulate(x, gx);
-                    } else {
-                        self.workspace.recycle_tensor(gx);
-                    }
-                    if self.needs(w) {
-                        self.accumulate(w, gw);
-                    } else {
-                        self.workspace.recycle_tensor(gw);
-                    }
-                    if self.needs(b) {
-                        let n = gb.len();
-                        self.accumulate(b, Tensor::from_vec(gb, [n]));
-                    } else {
-                        self.workspace.recycle(gb);
-                    }
-                }
-                Op::Conv2d { x, w, b, stride, pad, gemm } => {
-                    let (gx, gw, gb) = if gemm {
-                        let Tape { nodes, workspace, .. } = &mut *self;
-                        conv::conv2d_backward_gemm(
-                            &nodes[x.0].value,
-                            &nodes[w.0].value,
-                            stride,
-                            pad,
-                            &gout,
-                            workspace,
-                        )
-                    } else {
-                        conv::conv2d_backward(self.value(x), self.value(w), stride, pad, &gout)
-                    };
-                    if self.needs(x) {
-                        self.accumulate(x, gx);
-                    } else {
-                        self.workspace.recycle_tensor(gx);
-                    }
-                    if self.needs(w) {
-                        self.accumulate(w, gw);
-                    } else {
-                        self.workspace.recycle_tensor(gw);
-                    }
-                    if self.needs(b) {
-                        let n = gb.len();
-                        self.accumulate(b, Tensor::from_vec(gb, [n]));
-                    } else {
-                        self.workspace.recycle(gb);
-                    }
-                }
-                Op::AdaptiveMaxPool2d { x, argmax }
-                | Op::MaxPool1d { x, argmax }
-                | Op::AdaptiveMaxPool2dBatched { x, argmax }
-                | Op::MaxPool1dBatched { x, argmax } => {
+                Op::AdaptiveMaxPool2d { x, argmax } | Op::MaxPool1d { x, argmax } => {
                     // Winner indices were pushed in ascending output flat
-                    // order (batched variants included), so one
-                    // enumerate-scatter serves all four pooling ops.
+                    // order, so one enumerate-scatter serves both pooling
+                    // ops.
                     if self.needs(x) {
                         let shape = self.value(x).shape().clone();
                         let mut gx = self.workspace.take_tensor(shape);
@@ -1543,7 +1160,7 @@ impl Tape {
                     let n = self.value(b).cols();
                     if self.needs(a) {
                         // Row-stacked input: gA = gOut·Bᵀ is per-row, so
-                        // the full product equals the per-sample products.
+                        // the full product equals each sample's product.
                         let ga = {
                             let Tape { nodes, workspace, .. } = &mut *self;
                             let mut ga = workspace.take_tensor([m, kk]);
@@ -1562,7 +1179,7 @@ impl Tape {
                     if self.needs(b) {
                         // Shared operand: per-sample row-segment products
                         // into a re-zeroed temp, summed in sample order —
-                        // the per-sample gradient buffer's chain exactly.
+                        // the trainer's gradient-buffer chain exactly.
                         let gb = {
                             let Tape { nodes, workspace, .. } = &mut *self;
                             let a_val = &nodes[a.0].value;
@@ -1688,10 +1305,10 @@ impl Tape {
                         self.accumulate(lp, glp);
                     }
                 }
-                Op::Conv1dBatched { x, w, b, k, stride, seg_len } => {
+                Op::Conv1d { x, w, b, k, stride, seg_len } => {
                     let (gx, gw, gb) = {
                         let Tape { nodes, workspace, .. } = &mut *self;
-                        conv::conv1d_batched_backward(
+                        conv::conv1d_backward(
                             &nodes[x.0].value,
                             &nodes[w.0].value,
                             k,
@@ -1718,10 +1335,10 @@ impl Tape {
                         self.workspace.recycle(gb);
                     }
                 }
-                Op::Conv2dBatched { x, w, b, stride, pad, dims } => {
+                Op::Conv2d { x, w, b, stride, pad, dims } => {
                     let (gx, gw, gb) = {
                         let Tape { nodes, workspace, .. } = &mut *self;
-                        conv::conv2d_batched_backward(
+                        conv::conv2d_backward(
                             &nodes[x.0].value,
                             &nodes[w.0].value,
                             stride,
@@ -1799,7 +1416,7 @@ mod tests {
     #[test]
     fn gather_rows_accumulates_repeats() {
         let (mut tape, x) = scalar_tape();
-        let g = tape.gather_rows(x, vec![0, 0, 1]);
+        let g = tape.gather_rows_pad(x, vec![0, 0, 1]);
         let s = tape.sum(g);
         tape.backward(s);
         assert_eq!(tape.grad(x).unwrap().row(0), &[2.0, 2.0]);
@@ -1809,7 +1426,9 @@ mod tests {
     #[test]
     fn pad_rows_drops_gradient_of_truncated_rows() {
         let (mut tape, x) = scalar_tape();
-        let p = tape.pad_or_truncate_rows(x, 1);
+        // Keep row 0, drop row 1, and pad with one zero row.
+        let p = tape.gather_rows_pad(x, vec![0, usize::MAX]);
+        assert_eq!(tape.value(p).row(1), &[0.0, 0.0]);
         let s = tape.sum(p);
         tape.backward(s);
         assert_eq!(tape.grad(x).unwrap().row(0), &[1.0, 1.0]);
@@ -1835,7 +1454,8 @@ mod tests {
         let mut tape = Tape::new();
         let logits = tape.leaf(Tensor::from_rows(&[&[1.0, 2.0, 3.0]]), true);
         let lp = tape.log_softmax_rows(logits);
-        let loss = tape.nll_loss(lp, vec![2]);
+        let rows = tape.nll_loss_rows(lp, vec![2]);
+        let loss = tape.sum(rows);
         tape.backward(loss);
         let g = tape.grad(logits).unwrap();
         let sm = Tensor::from_slice(&[1.0, 2.0, 3.0]).softmax();
@@ -1857,9 +1477,9 @@ mod tests {
 
     #[test]
     fn dropout_zero_rate_is_identity() {
-        let mut rng = Rng64::new(1);
+        let rng = Rng64::new(1);
         let (mut tape, x) = scalar_tape();
-        let y = tape.dropout(x, 0.0, &mut rng);
+        let y = tape.dropout_rows(x, 0.0, &mut [rng.clone(), rng.clone()]);
         assert_eq!(tape.value(y), tape.value(x));
         let s = tape.sum(y);
         tape.backward(s);
@@ -1871,7 +1491,7 @@ mod tests {
         let mut rng = Rng64::new(9);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones([1, 100]), true);
-        let y = tape.dropout(x, 0.5, &mut rng);
+        let y = tape.dropout_rows(x, 0.5, std::slice::from_mut(&mut rng));
         let s = tape.sum(y);
         tape.backward(s);
         let value = tape.value(y).clone();
@@ -2001,12 +1621,12 @@ mod tests {
         let find = |kind: &str, phase: &str| {
             rows.iter().find(|(k, _)| k.kind == kind && k.phase == phase).map(|(_, s)| *s)
         };
-        let fwd = find("spmm_norm", profile::PHASE_FORWARD).expect("fwd spmm_norm row");
+        let fwd = find("spmm_norm.batched", profile::PHASE_FORWARD).expect("fwd spmm_norm row");
         assert_eq!(fwd.flops, profile::spmm_norm_flops(adj.nnz(), 5, 3));
-        let bwd = find("spmm_norm_t", profile::PHASE_BACKWARD).expect("bwd pseudo-op row");
+        let bwd = find("spmm_norm_t.batched", profile::PHASE_BACKWARD).expect("bwd pseudo-op row");
         assert_eq!(bwd.flops, fwd.flops, "transpose product charged exactly 1x forward");
         assert!(
-            find("spmm_norm", profile::PHASE_BACKWARD).is_none(),
+            find("spmm_norm.batched", profile::PHASE_BACKWARD).is_none(),
             "backward step records only under the pseudo-op name"
         );
     }
@@ -2074,7 +1694,7 @@ mod tests {
             true,
         );
         let b = tape.leaf(Tensor::from_vec(vec![0.1, -0.2, 0.3], [3]), true);
-        let y = tape.conv1d(x, w, b, 1);
+        let y = tape.conv1d(x, w, b, 1, 8);
         let r = tape.relu(y);
         tape.sum(r)
     }
@@ -2082,7 +1702,6 @@ mod tests {
     #[test]
     fn conv_lowering_dispatch_records_gemm_kinds_and_im2col_row() {
         let mut tape = Tape::new();
-        tape.set_conv_lowering(ConvLowering::Im2colGemm);
         tape.set_profiling(true);
         let loss = conv_sample(&mut tape);
         tape.backward(loss);
@@ -2091,51 +1710,13 @@ mod tests {
         let find = |kind: &str, phase: &str| {
             rows.iter().find(|(k, _)| k.kind == kind && k.phase == phase).map(|(_, s)| *s)
         };
-        let fwd = find("conv1d.gemm", profile::PHASE_FORWARD).expect("fwd conv1d.gemm row");
-        // Same FLOP formula as the naive lowering: the math is identical.
+        let fwd = find("conv1d.batched", profile::PHASE_FORWARD).expect("fwd conv1d row");
         assert_eq!(fwd.flops, profile::conv1d_flops(3, 6, 2, 3));
-        let bwd = find("conv1d.gemm", profile::PHASE_BACKWARD).expect("bwd conv1d.gemm row");
+        let bwd = find("conv1d.batched", profile::PHASE_BACKWARD).expect("bwd conv1d row");
         assert_eq!(bwd.flops, 2 * fwd.flops);
         let cols = find("im2col", profile::PHASE_FORWARD).expect("im2col row");
         assert_eq!(cols.flops, 0, "im2col is pure data movement");
         assert_eq!(cols.bytes_out, (2 * 3 * 6 * 4) as u64);
-        assert!(find("conv1d", profile::PHASE_FORWARD).is_none(), "naive kind absent");
-    }
-
-    #[test]
-    fn naive_lowering_keeps_old_kind_and_skips_im2col_row() {
-        let mut tape = Tape::new();
-        tape.set_conv_lowering(ConvLowering::Naive);
-        tape.set_profiling(true);
-        let loss = conv_sample(&mut tape);
-        tape.backward(loss);
-
-        let rows = tape.profile().sorted_rows();
-        assert!(rows.iter().any(|(k, _)| k.kind == "conv1d"));
-        assert!(rows.iter().all(|(k, _)| k.kind != "conv1d.gemm"));
-        assert!(rows.iter().all(|(k, _)| k.kind != "im2col"));
-    }
-
-    #[test]
-    fn gemm_and_naive_lowerings_agree_through_the_tape() {
-        let mut gemm = Tape::new();
-        gemm.set_conv_lowering(ConvLowering::Im2colGemm);
-        let gl = conv_sample(&mut gemm);
-        gemm.backward(gl);
-
-        let mut naive = Tape::new();
-        naive.set_conv_lowering(ConvLowering::Naive);
-        let nl = conv_sample(&mut naive);
-        naive.backward(nl);
-
-        let dl = (gemm.value(gl).item() - naive.value(nl).item()).abs();
-        assert!(dl < 1e-4, "losses differ by {dl}");
-        // Weight leaf is Var(1) in both tapes (same construction order).
-        let gw = gemm.grad(Var(1)).unwrap();
-        let nw = naive.grad(Var(1)).unwrap();
-        for (a, b) in gw.as_slice().iter().zip(nw.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "weight grads differ: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -2159,14 +1740,6 @@ mod tests {
         assert!(steady.hits > warm.hits);
     }
 
-    #[test]
-    fn conv_lowering_env_default_is_gemm() {
-        // The suite cannot mutate the process environment safely, but the
-        // default (no MAGIC_NAIVE_CONV in the test environment) must be
-        // the GEMM lowering.
-        assert_eq!(Tape::new().conv_lowering(), ConvLowering::Im2colGemm);
-    }
-
     /// The tape holds only owned tensors and plain enum data, so worker
     /// threads may own or share one. This must keep holding as ops are
     /// added — a stray `Rc` or `RefCell` in a node would silently force
@@ -2179,11 +1752,11 @@ mod tests {
         assert_send_sync::<Tensor>();
     }
 
-    // ---- Batched ops: bitwise parity with per-sample tapes ----
+    // ---- Batches of N: bitwise parity with N batches of one ----
 
     /// Elementwise `((0 + g_0) + g_1) + ...` in sample order — the exact
-    /// reduction chain the per-sample GradBuffer accumulation performs for
-    /// shared parameters.
+    /// reduction chain the trainer's per-sample GradBuffer accumulation
+    /// performs for shared parameters.
     fn chain_add(parts: &[&[f32]]) -> Vec<f32> {
         let mut acc = vec![0.0f32; parts[0].len()];
         for p in parts {
@@ -2286,7 +1859,7 @@ mod tests {
         let mut tape = Tape::new();
         tape.set_profiling(true);
         let fv = tape.leaf(Tensor::concat_rows(&[&f1, &f2]), true);
-        let y = tape.spmm_norm_batched(Arc::new(batch), Arc::new(batch_t), Arc::new(inv), fv);
+        let y = tape.spmm_norm(Arc::new(batch), Arc::new(batch_t), Arc::new(inv), fv);
         let s = tape.sum(y);
         tape.backward(s);
 
@@ -2301,7 +1874,6 @@ mod tests {
         };
         assert!(has("spmm_norm.batched", profile::PHASE_FORWARD));
         assert!(has("spmm_norm_t.batched", profile::PHASE_BACKWARD));
-        assert!(!has("spmm_norm", profile::PHASE_FORWARD), "batched kind must not alias plain");
     }
 
     #[test]
@@ -2310,25 +1882,22 @@ mod tests {
         let x = Tensor::rand_uniform([4, 3], -1.0, 1.0, &mut rng);
         let mask = Tensor::rand_uniform([3, 3], -1.0, 1.0, &mut rng);
 
-        let mut per = Tape::new();
-        let xa = per.leaf(x.clone(), true);
-        let g = per.gather_rows(xa, vec![2, 0]);
-        let p = per.pad_or_truncate_rows(g, 3);
-        let m = per.leaf(mask.clone(), false);
-        let pr = per.mul(p, m);
-        let s = per.sum(pr);
-        per.backward(s);
+        let mut tape = Tape::new();
+        let xv = tape.leaf(x.clone(), true);
+        let gp = tape.gather_rows_pad(xv, vec![2, 0, usize::MAX]);
+        let m = tape.leaf(mask.clone(), false);
+        let pr = tape.mul(gp, m);
+        let s = tape.sum(pr);
+        tape.backward(s);
 
-        let mut bat = Tape::new();
-        let xb = bat.leaf(x, true);
-        let gp = bat.gather_rows_pad(xb, vec![2, 0, usize::MAX]);
-        let m = bat.leaf(mask, false);
-        let pr = bat.mul(gp, m);
-        let s = bat.sum(pr);
-        bat.backward(s);
-
-        assert_eq!(bat.value(gp).as_slice(), per.value(p).as_slice());
-        assert_eq!(bat.grad(xb).unwrap().as_slice(), per.grad(xa).unwrap().as_slice());
+        let expected = x.gather_rows(&[2, 0]).pad_or_truncate_rows(3);
+        assert_eq!(tape.value(gp).as_slice(), expected.as_slice());
+        // d(sum(gp * mask))/dx routes mask row 0 to x row 2 and mask row 1
+        // to x row 0; the padded row and the unselected rows get nothing.
+        let mut grad = Tensor::zeros([4, 3]);
+        grad.set_row(2, mask.row(0));
+        grad.set_row(0, mask.row(1));
+        assert_eq!(tape.grad(xv).unwrap().as_slice(), grad.as_slice());
     }
 
     #[test]
@@ -2342,7 +1911,8 @@ mod tests {
         for (i, &t) in targets.iter().enumerate() {
             let mut tape = Tape::new();
             let lp = tape.leaf(Tensor::from_rows(&[logits.row(i)]), true);
-            let l = tape.nll_loss(lp, vec![t]);
+            let row = tape.nll_loss_rows(lp, vec![t]);
+            let l = tape.sum(row);
             tape.backward(l);
             per_loss.push(tape.value(l).item());
             per_glp.push(tape.grad(lp).unwrap().as_slice().to_vec());
@@ -2448,7 +2018,7 @@ mod tests {
             let mut sample_rng = Rng64::new(100 + i as u64);
             let mut tape = Tape::new();
             let xv = tape.leaf(Tensor::from_rows(&[x.row(i)]), true);
-            let d = tape.dropout(xv, 0.5, &mut sample_rng);
+            let d = tape.dropout_rows(xv, 0.5, std::slice::from_mut(&mut sample_rng));
             let s = tape.sum(d);
             tape.backward(s);
             per_val.push(tape.value(d).as_slice().to_vec());
@@ -2477,8 +2047,8 @@ mod tests {
         let x = tape.leaf(Tensor::rand_uniform([1, 12], -1.0, 1.0, &mut rng), true);
         let w = tape.leaf(Tensor::rand_uniform([2, 1, 3], -1.0, 1.0, &mut rng), true);
         let b = tape.leaf(Tensor::rand_uniform([2], -1.0, 1.0, &mut rng), true);
-        let y = tape.conv1d_batched(x, w, b, 3, 6); // (2, 2*2)
-        let p = tape.max_pool1d_batched(y, 2, 2); // (2, 2*1)
+        let y = tape.conv1d(x, w, b, 3, 6); // (2, 2*2)
+        let p = tape.max_pool1d(y, 2, 2); // (2, 2*1)
         let u = tape.unstack_columns(p, 1); // (2, 2)
         let lp = tape.log_softmax_rows(u);
         let l = tape.nll_loss_rows(lp, vec![0, 1]);
@@ -2495,7 +2065,7 @@ mod tests {
             assert!(find(kind, profile::PHASE_BACKWARD).is_some(), "missing bwd {kind}");
         }
         // The FLOP formula charges the concatenated output width, exactly
-        // like one long per-sample convolution.
+        // like one long single-sample convolution.
         let fwd = find("conv1d.batched", profile::PHASE_FORWARD).unwrap();
         assert_eq!(fwd.flops, profile::conv1d_flops(2, 4, 1, 3));
     }

@@ -1,12 +1,7 @@
-//! Per-sample vs batched training epochs: measures one epoch of the
-//! mini-batch engine in both execution modes and records the speedup of
-//! the fused block-diagonal path in `results/BENCH_batched_forward.json`.
-//!
-//! The two modes are bitwise identical (see
-//! `batched_mode_matches_per_sample_training_bitwise` in `magic`), so
-//! this bench is purely about wall-clock: the batched path replaces
-//! per-sample op dispatch with one SpMM per graph-conv layer and one
-//! GEMM per head stage over the whole batch.
+//! Training epochs per pooling head: measures one epoch of the
+//! mini-batch engine — every sample runs through the model's batched
+//! forward as a batch of one — for each head family and records it in
+//! `results/BENCH_batched_forward.json`.
 //!
 //! Environment knobs (both used by `scripts/ci.sh`):
 //!
@@ -51,7 +46,6 @@ struct Budget {
 }
 
 fn epoch_stats(
-    batched: bool,
     head: PoolingHead,
     inputs: &[GraphInput],
     labels: &[usize],
@@ -65,7 +59,6 @@ fn epoch_stats(
         learning_rate: 1e-3,
         seed: 11,
         train_workers: 1,
-        batched,
         ..TrainConfig::default()
     });
     let train_idx: Vec<usize> = (0..inputs.len()).collect();
@@ -122,19 +115,11 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, head) in heads {
-        let per_sample =
-            epoch_stats(false, head.clone(), &inputs, &labels, &budget, inject_us);
-        let batched = epoch_stats(true, head.clone(), &inputs, &labels, &budget, inject_us);
-        let speedup = per_sample.median_ns / batched.median_ns;
-        println!(
-            "{name:>20} per-sample: {:>12.0} ns/epoch, batched: {:>12.0} ns/epoch ({speedup:.2}x)",
-            per_sample.median_ns, batched.median_ns
-        );
+        let epoch = epoch_stats(head, &inputs, &labels, &budget, inject_us);
+        println!("{name:>20} {:>12.0} ns/epoch", epoch.median_ns);
         rows.push(json!({
             "head": name,
-            "per_sample": stats_json(&per_sample),
-            "batched": stats_json(&batched),
-            "speedup_vs_per_sample": speedup,
+            "epoch": stats_json(&epoch),
         }));
     }
 

@@ -1,16 +1,14 @@
-//! Naive vs im2col-GEMM convolution head kernels: sweeps channel count,
+//! im2col-GEMM convolution head kernels: sweeps channel count,
 //! sequence/image size, and kernel width for both `conv1d` and `conv2d`
-//! and records the speedup of the GEMM lowering in
-//! `results/BENCH_conv_head.json`.
+//! and records their cost in `results/BENCH_conv_head.json`.
 //!
 //! Each cell times one full forward+backward of a single convolution
-//! (plus ReLU and the scalar reduction that backward needs) on a
-//! *reused* tape, so the GEMM numbers include the steady-state benefit
-//! of the workspace pool — exactly what a training epoch sees after its
-//! warm-up sample. The naive kernels walk `(c_out, out, c_in, k)` loops
-//! with strided input reads; the im2col lowering gathers patches once
-//! and hands one `(c_out, c_in·k) @ (c_in·k, out)` product to the
-//! register-blocked GEMM, which is where the speedup comes from.
+//! over one sample (a batch of one, plus ReLU and the scalar reduction
+//! that backward needs) on a *reused* tape, so the numbers include the
+//! steady-state benefit of the workspace pool — exactly what a training
+//! epoch sees after its warm-up sample. The im2col lowering gathers
+//! patches once and hands one `(c_out, c_in·k) @ (c_in·k, out)` product
+//! to the register-blocked GEMM.
 //!
 //! Environment knobs (both used by `scripts/ci.sh`):
 //!
@@ -20,11 +18,12 @@
 //! * `MAGIC_BENCH_INJECT_SLOWDOWN_US=<µs>` — sleeps inside the timed
 //!   region, for testing that the regression gate actually fails.
 
-use magic_autograd::{ConvLowering, Tape};
+use magic_autograd::Tape;
 use magic_bench::results::{machine_info, write_result};
 use magic_json::json;
 use magic_microbench::{time_fn, Stats};
 use magic_tensor::{Rng64, Tensor};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn inject(us: u64) {
@@ -77,9 +76,8 @@ impl Cell1d {
         }
     }
 
-    fn time(&self, lowering: ConvLowering, budget: &Budget, inject_us: u64) -> Stats {
+    fn time(&self, budget: &Budget, inject_us: u64) -> Stats {
         let mut tape = Tape::new();
-        tape.set_conv_lowering(lowering);
         time_fn(
             || {
                 inject(inject_us);
@@ -87,7 +85,7 @@ impl Cell1d {
                 let x = tape.leaf(self.x.clone(), true);
                 let w = tape.leaf(self.w.clone(), true);
                 let b = tape.leaf(self.b.clone(), true);
-                let y = tape.conv1d(x, w, b, 1);
+                let y = tape.conv1d(x, w, b, 1, self.len);
                 let r = tape.relu(y);
                 let loss = tape.sum(r);
                 tape.backward(loss);
@@ -100,7 +98,7 @@ impl Cell1d {
     }
 }
 
-/// One 2-D head cell: `(c_in, h, w)` input through a
+/// One 2-D head cell: `(c_in, h·w)` input maps through a
 /// `(c_out, c_in, k, k)` kernel at stride 1, padding `k / 2`.
 struct Cell2d {
     c_in: usize,
@@ -122,16 +120,16 @@ impl Cell2d {
             h,
             w,
             k,
-            x: Tensor::rand_uniform([c_in, h, w], -1.0, 1.0, &mut rng),
+            x: Tensor::rand_uniform([c_in, h * w], -1.0, 1.0, &mut rng),
             wt: Tensor::rand_uniform([c_out, c_in, k, k], -1.0, 1.0, &mut rng),
             b: Tensor::rand_uniform([c_out], -0.5, 0.5, &mut rng),
         }
     }
 
-    fn time(&self, lowering: ConvLowering, budget: &Budget, inject_us: u64) -> Stats {
+    fn time(&self, budget: &Budget, inject_us: u64) -> Stats {
         let mut tape = Tape::new();
-        tape.set_conv_lowering(lowering);
         let pad = self.k / 2;
+        let dims = Arc::new(vec![(self.h, self.w)]);
         time_fn(
             || {
                 inject(inject_us);
@@ -139,7 +137,7 @@ impl Cell2d {
                 let x = tape.leaf(self.x.clone(), true);
                 let w = tape.leaf(self.wt.clone(), true);
                 let b = tape.leaf(self.b.clone(), true);
-                let y = tape.conv2d(x, w, b, 1, pad);
+                let y = tape.conv2d(x, w, b, 1, pad, Arc::clone(&dims));
                 let r = tape.relu(y);
                 let loss = tape.sum(r);
                 tape.backward(loss);
@@ -190,12 +188,10 @@ fn main() {
 
     let mut rows = Vec::new();
     for cell in &cells_1d {
-        let naive = cell.time(ConvLowering::Naive, &budget, inject_us);
-        let gemm = cell.time(ConvLowering::Im2colGemm, &budget, inject_us);
-        let ratio = naive.median_ns / gemm.median_ns;
+        let gemm = cell.time(&budget, inject_us);
         println!(
-            "conv1d c={:>3} len={:>4} k={}  naive {:>12.0} ns  gemm {:>12.0} ns  ({ratio:.2}x)",
-            cell.c_in, cell.len, cell.k, naive.median_ns, gemm.median_ns,
+            "conv1d c={:>3} len={:>4} k={}  gemm {:>12.0} ns",
+            cell.c_in, cell.len, cell.k, gemm.median_ns,
         );
         rows.push(json!({
             "family": "conv1d",
@@ -203,18 +199,14 @@ fn main() {
             "c_out": cell.c_out,
             "len": cell.len,
             "k": cell.k,
-            "naive": stats_json(&naive),
             "gemm": stats_json(&gemm),
-            "speedup_gemm_vs_naive": ratio,
         }));
     }
     for cell in &cells_2d {
-        let naive = cell.time(ConvLowering::Naive, &budget, inject_us);
-        let gemm = cell.time(ConvLowering::Im2colGemm, &budget, inject_us);
-        let ratio = naive.median_ns / gemm.median_ns;
+        let gemm = cell.time(&budget, inject_us);
         println!(
-            "conv2d c={:>3} hw={:>3}x{:<3} k={}  naive {:>12.0} ns  gemm {:>12.0} ns  ({ratio:.2}x)",
-            cell.c_in, cell.h, cell.w, cell.k, naive.median_ns, gemm.median_ns,
+            "conv2d c={:>3} hw={:>3}x{:<3} k={}  gemm {:>12.0} ns",
+            cell.c_in, cell.h, cell.w, cell.k, gemm.median_ns,
         );
         rows.push(json!({
             "family": "conv2d",
@@ -223,9 +215,7 @@ fn main() {
             "h": cell.h,
             "w": cell.w,
             "k": cell.k,
-            "naive": stats_json(&naive),
             "gemm": stats_json(&gemm),
-            "speedup_gemm_vs_naive": ratio,
         }));
     }
 

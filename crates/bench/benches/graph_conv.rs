@@ -1,15 +1,12 @@
-//! Dense vs CSR graph convolution: sweeps the Eq. (1) hot path across
-//! vertex counts and edge densities and records the speedup of the
-//! fused `spmm_norm` CSR path over the dense `n×n` fallback in
+//! CSR graph convolution: sweeps the Eq. (1) hot path across vertex
+//! counts and edge densities and records its cost in
 //! `results/BENCH_graph_conv.json`.
 //!
-//! Each cell times one full forward+backward of a `GraphConv` layer
-//! (`Z W` matmul + propagation + ReLU, then the reverse sweep). The
-//! dense formulation costs `O(n² c)` regardless of the edge count; the
-//! CSR formulation costs `O((n + e) c)`, so the ratio grows linearly in
-//! `n` at fixed average out-degree. Real CFGs sit near 1.4 out-edges
-//! per block, which is where the headline `speedup_sparse_vs_dense`
-//! numbers come from.
+//! Each cell times one full forward+backward of a `GraphConv` layer over
+//! one graph as a batch of one (`Z W` GEMM + fused `spmm_norm`
+//! propagation + ReLU, then the reverse sweep). The CSR formulation
+//! costs `O((n + e) c)`, so at fixed average out-degree the time grows
+//! linearly in `n`. Real CFGs sit near 1.4 out-edges per block.
 //!
 //! Environment knobs (both used by `scripts/ci.sh`):
 //!
@@ -51,6 +48,7 @@ struct Cell {
     adj: Arc<CsrMatrix>,
     adj_t: Arc<CsrMatrix>,
     inv_degree: Arc<Vec<f32>>,
+    bounds: Arc<Vec<usize>>,
     attributes: Tensor,
     store: ParamStore,
     conv: GraphConv,
@@ -72,6 +70,7 @@ impl Cell {
             adj,
             adj_t,
             inv_degree: Arc::new(inv_degree),
+            bounds: Arc::new(vec![0, vertices]),
             attributes,
             store,
             conv,
@@ -85,37 +84,15 @@ impl Cell {
                 let mut tape = Tape::new();
                 let binding = self.store.bind(&mut tape);
                 let z = tape.leaf(self.attributes.clone(), false);
-                let out = self.conv.forward_sparse(
+                let out = self.conv.forward(
                     &mut tape,
                     &binding,
                     &self.adj,
                     &self.adj_t,
                     &self.inv_degree,
                     z,
+                    &self.bounds,
                 );
-                let loss = tape.sum(out);
-                tape.backward(loss);
-                std::hint::black_box(tape.grad(binding.var(self.weight_id())).is_some());
-            },
-            budget.samples,
-            budget.target,
-            budget.cap,
-        )
-    }
-
-    fn time_dense(&self, budget: &Budget, inject_us: u64) -> Stats {
-        // Materialize the dense Â once, outside the timed region — the
-        // bench compares propagation kernels, not construction.
-        let a_hat = self.adj.to_dense();
-        time_fn(
-            || {
-                inject(inject_us);
-                let mut tape = Tape::new();
-                let binding = self.store.bind(&mut tape);
-                let adj = tape.leaf(a_hat.clone(), false);
-                let z = tape.leaf(self.attributes.clone(), false);
-                let out =
-                    self.conv.forward(&mut tape, &binding, adj, &self.inv_degree, z);
                 let loss = tape.sum(out);
                 tape.backward(loss);
                 std::hint::black_box(tape.grad(binding.var(self.weight_id())).is_some());
@@ -185,21 +162,16 @@ fn main() {
         for &degree in &degrees {
             let cell = Cell::new(n, degree);
             let sparse = cell.time_sparse(&budget, inject_us);
-            let dense = cell.time_dense(&budget, inject_us);
-            let ratio = dense.median_ns / sparse.median_ns;
             println!(
-                "n={n:>5} degree={degree:>3.1} nnz={:>6}  dense {:>12.0} ns  csr {:>12.0} ns  ({ratio:.2}x)",
+                "n={n:>5} degree={degree:>3.1} nnz={:>6}  csr {:>12.0} ns",
                 cell.adj.nnz(),
-                dense.median_ns,
                 sparse.median_ns,
             );
             rows.push(json!({
                 "vertices": cell.vertices,
                 "avg_out_degree": cell.degree,
                 "nnz": cell.adj.nnz(),
-                "dense": stats_json(&dense),
                 "sparse": stats_json(&sparse),
-                "speedup_sparse_vs_dense": ratio,
             }));
         }
     }

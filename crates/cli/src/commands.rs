@@ -91,14 +91,12 @@ USAGE:
                  the given identity flags and exit non-zero on mismatch
                  — e.g. a cache built under a different --reduce)
     magic train --corpus <mskcfg|yancfg> [--scale S] [--epochs N] [--seed S]
-                [--reduce R] [--train-workers N] [--batched]
+                [--reduce R] [--train-workers N]
                 [--intra-op-threads N]
                 [--cache-dir <dir>] [--cache <ram|stream>]
                 --out <model.magic>
                 (--train-workers 0 = auto; results are identical for any N.
-                 --batched fuses each mini-batch into one block-diagonal
-                 pass — bitwise identical, usually faster; pair with
-                 --intra-op-threads to thread the kernels instead.
+                 --intra-op-threads threads the kernels inside each sample.
                  --reduce shrinks every graph before training (see
                  REDUCE VALUES below); the strategy is recorded in the
                  model header so predict/serve reduce identically.
@@ -123,7 +121,7 @@ USAGE:
                  Protocol + tuning: docs/SERVING.md)
     magic info --model <model.magic>
     magic profile <mskcfg|yancfg> [--scale S] [--epochs N] [--seed S]
-                [--reduce R] [--train-workers N] [--batched]
+                [--reduce R] [--train-workers N]
                 [--intra-op-threads N]
                 [--cache-dir <dir>] [--cache <ram|stream>]
                 [--trace <out.jsonl>]
@@ -333,7 +331,6 @@ struct TrainKnobs {
     epochs: usize,
     seed: u64,
     train_workers: usize,
-    batched: bool,
     intra_op_threads: usize,
     /// Graph-reduction strategy applied to every training graph.
     reduce: ReduceStrategy,
@@ -346,7 +343,6 @@ struct TrainKnobs {
 impl TrainKnobs {
     fn parse(args: &mut Vec<String>, default_epochs: usize) -> Result<Self, String> {
         Ok(TrainKnobs {
-            batched: take_switch(args, "--batched"),
             reduce: take_reduce(args)?,
             cache_dir: take_flag(args, "--cache-dir"),
             stream: match take_flag(args, "--cache").as_deref() {
@@ -516,25 +512,6 @@ fn run_training(
     };
     let config = params.to_model_config(families.len(), &graph_sizes);
     let mut model = Dgcnn::new(&config, knobs.seed);
-    // A/B escape hatch for the sparse-propagation rollout: force the
-    // dense adjacency path to reproduce before/after numbers (see
-    // EXPERIMENTS.md). Sparse CSR is the default.
-    if std::env::var("MAGIC_DENSE_PROPAGATION").map(|v| v == "1").unwrap_or(false) {
-        model.set_propagation(magic_model::Propagation::Dense);
-        magic_obs::log(
-            magic_obs::Level::Info,
-            "MAGIC_DENSE_PROPAGATION=1: using the dense adjacency path",
-        );
-    }
-    // Same escape hatch for the im2col-GEMM conv rollout: tapes read
-    // MAGIC_NAIVE_CONV themselves at construction, this just makes the
-    // active lowering visible in logs.
-    if magic_autograd::ConvLowering::from_env() == magic_autograd::ConvLowering::Naive {
-        magic_obs::log(
-            magic_obs::Level::Info,
-            "MAGIC_NAIVE_CONV=1: using the naive convolution kernels",
-        );
-    }
 
     let folds = stratified_kfold(&labels, 5, knobs.seed);
     let split = &folds[0];
@@ -546,7 +523,6 @@ fn run_training(
         lr_patience: 5,
         seed: knobs.seed,
         train_workers: knobs.train_workers,
-        batched: knobs.batched,
         ..TrainConfig::default()
     });
     if knobs.intra_op_threads > 0 {
@@ -555,17 +531,10 @@ fn run_training(
     magic_obs::log(
         magic_obs::Level::Info,
         format!(
-            "training {} weights for {} epochs ({})...",
+            "training {} weights for {} epochs ({} worker(s))...",
             model.num_weights(),
             knobs.epochs,
-            if knobs.batched {
-                format!(
-                    "batched, {} intra-op thread(s)",
-                    magic_tensor::intra_op_threads()
-                )
-            } else {
-                format!("{} worker(s)", magic::resolve_workers(knobs.train_workers))
-            }
+            magic::resolve_workers(knobs.train_workers),
         ),
     );
     let outcome = match &source {

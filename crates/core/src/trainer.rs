@@ -3,23 +3,17 @@
 //!
 //! # Threading model
 //!
-//! The mini-batch loop fans per-sample forward/backward passes across a
-//! [`BatchExecutor`]: workers share the read-only parameter store
-//! (`ParamStore::bind` takes `&self`) and each batch position owns a
-//! [`GradBuffer`] that is folded back into the store **in batch order**
-//! once all samples finish. Because the float additions happen in the
-//! same order as the serial loop, and dropout noise comes from per-sample
-//! [`Rng64::for_sample`] streams rather than a shared generator, training
-//! is bitwise identical for any `train_workers` value.
-//!
-//! With [`TrainConfig::batched`] the mini-batch loop instead fuses every
-//! batch into one block-diagonal pass ([`GraphBatch`]) on a single tape:
-//! one SpMM per graph-conv layer, one GEMM per head stage, with
-//! per-sample gradient contributions combined in batch order inside the
-//! ops. The two modes are bitwise identical — same losses, weights, and
-//! history — so `batched` is purely a throughput knob; intra-op
-//! parallelism then comes from [`magic_tensor::set_intra_op_threads`]
-//! rather than per-sample fan-out.
+//! The mini-batch loop fans its samples across the lanes of a
+//! [`BatchExecutor`]; each lane runs its sample through the model's one
+//! forward pass as a [`GraphBatch`] of one. Lanes share the read-only
+//! parameter store (`ParamStore::bind` takes `&self`) and each batch
+//! position owns a [`GradBuffer`] that is folded back into the store
+//! **in batch order** once all samples finish. Because the float
+//! additions happen in the same order as the serial loop, and dropout
+//! noise comes from per-sample [`Rng64::for_sample`] streams rather than
+//! a shared generator, training is bitwise identical for any
+//! `train_workers` value. Intra-op parallelism inside the kernels comes
+//! separately from [`magic_tensor::set_intra_op_threads`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -50,11 +44,49 @@ enum SampleSource<'a> {
     Stream(&'a StreamedCorpus),
 }
 
-impl SampleSource<'_> {
+impl<'a> SampleSource<'a> {
     fn len(&self) -> usize {
         match self {
             SampleSource::Ram(inputs) => inputs.len(),
             SampleSource::Stream(corpus) => corpus.len(),
+        }
+    }
+
+    /// Runs `consume` over `idx` in `chunk_size` chunks. A streamed
+    /// source hands each chunk's records in, prefetched (parallel to the
+    /// chunk's positions); an in-memory source hands in `None` and
+    /// [`SampleSource::input`] resolves positions against the resident
+    /// slice.
+    fn for_each_chunk(
+        self,
+        idx: &[usize],
+        chunk_size: usize,
+        mut consume: impl FnMut(&[usize], Option<&[GraphInput]>),
+    ) {
+        match self {
+            SampleSource::Ram(_) => {
+                for chunk in batches(idx, chunk_size) {
+                    consume(&chunk, None);
+                }
+            }
+            SampleSource::Stream(corpus) => {
+                with_prefetched_chunks(corpus, idx, chunk_size, |chunk, fetched| {
+                    consume(chunk, Some(fetched))
+                });
+            }
+        }
+    }
+
+    /// The input at position `j` of a chunk handed out by
+    /// [`SampleSource::for_each_chunk`].
+    fn input<'b>(self, fetched: Option<&'b [GraphInput]>, chunk: &[usize], j: usize) -> &'b GraphInput
+    where
+        'a: 'b,
+    {
+        match (fetched, self) {
+            (Some(f), _) => &f[j],
+            (None, SampleSource::Ram(inputs)) => &inputs[chunk[j]],
+            (None, SampleSource::Stream(_)) => unreachable!("streamed chunks are always prefetched"),
         }
     }
 }
@@ -123,13 +155,6 @@ pub struct TrainConfig {
     /// calling thread. The result is bitwise identical for every value —
     /// this knob only changes wall-clock time.
     pub train_workers: usize,
-    /// Fuse each mini-batch into one block-diagonal pass instead of
-    /// fanning per-sample tapes across workers. The batched path runs
-    /// the whole batch through single large SpMM/GEMM calls on one tape
-    /// and unstacks gradients per sample inside the ops, so it is
-    /// bitwise identical to the per-sample path — losses, weights, and
-    /// history match exactly — while spending far less time in op glue.
-    pub batched: bool,
 }
 
 impl Default for TrainConfig {
@@ -144,7 +169,6 @@ impl Default for TrainConfig {
             lr_decay_factor: 10.0,
             lr_patience: 2,
             train_workers: 0,
-            batched: false,
         }
     }
 }
@@ -251,7 +275,7 @@ impl Trainer {
     /// [`Rng64::for_sample`] dropout streams, same reduction orders —
     /// the outcome is **bitwise identical** to [`train`](Self::train)
     /// on the equivalently ordered in-memory corpus, for every worker
-    /// count and in both execution modes.
+    /// count.
     ///
     /// # Panics
     ///
@@ -290,16 +314,9 @@ impl Trainer {
         // the serial float-addition order exactly.
         let tapes: Vec<Mutex<Tape>> =
             (0..executor.workers()).map(|_| Mutex::new(Tape::new())).collect();
-        // The batched path folds the tape's gradients straight into the
-        // store, so the per-position slots exist only for the fan-out
-        // path.
-        let grad_slots: Vec<Mutex<GradBuffer>> = if self.config.batched {
-            Vec::new()
-        } else {
-            (0..self.config.batch_size)
-                .map(|_| Mutex::new(GradBuffer::for_store(model.store())))
-                .collect()
-        };
+        let grad_slots: Vec<Mutex<GradBuffer>> = (0..self.config.batch_size)
+            .map(|_| Mutex::new(GradBuffer::for_store(model.store())))
+            .collect();
 
         let mut rng = Rng64::new(self.config.seed);
         let mut optimizer = Adam::new(self.config.learning_rate, self.config.weight_decay);
@@ -345,7 +362,6 @@ impl Trainer {
             let mut reduce_ns = 0u64;
             let mut clip_ns = 0u64;
             let mut step_ns = 0u64;
-            let mut batch_graph_ns = 0u64;
             for tape in &tapes {
                 tape.lock().expect("unpoisoned tape").set_profiling(traced);
             }
@@ -355,98 +371,12 @@ impl Trainer {
 
             rng.shuffle(&mut order);
             let mut train_loss_total = 0.0;
-            // The mini-batch body, generic over where samples live: the
-            // streamed source hands in the batch's prefetched records
-            // (parallel to batch positions), the in-memory source
-            // resolves positions against the resident slice. Everything
-            // numeric — batch composition, dropout streams, reduction
-            // orders — depends only on the global indices in `batch`,
-            // which is what keeps the two sources bitwise identical.
-            let mut run_batch = |batch: &[usize], fetched: Option<&[GraphInput]>| {
-                let input_at = |j: usize| -> &GraphInput {
-                    match (fetched, source) {
-                        (Some(f), _) => &f[j],
-                        (None, SampleSource::Ram(inputs)) => &inputs[batch[j]],
-                        (None, SampleSource::Stream(_)) => {
-                            unreachable!("streamed batches are always prefetched")
-                        }
-                    }
-                };
-                if self.config.batched {
-                    // One fused pass over the whole mini-batch on the
-                    // lane-0 tape: assemble the block-diagonal batch
-                    // graph, run forward/backward once, and fold the
-                    // tape's gradients straight into the store. The
-                    // batched ops combine per-sample contributions in
-                    // batch order internally, so the result is bitwise
-                    // identical to the fan-out path below.
-                    let assemble_start = traced.then(Instant::now);
-                    let members: Vec<&GraphInput> =
-                        (0..batch.len()).map(&input_at).collect();
-                    let graph_batch = GraphBatch::new(&members);
-                    if let Some(start) = assemble_start {
-                        batch_graph_ns += start.elapsed().as_nanos() as u64;
-                    }
-                    let busy_start = traced.then(Instant::now);
-                    let mut tape = tapes[0].lock().expect("unpoisoned tape");
-                    tape.reset();
-                    let bind_start = busy_start.map(|_| Instant::now());
-                    let binding = model.store().bind(&mut tape);
-                    if let Some(start) = bind_start {
-                        bind_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                    // Same per-sample dropout streams as the fan-out
-                    // path, so both modes see identical noise.
-                    let mut sample_rngs: Vec<Rng64> = batch
-                        .iter()
-                        .map(|&i| Rng64::for_sample(self.config.seed, epoch as u64, i as u64))
-                        .collect();
-                    let lp = model.forward_batched(
-                        &mut tape,
-                        &binding,
-                        &graph_batch,
-                        true,
-                        &mut sample_rngs,
-                    );
-                    let batch_labels: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    let row_losses = tape.nll_loss_rows(lp, batch_labels);
-                    let total = tape.sum(row_losses);
-                    let losses: Vec<f32> =
-                        (0..batch.len()).map(|j| tape.value(row_losses).get2(j, 0)).collect();
-                    tape.backward(total);
-                    if let Some(start) = busy_start {
-                        let us = start.elapsed().as_micros() as u64;
-                        worker_busy[0].fetch_add(us, Ordering::Relaxed);
-                        fanout_us += us;
-                    }
-
-                    let update_start = traced.then(Instant::now);
-                    let store = model.store_mut();
-                    store.zero_grads();
-                    // A single accumulate replays the per-sample reduce
-                    // chain: the tape gradient is already the batch-order
-                    // sum of per-sample contributions.
-                    store.accumulate_grads(&tape, &binding);
-                    drop(tape);
-                    for &loss in &losses {
-                        train_loss_total += loss;
-                    }
-                    if let Some(start) = update_start {
-                        reduce_ns += start.elapsed().as_nanos() as u64;
-                    }
-                    self.clip_and_step(
-                        store,
-                        &mut optimizer,
-                        batch.len(),
-                        traced,
-                        &mut clip_ns,
-                        &mut step_ns,
-                    );
-                    if let Some(start) = update_start {
-                        update_us += start.elapsed().as_micros() as u64;
-                    }
-                    return;
-                }
+            // The mini-batch body, generic over where samples live.
+            // Everything numeric — batch composition, dropout streams,
+            // reduction orders — depends only on the global indices in
+            // `batch`, which is what keeps the two sources bitwise
+            // identical.
+            source.for_each_chunk(&order, self.config.batch_size, |batch, fetched| {
                 let store = model.store();
                 let fanout_start = traced.then(Instant::now);
                 let losses: Vec<f32> = run_indexed(executor.as_ref(), batch.len(), |worker, j| {
@@ -465,8 +395,16 @@ impl Trainer {
                     // noise.
                     let mut sample_rng =
                         Rng64::for_sample(self.config.seed, epoch as u64, i as u64);
-                    let lp = model.forward(&mut tape, &binding, input_at(j), true, &mut sample_rng);
-                    let loss = tape.nll_loss(lp, vec![labels[i]]);
+                    let sample = GraphBatch::single(source.input(fetched, batch, j));
+                    let lp = model.forward(
+                        &mut tape,
+                        &binding,
+                        &sample,
+                        true,
+                        std::slice::from_mut(&mut sample_rng),
+                    );
+                    let row_loss = tape.nll_loss_rows(lp, vec![labels[i]]);
+                    let loss = tape.sum(row_loss);
                     let item = tape.value(loss).item();
                     tape.backward(loss);
                     let accum_start = busy_start.map(|_| Instant::now());
@@ -509,22 +447,7 @@ impl Trainer {
                 if let Some(start) = update_start {
                     update_us += start.elapsed().as_micros() as u64;
                 }
-            };
-            match source {
-                SampleSource::Ram(_) => {
-                    for batch in batches(&order, self.config.batch_size) {
-                        run_batch(&batch, None);
-                    }
-                }
-                SampleSource::Stream(corpus) => {
-                    with_prefetched_chunks(
-                        corpus,
-                        &order,
-                        self.config.batch_size,
-                        |batch, fetched| run_batch(batch, Some(fetched)),
-                    );
-                }
-            }
+            });
             let train_loss = train_loss_total / train_idx.len().max(1) as f32;
 
             let eval_start = traced.then(Instant::now);
@@ -536,44 +459,15 @@ impl Trainer {
             for tape in &tapes {
                 tape.lock().expect("unpoisoned tape").set_profiling(false);
             }
-            let (val_loss, val_accuracy) = match source {
-                SampleSource::Ram(inputs) => {
-                    if self.config.batched {
-                        evaluate_batched_on_tape(
-                            &tapes[0],
-                            self.config.batch_size,
-                            model,
-                            inputs,
-                            labels,
-                            val_idx,
-                        )
-                    } else {
-                        evaluate_on_tapes(executor.as_ref(), &tapes, model, inputs, labels, val_idx)
-                    }
-                }
-                SampleSource::Stream(corpus) => {
-                    if self.config.batched {
-                        evaluate_batched_streamed(
-                            &tapes[0],
-                            self.config.batch_size,
-                            model,
-                            corpus,
-                            labels,
-                            val_idx,
-                        )
-                    } else {
-                        evaluate_streamed_on_tapes(
-                            executor.as_ref(),
-                            &tapes,
-                            self.config.batch_size,
-                            model,
-                            corpus,
-                            labels,
-                            val_idx,
-                        )
-                    }
-                }
-            };
+            let (val_loss, val_accuracy) = evaluate_source(
+                executor.as_ref(),
+                &tapes,
+                self.config.batch_size,
+                model,
+                source,
+                labels,
+                val_idx,
+            );
             let eval_ns = eval_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
             let learning_rate = optimizer.learning_rate();
             scheduler.observe(val_loss, &mut optimizer);
@@ -650,11 +544,6 @@ impl Trainer {
                         (magic_obs::stage::OP_HOST_CLIP, num_batches(order.len(), self.config.batch_size), clip_ns),
                         (magic_obs::stage::OP_HOST_STEP, num_batches(order.len(), self.config.batch_size), step_ns),
                         (magic_obs::stage::OP_HOST_EVALUATE, 1, eval_ns),
-                        (
-                            magic_obs::stage::OP_HOST_BATCH_GRAPH,
-                            num_batches(order.len(), self.config.batch_size),
-                            batch_graph_ns,
-                        ),
                     ],
                 );
             }
@@ -682,9 +571,7 @@ impl Trainer {
         TrainOutcome { history, best_val_loss }
     }
 
-    /// Global gradient clipping followed by one optimizer step — the
-    /// shared tail of the per-sample and batched update paths, so both
-    /// modes apply exactly the same float operations.
+    /// Global gradient clipping followed by one optimizer step.
     fn clip_and_step(
         &self,
         store: &mut ParamStore,
@@ -822,116 +709,26 @@ pub fn evaluate_with(
     labels: &[usize],
     idx: &[usize],
 ) -> (f32, f64) {
-    evaluate_inner(executor, None, model, inputs, labels, idx)
+    let tapes: Vec<Mutex<Tape>> =
+        (0..executor.workers()).map(|_| Mutex::new(Tape::new())).collect();
+    evaluate_source(executor, &tapes, idx.len(), model, SampleSource::Ram(inputs), labels, idx)
 }
 
-/// [`evaluate_with`] on the trainer's warm worker-lane tapes, so eval
-/// forward passes draw from each lane's recycled workspace instead of
-/// allocating a fresh tape per sample. Pooled buffers are zero-filled on
-/// checkout, so the result is bitwise identical to [`evaluate_with`].
-fn evaluate_on_tapes(
-    executor: &dyn BatchExecutor,
-    tapes: &[Mutex<Tape>],
-    model: &Dgcnn,
-    inputs: &[GraphInput],
-    labels: &[usize],
-    idx: &[usize],
-) -> (f32, f64) {
-    evaluate_inner(executor, Some(tapes), model, inputs, labels, idx)
-}
-
-/// Mean validation loss and accuracy on `idx`, running fused batch
-/// inference over `batch_size`-sized chunks on the trainer's warm
-/// lane-0 tape. Because batched prediction returns exactly the
-/// per-sample probabilities and losses are summed in index order, the
-/// result is bitwise identical to [`evaluate`].
-fn evaluate_batched_on_tape(
-    tape: &Mutex<Tape>,
-    batch_size: usize,
-    model: &Dgcnn,
-    inputs: &[GraphInput],
-    labels: &[usize],
-    idx: &[usize],
-) -> (f32, f64) {
-    if idx.is_empty() {
-        return (0.0, 0.0);
-    }
-    let _span =
-        magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
-    let mut tape = tape.lock().expect("unpoisoned tape");
-    let mut loss_total = 0.0f32;
-    let mut correct = 0usize;
-    for chunk in batches(idx, batch_size) {
-        let members: Vec<&GraphInput> = chunk.iter().map(|&i| &inputs[i]).collect();
-        let graph_batch = GraphBatch::new(&members);
-        let probs = model.predict_batch_with(&mut tape, &graph_batch);
-        for (row, &i) in probs.iter().zip(chunk.iter()) {
-            let p = row[labels[i]].clamp(1e-15, 1.0);
-            loss_total += -p.ln();
-            let arg = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            correct += usize::from(arg == labels[i]);
-        }
-    }
-    (loss_total / idx.len() as f32, correct as f64 / idx.len() as f64)
-}
-
-/// [`evaluate_batched_on_tape`] over a streamed cache: chunks are
-/// decoded by the prefetch helper one chunk ahead of the fused forward
-/// passes. Chunk composition, per-chunk batch assembly, and the
-/// index-order loss accumulation all match the in-memory version, so
-/// the result is bitwise identical to it.
-fn evaluate_batched_streamed(
-    tape: &Mutex<Tape>,
-    batch_size: usize,
-    model: &Dgcnn,
-    corpus: &StreamedCorpus,
-    labels: &[usize],
-    idx: &[usize],
-) -> (f32, f64) {
-    if idx.is_empty() {
-        return (0.0, 0.0);
-    }
-    let _span =
-        magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
-    let mut tape = tape.lock().expect("unpoisoned tape");
-    let mut loss_total = 0.0f32;
-    let mut correct = 0usize;
-    with_prefetched_chunks(corpus, idx, batch_size, |chunk, fetched| {
-        let members: Vec<&GraphInput> = fetched.iter().collect();
-        let graph_batch = GraphBatch::new(&members);
-        let probs = model.predict_batch_with(&mut tape, &graph_batch);
-        for (row, &i) in probs.iter().zip(chunk.iter()) {
-            let p = row[labels[i]].clamp(1e-15, 1.0);
-            loss_total += -p.ln();
-            let arg = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            correct += usize::from(arg == labels[i]);
-        }
-    });
-    (loss_total / idx.len() as f32, correct as f64 / idx.len() as f64)
-}
-
-/// [`evaluate_on_tapes`] over a streamed cache. Chunking only bounds
-/// how many decoded records are alive at once: per-sample inference is
-/// a pure function of the sample, and losses are still accumulated in
-/// `idx` order across chunk boundaries, so the float-addition sequence
-/// — and therefore the result — is bitwise identical to the unchunked
-/// in-memory version.
-fn evaluate_streamed_on_tapes(
+/// The one evaluation loop: mean loss and accuracy of `model` on `idx`,
+/// each sample predicted as a batch of one on a worker lane's tape (warm
+/// trainer tapes serve inference from their recycled pools; pooled
+/// buffers are zero-filled on checkout, so reuse never changes a bit).
+/// A streamed source is decoded `chunk_size` records at a time, one
+/// chunk ahead of the compute. Chunking only bounds how many records are
+/// alive at once: losses are accumulated in `idx` order across chunk
+/// boundaries, so the result is bitwise identical for every source,
+/// chunk size and executor.
+fn evaluate_source(
     executor: &dyn BatchExecutor,
     tapes: &[Mutex<Tape>],
     chunk_size: usize,
     model: &Dgcnn,
-    corpus: &StreamedCorpus,
+    source: SampleSource<'_>,
     labels: &[usize],
     idx: &[usize],
 ) -> (f32, f64) {
@@ -942,11 +739,11 @@ fn evaluate_streamed_on_tapes(
         magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
     let mut loss_total = 0.0f32;
     let mut correct = 0usize;
-    with_prefetched_chunks(corpus, idx, chunk_size, |chunk, fetched| {
+    source.for_each_chunk(idx, chunk_size, |chunk, fetched| {
         let per_sample: Vec<(f32, bool)> = run_indexed(executor, chunk.len(), |worker, j| {
             let i = chunk[j];
             let mut tape = tapes[worker].lock().expect("unpoisoned tape");
-            let probs = model.predict_with(&mut tape, &fetched[j]);
+            let probs = model.predict_with(&mut tape, source.input(fetched, chunk, j));
             let p = probs[labels[i]].clamp(1e-15, 1.0);
             let arg = probs
                 .iter()
@@ -961,46 +758,6 @@ fn evaluate_streamed_on_tapes(
             correct += usize::from(hit);
         }
     });
-    (loss_total / idx.len() as f32, correct as f64 / idx.len() as f64)
-}
-
-fn evaluate_inner(
-    executor: &dyn BatchExecutor,
-    tapes: Option<&[Mutex<Tape>]>,
-    model: &Dgcnn,
-    inputs: &[GraphInput],
-    labels: &[usize],
-    idx: &[usize],
-) -> (f32, f64) {
-    if idx.is_empty() {
-        return (0.0, 0.0);
-    }
-    let _span =
-        magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
-    let per_sample: Vec<(f32, bool)> = run_indexed(executor, idx.len(), |worker, j| {
-        let i = idx[j];
-        let probs = match tapes {
-            Some(tapes) => {
-                let mut tape = tapes[worker].lock().expect("unpoisoned tape");
-                model.predict_with(&mut tape, &inputs[i])
-            }
-            None => model.predict(&inputs[i]),
-        };
-        let p = probs[labels[i]].clamp(1e-15, 1.0);
-        let arg = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(c, _)| c)
-            .unwrap_or(0);
-        (-p.ln(), arg == labels[i])
-    });
-    let mut loss_total = 0.0;
-    let mut correct = 0usize;
-    for &(loss, hit) in &per_sample {
-        loss_total += loss;
-        correct += usize::from(hit);
-    }
     (loss_total / idx.len() as f32, correct as f64 / idx.len() as f64)
 }
 
@@ -1126,65 +883,6 @@ mod tests {
                     "weights for {name} diverged with {workers} workers"
                 );
             }
-        }
-    }
-
-    /// The tentpole guarantee of the batched execution mode: fusing each
-    /// mini-batch into one block-diagonal pass changes nothing but the
-    /// wall-clock. The entire history, the best validation loss, and
-    /// every final weight are bitwise identical to the per-sample path —
-    /// and the batched path is itself run-to-run deterministic and
-    /// independent of the intra-op thread count.
-    #[test]
-    fn batched_mode_matches_per_sample_training_bitwise() {
-        use magic_autograd::first_bitwise_mismatch;
-        let (inputs, labels) = toy_data();
-        let train_idx: Vec<usize> = (0..16).collect();
-        let val_idx: Vec<usize> = (16..20).collect();
-
-        let run = |batched: bool, workers: usize| {
-            let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(8));
-            let mut model = Dgcnn::new(&config, 9);
-            let trainer = Trainer::new(TrainConfig {
-                epochs: 4,
-                batch_size: 4,
-                learning_rate: 0.02,
-                seed: 3,
-                train_workers: workers,
-                batched,
-                ..TrainConfig::default()
-            });
-            let outcome = trainer.train(&mut model, &inputs, &labels, &train_idx, &val_idx);
-            (outcome, model)
-        };
-        let assert_same = |label: &str,
-                           (outcome, model): &(TrainOutcome, Dgcnn),
-                           (ref_outcome, ref_model): &(TrainOutcome, Dgcnn)| {
-            assert_eq!(outcome.history, ref_outcome.history, "history diverged: {label}");
-            assert_eq!(outcome.best_val_loss, ref_outcome.best_val_loss, "{label}");
-            for (name, value) in model.store().iter() {
-                let reference = ref_model.store();
-                let id = reference.find(name).expect("same parameter set");
-                assert_eq!(
-                    first_bitwise_mismatch(value, reference.value(id)),
-                    None,
-                    "weights for {name} diverged: {label}"
-                );
-            }
-        };
-
-        let per_sample = run(false, 1);
-        let batched = run(true, 1);
-        assert_same("batched vs per-sample", &batched, &per_sample);
-        // Run-to-run determinism of the batched path itself.
-        assert_same("batched rerun", &run(true, 1), &batched);
-        // The intra-op reduction tree is fixed, so threading the
-        // microkernels must not move a single bit either.
-        for threads in [2, 4] {
-            magic_tensor::set_intra_op_threads(threads);
-            let outcome = run(true, 1);
-            magic_tensor::set_intra_op_threads(1);
-            assert_same(&format!("batched with {threads} intra-op threads"), &outcome, &batched);
         }
     }
 

@@ -26,6 +26,6 @@ mod parse;
 mod value;
 mod write;
 
-pub use parse::{from_str, ParseError};
+pub use parse::{from_str, ParseError, MAX_DEPTH};
 pub use value::{Map, ToJson, Value};
 pub use write::{to_string, to_string_pretty};

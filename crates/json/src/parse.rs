@@ -1,4 +1,8 @@
 //! A strict recursive-descent JSON parser.
+//!
+//! Parsing is linear in the input length, and nesting is capped at
+//! [`MAX_DEPTH`] so hostile input yields a [`ParseError`] rather than
+//! exhausting the stack.
 
 use crate::value::{Map, Value};
 use std::error::Error;
@@ -21,9 +25,14 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-/// Parses a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`from_str`] accepts. Each level is one
+/// parser stack frame, so the cap bounds stack use on any thread.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document. Trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -34,8 +43,11 @@ pub fn from_str(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -145,13 +157,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the bytes are valid UTF-8; copy the whole sequence).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one slice. Both delimiters are ASCII, so the run ends
+                    // on a character boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -190,7 +203,23 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Enters one array/object level, failing past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn parse_array(&mut self) -> Result<Value, ParseError> {
+        self.descend()?;
+        let value = self.parse_array_items();
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_array_items(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -214,6 +243,13 @@ impl Parser<'_> {
     }
 
     fn parse_object(&mut self) -> Result<Value, ParseError> {
+        self.descend()?;
+        let value = self.parse_object_members();
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_object_members(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut map = Map::new();
         self.skip_ws();
@@ -294,6 +330,37 @@ mod tests {
         // Surrogate pair for 😀 (U+1F600).
         assert_eq!(from_str(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
         assert!(from_str(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 16 MiB — the largest body `/v1/predict` admits — mixing ASCII,
+        // multi-byte characters and escapes. A per-character rescan of
+        // the rest of the input would take hours here.
+        let chunk = r"mov eax, ebx ; é😀\n";
+        let reps = (16 << 20) / chunk.len();
+        let doc = format!("{{\"asm\": \"{}\"}}", chunk.repeat(reps));
+        let v = from_str(&doc).unwrap();
+        let expected = "mov eax, ebx ; é😀\n".repeat(reps);
+        assert_eq!(v["asm"].as_str().map(str::len), Some(expected.len()));
+        assert_eq!(v["asm"].as_str(), Some(expected.as_str()));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, and a hostile depth fails fast without
+        // exhausting the stack.
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str(&objects).unwrap_err().message.contains("nesting"));
+        assert!(from_str(&"[".repeat(200_000)).unwrap_err().message.contains("nesting"));
+        // The counter unwinds: siblings at the limit stay legal.
+        let siblings = format!("[{},{}]", nested(MAX_DEPTH - 1), nested(MAX_DEPTH - 1));
+        assert!(from_str(&siblings).is_ok());
     }
 
     #[test]

@@ -10,22 +10,6 @@ use magic_nn::{
 use magic_tensor::Rng64;
 use std::sync::Arc;
 
-/// How the Eq. (1) adjacency product is computed.
-///
-/// The CSR path is the production default: per-graph cost and memory
-/// scale with edges (`O(nnz)`), and results are bitwise deterministic
-/// run-to-run and across worker counts. The dense path multiplies the
-/// materialized `n×n` `Â` and exists for the Fig. 2–3 worked-example
-/// tests, dense↔sparse parity checks, and before/after measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Propagation {
-    /// Fused `spmm_norm` over the CSR adjacency (default).
-    #[default]
-    SparseCsr,
-    /// Dense `Â` matmul fallback.
-    Dense,
-}
-
 /// Which head layers a model instantiated.
 #[derive(Debug)]
 enum HeadLayers {
@@ -48,9 +32,10 @@ enum HeadLayers {
 /// The end-to-end DGCNN malware classifier.
 ///
 /// Owns its parameters in a [`ParamStore`]; the training loop binds the
-/// store onto a fresh tape per sample, calls [`Dgcnn::forward`] and backs
-/// the resulting log-probabilities through the tape. Inference uses
-/// [`Dgcnn::predict`].
+/// store onto a reusable tape, calls [`Dgcnn::forward`] on a
+/// [`GraphBatch`] (a single graph is a batch of one) and backs the
+/// resulting log-probabilities through the tape. Inference uses
+/// [`Dgcnn::predict`] and [`Dgcnn::predict_batch_sorted`].
 #[derive(Debug)]
 pub struct Dgcnn {
     config: DgcnnConfig,
@@ -60,7 +45,6 @@ pub struct Dgcnn {
     fc1: Linear,
     fc2: Linear,
     dropout: Dropout,
-    propagation: Propagation,
 }
 
 impl Dgcnn {
@@ -122,19 +106,7 @@ impl Dgcnn {
             fc1,
             fc2,
             dropout: Dropout::new(config.dropout),
-            propagation: Propagation::default(),
         }
-    }
-
-    /// Which adjacency propagation path [`Dgcnn::forward`] uses.
-    pub fn propagation(&self) -> Propagation {
-        self.propagation
-    }
-
-    /// Switches between the sparse CSR path (default) and the dense
-    /// fallback. Both compute the same function; see [`Propagation`].
-    pub fn set_propagation(&mut self, propagation: Propagation) {
-        self.propagation = propagation;
     }
 
     /// The model configuration.
@@ -157,104 +129,26 @@ impl Dgcnn {
         self.store.num_weights()
     }
 
-    /// Runs the forward pass on a tape, returning `(1, num_classes)`
-    /// log-probabilities.
-    ///
-    /// `binding` must come from `self.store().bind(tape)`. `training`
-    /// enables dropout, which draws from `rng`.
-    ///
-    /// Takes `&self`, so data-parallel training shares one model across
-    /// worker threads, each with its own tape and RNG. For reproducible
-    /// dropout independent of batch composition and scheduling, callers
-    /// pass a per-sample stream from [`Rng64::for_sample`] rather than a
-    /// shared generator (see the trainer's threading model).
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        input: &GraphInput,
-        training: bool,
-        rng: &mut Rng64,
-    ) -> Var {
-        // Graph convolution stack (Eq. 1) with per-layer outputs kept.
-        let mut z = tape.leaf(input.attributes().clone(), false);
-        let mut per_layer = Vec::with_capacity(self.graph_convs.len());
-        match self.propagation {
-            Propagation::SparseCsr => {
-                for conv in &self.graph_convs {
-                    z = conv.forward_sparse(
-                        tape,
-                        binding,
-                        input.adj_hat(),
-                        input.adj_hat_t(),
-                        input.inv_degree_arc(),
-                        z,
-                    );
-                    per_layer.push(z);
-                }
-            }
-            Propagation::Dense => {
-                let adj = tape.leaf(input.adj_hat_dense(), false);
-                for conv in &self.graph_convs {
-                    z = conv.forward(tape, binding, adj, input.inv_degree(), z);
-                    per_layer.push(z);
-                }
-            }
-        }
-        let z_concat = tape.concat_cols(&per_layer);
-
-        // Readout head.
-        let features = match &self.head {
-            HeadLayers::SortPoolConv1d { sort, conv1, conv2 } => {
-                let z_sp = sort.forward(tape, z_concat); // (k, concat)
-                let k = sort.k();
-                let concat = self.config.concat_channels();
-                let flat = tape.reshape(z_sp, [1, k * concat]);
-                let c1 = conv1.forward(tape, binding, flat); // (ch0, k)
-                let pooled = tape.max_pool1d(c1, 2); // (ch0, k/2)
-                let c2 = conv2.forward(tape, binding, pooled); // (ch1, L)
-                let len = tape.value(c2).len();
-                tape.reshape(c2, [1, len])
-            }
-            HeadLayers::SortPoolWeighted { sort, weighted } => {
-                let z_sp = sort.forward(tape, z_concat); // (k, concat)
-                weighted.forward(tape, binding, z_sp) // (1, concat)
-            }
-            HeadLayers::AdaptiveMaxPool { pre_conv, pool, post_conv } => {
-                let n = input.vertex_count();
-                let concat = self.config.concat_channels();
-                let image = tape.reshape(z_concat, [1, n, concat]);
-                let c1 = pre_conv.forward(tape, binding, image); // (ch, n, concat)
-                let pooled = pool.forward(tape, c1); // (ch, H, W)
-                let c2 = post_conv.forward(tape, binding, pooled); // (ch, H, W)
-                let len = tape.value(c2).len();
-                tape.reshape(c2, [1, len])
-            }
-        };
-
-        // Classifier perceptron.
-        let h = self.fc1.forward(tape, binding, features);
-        let h = tape.relu(h);
-        let h = self.dropout.forward(tape, h, training, rng);
-        let logits = self.fc2.forward(tape, binding, h);
-        tape.log_softmax_rows(logits)
-    }
-
     /// Runs the forward pass for a whole mini-batch on one tape,
     /// returning `(batch, num_classes)` log-probabilities — row `j` holds
-    /// sample `j`.
+    /// sample `j`. This is the model's only forward pass: a single graph
+    /// runs as a [`GraphBatch::single`].
     ///
-    /// Always propagates through the batch's block-diagonal CSR
-    /// adjacency (the sparse path; [`Propagation::Dense`] has no batched
-    /// equivalent). Every op either operates on disjoint per-sample
-    /// segments or unstacks shared-parameter gradients per sample, so
-    /// losses, predictions and accumulated gradients are bitwise
-    /// identical to running [`Dgcnn::forward`] on each sample separately.
+    /// Propagates through the batch's block-diagonal CSR adjacency. Every
+    /// op either operates on disjoint per-sample segments or unstacks
+    /// shared-parameter gradients per sample, so losses, predictions and
+    /// accumulated gradients are bitwise identical to running each sample
+    /// alone as a batch of one.
     ///
-    /// `rngs` supplies one dropout stream per sample (from
-    /// [`Rng64::for_sample`] in training), keeping mask bits independent
-    /// of batch composition.
-    pub fn forward_batched(
+    /// `binding` must come from `self.store().bind(tape)`. `training`
+    /// enables dropout, which draws sample `j`'s mask from `rngs[j]`.
+    /// Callers pass per-sample streams from [`Rng64::for_sample`] in
+    /// training, keeping mask bits independent of batch composition and
+    /// scheduling.
+    ///
+    /// Takes `&self`, so data-parallel training shares one model across
+    /// worker threads, each with its own tape and RNG streams.
+    pub fn forward(
         &self,
         tape: &mut Tape,
         binding: &Binding,
@@ -267,11 +161,12 @@ impl Dgcnn {
         let b = batch.len();
         let concat = self.config.concat_channels();
 
-        // Graph convolution stack over the block-diagonal system.
+        // Graph convolution stack (Eq. 1) over the block-diagonal system,
+        // with per-layer outputs kept.
         let mut z = tape.leaf(batch.attributes().clone(), false);
         let mut per_layer = Vec::with_capacity(self.graph_convs.len());
         for conv in &self.graph_convs {
-            z = conv.forward_sparse_batched(
+            z = conv.forward(
                 tape,
                 binding,
                 batch.adj_hat(),
@@ -287,20 +182,20 @@ impl Dgcnn {
         // Readout head, one fused op chain for the whole batch.
         let features = match &self.head {
             HeadLayers::SortPoolConv1d { sort, conv1, conv2 } => {
-                let z_sp = sort.forward_batched(tape, z_concat, bounds); // (B·k, concat)
+                let z_sp = sort.forward(tape, z_concat, bounds); // (B·k, concat)
                 let k = sort.k();
                 // Row-major flatten of the row-stacked sort output is the
                 // per-sample flattened signals laid end to end.
                 let flat = tape.reshape(z_sp, [1, b * k * concat]);
-                let c1 = conv1.forward_batched(tape, binding, flat, k * concat); // (ch0, B·k)
-                let pooled = tape.max_pool1d_batched(c1, 2, k); // (ch0, B·(k/2))
-                let c2 = conv2.forward_batched(tape, binding, pooled, k / 2); // (ch1, B·L)
+                let c1 = conv1.forward(tape, binding, flat, k * concat); // (ch0, B·k)
+                let pooled = tape.max_pool1d(c1, 2, k); // (ch0, B·(k/2))
+                let c2 = conv2.forward(tape, binding, pooled, k / 2); // (ch1, B·L)
                 let seg = tape.value(c2).cols() / b;
                 tape.unstack_columns(c2, seg) // (B, ch1·L)
             }
             HeadLayers::SortPoolWeighted { sort, weighted } => {
-                let z_sp = sort.forward_batched(tape, z_concat, bounds); // (B·k, concat)
-                weighted.forward_batched(tape, binding, z_sp) // (B, concat)
+                let z_sp = sort.forward(tape, z_concat, bounds); // (B·k, concat)
+                weighted.forward(tape, binding, z_sp) // (B, concat)
             }
             HeadLayers::AdaptiveMaxPool { pre_conv, pool, post_conv } => {
                 // The row-major (Σ n_j, concat) buffer *is* the
@@ -309,10 +204,10 @@ impl Dgcnn {
                     Arc::new(bounds.windows(2).map(|w| (w[1] - w[0], concat)).collect());
                 let image = tape.reshape(z_concat, [1, batch.total_vertices() * concat]);
                 // 3×3 stride-1 pad-1 preserves each sample's extent.
-                let c1 = pre_conv.forward_batched(tape, binding, image, Arc::clone(&dims));
-                let pooled = pool.forward_batched(tape, c1, &dims); // (ch, B·gh·gw)
+                let c1 = pre_conv.forward(tape, binding, image, Arc::clone(&dims));
+                let pooled = pool.forward(tape, c1, &dims); // (ch, B·gh·gw)
                 let grid = Arc::new(vec![(pool.out_h(), pool.out_w()); b]);
-                let c2 = post_conv.forward_batched(tape, binding, pooled, grid);
+                let c2 = post_conv.forward(tape, binding, pooled, grid);
                 tape.unstack_columns(c2, pool.out_h() * pool.out_w()) // (B, ch·gh·gw)
             }
         };
@@ -320,7 +215,7 @@ impl Dgcnn {
         // Classifier perceptron: row-wise ops are already batch-safe.
         let h = self.fc1.forward(tape, binding, features);
         let h = tape.relu(h);
-        let h = self.dropout.forward_rows(tape, h, training, rngs);
+        let h = self.dropout.forward(tape, h, training, rngs);
         let logits = self.fc2.forward(tape, binding, h);
         tape.log_softmax_rows(logits)
     }
@@ -331,13 +226,15 @@ impl Dgcnn {
     }
 
     /// Class probabilities for every graph in a batch, evaluated in one
-    /// fused forward pass on a caller-supplied (reset) tape. Bitwise
-    /// identical to calling [`Dgcnn::predict`] per sample.
+    /// fused forward pass on a caller-supplied tape. Resets the tape
+    /// first, so a warm training-lane tape can serve inference from its
+    /// recycled workspace buffers. Bitwise identical to calling
+    /// [`Dgcnn::predict`] per sample.
     pub fn predict_batch_with(&self, tape: &mut Tape, batch: &GraphBatch) -> Vec<Vec<f32>> {
         tape.reset();
         let binding = self.store.bind(tape);
         let mut rngs = vec![Rng64::new(0); batch.len()]; // unused: dropout off
-        let lp = self.forward_batched(tape, &binding, batch, false, &mut rngs);
+        let lp = self.forward(tape, &binding, batch, false, &mut rngs);
         let v = tape.value(lp);
         (0..batch.len()).map(|i| v.row(i).iter().map(|&x| x.exp()).collect()).collect()
     }
@@ -352,8 +249,8 @@ impl Dgcnn {
     /// arrived in, and the first warm-up batch touches the pool's
     /// largest size classes early. Results come back in **input order**
     /// and are bitwise identical to calling [`Dgcnn::predict`] on each
-    /// graph alone (the per-sample-parity invariant of the batched
-    /// forward makes the sort order unobservable in the outputs).
+    /// graph alone (a batch of `B` is bitwise `B` batches of one, which
+    /// makes the sort order unobservable in the outputs).
     pub fn predict_batch_sorted(
         &self,
         tape: &mut Tape,
@@ -371,16 +268,11 @@ impl Dgcnn {
         out
     }
 
-    /// Class probabilities for one graph, evaluated on a caller-supplied
-    /// tape. Resets the tape first, so a warm training-lane tape can serve
-    /// evaluation from its recycled workspace buffers instead of paying a
-    /// fresh tape's worth of allocations per sample.
+    /// Class probabilities for one graph, evaluated as a batch of one on
+    /// a caller-supplied tape (see [`Dgcnn::predict_batch_with`]).
     pub fn predict_with(&self, tape: &mut Tape, input: &GraphInput) -> Vec<f32> {
-        tape.reset();
-        let binding = self.store.bind(tape);
-        let mut rng = Rng64::new(0); // unused: dropout is off at inference
-        let log_probs = self.forward(tape, &binding, input, false, &mut rng);
-        tape.value(log_probs).map(f32::exp).into_vec()
+        let mut probs = self.predict_batch_with(tape, &GraphBatch::single(input));
+        probs.pop().expect("a batch of one yields one row")
     }
 
     /// Most probable class for one graph.
@@ -456,8 +348,10 @@ mod tests {
 
             let mut tape = Tape::new();
             let binding = model.store().bind(&mut tape);
-            let lp = model.forward(&mut tape, &binding, &input, true, &mut rng);
-            let loss = tape.nll_loss(lp, vec![1]);
+            let batch = GraphBatch::single(&input);
+            let lp = model.forward(&mut tape, &binding, &batch, true, std::slice::from_mut(&mut rng));
+            let rows = tape.nll_loss_rows(lp, vec![1]);
+            let loss = tape.sum(rows);
             tape.backward(loss);
             model.store_mut().accumulate_grads(&tape, &binding);
 
@@ -493,8 +387,10 @@ mod tests {
             for (input, label) in &data {
                 let mut tape = Tape::new();
                 let binding = model.store().bind(&mut tape);
-                let lp = model.forward(&mut tape, &binding, input, train, rng);
-                let loss = tape.nll_loss(lp, vec![*label]);
+                let batch = GraphBatch::single(input);
+                let lp = model.forward(&mut tape, &binding, &batch, train, std::slice::from_mut(rng));
+                let rows = tape.nll_loss_rows(lp, vec![*label]);
+                let loss = tape.sum(rows);
                 total += tape.value(loss).item();
                 if train {
                     tape.backward(loss);
@@ -565,9 +461,10 @@ mod tests {
             .collect()
     }
 
-    /// The batched forward must be bitwise identical to per-sample
-    /// execution — losses, log-probabilities, and every accumulated
-    /// parameter gradient — for all three heads, with dropout active.
+    /// The batched forward must be bitwise identical to running each
+    /// sample alone: a batch of `N` against `N` batches of one —
+    /// log-probabilities, losses, and every accumulated parameter
+    /// gradient — for all three heads, with dropout active.
     #[test]
     fn batched_forward_is_bitwise_identical_to_per_sample() {
         for head in all_heads() {
@@ -578,52 +475,57 @@ mod tests {
                 (0..4).map(|i| tiny_input(6 + 7 * i, 40 + i as u64)).collect();
             let labels = [0usize, 3, 1, 2];
 
-            // Per-sample: one tape per sample, gradients accumulated in
-            // sample order (the per-sample trainer's reduce chain).
-            let mut per_losses = Vec::new();
-            let mut per_lp = Vec::new();
+            // Batches of one: one tape per sample, gradients accumulated
+            // in sample order (the trainer's reduce chain).
+            let mut one_losses = Vec::new();
+            let mut one_lp = Vec::new();
             for (i, input) in inputs.iter().enumerate() {
                 let mut rng = Rng64::for_sample(99, 0, i as u64);
                 let mut tape = Tape::new();
                 let binding = model.store().bind(&mut tape);
-                let lp = model.forward(&mut tape, &binding, input, true, &mut rng);
-                let loss = tape.nll_loss(lp, vec![labels[i]]);
-                per_lp.push(tape.value(lp).as_slice().to_vec());
-                per_losses.push(tape.value(loss).item());
+                let batch = GraphBatch::single(input);
+                let lp = model.forward(&mut tape, &binding, &batch, true, std::slice::from_mut(&mut rng));
+                let rows = tape.nll_loss_rows(lp, vec![labels[i]]);
+                let loss = tape.sum(rows);
+                one_lp.push(tape.value(lp).as_slice().to_vec());
+                one_losses.push(tape.value(loss).item());
                 tape.backward(loss);
                 model.store_mut().accumulate_grads(&tape, &binding);
             }
-            let per_grads = grad_snapshot(model.store());
+            let one_grads = grad_snapshot(model.store());
             model.store_mut().zero_grads();
 
-            // Batched: one tape, one op chain, same RNG streams.
+            // One batch of N: one tape, one op chain, same RNG streams.
             let refs: Vec<&GraphInput> = inputs.iter().collect();
             let batch = GraphBatch::new(&refs);
             let mut rngs: Vec<Rng64> =
                 (0..4).map(|i| Rng64::for_sample(99, 0, i as u64)).collect();
             let mut tape = Tape::new();
             let binding = model.store().bind(&mut tape);
-            let lp = model.forward_batched(&mut tape, &binding, &batch, true, &mut rngs);
+            let lp = model.forward(&mut tape, &binding, &batch, true, &mut rngs);
             let losses = tape.nll_loss_rows(lp, labels.to_vec());
             let total = tape.sum(losses);
             tape.backward(total);
             model.store_mut().accumulate_grads(&tape, &binding);
-            let bat_grads = grad_snapshot(model.store());
+            let n_grads = grad_snapshot(model.store());
             model.store_mut().zero_grads();
 
             for i in 0..inputs.len() {
                 assert_eq!(
                     tape.value(lp).row(i),
-                    per_lp[i].as_slice(),
+                    one_lp[i].as_slice(),
                     "head {head:?}: log-probs of sample {i}"
                 );
                 assert_eq!(
-                    tape.value(losses).get2(i, 0),
-                    per_losses[i],
+                    tape.value(losses).get2(i, 0).to_bits(),
+                    one_losses[i].to_bits(),
                     "head {head:?}: loss of sample {i}"
                 );
             }
-            assert_eq!(bat_grads, per_grads, "head {head:?}: gradient mismatch");
+            let bits = |g: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                g.iter().map(|p| p.iter().map(|v| v.to_bits()).collect()).collect()
+            };
+            assert_eq!(bits(&n_grads), bits(&one_grads), "head {head:?}: gradient mismatch");
         }
     }
 

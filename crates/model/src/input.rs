@@ -11,14 +11,15 @@ use std::sync::Arc;
 ///
 /// These are constants of the forward pass, computed once per sample and
 /// reused across epochs. The adjacency is stored sparsely — `O(n + e)`
-/// rather than `O(n²)` — and shared via `Arc` so every per-sample tape
-/// references the same buffers instead of cloning them.
+/// rather than `O(n²)` — and every matrix is shared via `Arc`, so a
+/// [`GraphBatch::single`] of one graph and every tape that runs it
+/// reference the same buffers instead of cloning them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphInput {
     adj_hat: Arc<CsrMatrix>,
     adj_hat_t: Arc<CsrMatrix>,
     inv_degree: Arc<Vec<f32>>,
-    attributes: Tensor,
+    attributes: Arc<Tensor>,
 }
 
 impl GraphInput {
@@ -30,7 +31,7 @@ impl GraphInput {
             adj_hat: Arc::new(adj_hat),
             adj_hat_t: Arc::new(adj_hat_t),
             inv_degree: Arc::new(inv_degree),
-            attributes,
+            attributes: Arc::new(attributes),
         }
     }
 
@@ -95,38 +96,34 @@ impl GraphInput {
         &self.inv_degree
     }
 
-    /// Materializes the dense `Â` — the `O(n²)` fallback used only by
-    /// the worked-example tests and the dense propagation mode.
-    pub fn adj_hat_dense(&self) -> Tensor {
-        self.adj_hat.to_dense()
-    }
-
     /// The attribute matrix fed to the first convolution.
     pub fn attributes(&self) -> &Tensor {
         &self.attributes
     }
 }
 
-/// A mini-batch of graphs fused into one block-diagonal system.
+/// A mini-batch of graphs fused into one block-diagonal system — the
+/// only input the model's forward pass takes. A single graph is a batch
+/// of one ([`GraphBatch::single`]).
 ///
 /// The per-sample adjacencies become one block-diagonal CSR matrix, the
 /// attribute matrices are row-stacked and `bounds` records where each
 /// sample's vertex rows start and end (`bounds[j]..bounds[j+1]`). One
 /// fused `spmm_norm` over this matrix propagates the whole batch: a
 /// block-diagonal row holds exactly the nonzeros of the corresponding
-/// per-sample row, so the batched product is bitwise identical to the
-/// per-sample products laid side by side.
+/// graph's own row, so the batched product is bitwise identical to each
+/// graph's product computed alone, laid side by side.
 ///
 /// The transpose is assembled as the block diagonal of the per-sample
 /// transposes (equal to the transpose of the block diagonal), so the
-/// backward pass walks each sample's `Âᵀ` rows in exactly the per-sample
-/// order.
+/// backward pass walks each sample's `Âᵀ` rows in exactly the order a
+/// batch of one walks them.
 #[derive(Debug, Clone)]
 pub struct GraphBatch {
     adj_hat: Arc<CsrMatrix>,
     adj_hat_t: Arc<CsrMatrix>,
     inv_degree: Arc<Vec<f32>>,
-    attributes: Tensor,
+    attributes: Arc<Tensor>,
     bounds: Arc<Vec<usize>>,
 }
 
@@ -154,8 +151,20 @@ impl GraphBatch {
             adj_hat: Arc::new(adj_hat),
             adj_hat_t: Arc::new(adj_hat_t),
             inv_degree: Arc::new(inv_degree),
-            attributes: Tensor::concat_rows(&attrs),
+            attributes: Arc::new(Tensor::concat_rows(&attrs)),
             bounds: Arc::new(bounds),
+        }
+    }
+
+    /// A batch of one graph. Shares the input's matrices instead of
+    /// copying them, so running one sample costs no batch assembly.
+    pub fn single(input: &GraphInput) -> Self {
+        GraphBatch {
+            adj_hat: Arc::clone(&input.adj_hat),
+            adj_hat_t: Arc::clone(&input.adj_hat_t),
+            inv_degree: Arc::clone(&input.inv_degree),
+            attributes: Arc::clone(&input.attributes),
+            bounds: Arc::new(vec![0, input.vertex_count()]),
         }
     }
 
@@ -222,7 +231,7 @@ mod tests {
         assert_eq!(input.vertex_count(), 2);
         // Â has self loops, stored sparsely: 1 edge + 2 loops.
         assert_eq!(input.adj_hat().nnz(), 3);
-        let dense = input.adj_hat_dense();
+        let dense = input.adj_hat().to_dense();
         assert_eq!(dense.get2(0, 0), 1.0);
         assert_eq!(dense.get2(0, 1), 1.0);
         assert_eq!(input.inv_degree(), &[0.5, 1.0]);
@@ -238,7 +247,7 @@ mod tests {
         let input = GraphInput::from_acfg(&acfg);
         assert_eq!(
             input.adj_hat_t().to_dense(),
-            input.adj_hat_dense().transpose()
+            input.adj_hat().to_dense().transpose()
         );
     }
 
@@ -290,6 +299,26 @@ mod tests {
         assert_eq!(&batch.inv_degree_arc()[2..], b.inv_degree());
         assert_eq!(batch.attributes().row(0), a.attributes().row(0));
         assert_eq!(batch.attributes().row(4), b.attributes().row(2));
+    }
+
+    #[test]
+    fn single_shares_the_input_buffers() {
+        let mut g = DiGraph::new(3);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        let input = GraphInput::from_acfg(&Acfg::new(g, Tensor::ones([3, NUM_ATTRIBUTES])));
+        let one = GraphBatch::single(&input);
+        assert!(Arc::ptr_eq(one.adj_hat(), input.adj_hat()));
+        assert!(Arc::ptr_eq(one.adj_hat_t(), input.adj_hat_t()));
+        assert!(Arc::ptr_eq(one.inv_degree_arc(), input.inv_degree_arc()));
+        assert!(std::ptr::eq(one.attributes(), input.attributes()));
+        assert_eq!(one.bounds().as_slice(), &[0, 3]);
+        // Same content as assembling the batch of one the general way.
+        let general = GraphBatch::new(&[&input]);
+        assert_eq!(one.adj_hat(), general.adj_hat());
+        assert_eq!(one.adj_hat_t(), general.adj_hat_t());
+        assert_eq!(one.inv_degree_arc(), general.inv_degree_arc());
+        assert_eq!(one.attributes(), general.attributes());
     }
 
     #[test]

@@ -35,5 +35,5 @@ mod dgcnn;
 mod input;
 
 pub use config::{DgcnnConfig, PoolingHead};
-pub use dgcnn::{Dgcnn, Propagation};
+pub use dgcnn::Dgcnn;
 pub use input::{GraphBatch, GraphInput};

@@ -3,6 +3,7 @@
 use crate::param::{Binding, ParamId, ParamStore};
 use magic_autograd::{Tape, Var};
 use magic_tensor::{Rng64, Tensor};
+use std::sync::Arc;
 
 /// A 1-D convolution over `(c_in, len)` signals, used by the original
 /// DGCNN head that MAGIC compares against (Table II's "1D Convolution"
@@ -58,23 +59,17 @@ impl Conv1dLayer {
         self.stride
     }
 
-    /// Applies the convolution followed by ReLU.
-    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var) -> Var {
-        let y = tape.conv1d(x, binding.var(self.w), binding.var(self.b), self.stride);
-        tape.relu(y)
-    }
-
-    /// [`Conv1dLayer::forward`] over a mini-batch whose samples occupy
-    /// equal column segments of `seg_len` in `x` — the convolution runs
-    /// per segment (windows never straddle a boundary), with weight and
-    /// bias gradients unstacked per sample for bitwise parity.
-    pub fn forward_batched(&self, tape: &mut Tape, binding: &Binding, x: Var, seg_len: usize) -> Var {
-        let y = tape.conv1d_batched(x, binding.var(self.w), binding.var(self.b), self.stride, seg_len);
+    /// Applies the convolution followed by ReLU over a mini-batch whose
+    /// samples occupy equal column segments of `seg_len` in `x` — the
+    /// convolution runs per segment (windows never straddle a boundary),
+    /// with weight and bias gradients unstacked per sample.
+    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, seg_len: usize) -> Var {
+        let y = tape.conv1d(x, binding.var(self.w), binding.var(self.b), self.stride, seg_len);
         tape.relu(y)
     }
 }
 
-/// A 2-D convolution over `(c_in, h, w)` feature maps, used by the
+/// A 2-D convolution over `(h, w)` feature maps of `c_in` channels, used by the
 /// VGG-inspired classification head after adaptive max pooling
 /// (Section III-C).
 #[derive(Debug, Clone)]
@@ -126,31 +121,12 @@ impl Conv2dLayer {
         self.kernel
     }
 
-    /// Applies the convolution followed by ReLU.
-    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var) -> Var {
-        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.stride, self.pad);
-        tape.relu(y)
-    }
-
-    /// [`Conv2dLayer::forward`] over a mini-batch of column-stacked
-    /// feature maps: `x` is `(c_in, Σ h_j·w_j)` and `dims` gives each
-    /// sample's spatial extent. Weight and bias gradients are unstacked
-    /// per sample for bitwise parity with per-sample execution.
-    pub fn forward_batched(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        x: Var,
-        dims: std::sync::Arc<Vec<(usize, usize)>>,
-    ) -> Var {
-        let y = tape.conv2d_batched(
-            x,
-            binding.var(self.w),
-            binding.var(self.b),
-            self.stride,
-            self.pad,
-            dims,
-        );
+    /// Applies the convolution followed by ReLU over a mini-batch of
+    /// column-stacked feature maps: `x` is `(c_in, Σ h_j·w_j)` and `dims`
+    /// gives each sample's spatial extent. Weight and bias gradients are
+    /// unstacked per sample.
+    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, dims: Arc<Vec<(usize, usize)>>) -> Var {
+        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.stride, self.pad, dims);
         tape.relu(y)
     }
 }
@@ -167,7 +143,7 @@ mod tests {
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
         let x = tape.leaf(Tensor::ones([1, 12]), false);
-        let y = layer.forward(&mut tape, &binding, x);
+        let y = layer.forward(&mut tape, &binding, x, 12);
         assert_eq!(tape.value(y).shape().dims(), &[16, 3]);
     }
 
@@ -178,9 +154,9 @@ mod tests {
         let layer = Conv2dLayer::new(&mut store, "c2", 1, 8, 3, 1, 1, &mut rng);
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
-        let x = tape.leaf(Tensor::ones([1, 5, 6]), false);
-        let y = layer.forward(&mut tape, &binding, x);
-        assert_eq!(tape.value(y).shape().dims(), &[8, 5, 6]);
+        let x = tape.leaf(Tensor::ones([1, 5 * 6]), false);
+        let y = layer.forward(&mut tape, &binding, x, Arc::new(vec![(5, 6)]));
+        assert_eq!(tape.value(y).shape().dims(), &[8, 5 * 6]);
     }
 
     #[test]
@@ -193,9 +169,9 @@ mod tests {
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
         let x1 = tape.leaf(Tensor::ones([2, 8]), false);
-        let y1 = c1.forward(&mut tape, &binding, x1);
-        let y1m = tape.reshape(y1, [1, 3, 4]);
-        let y2 = c2.forward(&mut tape, &binding, y1m);
+        let y1 = c1.forward(&mut tape, &binding, x1, 8);
+        let y1m = tape.reshape(y1, [1, 3 * 4]);
+        let y2 = c2.forward(&mut tape, &binding, y1m, Arc::new(vec![(3, 4)]));
         let loss = tape.sum(y2);
         tape.backward(loss);
         store.accumulate_grads(&tape, &binding);

@@ -26,19 +26,10 @@ impl Dropout {
     }
 
     /// Applies dropout when `training` is true; otherwise passes `x`
-    /// through untouched.
-    pub fn forward(&self, tape: &mut Tape, x: Var, training: bool, rng: &mut Rng64) -> Var {
-        if training && self.rate > 0.0 {
-            tape.dropout(x, self.rate, rng)
-        } else {
-            x
-        }
-    }
-
-    /// Batched variant: one row of `x` per sample, masked from that
-    /// sample's own RNG stream so the mask bits match per-sample
-    /// execution exactly regardless of batch composition.
-    pub fn forward_rows(
+    /// through untouched. `x` holds one row per sample, masked from that
+    /// sample's own RNG stream so the mask bits do not depend on batch
+    /// composition.
+    pub fn forward(
         &self,
         tape: &mut Tape,
         x: Var,
@@ -64,7 +55,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones([4, 4]), false);
         let d = Dropout::new(0.5);
-        let y = d.forward(&mut tape, x, false, &mut rng);
+        let y = d.forward(&mut tape, x, false, std::slice::from_mut(&mut rng));
         assert_eq!(y, x);
     }
 
@@ -74,7 +65,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones([1, 10_000]), false);
         let d = Dropout::new(0.5);
-        let y = d.forward(&mut tape, x, true, &mut rng);
+        let y = d.forward(&mut tape, x, true, std::slice::from_mut(&mut rng));
         let mean = tape.value(y).mean();
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
     }

@@ -45,60 +45,17 @@ impl GraphConv {
         self.out_channels
     }
 
-    /// Applies the layer.
+    /// Applies the layer over a (block-diagonal) CSR adjacency: `z` holds
+    /// the row-stacked vertex features of a mini-batch and `adj` is the
+    /// batch's block-diagonal `Â` — a single graph is a batch of one.
     ///
-    /// * `adj` — the augmented adjacency `Â` as a constant tape leaf.
-    /// * `inv_degree` — the diagonal of `D̂⁻¹` (one entry per vertex).
-    /// * `z` — the incoming vertex feature matrix `(n, c_in)`.
-    ///
-    /// Returns `(n, c_out)`.
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        adj: Var,
-        inv_degree: &[f32],
-        z: Var,
-    ) -> Var {
-        let f = tape.matmul(z, binding.var(self.w)); // F = Z W
-        let o = tape.matmul(adj, f); // O = Â F
-        let n = tape.scale_rows(o, inv_degree.to_vec()); // D̂⁻¹ O
-        tape.relu(n)
-    }
-
-    /// Applies the layer over a CSR adjacency — the production path.
-    ///
-    /// Identical mathematics to [`GraphConv::forward`], but the
-    /// `D̂⁻¹ (Â ·)` half runs as one fused `spmm_norm` op over the `n + e`
-    /// nonzeros instead of a dense `n×n` product, so cost and memory
+    /// `F = Z W` runs as one GEMM whose weight gradient is accumulated per
+    /// sample row segment (`bounds`), and the `D̂⁻¹ (Â F)` half as one
+    /// fused `spmm_norm` over the `n + e` nonzeros, so cost and memory
     /// scale with edges. `adj_t` is the precomputed transpose used by the
-    /// backward pass.
-    pub fn forward_sparse(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        adj: &Arc<CsrMatrix>,
-        adj_t: &Arc<CsrMatrix>,
-        inv_degree: &Arc<Vec<f32>>,
-        z: Var,
-    ) -> Var {
-        let f = tape.matmul(z, binding.var(self.w)); // F = Z W
-        let o = tape.spmm_norm(
-            Arc::clone(adj),
-            Arc::clone(adj_t),
-            Arc::clone(inv_degree),
-            f,
-        ); // D̂⁻¹ (Â F)
-        tape.relu(o)
-    }
-
-    /// [`GraphConv::forward_sparse`] over a block-diagonal batch: `z` holds
-    /// the row-stacked vertex features of a whole mini-batch and `adj` is
-    /// the batch's block-diagonal `Â`. `bounds` marks each sample's row
-    /// segment so the shared weight's gradient is accumulated per sample,
-    /// keeping the result bitwise identical to per-sample execution.
+    /// backward pass. Returns `(Σ n_j, c_out)`.
     #[allow(clippy::too_many_arguments)]
-    pub fn forward_sparse_batched(
+    pub fn forward(
         &self,
         tape: &mut Tape,
         binding: &Binding,
@@ -108,13 +65,8 @@ impl GraphConv {
         z: Var,
         bounds: &Arc<Vec<usize>>,
     ) -> Var {
-        let f = tape.matmul_batched(z, binding.var(self.w), Arc::clone(bounds));
-        let o = tape.spmm_norm_batched(
-            Arc::clone(adj),
-            Arc::clone(adj_t),
-            Arc::clone(inv_degree),
-            f,
-        );
+        let f = tape.matmul_batched(z, binding.var(self.w), Arc::clone(bounds)); // F = Z W
+        let o = tape.spmm_norm(Arc::clone(adj), Arc::clone(adj_t), Arc::clone(inv_degree), f); // D̂⁻¹ (Â F)
         tape.relu(o)
     }
 }
@@ -142,6 +94,8 @@ pub fn augment_adjacency(adj: &Tensor) -> (Tensor, Vec<f32>) {
 mod tests {
     use super::*;
 
+    const PAPER_EDGES: [(usize, usize); 6] = [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 1)];
+
     /// The worked example of Figs. 2–3: the 5-vertex graph `g` with two
     /// attribute channels, convolved with the paper's `W1`.
     ///
@@ -149,7 +103,7 @@ mod tests {
     /// 1→2, 1→3, 2→4, 3→4, 3→5, 4→2 (1-indexed), plus self loops.
     fn paper_graph() -> (Tensor, Tensor) {
         let mut a = Tensor::zeros([5, 5]);
-        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 1)] {
+        for (u, v) in PAPER_EDGES {
             a.set2(u, v, 1.0);
         }
         // Attribute matrix X from Fig. 2, channels F1 and F2.
@@ -161,6 +115,19 @@ mod tests {
             &[1.0, 5.0],
         ]);
         (a, x)
+    }
+
+    /// Batch constants of `copies` paper graphs: block-diagonal `Â`, its
+    /// transpose, the stacked `D̂⁻¹` and the sample row bounds.
+    type BatchCsr = (Arc<CsrMatrix>, Arc<CsrMatrix>, Arc<Vec<f32>>, Arc<Vec<usize>>);
+
+    fn paper_csr_batch(copies: usize) -> BatchCsr {
+        let (csr, inv) = CsrMatrix::augmented_from_edges(5, PAPER_EDGES);
+        let adj = CsrMatrix::block_diagonal(&vec![&csr; copies]);
+        let adj_t = adj.transpose();
+        let inv = inv.repeat(copies);
+        let bounds = (0..=copies).map(|j| 5 * j).collect();
+        (Arc::new(adj), Arc::new(adj_t), Arc::new(inv), Arc::new(bounds))
     }
 
     #[test]
@@ -177,8 +144,8 @@ mod tests {
     #[test]
     fn forward_matches_paper_figure_3_layer_1() {
         // The paper's W1 = [[1, 0, 1], [0, 1, 0]] maps 2 channels to 3.
-        let (a, x) = paper_graph();
-        let (a_hat, inv_deg) = augment_adjacency(&a);
+        let (_, x) = paper_graph();
+        let (adj, adj_t, inv, bounds) = paper_csr_batch(1);
 
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(0);
@@ -187,9 +154,8 @@ mod tests {
 
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
-        let adj = tape.leaf(a_hat, false);
-        let z0 = tape.leaf(x.clone(), false);
-        let z1 = layer.forward(&mut tape, &binding, adj, &inv_deg, z0);
+        let z0 = tape.leaf(x, false);
+        let z1 = layer.forward(&mut tape, &binding, &adj, &adj_t, &inv, z0, &bounds);
 
         // Hand-computed D̂⁻¹ Â X W1 for the paper graph (2-decimal
         // precision in Fig. 3). Row 0 aggregates vertices {0,1,2}:
@@ -208,14 +174,8 @@ mod tests {
     fn sparse_forward_matches_dense_on_paper_graph() {
         let (a, x) = paper_graph();
         let (a_hat, inv_deg) = augment_adjacency(&a);
-        let (csr, inv_deg_csr) = CsrMatrix::augmented_from_edges(
-            5,
-            [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 1)],
-        );
-        assert_eq!(inv_deg, inv_deg_csr, "both constructions agree on D̂⁻¹");
-        let adj = Arc::new(csr);
-        let adj_t = Arc::new(adj.transpose());
-        let inv = Arc::new(inv_deg_csr);
+        let (adj, adj_t, inv, bounds) = paper_csr_batch(1);
+        assert_eq!(inv_deg, *inv, "both constructions agree on D̂⁻¹");
 
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(21);
@@ -223,29 +183,20 @@ mod tests {
 
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
-        let adj_dense = tape.leaf(a_hat, false);
         let z0 = tape.leaf(x.clone(), false);
-        let dense_out = layer.forward(&mut tape, &binding, adj_dense, &inv_deg, z0);
+        let sparse = layer.forward(&mut tape, &binding, &adj, &adj_t, &inv, z0, &bounds);
 
-        let z0s = tape.leaf(x, false);
-        let sparse_out = layer.forward_sparse(&mut tape, &binding, &adj, &adj_t, &inv, z0s);
-
-        let (d, s) = (tape.value(dense_out), tape.value(sparse_out));
-        for (a, b) in d.as_slice().iter().zip(s.as_slice()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        // relu(D̂⁻¹ Â X W) computed densely.
+        let dense = a_hat.matmul(&x.matmul(store.value(layer.w))).scale_rows(&inv_deg);
+        for (d, s) in dense.as_slice().iter().zip(tape.value(sparse).as_slice()) {
+            assert!((d.max(0.0) - s).abs() < 1e-5, "{d} vs {s}");
         }
     }
 
     #[test]
     fn sparse_gradient_reaches_weight_through_structure() {
         let (_, x) = paper_graph();
-        let (csr, inv_deg) = CsrMatrix::augmented_from_edges(
-            5,
-            [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 1)],
-        );
-        let adj = Arc::new(csr);
-        let adj_t = Arc::new(adj.transpose());
-        let inv = Arc::new(inv_deg);
+        let (adj, adj_t, inv, bounds) = paper_csr_batch(1);
 
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(3);
@@ -254,7 +205,7 @@ mod tests {
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
         let z0 = tape.leaf(x, false);
-        let z1 = layer.forward_sparse(&mut tape, &binding, &adj, &adj_t, &inv, z0);
+        let z1 = layer.forward(&mut tape, &binding, &adj, &adj_t, &inv, z0, &bounds);
         let loss = tape.sum(z1);
         tape.backward(loss);
         store.accumulate_grads(&tape, &binding);
@@ -263,29 +214,38 @@ mod tests {
 
     #[test]
     fn gradient_reaches_weight_through_structure() {
-        let (a, x) = paper_graph();
-        let (a_hat, inv_deg) = augment_adjacency(&a);
+        // Two copies of the graph in one batch: each contributes to the
+        // shared weight, so the gradient doubles (exactly, in binary).
+        let (_, x) = paper_graph();
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(3);
         let layer = GraphConv::new(&mut store, "gc", 2, 4, &mut rng);
 
-        let mut tape = Tape::new();
-        let binding = store.bind(&mut tape);
-        let adj = tape.leaf(a_hat, false);
-        let z0 = tape.leaf(x, false);
-        let z1 = layer.forward(&mut tape, &binding, adj, &inv_deg, z0);
-        let loss = tape.sum(z1);
-        tape.backward(loss);
-        store.accumulate_grads(&tape, &binding);
-        assert!(store.grad(layer.w).frobenius_norm() > 0.0);
+        let grad_of = |store: &mut ParamStore, copies: usize, z: Tensor| {
+            let (adj, adj_t, inv, bounds) = paper_csr_batch(copies);
+            let mut tape = Tape::new();
+            let binding = store.bind(&mut tape);
+            let z0 = tape.leaf(z, false);
+            let z1 = layer.forward(&mut tape, &binding, &adj, &adj_t, &inv, z0, &bounds);
+            let loss = tape.sum(z1);
+            tape.backward(loss);
+            store.zero_grads();
+            store.accumulate_grads(&tape, &binding);
+            store.grad(layer.w).clone()
+        };
+        let one = grad_of(&mut store, 1, x.clone());
+        let two = grad_of(&mut store, 2, Tensor::concat_rows(&[&x, &x]));
+        assert!(one.frobenius_norm() > 0.0);
+        assert_eq!(two, one.scale(2.0));
     }
 
     #[test]
     fn isolated_vertex_keeps_own_features() {
         // A single vertex with no edges: Â = [1], D̂⁻¹ = [1], so the
         // convolution reduces to f(x W).
-        let a = Tensor::zeros([1, 1]);
-        let (a_hat, inv_deg) = augment_adjacency(&a);
+        let (csr, inv) = CsrMatrix::augmented_from_edges(1, std::iter::empty());
+        let adj_t = Arc::new(csr.transpose());
+        let (adj, inv, bounds) = (Arc::new(csr), Arc::new(inv), Arc::new(vec![0, 1]));
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(4);
         let layer = GraphConv::new(&mut store, "gc", 2, 2, &mut rng);
@@ -293,9 +253,8 @@ mod tests {
 
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
-        let adj = tape.leaf(a_hat, false);
         let z0 = tape.leaf(Tensor::from_rows(&[&[3.0, 4.0]]), false);
-        let z1 = layer.forward(&mut tape, &binding, adj, &inv_deg, z0);
+        let z1 = layer.forward(&mut tape, &binding, &adj, &adj_t, &inv, z0, &bounds);
         assert_eq!(tape.value(z1).row(0), &[3.0, 4.0]);
     }
 }

@@ -34,24 +34,16 @@ impl SortPooling {
         self.k
     }
 
-    /// Applies the layer to the concatenated output `z_concat`
-    /// (`(n, Σ c_t)`). The sort permutation is computed from the forward
-    /// values and treated as constant during backpropagation (exactly as
-    /// in the reference PyTorch implementation).
-    pub fn forward(&self, tape: &mut Tape, z_concat: Var) -> Var {
-        let order = tape.value(z_concat).argsort_rows_desc_lastcol();
-        let keep: Vec<usize> = order.into_iter().take(self.k).collect();
-        let gathered = tape.gather_rows(z_concat, keep);
-        tape.pad_or_truncate_rows(gathered, self.k)
-    }
-
-    /// [`SortPooling::forward`] over a row-stacked batch: `bounds` marks
-    /// each sample's vertex row segment in `z_concat`. Each segment is
-    /// sorted independently (global indices; ties break on the row index,
-    /// which an offset shift preserves, so the per-segment permutation is
-    /// exactly the per-sample one) and padded to `k` rows with the
-    /// `usize::MAX` sentinel. Returns `(batch·k, Σ c_t)` row-stacked.
-    pub fn forward_batched(&self, tape: &mut Tape, z_concat: Var, bounds: &[usize]) -> Var {
+    /// Applies the layer to the row-stacked concatenated output `z_concat`
+    /// (`(Σ n_j, Σ c_t)`) of a batch; `bounds` marks each sample's vertex
+    /// row segment. Each segment is sorted independently (global indices;
+    /// ties break on the row index, which an offset shift preserves, so a
+    /// sample's permutation does not depend on its batch) and truncated
+    /// or padded to `k` rows with the `usize::MAX` sentinel. The sort
+    /// permutation is computed from the forward values and treated as
+    /// constant during backpropagation (exactly as in the reference
+    /// PyTorch implementation). Returns `(batch·k, Σ c_t)` row-stacked.
+    pub fn forward(&self, tape: &mut Tape, z_concat: Var, bounds: &[usize]) -> Var {
         let indices: Vec<usize> = {
             let v = tape.value(z_concat);
             let mut idx = Vec::with_capacity((bounds.len() - 1) * self.k);
@@ -100,17 +92,11 @@ impl WeightedVertices {
         self.k
     }
 
-    /// Computes `E = relu(W × Z^{sp})`, shape `(1, Σ c_t)`.
+    /// Computes `E = relu(W × Z^{sp})` for each `k`-row block of a
+    /// row-stacked batch of SortPooling outputs `(batch·k, Σ c_t)`,
+    /// returning `(batch, Σ c_t)`. The shared weight's gradient is
+    /// accumulated per block.
     pub fn forward(&self, tape: &mut Tape, binding: &Binding, z_sp: Var) -> Var {
-        let e = tape.matmul(binding.var(self.w), z_sp);
-        tape.relu(e)
-    }
-
-    /// [`WeightedVertices::forward`] over a row-stacked batch of
-    /// SortPooling outputs `(batch·k, Σ c_t)`: one weighted sum per
-    /// `k`-row block, returning `(batch, Σ c_t)`. The shared weight's
-    /// gradient is accumulated per block for bitwise parity.
-    pub fn forward_batched(&self, tape: &mut Tape, binding: &Binding, z_sp: Var) -> Var {
         let e = tape.matmul_row_blocks(binding.var(self.w), z_sp, self.k);
         tape.relu(e)
     }
@@ -118,9 +104,10 @@ impl WeightedVertices {
 
 /// The adaptive max pooling layer of Section III-C.
 ///
-/// Divides a `(c, h, w)` input into an `H×W` grid of windows (sized
+/// Divides each `(h, w)` input map into an `H×W` grid of windows (sized
 /// adaptively per input, as in Fig. 6) and keeps the maximum of each
-/// window and channel, producing `(c, H, W)` regardless of input size.
+/// window and channel, producing `H·W` cells per channel regardless of
+/// input size.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveMaxPool2d {
     out_h: usize,
@@ -148,16 +135,11 @@ impl AdaptiveMaxPool2d {
         self.out_w
     }
 
-    /// Applies the pooling on the tape.
-    pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
-        tape.adaptive_max_pool2d(x, self.out_h, self.out_w)
-    }
-
-    /// [`AdaptiveMaxPool2d::forward`] over a column-stacked batch:
-    /// `x` is `(c, Σ h_j·w_j)` with per-sample extents `dims`, pooled to
+    /// Applies the pooling to a column-stacked batch: `x` is
+    /// `(c, Σ h_j·w_j)` with per-sample extents `dims`, pooled to
     /// `(c, batch·out_h·out_w)`.
-    pub fn forward_batched(&self, tape: &mut Tape, x: Var, dims: &[(usize, usize)]) -> Var {
-        tape.adaptive_max_pool2d_batched(x, dims, self.out_h, self.out_w)
+    pub fn forward(&self, tape: &mut Tape, x: Var, dims: &[(usize, usize)]) -> Var {
+        tape.adaptive_max_pool2d(x, dims, self.out_h, self.out_w)
     }
 }
 
@@ -179,7 +161,7 @@ mod tests {
         let mut tape = Tape::new();
         let zv = tape.leaf(z, false);
         let sp = SortPooling::new(3);
-        let out = sp.forward(&mut tape, zv);
+        let out = sp.forward(&mut tape, zv, &[0, 5]);
         let v = tape.value(out);
         assert_eq!(v.shape().dims(), &[3, 2]);
         assert_eq!(v.row(0), &[0.0, 0.9]);
@@ -192,7 +174,7 @@ mod tests {
         let z = Tensor::from_rows(&[&[1.0, 2.0]]);
         let mut tape = Tape::new();
         let zv = tape.leaf(z, false);
-        let out = SortPooling::new(4).forward(&mut tape, zv);
+        let out = SortPooling::new(4).forward(&mut tape, zv, &[0, 1]);
         let v = tape.value(out);
         assert_eq!(v.shape().dims(), &[4, 2]);
         assert_eq!(v.row(0), &[1.0, 2.0]);
@@ -204,7 +186,7 @@ mod tests {
         let z = Tensor::from_rows(&[&[1.0, 3.0], &[1.0, 1.0], &[1.0, 2.0]]);
         let mut tape = Tape::new();
         let zv = tape.leaf(z, true);
-        let out = SortPooling::new(2).forward(&mut tape, zv);
+        let out = SortPooling::new(2).forward(&mut tape, zv, &[0, 3]);
         let loss = tape.sum(out);
         tape.backward(loss);
         let g = tape.grad(zv).unwrap();
@@ -261,11 +243,11 @@ mod tests {
         // Fig. 6: a 5x7 and a 4x7 input both pool to 3x3.
         let pool = AdaptiveMaxPool2d::new(3, 3);
         for h in [5usize, 4] {
-            let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h, 7]);
+            let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h * 7]);
             let mut tape = Tape::new();
             let xv = tape.leaf(x, false);
-            let y = pool.forward(&mut tape, xv);
-            assert_eq!(tape.value(y).shape().dims(), &[1, 3, 3]);
+            let y = pool.forward(&mut tape, xv, &[(h, 7)]);
+            assert_eq!(tape.value(y).shape().dims(), &[1, 3 * 3]);
         }
     }
 }

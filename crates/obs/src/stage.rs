@@ -222,7 +222,3 @@ pub const OP_HOST_EVALUATE: &str = "evaluate";
 /// forward glue between ops, the backward walk, and the profiling
 /// timestamps themselves (phase `"host"`).
 pub const OP_HOST_SAMPLE_OVERHEAD: &str = "sample.overhead";
-/// Block-diagonal batch assembly — fusing per-sample CSR adjacencies,
-/// inverse degrees, and attribute matrices into one `GraphBatch` before a
-/// batched forward/backward pass (phase `"host"`).
-pub const OP_HOST_BATCH_GRAPH: &str = "host.batch_graph";

@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --manifest-path benchmark/e2e/Cargo.toml"
+# The end-to-end benchmark is a workspace of its own, so the root
+# `cargo test` skips it. Its debug smoke run of all four workloads is
+# what catches a library change breaking the calls the benchmark makes.
+cargo test -q --manifest-path benchmark/e2e/Cargo.toml
+
 echo "==> cargo test --doc -q"
 cargo test --doc -q
 
@@ -54,8 +60,8 @@ echo "==> perf gate: quick conv_head bench vs committed baseline"
 # Wider threshold than the other gates: the conv_head quick cells are
 # sub-millisecond and their medians swing ±30% run-to-run on a busy
 # 1-core container (measured band; the train_parallel ms-scale gate
-# stays within ±5%). 0.40 still fails hard on the ≥2x cost of losing
-# the GEMM lowering.
+# stays within ±5%). 0.40 still fails hard on a ≥2x kernel slowdown
+# such as losing the GEMM lowering.
 CH_BASELINE=results/BENCH_conv_head_quick.json
 if [ -f "$CH_BASELINE" ]; then
     MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
@@ -69,9 +75,9 @@ fi
 
 echo "==> perf gate: quick batched_forward bench vs committed baseline"
 # Same wide threshold as conv_head: the quick cells are single-digit
-# milliseconds on a 1-core container and swing with host load. 0.40
-# still catches the step change of losing the fused block-diagonal
-# path or the batched GEMM lowering.
+# millisecond training epochs (one per pooling head) on a 1-core
+# container and swing with host load. 0.40 still catches a step change
+# in the per-head epoch cost.
 BF_BASELINE=results/BENCH_batched_forward_quick.json
 if [ -f "$BF_BASELINE" ]; then
     MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \

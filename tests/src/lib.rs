@@ -1,7 +1,10 @@
 //! Workspace-level integration tests for the MAGIC reproduction.
 //!
 //! The real content lives in `tests/tests/*.rs`; this library only hosts
-//! shared helpers for those tests.
+//! shared helpers for those tests and the reference [`oracle`] kernels
+//! the production kernels are checked against.
+
+pub mod oracle;
 
 use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
 use magic_tensor::{Rng64, Tensor};

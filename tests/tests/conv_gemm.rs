@@ -1,16 +1,18 @@
 //! im2col-GEMM convolution lowering: end-to-end determinism and
-//! naive-path agreement.
+//! agreement with the naive reference kernels.
 //!
-//! The GEMM lowering is the default for both conv heads. Its contract
-//! has two halves: (1) training on it is *bitwise* reproducible — run
-//! to run and for every `train_workers` count — because each lowering
-//! fixes its accumulation order and the workspace pool only ever hands
-//! out zero-filled buffers; (2) against the retained naive kernels
-//! (`MAGIC_NAIVE_CONV=1` escape hatch) it agrees to float-reassociation
-//! tolerance, not bitwise — the loop orders differ.
+//! The GEMM lowering is the only convolution path of both conv heads.
+//! Its contract has two halves: (1) training on it is *bitwise*
+//! reproducible — run to run and for every `train_workers` count —
+//! because it fixes its accumulation order and the workspace pool only
+//! ever hands out zero-filled buffers; (2) against the naive reference
+//! kernels in [`magic_integration::oracle`] it agrees to
+//! float-reassociation tolerance, not bitwise — the loop orders differ.
 
 use magic::trainer::{TrainConfig, Trainer};
-use magic_autograd::{first_bitwise_mismatch, ConvLowering, Tape};
+use magic_autograd::{conv1d_shape, first_bitwise_mismatch, Tape};
+use magic_integration::oracle;
+use std::sync::Arc;
 use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
 use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
 use magic_tensor::{Rng64, Tensor};
@@ -79,57 +81,117 @@ fn im2col_training_is_bitwise_identical_across_runs_and_workers() {
     }
 }
 
-/// Forward + backward through full DGCNN models (both head families)
-/// must agree between the GEMM and naive lowerings to reassociation
-/// tolerance: same losses, same parameter gradients.
+/// Stacks per-sample `(c, lenⱼ)` matrices column-wise into `(c, Σ lenⱼ)`.
+fn hstack(samples: &[Tensor]) -> Tensor {
+    let c = samples[0].rows();
+    let parts: Vec<Tensor> = samples.iter().map(Tensor::transpose).collect();
+    let stacked = Tensor::concat_rows(&parts.iter().collect::<Vec<_>>()).transpose();
+    assert_eq!(stacked.rows(), c);
+    stacked
+}
+
+/// Columns `start..start + width` of `t`.
+fn columns(t: &Tensor, start: usize, width: usize) -> Tensor {
+    let rows: Vec<&[f32]> = (0..t.rows()).map(|r| &t.row(r)[start..start + width]).collect();
+    Tensor::from_rows(&rows)
+}
+
+fn assert_close(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!((g - w).abs() < 1e-5, "{what}[{i}]: gemm {g} vs naive {w}");
+    }
+}
+
+/// The im2col + GEMM convolutions on the tape agree with the naive
+/// reference kernels — outputs, input gradients and the shared weight and
+/// bias gradients — for a batch of one and a batch of three, to
+/// float-reassociation tolerance.
 #[test]
 fn naive_and_gemm_lowerings_agree_end_to_end() {
-    for head in [PoolingHead::sort_pool_weighted(8), PoolingHead::adaptive_max_pool(3)] {
-        let config = DgcnnConfig::new(2, head);
-        let model = Dgcnn::new(&config, 11);
+    let mut rng = Rng64::new(21);
 
-        for seed in 0..4u64 {
-            let input = random_input(12, 400 + seed);
-            let losses_and_grads = |lowering: ConvLowering| {
-                let mut tape = Tape::new();
-                tape.set_conv_lowering(lowering);
-                let binding = model.store().bind(&mut tape);
-                let mut rng = Rng64::for_sample(3, 0, seed);
-                let lp = model.forward(&mut tape, &binding, &input, true, &mut rng);
-                let loss = tape.nll_loss(lp, vec![(seed % 2) as usize]);
-                tape.backward(loss);
-                let loss_value = tape.value(loss).item();
-                let grads: Vec<(String, Tensor)> = model
-                    .store()
-                    .iter()
-                    .map(|(name, _)| {
-                        let id = model.store().find(name).expect("param");
-                        let g = tape
-                            .grad(binding.var(id))
-                            .cloned()
-                            .unwrap_or_else(|| Tensor::zeros([1]));
-                        (name.to_string(), g)
-                    })
-                    .collect();
-                (loss_value, grads)
-            };
+    // 1-D: every sample is one equal-length column segment.
+    let (c_in, c_out, k, stride, seg_len) = (2, 3, 3, 2, 9);
+    let out_len = conv1d_shape(seg_len, k, stride);
+    for batch in [1, 3] {
+        let samples: Vec<Tensor> =
+            (0..batch).map(|_| Tensor::rand_uniform([c_in, seg_len], -1.0, 1.0, &mut rng)).collect();
+        let upstream: Vec<Tensor> =
+            (0..batch).map(|_| Tensor::rand_uniform([c_out, out_len], -1.0, 1.0, &mut rng)).collect();
+        let w = Tensor::rand_uniform([c_out, c_in, k], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([c_out], -0.5, 0.5, &mut rng);
 
-            let (gemm_loss, gemm_grads) = losses_and_grads(ConvLowering::Im2colGemm);
-            let (naive_loss, naive_grads) = losses_and_grads(ConvLowering::Naive);
-            assert!(
-                (gemm_loss - naive_loss).abs() < 1e-4,
-                "loss diverged: gemm {gemm_loss} vs naive {naive_loss}"
-            );
-            for ((name, g), (_, n)) in gemm_grads.iter().zip(&naive_grads) {
-                assert_eq!(g.shape(), n.shape(), "{name} grad shape");
-                for (a, b) in g.as_slice().iter().zip(n.as_slice()) {
-                    assert!(
-                        (a - b).abs() < 1e-3,
-                        "{name} grad diverged: gemm {a} vs naive {b}"
-                    );
-                }
-            }
+        let mut tape = Tape::new();
+        let x = tape.leaf(hstack(&samples), true);
+        let wv = tape.leaf(w.clone(), true);
+        let bv = tape.leaf(b.clone(), true);
+        let y = tape.conv1d(x, wv, bv, stride, seg_len);
+        let m = tape.leaf(hstack(&upstream), false);
+        let p = tape.mul(y, m);
+        let loss = tape.sum(p);
+        tape.backward(loss);
+
+        let mut gw_sum = Tensor::zeros(w.shape().clone());
+        let mut gb_sum = vec![0.0; c_out];
+        for (s, (xs, gs)) in samples.iter().zip(&upstream).enumerate() {
+            let want = oracle::conv1d_forward(xs, &w, b.as_slice(), stride);
+            let got = columns(tape.value(y), s * out_len, out_len);
+            assert_close(got.as_slice(), want.as_slice(), &format!("conv1d B={batch} out {s}"));
+            let (gx, gw, gb) = oracle::conv1d_backward(xs, &w, stride, gs);
+            let got = columns(tape.grad(x).unwrap(), s * seg_len, seg_len);
+            assert_close(got.as_slice(), gx.as_slice(), &format!("conv1d B={batch} gx {s}"));
+            gw_sum = gw_sum.add(&gw);
+            gb_sum.iter_mut().zip(&gb).for_each(|(a, g)| *a += g);
         }
+        assert_close(tape.grad(wv).unwrap().as_slice(), gw_sum.as_slice(), "conv1d gw");
+        assert_close(tape.grad(bv).unwrap().as_slice(), &gb_sum, "conv1d gb");
+    }
+
+    // 2-D: padded, strided, over maps of different extents.
+    let (c_in, c_out, kh, kw, stride, pad) = (2, 3, 3, 3, 2, 1);
+    for dims in [vec![(5, 4)], vec![(5, 4), (3, 3), (4, 7)]] {
+        let samples: Vec<Tensor> =
+            dims.iter().map(|&(h, w)| Tensor::rand_uniform([c_in, h * w], -1.0, 1.0, &mut rng)).collect();
+        let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([c_out], -0.5, 0.5, &mut rng);
+        let outs: Vec<(Tensor, (usize, usize))> = samples
+            .iter()
+            .zip(&dims)
+            .map(|(xs, &d)| oracle::conv2d_forward(xs, d, &wt, b.as_slice(), stride, pad))
+            .collect();
+        let upstream: Vec<Tensor> = outs
+            .iter()
+            .map(|(o, _)| Tensor::rand_uniform(o.shape().clone(), -1.0, 1.0, &mut rng))
+            .collect();
+
+        let mut tape = Tape::new();
+        let x = tape.leaf(hstack(&samples), true);
+        let wv = tape.leaf(wt.clone(), true);
+        let bv = tape.leaf(b.clone(), true);
+        let y = tape.conv2d(x, wv, bv, stride, pad, Arc::new(dims.clone()));
+        let m = tape.leaf(hstack(&upstream), false);
+        let p = tape.mul(y, m);
+        let loss = tape.sum(p);
+        tape.backward(loss);
+
+        let (mut in_off, mut out_off) = (0, 0);
+        let mut gw_sum = Tensor::zeros(wt.shape().clone());
+        let mut gb_sum = vec![0.0; c_out];
+        for (s, ((xs, (want, od)), gs)) in samples.iter().zip(&outs).zip(&upstream).enumerate() {
+            let (h, w) = dims[s];
+            let got = columns(tape.value(y), out_off, od.0 * od.1);
+            assert_close(got.as_slice(), want.as_slice(), &format!("conv2d {dims:?} out {s}"));
+            let (gx, gw, gb) = oracle::conv2d_backward(xs, (h, w), &wt, stride, pad, gs, *od);
+            let got = columns(tape.grad(x).unwrap(), in_off, h * w);
+            assert_close(got.as_slice(), gx.as_slice(), &format!("conv2d {dims:?} gx {s}"));
+            gw_sum = gw_sum.add(&gw);
+            gb_sum.iter_mut().zip(&gb).for_each(|(a, g)| *a += g);
+            in_off += h * w;
+            out_off += od.0 * od.1;
+        }
+        assert_close(tape.grad(wv).unwrap().as_slice(), gw_sum.as_slice(), "conv2d gw");
+        assert_close(tape.grad(bv).unwrap().as_slice(), &gb_sum, "conv2d gb");
     }
 }
 

@@ -10,6 +10,7 @@
 //! stage against independent hand computation.
 
 use magic_autograd::Tape;
+use magic_model::{GraphBatch, GraphInput};
 use magic_nn::{augment_adjacency, GraphConv, ParamStore, SortPooling, WeightedVertices};
 use magic_tensor::{Rng64, Tensor};
 
@@ -54,7 +55,10 @@ fn figure3_two_layer_graph_convolution() {
     let (a_hat, inv_deg) = augment_adjacency(&a);
     let (w1, w2) = paper_weights();
 
-    // Layer outputs via the production GraphConv on the tape.
+    // Layer outputs via the production GraphConv on the tape, running
+    // the graph as a batch of one over its CSR `Â`.
+    let input = GraphInput::from_parts(a, x.clone());
+    let batch = GraphBatch::single(&input);
     let mut store = ParamStore::new();
     let mut rng = Rng64::new(0);
     let gc1 = GraphConv::new(&mut store, "gc1", 2, 3, &mut rng);
@@ -64,10 +68,11 @@ fn figure3_two_layer_graph_convolution() {
 
     let mut tape = Tape::new();
     let binding = store.bind(&mut tape);
-    let adj = tape.leaf(a_hat.clone(), false);
+    let (adj, adj_t) = (batch.adj_hat(), batch.adj_hat_t());
+    let (inv, bounds) = (batch.inv_degree_arc(), batch.bounds());
     let z0 = tape.leaf(x.clone(), false);
-    let z1 = gc1.forward(&mut tape, &binding, adj, &inv_deg, z0);
-    let z2 = gc2.forward(&mut tape, &binding, adj, &inv_deg, z1);
+    let z1 = gc1.forward(&mut tape, &binding, adj, adj_t, inv, z0, bounds);
+    let z2 = gc2.forward(&mut tape, &binding, adj, adj_t, inv, z1, bounds);
 
     // Independent reference computation.
     let r1 = reference_graph_conv(&a_hat, &inv_deg, &x, &w1);
@@ -95,7 +100,7 @@ fn figure4_sortpooling_keeps_top3_by_last_channel() {
 
     let mut tape = Tape::new();
     let zv = tape.leaf(zcat.clone(), false);
-    let out = SortPooling::new(3).forward(&mut tape, zv);
+    let out = SortPooling::new(3).forward(&mut tape, zv, &[0, 5]);
     let sorted = tape.value(out);
     assert_eq!(sorted.shape().dims(), &[3, 7], "k x Σc_t as in Fig. 4");
 
@@ -148,11 +153,11 @@ fn figure6_adaptive_max_pooling_kernel_windows() {
     // to 3x3 with kernel 2x3. The kernel size manifests as the maximal
     // window each output cell covers.
     for (h, expected_kernel_h) in [(5usize, 3usize), (4, 2)] {
-        let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h, 7]);
+        let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h * 7]);
         let mut tape = Tape::new();
         let xv = tape.leaf(x, false);
-        let out = tape.adaptive_max_pool2d(xv, 3, 3);
-        let v = tape.value(out);
+        let out = tape.adaptive_max_pool2d(xv, &[(h, 7)], 3, 3);
+        let v = tape.value(out).reshape([1, 3, 3]);
         assert_eq!(v.shape().dims(), &[1, 3, 3]);
         // With row-major increasing values, every output cell is the
         // bottom-right corner of its pooling window, so row i's value

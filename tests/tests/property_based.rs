@@ -174,7 +174,8 @@ fn tape_gradients_match_finite_differences() {
             let h = tape.matmul(xv, wv);
             let r = tape.tanh(h);
             let lp = tape.log_softmax_rows(r);
-            let loss = tape.nll_loss(lp, vec![0, 1]);
+            let rows = tape.nll_loss_rows(lp, vec![0, 1]);
+            let loss = tape.mean(rows);
             (tape, xv, loss)
         };
         let (mut tape, xv, loss) = run(&x0, true);

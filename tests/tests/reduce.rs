@@ -149,7 +149,6 @@ fn train_once(
     spec: &CacheSpec,
     streamed: bool,
     workers: usize,
-    batched: bool,
 ) -> (Vec<u32>, Dgcnn) {
     let config = DgcnnConfig::new(13, PoolingHead::sort_pool_weighted(8));
     let mut model = Dgcnn::new(&config, 17);
@@ -159,7 +158,6 @@ fn train_once(
         learning_rate: 0.01,
         seed: 23,
         train_workers: workers,
-        batched,
         ..TrainConfig::default()
     });
     let outcome = if streamed {
@@ -184,20 +182,20 @@ fn train_once(
 #[test]
 fn reduced_training_is_bitwise_deterministic_across_engines() {
     let (dir, spec) = built_cache("determinism", ReduceStrategy::Chain);
-    let (ram_losses, ram_model) = train_once(&dir, &spec, false, 1, false);
+    let (ram_losses, ram_model) = train_once(&dir, &spec, false, 1);
 
-    for (workers, batched) in [(1, false), (2, false), (4, false), (1, true)] {
-        let (losses, model) = train_once(&dir, &spec, true, workers, batched);
+    for workers in [1, 2, 4] {
+        let (losses, model) = train_once(&dir, &spec, true, workers);
         assert_eq!(
             ram_losses, losses,
-            "reduced-corpus loss curve diverged (workers={workers}, batched={batched})"
+            "reduced-corpus loss curve diverged (workers={workers})"
         );
         for (name, value) in model.store().iter() {
             let id = ram_model.store().find(name).expect("same parameter set");
             assert_eq!(
                 first_bitwise_mismatch(value, ram_model.store().value(id)),
                 None,
-                "weights for {name} diverged (workers={workers}, batched={batched})"
+                "weights for {name} diverged (workers={workers})"
             );
         }
     }

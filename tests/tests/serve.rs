@@ -185,6 +185,24 @@ fn bad_requests_get_4xx_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_json_gets_400_and_the_server_keeps_serving() {
+    let handle = start(test_pipeline(), test_config()).unwrap();
+    let addr = handle.addr();
+
+    // 200 000 open arrays would overflow an IO thread's stack in a
+    // recursive parser and abort the whole daemon; the depth cap turns
+    // it into one typed 400.
+    let hostile = format!("{{\"acfg\": {}", "[".repeat(200_000));
+    let response = predict(addr, &hostile);
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("nesting"), "{}", response.body);
+
+    let ok = predict(addr, &synthetic_listing(3));
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    handle.shutdown();
+}
+
+#[test]
 fn steady_state_serving_never_misses_the_workspace_pool() {
     let mut config = test_config();
     config.workers = 1; // a single long-lived tape owns the pool

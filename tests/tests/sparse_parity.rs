@@ -1,15 +1,17 @@
-//! Dense ↔ sparse propagation parity and determinism.
+//! Sparse propagation: parity with the dense `Â` oracle, and determinism.
 //!
-//! The production Eq. (1) path runs over CSR (`spmm_norm`); the dense
-//! path survives as a fallback for the Figs. 2–3 worked examples. These
-//! tests pin the contract between the two: identical mathematics (up to
-//! float reassociation), and a sparse path that is bitwise reproducible
-//! run to run and invariant to the worker count.
+//! The Eq. (1) path runs over (block-diagonal) CSR (`spmm_norm`); the
+//! dense formulation lives on only as the reference oracle in
+//! [`magic_integration::oracle`]. These tests pin the contract between
+//! the two — identical mathematics up to float reassociation — and a
+//! sparse path that is bitwise reproducible run to run and invariant to
+//! the worker count.
 
 use magic::trainer::{TrainConfig, Trainer};
 use magic_autograd::{first_bitwise_mismatch, Tape};
 use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
-use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead, Propagation};
+use magic_integration::oracle;
+use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
 use magic_nn::{GraphConv, ParamStore};
 use magic_tensor::{CsrMatrix, Rng64, Tensor};
 use std::sync::Arc;
@@ -32,58 +34,92 @@ fn random_input(n: usize, degree: f64, seed: u64) -> GraphInput {
     GraphInput::from_acfg(&Acfg::new(g, attrs))
 }
 
-#[test]
-fn graph_conv_forward_parity_on_random_digraphs() {
-    // Sweep sizes and densities, including a vertex-heavy sparse graph
-    // and a dense-ish one; both formulations must agree to 1e-5.
-    for (n, degree, seed) in [(3, 0.5, 1), (16, 1.4, 2), (40, 2.0, 3), (24, 8.0, 4)] {
-        let mut rng = Rng64::new(seed);
-        let g = random_digraph(n, degree, &mut rng);
-        let x = Tensor::rand_uniform([n, 6], -1.0, 1.0, &mut rng);
-
-        let (csr, inv_degree) = CsrMatrix::augmented_from_edges(n, g.edges());
-        let adj = Arc::new(csr);
-        let adj_t = Arc::new(adj.transpose());
-        let inv = Arc::new(inv_degree.clone());
-
-        let mut store = ParamStore::new();
-        let layer = GraphConv::new(&mut store, "gc", 6, 5, &mut rng);
-        let mut tape = Tape::new();
-        let binding = store.bind(&mut tape);
-
-        let adj_dense = tape.leaf(adj.to_dense(), false);
-        let z_dense = tape.leaf(x.clone(), false);
-        let dense = layer.forward(&mut tape, &binding, adj_dense, &inv_degree, z_dense);
-
-        let z_sparse = tape.leaf(x, false);
-        let sparse = layer.forward_sparse(&mut tape, &binding, &adj, &adj_t, &inv, z_sparse);
-
-        let (d, s) = (tape.value(dense), tape.value(sparse));
-        for (i, (a, b)) in d.as_slice().iter().zip(s.as_slice()).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-5,
-                "n={n} degree={degree} element {i}: dense {a} vs sparse {b}"
-            );
-        }
+/// Output and weight gradient of one [`GraphConv`] over `graphs` as one
+/// block-diagonal CSR batch.
+fn sparse_batch(
+    layer: &GraphConv,
+    store: &ParamStore,
+    graphs: &[(DiGraph, Tensor)],
+) -> (Tensor, Tensor) {
+    let csrs: Vec<(CsrMatrix, Vec<f32>)> =
+        graphs.iter().map(|(g, _)| CsrMatrix::augmented_from_edges(g.vertex_count(), g.edges())).collect();
+    let adj = CsrMatrix::block_diagonal(&csrs.iter().map(|(a, _)| a).collect::<Vec<_>>());
+    let adj_t = Arc::new(adj.transpose());
+    let inv: Vec<f32> = csrs.iter().flat_map(|(_, d)| d.iter().copied()).collect();
+    let mut bounds = vec![0];
+    for (g, _) in graphs {
+        bounds.push(bounds.last().unwrap() + g.vertex_count());
     }
+    let x = Tensor::concat_rows(&graphs.iter().map(|(_, x)| x).collect::<Vec<_>>());
+
+    let mut tape = Tape::new();
+    let binding = store.bind(&mut tape);
+    let z = tape.leaf(x, false);
+    let out = layer.forward(
+        &mut tape,
+        &binding,
+        &Arc::new(adj),
+        &adj_t,
+        &Arc::new(inv),
+        z,
+        &Arc::new(bounds),
+    );
+    let loss = tape.sum(out);
+    tape.backward(loss);
+    let w = binding.var(store.find("gc.weight").expect("layer weight"));
+    (tape.value(out).clone(), tape.grad(w).expect("weight gradient").clone())
 }
 
 #[test]
-fn dgcnn_predict_parity_dense_vs_sparse() {
-    let config = DgcnnConfig::new(3, PoolingHead::sort_pool_weighted(8));
-    let mut model = Dgcnn::new(&config, 42);
-    assert_eq!(model.propagation(), Propagation::SparseCsr, "sparse is the default");
+fn graph_conv_forward_parity_on_random_digraphs() {
+    // Sweep sizes and densities, including a vertex-heavy sparse graph
+    // and a dense-ish one. The production layer runs each graph as a
+    // batch of one and three of them as one batch; the dense `Â`
+    // oracle must agree with both to 1e-5 (outputs) and 1e-4 (the
+    // shared weight's gradient).
+    let mut rng = Rng64::new(1);
+    let graphs: Vec<(DiGraph, Tensor)> = [(3, 0.5), (16, 1.4), (40, 2.0), (24, 8.0)]
+        .iter()
+        .map(|&(n, degree)| {
+            let g = random_digraph(n, degree, &mut rng);
+            (g, Tensor::rand_uniform([n, 6], -1.0, 1.0, &mut rng))
+        })
+        .collect();
+    let mut store = ParamStore::new();
+    let layer = GraphConv::new(&mut store, "gc", 6, 5, &mut rng);
 
-    for seed in 0..6 {
-        let input = random_input(12 + seed as usize * 7, 1.4 + seed as f64 * 0.8, 100 + seed);
-        let sparse = model.predict(&input);
-        model.set_propagation(Propagation::Dense);
-        let dense = model.predict(&input);
-        model.set_propagation(Propagation::SparseCsr);
-        for (a, b) in sparse.iter().zip(&dense) {
-            assert!((a - b).abs() < 1e-4, "seed {seed}: sparse {a} vs dense {b}");
+    // Dense oracle, one tape per graph.
+    let dense: Vec<(Tensor, Tensor)> = graphs
+        .iter()
+        .map(|(g, x)| {
+            let (csr, inv_degree) = CsrMatrix::augmented_from_edges(g.vertex_count(), g.edges());
+            let mut tape = Tape::new();
+            let binding = store.bind(&mut tape);
+            let w = binding.var(store.find("gc.weight").unwrap());
+            let a_hat = tape.leaf(csr.to_dense(), false);
+            let z = tape.leaf(x.clone(), false);
+            let out = oracle::graph_conv_dense(&mut tape, a_hat, &inv_degree, z, w);
+            let loss = tape.sum(out);
+            tape.backward(loss);
+            (tape.value(out).clone(), tape.grad(w).unwrap().clone())
+        })
+        .collect();
+
+    let close = |got: &[f32], want: &[f32], tol: f32, what: &str| {
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!((a - b).abs() < tol, "{what} element {i}: sparse {a} vs dense {b}");
         }
+    };
+    for (i, graph) in graphs.iter().enumerate() {
+        let (out, gw) = sparse_batch(&layer, &store, std::slice::from_ref(graph));
+        close(out.as_slice(), dense[i].0.as_slice(), 1e-5, &format!("graph {i} output"));
+        close(gw.as_slice(), dense[i].1.as_slice(), 1e-4, &format!("graph {i} weight grad"));
     }
+    let (out, gw) = sparse_batch(&layer, &store, &graphs[1..]);
+    let want_out = Tensor::concat_rows(&dense[1..].iter().map(|(o, _)| o).collect::<Vec<_>>());
+    close(out.as_slice(), want_out.as_slice(), 1e-5, "batch of three output");
+    let want_gw = dense[1..].iter().fold(Tensor::zeros([6, 5]), |acc, (_, g)| acc.add(g));
+    close(gw.as_slice(), want_gw.as_slice(), 1e-4, "batch of three weight grad");
 }
 
 fn parity_corpus() -> (Vec<GraphInput>, Vec<usize>) {
@@ -98,13 +134,12 @@ fn parity_corpus() -> (Vec<GraphInput>, Vec<usize>) {
     (inputs, labels)
 }
 
-fn train_with(propagation: Propagation, workers: usize) -> (Vec<f32>, Dgcnn) {
+fn train_with(workers: usize) -> (Vec<f32>, Dgcnn) {
     let (inputs, labels) = parity_corpus();
     let train_idx: Vec<usize> = (0..12).collect();
     let val_idx: Vec<usize> = (12..16).collect();
     let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(6));
     let mut model = Dgcnn::new(&config, 5);
-    model.set_propagation(propagation);
     let trainer = Trainer::new(TrainConfig {
         epochs: 4,
         batch_size: 4,
@@ -119,24 +154,9 @@ fn train_with(propagation: Propagation, workers: usize) -> (Vec<f32>, Dgcnn) {
 }
 
 #[test]
-fn seeded_training_loss_curves_match_across_propagation_modes() {
-    // Same seed, same data, same schedule: the two formulations follow
-    // the same trajectory up to float reassociation noise.
-    let (sparse_losses, _) = train_with(Propagation::SparseCsr, 1);
-    let (dense_losses, _) = train_with(Propagation::Dense, 1);
-    assert_eq!(sparse_losses.len(), dense_losses.len());
-    for (epoch, (s, d)) in sparse_losses.iter().zip(&dense_losses).enumerate() {
-        assert!(
-            (s - d).abs() < 1e-3 * (1.0 + d.abs()),
-            "epoch {epoch}: sparse loss {s} vs dense loss {d}"
-        );
-    }
-}
-
-#[test]
 fn sparse_training_is_run_to_run_deterministic() {
-    let (losses_a, model_a) = train_with(Propagation::SparseCsr, 1);
-    let (losses_b, model_b) = train_with(Propagation::SparseCsr, 1);
+    let (losses_a, model_a) = train_with(1);
+    let (losses_b, model_b) = train_with(1);
     assert!(
         losses_a.iter().zip(&losses_b).all(|(a, b)| a.to_bits() == b.to_bits()),
         "loss curves diverged between identical runs"
@@ -153,9 +173,9 @@ fn sparse_training_is_run_to_run_deterministic() {
 
 #[test]
 fn sparse_training_is_worker_count_invariant() {
-    let (serial_losses, serial_model) = train_with(Propagation::SparseCsr, 1);
+    let (serial_losses, serial_model) = train_with(1);
     for workers in [2, 4] {
-        let (losses, model) = train_with(Propagation::SparseCsr, workers);
+        let (losses, model) = train_with(workers);
         assert!(
             serial_losses.iter().zip(&losses).all(|(a, b)| a.to_bits() == b.to_bits()),
             "loss curve diverged with {workers} workers"

@@ -1,6 +1,6 @@
 //! Steady-state allocation behavior of the tape workspace pool.
 //!
-//! The PR 5 performance contract: after one warm-up pass over a fixed
+//! The performance contract: after one warm-up pass over a fixed
 //! workload, every per-sample buffer (im2col columns, op outputs,
 //! gradients, dropout masks, pooling indices) is served from the tape's
 //! recycled pool — zero pool-miss heap allocations per steady-state
@@ -42,8 +42,10 @@ fn steady_state_epochs_never_miss_the_pool() {
             tape.reset();
             let binding = model.store().bind(tape);
             let mut rng = Rng64::for_sample(9, epoch_idx, i as u64);
-            let lp = model.forward(tape, &binding, input, true, &mut rng);
-            let loss = tape.nll_loss(lp, vec![i % 2]);
+            let sample = GraphBatch::single(input);
+            let lp = model.forward(tape, &binding, &sample, true, std::slice::from_mut(&mut rng));
+            let rows = tape.nll_loss_rows(lp, vec![i % 2]);
+            let loss = tape.sum(rows);
             tape.backward(loss);
         }
         tape.reset();
@@ -83,8 +85,10 @@ fn steady_state_epochs_never_miss_the_pool_sortpool_head() {
             tape.reset();
             let binding = model.store().bind(tape);
             let mut rng = Rng64::for_sample(9, epoch_idx, i as u64);
-            let lp = model.forward(tape, &binding, input, true, &mut rng);
-            let loss = tape.nll_loss(lp, vec![i % 2]);
+            let sample = GraphBatch::single(input);
+            let lp = model.forward(tape, &binding, &sample, true, std::slice::from_mut(&mut rng));
+            let rows = tape.nll_loss_rows(lp, vec![i % 2]);
+            let loss = tape.sum(rows);
             tape.backward(loss);
         }
         tape.reset();
@@ -102,7 +106,7 @@ fn steady_state_epochs_never_miss_the_pool_sortpool_head() {
     }
 }
 
-/// The same contract for the batched execution mode: one tape carries a
+/// The same contract for a batch of several graphs: one tape carries a
 /// whole mini-batch per pass (block-diagonal SpMM, fused GEMM head), and
 /// its much larger buffers must recycle just as cleanly — zero new pool
 /// misses per steady-state epoch once the batch shapes have been seen.
@@ -122,7 +126,7 @@ fn steady_state_batched_epochs_never_miss_the_pool() {
             let binding = model.store().bind(tape);
             let mut rngs: Vec<Rng64> =
                 (0..4).map(|i| Rng64::for_sample(9, epoch_idx, i)).collect();
-            let lp = model.forward_batched(tape, &binding, &batch, true, &mut rngs);
+            let lp = model.forward(tape, &binding, &batch, true, &mut rngs);
             let losses = tape.nll_loss_rows(lp, labels.clone());
             let total = tape.sum(losses);
             tape.backward(total);
