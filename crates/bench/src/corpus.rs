@@ -2,7 +2,7 @@
 //! extraction pipeline, ready for training.
 
 use magic::corpus_cache::{self, CacheSpec, CorpusKind, DEFAULT_SHARDS};
-use magic::executor::{executor_for, run_indexed};
+use magic::executor::Lanes;
 use magic::pipeline::extract_acfgs_parallel;
 use magic_graph::Acfg;
 use magic_model::GraphInput;
@@ -13,8 +13,7 @@ use std::path::Path;
 /// preserving order (the CSR/feature build dominates post-extraction
 /// prepare time).
 fn inputs_parallel(acfgs: &[Acfg]) -> Vec<GraphInput> {
-    let executor = executor_for(0);
-    run_indexed(executor.as_ref(), acfgs.len(), |_worker, i| GraphInput::from_acfg(&acfgs[i]))
+    Lanes::new(0).run(acfgs.len(), |_worker, i| GraphInput::from_acfg(&acfgs[i]))
 }
 
 /// A fully prepared corpus: raw ACFGs (for the feature baselines),
@@ -55,8 +54,7 @@ pub fn prepare_mskcfg(seed: u64, scale: f64) -> PreparedCorpus {
     let mut generator = MskcfgGenerator::new(seed, scale);
     let samples = generator.generate();
     let listings: Vec<String> = samples.iter().map(|s| s.listing.clone()).collect();
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let extracted = extract_acfgs_parallel(&listings, workers);
+    let extracted = extract_acfgs_parallel(&listings, 0);
 
     let mut acfgs = Vec::with_capacity(samples.len());
     let mut labels = Vec::with_capacity(samples.len());

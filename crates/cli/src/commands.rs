@@ -92,11 +92,9 @@ USAGE:
                  — e.g. a cache built under a different --reduce)
     magic train --corpus <mskcfg|yancfg> [--scale S] [--epochs N] [--seed S]
                 [--reduce R] [--train-workers N]
-                [--intra-op-threads N]
                 [--cache-dir <dir>] [--cache <ram|stream>]
                 --out <model.magic>
                 (--train-workers 0 = auto; results are identical for any N.
-                 --intra-op-threads threads the kernels inside each sample.
                  --reduce shrinks every graph before training (see
                  REDUCE VALUES below); the strategy is recorded in the
                  model header so predict/serve reduce identically.
@@ -122,7 +120,6 @@ USAGE:
     magic info --model <model.magic>
     magic profile <mskcfg|yancfg> [--scale S] [--epochs N] [--seed S]
                 [--reduce R] [--train-workers N]
-                [--intra-op-threads N]
                 [--cache-dir <dir>] [--cache <ram|stream>]
                 [--trace <out.jsonl>]
                 (train under the op profiler; print per-op time/FLOP
@@ -176,6 +173,15 @@ fn take_reduce(args: &mut Vec<String>) -> Result<ReduceStrategy, String> {
         .map(|s| ReduceStrategy::parse(&s).map_err(|e| e.to_string()))
         .transpose()
         .map(Option::unwrap_or_default)
+}
+
+/// Fails on the first argument a command's parser left unconsumed, so a
+/// mistyped flag is an error rather than a silent no-op.
+fn reject_unknown(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        Some(arg) => Err(format!("unknown argument {arg:?}\n{USAGE}")),
+        None => Ok(()),
+    }
 }
 
 /// Pulls a boolean `--flag` out of an argument list.
@@ -331,7 +337,6 @@ struct TrainKnobs {
     epochs: usize,
     seed: u64,
     train_workers: usize,
-    intra_op_threads: usize,
     /// Graph-reduction strategy applied to every training graph.
     reduce: ReduceStrategy,
     /// Shard-cache directory; corpus is built there on first use.
@@ -350,10 +355,6 @@ impl TrainKnobs {
                 Some("stream") => true,
                 Some(other) => return Err(format!("bad --cache {other:?} (ram|stream)")),
             },
-            intra_op_threads: take_flag(args, "--intra-op-threads")
-                .map(|s| s.parse().map_err(|_| "bad --intra-op-threads"))
-                .transpose()?
-                .unwrap_or(0),
             scale: take_flag(args, "--scale")
                 .map(|s| s.parse().map_err(|_| "bad --scale"))
                 .transpose()?
@@ -525,16 +526,13 @@ fn run_training(
         train_workers: knobs.train_workers,
         ..TrainConfig::default()
     });
-    if knobs.intra_op_threads > 0 {
-        magic_tensor::set_intra_op_threads(knobs.intra_op_threads);
-    }
     magic_obs::log(
         magic_obs::Level::Info,
         format!(
             "training {} weights for {} epochs ({} worker(s))...",
             model.num_weights(),
             knobs.epochs,
-            magic::resolve_workers(knobs.train_workers),
+            magic::Lanes::new(knobs.train_workers).workers(),
         ),
     );
     let outcome = match &source {
@@ -569,6 +567,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let corpus = take_flag(&mut args, "--corpus").ok_or("train requires --corpus")?;
     let out = take_flag(&mut args, "--out").ok_or("train requires --out")?;
     let knobs = TrainKnobs::parse(&mut args, 20)?;
+    reject_unknown(&args)?;
 
     let (model, header, _outcome) = run_training(&corpus, &knobs)?;
     std::fs::write(&out, serialize_model(&header, &model))
@@ -590,8 +589,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let keep_trace = take_flag(&mut args, "--trace");
     // Profiling wants a few representative epochs, not a converged model.
     let knobs = TrainKnobs::parse(&mut args, 3)?;
-    let corpus =
-        args.first().cloned().ok_or("profile requires a corpus (mskcfg|yancfg)")?;
+    let corpus = args
+        .iter()
+        .position(|a| !a.starts_with('-'))
+        .map(|pos| args.remove(pos))
+        .ok_or("profile requires a corpus (mskcfg|yancfg)")?;
+    reject_unknown(&args)?;
 
     let trace_path = match &keep_trace {
         Some(path) => std::path::PathBuf::from(path),
@@ -601,7 +604,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let recorder = JsonlRecorder::create(&trace_path)
         .map_err(|e| format!("cannot create trace file {}: {e}", trace_path.display()))?;
     magic_obs::install(Arc::new(recorder));
-    magic_obs::meta(format!("magic profile {}", args.join(" ")));
+    magic_obs::meta(format!("magic profile {corpus}"));
     magic_tensor::mem::enable();
 
     let outcome = run_training(&corpus, &knobs);
@@ -1072,6 +1075,34 @@ mod tests {
     fn bench_rejects_unknown_subcommand() {
         let args: Vec<String> = ["bench", "run"].iter().map(|s| s.to_string()).collect();
         assert!(dispatch(&args).unwrap_err().contains("bench requires"));
+    }
+
+    #[test]
+    fn train_rejects_unknown_arguments() {
+        for extra in [["--epoch", "5"], ["--threads", "2"]] {
+            let args: Vec<String> = ["train", "--corpus", "yancfg", "--out", "unused.magic"]
+                .iter()
+                .chain(&extra)
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&args).unwrap_err();
+            assert!(err.starts_with(&format!("unknown argument {:?}", extra[0])), "{err}");
+        }
+    }
+
+    #[test]
+    fn profile_rejects_unknown_arguments() {
+        let args: Vec<String> =
+            ["profile", "yancfg", "--epoch", "5"].iter().map(|s| s.to_string()).collect();
+        let err = dispatch(&args).unwrap_err();
+        assert!(err.starts_with("unknown argument \"--epoch\""), "{err}");
+        // The corpus positional may follow the flags.
+        let args: Vec<String> = ["profile", "--threads", "2", "yancfg"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = dispatch(&args).unwrap_err();
+        assert!(err.starts_with("unknown argument \"--threads\""), "{err}");
     }
 
     #[test]

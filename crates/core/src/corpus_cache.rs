@@ -16,7 +16,7 @@
 //! corpus is bitwise identical to the in-memory corpus regardless of
 //! worker count, and a rerun with a matching fingerprint is a no-op.
 
-use crate::executor::{executor_for, run_indexed};
+use crate::executor::Lanes;
 use crate::pipeline::extract_acfg;
 use magic_data::{
     cache_fingerprint, write_shard, CacheError, CacheManifest, ShardMeta, ShardRecord,
@@ -132,14 +132,14 @@ pub struct LoadedCorpus {
 /// `spec.reduce` reduction — shards store reduced graphs) and returns
 /// the records in canonical (`generate()`) order.
 fn render_records(spec: &CacheSpec, workers: usize) -> Result<Vec<ShardRecord>, CacheError> {
-    let executor = executor_for(workers);
+    let lanes = Lanes::new(workers);
     let reduce = spec.reduce;
     match spec.corpus {
         CorpusKind::Mskcfg => {
             let mut generator = MskcfgGenerator::new(spec.seed, spec.scale);
             let plan = generator.plan();
             let profiles = generator.profiles();
-            let rendered = run_indexed(executor.as_ref(), plan.len(), |_worker, i| {
+            let rendered = lanes.run(plan.len(), |_worker, i| {
                 let (label, mut rng) = plan[i].clone();
                 let sample = MskcfgGenerator::render(profiles, label, &mut rng);
                 extract_acfg(&sample.listing)
@@ -155,7 +155,7 @@ fn render_records(spec: &CacheSpec, workers: usize) -> Result<Vec<ShardRecord>, 
             let mut generator = YancfgGenerator::new(spec.seed, spec.scale);
             let plan = generator.plan();
             let profiles = generator.profiles();
-            Ok(run_indexed(executor.as_ref(), plan.len(), |_worker, i| {
+            Ok(lanes.run(plan.len(), |_worker, i| {
                 let (label, mut rng) = plan[i].clone();
                 let sample = YancfgGenerator::render(profiles, label, &mut rng);
                 ShardRecord { label, acfg: reduce.apply(&sample.acfg) }
@@ -245,7 +245,7 @@ pub fn load(
     workers: usize,
 ) -> Result<LoadedCorpus, CacheError> {
     let (manifest, stream) = ShardStream::open(dir, expected_fingerprint)?;
-    let executor = executor_for(workers);
+    let lanes = Lanes::new(workers);
     let mut acfgs = Vec::with_capacity(manifest.samples);
     let mut inputs = Vec::with_capacity(manifest.samples);
     let mut labels = Vec::with_capacity(manifest.samples);
@@ -254,9 +254,8 @@ pub fn load(
         // The CSR/feature build is the compute-heavy part of loading;
         // run it across workers while the prefetch thread decodes the
         // next shard.
-        let shard_inputs = run_indexed(executor.as_ref(), shard.records.len(), |_worker, i| {
-            shard.records[i].to_graph_input()
-        });
+        let shard_inputs =
+            lanes.run(shard.records.len(), |_worker, i| shard.records[i].to_graph_input());
         for (record, input) in shard.records.into_iter().zip(shard_inputs) {
             labels.push(record.label);
             acfgs.push(record.acfg);

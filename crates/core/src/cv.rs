@@ -1,6 +1,7 @@
 //! Stratified K-fold cross-validation of a DGCNN configuration
 //! (Section V-B).
 
+use crate::executor::{workers_per_concurrent_run, Lanes};
 use crate::trainer::{Trainer, TrainConfig};
 use magic_data::stratified_kfold;
 use magic_metrics::{mean_log_loss, ConfusionMatrix, ScoreReport};
@@ -33,13 +34,13 @@ impl CvOutcome {
 /// Section V-B) on 80% of the data and evaluates on the rest, so "the
 /// training process never sees the testing samples".
 ///
-/// Folds are independent, so they train on parallel threads (the paper
+/// Folds are independent, so they train on parallel lanes (the paper
 /// likewise spreads its grid over four GPUs); results are deterministic
 /// regardless of scheduling because each fold derives its own seed and
 /// in-fold training is bitwise worker-count independent.
 ///
 /// When [`TrainConfig::train_workers`] is `0` ("auto"), the machine's
-/// parallelism is divided across the fold threads so the two layers of
+/// parallelism is divided across the fold lanes so the two layers of
 /// fan-out — folds here, mini-batch samples inside
 /// [`Trainer::train`] — do not oversubscribe the cores. An explicit
 /// worker count is honored verbatim, *per fold*.
@@ -56,44 +57,26 @@ pub fn cross_validate(
 ) -> CvOutcome {
     assert_eq!(inputs.len(), labels.len(), "one label per input");
     let mut fold_config = train_config.clone();
-    fold_config.train_workers =
-        crate::executor::workers_per_concurrent_run(fold_config.train_workers, folds);
+    fold_config.train_workers = workers_per_concurrent_run(fold_config.train_workers, folds);
     let trainer = Trainer::new(fold_config);
     let splits = stratified_kfold(labels, folds, train_config.seed);
 
-    // One worker per fold; each returns (best val loss, per-sample
+    // One lane per fold; each returns (best val loss, per-sample
     // predictions for its validation split).
-    type FoldResult = (f32, Vec<(usize, Vec<f64>)>);
-    let fold_results: Vec<FoldResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = splits
+    let fold_results = Lanes::new(folds).run(splits.len(), |_, fold| {
+        let split = &splits[fold];
+        let mut model =
+            Dgcnn::new(model_config, train_config.seed ^ (fold as u64).wrapping_mul(0x9E37));
+        let outcome = trainer.train(&mut model, inputs, labels, &split.train, &split.validation);
+        let predictions: Vec<(usize, Vec<f64>)> = split
+            .validation
             .iter()
-            .enumerate()
-            .map(|(fold, split)| {
-                let trainer = &trainer;
-                scope.spawn(move || {
-                    let mut model = Dgcnn::new(
-                        model_config,
-                        train_config.seed ^ (fold as u64).wrapping_mul(0x9E37),
-                    );
-                    let outcome =
-                        trainer.train(&mut model, inputs, labels, &split.train, &split.validation);
-                    let predictions = split
-                        .validation
-                        .iter()
-                        .map(|&i| {
-                            let p: Vec<f64> = model
-                                .predict(&inputs[i])
-                                .iter()
-                                .map(|&x| x as f64)
-                                .collect();
-                            (i, p)
-                        })
-                        .collect();
-                    (outcome.best_val_loss, predictions)
-                })
+            .map(|&i| {
+                let p: Vec<f64> = model.predict(&inputs[i]).iter().map(|&x| x as f64).collect();
+                (i, p)
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("fold worker panicked")).collect()
+        (outcome.best_val_loss, predictions)
     });
 
     let mut confusion = ConfusionMatrix::new(model_config.num_classes);
@@ -159,5 +142,37 @@ mod tests {
         let report = outcome.report(&["A".to_string(), "B".to_string()]);
         assert_eq!(report.classes.len(), 2);
         assert!(report.log_loss.is_some());
+    }
+
+    #[test]
+    fn cv_is_bitwise_independent_of_train_workers() {
+        let (inputs, labels) = toy_corpus();
+        let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(6));
+        let run = |train_workers: usize| {
+            let tc = TrainConfig {
+                epochs: 3,
+                batch_size: 4,
+                learning_rate: 0.01,
+                train_workers,
+                ..TrainConfig::default()
+            };
+            cross_validate(&config, &tc, &inputs, &labels, 3)
+        };
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let serial = run(1);
+        for train_workers in [2, 0] {
+            let other = run(train_workers);
+            assert_eq!(
+                bits(&serial.fold_val_losses),
+                bits(&other.fold_val_losses),
+                "fold losses diverged with train_workers={train_workers}"
+            );
+            assert_eq!(serial.confusion, other.confusion, "train_workers={train_workers}");
+            assert_eq!(
+                serial.log_loss.to_bits(),
+                other.log_loss.to_bits(),
+                "log loss diverged with train_workers={train_workers}"
+            );
+        }
     }
 }

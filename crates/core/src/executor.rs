@@ -1,136 +1,107 @@
-//! Pluggable batch execution: fan per-sample work across worker threads.
+//! Worker lanes: MAGIC's one parallelism mechanism.
 //!
-//! The training loop, evaluation, and ACFG extraction all share the same
-//! shape — run one job per sample, collect results by sample index. The
-//! [`BatchExecutor`] trait abstracts *where* those jobs run (the calling
-//! thread, or a pool of scoped worker threads) so the numeric code is
-//! written once and the thread count becomes a runtime knob.
+//! The training loop, evaluation, ACFG extraction, the shard cache and
+//! cross-validation folds all share the same shape — run one job per
+//! item, collect results by item index. [`Lanes`] runs those jobs on the
+//! calling thread (one lane) or on scoped worker threads pulling indices
+//! from an atomic cursor, so the numeric code is written once and the
+//! lane count is a runtime knob. Kernels themselves are single-threaded.
 //!
 //! # Determinism contract
 //!
-//! An executor guarantees every job for `0..n` runs exactly once, but
-//! makes **no** promise about which worker lane runs which index or in
-//! what order. Callers that need reproducible floating-point results
-//! must therefore keep per-index state and combine it in index order
-//! afterwards — see [`run_indexed`] and the gradient reduction in
-//! `trainer.rs`, which is bitwise-identical for any worker count because
-//! float additions happen in sample order regardless of scheduling.
+//! [`Lanes::run`] runs every job for `0..n` exactly once, but makes
+//! **no** promise about which lane runs which index or in what order.
+//! Results come back in index order, so callers that need reproducible
+//! floating-point results keep per-index state and combine it in index
+//! order afterwards — see the gradient reduction in `trainer.rs`, which
+//! is bitwise-identical for any lane count because float additions
+//! happen in sample order regardless of scheduling.
 //!
 //! # Example
 //!
 //! ```
-//! use magic::executor::{executor_for, run_indexed};
+//! use magic::executor::Lanes;
 //!
-//! // `0` = auto-detect, `1` = serial, `n` = that many threads.
-//! let executor = executor_for(2);
+//! // `0` = auto-detect, `1` = inline on the caller, `n` = that many lanes.
+//! let lanes = Lanes::new(2);
 //! // Results come back in index order regardless of which lane ran
 //! // which job, so reductions over them are deterministic.
-//! let squares = run_indexed(executor.as_ref(), 5, |_worker, i| i * i);
+//! let squares = lanes.run(5, |_lane, i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16]);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A strategy for running `n` independent jobs across worker lanes.
+/// A fixed number of worker lanes for running independent jobs.
 ///
-/// Object-safe so callers can hold a `Box<dyn BatchExecutor>` chosen at
-/// runtime from a `--train-workers` style knob.
-pub trait BatchExecutor: Send + Sync {
-    /// Number of worker lanes (`>= 1`). Jobs receive a lane id below
-    /// this bound, so callers can size per-worker scratch state.
-    fn workers(&self) -> usize;
-
-    /// Runs `job(worker_id, index)` for every `index` in `0..n`.
-    ///
-    /// Each worker lane runs its jobs sequentially, so per-lane scratch
-    /// (tapes, gradient buffers) needs no locking beyond lane ownership.
-    /// Returns only after all jobs complete; a panicking job propagates.
-    fn execute(&self, n: usize, job: &(dyn Fn(usize, usize) + Sync));
-}
-
-/// Runs every job inline on the calling thread, in index order.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SerialExecutor;
-
-impl BatchExecutor for SerialExecutor {
-    fn workers(&self) -> usize {
-        1
-    }
-
-    fn execute(&self, n: usize, job: &(dyn Fn(usize, usize) + Sync)) {
-        for i in 0..n {
-            job(0, i);
-        }
-    }
-}
-
-/// Fans jobs across scoped threads with an atomic work-stealing cursor.
-///
-/// Threads are spawned per `execute` call (`std::thread::scope`), which
-/// keeps the type free of lifetime plumbing; for mini-batch training the
-/// spawn cost is dwarfed by a single forward/backward pass.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedExecutor {
+/// Threads are spawned per [`run`](Self::run) call
+/// (`std::thread::scope`), which keeps the type free of lifetime
+/// plumbing; for mini-batch training the spawn cost is dwarfed by a
+/// single forward/backward pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes {
     workers: usize,
 }
 
-impl ThreadedExecutor {
-    /// Creates an executor with `workers` lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero — resolve "auto" with
-    /// [`resolve_workers`] first.
+impl Lanes {
+    /// Resolves a worker-count knob: `0` means "auto" (the machine's
+    /// available parallelism), anything else is taken literally.
     pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "ThreadedExecutor needs at least one worker");
-        ThreadedExecutor { workers }
+        let workers = if workers == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            workers
+        };
+        Lanes { workers }
     }
-}
 
-impl BatchExecutor for ThreadedExecutor {
-    fn workers(&self) -> usize {
+    /// Number of lanes (`>= 1`). Jobs receive a lane id below this
+    /// bound, so callers can size per-lane scratch state.
+    pub fn workers(&self) -> usize {
         self.workers
     }
 
-    fn execute(&self, n: usize, job: &(dyn Fn(usize, usize) + Sync)) {
+    /// Runs `f(lane, index)` for every `index` in `0..n` and returns the
+    /// results in index order.
+    ///
+    /// Runs inline on the calling thread, in index order, with one lane
+    /// or at most one job. Otherwise each lane runs its jobs
+    /// sequentially, so per-lane scratch (tapes, gradient buffers) needs
+    /// no locking beyond lane ownership. Returns only after all jobs
+    /// complete; a panicking job propagates.
+    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, usize) -> T + Sync,
+    {
         let threads = self.workers.min(n);
         if threads <= 1 {
-            SerialExecutor.execute(n, job);
-            return;
+            return (0..n).map(|i| f(0, i)).collect();
         }
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let next = &next;
+        let (f, slots_ref, next) = (&f, &slots, &next);
         std::thread::scope(|scope| {
-            for worker in 0..threads {
+            for lane in 0..threads {
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    job(worker, i);
+                    let result = f(lane, i);
+                    *slots_ref[i].lock().expect("unpoisoned result slot") = Some(result);
                 });
             }
         });
-    }
-}
-
-/// Resolves a worker-count knob: `0` means "auto" (the machine's
-/// available parallelism), anything else is taken literally.
-pub fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        workers
-    }
-}
-
-/// Builds the executor for a worker-count knob (`0` = auto, `1` =
-/// serial, `n` = that many threads).
-pub fn executor_for(workers: usize) -> Box<dyn BatchExecutor> {
-    match resolve_workers(workers) {
-        1 => Box::new(SerialExecutor),
-        n => Box::new(ThreadedExecutor::new(n)),
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("unpoisoned result slot")
+                    .expect("a lane ran every index")
+            })
+            .collect()
     }
 }
 
@@ -142,33 +113,10 @@ pub fn executor_for(workers: usize) -> Box<dyn BatchExecutor> {
 /// this helper so the division rule stays consistent.
 pub fn workers_per_concurrent_run(workers: usize, concurrent: usize) -> usize {
     if workers == 0 {
-        (resolve_workers(0) / concurrent.max(1)).max(1)
+        (Lanes::new(0).workers() / concurrent.max(1)).max(1)
     } else {
         workers
     }
-}
-
-/// Runs `f(worker_id, index)` for `0..n` on `executor` and returns the
-/// results in index order — the deterministic-collection companion to
-/// [`BatchExecutor::execute`].
-pub fn run_indexed<T, F>(executor: &dyn BatchExecutor, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    executor.execute(n, &|worker, i| {
-        let result = f(worker, i);
-        *slots[i].lock().expect("unpoisoned result slot") = Some(result);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("unpoisoned result slot")
-                .expect("executor ran every index")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -177,17 +125,11 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
 
-    fn covers_all_indices(executor: &dyn BatchExecutor) {
-        let n = 97;
-        let seen = run_indexed(executor, n, |_, i| i);
-        assert_eq!(seen, (0..n).collect::<Vec<_>>());
-    }
-
     #[test]
     fn serial_executor_runs_in_order() {
         let order = Mutex::new(Vec::new());
-        SerialExecutor.execute(5, &|worker, i| {
-            assert_eq!(worker, 0);
+        Lanes::new(1).run(5, |lane, i| {
+            assert_eq!(lane, 0);
             order.lock().unwrap().push(i);
         });
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
@@ -195,16 +137,16 @@ mod tests {
 
     #[test]
     fn executors_cover_every_index_exactly_once() {
-        covers_all_indices(&SerialExecutor);
-        covers_all_indices(&ThreadedExecutor::new(2));
-        covers_all_indices(&ThreadedExecutor::new(4));
-        covers_all_indices(&ThreadedExecutor::new(16));
+        let n = 97;
+        for workers in [1, 2, 4, 16] {
+            let seen = Lanes::new(workers).run(n, |_, i| i);
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "workers={workers}");
+        }
     }
 
     #[test]
     fn threaded_executor_reports_valid_worker_ids() {
-        let executor = ThreadedExecutor::new(3);
-        let ids = run_indexed(&executor, 50, |worker, _| worker);
+        let ids = Lanes::new(3).run(50, |lane, _| lane);
         let distinct: HashSet<usize> = ids.iter().copied().collect();
         assert!(distinct.iter().all(|&w| w < 3));
         assert!(!distinct.is_empty());
@@ -212,18 +154,22 @@ mod tests {
 
     #[test]
     fn threaded_executor_handles_fewer_jobs_than_workers() {
-        let executor = ThreadedExecutor::new(8);
-        assert_eq!(run_indexed(&executor, 2, |_, i| i * 10), vec![0, 10]);
-        assert_eq!(run_indexed(&executor, 0, |_, i| i), Vec::<usize>::new());
+        let lanes = Lanes::new(8);
+        assert_eq!(lanes.run(2, |_, i| i * 10), vec![0, 10]);
+        assert_eq!(lanes.run(0, |_, i| i), Vec::<usize>::new());
     }
 
     #[test]
-    fn executor_for_resolves_the_knob() {
-        assert_eq!(executor_for(1).workers(), 1);
-        assert_eq!(executor_for(4).workers(), 4);
-        assert!(executor_for(0).workers() >= 1);
-        assert_eq!(resolve_workers(3), 3);
-        assert!(resolve_workers(0) >= 1);
+    fn lanes_new_resolves_the_knob() {
+        assert_eq!(Lanes::new(1).workers(), 1);
+        assert_eq!(Lanes::new(4).workers(), 4);
+    }
+
+    #[test]
+    fn zero_lanes_means_auto() {
+        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Lanes::new(0).workers(), auto);
+        assert_eq!(Lanes::new(0).run(3, |_, i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
@@ -233,26 +179,20 @@ mod tests {
         assert_eq!(workers_per_concurrent_run(1, 8), 1);
         // Auto divides the detected parallelism but never hits zero.
         let auto = workers_per_concurrent_run(0, 4);
-        assert_eq!(auto, (resolve_workers(0) / 4).max(1));
+        assert_eq!(auto, (Lanes::new(0).workers() / 4).max(1));
         assert!(workers_per_concurrent_run(0, usize::MAX) >= 1);
-        assert_eq!(workers_per_concurrent_run(0, 0), resolve_workers(0));
+        assert_eq!(workers_per_concurrent_run(0, 0), Lanes::new(0).workers());
     }
 
     #[test]
     fn run_indexed_sums_match_serial_regardless_of_scheduling() {
         let counter = AtomicU64::new(0);
-        let values = run_indexed(&ThreadedExecutor::new(4), 200, |_, i| {
+        let values = Lanes::new(4).run(200, |_, i| {
             counter.fetch_add(1, Ordering::Relaxed);
             (i as u64) * 3 + 1
         });
         assert_eq!(counter.load(Ordering::Relaxed), 200);
         let expected: Vec<u64> = (0..200u64).map(|i| i * 3 + 1).collect();
         assert_eq!(values, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_is_rejected() {
-        ThreadedExecutor::new(0);
     }
 }

@@ -50,10 +50,7 @@ pub use corpus_cache::{
     CorpusKind, LoadedCorpus, DEFAULT_SHARDS,
 };
 pub use cv::{cross_validate, CvOutcome};
-pub use executor::{
-    executor_for, resolve_workers, workers_per_concurrent_run, BatchExecutor, SerialExecutor,
-    ThreadedExecutor,
-};
+pub use executor::{workers_per_concurrent_run, Lanes};
 pub use pipeline::{extract_acfg, extract_acfgs_parallel, MagicPipeline, PipelineError};
 pub use trainer::{evaluate, evaluate_with, EpochStats, TrainConfig, Trainer, TrainOutcome};
 pub use tuning::{GridSearch, HeadKind, HyperParams, SearchOutcome};

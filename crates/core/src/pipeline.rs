@@ -1,7 +1,7 @@
 //! The MAGIC front half: listing → CFG → ACFG, plus the assembled
 //! classify-one-binary pipeline.
 
-use crate::executor::{run_indexed, SerialExecutor, ThreadedExecutor};
+use crate::executor::Lanes;
 use magic_asm::{parse_listing, CfgBuilder, ParseError};
 use magic_graph::{Acfg, ReduceStrategy};
 use magic_model::{Dgcnn, GraphInput};
@@ -58,20 +58,14 @@ pub fn extract_acfg(listing: &str) -> Result<Acfg, PipelineError> {
     Ok(Acfg::from_cfg(&cfg))
 }
 
-/// Extracts ACFGs for many listings across `workers` threads — MAGIC
-/// "can generate multiple ACFGs in parallel" (Section IV-C). Order is
-/// preserved; failures are reported per listing.
+/// Extracts ACFGs for many listings across `workers` lanes (`0` =
+/// auto) — MAGIC "can generate multiple ACFGs in parallel" (Section
+/// IV-C). Order is preserved; failures are reported per listing.
 pub fn extract_acfgs_parallel(
     listings: &[String],
     workers: usize,
 ) -> Vec<Result<Acfg, PipelineError>> {
-    let workers = workers.max(1).min(listings.len().max(1));
-    let job = |_worker: usize, i: usize| extract_acfg(&listings[i]);
-    if workers <= 1 {
-        run_indexed(&SerialExecutor, listings.len(), job)
-    } else {
-        run_indexed(&ThreadedExecutor::new(workers), listings.len(), job)
-    }
+    Lanes::new(workers).run(listings.len(), |_, i| extract_acfg(&listings[i]))
 }
 
 /// The assembled end-to-end system: a trained DGCNN plus family names.
@@ -221,10 +215,17 @@ mod tests {
             })
             .collect();
         let serial: Vec<_> = listings.iter().map(|l| extract_acfg(l)).collect();
-        let parallel = extract_acfgs_parallel(&listings, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.as_ref().unwrap().vertex_count(), p.as_ref().unwrap().vertex_count());
+        // `0` is auto, like every other worker knob.
+        for workers in [4, 0] {
+            let parallel = extract_acfgs_parallel(&listings, workers);
+            assert_eq!(serial.len(), parallel.len());
+            for (s, p) in serial.iter().zip(&parallel) {
+                assert_eq!(
+                    s.as_ref().unwrap().vertex_count(),
+                    p.as_ref().unwrap().vertex_count(),
+                    "workers={workers}"
+                );
+            }
         }
     }
 

@@ -3,17 +3,17 @@
 //!
 //! # Threading model
 //!
-//! The mini-batch loop fans its samples across the lanes of a
-//! [`BatchExecutor`]; each lane runs its sample through the model's one
-//! forward pass as a [`GraphBatch`] of one. Lanes share the read-only
+//! The mini-batch loop fans its samples across [`Lanes`], MAGIC's one
+//! parallelism mechanism; each lane runs its sample through the model's
+//! one forward pass as a [`GraphBatch`] of one. Lanes share the read-only
 //! parameter store (`ParamStore::bind` takes `&self`) and each batch
 //! position owns a [`GradBuffer`] that is folded back into the store
 //! **in batch order** once all samples finish. Because the float
 //! additions happen in the same order as the serial loop, and dropout
 //! noise comes from per-sample [`Rng64::for_sample`] streams rather than
 //! a shared generator, training is bitwise identical for any
-//! `train_workers` value. Intra-op parallelism inside the kernels comes
-//! separately from [`magic_tensor::set_intra_op_threads`].
+//! `train_workers` value. The kernels themselves are single-threaded:
+//! all parallelism is across samples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -26,7 +26,7 @@ use magic_model::{Dgcnn, GraphBatch, GraphInput};
 use magic_nn::{Adam, GradBuffer, Optimizer, ParamStore, ReduceLrOnPlateau};
 use magic_tensor::Rng64;
 
-use crate::executor::{executor_for, run_indexed, BatchExecutor, SerialExecutor};
+use crate::executor::Lanes;
 
 /// Where training samples come from: a fully materialized in-memory
 /// slice, or a `magic-acfg/1` cache streamed record-by-record.
@@ -150,7 +150,7 @@ pub struct TrainConfig {
     /// enough that the paper's setting fires spuriously; raise this when
     /// training on reduced-scale corpora.
     pub lr_patience: usize,
-    /// Worker threads for mini-batch fan-out and evaluation. `0` means
+    /// Worker lanes for mini-batch fan-out and evaluation. `0` means
     /// "auto" (the machine's available parallelism); `1` trains on the
     /// calling thread. The result is bitwise identical for every value —
     /// this knob only changes wall-clock time.
@@ -243,7 +243,7 @@ impl Trainer {
     /// every epoch, decaying the learning rate 10× after two consecutive
     /// epochs of rising validation loss (Section V-B).
     ///
-    /// Per-sample work runs on the executor selected by
+    /// Per-sample work runs on the [`Lanes`] selected by
     /// [`TrainConfig::train_workers`]; the outcome (losses, weights,
     /// history) is bitwise independent of the worker count.
     ///
@@ -307,13 +307,13 @@ impl Trainer {
             assert!(l < num_classes, "label {l} exceeds {num_classes} classes");
         }
 
-        let executor = executor_for(self.config.train_workers);
+        let lanes = Lanes::new(self.config.train_workers);
         // One reusable tape per worker lane (lanes run their jobs
         // sequentially, so the lock is never contended) and one gradient
         // buffer per batch position, so the reduction below can replay
         // the serial float-addition order exactly.
         let tapes: Vec<Mutex<Tape>> =
-            (0..executor.workers()).map(|_| Mutex::new(Tape::new())).collect();
+            (0..lanes.workers()).map(|_| Mutex::new(Tape::new())).collect();
         let grad_slots: Vec<Mutex<GradBuffer>> = (0..self.config.batch_size)
             .map(|_| Mutex::new(GradBuffer::for_store(model.store())))
             .collect();
@@ -330,7 +330,7 @@ impl Trainer {
             &[
                 ("epochs", self.config.epochs as f64),
                 ("train_samples", train_idx.len() as f64),
-                ("workers", executor.workers() as f64),
+                ("workers", lanes.workers() as f64),
             ],
         );
 
@@ -349,7 +349,7 @@ impl Trainer {
             let _epoch_span =
                 magic_obs::span_fields(magic_obs::stage::TRAIN_EPOCH, &[("epoch", epoch as f64)]);
             let worker_busy: Vec<AtomicU64> =
-                (0..executor.workers()).map(|_| AtomicU64::new(0)).collect();
+                (0..lanes.workers()).map(|_| AtomicU64::new(0)).collect();
             let mut fanout_us = 0u64;
             let mut update_us = 0u64;
             // Host-side pseudo-op self times (ns), attributed alongside
@@ -379,7 +379,7 @@ impl Trainer {
             source.for_each_chunk(&order, self.config.batch_size, |batch, fetched| {
                 let store = model.store();
                 let fanout_start = traced.then(Instant::now);
-                let losses: Vec<f32> = run_indexed(executor.as_ref(), batch.len(), |worker, j| {
+                let losses: Vec<f32> = lanes.run(batch.len(), |worker, j| {
                     let busy_start = traced.then(Instant::now);
                     let i = batch[j];
                     let mut tape = tapes[worker].lock().expect("unpoisoned tape");
@@ -460,7 +460,7 @@ impl Trainer {
                 tape.lock().expect("unpoisoned tape").set_profiling(false);
             }
             let (val_loss, val_accuracy) = evaluate_source(
-                executor.as_ref(),
+                lanes,
                 &tapes,
                 self.config.batch_size,
                 model,
@@ -694,24 +694,25 @@ pub fn evaluate(
     labels: &[usize],
     idx: &[usize],
 ) -> (f32, f64) {
-    evaluate_with(&SerialExecutor, model, inputs, labels, idx)
+    evaluate_with(1, model, inputs, labels, idx)
 }
 
 /// Mean validation loss and accuracy of `model` on `idx`, fanning
-/// per-sample inference across `executor`.
+/// per-sample inference across `workers` lanes (`0` = auto).
 ///
 /// Per-sample losses are summed in index order afterwards, so the result
-/// is identical to [`evaluate`] for any executor.
+/// is identical to [`evaluate`] for any worker count.
 pub fn evaluate_with(
-    executor: &dyn BatchExecutor,
+    workers: usize,
     model: &Dgcnn,
     inputs: &[GraphInput],
     labels: &[usize],
     idx: &[usize],
 ) -> (f32, f64) {
+    let lanes = Lanes::new(workers);
     let tapes: Vec<Mutex<Tape>> =
-        (0..executor.workers()).map(|_| Mutex::new(Tape::new())).collect();
-    evaluate_source(executor, &tapes, idx.len(), model, SampleSource::Ram(inputs), labels, idx)
+        (0..lanes.workers()).map(|_| Mutex::new(Tape::new())).collect();
+    evaluate_source(lanes, &tapes, idx.len(), model, SampleSource::Ram(inputs), labels, idx)
 }
 
 /// The one evaluation loop: mean loss and accuracy of `model` on `idx`,
@@ -722,9 +723,9 @@ pub fn evaluate_with(
 /// chunk ahead of the compute. Chunking only bounds how many records are
 /// alive at once: losses are accumulated in `idx` order across chunk
 /// boundaries, so the result is bitwise identical for every source,
-/// chunk size and executor.
+/// chunk size and lane count.
 fn evaluate_source(
-    executor: &dyn BatchExecutor,
+    lanes: Lanes,
     tapes: &[Mutex<Tape>],
     chunk_size: usize,
     model: &Dgcnn,
@@ -740,7 +741,7 @@ fn evaluate_source(
     let mut loss_total = 0.0f32;
     let mut correct = 0usize;
     source.for_each_chunk(idx, chunk_size, |chunk, fetched| {
-        let per_sample: Vec<(f32, bool)> = run_indexed(executor, chunk.len(), |worker, j| {
+        let per_sample: Vec<(f32, bool)> = lanes.run(chunk.len(), |worker, j| {
             let i = chunk[j];
             let mut tape = tapes[worker].lock().expect("unpoisoned tape");
             let probs = model.predict_with(&mut tape, source.input(fetched, chunk, j));
@@ -764,7 +765,6 @@ fn evaluate_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::ThreadedExecutor;
     use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
     use magic_model::{DgcnnConfig, PoolingHead};
     use magic_tensor::Tensor;
@@ -923,8 +923,7 @@ mod tests {
         let idx: Vec<usize> = (0..20).collect();
         let serial = evaluate(&model, &inputs, &labels, &idx);
         for workers in [2, 3, 8] {
-            let parallel =
-                evaluate_with(&ThreadedExecutor::new(workers), &model, &inputs, &labels, &idx);
+            let parallel = evaluate_with(workers, &model, &inputs, &labels, &idx);
             assert_eq!(parallel, serial, "evaluate diverged with {workers} workers");
         }
     }

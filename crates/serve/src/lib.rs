@@ -29,4 +29,4 @@ pub mod queue;
 pub mod server;
 pub mod stats;
 
-pub use server::{start, ServeConfig, ServerHandle};
+pub use server::{start, ServeConfig, ServerHandle, IO_TIMEOUT};

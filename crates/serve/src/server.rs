@@ -47,6 +47,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Read and write timeout set on every accepted connection. A client
+/// that stalls longer than this between bytes is dropped, so idle
+/// connections cannot pin the IO threads or hold up graceful shutdown.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning knobs for one server instance. Defaults match the CLI
 /// defaults documented in `docs/SERVING.md`.
 #[derive(Debug, Clone)]
@@ -301,6 +306,11 @@ fn io_loop(shared: &Shared, conn_rx: &Mutex<mpsc::Receiver<TcpStream>>) {
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _span = magic_obs::span(stage::SERVE_REQUEST);
     let accepted = Instant::now();
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,

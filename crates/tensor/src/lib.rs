@@ -30,7 +30,6 @@ mod shape;
 pub mod simd;
 mod sparse;
 mod tensor;
-mod threading;
 mod workspace;
 
 pub use linalg::{gemm_into, gemm_nt_into, gemm_tn_into};
@@ -39,5 +38,4 @@ pub use rng::Rng64;
 pub use shape::Shape;
 pub use sparse::CsrMatrix;
 pub use tensor::Tensor;
-pub use threading::{intra_op_threads, set_intra_op_threads};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -9,13 +9,6 @@
 
 use crate::simd;
 use crate::tensor::Tensor;
-use crate::threading;
-
-/// FLOP estimate shared by the three GEMM entry points, used to decide
-/// whether intra-op threading is worth its fan-out cost.
-fn gemm_work(m: usize, k: usize, n: usize) -> u64 {
-    2 * (m as u64) * (k as u64) * (n as u64)
-}
 
 /// `out += a @ b` on raw row-major slices: `a` is `(m, k)`, `b` is
 /// `(k, n)`, `out` is `(m, n)`.
@@ -31,11 +24,6 @@ fn gemm_work(m: usize, k: usize, n: usize) -> u64 {
 /// column-concatenating independent operands (batched execution) leaves
 /// every element bitwise unchanged.
 ///
-/// Large calls fan out across [`crate::threading::intra_op_threads`]
-/// scoped threads by disjoint output-row ranges; each row is still
-/// reduced by one thread in serial order, so the result is bitwise
-/// independent of the thread count.
-///
 /// Note this *accumulates* into `out`, which lets callers pre-initialize
 /// it with a bias term for free.
 ///
@@ -50,26 +38,23 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         return;
     }
     let k4 = k / 4 * 4;
-    threading::partition_rows(m, n, gemm_work(m, k, n), out, |first, rows| {
-        for (di, orow) in rows.chunks_exact_mut(n).enumerate() {
-            let i = first + di;
-            let arow = &a[i * k..(i + 1) * k];
-            let mut p = 0;
-            while p < k4 {
-                let (a0, a1, a2, a3) = (arow[p], arow[p + 1], arow[p + 2], arow[p + 3]);
-                let b0 = &b[p * n..(p + 1) * n];
-                let b1 = &b[(p + 1) * n..(p + 2) * n];
-                let b2 = &b[(p + 2) * n..(p + 3) * n];
-                let b3 = &b[(p + 3) * n..(p + 4) * n];
-                simd::madd4_span(orow, a0, a1, a2, a3, b0, b1, b2, b3);
-                p += 4;
-            }
-            while p < k {
-                simd::axpy_span(orow, arow[p], &b[p * n..(p + 1) * n]);
-                p += 1;
-            }
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        let arow = &a[i * k..(i + 1) * k];
+        let mut p = 0;
+        while p < k4 {
+            let (a0, a1, a2, a3) = (arow[p], arow[p + 1], arow[p + 2], arow[p + 3]);
+            let b0 = &b[p * n..(p + 1) * n];
+            let b1 = &b[(p + 1) * n..(p + 2) * n];
+            let b2 = &b[(p + 2) * n..(p + 3) * n];
+            let b3 = &b[(p + 3) * n..(p + 4) * n];
+            simd::madd4_span(orow, a0, a1, a2, a3, b0, b1, b2, b3);
+            p += 4;
         }
-    });
+        while p < k {
+            simd::axpy_span(orow, arow[p], &b[p * n..(p + 1) * n]);
+            p += 1;
+        }
+    }
 }
 
 /// `out += a @ bᵀ` on raw row-major slices: `a` is `(m, k)`, `b` is
@@ -79,9 +64,7 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 /// Each output element is one [`Tensor::dot`] of an `a` row against a `b`
 /// row, inheriting its eight-accumulator chunking and fixed summation
 /// order, so results are bitwise reproducible. This is the weight-gradient
-/// product of the im2col lowering (`gW = gOut · colsᵀ`). Large calls
-/// fan out by output rows like [`gemm_into`], bitwise independent of the
-/// thread count.
+/// product of the im2col lowering (`gW = gOut · colsᵀ`).
 ///
 /// # Panics
 ///
@@ -93,15 +76,12 @@ pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
     if m == 0 || n == 0 {
         return;
     }
-    threading::partition_rows(m, n, gemm_work(m, k, n), out, |first, rows| {
-        for (di, orow) in rows.chunks_exact_mut(n).enumerate() {
-            let i = first + di;
-            let arow = &a[i * k..(i + 1) * k];
-            for (oj, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
-                *oj += Tensor::dot(arow, brow);
-            }
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        let arow = &a[i * k..(i + 1) * k];
+        for (oj, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
+            *oj += Tensor::dot(arow, brow);
         }
-    });
+    }
 }
 
 /// `out += aᵀ @ b` on raw row-major slices: `a` is `(k, m)`, `b` is
@@ -112,8 +92,6 @@ pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
 /// over j (`b` row `p` scaled by `a[p, i]` into `out` row `i`), a fixed
 /// function of the shapes, so results are bitwise reproducible. This is
 /// the input-gradient product of the im2col lowering (`gCols = Wᵀ·gOut`).
-/// Large calls fan out by output rows like [`gemm_into`], bitwise
-/// independent of the thread count.
 ///
 /// # Panics
 ///
@@ -125,14 +103,11 @@ pub fn gemm_tn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
     if m == 0 || n == 0 {
         return;
     }
-    threading::partition_rows(m, n, gemm_work(m, k, n), out, |first, rows| {
-        for (di, orow) in rows.chunks_exact_mut(n).enumerate() {
-            let i = first + di;
-            for p in 0..k {
-                simd::axpy_span(orow, a[p * m + i], &b[p * n..(p + 1) * n]);
-            }
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        for p in 0..k {
+            simd::axpy_span(orow, a[p * m + i], &b[p * n..(p + 1) * n]);
         }
-    });
+    }
 }
 
 impl Tensor {

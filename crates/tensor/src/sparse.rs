@@ -276,24 +276,18 @@ impl CsrMatrix {
         if self.rows == 0 || c == 0 {
             return out;
         }
-        // Each output row is reduced by exactly one thread in storage
-        // order (see crate::threading), so the fan-out cannot change bits.
-        let work = 2 * self.nnz() as u64 * c as u64;
-        crate::threading::partition_rows(self.rows, c, work, out.as_mut_slice(), |first, rows| {
-            for (di, orow) in rows.chunks_exact_mut(c).enumerate() {
-                let i = first + di;
-                for p in self.row_offsets[i]..self.row_offsets[i + 1] {
-                    let drow = &d[self.col_indices[p] as usize * c..][..c];
-                    crate::simd::axpy_span(orow, self.values[p], drow);
-                }
-                if let Some(s) = row_scale {
-                    let f = s[i];
-                    for oj in orow.iter_mut() {
-                        *oj *= f;
-                    }
+        for (i, orow) in out.as_mut_slice().chunks_exact_mut(c).enumerate() {
+            for p in self.row_offsets[i]..self.row_offsets[i + 1] {
+                let drow = &d[self.col_indices[p] as usize * c..][..c];
+                crate::simd::axpy_span(orow, self.values[p], drow);
+            }
+            if let Some(s) = row_scale {
+                let f = s[i];
+                for oj in orow.iter_mut() {
+                    *oj *= f;
                 }
             }
-        });
+        }
         out
     }
 

@@ -5,6 +5,7 @@
 //! (defaults: scale 0.02, 12 epochs — a few minutes on a laptop).
 
 use magic::cv::cross_validate;
+use magic::executor::Lanes;
 use magic::pipeline::extract_acfgs_parallel;
 use magic::tuning::{HeadKind, HyperParams};
 use magic_model::GraphInput;
@@ -21,16 +22,16 @@ fn main() {
     let mut generator = MskcfgGenerator::new(11, scale);
     let samples = generator.generate();
     let listings: Vec<String> = samples.iter().map(|s| s.listing.clone()).collect();
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let start = std::time::Instant::now();
-    let acfgs: Vec<_> = extract_acfgs_parallel(&listings, workers)
+    let acfgs: Vec<_> = extract_acfgs_parallel(&listings, 0)
         .into_iter()
         .map(|r| r.expect("generated listings parse"))
         .collect();
     println!(
-        "extracted {} ACFGs in {:.1}s on {workers} workers",
+        "extracted {} ACFGs in {:.1}s on {} lanes",
         acfgs.len(),
-        start.elapsed().as_secs_f64()
+        start.elapsed().as_secs_f64(),
+        Lanes::new(0).workers()
     );
 
     let inputs: Vec<GraphInput> = acfgs.iter().map(GraphInput::from_acfg).collect();

@@ -255,6 +255,28 @@ fn oversized_bodies_are_refused_with_413() {
 }
 
 #[test]
+fn an_idle_connection_does_not_pin_the_only_io_thread() {
+    let mut config = test_config();
+    config.io_threads = 1;
+    let handle = start(test_pipeline(), config).unwrap();
+    let addr = handle.addr();
+
+    // Connects first and never sends a byte: the only IO thread picks it
+    // up and blocks reading it until the socket timeout drops it.
+    let idle = std::net::TcpStream::connect(addr).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(predict(addr, &synthetic_listing(3)));
+    });
+    let response = rx
+        .recv_timeout(magic_serve::IO_TIMEOUT * 4)
+        .expect("the idle connection pinned the IO thread past its timeout");
+    assert_eq!(response.status, 200, "{}", response.body);
+    drop(idle);
+    handle.shutdown();
+}
+
+#[test]
 fn programmatic_shutdown_with_no_traffic_returns_promptly() {
     let handle = start(test_pipeline(), test_config()).unwrap();
     let addr = handle.addr();
