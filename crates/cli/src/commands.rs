@@ -111,9 +111,9 @@ USAGE:
                 [--access-log <access.jsonl>] [--metrics-window S]
                 (HTTP inference daemon fusing concurrent requests into
                  micro-batches; POST listings to /v1/predict, health at
-                 /healthz, counters at /statsz, Prometheus text at
-                 /metrics, slow-request exemplars at /debug/slow, stop
-                 with POST /admin/shutdown. --access-log streams one
+                 /healthz, counters and latency quantiles as Prometheus
+                 text at /metrics, slow-request exemplars at /debug/slow,
+                 stop with POST /admin/shutdown. --access-log streams one
                  JSONL lifecycle event per request; --metrics-window
                  sets the sliding quantile window (default 60 s).
                  Protocol + tuning: docs/SERVING.md)

@@ -42,6 +42,11 @@
 //! malformed record bytes — surfaces as a typed [`CacheError`], the same
 //! contract the `magic-trace` reader keeps via its `malformed_lines`
 //! accounting.
+//!
+//! Every file is published crash-safely: written to `<name>.tmp`,
+//! synced, then renamed over `<name>`, with the manifest written last.
+//! A crash mid-build leaves each file either old or new, never torn; a
+//! leftover `.tmp` is never opened and the next build overwrites it.
 
 use std::fmt;
 use std::fs::File;
@@ -296,7 +301,25 @@ pub fn decode_record(bytes: &[u8]) -> Result<ShardRecord, CacheError> {
 
 // ---- shard writing -----------------------------------------------------
 
-/// Writes one shard file; returns its total byte length.
+/// Writes `parts` to `<path>.tmp`, syncs it to disk, then renames it
+/// over `path`, so `path` holds either its old bytes or all new bytes.
+/// The directory is synced after the rename so the new entry is on
+/// disk before the next file (the manifest last) is published.
+fn publish(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp)?;
+    for part in parts {
+        file.write_all(part)?;
+    }
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
+/// Writes one shard file, crash-safely (temp file + rename); returns
+/// its total byte length.
 ///
 /// Emits a [`magic_obs::stage::CACHE_WRITE`] span with `shard`,
 /// `records`, and `bytes` fields plus the
@@ -351,12 +374,7 @@ pub fn write_shard(
             ("bytes", total as f64),
         ],
     );
-    let mut file = File::create(path)?;
-    file.write_all(&header)?;
-    file.write_all(&index)?;
-    file.write_all(&payload)?;
-    file.write_all(&checksum.finish().to_le_bytes())?;
-    file.sync_all()?;
+    publish(path, &[&header, &index, &payload, &checksum.finish().to_le_bytes()])?;
     obs::counter(obs::stage::C_CACHE_BYTES_WRITTEN, total as f64);
     Ok(total)
 }
@@ -659,7 +677,9 @@ impl CacheManifest {
         dir.join(MANIFEST_FILE)
     }
 
-    /// Serializes and writes the manifest into `dir`.
+    /// Serializes and writes the manifest into `dir`, crash-safely
+    /// (temp file + rename). Call it after writing the shards it lists,
+    /// so a manifest on disk names only complete shards.
     ///
     /// # Errors
     ///
@@ -689,7 +709,7 @@ impl CacheManifest {
             "class_names": (self.class_names.clone()),
             "shards": shards,
         });
-        std::fs::write(Self::path(dir), magic_json::to_string_pretty(&value))?;
+        publish(&Self::path(dir), &[magic_json::to_string_pretty(&value).as_bytes()])?;
         Ok(())
     }
 
@@ -820,6 +840,77 @@ mod tests {
         let one = reader.read_record(4).unwrap();
         assert_eq!(one.label, all[4].label);
         assert_eq!(one.acfg.attributes().as_slice(), all[4].acfg.attributes().as_slice());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes a two-shard cache with its manifest into `dir` and
+    /// returns its fingerprint.
+    fn build_toy_cache(dir: &Path) -> u64 {
+        let fp = cache_fingerprint("toy", 1, 0.5, "none");
+        let mut shards = Vec::new();
+        for s in 0..2 {
+            let records: Vec<ShardRecord> =
+                (0..3).map(|i| toy_record((s * 3 + i) as u64, i)).collect();
+            let file = format!("shard-{s:04}.acfg");
+            let bytes = write_shard(&dir.join(&file), fp, s, 2, &records).unwrap();
+            shards.push(ShardMeta { file, records: records.len(), bytes });
+        }
+        let manifest = CacheManifest {
+            fingerprint: fp,
+            corpus: "toy".into(),
+            seed: 1,
+            scale: 0.5,
+            reduce: "none".into(),
+            samples: 6,
+            class_names: vec!["A".into(), "B".into(), "C".into()],
+            shards,
+        };
+        manifest.save(dir).unwrap();
+        fp
+    }
+
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+            .collect()
+    }
+
+    fn read_cache(dir: &Path, fp: u64) -> Vec<usize> {
+        let (_, stream) = crate::ShardStream::open(dir, Some(fp)).unwrap();
+        stream.flat_map(|s| s.unwrap().records).map(|r| r.label).collect()
+    }
+
+    #[test]
+    fn a_build_leaves_no_temp_files() {
+        let dir = std::env::temp_dir().join("magic-cache-test-publish");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let fp = build_toy_cache(&dir);
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+        assert_eq!(read_cache(&dir, fp), vec![0, 1, 2, 0, 1, 2]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stale_truncated_temp_shard_is_ignored_then_overwritten() {
+        let dir = std::env::temp_dir().join("magic-cache-test-stale-tmp");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let fp = build_toy_cache(&dir);
+        // A crash mid-publish of shard 0: half its bytes in the temp file.
+        let shard = dir.join("shard-0000.acfg");
+        let stale = dir.join("shard-0000.acfg.tmp");
+        let bytes = std::fs::read(&shard).unwrap();
+        std::fs::write(&stale, &bytes[..bytes.len() / 2]).unwrap();
+        // Readers go by the manifest and never open the temp file.
+        assert_eq!(read_cache(&dir, fp), vec![0, 1, 2, 0, 1, 2]);
+        // A rebuild publishes over it and leaves nothing behind.
+        build_toy_cache(&dir);
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+        assert_eq!(std::fs::read(&shard).unwrap(), bytes);
+        assert_eq!(read_cache(&dir, fp), vec![0, 1, 2, 0, 1, 2]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

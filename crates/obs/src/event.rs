@@ -120,7 +120,7 @@ pub enum Event {
         ts_us: u64,
         /// HTTP status the request was answered with.
         status: u16,
-        /// Request path (`/v1/predict`, `/statsz`, …).
+        /// Request path (`/v1/predict`, `/metrics`, …).
         path: String,
         /// Size of the fused batch that carried the forward pass
         /// (0 when no forward pass ran, e.g. errors or admin routes).

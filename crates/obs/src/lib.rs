@@ -21,10 +21,9 @@
 //! Live telemetry (as opposed to post-hoc trace files) is served by the
 //! [`timeseries`] module: sliding-window counters and log-linear
 //! histograms with interpolated quantiles, used by `magic serve` to
-//! back its `/metrics` and `/statsz` endpoints. The `magic serve
-//! --access-log` JSONL stream ([`Event::ServeAccess`], schema v3) is
-//! aggregated offline by [`serve_report::ServeLogSummary`]
-//! (`magic report --serve`).
+//! back its `/metrics` endpoint. The `magic serve --access-log` JSONL
+//! stream ([`Event::ServeAccess`], schema v3) is aggregated offline by
+//! [`serve_report::ServeLogSummary`] (`magic report --serve`).
 //!
 //! Telemetry is observational only: instrumented code takes no RNG
 //! draws and makes no numeric decisions based on it, so a traced

@@ -2,13 +2,13 @@
 //! counters and log-linear latency histograms over a fixed-slot ring of
 //! time windows.
 //!
-//! The cumulative-since-start counters in `/statsz` answer "how much,
-//! ever"; an operator watching a live server needs "how much, *now*".
-//! These types carve time into `slots × slot_width_us` windows (the
-//! serving default is 60 × 1 s) and keep one atomically-updated cell
-//! per window, so readers can render current rates (req/s over the last
-//! minute) and current tail latency (windowed p50/p90/p99) without any
-//! locking on the record path.
+//! The cumulative-since-start `*_total` counters in `/metrics` answer
+//! "how much, ever"; an operator watching a live server needs "how
+//! much, *now*". These types carve time into `slots × slot_width_us`
+//! windows (the serving default is 60 × 1 s) and keep one
+//! atomically-updated cell per window, so readers can render current
+//! rates (req/s over the last minute) and current tail latency
+//! (windowed p50/p90/p99) without any locking on the record path.
 //!
 //! Two design points matter for testability and accuracy:
 //!

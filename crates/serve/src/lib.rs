@@ -5,7 +5,7 @@
 //!
 //! The crate is std-only, like the rest of the workspace: the HTTP/1.1
 //! codec ([`http`]), the bounded batching queue ([`queue`]), the
-//! `/statsz` counters and windowed telemetry ([`stats`]), the
+//! serving counters and windowed telemetry ([`stats`]), their one
 //! Prometheus `/metrics` exposition ([`metrics`]), and the JSON wire
 //! protocol ([`protocol`]) are all hand-rolled. [`server::start`] wires
 //! them into a listener + IO pool + model-worker runtime; the

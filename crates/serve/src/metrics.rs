@@ -2,10 +2,11 @@
 //!
 //! Renders the [`ServeStats`] block in the Prometheus text format
 //! (version 0.0.4): `# HELP`/`# TYPE` headers followed by one sample
-//! per line. The metric-name registry below is a pinned public
-//! contract (golden-tested, documented in `docs/OBSERVABILITY.md`);
-//! renaming or dropping a metric is a breaking change for scrape
-//! configs and dashboards.
+//! per line. The metric-name registry below — one table of scalar
+//! families plus the two summary families, listed by [`families`] — is
+//! a pinned public contract (golden-tested, documented in
+//! `docs/OBSERVABILITY.md`); renaming or dropping a metric is a
+//! breaking change for scrape configs and dashboards.
 //!
 //! Conventions:
 //!
@@ -22,6 +23,7 @@
 
 use crate::stats::{LifecycleStage, ServeStats};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `Content-Type` of the exposition body.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -29,17 +31,72 @@ pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// The windowed quantiles exported for latency and stage series.
 const QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")];
 
+/// What one scrape reads: the stats block, the queue state the caller
+/// samples at scrape time, and the scrape's clock reading.
+struct Scrape<'a> {
+    stats: &'a ServeStats,
+    queue_depth: usize,
+    queue_high_water: u64,
+    draining: bool,
+    now_us: u64,
+}
+
+/// A counter as a sample value (Prometheus values are floats; integers
+/// print without a fraction and are exact below 2^53).
+fn total(counter: &AtomicU64) -> f64 {
+    counter.load(Ordering::Relaxed) as f64
+}
+
+/// One scalar metric family: `(name, Prometheus type, help, reader)`.
+type Scalar = (&'static str, &'static str, &'static str, fn(&Scrape) -> f64);
+
+/// The scalar metric registry, in exposition order. Adding a scalar
+/// metric is one line here; the docs table in `docs/OBSERVABILITY.md`
+/// and `tests/golden/metrics.prom` are checked against it by tests.
+#[rustfmt::skip]
+const SCALARS: [Scalar; 18] = [
+    ("magic_serve_uptime_seconds", "gauge", "Seconds since server start.", |s| s.stats.uptime_s() as f64),
+    ("magic_serve_requests_total", "counter", "Predict requests accepted into the queue.", |s| total(&s.stats.requests)),
+    ("magic_serve_predictions_total", "counter", "Predict requests answered 200.", |s| total(&s.stats.predictions)),
+    ("magic_serve_shed_total", "counter", "Requests shed with 503 (queue full or draining).", |s| total(&s.stats.shed)),
+    ("magic_serve_timeouts_total", "counter", "Requests expired with 504 before execution.", |s| total(&s.stats.timeouts)),
+    ("magic_serve_client_errors_total", "counter", "Requests refused with a 4xx status.", |s| total(&s.stats.client_errors)),
+    ("magic_serve_internal_errors_total", "counter", "Requests failed with 500.", |s| total(&s.stats.internal_errors)),
+    ("magic_serve_batches_total", "counter", "Fused micro-batches executed.", |s| total(&s.stats.batches)),
+    ("magic_serve_batched_requests_total", "counter", "Requests summed over executed batches.", |s| total(&s.stats.batched_requests)),
+    ("magic_serve_pool_hits_total", "counter", "Workspace-pool checkouts served from recycled buffers.", |s| total(&s.stats.pool_hits)),
+    ("magic_serve_pool_misses_total", "counter", "Workspace-pool checkouts that heap-allocated (flat after warm-up).", |s| total(&s.stats.pool_misses)),
+    ("magic_serve_max_batch_size", "gauge", "Largest batch executed so far.", |s| total(&s.stats.max_batch)),
+    ("magic_serve_queue_depth", "gauge", "Requests waiting in the batching queue right now.", |s| s.queue_depth as f64),
+    ("magic_serve_queue_high_water", "gauge", "Deepest the batching queue has ever been.", |s| s.queue_high_water as f64),
+    ("magic_serve_draining", "gauge", "1 while the server drains for shutdown (stop routing to it).", |s| u8::from(s.draining) as f64),
+    ("magic_serve_request_rate_per_s", "gauge", "Accepted predict requests per second over the sliding window.", |s| s.stats.requests_window.rate_per_sec(s.now_us)),
+    ("magic_serve_shed_rate_per_s", "gauge", "Shed requests per second over the sliding window.", |s| s.stats.shed_window.rate_per_sec(s.now_us)),
+    ("magic_serve_batch_rate_per_s", "gauge", "Executed batches per second over the sliding window.", |s| s.stats.batches_window.rate_per_sec(s.now_us)),
+];
+
+const LATENCY: (&str, &str) = (
+    "magic_serve_latency_us",
+    "End-to-end 200-predict latency in microseconds; quantiles are windowed \
+     and interpolated, _count/_sum cumulative.",
+);
+
+const STAGE: (&str, &str) = (
+    "magic_serve_stage_us",
+    "Per-lifecycle-stage latency in microseconds over the sliding window; \
+     quantiles interpolated, _count/_sum window-scoped.",
+);
+
+/// Every metric family `/metrics` exposes, as `(name, Prometheus
+/// type)`, in exposition order.
+pub fn families() -> Vec<(&'static str, &'static str)> {
+    let summaries = [(LATENCY.0, "summary"), (STAGE.0, "summary")];
+    SCALARS.iter().map(|m| (m.0, m.1)).chain(summaries).collect()
+}
+
 fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-fn sample_u64(out: &mut String, name: &str, value: u64) {
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn sample_f64(out: &mut String, name: &str, value: f64) {
-    let _ = writeln!(out, "{name} {value}");
 }
 
 /// Renders the full `/metrics` document. `queue_depth`,
@@ -51,157 +108,36 @@ pub fn render_metrics(
     queue_high_water: u64,
     draining: bool,
 ) -> String {
-    use std::sync::atomic::Ordering::Relaxed;
+    let scrape = Scrape { stats, queue_depth, queue_high_water, draining, now_us: stats.now_us() };
     let mut out = String::with_capacity(4096);
-
-    header(&mut out, "magic_serve_uptime_seconds", "Seconds since server start.", "gauge");
-    sample_u64(&mut out, "magic_serve_uptime_seconds", stats.uptime_s());
-
-    let counters: [(&str, &str, u64); 10] = [
-        (
-            "magic_serve_requests_total",
-            "Predict requests accepted into the queue.",
-            stats.requests.load(Relaxed),
-        ),
-        (
-            "magic_serve_predictions_total",
-            "Predict requests answered 200.",
-            stats.predictions.load(Relaxed),
-        ),
-        (
-            "magic_serve_shed_total",
-            "Requests shed with 503 (queue full or draining).",
-            stats.shed.load(Relaxed),
-        ),
-        (
-            "magic_serve_timeouts_total",
-            "Requests expired with 504 before execution.",
-            stats.timeouts.load(Relaxed),
-        ),
-        (
-            "magic_serve_client_errors_total",
-            "Requests refused with a 4xx status.",
-            stats.client_errors.load(Relaxed),
-        ),
-        (
-            "magic_serve_internal_errors_total",
-            "Requests failed with 500.",
-            stats.internal_errors.load(Relaxed),
-        ),
-        (
-            "magic_serve_batches_total",
-            "Fused micro-batches executed.",
-            stats.batches.load(Relaxed),
-        ),
-        (
-            "magic_serve_batched_requests_total",
-            "Requests summed over executed batches.",
-            stats.batched_requests.load(Relaxed),
-        ),
-        (
-            "magic_serve_pool_hits_total",
-            "Workspace-pool checkouts served from recycled buffers.",
-            stats.pool_hits.load(Relaxed),
-        ),
-        (
-            "magic_serve_pool_misses_total",
-            "Workspace-pool checkouts that heap-allocated (flat after warm-up).",
-            stats.pool_misses.load(Relaxed),
-        ),
-    ];
-    for (name, help, value) in counters {
-        header(&mut out, name, help, "counter");
-        sample_u64(&mut out, name, value);
+    for (name, kind, help, read) in SCALARS {
+        header(&mut out, name, help, kind);
+        let _ = writeln!(out, "{name} {}", read(&scrape));
     }
 
-    let gauges: [(&str, &str, u64); 4] = [
-        (
-            "magic_serve_max_batch_size",
-            "Largest batch executed so far.",
-            stats.max_batch.load(Relaxed),
-        ),
-        (
-            "magic_serve_queue_depth",
-            "Requests waiting in the batching queue right now.",
-            queue_depth as u64,
-        ),
-        (
-            "magic_serve_queue_high_water",
-            "Deepest the batching queue has ever been.",
-            queue_high_water,
-        ),
-        (
-            "magic_serve_draining",
-            "1 while the server drains for shutdown (stop routing to it).",
-            draining as u64,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        header(&mut out, name, help, "gauge");
-        sample_u64(&mut out, name, value);
-    }
-
-    let (req_rate, shed_rate, batch_rate) = stats.window_rates();
-    let rates: [(&str, &str, f64); 3] = [
-        (
-            "magic_serve_request_rate_per_s",
-            "Accepted predict requests per second over the sliding window.",
-            req_rate,
-        ),
-        (
-            "magic_serve_shed_rate_per_s",
-            "Shed requests per second over the sliding window.",
-            shed_rate,
-        ),
-        (
-            "magic_serve_batch_rate_per_s",
-            "Executed batches per second over the sliding window.",
-            batch_rate,
-        ),
-    ];
-    for (name, help, value) in rates {
-        header(&mut out, name, help, "gauge");
-        sample_f64(&mut out, name, value);
-    }
-
-    header(
-        &mut out,
-        "magic_serve_latency_us",
-        "End-to-end 200-predict latency in microseconds; quantiles are windowed \
-         and interpolated, _count/_sum cumulative.",
-        "summary",
-    );
+    let (name, help) = LATENCY;
+    header(&mut out, name, help, "summary");
     let latency = stats.latency_snapshot();
     for (q, label) in QUANTILES {
-        let _ = writeln!(
-            out,
-            "magic_serve_latency_us{{quantile=\"{label}\"}} {}",
-            latency.quantile(q)
-        );
+        let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", latency.quantile(q));
     }
-    let (count, sum) = stats.latency_totals();
-    sample_u64(&mut out, "magic_serve_latency_us_sum", sum);
-    sample_u64(&mut out, "magic_serve_latency_us_count", count);
+    let _ = writeln!(out, "{name}_sum {}", stats.latency_sum_us.load(Ordering::Relaxed));
+    let _ = writeln!(out, "{name}_count {}", stats.latency_count.load(Ordering::Relaxed));
 
-    header(
-        &mut out,
-        "magic_serve_stage_us",
-        "Per-lifecycle-stage latency in microseconds over the sliding window; \
-         quantiles interpolated, _count/_sum window-scoped.",
-        "summary",
-    );
+    let (name, help) = STAGE;
+    header(&mut out, name, help, "summary");
     for stage in LifecycleStage::ALL {
         let snap = stats.stage_snapshot(stage);
-        let name = stage.name();
-        for (q, label) in QUANTILES {
+        let label = stage.name();
+        for (q, quantile) in QUANTILES {
             let _ = writeln!(
                 out,
-                "magic_serve_stage_us{{stage=\"{name}\",quantile=\"{label}\"}} {}",
+                "{name}{{stage=\"{label}\",quantile=\"{quantile}\"}} {}",
                 snap.quantile(q)
             );
         }
-        let _ = writeln!(out, "magic_serve_stage_us_sum{{stage=\"{name}\"}} {}", snap.sum());
-        let _ = writeln!(out, "magic_serve_stage_us_count{{stage=\"{name}\"}} {}", snap.count());
+        let _ = writeln!(out, "{name}_sum{{stage=\"{label}\"}} {}", snap.sum());
+        let _ = writeln!(out, "{name}_count{{stage=\"{label}\"}} {}", snap.count());
     }
 
     out
@@ -270,10 +206,22 @@ mod tests {
     }
 
     #[test]
+    fn families_match_the_rendered_type_lines() {
+        let (stats, _clock) = manual_stats();
+        let body = render_metrics(&stats, 0, 0, false);
+        let rendered: Vec<(&str, &str)> = body
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .collect();
+        assert_eq!(rendered, families());
+    }
+
+    #[test]
     fn samples_reflect_recorded_activity() {
         let (stats, clock) = manual_stats();
-        stats.record_request();
-        stats.record_request();
+        stats.record_request(1);
+        stats.record_request(2);
         stats.record_shed();
         stats.record_latency_us(1_000);
         stats.record_latency_us(3_000);

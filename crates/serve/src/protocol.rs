@@ -159,7 +159,9 @@ pub fn acfg_to_json(acfg: &Acfg) -> Value {
 ///
 /// Validates vertex indices, the attribute row count, and the
 /// 11-channel row width, so a malformed graph is rejected here instead
-/// of panicking inside the model.
+/// of panicking inside the model. The vertex count is checked against
+/// the attribute rows actually present before anything is sized by it,
+/// so a huge claimed count costs a 400, not an allocation.
 pub fn acfg_from_json(value: &Value) -> Result<Acfg, String> {
     let vertices = value
         .get("vertices")
@@ -168,11 +170,18 @@ pub fn acfg_from_json(value: &Value) -> Result<Acfg, String> {
     if vertices == 0 {
         return Err("acfg must have at least one vertex".into());
     }
-    let mut graph = DiGraph::new(vertices);
     let edges = value
         .get("edges")
         .and_then(Value::as_array)
         .ok_or("acfg requires an \"edges\" array")?;
+    let rows = value
+        .get("attributes")
+        .and_then(Value::as_array)
+        .ok_or("acfg requires an \"attributes\" array")?;
+    if rows.len() != vertices {
+        return Err(format!("expected {vertices} attribute rows, got {}", rows.len()));
+    }
+    let mut graph = DiGraph::new(vertices);
     for (i, edge) in edges.iter().enumerate() {
         let pair = edge.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
             format!("edge {i} must be a [from, to] pair")
@@ -183,13 +192,6 @@ pub fn acfg_from_json(value: &Value) -> Result<Acfg, String> {
             return Err(format!("edge {i} ({u} -> {v}) exceeds vertex count {vertices}"));
         }
         graph.add_edge(u, v);
-    }
-    let rows = value
-        .get("attributes")
-        .and_then(Value::as_array)
-        .ok_or("acfg requires an \"attributes\" array")?;
-    if rows.len() != vertices {
-        return Err(format!("expected {vertices} attribute rows, got {}", rows.len()));
     }
     let mut attributes = Tensor::zeros([vertices, NUM_ATTRIBUTES]);
     for (i, row) in rows.iter().enumerate() {
@@ -315,6 +317,19 @@ mod tests {
         assert!(acfg_from_json(&v).unwrap_err().contains("at least one vertex"));
         // Missing fields.
         assert!(acfg_from_json(&json!({"vertices": 1})).is_err());
+    }
+
+    #[test]
+    fn a_huge_vertex_count_is_rejected_before_allocating() {
+        // 10^15 vertices would be a petabyte-scale adjacency allocation
+        // (an abort, not a panic) if anything were sized by it first.
+        let v = json!({"vertices": 1e15, "edges": [], "attributes": []});
+        assert!(acfg_from_json(&v).unwrap_err().contains("attribute rows"));
+        let v = json!({"vertices": (u64::MAX as f64), "edges": [[0, 1]], "attributes": []});
+        assert!(acfg_from_json(&v).unwrap_err().contains("attribute rows"));
+        // A missing edges array is still reported, also before sizing.
+        let v = json!({"vertices": 1e15, "attributes": []});
+        assert!(acfg_from_json(&v).unwrap_err().contains("edges"));
     }
 
     #[test]

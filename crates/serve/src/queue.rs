@@ -157,8 +157,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Deepest the queue has ever been — how close the server came to
-    /// shedding. Monotone; surfaced as `queue_high_water` in `/statsz`
-    /// and `/metrics`.
+    /// shedding. Monotone; surfaced as `magic_serve_queue_high_water`
+    /// in `/metrics`.
     pub fn high_water(&self) -> usize {
         self.state.lock().unwrap().high_water
     }

@@ -11,14 +11,16 @@
 //! Each model worker owns one long-lived [`Tape`], so after the first
 //! few batches every workspace checkout is a pool hit — the serving
 //! counterpart of the training-loop zero-steady-state-allocation
-//! contract (asserted by the serve integration tests via `/statsz`).
+//! contract (asserted by the serve integration tests via `/metrics`).
 //!
 //! Every request is assigned a process-unique id and stamped through
 //! its lifecycle stages (`parse → extract → queue → execute → write`);
-//! the stamps feed the windowed stage histograms behind `/statsz` and
+//! the stamps feed the windowed stage histograms behind
 //! `GET /metrics`, the slow-request exemplar ring behind
 //! `GET /debug/slow`, and — when `--access-log` is set — one
 //! [`Event::ServeAccess`](magic_obs::Event) JSONL line per request.
+//! Each response is counted once by its status, just before it is
+//! written ([`ServeStats::record_response`]).
 //! Telemetry is observational only: it takes no locks on the model
 //! path and never changes what the model computes, so predictions are
 //! bitwise identical with it on or off.
@@ -52,6 +54,9 @@ use std::time::{Duration, Instant};
 /// connections cannot pin the IO threads or hold up graceful shutdown.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// The one route that runs the model.
+const PREDICT_PATH: &str = "/v1/predict";
+
 /// Tuning knobs for one server instance. Defaults match the CLI
 /// defaults documented in `docs/SERVING.md`.
 #[derive(Debug, Clone)]
@@ -82,8 +87,8 @@ pub struct ServeConfig {
     /// Path to append the JSONL access log to (`--access-log`). `None`
     /// disables access logging.
     pub access_log: Option<String>,
-    /// Span of the sliding telemetry window behind `/metrics` and the
-    /// `/statsz` quantiles, in seconds (`--metrics-window`).
+    /// Span of the sliding telemetry window behind the `/metrics` rates
+    /// and quantiles, in seconds (`--metrics-window`).
     pub metrics_window_s: u64,
 }
 
@@ -343,14 +348,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         }
         Err(HttpError::ConnectionClosed) | Err(HttpError::Io(_)) => return,
         Err(e @ HttpError::Malformed(_)) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
             (400, "application/json", Vec::new(), encode_error(&e.to_string()))
         }
         Err(e @ HttpError::BodyTooLarge { .. }) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
             (413, "application/json", Vec::new(), encode_error(&e.to_string()))
         }
     };
+    shared.stats.record_response(status, trace.path == PREDICT_PATH);
     let write_start = Instant::now();
     let _ = write_response_typed(&mut writer, status, content_type, &extra, &body);
     let write_us = write_start.elapsed().as_micros() as u64;
@@ -368,23 +372,17 @@ fn finish_request(
     total_us: u64,
     bytes_out: u64,
 ) {
-    let is_predict = trace.path == "/v1/predict";
+    let is_predict = trace.path == PREDICT_PATH;
+    // In `LifecycleStage::ALL` order.
+    let stages_us =
+        [trace.parse_us, trace.extract_us, trace.queue_us, trace.execute_us, write_us];
     if is_predict && status == 200 {
         // End-to-end latency + stage breakdown feed the windowed
         // quantiles; only successful predictions count, so tail shifts
         // are model-path signal rather than error-path noise.
         shared.stats.record_latency_us(total_us);
-        magic_obs::histogram(stage::H_SERVE_LATENCY_US, total_us as f64);
-        let stages = [
-            (LifecycleStage::Parse, stage::H_SERVE_PARSE_US, trace.parse_us),
-            (LifecycleStage::Extract, stage::H_SERVE_EXTRACT_US, trace.extract_us),
-            (LifecycleStage::QueueWait, stage::H_SERVE_QUEUE_WAIT_US, trace.queue_us),
-            (LifecycleStage::Execute, stage::H_SERVE_EXECUTE_US, trace.execute_us),
-            (LifecycleStage::Write, stage::H_SERVE_WRITE_US, write_us),
-        ];
-        for (lifecycle, name, us) in stages {
-            shared.stats.record_stage_us(lifecycle, us);
-            magic_obs::histogram(name, us as f64);
+        for (stage, us) in LifecycleStage::ALL.into_iter().zip(stages_us) {
+            shared.stats.record_stage_us(stage, us);
         }
     }
     if is_predict {
@@ -395,13 +393,7 @@ fn finish_request(
             ts_us: shared.stats.now_us(),
             status,
             batch: trace.batch,
-            stages_us: [
-                trace.parse_us,
-                trace.extract_us,
-                trace.queue_us,
-                trace.execute_us,
-                write_us,
-            ],
+            stages_us,
             total_us,
             family: trace.family.clone(),
         });
@@ -440,14 +432,6 @@ fn route(shared: &Shared, request: &Request, trace: &mut RequestTrace) -> Respon
                 (200, Vec::new(), "{\"status\":\"ok\"}".to_string())
             }
         }
-        ("GET", "/statsz") => {
-            let body = shared.stats.render(
-                shared.queue.depth(),
-                shared.queue.high_water() as u64,
-                draining,
-            );
-            (200, Vec::new(), body)
-        }
         ("GET", "/metrics") => {
             let body = render_metrics(
                 &shared.stats,
@@ -462,32 +446,23 @@ fn route(shared: &Shared, request: &Request, trace: &mut RequestTrace) -> Respon
             shared.begin_drain();
             (200, Vec::new(), "{\"status\":\"draining\"}".to_string())
         }
-        ("POST", "/v1/predict") => handle_predict(shared, request, trace),
-        (_, "/healthz" | "/statsz" | "/metrics" | "/debug/slow" | "/admin/shutdown"
-        | "/v1/predict") => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
+        ("POST", PREDICT_PATH) => handle_predict(shared, request, trace),
+        (_, "/healthz" | "/metrics" | "/debug/slow" | "/admin/shutdown" | PREDICT_PATH) => {
             (405, Vec::new(), encode_error("method not allowed"))
         }
-        (_, path) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            (404, Vec::new(), encode_error(&format!("no such endpoint: {path}")))
-        }
+        (_, path) => (404, Vec::new(), encode_error(&format!("no such endpoint: {path}"))),
     }
 }
 
 fn shed(shared: &Shared, why: &str) -> Response {
     shared.stats.record_shed();
-    magic_obs::counter(stage::C_SERVE_SHED, 1.0);
     (503, vec![("retry-after", "1".to_string())], encode_error(why))
 }
 
 fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) -> Response {
     let input = match parse_predict_request(request.header("content-type"), &request.body) {
         Ok(input) => input,
-        Err(why) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            return (400, Vec::new(), encode_error(&why));
-        }
+        Err(why) => return (400, Vec::new(), encode_error(&why)),
     };
     // Extraction (parse → CFG → ACFG) runs here on the IO thread, in
     // parallel across the IO pool; only the forward pass is batched.
@@ -495,10 +470,7 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
     let acfg = match input {
         RequestInput::Listing(listing) => match magic::extract_acfg(&listing) {
             Ok(acfg) => acfg,
-            Err(e) => {
-                shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                return (400, Vec::new(), encode_error(&e.to_string()));
-            }
+            Err(e) => return (400, Vec::new(), encode_error(&e.to_string())),
         },
         RequestInput::Acfg(acfg) => acfg,
     };
@@ -521,11 +493,7 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
         reply: reply_tx,
     };
     match shared.queue.try_push(job) {
-        Ok(depth) => {
-            shared.stats.record_request();
-            magic_obs::counter(stage::C_SERVE_REQUESTS, 1.0);
-            magic_obs::histogram(stage::H_SERVE_QUEUE_DEPTH, depth as f64);
-        }
+        Ok(depth) => shared.stats.record_request(depth),
         Err(PushError::Full) => return shed(shared, "queue full"),
         Err(PushError::Closed) => return shed(shared, "server is draining for shutdown"),
     }
@@ -535,7 +503,6 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
     match reply_rx.recv() {
         Ok(Reply::Probs { probs, batch_size, queue_wait_us, execute_us }) => {
             let queue_us = enqueued.elapsed().as_micros() as u64;
-            shared.stats.predictions.fetch_add(1, Ordering::Relaxed);
             trace.queue_us = queue_wait_us;
             trace.execute_us = execute_us;
             trace.batch = batch_size as u64;
@@ -557,13 +524,9 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
             (200, Vec::new(), body)
         }
         Ok(Reply::Expired) => {
-            shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             (504, Vec::new(), encode_error("deadline exceeded before execution"))
         }
-        Err(_) => {
-            shared.stats.internal_errors.fetch_add(1, Ordering::Relaxed);
-            (500, Vec::new(), encode_error("model worker lost"))
-        }
+        Err(_) => (500, Vec::new(), encode_error("model worker lost")),
     }
 }
 
@@ -599,11 +562,12 @@ fn model_worker_loop(shared: &Shared) {
         };
         let execute_us = execute_start.elapsed().as_micros() as u64;
         let after = tape.workspace_stats();
-        shared.stats.pool_hits.fetch_add(after.hits - before.hits, Ordering::Relaxed);
-        shared.stats.pool_misses.fetch_add(after.misses - before.misses, Ordering::Relaxed);
-        shared.stats.record_batch(live.len());
-        magic_obs::histogram(stage::H_SERVE_BATCH_SIZE, live.len() as f64);
         let batch_size = live.len();
+        shared.stats.record_batch(
+            batch_size,
+            after.hits - before.hits,
+            after.misses - before.misses,
+        );
         for (job, probs) in live.into_iter().zip(probs) {
             let queue_wait_us = now.saturating_duration_since(job.enqueued).as_micros() as u64;
             let _ = job.reply.send(Reply::Probs {

@@ -1,19 +1,22 @@
-//! Serving counters and windowed telemetry behind `/statsz`,
-//! `/metrics`, and `/debug/slow`.
+//! Serving counters and windowed telemetry behind `GET /metrics` and
+//! `GET /debug/slow`.
 //!
 //! Two kinds of state live here, both updated lock-free on the hot
 //! path:
 //!
 //! * **Cumulative-since-start counters** (requests, predictions, shed,
-//!   …): relaxed atomics, rendered as a racy-but-consistent-enough
-//!   snapshot. These answer "how much, ever" and survive in `/statsz`
-//!   unchanged for continuity.
+//!   …): relaxed atomics, read as a racy-but-consistent-enough
+//!   snapshot at scrape time. These answer "how much, ever".
 //! * **Windowed series** ([`magic_obs::timeseries`]): sliding-window
 //!   rates (req/s, shed/s, batches/s) and log-linear latency histograms
 //!   per lifecycle stage, answering "how much, *now*". Quantiles are
 //!   interpolated inside the winning bucket — exact to within one
-//!   bucket (≤ 12.5% relative error), far tighter than the power-of-two
-//!   upper bounds `/statsz` reported before `statsz_version` 2.
+//!   bucket (≤ 12.5% relative error).
+//!
+//! Every serve event is recorded once, through one `record_*` method:
+//! it updates the state here and emits the matching `serve.*` trace
+//! counter or histogram ([`magic_obs::stage`]), so the live `/metrics`
+//! view and a `--trace` file can never disagree about what was counted.
 //!
 //! Time comes from an injectable [`Clock`] so windowed behavior is
 //! deterministic under test; production uses a [`MonotonicClock`]
@@ -25,14 +28,12 @@
 //! breakdowns attached, not just a percentile.
 
 use magic_json::{json, Value};
-use magic_obs::timeseries::{Clock, MonotonicClock, WindowedCounter, WindowedHistogram};
+use magic_obs::stage;
+use magic_obs::timeseries::{
+    Clock, MonotonicClock, WindowSnapshot, WindowedCounter, WindowedHistogram,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Version stamp of the `/statsz` document layout. Bumped to 2 when
-/// the windowed interpolated quantiles replaced the log₂ upper bounds
-/// and `uptime_s`/`rates`/`stages_us` were added.
-pub const STATSZ_VERSION: u64 = 2;
 
 /// Slots retained in the slow-request exemplar ring.
 const SLOW_CAPACITY: usize = 16;
@@ -63,15 +64,25 @@ impl LifecycleStage {
         LifecycleStage::Write,
     ];
 
-    /// Stable short name used in `/statsz`, `/metrics` labels, and the
-    /// access-log schema docs.
+    /// Stable short name used in `/metrics` labels, `/debug/slow`, and
+    /// the access-log schema docs.
     pub fn name(self) -> &'static str {
+        self.names().0
+    }
+
+    /// Trace histogram this stage's durations are emitted under
+    /// (`serve.*_us`, see [`magic_obs::stage`]).
+    pub fn trace_name(self) -> &'static str {
+        self.names().1
+    }
+
+    fn names(self) -> (&'static str, &'static str) {
         match self {
-            LifecycleStage::Parse => "parse",
-            LifecycleStage::Extract => "extract",
-            LifecycleStage::QueueWait => "queue",
-            LifecycleStage::Execute => "execute",
-            LifecycleStage::Write => "write",
+            LifecycleStage::Parse => ("parse", stage::H_SERVE_PARSE_US),
+            LifecycleStage::Extract => ("extract", stage::H_SERVE_EXTRACT_US),
+            LifecycleStage::QueueWait => ("queue", stage::H_SERVE_QUEUE_WAIT_US),
+            LifecycleStage::Execute => ("execute", stage::H_SERVE_EXECUTE_US),
+            LifecycleStage::Write => ("write", stage::H_SERVE_WRITE_US),
         }
     }
 }
@@ -100,42 +111,49 @@ pub struct SlowExemplar {
 
 /// Shared serving counters + windowed telemetry; one instance per
 /// server, `Arc`-shared across IO threads, model workers, and the
-/// stats endpoints.
+/// telemetry endpoints.
+///
+/// The fields are crate-private: they are written only by the
+/// `record_*` methods below and read only by the `/metrics` registry
+/// in [`crate::metrics`].
 pub struct ServeStats {
     /// Predict requests accepted into the queue.
-    pub requests: AtomicU64,
+    pub(crate) requests: AtomicU64,
     /// Predict responses answered 200.
-    pub predictions: AtomicU64,
+    pub(crate) predictions: AtomicU64,
     /// Requests shed with 503 (queue full or draining).
-    pub shed: AtomicU64,
+    pub(crate) shed: AtomicU64,
     /// Requests expired with 504 (deadline passed before execution).
-    pub timeouts: AtomicU64,
+    pub(crate) timeouts: AtomicU64,
     /// Requests refused with a 4xx (bad body, bad route, oversized).
-    pub client_errors: AtomicU64,
+    pub(crate) client_errors: AtomicU64,
     /// Requests failed with 500 (e.g. worker reply channel lost).
-    pub internal_errors: AtomicU64,
+    pub(crate) internal_errors: AtomicU64,
     /// Micro-batches executed.
-    pub batches: AtomicU64,
+    pub(crate) batches: AtomicU64,
     /// Requests summed over executed batches (`batched_requests /
     /// batches` is the effective batching factor).
-    pub batched_requests: AtomicU64,
+    pub(crate) batched_requests: AtomicU64,
     /// Largest batch executed so far.
-    pub max_batch: AtomicU64,
+    pub(crate) max_batch: AtomicU64,
     /// Workspace-pool hits accumulated from worker tapes (per-batch
     /// deltas of `Tape::workspace_stats`).
-    pub pool_hits: AtomicU64,
+    pub(crate) pool_hits: AtomicU64,
     /// Workspace-pool misses accumulated from worker tapes. Flat after
     /// warm-up for a steady workload — the zero-steady-state-alloc
     /// contract, asserted by the serve integration tests.
-    pub pool_misses: AtomicU64,
-    latency_count: AtomicU64,
-    latency_sum_us: AtomicU64,
+    pub(crate) pool_misses: AtomicU64,
+    /// Cumulative count of 200-predict latencies.
+    pub(crate) latency_count: AtomicU64,
+    /// Cumulative sum of 200-predict latencies, µs.
+    pub(crate) latency_sum_us: AtomicU64,
+    /// Windowed event counts behind the `*_rate_per_s` gauges.
+    pub(crate) requests_window: WindowedCounter,
+    pub(crate) shed_window: WindowedCounter,
+    pub(crate) batches_window: WindowedCounter,
     next_request_id: AtomicU64,
     clock: Arc<dyn Clock>,
     started_us: u64,
-    requests_window: WindowedCounter,
-    shed_window: WindowedCounter,
-    batches_window: WindowedCounter,
     latency_window: WindowedHistogram,
     stage_windows: [WindowedHistogram; 5],
     slow: Mutex<Vec<SlowExemplar>>,
@@ -177,11 +195,11 @@ impl ServeStats {
             pool_misses: AtomicU64::new(0),
             latency_count: AtomicU64::new(0),
             latency_sum_us: AtomicU64::new(0),
-            next_request_id: AtomicU64::new(1),
-            started_us,
             requests_window: WindowedCounter::new(slots, SLOT_US),
             shed_window: WindowedCounter::new(slots, SLOT_US),
             batches_window: WindowedCounter::new(slots, SLOT_US),
+            next_request_id: AtomicU64::new(1),
+            started_us,
             latency_window: WindowedHistogram::new(slots, SLOT_US),
             stage_windows: std::array::from_fn(|_| WindowedHistogram::new(slots, SLOT_US)),
             slow: Mutex::new(Vec::with_capacity(SLOW_CAPACITY)),
@@ -200,49 +218,72 @@ impl ServeStats {
         (self.now_us().saturating_sub(self.started_us)) / 1_000_000
     }
 
-    /// The sliding-window span, in seconds.
-    pub fn window_s(&self) -> u64 {
-        self.requests_window.window_us() / 1_000_000
-    }
-
     /// Allocates the next process-unique request id.
     pub fn next_request_id(&self) -> u64 {
         self.next_request_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Records one accepted predict request (cumulative + windowed).
-    pub fn record_request(&self) {
+    /// Records one predict request accepted into the queue, which is
+    /// `queue_depth` deep right after the enqueue. Emits the
+    /// `serve.requests` counter and the `serve.queue_depth` histogram.
+    pub fn record_request(&self, queue_depth: usize) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.requests_window.add(self.now_us(), 1);
+        magic_obs::counter(stage::C_SERVE_REQUESTS, 1.0);
+        magic_obs::histogram(stage::H_SERVE_QUEUE_DEPTH, queue_depth as f64);
     }
 
-    /// Records one shed request (cumulative + windowed).
+    /// Records one shed request. Emits the `serve.shed` counter.
     pub fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
         self.shed_window.add(self.now_us(), 1);
+        magic_obs::counter(stage::C_SERVE_SHED, 1.0);
+    }
+
+    /// Counts one response by its HTTP status, before it is written:
+    /// a 200 to a predict request is a prediction, any 4xx a client
+    /// error, 500 an internal error, 504 a timeout. Sheds (503) are
+    /// counted where they happen, by [`ServeStats::record_shed`].
+    pub fn record_response(&self, status: u16, predict: bool) {
+        let counter = match status {
+            200 if predict => &self.predictions,
+            400..=499 => &self.client_errors,
+            500 => &self.internal_errors,
+            504 => &self.timeouts,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one end-to-end request latency (accept → response
     /// written) for a 200 predict response: cumulative count/sum plus
-    /// the windowed histogram backing the interpolated quantiles.
+    /// the windowed histogram backing the interpolated quantiles. Emits
+    /// the `serve.latency_us` histogram.
     pub fn record_latency_us(&self, us: u64) {
         self.latency_count.fetch_add(1, Ordering::Relaxed);
         self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
         self.latency_window.record(self.now_us(), us);
+        magic_obs::histogram(stage::H_SERVE_LATENCY_US, us as f64);
     }
 
     /// Records one lifecycle-stage duration into its windowed series.
+    /// Emits the stage's [`LifecycleStage::trace_name`] histogram.
     pub fn record_stage_us(&self, stage: LifecycleStage, us: u64) {
         self.stage_windows[stage as usize].record(self.now_us(), us);
+        magic_obs::histogram(stage.trace_name(), us as f64);
     }
 
-    /// Records an executed batch of `size` requests (cumulative +
-    /// windowed batch rate).
-    pub fn record_batch(&self, size: usize) {
+    /// Records an executed batch of `size` requests whose forward pass
+    /// made `pool_hits` and `pool_misses` workspace-pool checkouts.
+    /// Emits the `serve.batch_size` histogram.
+    pub fn record_batch(&self, size: usize, pool_hits: u64, pool_misses: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
+        self.pool_hits.fetch_add(pool_hits, Ordering::Relaxed);
+        self.pool_misses.fetch_add(pool_misses, Ordering::Relaxed);
         self.batches_window.add(self.now_us(), 1);
+        magic_obs::histogram(stage::H_SERVE_BATCH_SIZE, size as f64);
     }
 
     /// Offers a finished request to the slow-exemplar ring: kept if the
@@ -267,108 +308,14 @@ impl ServeStats {
         }
     }
 
-    /// Windowed interpolated quantile of end-to-end 200-predict
-    /// latency, µs. Returns 0 with no observations in the window.
-    pub fn latency_quantile_us(&self, q: f64) -> f64 {
-        self.latency_window.snapshot(self.now_us()).quantile(q)
-    }
-
-    /// Sliding-window rates per second: `(requests, shed, batches)`.
-    pub fn window_rates(&self) -> (f64, f64, f64) {
-        let now = self.now_us();
-        (
-            self.requests_window.rate_per_sec(now),
-            self.shed_window.rate_per_sec(now),
-            self.batches_window.rate_per_sec(now),
-        )
-    }
-
     /// Windowed snapshot of one stage's latency histogram.
-    pub fn stage_snapshot(
-        &self,
-        stage: LifecycleStage,
-    ) -> magic_obs::timeseries::WindowSnapshot {
+    pub fn stage_snapshot(&self, stage: LifecycleStage) -> WindowSnapshot {
         self.stage_windows[stage as usize].snapshot(self.now_us())
     }
 
     /// Windowed snapshot of the end-to-end latency histogram.
-    pub fn latency_snapshot(&self) -> magic_obs::timeseries::WindowSnapshot {
+    pub fn latency_snapshot(&self) -> WindowSnapshot {
         self.latency_window.snapshot(self.now_us())
-    }
-
-    /// Cumulative 200-predict latency count and sum (µs).
-    pub fn latency_totals(&self) -> (u64, u64) {
-        (
-            self.latency_count.load(Ordering::Relaxed),
-            self.latency_sum_us.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Renders the `/statsz` JSON document. `queue_depth`,
-    /// `queue_high_water`, and `draining` are sampled by the caller at
-    /// render time.
-    ///
-    /// Layout (`statsz_version` 2): cumulative counters and
-    /// `latency_us.count`/`mean` keep their v1 meaning; `p50`/`p90`/
-    /// `p99` are *windowed* interpolated quantiles over the last
-    /// `window_s` seconds, and `rates`/`stages_us` are new windowed
-    /// sections.
-    pub fn render(&self, queue_depth: usize, queue_high_water: u64, draining: bool) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let batches = load(&self.batches);
-        let fused = load(&self.batched_requests);
-        let mean_batch =
-            if batches == 0 { 0.0 } else { fused as f64 / batches as f64 };
-        let count = load(&self.latency_count);
-        let mean_latency =
-            if count == 0 { 0.0 } else { load(&self.latency_sum_us) as f64 / count as f64 };
-        let latency = self.latency_snapshot();
-        let (req_rate, shed_rate, batch_rate) = self.window_rates();
-        let mut stages = magic_json::Map::new();
-        for stage in LifecycleStage::ALL {
-            let snap = self.stage_snapshot(stage);
-            stages.insert(
-                stage.name(),
-                json!({
-                    "count": snap.count(),
-                    "p50": snap.quantile(0.50),
-                    "p99": snap.quantile(0.99),
-                }),
-            );
-        }
-        let body = json!({
-            "statsz_version": STATSZ_VERSION,
-            "uptime_s": self.uptime_s(),
-            "requests": load(&self.requests),
-            "predictions": load(&self.predictions),
-            "shed": load(&self.shed),
-            "timeouts": load(&self.timeouts),
-            "client_errors": load(&self.client_errors),
-            "internal_errors": load(&self.internal_errors),
-            "queue_depth": queue_depth as u64,
-            "queue_high_water": queue_high_water,
-            "draining": draining,
-            "batches": load(&self.batches),
-            "mean_batch_size": mean_batch,
-            "max_batch_size": load(&self.max_batch),
-            "pool_hits": load(&self.pool_hits),
-            "pool_misses": load(&self.pool_misses),
-            "window_s": self.window_s(),
-            "rates": {
-                "req_per_s": req_rate,
-                "shed_per_s": shed_rate,
-                "batches_per_s": batch_rate,
-            },
-            "latency_us": {
-                "count": count,
-                "mean": mean_latency,
-                "p50": latency.quantile(0.50),
-                "p90": latency.quantile(0.90),
-                "p99": latency.quantile(0.99),
-            },
-            "stages_us": Value::Object(stages),
-        });
-        magic_json::to_string(&body)
     }
 
     /// Renders the `GET /debug/slow` JSON document: retained slow
@@ -401,20 +348,19 @@ impl ServeStats {
     }
 }
 
-/// Parses a rendered `/statsz` body back into a JSON value — the
-/// client-side half used by tests and the load generator.
-pub fn parse_statsz(body: &str) -> Result<Value, String> {
-    magic_json::from_str(body).map_err(|e| format!("bad statsz body: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{render_metrics, scrape_labeled, scrape_value};
     use magic_obs::timeseries::{bucket_bounds, bucket_index, ManualClock};
 
     fn manual_stats() -> (ServeStats, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
         (ServeStats::with_window(60, Arc::clone(&clock) as Arc<dyn Clock>), clock)
+    }
+
+    fn stage_count(body: &str, stage: &str) -> Option<f64> {
+        scrape_labeled(body, "magic_serve_stage_us_count", &format!("stage=\"{stage}\""))
     }
 
     #[test]
@@ -427,7 +373,7 @@ mod tests {
         // Exact p50 = 5_000, p99 = 9_900; estimates must land in the
         // log-linear bucket holding the exact value.
         for (q, exact) in [(0.50, 5_000u64), (0.99, 9_900u64)] {
-            let est = stats.latency_quantile_us(q);
+            let est = stats.latency_snapshot().quantile(q);
             let (lo, hi) = bucket_bounds(bucket_index(exact));
             assert!(
                 est >= lo as f64 && est < hi as f64,
@@ -442,54 +388,79 @@ mod tests {
         stats.record_latency_us(8_000);
         clock.advance_us(120_000_000); // 2 minutes: outside the window
         stats.record_latency_us(100);
-        let v = parse_statsz(&stats.render(0, 0, false)).unwrap();
-        assert_eq!(v["latency_us"]["count"].as_u64(), Some(2), "cumulative count");
+        let body = render_metrics(&stats, 0, 0, false);
+        assert_eq!(scrape_value(&body, "magic_serve_latency_us_count"), Some(2.0), "cumulative");
         // The 8 ms observation has aged out; windowed p99 tracks only
         // the recent 100 µs one.
-        let p99 = v["latency_us"]["p99"].as_f64().unwrap();
+        let p99 = scrape_labeled(&body, "magic_serve_latency_us", "quantile=\"0.99\"").unwrap();
         assert!(p99 < 150.0, "p99 {p99} should reflect only the in-window sample");
-        assert_eq!(v["uptime_s"].as_u64(), Some(120));
+        assert_eq!(scrape_value(&body, "magic_serve_uptime_seconds"), Some(120.0));
     }
 
     #[test]
-    fn statsz_document_carries_version_uptime_and_rates() {
+    fn metrics_document_carries_uptime_and_rates() {
         let (stats, clock) = manual_stats();
         for _ in 0..120 {
-            stats.record_request();
+            stats.record_request(1);
         }
         clock.advance_us(30_000_000);
-        let v = parse_statsz(&stats.render(3, 7, false)).unwrap();
-        assert_eq!(v["statsz_version"].as_u64(), Some(STATSZ_VERSION));
-        assert_eq!(v["uptime_s"].as_u64(), Some(30));
-        assert_eq!(v["window_s"].as_u64(), Some(60));
-        assert_eq!(v["queue_depth"].as_u64(), Some(3));
-        assert_eq!(v["queue_high_water"].as_u64(), Some(7));
-        // 120 requests over a 60 s window = 2/s.
-        assert_eq!(v["rates"]["req_per_s"].as_f64(), Some(2.0));
+        let body = render_metrics(&stats, 3, 7, false);
+        assert_eq!(scrape_value(&body, "magic_serve_uptime_seconds"), Some(30.0));
+        assert_eq!(scrape_value(&body, "magic_serve_queue_depth"), Some(3.0));
+        assert_eq!(scrape_value(&body, "magic_serve_queue_high_water"), Some(7.0));
+        // 120 requests over the 60 s window = 2/s.
+        assert_eq!(scrape_value(&body, "magic_serve_request_rate_per_s"), Some(2.0));
     }
 
     #[test]
     fn empty_stats_render_zeroes() {
         let stats = ServeStats::new();
-        let v = parse_statsz(&stats.render(0, 0, false)).unwrap();
-        assert_eq!(v["requests"].as_u64(), Some(0));
-        assert_eq!(v["latency_us"]["p99"].as_f64(), Some(0.0));
-        assert_eq!(v["draining"].as_bool(), Some(false));
-        assert_eq!(v["stages_us"]["queue"]["count"].as_u64(), Some(0));
+        let body = render_metrics(&stats, 0, 0, false);
+        assert_eq!(scrape_value(&body, "magic_serve_requests_total"), Some(0.0));
+        let p99 = scrape_labeled(&body, "magic_serve_latency_us", "quantile=\"0.99\"");
+        assert_eq!(p99, Some(0.0));
+        assert_eq!(scrape_value(&body, "magic_serve_draining"), Some(0.0));
+        assert_eq!(stage_count(&body, "queue"), Some(0.0));
     }
 
     #[test]
     fn batch_accounting_tracks_mean_and_max() {
         let stats = ServeStats::new();
-        stats.record_batch(1);
-        stats.record_batch(3);
-        stats.record_batch(8);
-        let v = parse_statsz(&stats.render(2, 2, true)).unwrap();
-        assert_eq!(v["batches"].as_u64(), Some(3));
-        assert_eq!(v["mean_batch_size"].as_f64(), Some(4.0));
-        assert_eq!(v["max_batch_size"].as_u64(), Some(8));
-        assert_eq!(v["queue_depth"].as_u64(), Some(2));
-        assert_eq!(v["draining"].as_bool(), Some(true));
+        stats.record_batch(1, 0, 0);
+        stats.record_batch(3, 0, 0);
+        stats.record_batch(8, 0, 0);
+        let body = render_metrics(&stats, 2, 2, true);
+        let batches = scrape_value(&body, "magic_serve_batches_total").unwrap();
+        let fused = scrape_value(&body, "magic_serve_batched_requests_total").unwrap();
+        assert_eq!(batches, 3.0);
+        assert_eq!(fused / batches, 4.0, "mean batch size");
+        assert_eq!(scrape_value(&body, "magic_serve_max_batch_size"), Some(8.0));
+        assert_eq!(scrape_value(&body, "magic_serve_queue_depth"), Some(2.0));
+        assert_eq!(scrape_value(&body, "magic_serve_draining"), Some(1.0));
+    }
+
+    #[test]
+    fn responses_are_counted_by_status_class() {
+        let stats = ServeStats::new();
+        for (status, predict) in [
+            (200, true),
+            (200, true),
+            (200, false), // a /metrics scrape is not a prediction
+            (400, true),
+            (404, false),
+            (413, false),
+            (500, true),
+            (503, true), // sheds are counted by record_shed
+            (504, true),
+        ] {
+            stats.record_response(status, predict);
+        }
+        let body = render_metrics(&stats, 0, 0, false);
+        assert_eq!(scrape_value(&body, "magic_serve_predictions_total"), Some(2.0));
+        assert_eq!(scrape_value(&body, "magic_serve_client_errors_total"), Some(3.0));
+        assert_eq!(scrape_value(&body, "magic_serve_internal_errors_total"), Some(1.0));
+        assert_eq!(scrape_value(&body, "magic_serve_timeouts_total"), Some(1.0));
+        assert_eq!(scrape_value(&body, "magic_serve_shed_total"), Some(0.0));
     }
 
     #[test]
@@ -524,18 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_statsz_rejects_malformed_and_truncated_bodies() {
-        assert!(parse_statsz("").is_err());
-        assert!(parse_statsz("not json at all").is_err());
-        assert!(parse_statsz("{\"requests\": 1").is_err()); // truncated
-        assert!(parse_statsz("{\"requests\":}").is_err());
-        // Valid JSON parses even if fields are missing — readers index
-        // defensively.
-        let v = parse_statsz("{}").unwrap();
-        assert!(v["requests"].as_u64().is_none());
-    }
-
-    #[test]
     fn concurrent_recording_reconciles_with_render() {
         let (stats, _clock) = manual_stats();
         let stats = Arc::new(stats);
@@ -544,29 +503,29 @@ mod tests {
                 let stats = Arc::clone(&stats);
                 std::thread::spawn(move || {
                     for i in 0..2_500u64 {
-                        stats.record_request();
+                        stats.record_request(1);
                         stats.record_latency_us(t * 500 + i % 1_000 + 1);
-                        stats.record_batch(((i % 7) + 1) as usize);
+                        stats.record_batch(((i % 7) + 1) as usize, 0, 0);
                         stats.record_stage_us(LifecycleStage::QueueWait, i % 100);
                     }
                 })
             })
             .collect();
         // Hammer render concurrently with the writers: totals observed
-        // mid-flight never overshoot, and the document always parses.
+        // mid-flight never overshoot, and every sample is present.
         for _ in 0..50 {
-            let v = parse_statsz(&stats.render(0, 0, false)).unwrap();
-            assert!(v["requests"].as_u64().unwrap() <= 10_000);
-            assert!(v["latency_us"]["count"].as_u64().unwrap() <= 10_000);
+            let body = render_metrics(&stats, 0, 0, false);
+            assert!(scrape_value(&body, "magic_serve_requests_total").unwrap() <= 10_000.0);
+            assert!(scrape_value(&body, "magic_serve_latency_us_count").unwrap() <= 10_000.0);
         }
         for w in writers {
             w.join().unwrap();
         }
-        let v = parse_statsz(&stats.render(0, 0, false)).unwrap();
-        assert_eq!(v["requests"].as_u64(), Some(10_000));
-        assert_eq!(v["latency_us"]["count"].as_u64(), Some(10_000));
-        assert_eq!(v["batches"].as_u64(), Some(10_000));
-        assert_eq!(v["stages_us"]["queue"]["count"].as_u64(), Some(10_000));
+        let body = render_metrics(&stats, 0, 0, false);
+        assert_eq!(scrape_value(&body, "magic_serve_requests_total"), Some(10_000.0));
+        assert_eq!(scrape_value(&body, "magic_serve_latency_us_count"), Some(10_000.0));
+        assert_eq!(scrape_value(&body, "magic_serve_batches_total"), Some(10_000.0));
+        assert_eq!(stage_count(&body, "queue"), Some(10_000.0));
         // The windowed histogram agrees with the cumulative counter
         // because the manual clock never advanced: every observation is
         // still inside the window.

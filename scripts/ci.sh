@@ -25,103 +25,52 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-# Perf-regression gate: re-measure the quick training benchmark and
-# compare against the committed baseline. The gate only fires when the
-# baseline was recorded on this same machine (cross-host timings don't
-# compare); on a fresh host it prints a skip notice and stays green
-# until `scripts/bench_snapshot.sh` commits a local baseline.
-echo "==> perf gate: quick bench vs committed baseline"
-BASELINE=results/BENCH_train_parallel_quick.json
-if [ -f "$BASELINE" ]; then
+# Perf-regression gates: re-measure each quick benchmark and compare it
+# against its committed baseline. A gate only fires when the baseline
+# was recorded on this same machine (cross-host timings don't compare);
+# on a fresh host it prints a skip notice and stays green until
+# `scripts/bench_snapshot.sh` commits a local baseline.
+#
+# perf_gate <bench> <baseline> <threshold>
+perf_gate() {
+    local bench="$1" baseline="$2" threshold="$3"
+    echo "==> perf gate: quick $bench bench vs committed baseline"
+    if [ ! -f "$baseline" ]; then
+        echo "no committed baseline at $baseline; skipping perf gate"
+        return
+    fi
     # Absolute path: cargo runs bench binaries from the package dir,
     # not the workspace root.
     MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench train_parallel
+        cargo bench -q -p magic-bench --bench "$bench"
     ./target/release/magic bench diff \
-        "$BASELINE" target/ci-bench/BENCH_train_parallel_quick.json \
-        --threshold 0.20 --require-same-machine
-else
-    echo "no committed baseline at $BASELINE; skipping perf gate"
-fi
+        "$baseline" "target/ci-bench/$(basename "$baseline")" \
+        --threshold "$threshold" --require-same-machine
+}
 
-echo "==> perf gate: quick graph_conv bench vs committed baseline"
-GC_BASELINE=results/BENCH_graph_conv_quick.json
-if [ -f "$GC_BASELINE" ]; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench graph_conv
-    ./target/release/magic bench diff \
-        "$GC_BASELINE" target/ci-bench/BENCH_graph_conv_quick.json \
-        --threshold 0.20 --require-same-machine
-else
-    echo "no committed baseline at $GC_BASELINE; skipping perf gate"
-fi
-
-echo "==> perf gate: quick conv_head bench vs committed baseline"
+perf_gate train_parallel results/BENCH_train_parallel_quick.json 0.20
+perf_gate graph_conv results/BENCH_graph_conv_quick.json 0.20
 # Wider threshold than the other gates: the conv_head quick cells are
 # sub-millisecond and their medians swing ±30% run-to-run on a busy
 # 1-core container (measured band; the train_parallel ms-scale gate
 # stays within ±5%). 0.40 still fails hard on a ≥2x kernel slowdown
 # such as losing the GEMM lowering.
-CH_BASELINE=results/BENCH_conv_head_quick.json
-if [ -f "$CH_BASELINE" ]; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench conv_head
-    ./target/release/magic bench diff \
-        "$CH_BASELINE" target/ci-bench/BENCH_conv_head_quick.json \
-        --threshold 0.40 --require-same-machine
-else
-    echo "no committed baseline at $CH_BASELINE; skipping perf gate"
-fi
-
-echo "==> perf gate: quick batched_forward bench vs committed baseline"
+perf_gate conv_head results/BENCH_conv_head_quick.json 0.40
 # Same wide threshold as conv_head: the quick cells are single-digit
 # millisecond training epochs (one per pooling head) on a 1-core
 # container and swing with host load. 0.40 still catches a step change
 # in the per-head epoch cost.
-BF_BASELINE=results/BENCH_batched_forward_quick.json
-if [ -f "$BF_BASELINE" ]; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench batched_forward
-    ./target/release/magic bench diff \
-        "$BF_BASELINE" target/ci-bench/BENCH_batched_forward_quick.json \
-        --threshold 0.40 --require-same-machine
-else
-    echo "no committed baseline at $BF_BASELINE; skipping perf gate"
-fi
-
-echo "==> perf gate: quick serve_load bench vs committed baseline"
+perf_gate batched_forward results/BENCH_batched_forward_quick.json 0.40
 # Wide threshold like the other sub-ms gates: loopback HTTP latency on
 # a busy container swings run-to-run. The gated row is the p50 of the
 # closed-loop load generator; 0.40 still fails hard on the step change
 # of losing micro-batching or warm-tape reuse in the serving path.
-SV_BASELINE=results/BENCH_serve_quick.json
-if [ -f "$SV_BASELINE" ]; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench serve_load
-    ./target/release/magic bench diff \
-        "$SV_BASELINE" target/ci-bench/BENCH_serve_quick.json \
-        --threshold 0.40 --require-same-machine
-else
-    echo "no committed baseline at $SV_BASELINE; skipping perf gate"
-fi
-
-echo "==> perf gate: quick corpus_cache bench vs committed baseline"
+perf_gate serve_load results/BENCH_serve_quick.json 0.40
 # Wide threshold like the other quick gates: the warm-load cell is
 # single-digit milliseconds and tracks disk/page-cache state. 0.40
 # still fails hard on the step change of losing the parallel shard
 # decode or falling back to generate+extract.
-CC_BASELINE=results/BENCH_corpus_cache_quick.json
-if [ -f "$CC_BASELINE" ]; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench corpus_cache
-    ./target/release/magic bench diff \
-        "$CC_BASELINE" target/ci-bench/BENCH_corpus_cache_quick.json \
-        --threshold 0.40 --require-same-machine
-else
-    echo "no committed baseline at $CC_BASELINE; skipping perf gate"
-fi
-
-echo "==> perf gate: quick graph_reduce bench vs committed baseline"
+perf_gate corpus_cache results/BENCH_corpus_cache_quick.json 0.40
 # Widest threshold of the gates: the gated rows are 11-37 ms training
 # epochs whose *whole-run* medians swing up to ~1.7x with container
 # load (measured band; per-sample medians don't dampen a systemically
@@ -129,16 +78,7 @@ echo "==> perf gate: quick graph_reduce bench vs committed baseline"
 # shrink graphs, snapping the coarsen:2 epoch back to the unreduced
 # cost — is >=3x, so 1.00 still fails hard on it. The one-off
 # reduce-pass rows are deliberately not gated (keyed `pass_median_ns`).
-GR_BASELINE=results/BENCH_graph_reduce_quick.json
-if [ -f "$GR_BASELINE" ]; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench graph_reduce
-    ./target/release/magic bench diff \
-        "$GR_BASELINE" target/ci-bench/BENCH_graph_reduce_quick.json \
-        --threshold 1.00 --require-same-machine
-else
-    echo "no committed baseline at $GR_BASELINE; skipping perf gate"
-fi
+perf_gate graph_reduce results/BENCH_graph_reduce_quick.json 1.00
 
 echo "==> reduce gate: mismatched-strategy cache opens fail with a typed error"
 # A cache stores *reduced* graphs, so serving it under a different

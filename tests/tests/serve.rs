@@ -10,6 +10,7 @@ use magic::MagicPipeline;
 use magic_integration::serve_client::{predict, request, request_bytes};
 use magic_integration::synthetic_listing;
 use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
+use magic_serve::metrics::scrape_value;
 use magic_serve::{start, ServeConfig};
 use std::sync::{Arc, Barrier};
 
@@ -203,6 +204,24 @@ fn deeply_nested_json_gets_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn a_huge_vertex_count_gets_400_and_the_server_keeps_serving() {
+    let handle = start(test_pipeline(), test_config()).unwrap();
+    let addr = handle.addr();
+
+    // 60 bytes claiming 10^15 vertices: sizing the graph before
+    // checking it against the attribute rows would ask for petabytes
+    // and abort the whole daemon; the row-count check answers 400.
+    let hostile = r#"{"acfg":{"vertices":1e15,"edges":[],"attributes":[]}}"#;
+    let response = predict(addr, hostile);
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("attribute rows"), "{}", response.body);
+
+    let ok = predict(addr, &synthetic_listing(3));
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    handle.shutdown();
+}
+
+#[test]
 fn steady_state_serving_never_misses_the_workspace_pool() {
     let mut config = test_config();
     config.workers = 1; // a single long-lived tape owns the pool
@@ -211,35 +230,36 @@ fn steady_state_serving_never_misses_the_workspace_pool() {
     let addr = handle.addr();
     let listing = synthetic_listing(8);
 
-    let statsz = |addr| {
-        let response = request(addr, "GET", "/statsz", "");
+    let metrics = |addr| {
+        let response = request(addr, "GET", "/metrics", "");
         assert_eq!(response.status, 200);
-        magic_json::from_str(&response.body).unwrap()
+        response.body
     };
+    let value = |body: &str, name| scrape_value(body, name).unwrap();
 
     // Warm-up: the first identical requests populate the size classes.
     for _ in 0..4 {
         assert_eq!(predict(addr, &listing).status, 200);
     }
-    let warm = statsz(addr);
-    let warm_misses = warm["pool_misses"].as_u64().unwrap();
-    let warm_hits = warm["pool_hits"].as_u64().unwrap();
-    assert!(warm_misses > 0, "a cold pool must miss");
-    assert!(warm_hits > 0, "repeated shapes must start hitting during warm-up");
+    let warm = metrics(addr);
+    let warm_misses = value(&warm, "magic_serve_pool_misses_total");
+    let warm_hits = value(&warm, "magic_serve_pool_hits_total");
+    assert!(warm_misses > 0.0, "a cold pool must miss");
+    assert!(warm_hits > 0.0, "repeated shapes must start hitting during warm-up");
 
     // Steady state: same request shape → zero new pool misses.
     for _ in 0..6 {
         assert_eq!(predict(addr, &listing).status, 200);
     }
-    let steady = statsz(addr);
+    let steady = metrics(addr);
     assert_eq!(
-        steady["pool_misses"].as_u64().unwrap(),
+        value(&steady, "magic_serve_pool_misses_total"),
         warm_misses,
         "steady-state serving allocated fresh buffers"
     );
-    assert!(steady["pool_hits"].as_u64().unwrap() > warm_hits);
-    assert_eq!(steady["predictions"].as_u64().unwrap(), 10);
-    assert_eq!(steady["internal_errors"].as_u64().unwrap(), 0);
+    assert!(value(&steady, "magic_serve_pool_hits_total") > warm_hits);
+    assert_eq!(value(&steady, "magic_serve_predictions_total"), 10.0);
+    assert_eq!(value(&steady, "magic_serve_internal_errors_total"), 0.0);
     handle.shutdown();
 }
 

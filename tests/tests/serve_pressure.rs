@@ -10,6 +10,7 @@ use magic::MagicPipeline;
 use magic_integration::serve_client::{predict, request};
 use magic_integration::synthetic_listing;
 use magic_model::{Dgcnn, DgcnnConfig, PoolingHead};
+use magic_serve::metrics::scrape_value;
 use magic_serve::{start, ServeConfig};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -65,9 +66,9 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
         assert!(r.body.contains("error"), "{}", r.body);
     }
 
-    let stats = magic_json::from_str(&request(addr, "GET", "/statsz", "").body).unwrap();
-    assert_eq!(stats["shed"].as_u64().unwrap(), shed.len() as u64);
-    assert_eq!(stats["predictions"].as_u64().unwrap(), served as u64);
+    let metrics = request(addr, "GET", "/metrics", "").body;
+    assert_eq!(scrape_value(&metrics, "magic_serve_shed_total"), Some(shed.len() as f64));
+    assert_eq!(scrape_value(&metrics, "magic_serve_predictions_total"), Some(served as f64));
     handle.shutdown();
 }
 

