@@ -13,6 +13,9 @@
 //! plain `bool` — cheaper than the relaxed atomic load budget the
 //! observability contract allows.
 //!
+//! Host-side work outside the tape is timed into [`PHASE_HOST`] rows by
+//! one helper, [`time_host`] ([`crate::Tape::host`] on a tape).
+//!
 //! # FLOP accounting
 //!
 //! FLOP counts follow the standard dense-kernel conventions, documented
@@ -58,6 +61,7 @@
 //!   usual two-gradient heuristic for dense kernels).
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Phase label for forward execution.
 pub const PHASE_FORWARD: &str = "fwd";
@@ -205,6 +209,35 @@ impl OpProfile {
     pub fn total_self_ns(&self) -> u64 {
         self.rows.values().map(|s| s.self_ns).sum()
     }
+
+    /// Runs `f`, recording its wall-clock time as one [`PHASE_HOST`] call
+    /// of `kind` when `on` (see [`time_host`]).
+    pub fn time_host<R>(&mut self, on: bool, kind: &'static str, f: impl FnOnce() -> R) -> R {
+        time_host(self, on, kind, |p| p, |_| f())
+    }
+}
+
+/// The one host-row timer: runs `f(state)` and, when `on`, records its
+/// wall-clock time as one [`PHASE_HOST`] call of `kind` (no shape class,
+/// FLOPs or bytes) into the profile `profile` picks out of `state`.
+/// Passing `state` through lets `f` use the profile's owner, e.g. a
+/// [`crate::Tape`] binding parameters onto itself. Off, this is one
+/// branch and a direct call; the clock is never read.
+pub fn time_host<S: ?Sized, R>(
+    state: &mut S,
+    on: bool,
+    kind: &'static str,
+    profile: fn(&mut S) -> &mut OpProfile,
+    f: impl FnOnce(&mut S) -> R,
+) -> R {
+    if !on {
+        return f(state);
+    }
+    let start = Instant::now();
+    let out = f(state);
+    let self_ns = start.elapsed().as_nanos() as u64;
+    profile(state).record(OpKey { kind, phase: PHASE_HOST, shape_bucket: 0 }, self_ns, 0, 0);
+    out
 }
 
 #[cfg(test)]
@@ -287,5 +320,18 @@ mod tests {
         let taken = a.take();
         assert!(a.is_empty());
         assert_eq!(taken.sorted_rows().len(), 2);
+    }
+
+    #[test]
+    fn time_host_records_one_host_call_only_when_on() {
+        let mut p = OpProfile::new();
+        assert_eq!(p.time_host(false, "optimizer.step", || 7), 7);
+        assert!(p.is_empty(), "off records nothing");
+        p.time_host(true, "optimizer.step", || ());
+        p.time_host(true, "optimizer.step", || ());
+        let rows = p.sorted_rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0, OpKey { kind: "optimizer.step", phase: PHASE_HOST, shape_bucket: 0 });
+        assert_eq!((rows[0].1.calls, rows[0].1.flops, rows[0].1.bytes_out), (2, 0, 0));
     }
 }

@@ -229,6 +229,15 @@ impl Tape {
         self.profile.take()
     }
 
+    /// Runs host-side work `f` against this tape (binding parameters onto
+    /// it, reading its gradients out) and, while profiling is on, records
+    /// its wall-clock time as one `host`-phase call of `kind` in the
+    /// tape's profile, via [`profile::time_host`].
+    pub fn host<R>(&mut self, kind: &'static str, f: impl FnOnce(&mut Tape) -> R) -> R {
+        let on = self.profiling;
+        profile::time_host(self, on, kind, |tape| &mut tape.profile, f)
+    }
+
     /// Prepares the tape for the next sample, keeping allocations.
     ///
     /// This is the worker-reuse entry point: data-parallel training

@@ -8,7 +8,7 @@
 //! families (bigger programs, heavier junk/splitting obfuscation, shifted
 //! instruction mixes), and watch accuracy decay.
 
-use magic::trainer::{evaluate, Trainer};
+use magic::trainer::{evaluate_with, Trainer};
 use magic_bench::experiments::{best_params, Corpus};
 use magic_bench::results::{bar, write_result};
 use magic_bench::RunArgs;
@@ -43,7 +43,7 @@ fn main() {
     // Hold out the last 20% as the in-distribution reference.
     let cut = train_inputs.len() * 4 / 5;
     trainer.train(&mut model, &train_inputs, &train_labels, &idx[..cut], &idx[cut..]);
-    let (_, in_dist) = evaluate(&model, &train_inputs, &train_labels, &idx[cut..]);
+    let (_, in_dist) = evaluate_with(1, &model, &train_inputs, &train_labels, &idx[cut..]);
     println!("in-distribution held-out accuracy: {in_dist:.4}\n");
 
     println!("{:<8} {:<44} {:>9}", "drift", "", "accuracy");
@@ -53,7 +53,7 @@ fn main() {
         let (inputs, labels) =
             corpus_inputs(&mut YancfgGenerator::with_drift(args.seed + 104_729, args.scale, drift));
         let all: Vec<usize> = (0..inputs.len()).collect();
-        let (_, accuracy) = evaluate(&model, &inputs, &labels, &all);
+        let (_, accuracy) = evaluate_with(1, &model, &inputs, &labels, &all);
         println!("{drift:<8} {} {accuracy:>9.4}", bar(accuracy, 1.0, 42));
         rows.push(json!({ "drift": drift, "accuracy": accuracy }));
     }

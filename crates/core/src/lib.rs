@@ -52,5 +52,5 @@ pub use corpus_cache::{
 pub use cv::{cross_validate, CvOutcome};
 pub use executor::{workers_per_concurrent_run, Lanes};
 pub use pipeline::{extract_acfg, extract_acfgs_parallel, MagicPipeline, PipelineError};
-pub use trainer::{evaluate, evaluate_with, EpochStats, TrainConfig, Trainer, TrainOutcome};
+pub use trainer::{evaluate_with, EpochStats, TrainConfig, Trainer, TrainOutcome};
 pub use tuning::{GridSearch, HeadKind, HyperParams, SearchOutcome};

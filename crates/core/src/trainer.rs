@@ -14,16 +14,24 @@
 //! a shared generator, training is bitwise identical for any
 //! `train_workers` value. The kernels themselves are single-threaded:
 //! all parallelism is across samples.
+//!
+//! # Telemetry
+//!
+//! Host rows are timed by one helper, [`profile::time_host`]: lane work
+//! (`param.bind`, `grad.accumulate`) records into the lane tape's
+//! profile via [`Tape::host`], the serial reduce, clip, step and
+//! evaluation into one trainer-owned [`OpProfile`] merged with the lanes
+//! at epoch end. The only other epoch timer is the fan-out wall-clock.
+//! Untraced, a timed region is one branch and a direct call.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use magic_autograd::{profile, OpProfile, Tape};
 use magic_data::{batches, StreamedCorpus};
 use magic_model::{Dgcnn, GraphBatch, GraphInput};
-use magic_nn::{Adam, GradBuffer, Optimizer, ParamStore, ReduceLrOnPlateau};
+use magic_nn::{Adam, GradBuffer, Optimizer, ReduceLrOnPlateau};
 use magic_tensor::Rng64;
 
 use crate::executor::Lanes;
@@ -44,7 +52,7 @@ enum SampleSource<'a> {
     Stream(&'a StreamedCorpus),
 }
 
-impl<'a> SampleSource<'a> {
+impl SampleSource<'_> {
     fn len(&self) -> usize {
         match self {
             SampleSource::Ram(inputs) => inputs.len(),
@@ -52,41 +60,29 @@ impl<'a> SampleSource<'a> {
         }
     }
 
-    /// Runs `consume` over `idx` in `chunk_size` chunks. A streamed
-    /// source hands each chunk's records in, prefetched (parallel to the
-    /// chunk's positions); an in-memory source hands in `None` and
-    /// [`SampleSource::input`] resolves positions against the resident
-    /// slice.
+    /// Runs `consume` over `idx` in `chunk_size` chunks, handing in each
+    /// chunk's global indices and its inputs (parallel to the indices):
+    /// borrowed from the resident slice, or decoded by the prefetch
+    /// thread for a streamed source.
     fn for_each_chunk(
         self,
         idx: &[usize],
         chunk_size: usize,
-        mut consume: impl FnMut(&[usize], Option<&[GraphInput]>),
+        mut consume: impl FnMut(&[usize], &[&GraphInput]),
     ) {
         match self {
-            SampleSource::Ram(_) => {
+            SampleSource::Ram(inputs) => {
                 for chunk in batches(idx, chunk_size) {
-                    consume(&chunk, None);
+                    let chunk_inputs: Vec<&GraphInput> =
+                        chunk.iter().map(|&i| &inputs[i]).collect();
+                    consume(&chunk, &chunk_inputs);
                 }
             }
             SampleSource::Stream(corpus) => {
                 with_prefetched_chunks(corpus, idx, chunk_size, |chunk, fetched| {
-                    consume(chunk, Some(fetched))
+                    consume(chunk, &fetched.iter().collect::<Vec<_>>())
                 });
             }
-        }
-    }
-
-    /// The input at position `j` of a chunk handed out by
-    /// [`SampleSource::for_each_chunk`].
-    fn input<'b>(self, fetched: Option<&'b [GraphInput]>, chunk: &[usize], j: usize) -> &'b GraphInput
-    where
-        'a: 'b,
-    {
-        match (fetched, self) {
-            (Some(f), _) => &f[j],
-            (None, SampleSource::Ram(inputs)) => &inputs[chunk[j]],
-            (None, SampleSource::Stream(_)) => unreachable!("streamed chunks are always prefetched"),
         }
     }
 }
@@ -312,11 +308,12 @@ impl Trainer {
         // sequentially, so the lock is never contended) and one gradient
         // buffer per batch position, so the reduction below can replay
         // the serial float-addition order exactly.
-        let tapes: Vec<Mutex<Tape>> =
-            (0..lanes.workers()).map(|_| Mutex::new(Tape::new())).collect();
+        let lane_state: Vec<Mutex<Lane>> = (0..lanes.workers()).map(|_| Mutex::default()).collect();
         let grad_slots: Vec<Mutex<GradBuffer>> = (0..self.config.batch_size)
             .map(|_| Mutex::new(GradBuffer::for_store(model.store())))
             .collect();
+        // Host rows timed on this thread: reduce, clip, step, evaluate.
+        let mut host = OpProfile::new();
 
         let mut rng = Rng64::new(self.config.seed);
         let mut optimizer = Adam::new(self.config.learning_rate, self.config.weight_decay);
@@ -348,22 +345,8 @@ impl Trainer {
             let traced = magic_obs::is_enabled();
             let _epoch_span =
                 magic_obs::span_fields(magic_obs::stage::TRAIN_EPOCH, &[("epoch", epoch as f64)]);
-            let worker_busy: Vec<AtomicU64> =
-                (0..lanes.workers()).map(|_| AtomicU64::new(0)).collect();
-            let mut fanout_us = 0u64;
-            let mut update_us = 0u64;
-            // Host-side pseudo-op self times (ns), attributed alongside
-            // the tape ops so `magic profile` can explain the epoch's
-            // wall-clock: param binding and gradient accumulation happen
-            // inside worker jobs (atomic adds), reduce/clip/step and
-            // evaluation happen on this thread.
-            let bind_ns = AtomicU64::new(0);
-            let accum_ns = AtomicU64::new(0);
-            let mut reduce_ns = 0u64;
-            let mut clip_ns = 0u64;
-            let mut step_ns = 0u64;
-            for tape in &tapes {
-                tape.lock().expect("unpoisoned tape").set_profiling(traced);
+            for lane in &lane_state {
+                lane.lock().expect("unpoisoned lane").tape.set_profiling(traced);
             }
             if traced {
                 magic_tensor::mem::reset_peak();
@@ -371,138 +354,126 @@ impl Trainer {
 
             rng.shuffle(&mut order);
             let mut train_loss_total = 0.0;
+            let mut fanout = Duration::ZERO;
             // The mini-batch body, generic over where samples live.
             // Everything numeric — batch composition, dropout streams,
             // reduction orders — depends only on the global indices in
             // `batch`, which is what keeps the two sources bitwise
             // identical.
-            source.for_each_chunk(&order, self.config.batch_size, |batch, fetched| {
+            source.for_each_chunk(&order, self.config.batch_size, |batch, inputs| {
                 let store = model.store();
                 let fanout_start = traced.then(Instant::now);
                 let losses: Vec<f32> = lanes.run(batch.len(), |worker, j| {
-                    let busy_start = traced.then(Instant::now);
-                    let i = batch[j];
-                    let mut tape = tapes[worker].lock().expect("unpoisoned tape");
-                    tape.reset();
-                    let bind_start = busy_start.map(|_| Instant::now());
-                    let binding = store.bind(&mut tape);
-                    if let Some(start) = bind_start {
-                        bind_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                    // Dropout draws come from a stream keyed on
-                    // (seed, epoch, sample), not on batch composition or
-                    // scheduling, so every worker count sees the same
-                    // noise.
-                    let mut sample_rng =
-                        Rng64::for_sample(self.config.seed, epoch as u64, i as u64);
-                    let sample = GraphBatch::single(source.input(fetched, batch, j));
-                    let lp = model.forward(
-                        &mut tape,
-                        &binding,
-                        &sample,
-                        true,
-                        std::slice::from_mut(&mut sample_rng),
-                    );
-                    let row_loss = tape.nll_loss_rows(lp, vec![labels[i]]);
-                    let loss = tape.sum(row_loss);
-                    let item = tape.value(loss).item();
-                    tape.backward(loss);
-                    let accum_start = busy_start.map(|_| Instant::now());
-                    let mut buffer = grad_slots[j].lock().expect("unpoisoned grad slot");
-                    buffer.zero();
-                    buffer.accumulate(&tape, &binding);
-                    if let Some(start) = accum_start {
-                        accum_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                    if let Some(start) = busy_start {
-                        worker_busy[worker]
-                            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    }
-                    item
+                    let mut lane = lane_state[worker].lock().expect("unpoisoned lane");
+                    lane.job(|tape| {
+                        let i = batch[j];
+                        tape.reset();
+                        let binding =
+                            tape.host(magic_obs::stage::OP_HOST_BIND, |tape| store.bind(tape));
+                        // Dropout draws come from a stream keyed on
+                        // (seed, epoch, sample), not on batch composition
+                        // or scheduling, so every worker count sees the
+                        // same noise.
+                        let mut sample_rng =
+                            Rng64::for_sample(self.config.seed, epoch as u64, i as u64);
+                        let lp = model.forward(
+                            tape,
+                            &binding,
+                            &GraphBatch::single(inputs[j]),
+                            true,
+                            std::slice::from_mut(&mut sample_rng),
+                        );
+                        let row_loss = tape.nll_loss_rows(lp, vec![labels[i]]);
+                        let loss = tape.sum(row_loss);
+                        let item = tape.value(loss).item();
+                        tape.backward(loss);
+                        tape.host(magic_obs::stage::OP_HOST_ACCUMULATE, |tape| {
+                            let mut buffer = grad_slots[j].lock().expect("unpoisoned grad slot");
+                            buffer.zero();
+                            buffer.accumulate(tape, &binding);
+                        });
+                        item
+                    })
                 });
                 if let Some(start) = fanout_start {
-                    fanout_us += start.elapsed().as_micros() as u64;
+                    fanout += start.elapsed();
                 }
 
-                let update_start = traced.then(Instant::now);
                 let store = model.store_mut();
-                store.zero_grads();
-                for (j, loss) in losses.iter().enumerate() {
-                    train_loss_total += loss;
-                    // Reduce in batch order — this is what makes the sum
-                    // bitwise identical to the serial loop.
-                    store.reduce(&grad_slots[j].lock().expect("unpoisoned grad slot"));
+                host.time_host(traced, magic_obs::stage::OP_HOST_REDUCE, || {
+                    store.zero_grads();
+                    for (j, loss) in losses.iter().enumerate() {
+                        train_loss_total += loss;
+                        // Reduce in batch order — this is what makes the
+                        // sum bitwise identical to the serial loop.
+                        store.reduce(&grad_slots[j].lock().expect("unpoisoned grad slot"));
+                    }
+                });
+                if self.config.grad_clip > 0.0 {
+                    let clip = self.config.grad_clip * batch.len() as f32;
+                    host.time_host(traced, magic_obs::stage::OP_HOST_CLIP, || {
+                        store.clip_grad_norm(clip)
+                    });
                 }
-                if let Some(start) = update_start {
-                    reduce_ns += start.elapsed().as_nanos() as u64;
-                }
-                self.clip_and_step(
-                    store,
-                    &mut optimizer,
-                    batch.len(),
-                    traced,
-                    &mut clip_ns,
-                    &mut step_ns,
-                );
-                if let Some(start) = update_start {
-                    update_us += start.elapsed().as_micros() as u64;
-                }
+                host.time_host(traced, magic_obs::stage::OP_HOST_STEP, || {
+                    optimizer.step(store, batch.len())
+                });
             });
             let train_loss = train_loss_total / train_idx.len().max(1) as f32;
+            // So far this epoch `host` holds exactly the reduce, clip and
+            // step rows.
+            let update_ns = host.total_self_ns();
 
-            let eval_start = traced.then(Instant::now);
-            // Evaluation reuses the warm worker-lane tapes so inference
-            // buffers also come from the recycled pools. Profiling is
-            // switched off first: eval time is already attributed to the
-            // `evaluate` host row, so letting eval ops record into the
-            // lane profiles would double-count it.
-            for tape in &tapes {
-                tape.lock().expect("unpoisoned tape").set_profiling(false);
-            }
-            let (val_loss, val_accuracy) = evaluate_source(
-                lanes,
-                &tapes,
-                self.config.batch_size,
-                model,
-                source,
-                labels,
-                val_idx,
-            );
-            let eval_ns = eval_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+            let (val_loss, val_accuracy) =
+                host.time_host(traced, magic_obs::stage::OP_HOST_EVALUATE, || {
+                    // Evaluation reuses the warm worker-lane tapes so
+                    // inference buffers also come from the recycled pools.
+                    // Profiling is switched off first: eval time is
+                    // already attributed to the `evaluate` host row, so
+                    // letting eval ops record into the lane profiles
+                    // would double-count it.
+                    for lane in &lane_state {
+                        lane.lock().expect("unpoisoned lane").tape.set_profiling(false);
+                    }
+                    evaluate_source(
+                        lanes,
+                        &lane_state,
+                        self.config.batch_size,
+                        model,
+                        source,
+                        labels,
+                        val_idx,
+                    )
+                });
             let learning_rate = optimizer.learning_rate();
             scheduler.observe(val_loss, &mut optimizer);
             best_val_loss = best_val_loss.min(val_loss);
 
             if traced {
                 let epoch_field = ("epoch", epoch as f64);
-                for (worker, busy) in worker_busy.iter().enumerate() {
+                let mut pool_total = magic_tensor::WorkspaceStats::default();
+                for (worker, lane) in lane_state.iter().enumerate() {
+                    let lane = lane.lock().expect("unpoisoned lane");
                     magic_obs::histogram_fields(
                         magic_obs::stage::H_WORKER_BUSY_US,
-                        busy.load(Ordering::Relaxed) as f64,
+                        (lane.busy_ns / 1_000) as f64,
                         &[("worker", worker as f64), epoch_field],
                     );
+                    let pool = lane.tape.workspace_stats();
+                    pool_total.hits += pool.hits;
+                    pool_total.misses += pool.misses;
                 }
                 magic_obs::histogram_fields(
                     magic_obs::stage::H_EPOCH_FANOUT_US,
-                    fanout_us as f64,
+                    fanout.as_micros() as f64,
                     &[epoch_field],
                 );
                 magic_obs::histogram_fields(
                     magic_obs::stage::H_EPOCH_UPDATE_US,
-                    update_us as f64,
+                    (update_ns / 1_000) as f64,
                     &[epoch_field],
                 );
                 magic_obs::counter(magic_obs::stage::C_TRAIN_SAMPLES, order.len() as f64);
-                let pool_total = tapes.iter().fold(
-                    magic_tensor::WorkspaceStats::default(),
-                    |acc, tape| {
-                        let s = tape.lock().expect("unpoisoned tape").workspace_stats();
-                        magic_tensor::WorkspaceStats {
-                            hits: acc.hits + s.hits,
-                            misses: acc.misses + s.misses,
-                        }
-                    },
-                );
                 magic_obs::histogram_fields(
                     magic_obs::stage::H_POOL_HITS,
                     (pool_total.hits - prev_pool.hits) as f64,
@@ -528,24 +499,7 @@ impl Trainer {
                     );
                     prev_allocations = stats.allocations;
                 }
-                let busy_ns: u64 = worker_busy
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed).saturating_mul(1_000))
-                    .sum();
-                self.flush_op_profiles(
-                    &tapes,
-                    epoch,
-                    order.len() as u64,
-                    busy_ns,
-                    &[
-                        (magic_obs::stage::OP_HOST_BIND, order.len() as u64, bind_ns.load(Ordering::Relaxed)),
-                        (magic_obs::stage::OP_HOST_ACCUMULATE, order.len() as u64, accum_ns.load(Ordering::Relaxed)),
-                        (magic_obs::stage::OP_HOST_REDUCE, order.len() as u64, reduce_ns),
-                        (magic_obs::stage::OP_HOST_CLIP, num_batches(order.len(), self.config.batch_size), clip_ns),
-                        (magic_obs::stage::OP_HOST_STEP, num_batches(order.len(), self.config.batch_size), step_ns),
-                        (magic_obs::stage::OP_HOST_EVALUATE, 1, eval_ns),
-                    ],
-                );
+                flush_op_profiles(&lane_state, host.take(), epoch, order.len() as u64);
             }
             if magic_obs::log_enabled(magic_obs::Level::Info) {
                 // Live progress/ETA line: mean epoch time so far projects
@@ -570,109 +524,80 @@ impl Trainer {
         }
         TrainOutcome { history, best_val_loss }
     }
+}
 
-    /// Global gradient clipping followed by one optimizer step.
-    fn clip_and_step(
-        &self,
-        store: &mut ParamStore,
-        optimizer: &mut Adam,
-        batch_len: usize,
-        traced: bool,
-        clip_ns: &mut u64,
-        step_ns: &mut u64,
-    ) {
-        let clip_start = traced.then(Instant::now);
-        if self.config.grad_clip > 0.0 {
-            let clip = self.config.grad_clip * batch_len as f32;
-            store.clip_grad_norm(clip);
-        }
-        if let Some(start) = clip_start {
-            *clip_ns += start.elapsed().as_nanos() as u64;
-        }
-        let step_start = traced.then(Instant::now);
-        optimizer.step(store, batch_len);
-        if let Some(start) = step_start {
-            *step_ns += start.elapsed().as_nanos() as u64;
-        }
-    }
+/// One worker lane's tape, and the wall-clock it spent in training jobs
+/// since the last flush (counted only while the tape profiles).
+#[derive(Default)]
+struct Lane {
+    tape: Tape,
+    busy_ns: u64,
+}
 
-    /// Drains the per-lane tape profiles, merges them, and flushes one
-    /// `op_profile` event per `(kind, phase, shape class)` row, plus one
-    /// per host-side pseudo-op with nonzero time. Called once per traced
-    /// epoch, inside the epoch span (so flamegraphs can attach the rows
-    /// to it).
-    fn flush_op_profiles(
-        &self,
-        tapes: &[Mutex<Tape>],
-        epoch: usize,
-        samples: u64,
-        worker_busy_ns: u64,
-        host_rows: &[(&str, u64, u64)],
-    ) {
-        let mut merged = OpProfile::new();
-        for tape in tapes {
-            let lane = tape.lock().expect("unpoisoned tape").take_profile();
-            merged.merge(&lane);
+impl Lane {
+    /// Runs one training sample's job on this lane's tape.
+    fn job<R>(&mut self, f: impl FnOnce(&mut Tape) -> R) -> R {
+        let start = self.tape.profiling().then(Instant::now);
+        let out = f(&mut self.tape);
+        if let Some(start) = start {
+            self.busy_ns += start.elapsed().as_nanos() as u64;
         }
-        // Whatever part of worker busy time neither the tape ops nor the
-        // in-job host rows (bind, accumulate) explain is per-sample glue:
-        // tape bookkeeping, forward wiring, the backward walk. Attribute
-        // it explicitly so the profile sums to the epoch, not to ~95%.
-        let in_job_ns: u64 = host_rows
-            .iter()
-            .filter(|(kind, ..)| {
-                *kind == magic_obs::stage::OP_HOST_BIND
-                    || *kind == magic_obs::stage::OP_HOST_ACCUMULATE
-            })
-            .map(|&(_, _, ns)| ns)
-            .sum();
-        let overhead_ns =
-            worker_busy_ns.saturating_sub(merged.total_self_ns()).saturating_sub(in_job_ns);
-        let epoch_field = [("epoch", epoch as f64)];
-        for (key, stat) in merged.sorted_rows() {
-            magic_obs::op_profile(
-                key.kind,
-                key.phase,
-                &profile::bucket_label(key.shape_bucket),
-                stat.calls,
-                stat.self_ns,
-                stat.flops,
-                stat.bytes_out,
-                &epoch_field,
-            );
-        }
-        for &(kind, calls, self_ns) in host_rows {
-            if self_ns > 0 {
-                magic_obs::op_profile(
-                    kind,
-                    profile::PHASE_HOST,
-                    "-",
-                    calls,
-                    self_ns,
-                    0,
-                    0,
-                    &epoch_field,
-                );
-            }
-        }
-        if overhead_ns > 0 {
-            magic_obs::op_profile(
-                magic_obs::stage::OP_HOST_SAMPLE_OVERHEAD,
-                profile::PHASE_HOST,
-                "-",
-                samples,
-                overhead_ns,
-                0,
-                0,
-                &epoch_field,
-            );
-        }
+        out
     }
 }
 
-/// Mini-batches an epoch of `n` samples splits into.
-fn num_batches(n: usize, batch_size: usize) -> u64 {
-    n.div_ceil(batch_size.max(1)) as u64
+/// Drains every lane's tape profile and busy time into `merged` (the
+/// trainer's own host rows) and flushes one `op_profile` event per row;
+/// host rows are labelled `-`. Then flushes `sample.overhead`: lane busy
+/// time that no lane-profile row explains (tape bookkeeping, forward
+/// wiring, the backward walk), so the profile sums to the epoch. Called
+/// once per traced epoch, inside the epoch span (so flamegraphs can
+/// attach the rows to it).
+fn flush_op_profiles(
+    lane_state: &[Mutex<Lane>],
+    mut merged: OpProfile,
+    epoch: usize,
+    samples: u64,
+) {
+    let (mut busy_ns, mut lane_self_ns) = (0u64, 0u64);
+    for lane in lane_state {
+        let mut lane = lane.lock().expect("unpoisoned lane");
+        let lane_profile = lane.tape.take_profile();
+        busy_ns += std::mem::take(&mut lane.busy_ns);
+        lane_self_ns += lane_profile.total_self_ns();
+        merged.merge(&lane_profile);
+    }
+    let epoch_field = [("epoch", epoch as f64)];
+    for (key, stat) in merged.sorted_rows() {
+        let shape_class = if key.phase == profile::PHASE_HOST {
+            "-".to_string()
+        } else {
+            profile::bucket_label(key.shape_bucket)
+        };
+        magic_obs::op_profile(
+            key.kind,
+            key.phase,
+            &shape_class,
+            stat.calls,
+            stat.self_ns,
+            stat.flops,
+            stat.bytes_out,
+            &epoch_field,
+        );
+    }
+    let overhead_ns = busy_ns.saturating_sub(lane_self_ns);
+    if overhead_ns > 0 {
+        magic_obs::op_profile(
+            magic_obs::stage::OP_HOST_SAMPLE_OVERHEAD,
+            profile::PHASE_HOST,
+            "-",
+            samples,
+            overhead_ns,
+            0,
+            0,
+            &epoch_field,
+        );
+    }
 }
 
 /// Formats a projected remaining duration at a human scale.
@@ -686,22 +611,12 @@ fn fmt_eta(seconds: f64) -> String {
     }
 }
 
-/// Mean validation loss and accuracy of `model` on `idx`, computed on the
-/// calling thread.
-pub fn evaluate(
-    model: &Dgcnn,
-    inputs: &[GraphInput],
-    labels: &[usize],
-    idx: &[usize],
-) -> (f32, f64) {
-    evaluate_with(1, model, inputs, labels, idx)
-}
-
 /// Mean validation loss and accuracy of `model` on `idx`, fanning
-/// per-sample inference across `workers` lanes (`0` = auto).
+/// per-sample inference across `workers` lanes (`0` = auto; `1` runs on
+/// the calling thread).
 ///
 /// Per-sample losses are summed in index order afterwards, so the result
-/// is identical to [`evaluate`] for any worker count.
+/// is identical for any worker count.
 pub fn evaluate_with(
     workers: usize,
     model: &Dgcnn,
@@ -710,9 +625,8 @@ pub fn evaluate_with(
     idx: &[usize],
 ) -> (f32, f64) {
     let lanes = Lanes::new(workers);
-    let tapes: Vec<Mutex<Tape>> =
-        (0..lanes.workers()).map(|_| Mutex::new(Tape::new())).collect();
-    evaluate_source(lanes, &tapes, idx.len(), model, SampleSource::Ram(inputs), labels, idx)
+    let lane_state: Vec<Mutex<Lane>> = (0..lanes.workers()).map(|_| Mutex::default()).collect();
+    evaluate_source(lanes, &lane_state, idx.len(), model, SampleSource::Ram(inputs), labels, idx)
 }
 
 /// The one evaluation loop: mean loss and accuracy of `model` on `idx`,
@@ -726,7 +640,7 @@ pub fn evaluate_with(
 /// chunk size and lane count.
 fn evaluate_source(
     lanes: Lanes,
-    tapes: &[Mutex<Tape>],
+    lane_state: &[Mutex<Lane>],
     chunk_size: usize,
     model: &Dgcnn,
     source: SampleSource<'_>,
@@ -740,19 +654,19 @@ fn evaluate_source(
         magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
     let mut loss_total = 0.0f32;
     let mut correct = 0usize;
-    source.for_each_chunk(idx, chunk_size, |chunk, fetched| {
+    source.for_each_chunk(idx, chunk_size, |chunk, inputs| {
         let per_sample: Vec<(f32, bool)> = lanes.run(chunk.len(), |worker, j| {
-            let i = chunk[j];
-            let mut tape = tapes[worker].lock().expect("unpoisoned tape");
-            let probs = model.predict_with(&mut tape, source.input(fetched, chunk, j));
-            let p = probs[labels[i]].clamp(1e-15, 1.0);
+            let label = labels[chunk[j]];
+            let mut lane = lane_state[worker].lock().expect("unpoisoned lane");
+            let probs = model.predict_with(&mut lane.tape, inputs[j]);
+            let p = probs[label].clamp(1e-15, 1.0);
             let arg = probs
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .map(|(c, _)| c)
                 .unwrap_or(0);
-            (-p.ln(), arg == labels[i])
+            (-p.ln(), arg == label)
         });
         for &(loss, hit) in &per_sample {
             loss_total += loss;
@@ -813,7 +727,7 @@ mod tests {
         let outcome = trainer.train(&mut model, &inputs, &labels, &train_idx, &val_idx);
         assert_eq!(outcome.history.len(), 30);
         assert!(outcome.best_val_loss < outcome.history[0].val_loss);
-        let (_, acc) = evaluate(&model, &inputs, &labels, &val_idx);
+        let (_, acc) = evaluate_with(1, &model, &inputs, &labels, &val_idx);
         assert!(acc >= 0.75, "val accuracy {acc}");
     }
 
@@ -921,7 +835,7 @@ mod tests {
         let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(8));
         let model = Dgcnn::new(&config, 4);
         let idx: Vec<usize> = (0..20).collect();
-        let serial = evaluate(&model, &inputs, &labels, &idx);
+        let serial = evaluate_with(1, &model, &inputs, &labels, &idx);
         for workers in [2, 3, 8] {
             let parallel = evaluate_with(workers, &model, &inputs, &labels, &idx);
             assert_eq!(parallel, serial, "evaluate diverged with {workers} workers");
@@ -932,7 +846,7 @@ mod tests {
     fn evaluate_on_empty_set_is_zero() {
         let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(8));
         let model = Dgcnn::new(&config, 0);
-        assert_eq!(evaluate(&model, &[], &[], &[]), (0.0, 0.0));
+        assert_eq!(evaluate_with(1, &model, &[], &[], &[]), (0.0, 0.0));
     }
 
     #[test]

@@ -133,8 +133,10 @@ pub const H_WORKER_BUSY_US: &str = "train.worker_busy_us";
 pub const H_EPOCH_FANOUT_US: &str = "train.fanout_us";
 
 /// Wall-clock the epoch spent in the serial gradient reduce + clip +
-/// optimizer step, in microseconds. Fields: `epoch`. This is the
-/// Amdahl bound on the PR 1 parallel speedup.
+/// optimizer step, in microseconds: the sum of the epoch's
+/// [`OP_HOST_REDUCE`], [`OP_HOST_CLIP`] and [`OP_HOST_STEP`] rows.
+/// Fields: `epoch`. This is the Amdahl bound on the data-parallel
+/// speedup.
 pub const H_EPOCH_UPDATE_US: &str = "train.update_us";
 
 /// High-water mark of live tensor element bytes over one epoch, as
@@ -210,9 +212,11 @@ pub const H_SERVE_WRITE_US: &str = "serve.write_us";
 pub const OP_HOST_BIND: &str = "param.bind";
 /// Per-sample gradient accumulation into batch slots (phase `"host"`).
 pub const OP_HOST_ACCUMULATE: &str = "grad.accumulate";
-/// Batch-order gradient reduction across slots (phase `"host"`).
+/// Zeroing the store's gradients and the batch-order gradient reduction
+/// across slots, one call per mini-batch (phase `"host"`).
 pub const OP_HOST_REDUCE: &str = "grad.reduce";
-/// Global gradient-norm clipping (phase `"host"`).
+/// Global gradient-norm clipping, one call per mini-batch; absent when
+/// clipping is off (phase `"host"`).
 pub const OP_HOST_CLIP: &str = "grad.clip";
 /// Optimizer parameter update (phase `"host"`).
 pub const OP_HOST_STEP: &str = "optimizer.step";

@@ -6,7 +6,7 @@
 
 use magic::checkpoint::{load_weights, save_weights};
 use magic::pipeline::MagicPipeline;
-use magic::trainer::{evaluate, TrainConfig, Trainer};
+use magic::trainer::{evaluate_with, TrainConfig, Trainer};
 use magic::tuning::{HeadKind, HyperParams};
 use magic_data::stratified_kfold;
 use magic_model::{Dgcnn, GraphInput};
@@ -57,8 +57,8 @@ fn main() {
     println!("checkpoint size: {} bytes", checkpoint.len());
     let mut restored = Dgcnn::new(&config, 999);
     load_weights(&mut restored, &checkpoint).expect("checkpoint round-trips");
-    let (loss_a, acc_a) = evaluate(&model, &inputs, &labels, &split.validation);
-    let (loss_b, acc_b) = evaluate(&restored, &inputs, &labels, &split.validation);
+    let (loss_a, acc_a) = evaluate_with(1, &model, &inputs, &labels, &split.validation);
+    let (loss_b, acc_b) = evaluate_with(1, &restored, &inputs, &labels, &split.validation);
     assert_eq!(loss_a, loss_b, "restored model must behave identically");
     println!("validation: loss {loss_a:.4}, accuracy {:.1}% (restored: {:.1}%)", acc_a * 100.0, acc_b * 100.0);
 

@@ -104,11 +104,13 @@ rm -rf "$RD_DIR"
 echo "chain-built cache rejects a none-strategy open with the typed error"
 
 echo "==> cache round-trip: streamed training is bitwise-identical to in-memory"
-# Train the same tiny corpus four ways — no cache on the auto lane
-# count, no cache on one lane, cache-to-RAM, and streamed from shards
-# with two lanes — and require the checkpoint files to be
-# byte-identical. The one-lane run keeps the inline path compared end to
-# end even where auto resolves to several lanes. This is the end-to-end
+# Train the same tiny corpus five ways — no cache on the auto lane
+# count, no cache on one lane, no cache with a trace recorded,
+# cache-to-RAM, and streamed from shards with two lanes — and require
+# the checkpoint files to be byte-identical. The one-lane run keeps the
+# inline path compared end to end even where auto resolves to several
+# lanes; the traced run is the CLI-level proof that turning telemetry on
+# leaves training bitwise unchanged. This is the end-to-end
 # proof of the magic-acfg/1 determinism contract (DESIGN.md): the cache
 # and the prefetching shard stream change where bytes come from, never
 # what the trainer computes.
@@ -117,6 +119,8 @@ RT_ARGS=(--corpus yancfg --scale 0.002 --epochs 2 --seed 7 --log-level error)
 ./target/release/magic train "${RT_ARGS[@]}" --out "$RT_DIR/nocache.magic"
 ./target/release/magic train "${RT_ARGS[@]}" --train-workers 1 \
     --out "$RT_DIR/onelane.magic"
+./target/release/magic train "${RT_ARGS[@]}" --trace "$RT_DIR/train.trace.jsonl" \
+    --out "$RT_DIR/traced.magic"
 ./target/release/magic cache build --corpus yancfg --scale 0.002 --seed 7 \
     --cache-dir "$RT_DIR/cache" >/dev/null
 ./target/release/magic train "${RT_ARGS[@]}" --cache-dir "$RT_DIR/cache" \
@@ -124,10 +128,11 @@ RT_ARGS=(--corpus yancfg --scale 0.002 --epochs 2 --seed 7 --log-level error)
 ./target/release/magic train "${RT_ARGS[@]}" --cache-dir "$RT_DIR/cache" \
     --cache stream --train-workers 2 --out "$RT_DIR/stream.magic"
 cmp "$RT_DIR/nocache.magic" "$RT_DIR/onelane.magic"
+cmp "$RT_DIR/nocache.magic" "$RT_DIR/traced.magic"
 cmp "$RT_DIR/nocache.magic" "$RT_DIR/ram.magic"
 cmp "$RT_DIR/nocache.magic" "$RT_DIR/stream.magic"
 rm -rf "$RT_DIR"
-echo "checkpoints identical across no-cache / one-lane / cache-ram / cache-stream paths"
+echo "checkpoints identical across no-cache / one-lane / traced / cache-ram / cache-stream paths"
 
 echo "==> access-log schema validation: magic report --serve on bench logs"
 # The serve_load bench streams a schema-v3 access log per window into

@@ -3,7 +3,7 @@
 
 use magic::checkpoint::{load_weights, save_weights};
 use magic::pipeline::{extract_acfg, MagicPipeline};
-use magic::trainer::{evaluate, TrainConfig, Trainer};
+use magic::trainer::{evaluate_with, TrainConfig, Trainer};
 use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
 use magic_synth::codegen::CodeGenerator;
 use magic_synth::profile::FamilyProfile;
@@ -47,7 +47,7 @@ fn listing_to_verdict_through_every_layer() {
     let train_idx: Vec<usize> = (0..20).collect();
     let val_idx: Vec<usize> = (20..24).collect();
     trainer.train(&mut model, &inputs, &labels, &train_idx, &val_idx);
-    let (_, accuracy) = evaluate(&model, &inputs, &labels, &val_idx);
+    let (_, accuracy) = evaluate_with(1, &model, &inputs, &labels, &val_idx);
     assert!(accuracy >= 0.75, "end-to-end accuracy {accuracy}");
 
     // Checkpoint round-trip through the pipeline API.
@@ -115,6 +115,6 @@ fn synthetic_mskcfg_families_are_learnable_above_chance() {
     let train_idx: Vec<usize> = (0..30).filter(|i| i % 10 < 8).collect();
     let val_idx: Vec<usize> = (0..30).filter(|i| i % 10 >= 8).collect();
     trainer.train(&mut model, &inputs, &labels, &train_idx, &val_idx);
-    let (_, accuracy) = evaluate(&model, &inputs, &labels, &val_idx);
+    let (_, accuracy) = evaluate_with(1, &model, &inputs, &labels, &val_idx);
     assert!(accuracy > 0.34, "above 3-class chance, got {accuracy}");
 }

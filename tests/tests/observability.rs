@@ -40,6 +40,12 @@ fn corpus() -> (Vec<GraphInput>, Vec<usize>) {
 }
 
 fn train_once(inputs: &[GraphInput], labels: &[usize]) -> (TrainOutcome, Dgcnn) {
+    train_clipped(inputs, labels, TrainConfig::default().grad_clip)
+}
+
+/// 3 epochs of 12 training samples in batches of 4 (3 batches) on 2
+/// lanes, validated on 4 samples.
+fn train_clipped(inputs: &[GraphInput], labels: &[usize], grad_clip: f32) -> (TrainOutcome, Dgcnn) {
     let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(8));
     let mut model = Dgcnn::new(&config, 13);
     let trainer = Trainer::new(TrainConfig {
@@ -47,6 +53,7 @@ fn train_once(inputs: &[GraphInput], labels: &[usize]) -> (TrainOutcome, Dgcnn) 
         batch_size: 4,
         learning_rate: 0.02,
         seed: 5,
+        grad_clip,
         train_workers: 2,
         ..TrainConfig::default()
     });
@@ -205,6 +212,106 @@ fn profiled_run_attributes_epoch_wall_clock() {
     let mut sorted = lines.clone();
     sorted.sort();
     assert_eq!(lines, sorted, "collapsed output is lexicographically sorted");
+}
+
+/// The trace text of one [`train_clipped`] run recorded to `file`, with
+/// tensor memory accounting on.
+fn traced_run(file: &str, grad_clip: f32) -> String {
+    let (inputs, labels) = corpus();
+    let dir = std::env::temp_dir().join("magic-obs-integration");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(file);
+    magic_tensor::mem::enable();
+    magic_obs::install(Arc::new(JsonlRecorder::create(&path).unwrap()));
+    let _ = train_clipped(&inputs, &labels, grad_clip);
+    magic_obs::uninstall();
+    std::fs::read_to_string(&path).unwrap()
+}
+
+/// The host-row contract: each host `op_profile` row counts its own
+/// unit of work — per sample, per mini-batch, or per epoch — and each
+/// epoch histogram has one observation per epoch (per lane for busy
+/// time). With clipping off, no `grad.clip` row is emitted at all.
+#[test]
+fn host_rows_and_epoch_histograms_count_their_units_of_work() {
+    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let (samples, batches, epochs, lanes) = (12 * 3, 3 * 3, 3, 2);
+    let host_calls = |text: &str| -> Vec<(String, u64)> {
+        let summary = TraceSummary::from_lines(text.lines()).unwrap();
+        let mut rows: Vec<(String, u64)> = summary
+            .ops
+            .iter()
+            .filter(|o| o.phase == "host")
+            .map(|o| {
+                assert_eq!(o.shape_class, "-", "host rows carry no shape class");
+                (o.kind.clone(), o.calls)
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+
+    let text = traced_run("host-rows-trace.jsonl", 5.0);
+    let mut expected = vec![
+        (stage::OP_HOST_BIND.to_string(), samples),
+        (stage::OP_HOST_ACCUMULATE.to_string(), samples),
+        (stage::OP_HOST_SAMPLE_OVERHEAD.to_string(), samples),
+        (stage::OP_HOST_REDUCE.to_string(), batches),
+        (stage::OP_HOST_CLIP.to_string(), batches),
+        (stage::OP_HOST_STEP.to_string(), batches),
+        (stage::OP_HOST_EVALUATE.to_string(), epochs),
+    ];
+    expected.sort();
+    assert_eq!(host_calls(&text), expected);
+    let summary = TraceSummary::from_lines(text.lines()).unwrap();
+    let count = |name: &str| summary.histograms.iter().find(|h| h.name == name).map(|h| h.count);
+    assert_eq!(count(stage::H_WORKER_BUSY_US), Some(lanes * epochs));
+    assert_eq!(count(stage::H_EPOCH_FANOUT_US), Some(epochs));
+    assert_eq!(count(stage::H_EPOCH_UPDATE_US), Some(epochs));
+
+    let unclipped = traced_run("host-rows-unclipped-trace.jsonl", 0.0);
+    expected.retain(|(kind, _)| kind != stage::OP_HOST_CLIP);
+    assert_eq!(host_calls(&unclipped), expected, "no grad.clip row with clipping off");
+}
+
+/// Every span, counter and histogram name and every host `op_profile`
+/// kind a traced training run emits is a registered `pub const` in
+/// `crates/obs/src/stage.rs` and is documented in a table row of
+/// `docs/OBSERVABILITY.md`.
+#[test]
+fn names_emitted_by_training_are_registered_and_documented() {
+    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let text = traced_run("registry-trace.jsonl", 5.0);
+    let mut emitted = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        match Event::from_jsonl_line(line).expect("well-formed event line") {
+            Event::SpanStart { stage, .. } | Event::SpanEnd { stage, .. } => emitted.insert(stage),
+            Event::Counter { name, .. } | Event::Histogram { name, .. } => emitted.insert(name),
+            Event::OpProfile { kind, phase, .. } if phase == "host" => emitted.insert(kind),
+            _ => false,
+        };
+    }
+    assert!(emitted.contains(stage::TRAIN) && emitted.contains(stage::OP_HOST_STEP));
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    // `pub const NAME: &str = "value";`
+    let stage_rs = std::fs::read_to_string(root.join("crates/obs/src/stage.rs")).unwrap();
+    let registered: std::collections::BTreeSet<&str> = stage_rs
+        .lines()
+        .filter(|line| line.starts_with("pub const ") && line.contains(": &str = "))
+        .filter_map(|line| line.split('"').nth(1))
+        .collect();
+    // Every backticked name in the first cell of a table row.
+    let doc = std::fs::read_to_string(root.join("docs/OBSERVABILITY.md")).unwrap();
+    let documented: std::collections::BTreeSet<&str> = doc
+        .lines()
+        .filter_map(|line| line.strip_prefix('|')?.split('|').next())
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .collect();
+    for name in &emitted {
+        assert!(registered.contains(name.as_str()), "{name} is not a constant in stage.rs");
+        assert!(documented.contains(name.as_str()), "{name} has no row in OBSERVABILITY.md");
+    }
 }
 
 /// `magic report`'s rendering of the committed magic-trace/1 training
