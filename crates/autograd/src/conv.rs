@@ -15,11 +15,12 @@
 //!
 //! [`im2col_1d`]/[`im2col_2d`] gather input patches into a
 //! `(c_in·k, Σ out)` column buffer (zero padding becomes zero column
-//! entries), then the whole convolution is one register-blocked
+//! entries), then the whole convolution is one register-tiled
 //! [`magic_tensor::gemm_into`] against the weight matrix viewed as
 //! `(c_out, c_in·k)`, with the bias pre-loaded into the output. The
 //! backward pass recomputes the columns and runs two transpose-GEMMs —
-//! `gW = gOut · colsᵀ` ([`magic_tensor::gemm_nt_into`]) and
+//! `gW = gOut · colsᵀ` ([`magic_tensor::gemm_nt_strided_into`], reading
+//! each sample's column range of both operands in place) and
 //! `gCols = Wᵀ · gOut` ([`magic_tensor::gemm_tn_into`]) — followed by a
 //! col2im scatter-add for `gX`. All scratch and output buffers come from
 //! the caller's [`Workspace`], so steady-state training reuses them.
@@ -36,7 +37,7 @@
 //! scalar-loop reference kernels these are checked against live in the
 //! workspace `tests` crate.
 
-use magic_tensor::{gemm_into, gemm_nt_into, gemm_tn_into, Tensor, Workspace};
+use magic_tensor::{gemm_into, gemm_nt_strided_into, gemm_tn_into, Tensor, Workspace};
 
 /// Output length of a 1-D convolution: `(len - k) / stride + 1`.
 ///
@@ -177,28 +178,26 @@ pub(crate) fn conv1d_backward(
 
     // gW: per-sample GEMM into a re-zeroed temp, combined elementwise in
     // sample order. The sample's gout/cols are column ranges of row-major
-    // matrices, so they are copied into contiguous temps first.
+    // matrices, read in place through their row stride.
     let mut gw = ws.take_tensor(w.shape().clone());
-    let mut temp_g = ws.take(c_out * out_len);
-    let mut temp_c = ws.take(ck * out_len);
     let mut temp_gw = ws.take(w.len());
     for s in 0..batch {
-        for o in 0..c_out {
-            temp_g[o * out_len..(o + 1) * out_len]
-                .copy_from_slice(&gs[o * out_total + s * out_len..][..out_len]);
-        }
-        for r in 0..ck {
-            temp_c[r * out_len..(r + 1) * out_len]
-                .copy_from_slice(&cols[r * out_total + s * out_len..][..out_len]);
-        }
+        let off = s * out_len;
         temp_gw.fill(0.0);
-        gemm_nt_into(c_out, out_len, ck, &temp_g, &temp_c, &mut temp_gw);
+        gemm_nt_strided_into(
+            c_out,
+            out_len,
+            ck,
+            &gs[off..],
+            out_total,
+            &cols[off..],
+            out_total,
+            &mut temp_gw,
+        );
         for (acc, &g) in gw.as_mut_slice().iter_mut().zip(temp_gw.iter()) {
             *acc += g;
         }
     }
-    ws.recycle(temp_g);
-    ws.recycle(temp_c);
     ws.recycle(temp_gw);
 
     // gCols: one full transpose-GEMM. Each output column reads only its
@@ -345,29 +344,27 @@ pub(crate) fn conv2d_backward(
         out_off += oh * ow;
     }
 
-    let seg_max = out_dims.iter().map(|&(oh, ow)| oh * ow).max().unwrap_or(0);
     let mut gw = ws.take_tensor(wt.shape().clone());
-    let mut temp_g = ws.take(c_out * seg_max);
-    let mut temp_c = ws.take(ckk * seg_max);
     let mut temp_gw = ws.take(wt.len());
     let mut out_off = 0;
     for &(oh, ow) in &out_dims {
         let sz = oh * ow;
-        for o in 0..c_out {
-            temp_g[o * sz..(o + 1) * sz].copy_from_slice(&gs[o * out_total + out_off..][..sz]);
-        }
-        for r in 0..ckk {
-            temp_c[r * sz..(r + 1) * sz].copy_from_slice(&cols[r * out_total + out_off..][..sz]);
-        }
         temp_gw.fill(0.0);
-        gemm_nt_into(c_out, sz, ckk, &temp_g[..c_out * sz], &temp_c[..ckk * sz], &mut temp_gw);
+        gemm_nt_strided_into(
+            c_out,
+            sz,
+            ckk,
+            &gs[out_off..],
+            out_total,
+            &cols[out_off..],
+            out_total,
+            &mut temp_gw,
+        );
         for (acc, &g) in gw.as_mut_slice().iter_mut().zip(temp_gw.iter()) {
             *acc += g;
         }
         out_off += sz;
     }
-    ws.recycle(temp_g);
-    ws.recycle(temp_c);
     ws.recycle(temp_gw);
 
     let mut gcols = ws.take(ckk * out_total);

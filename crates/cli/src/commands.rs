@@ -529,10 +529,11 @@ fn run_training(
     magic_obs::log(
         magic_obs::Level::Info,
         format!(
-            "training {} weights for {} epochs ({} worker(s))...",
+            "training {} weights for {} epochs ({} worker(s), isa: {})...",
             model.num_weights(),
             knobs.epochs,
             magic::Lanes::new(knobs.train_workers).workers(),
+            magic_tensor::simd::isa().name(),
         ),
     );
     let outcome = match &source {
@@ -630,26 +631,39 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 /// Renders the `magic profile` attribution view from an aggregated
 /// trace: the op table plus coverage against epoch wall-clock.
+///
+/// Op rows are self time summed over every worker lane, so coverage is
+/// taken against epoch wall-clock × lanes (the `workers` field of the
+/// `train.run` span), as the end-to-end benchmark does. The residual is
+/// printed signed: a negative one means rows were over-counted.
 fn render_profile(summary: &TraceSummary) -> String {
     let mut out = String::new();
+    let field = |name: &str| {
+        summary.train_fields.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    };
+    let lanes = field("workers").unwrap_or(1.0).max(1.0);
+    let isa = field("isa").and_then(|c| magic_tensor::simd::Isa::name_of_code(c as u8));
     let epochs = summary.stages.iter().find(|s| s.stage == magic_obs::stage::TRAIN_EPOCH);
     let (epoch_count, epoch_us) = epochs.map(|s| (s.count, s.total_us)).unwrap_or((0, 0));
     out.push_str(&format!(
-        "profiled {epoch_count} epoch(s), {:.2}s wall inside epochs\n\n",
+        "profiled {epoch_count} epoch(s) on {lanes} lane(s), isa: {}, \
+         {:.2}s wall inside epochs\n\n",
+        isa.unwrap_or("unknown"),
         epoch_us as f64 / 1e6
     ));
     out.push_str(&summary.render_ops());
 
-    let attributed_us = summary.ops_total_self_ns() / 1_000;
-    let other_us = epoch_us.saturating_sub(attributed_us);
-    let pct = |us: u64| {
-        if epoch_us == 0 { 0.0 } else { 100.0 * us as f64 / epoch_us as f64 }
+    let lane_us = epoch_us as f64 * lanes;
+    let attributed_pct = if lane_us > 0.0 {
+        100.0 * (summary.ops_total_self_ns() as f64 / 1e3) / lane_us
+    } else {
+        0.0
     };
     out.push_str(&format!(
-        "\nattributed {:.1}% of epoch wall-clock to {} op row(s); other (unattributed): {:.1}%\n",
-        pct(attributed_us),
+        "\nattributed {attributed_pct:.1}% of epoch wall-clock x {lanes} lane(s) to {} op row(s); \
+         other (unattributed): {:+.1}%\n",
         summary.ops.len(),
-        pct(other_us),
+        100.0 - attributed_pct,
     ));
     if let Some(peak) =
         summary.histograms.iter().find(|h| h.name == magic_obs::stage::H_MEM_PEAK_BYTES)
@@ -1110,6 +1124,66 @@ mod tests {
         assert!(dispatch(&["profile".to_string()])
             .unwrap_err()
             .contains("profile requires a corpus"));
+    }
+
+    #[test]
+    fn profile_attributes_lane_time_against_wall_times_lanes() {
+        use magic_obs::Event;
+        let op = |kind: &str, phase: &str, self_ns: u64| Event::OpProfile {
+            kind: kind.into(),
+            phase: phase.into(),
+            shape_class: "≤1Ki".into(),
+            ts_us: 900,
+            calls: 1,
+            self_ns,
+            flops: 0,
+            bytes_out: 0,
+            fields: vec![],
+        };
+        // Two lanes over a 1 ms epoch give 2 ms of lane time; 1.5 ms of
+        // it is in op rows.
+        let events = [
+            Event::SpanStart {
+                id: 1,
+                parent: None,
+                stage: "train.run".into(),
+                ts_us: 0,
+                fields: vec![("workers".into(), 2.0), ("isa".into(), 1.0)],
+            },
+            Event::SpanStart {
+                id: 2,
+                parent: Some(1),
+                stage: "train.epoch".into(),
+                ts_us: 0,
+                fields: vec![("epoch".into(), 0.0)],
+            },
+            op("conv2d.batched", "fwd", 1_200_000),
+            op("evaluate", "host", 300_000),
+            Event::SpanEnd { id: 2, stage: "train.epoch".into(), ts_us: 1_000, dur_us: 1_000 },
+            Event::SpanEnd { id: 1, stage: "train.run".into(), ts_us: 1_000, dur_us: 1_000 },
+        ];
+        let text: String = events.iter().map(|e| e.to_jsonl_line() + "\n").collect();
+        let rendered = render_profile(&TraceSummary::from_lines(text.lines()).unwrap());
+        assert!(rendered.starts_with("profiled 1 epoch(s) on 2 lane(s), isa: avx2,"), "{rendered}");
+        assert!(
+            rendered.contains("attributed 75.0% of epoch wall-clock x 2 lane(s) to 2 op row(s); \
+                               other (unattributed): +25.0%"),
+            "{rendered}"
+        );
+
+        // Over-counted rows show a negative residual instead of 0.0%.
+        let over: String = events
+            .iter()
+            .map(|e| match e {
+                Event::OpProfile { kind, .. } if kind == "evaluate" => {
+                    op("evaluate", "host", 1_300_000)
+                }
+                e => e.clone(),
+            })
+            .map(|e| e.to_jsonl_line() + "\n")
+            .collect();
+        let rendered = render_profile(&TraceSummary::from_lines(over.lines()).unwrap());
+        assert!(rendered.contains("other (unattributed): -25.0%"), "{rendered}");
     }
 
     #[test]

@@ -328,6 +328,7 @@ impl Trainer {
                 ("epochs", self.config.epochs as f64),
                 ("train_samples", train_idx.len() as f64),
                 ("workers", lanes.workers() as f64),
+                ("isa", f64::from(magic_tensor::simd::isa().code())),
             ],
         );
 

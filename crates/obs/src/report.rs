@@ -93,6 +93,9 @@ pub struct TraceSummary {
     /// Spans that were opened but never closed (crash, or a still-open
     /// guard when the recorder was removed).
     pub unclosed_spans: u64,
+    /// Fields of the first `train.run` span (`workers`, `isa`, …), empty
+    /// when the trace has none. Readers normalize lane time by `workers`.
+    pub train_fields: Vec<(String, f64)>,
     /// Lines skipped instead of aborting on: events of an unknown type
     /// (a newer minor schema addition), plus an unparseable *final* line
     /// (the truncated tail a killed run leaves behind). Malformed lines
@@ -170,7 +173,10 @@ impl TraceSummary {
             }
             match event {
                 Event::Meta { command } => summary.command = Some(command),
-                Event::SpanStart { id, parent, stage, .. } => {
+                Event::SpanStart { id, parent, stage, fields, .. } => {
+                    if stage == crate::stage::TRAIN && summary.train_fields.is_empty() {
+                        summary.train_fields = fields;
+                    }
                     open.insert(id, (stage, parent));
                 }
                 Event::SpanEnd { id, stage, dur_us, .. } => {

@@ -32,7 +32,7 @@ mod sparse;
 mod tensor;
 mod workspace;
 
-pub use linalg::{gemm_into, gemm_nt_into, gemm_tn_into};
+pub use linalg::{gemm_into, gemm_nt_into, gemm_nt_strided_into, gemm_tn_into};
 pub use mem::MemStats;
 pub use rng::Rng64;
 pub use shape::Shape;

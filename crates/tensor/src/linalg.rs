@@ -1,11 +1,14 @@
 //! Matrix products and the graph-specific matrix helpers used by Eq. (1).
 //!
-//! Besides the [`Tensor`] methods, this module exposes the blocked kernel
-//! as slice-level GEMM entry points ([`gemm_into`], [`gemm_nt_into`],
+//! Besides the [`Tensor`] methods, this module exposes the register-tiled
+//! kernels of [`crate::simd`] as slice-level GEMM entry points
+//! ([`gemm_into`], [`gemm_nt_into`], [`gemm_nt_strided_into`],
 //! [`gemm_tn_into`]) so callers that manage their own buffers — the
 //! im2col convolution lowering with its pooled workspace — can run the
-//! same deterministic kernel without materializing `Tensor` temporaries
-//! or explicit transposes.
+//! same deterministic kernels without materializing `Tensor` temporaries
+//! or explicit transposes. Every entry point runs the instance
+//! [`crate::simd::isa`] chose for this process; results are bitwise
+//! the same whichever it is.
 
 use crate::simd;
 use crate::tensor::Tensor;
@@ -13,16 +16,16 @@ use crate::tensor::Tensor;
 /// `out += a @ b` on raw row-major slices: `a` is `(m, k)`, `b` is
 /// `(k, n)`, `out` is `(m, n)`.
 ///
-/// This is the register-blocked ikj kernel behind [`Tensor::matmul`]: the
-/// k loop is unrolled by 4 (four `a` scalars held in registers against
-/// four consecutive `b` rows) and the j loop runs through the 8-lane
-/// [`crate::simd`] spans, whose per-element expression is a function of
-/// the element's `(i, p)` position alone — no data-dependent branches,
-/// in particular no zero skipping — so results are bitwise reproducible
-/// run to run. Because each output element's accumulation chain depends
-/// only on its own row of `a` and column of `b`, row-stacking or
-/// column-concatenating independent operands (batched execution) leaves
-/// every element bitwise unchanged.
+/// This is the register-tiled kernel behind [`Tensor::matmul`]
+/// ([`crate::simd::gemm`] on the process's [`crate::simd::isa`]): each
+/// output element accumulates `(a0*b0 + a1*b1) + (a2*b2 + a3*b3)` per
+/// group of four `k`, then one `a*b` per remaining `k`, a function of the
+/// element's `(i, j)` position alone — no data-dependent branches, in
+/// particular no zero skipping — so results are bitwise reproducible run
+/// to run and across instruction sets. Because each output element's
+/// accumulation chain depends only on its own row of `a` and column of
+/// `b`, row-stacking or column-concatenating independent operands
+/// (batched execution) leaves every element bitwise unchanged.
 ///
 /// Note this *accumulates* into `out`, which lets callers pre-initialize
 /// it with a bias term for free.
@@ -31,30 +34,7 @@ use crate::tensor::Tensor;
 ///
 /// Panics if any slice length disagrees with its `(m, k, n)` dimensions.
 pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_into: a length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_into: b length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_into: out length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let k4 = k / 4 * 4;
-    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut p = 0;
-        while p < k4 {
-            let (a0, a1, a2, a3) = (arow[p], arow[p + 1], arow[p + 2], arow[p + 3]);
-            let b0 = &b[p * n..(p + 1) * n];
-            let b1 = &b[(p + 1) * n..(p + 2) * n];
-            let b2 = &b[(p + 2) * n..(p + 3) * n];
-            let b3 = &b[(p + 3) * n..(p + 4) * n];
-            simd::madd4_span(orow, a0, a1, a2, a3, b0, b1, b2, b3);
-            p += 4;
-        }
-        while p < k {
-            simd::axpy_span(orow, arow[p], &b[p * n..(p + 1) * n]);
-            p += 1;
-        }
-    }
+    simd::gemm(simd::isa(), m, k, n, a, b, out);
 }
 
 /// `out += a @ bᵀ` on raw row-major slices: `a` is `(m, k)`, `b` is
@@ -62,9 +42,10 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 /// *transposed* without materializing the transpose.
 ///
 /// Each output element is one [`Tensor::dot`] of an `a` row against a `b`
-/// row, inheriting its eight-accumulator chunking and fixed summation
-/// order, so results are bitwise reproducible. This is the weight-gradient
-/// product of the im2col lowering (`gW = gOut · colsᵀ`).
+/// row, with its eight-lane grouping and fixed summation tree, so results
+/// are bitwise reproducible. This is the `gA = gOut · Bᵀ` product of a
+/// matmul's backward; [`gemm_nt_strided_into`] is the same kernel over
+/// rows that sit inside wider matrices.
 ///
 /// # Panics
 ///
@@ -72,42 +53,48 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nt_into: a length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_into: b length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_nt_into: out length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        for (oj, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
-            *oj += Tensor::dot(arow, brow);
-        }
-    }
+    simd::gemm_nt(simd::isa(), m, k, n, a, k, b, k, out);
+}
+
+/// [`gemm_nt_into`] over strided rows: row `i` of `a` is
+/// `a[i*lda..i*lda + k]` and row `j` of `b` is `b[j*ldb..j*ldb + k]`.
+///
+/// This is how the convolution weight gradient `gW = gOut · colsᵀ` reads
+/// one sample's column range of `gOut` and of the im2col buffer in place,
+/// with the same per-element chain as copying those rows out first.
+///
+/// # Panics
+///
+/// Panics if a stride is shorter than `k`, a slice is too short for its
+/// strided rows, or `out` is not `m * n` long.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_strided_into(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    simd::gemm_nt(simd::isa(), m, k, n, a, lda, b, ldb, out);
 }
 
 /// `out += aᵀ @ b` on raw row-major slices: `a` is `(k, m)`, `b` is
 /// `(k, n)`, `out` is `(m, n)` — the first operand is consumed
 /// *transposed* without materializing the transpose.
 ///
-/// The loop order is i, then p, then an 8-lane [`crate::simd::axpy_span`]
-/// over j (`b` row `p` scaled by `a[p, i]` into `out` row `i`), a fixed
-/// function of the shapes, so results are bitwise reproducible. This is
-/// the input-gradient product of the im2col lowering (`gCols = Wᵀ·gOut`).
+/// Each output element accumulates `a[p, i] * b[p, j]` one `p` at a time,
+/// in `p` order, a fixed function of the shapes, so results are bitwise
+/// reproducible. This is the input-gradient product of the im2col
+/// lowering (`gCols = Wᵀ·gOut`).
 ///
 /// # Panics
 ///
 /// Panics if any slice length disagrees with its `(m, k, n)` dimensions.
 pub fn gemm_tn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "gemm_tn_into: a length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_tn_into: b length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_tn_into: out length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
-        for p in 0..k {
-            simd::axpy_span(orow, a[p * m + i], &b[p * n..(p + 1) * n]);
-        }
-    }
+    simd::gemm_tn(simd::isa(), m, k, n, a, b, out);
 }
 
 impl Tensor {
@@ -115,7 +102,7 @@ impl Tensor {
     ///
     /// This is the hot dense operation of the reproduction: every graph
     /// convolution layer computes `Z W` through it, and the MLP head is
-    /// built on it. It delegates to the register-blocked [`gemm_into`]
+    /// built on it. It delegates to the register-tiled [`gemm_into`]
     /// kernel, so it inherits its vectorization and its determinism
     /// contract (fixed accumulation order, no data-dependent branches —
     /// in particular no zero skipping — so results are bitwise
@@ -137,7 +124,7 @@ impl Tensor {
     /// Matrix–vector product, treating `v` as a column vector.
     ///
     /// Each row reduction goes through the chunked [`Tensor::dot`], so it
-    /// inherits its four-accumulator vectorization and fixed summation
+    /// inherits its eight-accumulator vectorization and fixed summation
     /// order.
     ///
     /// # Panics

@@ -1,109 +1,251 @@
-//! The 8-lane microkernel spans behind the GEMM and SpMM kernels.
+//! The register-tiled kernels behind every GEMM and the CSR SpMM, written
+//! once and compiled twice.
 //!
-//! Every hot inner loop of the `linalg` kernels and the CSR propagation
-//! in the `sparse` module bottoms out in one of the three span functions:
-//! a four-row multiply-add ([`madd4_span`]), a scaled row accumulation
-//! ([`axpy_span`]), and an eight-accumulator dot product ([`dot_span`]).
-//! Each walks its span in 8-wide tiles through fixed-size `[f32; 8]`
-//! array references, which gives the autovectorizer provably independent
-//! lanes with no bounds checks inside the tile — the layout LLVM lowers
-//! to packed SIMD arithmetic on every tier-1 target (SSE2 `mulps/addps`
-//! pairs on baseline x86-64, `vfmadd` on AVX2+FMA, `fmla` on AArch64).
+//! [`gemm`], [`gemm_tn`], [`gemm_nt`] and [`spmm`] each have one
+//! `#[inline(always)]` body. That body is instantiated twice: once in a
+//! plain function built for the target's baseline (SSE2 on x86-64), and
+//! once inside a `#[target_feature(enable = "avx2")]` function on x86 and
+//! x86-64. [`isa`] picks the best instance the CPU supports the first time
+//! a kernel runs and keeps it for the life of the process; tests can run
+//! either instance directly by passing an explicit [`Isa`].
 //!
-//! This module is deliberately **dependency-free** (it imports nothing,
-//! not even from this crate) so `scripts/ci.sh` can compile it standalone
-//! with `rustc --emit asm` and grep the assembly for packed instructions:
-//! the vectorization claim is inspected, not assumed. Keep it that way.
+//! # Tiles
+//!
+//! The dense kernels walk the output in `MR × 8` tiles (`MR` = 4 rows,
+//! eight `f32` lanes — one AVX `ymm` register or two SSE registers per
+//! row). A tile is loaded once, the *whole* `k` loop runs on it in
+//! registers, and it is stored once. The `b` operand is visited in column
+//! panels small enough to stay in cache while every row tile sweeps
+//! them. Rows, columns and `k` values that do not fill a tile run through
+//! the same body instantiated at width 1.
 //!
 //! # Determinism
 //!
-//! The per-element accumulation expressions are exactly those of the
-//! scalar kernels they replaced: `madd4_span` computes
-//! `(a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])` per element and
-//! `axpy_span` computes `a * b[j]`, both functions of the element's
-//! position alone. Tiling the `j` loop 8-wide therefore changes *nothing*
-//! about the float result — lane `j` never reads a neighbor — so the
-//! GEMM/SpMM outputs are bitwise identical whatever the span is batched
-//! with, which is what makes per-batch execution bitwise-equal to
-//! per-sample execution upstream. `dot_span` reduces through eight
-//! independent accumulators combined in a fixed pairwise tree, so it is
-//! bitwise reproducible run to run (but is *not* the same grouping as a
-//! sequential sum).
+//! Tiling only decides which elements share registers. Each output
+//! element's accumulation chain is a fixed function of its own position
+//! and of the shapes, identical in every instance, for any tile or panel
+//! it lands in:
+//!
+//! * [`gemm`] (`out += a·b`): `o += (a0*b0 + a1*b1) + (a2*b2 + a3*b3)` for
+//!   each group of four consecutive `k`, then `o += a*b` for each
+//!   remaining `k`.
+//! * [`gemm_tn`] (`out += aᵀ·b`) and [`spmm`]: `o += a*b`, one term per
+//!   `p`, in `p` order (CSR storage order for the SpMM, starting from
+//!   `+0.0`, then one multiply by the row scale).
+//! * [`gemm_nt`] (`out += a·bᵀ`): [`dot_span`]'s grouping — eight lane
+//!   sums over `k` in chunks of eight, a sequential tail, folded as
+//!   `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail` — then `o += dot`.
+//!
+//! So batching independent operands side by side, or stacking them, never
+//! changes a bit of any element, and the baseline and AVX2 instances agree
+//! bitwise. That agreement is why `fma` is never enabled: Rust never
+//! contracts `a*b + c` into a fused multiply-add on its own, and a fused
+//! lowering rounds once where these chains round twice, so an FMA build
+//! would train different weights than a baseline build of the same code.
+//!
+//! This module is deliberately **dependency-free** (it imports nothing
+//! outside `std`, not even from this crate) so `scripts/ci.sh` can compile
+//! it standalone with `rustc --emit asm` and check both instances: packed
+//! SSE multiplies in the baseline one, packed `ymm` multiplies and adds in
+//! the AVX2 one, and no `vfmadd` anywhere. Keep it that way.
 
-/// Vector width the spans are tiled to. Eight `f32` lanes fill one AVX
-/// `ymm` register and two SSE/NEON registers.
-pub const LANES: usize = 8;
+use std::sync::OnceLock;
 
-/// `out[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])` over the
-/// whole span — the register-blocked GEMM update of four `a` scalars
-/// against four `b` rows.
-///
-/// # Panics
-///
-/// Panics if any `b` span is shorter than `out`.
-// Four explicit scalar/row pairs (not slices-of-slices) are what lets
-// the autovectorizer keep all four accumulator streams in registers.
-#[allow(clippy::too_many_arguments)]
-pub fn madd4_span(
-    out: &mut [f32],
-    a0: f32,
-    a1: f32,
-    a2: f32,
-    a3: f32,
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-) {
-    let n = out.len();
-    let n8 = n / LANES * LANES;
-    let mut j = 0;
-    while j < n8 {
-        let o: &mut [f32; LANES] = (&mut out[j..j + LANES]).try_into().unwrap();
-        let c0: &[f32; LANES] = (&b0[j..j + LANES]).try_into().unwrap();
-        let c1: &[f32; LANES] = (&b1[j..j + LANES]).try_into().unwrap();
-        let c2: &[f32; LANES] = (&b2[j..j + LANES]).try_into().unwrap();
-        let c3: &[f32; LANES] = (&b3[j..j + LANES]).try_into().unwrap();
-        for l in 0..LANES {
-            o[l] += (a0 * c0[l] + a1 * c1[l]) + (a2 * c2[l] + a3 * c3[l]);
+/// Lane width of a tile row. Eight `f32` lanes fill one AVX `ymm`
+/// register and two SSE/NEON registers.
+const LANES: usize = 8;
+
+/// Rows per dense register tile.
+const MR: usize = 4;
+
+/// Rows of `b` a [`gemm_nt`] tile dots against each of its `MR` rows of
+/// `a`.
+const NT_COLS: usize = 2;
+
+/// Column groups of [`LANES`] a [`spmm`] row tile holds in registers.
+const SPMM_GROUPS: usize = 4;
+
+/// Floats of `b` per column panel: 64 KiB, small enough for the panel to
+/// stay in L2 while every row tile sweeps it.
+const PANEL_FLOATS: usize = 16 * 1024;
+
+/// An instruction-set instance of the kernels. Only the instances the
+/// running CPU supports can be obtained, so passing one to a kernel is
+/// always sound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Isa(Level);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Level {
+    Baseline,
+    #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), allow(dead_code))]
+    Avx2,
+}
+
+impl Isa {
+    /// The instance built for the target's baseline, available everywhere.
+    pub const BASELINE: Isa = Isa(Level::Baseline);
+
+    /// The AVX2 instance, if this CPU supports AVX2. Always `None` off
+    /// x86.
+    pub fn avx2() -> Option<Isa> {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::is_x86_feature_detected!("avx2") {
+            return Some(Isa(Level::Avx2));
         }
-        j += LANES;
+        None
     }
-    while j < n {
-        out[j] += (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
-        j += 1;
+
+    /// Stable name: `"baseline"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Level::Baseline => "baseline",
+            Level::Avx2 => "avx2",
+        }
+    }
+
+    /// Numeric code of the instance (0 = baseline, 1 = AVX2), for trace
+    /// span fields, which carry numbers only.
+    pub fn code(self) -> u8 {
+        self.0 as u8
+    }
+
+    /// The name of the instance with numeric code `code`, if any.
+    pub fn name_of_code(code: u8) -> Option<&'static str> {
+        match code {
+            0 => Some("baseline"),
+            1 => Some("avx2"),
+            _ => None,
+        }
     }
 }
 
-/// `out[j] += a * b[j]` over the whole span — the GEMM k-remainder, the
-/// transposed-GEMM inner update, and the CSR SpMM row accumulation.
+/// The instance every kernel call of this process runs: the fastest one
+/// the CPU supports, chosen once, on first use.
+pub fn isa() -> Isa {
+    static CHOSEN: OnceLock<Isa> = OnceLock::new();
+    *CHOSEN.get_or_init(|| Isa::avx2().unwrap_or(Isa::BASELINE))
+}
+
+/// One kernel invocation, ready to run. `run` is the single body both
+/// instances compile.
+trait Kernel {
+    fn run(self);
+}
+
+fn run_baseline<K: Kernel>(kernel: K) {
+    kernel.run();
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: Kernel>(kernel: K) {
+    kernel.run();
+}
+
+fn dispatch<K: Kernel>(isa: Isa, kernel: K) {
+    match isa.0 {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Level::Avx2 => {
+            // SAFETY: an `Isa` holding `Level::Avx2` is only ever built by
+            // `Isa::avx2`, after `is_x86_feature_detected!("avx2")`
+            // returned true, so the CPU running this call supports AVX2.
+            unsafe { run_avx2(kernel) }
+        }
+        _ => run_baseline(kernel),
+    }
+}
+
+/// `out += a @ b` on row-major slices: `a` is `(m, k)`, `b` is `(k, n)`,
+/// `out` is `(m, n)`, run by instance `isa`. See the module docs for the
+/// per-element chain.
 ///
 /// # Panics
 ///
-/// Panics if `b` is shorter than `out`.
-pub fn axpy_span(out: &mut [f32], a: f32, b: &[f32]) {
-    let n = out.len();
-    let n8 = n / LANES * LANES;
-    let mut j = 0;
-    while j < n8 {
-        let o: &mut [f32; LANES] = (&mut out[j..j + LANES]).try_into().unwrap();
-        let c: &[f32; LANES] = (&b[j..j + LANES]).try_into().unwrap();
-        for l in 0..LANES {
-            o[l] += a * c[l];
-        }
-        j += LANES;
+/// Panics if any slice length disagrees with its `(m, k, n)` dimensions.
+pub fn gemm(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "gemm_into: a length mismatch");
+    assert_eq!(b.len(), k * n, "gemm_into: b length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_into: out length mismatch");
+    dispatch(isa, Dense::<false> { m, k, n, a, b, out });
+}
+
+/// `out += aᵀ @ b` on row-major slices: `a` is `(k, m)`, `b` is `(k, n)`,
+/// `out` is `(m, n)`, run by instance `isa`.
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with its `(m, k, n)` dimensions.
+pub fn gemm_tn(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), k * m, "gemm_tn_into: a length mismatch");
+    assert_eq!(b.len(), k * n, "gemm_tn_into: b length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_tn_into: out length mismatch");
+    dispatch(isa, Dense::<true> { m, k, n, a, b, out });
+}
+
+/// `out += a @ bᵀ` where row `i` of `a` is `a[i*lda..i*lda + k]` and row
+/// `j` of `b` is `b[j*ldb..j*ldb + k]`; `out` is `(m, n)`. The strides let
+/// callers read column ranges of wider row-major matrices in place. Run by
+/// instance `isa`.
+///
+/// # Panics
+///
+/// Panics if a stride is shorter than `k` or a slice is too short for its
+/// strided rows.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt(
+    isa: Isa,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    assert!(lda >= k && ldb >= k, "gemm_nt_into: row stride shorter than k");
+    assert!(m == 0 || a.len() >= (m - 1) * lda + k, "gemm_nt_into: a length mismatch");
+    assert!(n == 0 || b.len() >= (n - 1) * ldb + k, "gemm_nt_into: b length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_nt_into: out length mismatch");
+    dispatch(isa, Nt { m, k, n, a, lda, b, ldb, out });
+}
+
+/// CSR × dense product: `out[i] = row_scale[i] · Σ_p values[p] · dense[col_indices[p]]`
+/// over row `i`'s nonzeros in storage order (no scale when `row_scale` is
+/// `None`). `dense` is `(·, c)` row-major and `out` is `(rows, c)`, fully
+/// overwritten. Run by instance `isa`.
+///
+/// # Panics
+///
+/// Panics if the CSR arrays disagree with each other or with `out`, or a
+/// column index is out of range of `dense`.
+#[allow(clippy::too_many_arguments)]
+pub fn spmm(
+    isa: Isa,
+    row_offsets: &[usize],
+    col_indices: &[u32],
+    values: &[f32],
+    row_scale: Option<&[f32]>,
+    dense: &[f32],
+    c: usize,
+    out: &mut [f32],
+) {
+    let rows = row_offsets.len().saturating_sub(1);
+    assert_eq!(col_indices.len(), values.len(), "spmm: one value per column index");
+    assert_eq!(out.len(), rows * c, "spmm: out length mismatch");
+    if let Some(s) = row_scale {
+        assert_eq!(s.len(), rows, "spmm: one scale factor per row");
     }
-    while j < n {
-        out[j] += a * b[j];
-        j += 1;
-    }
+    dispatch(isa, Spmm { row_offsets, col_indices, values, row_scale, dense, c, out });
 }
 
 /// Dot product of two equal-length spans through eight independent
 /// accumulators, combined pairwise:
 /// `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail`, with the sub-8
 /// remainder summed sequentially. The grouping is a fixed function of
-/// the length alone, so the result is bitwise reproducible.
+/// the length alone, so the result is bitwise reproducible; [`gemm_nt`]
+/// computes every element with exactly this grouping.
 ///
 /// # Panics
 ///
@@ -126,40 +268,384 @@ pub fn dot_span(a: &[f32], b: &[f32]) -> f32 {
         tail += a[j] * b[j];
         j += 1;
     }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    fold(&acc) + tail
+}
+
+/// The fixed pairwise tree over eight lane sums.
+#[inline(always)]
+fn fold(s: &[f32; LANES]) -> f32 {
+    ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+}
+
+/// `W` lanes handled by value. Lane-wise `+` and `*` on whole values,
+/// rather than loops over borrowed arrays, are what lets LLVM keep a tile
+/// in registers and lower each operation to one packed instruction per
+/// register in every instance.
+#[derive(Clone, Copy)]
+struct Lanes<const W: usize>([f32; W]);
+
+impl<const W: usize> Lanes<W> {
+    #[inline(always)]
+    fn load(s: &[f32]) -> Self {
+        Lanes(s[..W].try_into().unwrap())
+    }
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        Lanes([x; W])
+    }
+
+    #[inline(always)]
+    fn store(self, s: &mut [f32]) {
+        s[..W].copy_from_slice(&self.0);
+    }
+}
+
+impl<const W: usize> std::ops::Add for Lanes<W> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(mut self, o: Self) -> Self {
+        for (x, y) in self.0.iter_mut().zip(o.0) {
+            *x += y;
+        }
+        self
+    }
+}
+
+impl<const W: usize> std::ops::Mul for Lanes<W> {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(mut self, o: Self) -> Self {
+        for (x, y) in self.0.iter_mut().zip(o.0) {
+            *x *= y;
+        }
+        self
+    }
+}
+
+/// A dense kernel seen as a grid of `R × W` output tiles.
+trait Tiles {
+    /// Output shape `(rows, cols)`.
+    fn dims(&self) -> (usize, usize);
+    /// Output columns per cache panel.
+    fn panel(&self) -> usize;
+    /// Computes the whole `k` chain of the `R × W` tile at `(i, j)`.
+    fn tile<const R: usize, const W: usize>(&mut self, i: usize, j: usize);
+}
+
+/// Sweeps the output panel by panel, `MR`-row tiles first, each row tile
+/// across the panel in `W`-column tiles; leftover rows and columns take
+/// width-1 tiles.
+#[inline(always)]
+fn sweep<const W: usize, T: Tiles>(t: &mut T) {
+    let (m, n) = t.dims();
+    let panel = t.panel().max(W);
+    let mut j0 = 0;
+    while j0 < n {
+        let j1 = (j0 + panel).min(n);
+        let mut i = 0;
+        while i + MR <= m {
+            row_tiles::<MR, W, T>(t, i, j0, j1);
+            i += MR;
+        }
+        while i < m {
+            row_tiles::<1, W, T>(t, i, j0, j1);
+            i += 1;
+        }
+        j0 = j1;
+    }
+}
+
+#[inline(always)]
+fn row_tiles<const R: usize, const W: usize, T: Tiles>(t: &mut T, i: usize, j0: usize, j1: usize) {
+    let mut j = j0;
+    while j + W <= j1 {
+        t.tile::<R, W>(i, j);
+        j += W;
+    }
+    while j < j1 {
+        t.tile::<R, 1>(i, j);
+        j += 1;
+    }
+}
+
+/// `out += a·b` with `a` as `(m, k)` and the four-term `k` groups of
+/// [`gemm`], or, when `TN`, `out += aᵀ·b` with `a` as `(k, m)` and the
+/// one-term chain of [`gemm_tn`].
+struct Dense<'a, const TN: bool> {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &'a [f32],
+    b: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl<const TN: bool> Kernel for Dense<'_, TN> {
+    #[inline(always)]
+    fn run(mut self) {
+        sweep::<LANES, _>(&mut self);
+    }
+}
+
+impl<const TN: bool> Tiles for Dense<'_, TN> {
+    fn dims(&self) -> (usize, usize) {
+        (self.m, self.n)
+    }
+
+    fn panel(&self) -> usize {
+        PANEL_FLOATS / self.k.max(1) / LANES * LANES
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(&mut self, i: usize, j: usize) {
+        let (m, k, n, a) = (self.m, self.k, self.n, self.a);
+        let b = |p: usize| Lanes::<W>::load(&self.b[p * n + j..]);
+        let mut acc: [Lanes<W>; R] =
+            std::array::from_fn(|r| Lanes::load(&self.out[(i + r) * n + j..]));
+        let mut p = 0;
+        if !TN {
+            while p + 4 <= k {
+                let (b0, b1, b2, b3) = (b(p), b(p + 1), b(p + 2), b(p + 3));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let ar = &a[(i + r) * k + p..][..4];
+                    let s = |q: usize| Lanes::splat(ar[q]);
+                    *acc_r = *acc_r + ((s(0) * b0 + s(1) * b1) + (s(2) * b2 + s(3) * b3));
+                }
+                p += 4;
+            }
+        }
+        while p < k {
+            let b0 = b(p);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a0 = if TN { a[p * m + i + r] } else { a[(i + r) * k + p] };
+                *acc_r = *acc_r + Lanes::splat(a0) * b0;
+            }
+            p += 1;
+        }
+        for (r, acc_r) in acc.into_iter().enumerate() {
+            acc_r.store(&mut self.out[(i + r) * n + j..]);
+        }
+    }
+}
+
+struct Nt<'a> {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &'a [f32],
+    lda: usize,
+    b: &'a [f32],
+    ldb: usize,
+    out: &'a mut [f32],
+}
+
+impl Kernel for Nt<'_> {
+    #[inline(always)]
+    fn run(mut self) {
+        sweep::<NT_COLS, _>(&mut self);
+    }
+}
+
+impl Tiles for Nt<'_> {
+    fn dims(&self) -> (usize, usize) {
+        (self.m, self.n)
+    }
+
+    fn panel(&self) -> usize {
+        self.n
+    }
+
+    /// `R` rows of `a` against `W` rows of `b`: `R·W` dot products, each
+    /// with its own eight lane sums and tail.
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(&mut self, i: usize, j: usize) {
+        let k = self.k;
+        let a = |r: usize, p: usize| &self.a[(i + r) * self.lda + p..];
+        let b = |c: usize, p: usize| &self.b[(j + c) * self.ldb + p..];
+        let mut acc = [[Lanes::<LANES>::splat(0.0); W]; R];
+        let mut p = 0;
+        while p + LANES <= k {
+            let bv: [Lanes<LANES>; W] = std::array::from_fn(|c| Lanes::load(b(c, p)));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = Lanes::load(a(r, p));
+                for (acc_rc, &bc) in acc_r.iter_mut().zip(&bv) {
+                    *acc_rc = *acc_rc + av * bc;
+                }
+            }
+            p += LANES;
+        }
+        let mut tail = [[0.0f32; W]; R];
+        while p < k {
+            for (r, tail_r) in tail.iter_mut().enumerate() {
+                let ar = a(r, p)[0];
+                for (c, t) in tail_r.iter_mut().enumerate() {
+                    *t += ar * b(c, p)[0];
+                }
+            }
+            p += 1;
+        }
+        for r in 0..R {
+            let orow = &mut self.out[(i + r) * self.n + j..][..W];
+            for c in 0..W {
+                orow[c] += fold(&acc[r][c].0) + tail[r][c];
+            }
+        }
+    }
+}
+
+struct Spmm<'a> {
+    row_offsets: &'a [usize],
+    col_indices: &'a [u32],
+    values: &'a [f32],
+    row_scale: Option<&'a [f32]>,
+    dense: &'a [f32],
+    c: usize,
+    out: &'a mut [f32],
+}
+
+impl Kernel for Spmm<'_> {
+    #[inline(always)]
+    fn run(mut self) {
+        let c = self.c;
+        for i in 0..self.row_offsets.len().saturating_sub(1) {
+            let mut j = 0;
+            while j + SPMM_GROUPS * LANES <= c {
+                self.tile::<SPMM_GROUPS, LANES>(i, j);
+                j += SPMM_GROUPS * LANES;
+            }
+            while j + LANES <= c {
+                self.tile::<1, LANES>(i, j);
+                j += LANES;
+            }
+            while j < c {
+                self.tile::<1, 1>(i, j);
+                j += 1;
+            }
+        }
+    }
+}
+
+impl Spmm<'_> {
+    /// Columns `j .. j + G·W` of output row `i`, held in registers across
+    /// the row's nonzeros.
+    #[inline(always)]
+    fn tile<const G: usize, const W: usize>(&mut self, i: usize, j: usize) {
+        let c = self.c;
+        let mut acc = [Lanes::<W>::splat(0.0); G];
+        for p in self.row_offsets[i]..self.row_offsets[i + 1] {
+            let v = Lanes::splat(self.values[p]);
+            let drow = &self.dense[self.col_indices[p] as usize * c + j..];
+            for (g, acc_g) in acc.iter_mut().enumerate() {
+                *acc_g = *acc_g + v * Lanes::load(&drow[g * W..]);
+            }
+        }
+        if let Some(s) = self.row_scale {
+            let f = Lanes::splat(s[i]);
+            for acc_g in &mut acc {
+                *acc_g = *acc_g * f;
+            }
+        }
+        for (g, acc_g) in acc.into_iter().enumerate() {
+            acc_g.store(&mut self.out[i * c + j + g * W..]);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn instances() -> Vec<Isa> {
+        let mut all = vec![Isa::BASELINE];
+        all.extend(Isa::avx2());
+        all
+    }
+
+    fn values(len: usize, seed: f32) -> Vec<f32> {
+        (0..len).map(|i| ((i as f32 + seed) * 0.37).sin()).collect()
+    }
+
     #[test]
     fn madd4_matches_scalar_expression_bitwise() {
-        let n = 21; // exercises both the 8-wide tiles and the remainder
-        let b: Vec<Vec<f32>> = (0..4)
-            .map(|r| (0..n).map(|j| ((r * n + j) as f32).sin()).collect())
-            .collect();
-        let (a0, a1, a2, a3) = (0.7, -1.3, 0.01, 2.5);
-        let mut out = vec![0.5f32; n];
-        let mut want = vec![0.5f32; n];
-        madd4_span(&mut out, a0, a1, a2, a3, &b[0], &b[1], &b[2], &b[3]);
-        for j in 0..n {
-            want[j] += (a0 * b[0][j] + a1 * b[1][j]) + (a2 * b[2][j] + a3 * b[3][j]);
+        // gemm's four-term group chain, then one term per leftover k.
+        let (m, k, n) = (5, 6, 11);
+        let (a, b) = (values(m * k, 1.0), values(k * n, 2.0));
+        let mut want = values(m * n, 3.0);
+        for i in 0..m {
+            for j in 0..n {
+                let o = &mut want[i * n + j];
+                let x = |p: usize| a[i * k + p] * b[p * n + j];
+                *o += (x(0) + x(1)) + (x(2) + x(3));
+                *o += x(4);
+                *o += x(5);
+            }
         }
-        assert_eq!(out, want, "tiling must not change the per-element result");
+        for isa in instances() {
+            let mut out = values(m * n, 3.0);
+            gemm(isa, m, k, n, &a, &b, &mut out);
+            assert_eq!(out, want, "{}", isa.name());
+        }
     }
 
     #[test]
     fn axpy_matches_scalar_expression_bitwise() {
-        let n = 13;
-        let b: Vec<f32> = (0..n).map(|j| (j as f32).cos()).collect();
-        let mut out = vec![1.0f32; n];
-        let mut want = vec![1.0f32; n];
-        axpy_span(&mut out, -0.37, &b);
-        for j in 0..n {
-            want[j] += -0.37 * b[j];
+        // gemm_tn and the SpMM: one `o += a*b` term per p, in p order.
+        let (m, k, n) = (5, 3, 13);
+        let (a, b) = (values(k * m, 1.0), values(k * n, 2.0));
+        let mut want = values(m * n, 3.0);
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    want[i * n + j] += a[p * m + i] * b[p * n + j];
+                }
+            }
         }
-        assert_eq!(out, want);
+        // Row i of a 2-row CSR holds a[.., i] at columns 0..k of `b`.
+        let offsets = [0, k, 2 * k];
+        let cols: Vec<u32> = (0..2 * k).map(|p| (p % k) as u32).collect();
+        let vals: Vec<f32> = (0..2 * k).map(|p| a[(p % k) * m + p / k]).collect();
+        for isa in instances() {
+            let mut out = values(m * n, 3.0);
+            gemm_tn(isa, m, k, n, &a, &b, &mut out);
+            assert_eq!(out, want, "{}", isa.name());
+            let mut rows = vec![f32::NAN; 2 * n];
+            spmm(isa, &offsets, &cols, &vals, None, &b, n, &mut rows);
+            for i in 0..2 {
+                for j in 0..n {
+                    let mut o = 0.0f32;
+                    for p in 0..k {
+                        o += a[p * m + i] * b[p * n + j];
+                    }
+                    assert_eq!(rows[i * n + j].to_bits(), o.to_bits(), "{}", isa.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_nt_folds_like_dot_span() {
+        let (m, k, n) = (6, 21, 3);
+        let (a, b) = (values(m * k, 4.0), values(n * k, 5.0));
+        for isa in instances() {
+            let mut out = vec![0.25f32; m * n];
+            gemm_nt(isa, m, k, n, &a, k, &b, k, &mut out);
+            for i in 0..m {
+                for j in 0..n {
+                    let want = 0.25 + dot_span(&a[i * k..][..k], &b[j * k..][..k]);
+                    assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "{}", isa.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn isa_codes_round_trip_to_names() {
+        for isa in instances() {
+            assert_eq!(Isa::name_of_code(isa.code()), Some(isa.name()));
+        }
+        assert_eq!(Isa::name_of_code(9), None);
+        assert!(instances().contains(&isa()));
     }
 
     #[test]

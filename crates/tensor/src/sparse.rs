@@ -276,18 +276,16 @@ impl CsrMatrix {
         if self.rows == 0 || c == 0 {
             return out;
         }
-        for (i, orow) in out.as_mut_slice().chunks_exact_mut(c).enumerate() {
-            for p in self.row_offsets[i]..self.row_offsets[i + 1] {
-                let drow = &d[self.col_indices[p] as usize * c..][..c];
-                crate::simd::axpy_span(orow, self.values[p], drow);
-            }
-            if let Some(s) = row_scale {
-                let f = s[i];
-                for oj in orow.iter_mut() {
-                    *oj *= f;
-                }
-            }
-        }
+        crate::simd::spmm(
+            crate::simd::isa(),
+            &self.row_offsets,
+            &self.col_indices,
+            &self.values,
+            row_scale,
+            d,
+            c,
+            out.as_mut_slice(),
+        );
         out
     }
 

@@ -164,22 +164,54 @@ done
 echo "==> doc link check: no dangling relative links in README.md / docs/"
 scripts/check_doc_links.sh
 
-echo "==> vectorization check: SIMD microkernel emits packed FP math"
-# Compile the microkernel module standalone at opt-level=3 and look for
-# packed multiply / FMA instructions in the emitted assembly. Guards
-# against a refactor silently de-vectorizing the 8-lane kernel (e.g. by
-# introducing a loop-carried dependence the autovectorizer can't break).
-# Skipped, not failed, if rustc can't emit asm for this target.
-SIMD_ASM="$(mktemp /tmp/simd_probe.XXXXXX.s)"
-trap 'rm -f "$SIMD_ASM"' EXIT
+echo "==> vectorization check: both kernel instances emit packed FP math, none fused"
+# Compile the kernel module standalone at opt-level=3 and inspect the
+# assembly of both instances of the one kernel source. On x86 the
+# baseline instance (every function but `run_avx2`) must hold packed SSE
+# `mulps`/`addps`, the AVX2 instance (`run_avx2`) packed `ymm`
+# `vmulps`/`vaddps`, and no `vfmadd` may appear anywhere: a fused
+# multiply-add would round differently and break bitwise equality
+# between the instances. Guards against a refactor silently
+# de-vectorizing a kernel or enabling `fma`. Skipped, not failed, if
+# rustc can't emit asm for this target.
+SIMD_DIR="$(mktemp -d /tmp/simd_probe.XXXXXX)"
+trap 'rm -rf "$SIMD_DIR"' EXIT
 if rustc --edition 2021 --crate-type lib -C opt-level=3 --emit asm \
-    -o "$SIMD_ASM" crates/tensor/src/simd.rs 2>/dev/null; then
-    if grep -Eq '\b(mulps|vmulps|vfmadd[0-9]*ps|fmla)\b' "$SIMD_ASM"; then
-        echo "packed FP instructions found in microkernel asm"
-    else
-        echo "ERROR: no packed FP instructions in microkernel asm" >&2
+    -o "$SIMD_DIR/simd.s" crates/tensor/src/simd.rs 2>/dev/null; then
+    if grep -Eq '\bvfmadd' "$SIMD_DIR/simd.s"; then
+        echo "ERROR: fused multiply-add (vfmadd) in kernel asm" >&2
         exit 1
     fi
+    case "$(uname -m)" in
+    x86_64 | i?86)
+        # Split the listing per function: labels of non-local symbols
+        # start a function; `run_avx2` ones go to avx2.s.
+        : > "$SIMD_DIR/baseline.s"
+        : > "$SIMD_DIR/avx2.s"
+        awk -v dir="$SIMD_DIR" '
+            /^[_A-Za-z][^ \t]*:$/ { out = ($0 ~ /run_avx2/) ? "avx2.s" : "baseline.s" }
+            out { print > (dir "/" out) }' "$SIMD_DIR/simd.s"
+        for op in mulps addps; do
+            if ! grep -Eq "^\s+$op\s" "$SIMD_DIR/baseline.s"; then
+                echo "ERROR: no packed SSE $op in the baseline kernel instance" >&2
+                exit 1
+            fi
+            if ! grep -Eq "^\s+v$op\s.*%ymm" "$SIMD_DIR/avx2.s"; then
+                echo "ERROR: no packed ymm v$op in the AVX2 kernel instance" >&2
+                exit 1
+            fi
+        done
+        echo "baseline instance: packed SSE; AVX2 instance: packed ymm; no vfmadd"
+        ;;
+    *)
+        if grep -Eq '\b(mulps|fmla|fmul)\b' "$SIMD_DIR/simd.s"; then
+            echo "packed FP instructions found in kernel asm"
+        else
+            echo "ERROR: no packed FP instructions in kernel asm" >&2
+            exit 1
+        fi
+        ;;
+    esac
 else
     echo "rustc --emit asm unavailable on this target; skipping vectorization check"
 fi

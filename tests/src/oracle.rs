@@ -1,11 +1,15 @@
 //! Reference oracles for parity tests: the scalar-loop convolution
-//! kernels and the dense `Â` graph convolution.
+//! kernels, the dense `Â` graph convolution, and span-order scalar
+//! versions of the register-tiled GEMM and SpMM kernels.
 //!
-//! None of these run in production. They are the straightforward
-//! definitions the production kernels (im2col + GEMM convolution over a
-//! column-stacked batch, fused CSR propagation over a block-diagonal
-//! batch) are checked against, to float-reassociation tolerance: the
-//! loop orders differ, so agreement is close, not bitwise.
+//! None of these run in production. The convolution and graph oracles are
+//! the straightforward definitions the production kernels (im2col + GEMM
+//! convolution over a column-stacked batch, fused CSR propagation over a
+//! block-diagonal batch) are checked against, to float-reassociation
+//! tolerance: the loop orders differ, so agreement is close, not bitwise.
+//! The `*_span_order` kernels instead spell out, one element at a time,
+//! the exact accumulation chain `magic_tensor::simd` promises, so the
+//! tiled kernels must match them bitwise.
 
 // The loops index by channel on purpose: they spell out the definitions.
 #![allow(clippy::needless_range_loop)]
@@ -165,4 +169,95 @@ pub fn graph_conv_dense(tape: &mut Tape, a_hat: Var, inv_degree: &[f32], z: Var,
     let o = tape.matmul(a_hat, f);
     let n = tape.scale_rows(o, inv_degree.to_vec());
     tape.relu(n)
+}
+
+/// `out += a @ b` (`a` is `(m, k)`, `b` is `(k, n)`), one element at a
+/// time: `(a0*b0 + a1*b1) + (a2*b2 + a3*b3)` per group of four `k`, then
+/// one `a*b` per remaining `k`.
+pub fn gemm_span_order(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let term = |i: usize, j: usize, p: usize| a[i * k + p] * b[p * n + j];
+    for i in 0..m {
+        for j in 0..n {
+            let o = &mut out[i * n + j];
+            let mut p = 0;
+            while p + 4 <= k {
+                *o += (term(i, j, p) + term(i, j, p + 1)) + (term(i, j, p + 2) + term(i, j, p + 3));
+                p += 4;
+            }
+            for p in p..k {
+                *o += term(i, j, p);
+            }
+        }
+    }
+}
+
+/// `out += aᵀ @ b` (`a` is `(k, m)`, `b` is `(k, n)`), one element at a
+/// time: one `a*b` per `p`, in `p` order.
+pub fn gemm_tn_span_order(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for i in 0..m {
+        for j in 0..n {
+            for p in 0..k {
+                out[i * n + j] += a[p * m + i] * b[p * n + j];
+            }
+        }
+    }
+}
+
+/// `out += a @ bᵀ` over strided rows (row `i` of `a` at `i*lda`, row `j`
+/// of `b` at `j*ldb`), one element at a time: eight lane sums over `k` in
+/// chunks of eight, a sequential tail, folded as
+/// `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_span_order(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let (ar, br) = (&a[i * lda..][..k], &b[j * ldb..][..k]);
+            let mut s = [0.0f32; 8];
+            let k8 = k / 8 * 8;
+            for p in 0..k8 {
+                s[p % 8] += ar[p] * br[p];
+            }
+            let mut tail = 0.0f32;
+            for p in k8..k {
+                tail += ar[p] * br[p];
+            }
+            out[i * n + j] +=
+                ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + tail;
+        }
+    }
+}
+
+/// CSR × dense, one element at a time: `out[i, j]` starts at `+0.0`,
+/// adds `values[p] * dense[col_indices[p], j]` over row `i`'s nonzeros in
+/// storage order, then is multiplied by `row_scale[i]` if given.
+pub fn spmm_span_order(
+    row_offsets: &[usize],
+    col_indices: &[u32],
+    values: &[f32],
+    row_scale: Option<&[f32]>,
+    dense: &[f32],
+    c: usize,
+    out: &mut [f32],
+) {
+    for i in 0..row_offsets.len() - 1 {
+        for j in 0..c {
+            let mut o = 0.0f32;
+            for p in row_offsets[i]..row_offsets[i + 1] {
+                o += values[p] * dense[col_indices[p] as usize * c + j];
+            }
+            if let Some(s) = row_scale {
+                o *= s[i];
+            }
+            out[i * c + j] = o;
+        }
+    }
 }

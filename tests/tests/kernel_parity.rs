@@ -1,0 +1,187 @@
+//! Both instances of the register-tiled kernels — the baseline build and
+//! the AVX2 build of the same source — against each other and against
+//! the span-order scalar references in [`magic_integration::oracle`],
+//! bitwise, over every tile remainder.
+//!
+//! The instances are called directly through an explicit
+//! [`magic_tensor::simd::Isa`], so the fallback stays covered on an AVX2
+//! machine. The AVX2 cases are skipped, with a note, only on a CPU
+//! without AVX2.
+
+use magic_integration::oracle;
+use magic_tensor::simd::{self, Isa};
+use magic_tensor::{gemm_nt_strided_into, CsrMatrix, Rng64, Tensor};
+
+/// Every instance this CPU can run, baseline first.
+fn instances() -> Vec<Isa> {
+    let mut all = vec![Isa::BASELINE];
+    match Isa::avx2() {
+        Some(avx2) => all.push(avx2),
+        None => eprintln!("note: CPU lacks AVX2; checking the baseline instance only"),
+    }
+    all
+}
+
+/// Row counts covering `m % 4` = 0..3, column counts covering `n % 8` =
+/// 0..7 and `n < 8`, and depths covering `k % 4` (and `k % 8`) plus
+/// `k = 0`.
+const MS: [usize; 6] = [1, 2, 3, 4, 5, 11];
+const NS: [usize; 9] = [1, 3, 5, 7, 8, 9, 14, 16, 23];
+const KS: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 18];
+
+fn random(len: usize, rng: &mut Rng64) -> Vec<f32> {
+    Tensor::rand_uniform([len], -2.0, 2.0, rng).as_slice().to_vec()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs `kernel` on every instance from the same starting `out` and
+/// checks each result bitwise against `want`.
+fn check_instances(what: &str, init: &[f32], want: &[f32], kernel: impl Fn(Isa, &mut [f32])) {
+    for isa in instances() {
+        let mut out = init.to_vec();
+        kernel(isa, &mut out);
+        assert_eq!(bits(&out), bits(want), "{what} on {}", isa.name());
+    }
+}
+
+#[test]
+fn gemm_instances_match_span_order_on_every_remainder() {
+    let mut rng = Rng64::new(1);
+    for m in MS {
+        for n in NS {
+            for k in KS {
+                let (a, b, init) =
+                    (random(m * k, &mut rng), random(k * n, &mut rng), random(m * n, &mut rng));
+                let mut want = init.clone();
+                oracle::gemm_span_order(m, k, n, &a, &b, &mut want);
+                check_instances(&format!("gemm ({m},{k},{n})"), &init, &want, |isa, out| {
+                    simd::gemm(isa, m, k, n, &a, &b, out)
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_tn_instances_match_span_order_on_every_remainder() {
+    let mut rng = Rng64::new(2);
+    for m in MS {
+        for n in NS {
+            for k in KS {
+                let (a, b, init) =
+                    (random(k * m, &mut rng), random(k * n, &mut rng), random(m * n, &mut rng));
+                let mut want = init.clone();
+                oracle::gemm_tn_span_order(m, k, n, &a, &b, &mut want);
+                check_instances(&format!("gemm_tn ({m},{k},{n})"), &init, &want, |isa, out| {
+                    simd::gemm_tn(isa, m, k, n, &a, &b, out)
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_nt_instances_match_span_order_on_every_remainder() {
+    let mut rng = Rng64::new(3);
+    for m in MS {
+        for n in NS {
+            for k in KS {
+                let (a, b, init) =
+                    (random(m * k, &mut rng), random(n * k, &mut rng), random(m * n, &mut rng));
+                let mut want = init.clone();
+                oracle::gemm_nt_span_order(m, k, n, &a, k, &b, k, &mut want);
+                check_instances(&format!("gemm_nt ({m},{k},{n})"), &init, &want, |isa, out| {
+                    simd::gemm_nt(isa, m, k, n, &a, k, &b, k, out)
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_instances_agree_across_cache_panels() {
+    // Wide enough that the column sweep spans several cache panels, with
+    // a ragged last panel and a ragged last tile.
+    let mut rng = Rng64::new(4);
+    let (m, k, n) = (6, 9, 4_101);
+    let (a, b, init) = (random(m * k, &mut rng), random(k * n, &mut rng), random(m * n, &mut rng));
+    let mut want = init.clone();
+    oracle::gemm_span_order(m, k, n, &a, &b, &mut want);
+    check_instances("gemm wide", &init, &want, |isa, out| simd::gemm(isa, m, k, n, &a, &b, out));
+
+    let at = random(k * m, &mut rng);
+    let mut want = init.clone();
+    oracle::gemm_tn_span_order(m, k, n, &at, &b, &mut want);
+    check_instances("gemm_tn wide", &init, &want, |isa, out| {
+        simd::gemm_tn(isa, m, k, n, &at, &b, out)
+    });
+}
+
+#[test]
+fn strided_gemm_nt_equals_the_copy_then_dot_span_path() {
+    // The conv weight gradient reads one sample's column range of gOut
+    // and of the im2col buffer in place. It must equal copying those
+    // ranges into contiguous rows and dotting them with `dot_span`.
+    let mut rng = Rng64::new(5);
+    let (c_out, ck, total) = (5, 9, 97);
+    let gout = random(c_out * total, &mut rng);
+    let cols = random(ck * total, &mut rng);
+    for (off, len) in [(0, 97), (0, 40), (40, 33), (73, 24), (90, 7), (96, 1), (12, 0)] {
+        let mut want = vec![0.0f32; c_out * ck];
+        let g: Vec<&[f32]> = (0..c_out).map(|o| &gout[o * total + off..][..len]).collect();
+        let c: Vec<&[f32]> = (0..ck).map(|r| &cols[r * total + off..][..len]).collect();
+        let (g_copy, c_copy): (Vec<f32>, Vec<f32>) = (g.concat(), c.concat());
+        for o in 0..c_out {
+            for r in 0..ck {
+                want[o * ck + r] +=
+                    simd::dot_span(&g_copy[o * len..][..len], &c_copy[r * len..][..len]);
+            }
+        }
+        let init = vec![0.0f32; c_out * ck];
+        check_instances(&format!("strided nt at {off}+{len}"), &init, &want, |isa, out| {
+            simd::gemm_nt(isa, c_out, len, ck, &gout[off..], total, &cols[off..], total, out)
+        });
+        let mut public = init.clone();
+        gemm_nt_strided_into(c_out, len, ck, &gout[off..], total, &cols[off..], total, &mut public);
+        assert_eq!(bits(&public), bits(&want), "gemm_nt_strided_into at {off}+{len}");
+    }
+}
+
+#[test]
+fn spmm_instances_match_span_order_on_every_remainder() {
+    let mut rng = Rng64::new(6);
+    let n = 37;
+    let edges: Vec<(usize, usize)> =
+        (0..90).map(|_| (rng.next_below(n), rng.next_below(n))).collect();
+    let (adj, inv_degree) = CsrMatrix::augmented_from_edges(n, edges);
+    // Every third row empty: the zero-nonzero analogue of `k = 0`.
+    let mut gappy = Tensor::rand_uniform([n, n], -1.0, 1.0, &mut rng);
+    for i in (0..n).step_by(3) {
+        gappy.as_mut_slice()[i * n..(i + 1) * n].fill(0.0);
+    }
+    let gappy = CsrMatrix::from_dense(&gappy);
+    // Channel counts covering the 32-column group, the 8-lane tile and
+    // the scalar tail, each with and without the fused row scale.
+    for c in [1, 3, 7, 8, 9, 16, 31, 32, 33, 40, 45, 64, 75] {
+        let dense = random(n * c, &mut rng);
+        for (csr, scale) in [(&adj, None), (&adj, Some(inv_degree.as_slice())), (&gappy, None)] {
+            let mut want = vec![0.0f32; n * c];
+            let (offs, cols, vals) = (csr.row_offsets(), csr.col_indices(), csr.values());
+            oracle::spmm_span_order(offs, cols, vals, scale, &dense, c, &mut want);
+            // The kernel overwrites its output, so start from garbage.
+            let init = vec![f32::NAN; n * c];
+            check_instances(&format!("spmm c={c}"), &init, &want, |isa, out| {
+                simd::spmm(isa, offs, cols, vals, scale, &dense, c, out)
+            });
+        }
+    }
+}
+
+#[test]
+fn the_process_instance_is_the_best_supported_one() {
+    assert_eq!(simd::isa(), Isa::avx2().unwrap_or(Isa::BASELINE));
+    assert_eq!(simd::isa().name(), if Isa::avx2().is_some() { "avx2" } else { "baseline" });
+}
