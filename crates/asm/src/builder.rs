@@ -2,64 +2,27 @@
 //! (Algorithm 2, `CfgBuilder::connectBlocks`).
 
 use crate::instr::{Instruction, Program};
-use crate::tagging::{TagMap, TaggingVisitor};
-use std::collections::{BTreeSet, HashMap};
+use crate::tagging::{tag_program, Tags};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// A basic block: "a straight sequence of code or assembly instructions
-/// without any control flow transition except at its exit" (Section II-A).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// Address of the first instruction.
-    pub start_addr: u64,
-    /// The instructions, in address order.
-    pub instructions: Vec<Instruction>,
-}
-
-impl BasicBlock {
-    /// Creates an empty block starting at `start_addr`.
-    pub fn new(start_addr: u64) -> Self {
-        BasicBlock { start_addr, instructions: Vec::new() }
-    }
-
-    /// Number of instructions in the block (a Table I attribute).
-    pub fn len(&self) -> usize {
-        self.instructions.len()
-    }
-
-    /// Whether the block holds no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.instructions.is_empty()
-    }
-}
+use std::ops::Range;
 
 /// A control flow graph: basic blocks plus directed edges between them.
 ///
+/// A basic block is "a straight sequence of code or assembly instructions
+/// without any control flow transition except at its exit" (Section
+/// II-A); here it is an index range into the program it was built from.
 /// Vertex `u → v` exists iff the last instruction of `u` falls through to
 /// the first instruction of `v`, or an instruction in `u` jumps/calls into
 /// `v` (Section II-A).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Cfg {
-    blocks: Vec<BasicBlock>,
+#[derive(Debug, Clone)]
+pub struct Cfg<'p> {
+    instructions: &'p [Instruction<'p>],
+    blocks: Vec<Range<usize>>,
     edges: BTreeSet<(usize, usize)>,
 }
 
-impl Cfg {
-    /// Builds a CFG directly from blocks and edges (used by corpora that
-    /// ship pre-extracted CFGs, like the paper's YANCFG dataset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge endpoint is out of range.
-    pub fn from_parts(blocks: Vec<BasicBlock>, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let n = blocks.len();
-        let edges: BTreeSet<(usize, usize)> = edges.into_iter().collect();
-        for &(u, v) in &edges {
-            assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} blocks");
-        }
-        Cfg { blocks, edges }
-    }
-
+impl<'p> Cfg<'p> {
     /// Number of basic blocks (vertices).
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -70,14 +33,19 @@ impl Cfg {
         self.edges.len()
     }
 
-    /// The blocks, indexed by vertex id.
-    pub fn blocks(&self) -> &[BasicBlock] {
-        &self.blocks
+    /// Index range of block `v` in the program, never empty.
+    pub fn block_range(&self, v: usize) -> Range<usize> {
+        self.blocks[v].clone()
     }
 
-    /// The block with vertex id `v`.
-    pub fn block(&self, v: usize) -> &BasicBlock {
-        &self.blocks[v]
+    /// The instructions of block `v`, in address order.
+    pub fn block(&self, v: usize) -> &'p [Instruction<'p>] {
+        &self.instructions[self.block_range(v)]
+    }
+
+    /// The blocks' instructions, indexed by vertex id.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = &'p [Instruction<'p>]> + '_ {
+        (0..self.blocks.len()).map(|v| self.block(v))
     }
 
     /// Iterates directed edges as `(from, to)` vertex-id pairs.
@@ -102,15 +70,18 @@ impl Cfg {
 
     /// Total instruction count across all blocks.
     pub fn instruction_count(&self) -> usize {
-        self.blocks.iter().map(BasicBlock::len).sum()
+        self.blocks.iter().map(Range::len).sum()
     }
 
     /// Renders the CFG in Graphviz DOT format.
     pub fn to_dot(&self) -> String {
         let mut out = String::from("digraph cfg {\n  node [shape=box fontname=monospace];\n");
-        for (i, b) in self.blocks.iter().enumerate() {
-            let label: Vec<String> = b.instructions.iter().map(|x| x.to_string()).collect();
-            let _ = writeln!(out, "  n{} [label=\"{}\"];", i, label.join("\\l"));
+        for (v, block) in self.blocks().enumerate() {
+            let _ = write!(out, "  n{v} [label=\"");
+            for (i, inst) in block.iter().enumerate() {
+                let _ = write!(out, "{}{inst}", if i == 0 { "" } else { "\\l" });
+            }
+            out.push_str("\"];\n");
         }
         for (u, v) in &self.edges {
             let _ = writeln!(out, "  n{u} -> n{v};");
@@ -133,91 +104,77 @@ impl Cfg {
 /// # Ok::<(), magic_asm::ParseError>(())
 /// ```
 #[derive(Debug)]
-pub struct CfgBuilder<'a> {
-    program: &'a Program,
-    tags: TagMap,
+pub struct CfgBuilder<'p> {
+    program: &'p Program<'p>,
+    tags: Vec<Tags>,
 }
 
-impl<'a> CfgBuilder<'a> {
+impl<'p> CfgBuilder<'p> {
     /// Runs the first pass (Algorithm 1 tagging) over `program`.
-    pub fn new(program: &'a Program) -> Self {
-        let tags = TaggingVisitor::new().tag_program(program);
-        CfgBuilder { program, tags }
+    pub fn new(program: &'p Program<'p>) -> Self {
+        CfgBuilder { program, tags: tag_program(program) }
     }
 
     /// Runs the second pass (Algorithm 2) and returns the CFG.
-    pub fn build(&self) -> Cfg {
+    pub fn build(&self) -> Cfg<'p> {
         let _span = magic_obs::span(magic_obs::stage::CFG_BUILD);
-        let mut blocks: Vec<BasicBlock> = Vec::new();
-        let mut by_addr: HashMap<u64, usize> = HashMap::new();
+        let tags = &self.tags;
+        let n = tags.len();
+        let mut blocks: Vec<Range<usize>> = Vec::new();
+        let mut vertex_at: Vec<Option<usize>> = vec![None; n];
         let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
 
-        // The paper's getBlockAtAddr: return the block starting at addr,
-        // creating it first if needed.
-        let mut get_block_at = |addr: u64, blocks: &mut Vec<BasicBlock>| -> usize {
-            *by_addr.entry(addr).or_insert_with(|| {
-                blocks.push(BasicBlock::new(addr));
+        // The paper's getBlockAtAddr: the vertex of the block starting at
+        // instruction `i`, created first if needed, so vertex ids follow
+        // creation order. Algorithm 2 appends each instruction to the
+        // current block until a start tag opens the next one, so a block
+        // runs from its start up to the next start.
+        let mut get_block_at = |i: usize| -> usize {
+            *vertex_at[i].get_or_insert_with(|| {
+                let end = (i + 1..n).find(|&j| tags[j].start).unwrap_or(n);
+                blocks.push(i..end);
                 blocks.len() - 1
             })
         };
 
-        let mut curr_block: Option<usize> = None;
-        for inst in self.program.iter() {
-            let tags = self.tags.get(&inst.addr).copied().unwrap_or_default();
-            if tags.start || curr_block.is_none() {
-                curr_block = Some(get_block_at(inst.addr, &mut blocks));
+        let mut curr = 0;
+        for (i, tag) in tags.iter().enumerate() {
+            if tag.start {
+                curr = get_block_at(i);
             }
-            let curr = curr_block.expect("current block must exist");
-            let mut next_block = curr;
-
-            if let Some(next_inst) = self.program.next_inst(inst) {
-                let next_tags = self.tags.get(&next_inst.addr).copied().unwrap_or_default();
-                if tags.fall_through && next_tags.start {
-                    next_block = get_block_at(next_inst.addr, &mut blocks);
-                    edges.insert((curr, next_block));
-                }
+            if tag.fall_through && tags.get(i + 1).is_some_and(|next| next.start) {
+                edges.insert((curr, get_block_at(i + 1)));
             }
-
-            if let Some(dst) = tags.branch_to {
-                let target = get_block_at(dst, &mut blocks);
-                edges.insert((curr, target));
+            if let Some(dst) = tag.branch_to {
+                edges.insert((curr, get_block_at(dst)));
             }
-
-            blocks[curr_block.unwrap()].instructions.push(inst.clone());
-            curr_block = Some(next_block);
         }
 
         magic_obs::counter(magic_obs::stage::C_CFG_BLOCKS, blocks.len() as f64);
         magic_obs::counter(magic_obs::stage::C_CFG_EDGES, edges.len() as f64);
-        Cfg { blocks, edges }
+        Cfg { instructions: self.program, blocks, edges }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::Instruction;
 
-    fn program(lines: &[(u64, &str, &[&str])]) -> Program {
-        lines
-            .iter()
-            .map(|(addr, m, ops)| {
-                Instruction::new(*addr, 2, *m, ops.iter().map(|s| s.to_string()).collect())
-            })
-            .collect()
+    fn program<'a>(lines: &[(u64, &'a str, &'a str)]) -> Program<'a> {
+        lines.iter().map(|&(addr, m, ops)| Instruction::new(addr, 2, m, ops)).collect()
     }
 
     /// if/else diamond:
     ///   0x10 cmp ; 0x12 jz 0x18 ; 0x14 mov ; 0x16 jmp 0x1a ; 0x18 inc ;
     ///   0x1a retn
-    fn diamond() -> Program {
+    fn diamond() -> Program<'static> {
         program(&[
-            (0x10, "cmp", &["eax", "0"]),
-            (0x12, "jz", &["loc_18"]),
-            (0x14, "mov", &["eax", "1"]),
-            (0x16, "jmp", &["loc_1A"]),
-            (0x18, "inc", &["eax"]),
-            (0x1A, "retn", &[]),
+            (0x10, "cmp", "eax, 0"),
+            (0x12, "jz", "loc_18"),
+            (0x14, "mov", "eax, 1"),
+            (0x16, "jmp", "loc_1A"),
+            (0x18, "inc", "eax"),
+            (0x1A, "retn", ""),
         ])
     }
 
@@ -228,7 +185,7 @@ mod tests {
         assert_eq!(cfg.block_count(), 4);
         assert_eq!(cfg.edge_count(), 4);
         // Entry block: cmp + jz.
-        assert_eq!(cfg.block(0).start_addr, 0x10);
+        assert_eq!(cfg.block(0)[0].addr, 0x10);
         assert_eq!(cfg.block(0).len(), 2);
         assert_eq!(cfg.out_degree(0), 2);
     }
@@ -236,9 +193,9 @@ mod tests {
     #[test]
     fn straight_line_code_is_one_block() {
         let p = program(&[
-            (0x10, "mov", &["eax", "1"]),
-            (0x12, "add", &["eax", "2"]),
-            (0x14, "retn", &[]),
+            (0x10, "mov", "eax, 1"),
+            (0x12, "add", "eax, 2"),
+            (0x14, "retn", ""),
         ]);
         let cfg = CfgBuilder::new(&p).build();
         assert_eq!(cfg.block_count(), 1);
@@ -250,9 +207,9 @@ mod tests {
     fn self_loop_is_preserved() {
         // 0x10: dec eax ; 0x12: jnz 0x10 ; 0x14: retn
         let p = program(&[
-            (0x10, "dec", &["eax"]),
-            (0x12, "jnz", &["loc_10"]),
-            (0x14, "retn", &[]),
+            (0x10, "dec", "eax"),
+            (0x12, "jnz", "loc_10"),
+            (0x14, "retn", ""),
         ]);
         let cfg = CfgBuilder::new(&p).build();
         assert_eq!(cfg.block_count(), 2);
@@ -263,10 +220,10 @@ mod tests {
     #[test]
     fn call_creates_edge_to_callee_and_resumption() {
         let p = program(&[
-            (0x10, "call", &["sub_20"]),
-            (0x12, "retn", &[]),
-            (0x20, "xor", &["eax", "eax"]),
-            (0x22, "retn", &[]),
+            (0x10, "call", "sub_20"),
+            (0x12, "retn", ""),
+            (0x20, "xor", "eax, eax"),
+            (0x22, "retn", ""),
         ]);
         let cfg = CfgBuilder::new(&p).build();
         // Blocks: [call], [retn@12], [xor,retn@20].
@@ -279,20 +236,16 @@ mod tests {
     fn jump_into_middle_of_block_splits_it() {
         // 0x14 is entered both by fall-through from 0x12 and a back jump.
         let p = program(&[
-            (0x10, "mov", &["eax", "0"]),
-            (0x12, "mov", &["ebx", "0"]),
-            (0x14, "inc", &["eax"]),
-            (0x16, "jnz", &["loc_14"]),
-            (0x18, "retn", &[]),
+            (0x10, "mov", "eax, 0"),
+            (0x12, "mov", "ebx, 0"),
+            (0x14, "inc", "eax"),
+            (0x16, "jnz", "loc_14"),
+            (0x18, "retn", ""),
         ]);
         let cfg = CfgBuilder::new(&p).build();
         // Blocks: [mov,mov], [inc,jnz], [retn].
         assert_eq!(cfg.block_count(), 3);
-        let loop_block = cfg
-            .blocks()
-            .iter()
-            .position(|b| b.start_addr == 0x14)
-            .unwrap();
+        let loop_block = cfg.blocks().position(|b| b[0].addr == 0x14).unwrap();
         assert!(cfg.has_edge(loop_block, loop_block));
     }
 
@@ -317,21 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates_edges() {
-        let blocks = vec![BasicBlock::new(0), BasicBlock::new(2)];
-        let cfg = Cfg::from_parts(blocks, [(0, 1), (1, 0)]);
-        assert_eq!(cfg.edge_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_parts_rejects_dangling_edge() {
-        Cfg::from_parts(vec![BasicBlock::new(0)], [(0, 3)]);
-    }
-
-    #[test]
     fn empty_program_gives_empty_cfg() {
-        let p = Program::new();
+        let p = Program::default();
         let cfg = CfgBuilder::new(&p).build();
         assert_eq!(cfg.block_count(), 0);
         assert_eq!(cfg.edge_count(), 0);
@@ -341,9 +281,9 @@ mod tests {
     fn duplicate_edges_are_deduplicated() {
         // Two paths to the same target produce one edge entry per pair.
         let p = program(&[
-            (0x10, "jz", &["loc_14"]),
-            (0x12, "jmp", &["loc_14"]),
-            (0x14, "retn", &[]),
+            (0x10, "jz", "loc_14"),
+            (0x12, "jmp", "loc_14"),
+            (0x14, "retn", ""),
         ]);
         let cfg = CfgBuilder::new(&p).build();
         let pairs: Vec<_> = cfg.edges().collect();

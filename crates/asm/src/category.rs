@@ -54,15 +54,30 @@ impl fmt::Display for InstrCategory {
     }
 }
 
-/// Conditional jump mnemonics (branch *and* fall through — Algorithm 1).
-pub(crate) const CONDITIONAL_JUMPS: &[&str] = &[
+/// How an instruction moves control, the distinction Algorithm 1 tags
+/// on. Resolved once per instruction, together with its
+/// [`InstrCategory`], when the instruction is created.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FlowKind {
+    /// Conditional jump or loop: branches *and* falls through.
+    ConditionalJump,
+    /// Unconditional jump: branches, never falls through.
+    Jump,
+    /// Call: branches to the callee and falls through on return.
+    Call,
+    /// Return or halt: no successors.
+    Return,
+    /// Any other instruction: plain fall-through.
+    Other,
+}
+
+const CONDITIONAL_JUMPS: &[&str] = &[
     "ja", "jae", "jb", "jbe", "jc", "jcxz", "jecxz", "je", "jg", "jge", "jl", "jle", "jna",
     "jnae", "jnb", "jnbe", "jnc", "jne", "jng", "jnge", "jnl", "jnle", "jno", "jnp", "jns",
     "jnz", "jo", "jp", "jpe", "jpo", "js", "jz", "loop", "loope", "loopne", "loopnz", "loopz",
 ];
 
-/// Unconditional jump mnemonics (branch, never fall through).
-pub(crate) const UNCONDITIONAL_JUMPS: &[&str] = &["jmp", "ljmp"];
+const UNCONDITIONAL_JUMPS: &[&str] = &["jmp", "ljmp"];
 
 const CALLS: &[&str] = &["call", "lcall"];
 
@@ -84,6 +99,29 @@ const TERMINATIONS: &[&str] = &["ret", "retn", "retf", "iret", "iretd", "hlt"];
 
 const DATA_DECLS: &[&str] = &["db", "dw", "dd", "dq", "dt", "align", "unicode"];
 
+/// Every mnemonic list with the flow kind and category it stands for, in
+/// lookup order. The lists are disjoint, so the order only decides how
+/// soon a match is found.
+const TABLE: [(&[&str], FlowKind, InstrCategory); 8] = [
+    (CONDITIONAL_JUMPS, FlowKind::ConditionalJump, InstrCategory::Transfer),
+    (UNCONDITIONAL_JUMPS, FlowKind::Jump, InstrCategory::Transfer),
+    (CALLS, FlowKind::Call, InstrCategory::Call),
+    (ARITHMETIC, FlowKind::Other, InstrCategory::Arithmetic),
+    (COMPARES, FlowKind::Other, InstrCategory::Compare),
+    (MOVS, FlowKind::Other, InstrCategory::Mov),
+    (TERMINATIONS, FlowKind::Return, InstrCategory::Termination),
+    (DATA_DECLS, FlowKind::Other, InstrCategory::DataDeclaration),
+];
+
+/// Resolves a (lower-case) mnemonic's flow kind and Table I category in
+/// one scan of the mnemonic lists.
+pub(crate) fn classify(mnemonic: &str) -> (FlowKind, InstrCategory) {
+    TABLE
+        .iter()
+        .find(|(list, _, _)| list.contains(&mnemonic))
+        .map_or((FlowKind::Other, InstrCategory::Other), |&(_, kind, cat)| (kind, cat))
+}
+
 /// Classifies a (lower-case) mnemonic into its Table I category.
 ///
 /// # Example
@@ -96,43 +134,7 @@ const DATA_DECLS: &[&str] = &["db", "dw", "dd", "dq", "dt", "align", "unicode"];
 /// assert_eq!(categorize("fnop"), InstrCategory::Other);
 /// ```
 pub fn categorize(mnemonic: &str) -> InstrCategory {
-    if CONDITIONAL_JUMPS.contains(&mnemonic) || UNCONDITIONAL_JUMPS.contains(&mnemonic) {
-        InstrCategory::Transfer
-    } else if CALLS.contains(&mnemonic) {
-        InstrCategory::Call
-    } else if ARITHMETIC.contains(&mnemonic) {
-        InstrCategory::Arithmetic
-    } else if COMPARES.contains(&mnemonic) {
-        InstrCategory::Compare
-    } else if MOVS.contains(&mnemonic) {
-        InstrCategory::Mov
-    } else if TERMINATIONS.contains(&mnemonic) {
-        InstrCategory::Termination
-    } else if DATA_DECLS.contains(&mnemonic) {
-        InstrCategory::DataDeclaration
-    } else {
-        InstrCategory::Other
-    }
-}
-
-/// Whether the mnemonic is a conditional jump.
-pub(crate) fn is_conditional_jump(mnemonic: &str) -> bool {
-    CONDITIONAL_JUMPS.contains(&mnemonic)
-}
-
-/// Whether the mnemonic is an unconditional jump.
-pub(crate) fn is_unconditional_jump(mnemonic: &str) -> bool {
-    UNCONDITIONAL_JUMPS.contains(&mnemonic)
-}
-
-/// Whether the mnemonic is a call.
-pub(crate) fn is_call(mnemonic: &str) -> bool {
-    CALLS.contains(&mnemonic)
-}
-
-/// Whether the mnemonic terminates control flow (no fall-through).
-pub(crate) fn is_termination(mnemonic: &str) -> bool {
-    TERMINATIONS.contains(&mnemonic)
+    classify(mnemonic).1
 }
 
 #[cfg(test)]
@@ -161,17 +163,8 @@ mod tests {
 
     #[test]
     fn categories_are_disjoint() {
-        let lists: [&[&str]; 7] = [
-            CONDITIONAL_JUMPS,
-            UNCONDITIONAL_JUMPS,
-            CALLS,
-            ARITHMETIC,
-            COMPARES,
-            MOVS,
-            TERMINATIONS,
-        ];
         let mut seen = std::collections::HashSet::new();
-        for list in lists {
+        for (list, _, _) in TABLE {
             for m in list {
                 assert!(seen.insert(*m), "mnemonic {m} appears in two categories");
             }
@@ -180,12 +173,18 @@ mod tests {
 
     #[test]
     fn predicates_agree_with_categorize() {
-        assert!(is_conditional_jump("jz"));
-        assert!(!is_conditional_jump("jmp"));
-        assert!(is_unconditional_jump("jmp"));
-        assert!(is_call("call"));
-        assert!(is_termination("retn"));
-        assert!(!is_termination("jmp"));
+        assert_eq!(classify("jz").0, FlowKind::ConditionalJump);
+        assert_eq!(classify("jmp").0, FlowKind::Jump);
+        assert_eq!(classify("call").0, FlowKind::Call);
+        assert_eq!(classify("retn").0, FlowKind::Return);
+        assert_eq!(classify("hlt").0, FlowKind::Return);
+        assert_eq!(classify("mov").0, FlowKind::Other);
+        for (list, kind, cat) in TABLE {
+            for m in list {
+                assert_eq!(classify(m), (kind, cat), "{m}");
+                assert_eq!(categorize(m), cat, "{m}");
+            }
+        }
     }
 
     #[test]

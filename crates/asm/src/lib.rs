@@ -8,12 +8,16 @@
 //! implements that path from scratch:
 //!
 //! 1. [`parse_listing`] turns a textual listing into a [`Program`] — "a
-//!    one-to-one mapping from sorted addresses to assembly instructions".
-//! 2. A first pass walks the program with the instruction-visitor of
-//!    [`tagging`] (Algorithm 1), marking `start`, `branchTo`,
-//!    `fallThrough` and `return` tags.
-//! 3. A second pass ([`CfgBuilder`]) creates basic blocks and connects
-//!    them (Algorithm 2), yielding a [`Cfg`].
+//!    one-to-one mapping from sorted addresses to assembly instructions",
+//!    held as one address-sorted vector. Each [`Instruction`] borrows its
+//!    text from the listing and is classified once, at parse time: its
+//!    [`FlowKind`] and its Table I [`InstrCategory`].
+//! 2. A first pass ([`tagging`], Algorithm 1) marks the `start`,
+//!    `branchTo`, `fallThrough` and `return` tags. The paper's if-else-free
+//!    visitor is one `match` on the stored [`FlowKind`].
+//! 3. A second pass ([`CfgBuilder`]) creates basic blocks, as index
+//!    ranges into the program, and connects them (Algorithm 2), yielding a
+//!    [`Cfg`].
 //!
 //! # Example
 //!
@@ -38,7 +42,7 @@ mod instr;
 mod parser;
 pub mod tagging;
 
-pub use builder::{BasicBlock, Cfg, CfgBuilder};
-pub use category::{categorize, InstrCategory};
+pub use builder::{Cfg, CfgBuilder};
+pub use category::{categorize, FlowKind, InstrCategory};
 pub use instr::{Instruction, Program};
 pub use parser::{parse_listing, ParseError};

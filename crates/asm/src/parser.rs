@@ -12,8 +12,8 @@
 //! This parser accepts that shape: a `section:ADDRESS` prefix, optional
 //! label, a mnemonic, comma-separated operands, and `;` comments. Lines
 //! without a recognizable instruction (pure labels, directives, comments,
-//! byte dumps) are skipped. Successive lines sharing an address keep the
-//! last instruction (IDA repeats addresses for label lines).
+//! byte dumps) are skipped. Lines sharing an address keep the last
+//! instruction listed (IDA repeats addresses for label lines).
 
 use crate::instr::{Instruction, Program};
 use std::error::Error;
@@ -53,16 +53,18 @@ const NON_MNEMONICS: &[&str] = &[
 
 /// Parses a listing into a [`Program`].
 ///
+/// Each instruction borrows its mnemonic and operand text from `text`
+/// and is classified once, here.
+///
 /// # Errors
 ///
 /// Returns [`ParseError`] if a line carries a malformed address field
 /// (e.g. `.text:ZZZZ`). Unrecognized but well-addressed content is
 /// silently skipped, mirroring how MAGIC tolerates IDA's imperfect
 /// disassembly (Section V-A).
-pub fn parse_listing(text: &str) -> Result<Program, ParseError> {
+pub fn parse_listing(text: &str) -> Result<Program<'_>, ParseError> {
     let _span = magic_obs::span(magic_obs::stage::ASM_PARSE);
-    let mut program = Program::new();
-    let mut pending: Option<(u64, String, Vec<String>)> = None;
+    let mut instructions: Vec<Instruction> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         // Strip comments.
@@ -78,22 +80,19 @@ pub fn parse_listing(text: &str) -> Result<Program, ParseError> {
         let Some((addr, rest)) = split_address(line, lineno + 1)? else {
             continue;
         };
-        let Some((mnemonic, operands)) = parse_instruction(rest) else {
+        let Some(inst) = parse_instruction(addr, rest) else {
             continue;
         };
 
-        // Finalize the previous instruction now that we know the next
-        // address; its size is the address delta (IDA does not print
-        // encoded sizes, so the delta is the faithful reconstruction).
-        if let Some((paddr, pm, pops)) = pending.take() {
-            let size = addr.saturating_sub(paddr).max(1);
-            program.insert(Instruction::new(paddr, size, pm, pops));
+        // The previous instruction's size is the address delta in listing
+        // order (IDA does not print encoded sizes, so the delta is the
+        // faithful reconstruction); the last instruction keeps size 2.
+        if let Some(prev) = instructions.last_mut() {
+            prev.size = addr.saturating_sub(prev.addr).max(1);
         }
-        pending = Some((addr, mnemonic, operands));
+        instructions.push(inst);
     }
-    if let Some((paddr, pm, pops)) = pending {
-        program.insert(Instruction::new(paddr, 2, pm, pops));
-    }
+    let program = Program::from_listing_order(instructions);
     magic_obs::counter(magic_obs::stage::C_ASM_INSTRUCTIONS, program.len() as f64);
     Ok(program)
 }
@@ -129,7 +128,7 @@ fn split_address(line: &str, lineno: usize) -> Result<Option<(u64, &str)>, Parse
 }
 
 /// Parses `[label:] mnemonic [operands]` from the post-address text.
-fn parse_instruction(rest: &str) -> Option<(String, Vec<String>)> {
+fn parse_instruction(addr: u64, rest: &str) -> Option<Instruction<'_>> {
     let mut text = rest.trim();
     // Skip a leading label ("loc_401003:" or "start:").
     while let Some(first) = text.split_whitespace().next() {
@@ -141,70 +140,25 @@ fn parse_instruction(rest: &str) -> Option<(String, Vec<String>)> {
         }
         break;
     }
-    if text.is_empty() {
+    // Empty text and label-definition lines like "var_8 = dword ptr -8".
+    if text.is_empty() || text.contains(" = ") {
         return None;
     }
-    let mut parts = text.splitn(2, char::is_whitespace);
-    let mnemonic = parts.next()?.to_lowercase();
-    if NON_MNEMONICS.contains(&mnemonic.as_str()) {
+    let (mnemonic, op_text) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+    // The lower-cased mnemonic must be ASCII alphanumeric.
+    if !mnemonic.chars().flat_map(char::to_lowercase).all(|c| c.is_ascii_alphanumeric()) {
         return None;
     }
-    // Label-definition lines like "var_8 = dword ptr -8".
-    if text.contains(" = ") {
-        return None;
-    }
-    if !mnemonic.chars().all(|c| c.is_ascii_alphanumeric()) {
+    let mut inst = Instruction::new(addr, 2, mnemonic, op_text);
+    if NON_MNEMONICS.contains(&&*inst.mnemonic) {
         return None;
     }
     // Data declarations are kept (they are a Table I category) but their
     // operand dumps can be huge; keep at most the first operand.
-    let op_text = parts.next().unwrap_or("").trim();
-    let mut operands: Vec<String> = if op_text.is_empty() {
-        Vec::new()
-    } else {
-        split_operands(op_text)
-    };
-    if DATA_DECLS.contains(&mnemonic.as_str()) {
-        operands.truncate(1);
+    if DATA_DECLS.contains(&&*inst.mnemonic) {
+        inst.operand_text = inst.operands().next().unwrap_or("");
     }
-    Some((mnemonic, operands))
-}
-
-/// Splits operands on commas that are not inside brackets or quotes.
-fn split_operands(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_quote = false;
-    let mut cur = String::new();
-    for c in text.chars() {
-        match c {
-            '\'' | '"' => {
-                in_quote = !in_quote;
-                cur.push(c);
-            }
-            '[' | '(' if !in_quote => {
-                depth += 1;
-                cur.push(c);
-            }
-            ']' | ')' if !in_quote => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            ',' if depth == 0 && !in_quote => {
-                let t = cur.trim();
-                if !t.is_empty() {
-                    out.push(t.to_string());
-                }
-                cur.clear();
-            }
-            _ => cur.push(c),
-        }
-    }
-    let t = cur.trim();
-    if !t.is_empty() {
-        out.push(t.to_string());
-    }
-    out
+    Some(inst)
 }
 
 #[cfg(test)]
@@ -222,7 +176,7 @@ mod tests {
         assert_eq!(p.len(), 3);
         let mov = p.at(0x401001).unwrap();
         assert_eq!(mov.mnemonic, "mov");
-        assert_eq!(mov.operands, vec!["ebp", "esp"]);
+        assert_eq!(mov.operands().collect::<Vec<_>>(), ["ebp", "esp"]);
         // Size reconstructed from the address delta.
         assert_eq!(p.at(0x401000).unwrap().size, 1);
         assert_eq!(mov.size, 2);
@@ -256,7 +210,7 @@ mod tests {
     fn operand_splitting_respects_brackets() {
         let p = parse_listing(".text:00401000    mov     dword ptr [eax+4], 10h\n").unwrap();
         let i = p.at(0x401000).unwrap();
-        assert_eq!(i.operands, vec!["dword ptr [eax+4]", "10h"]);
+        assert_eq!(i.operands().collect::<Vec<_>>(), ["dword ptr [eax+4]", "10h"]);
     }
 
     #[test]
@@ -264,7 +218,7 @@ mod tests {
         let p = parse_listing(".data:00402000    db 90h, 90h, 90h, 90h\n").unwrap();
         let i = p.at(0x402000).unwrap();
         assert_eq!(i.mnemonic, "db");
-        assert_eq!(i.operands.len(), 1);
+        assert_eq!(i.operands().collect::<Vec<_>>(), ["90h"]);
     }
 
     #[test]
@@ -301,6 +255,6 @@ mod tests {
     fn quoted_strings_keep_commas() {
         let p = parse_listing(".data:00402000    dd 'a,b', 5\n").unwrap();
         let i = p.at(0x402000).unwrap();
-        assert_eq!(i.operands, vec!["'a,b'"]);
+        assert_eq!(i.operands().collect::<Vec<_>>(), ["'a,b'"]);
     }
 }

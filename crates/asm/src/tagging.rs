@@ -2,237 +2,138 @@
 //!
 //! The paper associates each instruction with the tags `{start, branchTo,
 //! fallThrough, return}` and fills them with an if-else-free *visitor*
-//! over the instruction kinds. The [`InstructionVisitor`] trait mirrors
-//! that design: [`dispatch`] classifies each instruction once and calls
-//! the matching visit method; the default [`TaggingVisitor`] implements
-//! exactly the paper's tagging rules.
+//! over the instruction kinds. Here each instruction's [`FlowKind`] is
+//! resolved once, when it is parsed, so the visitor is one `match` on
+//! it. Tags sit in a vector indexed like the [`Program`]: the paper's
+//! `getNextInst` is the next index, and a branch target is found by
+//! binary search.
 
-use crate::category;
-use crate::instr::{Instruction, Program};
-use std::collections::BTreeMap;
+use crate::category::FlowKind;
+use crate::instr::Program;
 
 /// The per-instruction tags of Section IV-A.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tags {
     /// This instruction starts a new basic block.
     pub start: bool,
-    /// Static branch destination, if this instruction branches.
-    pub branch_to: Option<u64>,
+    /// Program index of the static branch destination, if this
+    /// instruction branches to an instruction of the program.
+    pub branch_to: Option<usize>,
     /// Control may continue to the textually next instruction.
     pub fall_through: bool,
     /// This instruction returns from the procedure.
     pub is_return: bool,
 }
 
-/// The tag table produced by the first pass: address → [`Tags`].
-pub type TagMap = BTreeMap<u64, Tags>;
-
-/// Visitor over instruction kinds, mirroring the paper's "visitor pattern
-/// to implement if-else free instruction tagging".
-///
-/// Implementations receive the program so they can mark *other*
-/// instructions (e.g. a jump target) as block starts.
-pub trait InstructionVisitor {
-    /// Conditional jump: branches *and* falls through (Algorithm 1).
-    fn visit_conditional_jump(&mut self, program: &Program, inst: &Instruction);
-    /// Unconditional jump: branches, never falls through.
-    fn visit_unconditional_jump(&mut self, program: &Program, inst: &Instruction);
-    /// Call: branches to the callee and falls through on return.
-    fn visit_call(&mut self, program: &Program, inst: &Instruction);
-    /// Return/halt: terminates the block with no successors.
-    fn visit_return(&mut self, program: &Program, inst: &Instruction);
-    /// Any other instruction: plain fall-through.
-    fn visit_other(&mut self, program: &Program, inst: &Instruction);
-}
-
-/// Classifies `inst` and invokes the matching visit method.
-pub fn dispatch<V: InstructionVisitor + ?Sized>(visitor: &mut V, program: &Program, inst: &Instruction) {
-    let m = inst.mnemonic.as_str();
-    if category::is_conditional_jump(m) {
-        visitor.visit_conditional_jump(program, inst);
-    } else if category::is_unconditional_jump(m) {
-        visitor.visit_unconditional_jump(program, inst);
-    } else if category::is_call(m) {
-        visitor.visit_call(program, inst);
-    } else if category::is_termination(m) {
-        visitor.visit_return(program, inst);
-    } else {
-        visitor.visit_other(program, inst);
+/// Runs the first pass over the whole program and returns one [`Tags`]
+/// per instruction, indexed like the program. The first instruction is
+/// always a block start.
+pub fn tag_program(program: &Program) -> Vec<Tags> {
+    let mut tags = vec![Tags::default(); program.len()];
+    if let Some(first) = tags.first_mut() {
+        first.start = true;
     }
-}
-
-/// The concrete tagging visitor of Algorithm 1.
-///
-/// Call [`TaggingVisitor::tag_program`] to run the full first pass.
-#[derive(Debug, Default)]
-pub struct TaggingVisitor {
-    tags: TagMap,
-}
-
-impl TaggingVisitor {
-    /// Creates a visitor with an empty tag table.
-    pub fn new() -> Self {
-        TaggingVisitor::default()
-    }
-
-    /// Runs the first pass over the whole program and returns the tag
-    /// table. The first instruction is always a block start.
-    pub fn tag_program(mut self, program: &Program) -> TagMap {
-        if let Some(first) = program.iter().next() {
-            self.tags.entry(first.addr).or_default().start = true;
+    for (i, inst) in program.iter().enumerate() {
+        // Algorithm 1: conditional jumps and calls branch and fall
+        // through, jumps only branch, returns do neither.
+        let (branches, falls_through) = match inst.kind {
+            FlowKind::ConditionalJump | FlowKind::Call => (true, true),
+            FlowKind::Jump => (true, false),
+            FlowKind::Return => (false, false),
+            FlowKind::Other => (false, true),
+        };
+        tags[i].fall_through = falls_through;
+        tags[i].is_return = inst.kind == FlowKind::Return;
+        // A statically known destination inside the program starts a
+        // block; targets elsewhere (imports, registers) are dropped.
+        if branches {
+            if let Some(dst) = inst.dst_addr().and_then(|addr| program.position(addr)) {
+                tags[i].branch_to = Some(dst);
+                tags[dst].start = true;
+            }
         }
-        for inst in program.iter() {
-            dispatch(&mut self, program, inst);
-        }
-        self.tags
-    }
-
-    fn tag(&mut self, addr: u64) -> &mut Tags {
-        self.tags.entry(addr).or_default()
-    }
-
-    /// Marks the branch destination (if statically known and present in
-    /// the program) as a block start and records `branchTo`.
-    fn mark_branch(&mut self, program: &Program, inst: &Instruction) {
-        if let Some(dst) = inst.dst_addr() {
-            if program.contains(dst) {
-                self.tag(inst.addr).branch_to = Some(dst);
-                self.tag(dst).start = true;
+        // Any control transfer ends its block, so the textually next
+        // instruction starts a new one.
+        if inst.kind != FlowKind::Other {
+            if let Some(next) = tags.get_mut(i + 1) {
+                next.start = true;
             }
         }
     }
-
-    /// Marks `inst` as falling through and its textual successor as a
-    /// block start when the fall-through crosses a block boundary created
-    /// by the branch.
-    fn mark_fall_through(&mut self, program: &Program, inst: &Instruction, new_block: bool) {
-        self.tag(inst.addr).fall_through = true;
-        if new_block {
-            if let Some(next) = program.next_inst(inst) {
-                self.tag(next.addr).start = true;
-            }
-        }
-    }
-}
-
-impl InstructionVisitor for TaggingVisitor {
-    fn visit_conditional_jump(&mut self, program: &Program, inst: &Instruction) {
-        // Algorithm 1: branch to the target (its instruction starts a
-        // block) and fall through (the next instruction starts a block).
-        self.mark_branch(program, inst);
-        self.mark_fall_through(program, inst, true);
-    }
-
-    fn visit_unconditional_jump(&mut self, program: &Program, inst: &Instruction) {
-        self.mark_branch(program, inst);
-        // No fall-through; whatever follows starts a fresh block.
-        if let Some(next) = program.next_inst(inst) {
-            self.tag(next.addr).start = true;
-        }
-    }
-
-    fn visit_call(&mut self, program: &Program, inst: &Instruction) {
-        // A call transfers to the callee and resumes at the next
-        // instruction; both get edges in the second pass.
-        self.mark_branch(program, inst);
-        self.mark_fall_through(program, inst, true);
-    }
-
-    fn visit_return(&mut self, program: &Program, inst: &Instruction) {
-        self.tag(inst.addr).is_return = true;
-        if let Some(next) = program.next_inst(inst) {
-            self.tag(next.addr).start = true;
-        }
-    }
-
-    fn visit_other(&mut self, program: &Program, inst: &Instruction) {
-        self.mark_fall_through(program, inst, false);
-    }
+    tags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::Instruction;
 
-    fn program(lines: &[(u64, &str, &[&str])]) -> Program {
-        lines
-            .iter()
-            .map(|(addr, m, ops)| {
-                Instruction::new(*addr, 2, *m, ops.iter().map(|s| s.to_string()).collect())
-            })
-            .collect()
+    fn program<'a>(lines: &[(u64, &'a str, &'a str)]) -> Program<'a> {
+        lines.iter().map(|&(addr, m, ops)| Instruction::new(addr, 2, m, ops)).collect()
     }
 
     #[test]
     fn conditional_jump_tags_target_and_fallthrough() {
         // 0x10: jz 0x14 ; 0x12: nop ; 0x14: nop
-        let p = program(&[
-            (0x10, "jz", &["loc_14"]),
-            (0x12, "nop", &[]),
-            (0x14, "nop", &[]),
-        ]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert!(tags[&0x10].start); // entry
-        assert_eq!(tags[&0x10].branch_to, Some(0x14));
-        assert!(tags[&0x10].fall_through);
-        assert!(tags[&0x12].start); // fall-through successor of a branch
-        assert!(tags[&0x14].start); // branch target
+        let p = program(&[(0x10, "jz", "loc_14"), (0x12, "nop", ""), (0x14, "nop", "")]);
+        let tags = tag_program(&p);
+        assert!(tags[0].start); // entry
+        assert_eq!(tags[0].branch_to, Some(2));
+        assert!(tags[0].fall_through);
+        assert!(tags[1].start); // fall-through successor of a branch
+        assert!(tags[2].start); // branch target
     }
 
     #[test]
     fn unconditional_jump_does_not_fall_through() {
-        let p = program(&[(0x10, "jmp", &["loc_14"]), (0x12, "nop", &[]), (0x14, "nop", &[])]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert!(!tags[&0x10].fall_through);
-        assert_eq!(tags[&0x10].branch_to, Some(0x14));
-        assert!(tags[&0x12].start);
+        let p = program(&[(0x10, "jmp", "loc_14"), (0x12, "nop", ""), (0x14, "nop", "")]);
+        let tags = tag_program(&p);
+        assert!(!tags[0].fall_through);
+        assert_eq!(tags[0].branch_to, Some(2));
+        assert!(tags[1].start);
     }
 
     #[test]
     fn return_has_no_successors() {
-        let p = program(&[(0x10, "retn", &[]), (0x12, "nop", &[])]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert!(tags[&0x10].is_return);
-        assert!(!tags[&0x10].fall_through);
-        assert_eq!(tags[&0x10].branch_to, None);
-        assert!(tags[&0x12].start);
+        let p = program(&[(0x10, "retn", ""), (0x12, "nop", "")]);
+        let tags = tag_program(&p);
+        assert!(tags[0].is_return);
+        assert!(!tags[0].fall_through);
+        assert_eq!(tags[0].branch_to, None);
+        assert!(tags[1].start);
     }
 
     #[test]
     fn call_branches_and_falls_through() {
-        let p = program(&[
-            (0x10, "call", &["sub_20"]),
-            (0x12, "nop", &[]),
-            (0x20, "retn", &[]),
-        ]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert_eq!(tags[&0x10].branch_to, Some(0x20));
-        assert!(tags[&0x10].fall_through);
-        assert!(tags[&0x12].start);
-        assert!(tags[&0x20].start);
+        let p = program(&[(0x10, "call", "sub_20"), (0x12, "nop", ""), (0x20, "retn", "")]);
+        let tags = tag_program(&p);
+        assert_eq!(tags[0].branch_to, Some(2));
+        assert!(tags[0].fall_through);
+        assert!(tags[1].start);
+        assert!(tags[2].start);
     }
 
     #[test]
     fn branch_to_unknown_address_is_ignored() {
         // Target outside the program (e.g. an imported function).
-        let p = program(&[(0x10, "jmp", &["loc_9999"]), (0x12, "nop", &[])]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert_eq!(tags[&0x10].branch_to, None);
+        let p = program(&[(0x10, "jmp", "loc_9999"), (0x12, "nop", "")]);
+        let tags = tag_program(&p);
+        assert_eq!(tags[0].branch_to, None);
     }
 
     #[test]
     fn plain_instructions_only_fall_through() {
-        let p = program(&[(0x10, "mov", &["eax", "1"]), (0x12, "nop", &[])]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert!(tags[&0x10].fall_through);
-        assert!(!tags.get(&0x12).map(|t| t.start).unwrap_or(false));
+        let p = program(&[(0x10, "mov", "eax, 1"), (0x12, "nop", "")]);
+        let tags = tag_program(&p);
+        assert!(tags[0].fall_through);
+        assert!(!tags[1].start);
     }
 
     #[test]
     fn register_indirect_jump_has_no_static_target() {
-        let p = program(&[(0x10, "jmp", &["eax"]), (0x12, "nop", &[])]);
-        let tags = TaggingVisitor::new().tag_program(&p);
-        assert_eq!(tags[&0x10].branch_to, None);
-        assert!(tags[&0x12].start, "next block still starts after jmp");
+        let p = program(&[(0x10, "jmp", "eax"), (0x12, "nop", "")]);
+        let tags = tag_program(&p);
+        assert_eq!(tags[0].branch_to, None);
+        assert!(tags[1].start, "next block still starts after jmp");
     }
 }

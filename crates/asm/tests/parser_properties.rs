@@ -44,8 +44,8 @@ fn well_formed_instruction_roundtrips() {
         let program = parse_listing(&listing).unwrap();
         assert_eq!(program.len(), 1);
         let inst = program.at(addr).unwrap();
-        assert_eq!(inst.mnemonic.as_str(), mnemonic);
-        assert_eq!(inst.operands.len(), 2);
+        assert_eq!(inst.mnemonic, mnemonic);
+        assert_eq!(inst.operands().count(), 2);
         assert_eq!(inst.numeric_constant_count(), 1);
     }
 }
@@ -89,9 +89,10 @@ fn blocks_partition_instructions() {
                 0x1000 + 2 * dst
             );
         }
-        let program = parse_listing(&lines.concat()).unwrap();
+        let listing = lines.concat();
+        let program = parse_listing(&listing).unwrap();
         let cfg = CfgBuilder::new(&program).build();
-        let total: usize = cfg.blocks().iter().map(|b| b.len()).sum();
+        let total: usize = cfg.blocks().map(|b| b.len()).sum();
         assert_eq!(total, program.len());
         // Out-degree is at most 2 (branch + fall-through) for any vertex.
         for v in 0..cfg.block_count() {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::checkpoint_file::{deserialize_model, serialize_model, ModelHeader};
 use magic::corpus_cache::{self, CacheSpec, CorpusKind, DEFAULT_SHARDS};
-use magic::pipeline::{extract_acfg, MagicPipeline};
+use magic::pipeline::{extract_acfg, parse_program, MagicPipeline};
 use magic::trainer::{TrainConfig, TrainOutcome, Trainer};
 use magic::tuning::{HeadKind, HyperParams};
 use magic_data::{stratified_kfold, CacheError, StreamedCorpus};
@@ -206,7 +206,7 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
 
     if dot {
-        let program = magic_asm::parse_listing(&text).map_err(|e| e.to_string())?;
+        let program = parse_program(&text).map_err(|e| e.to_string())?;
         let cfg = magic_asm::CfgBuilder::new(&program).build();
         println!("{}", cfg.to_dot());
         return Ok(());
@@ -960,6 +960,19 @@ mod tests {
         assert!(cmd_extract(&args).is_ok());
         let dot_args = vec![path.to_string_lossy().to_string(), "--dot".to_string()];
         assert!(cmd_extract(&dot_args).is_ok());
+    }
+
+    #[test]
+    fn extract_rejects_a_listing_without_instructions_in_both_modes() {
+        let dir = std::env::temp_dir().join("magic-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("empty.asm");
+        std::fs::write(&path, "; nothing but a comment\n.text:00401000 sub_401000 proc near\n")
+            .unwrap();
+        let path = path.to_string_lossy().to_string();
+        let expected = magic::PipelineError::EmptyProgram.to_string();
+        assert_eq!(cmd_extract(std::slice::from_ref(&path)).unwrap_err(), expected);
+        assert_eq!(cmd_extract(&[path, "--dot".to_string()]).unwrap_err(), expected);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! classify-one-binary pipeline.
 
 use crate::executor::Lanes;
-use magic_asm::{parse_listing, CfgBuilder, ParseError};
+use magic_asm::{parse_listing, CfgBuilder, ParseError, Program};
 use magic_graph::{Acfg, ReduceStrategy};
 use magic_model::{Dgcnn, GraphInput};
 use std::error::Error;
@@ -50,12 +50,24 @@ impl From<ParseError> for PipelineError {
 /// instructions.
 pub fn extract_acfg(listing: &str) -> Result<Acfg, PipelineError> {
     let _span = magic_obs::span(magic_obs::stage::EXTRACT_ACFG);
+    let program = parse_program(listing)?;
+    let cfg = CfgBuilder::new(&program).build();
+    Ok(Acfg::from_cfg(&cfg))
+}
+
+/// Parses one listing into a [`Program`] that holds at least one
+/// instruction.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] if the listing cannot be parsed or holds no
+/// instructions.
+pub fn parse_program(listing: &str) -> Result<Program<'_>, PipelineError> {
     let program = parse_listing(listing)?;
     if program.is_empty() {
         return Err(PipelineError::EmptyProgram);
     }
-    let cfg = CfgBuilder::new(&program).build();
-    Ok(Acfg::from_cfg(&cfg))
+    Ok(program)
 }
 
 /// Extracts ACFGs for many listings across `workers` lanes (`0` =

@@ -1,7 +1,7 @@
 //! Attributed control flow graphs (Section II-B, Table I).
 
 use crate::digraph::DiGraph;
-use magic_asm::{categorize, Cfg, InstrCategory};
+use magic_asm::{Cfg, InstrCategory};
 use magic_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
@@ -104,13 +104,12 @@ impl Acfg {
             graph.add_edge(u, v);
         }
         let mut attributes = Tensor::zeros([n, NUM_ATTRIBUTES]);
-        for (v, block) in cfg.blocks().iter().enumerate() {
+        for (v, block) in cfg.blocks().enumerate() {
             let mut row = [0.0f32; NUM_ATTRIBUTES];
-            for inst in &block.instructions {
+            for inst in block {
                 row[Attribute::NumericConstants as usize] +=
                     inst.numeric_constant_count() as f32;
-                let cat = categorize(&inst.mnemonic);
-                let idx = match cat {
+                let idx = match inst.category {
                     InstrCategory::Transfer => Some(Attribute::TransferInstructions),
                     InstrCategory::Call => Some(Attribute::CallInstructions),
                     InstrCategory::Arithmetic => Some(Attribute::ArithmeticInstructions),

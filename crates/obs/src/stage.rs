@@ -11,8 +11,9 @@
 
 // ---- spans -------------------------------------------------------------
 
-/// Parse one IDA-style `.asm` listing into a `Program` (Algorithm 1's
-/// input). Child of [`EXTRACT_ACFG`].
+/// Parse one IDA-style `.asm` listing into a `Program`: one
+/// address-sorted instruction vector, each instruction classified once
+/// (Algorithm 1's input). Child of [`EXTRACT_ACFG`].
 pub const ASM_PARSE: &str = "asm.parse";
 
 /// Build basic blocks and edges from a parsed program (Algorithm 2).

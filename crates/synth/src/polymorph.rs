@@ -50,7 +50,8 @@ mod tests {
             insert_junk(&mut asm, &mut rng);
         }
         asm.push_text("retn", &[], 1);
-        let p = parse_listing(&asm.render(0x1000)).unwrap();
+        let listing = asm.render(0x1000);
+        let p = parse_listing(&listing).unwrap();
         assert!(p.len() > 50);
         let cfg = CfgBuilder::new(&p).build();
         assert_eq!(cfg.block_count(), 1, "junk must not add control flow");
@@ -63,7 +64,8 @@ mod tests {
         split_block(&mut asm);
         asm.push_text("dec", &["eax"], 1);
         asm.push_text("retn", &[], 1);
-        let p = parse_listing(&asm.render(0x1000)).unwrap();
+        let listing = asm.render(0x1000);
+        let p = parse_listing(&listing).unwrap();
         let cfg = CfgBuilder::new(&p).build();
         assert_eq!(cfg.block_count(), 2);
         assert!(cfg.has_edge(0, 1));

@@ -43,15 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.entry_coverage * 100.0
     );
 
-    for (v, block) in cfg.blocks().iter().enumerate() {
+    for (v, block) in cfg.blocks().enumerate() {
         let successors: Vec<String> = cfg.successors(v).map(|s| format!("n{s}")).collect();
         println!(
             "block n{v} @ {:08X} ({} instructions) -> [{}]",
-            block.start_addr,
+            block[0].addr,
             block.len(),
             successors.join(", ")
         );
-        for inst in &block.instructions {
+        for inst in block {
             println!("    {inst}");
         }
         let interesting: Vec<String> = Attribute::ALL

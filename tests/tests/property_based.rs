@@ -7,6 +7,18 @@ use magic_tensor::{Rng64, Tensor};
 
 const CASES: u64 = 64;
 
+/// Runs the whole front end (listing → program → CFG → ACFG) on a
+/// listing that parses, so its index and binary-search code is part of
+/// every totality check.
+fn front_end_if_parsed(text: &str) {
+    if let Ok(program) = parse_listing(text) {
+        let cfg = CfgBuilder::new(&program).build();
+        let acfg = Acfg::from_cfg(&cfg);
+        assert_eq!(acfg.vertex_count(), cfg.block_count());
+        assert_eq!(cfg.instruction_count(), program.len());
+    }
+}
+
 /// The parser never panics on arbitrary input, only errors.
 #[test]
 fn parser_total_on_arbitrary_text() {
@@ -19,7 +31,7 @@ fn parser_total_on_arbitrary_text() {
         let mut rng = Rng64::new(seed);
         let len = rng.next_below(401);
         let text: String = (0..len).map(|_| POOL[rng.next_below(POOL.len())]).collect();
-        let _ = parse_listing(&text);
+        front_end_if_parsed(&text);
     }
 }
 
@@ -35,22 +47,23 @@ fn parser_total_on_addressed_garbage() {
             .map(|_| (b' ' + rng.next_below(95) as u8) as char)
             .collect();
         let line = format!(".text:{addr:08X} {body}\n");
-        let _ = parse_listing(&line);
+        front_end_if_parsed(&line);
     }
 }
 
-/// CFG structural invariants hold for every random jump program: every
-/// instruction lands in exactly one block, edges are in range, and block
-/// start addresses are unique.
+/// CFG structural invariants hold for every random jump program, with
+/// its lines shuffled and some addresses repeated: every instruction
+/// lands in exactly one block, each block is a contiguous ascending run
+/// of the address-sorted program, edges are in range, and block start
+/// addresses are unique.
 #[test]
 fn cfg_invariants_on_random_jump_programs() {
     for seed in 0..CASES {
         let mut rng = Rng64::new(seed);
         let len = rng.next_range(3, 40);
-        let mut listing = String::new();
-        for i in 0..len {
+        let line_at = |rng: &mut Rng64, i: usize| {
             let addr = 0x1000 + i * 2;
-            let line = match rng.next_below(5) {
+            match rng.next_below(5) {
                 0 => {
                     let dst = 0x1000 + rng.next_below(len) * 2;
                     format!(".text:{addr:08X} jz loc_{dst:X}\n")
@@ -62,32 +75,54 @@ fn cfg_invariants_on_random_jump_programs() {
                 2 => format!(".text:{addr:08X} retn\n"),
                 3 => format!(".text:{addr:08X} add eax, {i}\n"),
                 _ => format!(".text:{addr:08X} mov eax, ebx\n"),
-            };
-            listing.push_str(&line);
+            }
+        };
+        let mut lines: Vec<String> = (0..len).map(|i| line_at(&mut rng, i)).collect();
+        for _ in 0..rng.next_below(len / 2 + 1) {
+            let i = rng.next_below(len);
+            let repeat = line_at(&mut rng, i);
+            lines.push(repeat);
         }
+        rng.shuffle(&mut lines);
+        let listing = lines.concat();
         let program = parse_listing(&listing).unwrap();
+        assert_eq!(program.len(), len, "one instruction per distinct address");
+        assert!(program.windows(2).all(|w| w[0].addr < w[1].addr));
+        // Of the lines sharing an address, the one listed last wins.
+        for inst in program.iter() {
+            let addr = format!("{:08X}", inst.addr);
+            let last = lines.iter().rev().find(|l| l[6..14] == addr).unwrap();
+            assert!(last[6..].split_whitespace().eq(inst.to_string().split_whitespace()));
+        }
         let cfg = CfgBuilder::new(&program).build();
 
-        // Every instruction appears exactly once across blocks.
-        let placed: usize = cfg.blocks().iter().map(|b| b.len()).sum();
-        assert_eq!(placed, program.len());
+        // The blocks tile the sorted program: sorted by their first
+        // index, each range starts where the previous one ended, and the
+        // block holds exactly that run of the program.
+        let mut ranges: Vec<_> = (0..cfg.block_count()).map(|v| cfg.block_range(v)).collect();
+        for (v, range) in ranges.iter().enumerate() {
+            assert!(!range.is_empty());
+            assert_eq!(cfg.block(v), &program[range.clone()]);
+        }
+        ranges.sort_by_key(|r| r.start);
+        let mut next = 0;
+        for range in &ranges {
+            assert_eq!(range.start, next, "blocks are contiguous");
+            next = range.end;
+        }
+        assert_eq!(next, program.len(), "every instruction is placed");
+        assert_eq!(cfg.instruction_count(), program.len());
 
         // Edge endpoints are valid vertices.
         for (u, v) in cfg.edges() {
             assert!(u < cfg.block_count() && v < cfg.block_count());
         }
 
-        // Block start addresses are unique and each block is non-empty.
-        let mut starts: Vec<u64> = cfg.blocks().iter().map(|b| b.start_addr).collect();
+        // Block start addresses are unique.
+        let mut starts: Vec<u64> = cfg.blocks().map(|b| b[0].addr).collect();
         starts.sort_unstable();
         starts.dedup();
         assert_eq!(starts.len(), cfg.block_count());
-        // Instructions within a block are consecutive in address order.
-        for block in cfg.blocks() {
-            for pair in block.instructions.windows(2) {
-                assert!(pair[0].addr < pair[1].addr);
-            }
-        }
     }
 }
 
