@@ -74,7 +74,7 @@ pub fn max_grad_error(analytic: &Tensor, numeric: &Tensor) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tape;
+    use crate::{Tape, Var};
     use magic_tensor::Rng64;
     use std::sync::Arc;
 
@@ -225,11 +225,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grad_check_conv2d_weights() {
-        // Differentiate w.r.t. the *weights*, whose gradient is unstacked
-        // per sample and chained in sample order.
-        let mut rng = Rng64::new(16);
+    /// Checks the gradient w.r.t. the `(2, 1, 3, 3)` weights of a 2-D
+    /// conv op `conv(tape, x, w, b, dims)` summed to a scalar, at B = 1
+    /// and B = 3. The weight gradient is unstacked per sample and chained
+    /// in sample order.
+    fn check_conv2d_weights(seed: u64, conv: impl Fn(&mut Tape, Var, Var, Var, Arc<Vec<(usize, usize)>>) -> Var) {
+        let mut rng = Rng64::new(seed);
         let w0 = Tensor::rand_uniform([2, 1, 3, 3], -1.0, 1.0, &mut rng);
         for dims in MAP_BATCHES {
             let total: usize = dims.iter().map(|&(h, w)| h * w).sum();
@@ -239,7 +240,7 @@ mod tests {
                 let xv = tape.leaf(x.clone(), false);
                 let wv = tape.leaf(w, requires_grad);
                 let b = tape.leaf(Tensor::zeros([2]), false);
-                let y = tape.conv2d(xv, wv, b, 1, 1, Arc::clone(&dims));
+                let y = conv(tape, xv, wv, b, Arc::clone(&dims));
                 (wv, tape.sum(y))
             };
             let mut tape = Tape::new();
@@ -257,16 +258,35 @@ mod tests {
     }
 
     #[test]
+    fn grad_check_conv2d_weights() {
+        check_conv2d_weights(16, |tape, x, w, b, dims| tape.conv2d(x, w, b, 1, 1, dims));
+    }
+
+    #[test]
+    fn grad_check_conv2d_relu_amp_weights() {
+        check_conv2d_weights(17, |tape, x, w, b, dims| tape.conv2d_relu_amp(x, w, b, 1, 1, dims, (2, 3)));
+    }
+
+    #[test]
     fn grad_check_adaptive_max_pool() {
+        // The fused conv → relu → AMP block, w.r.t. its input; the
+        // gradient reaches the input only through the pool winners.
+        let mut rng = Rng64::new(22);
+        let w = Tensor::rand_uniform([2, 1, 3, 3], -1.0, 1.0, &mut rng);
+        let b = Tensor::from_slice(&[0.2, -0.1]);
         for dims in MAP_BATCHES {
-            // Distinct values so the argmax is stable under the epsilon nudge.
+            // Distinct values so the winners are stable under the epsilon nudge.
             let total: usize = dims.iter().map(|&(h, w)| h * w).sum();
             let mut input = Tensor::zeros([1, total]);
             for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
                 *v = (i as f32 * 0.731).sin() * 3.0;
             }
-            check_op(input, |tape, x| {
-                let p = tape.adaptive_max_pool2d(x, dims, 2, 3);
+            let (w, b) = (w.clone(), b.clone());
+            let dims = Arc::new(dims.to_vec());
+            check_op(input, move |tape, x| {
+                let wv = tape.leaf(w.clone(), false);
+                let bv = tape.leaf(b.clone(), false);
+                let p = tape.conv2d_relu_amp(x, wv, bv, 1, 1, Arc::clone(&dims), (2, 3));
                 tape.sum(p)
             });
         }

@@ -25,6 +25,12 @@
 //! col2im scatter-add for `gX`. All scratch and output buffers come from
 //! the caller's [`Workspace`], so steady-state training reuses them.
 //!
+//! The adaptive head's first convolution runs fused with its ReLU and
+//! adaptive max pooling ([`conv2d_relu_amp_forward`] /
+//! [`conv2d_relu_amp_backward`]): the same patch gather and GEMM, one
+//! band of output rows at a time, with a backward through the pool
+//! winners only — bitwise equal to the unfused chain.
+//!
 //! # Determinism
 //!
 //! Every tap is visited unconditionally (no data-dependent zero
@@ -38,6 +44,15 @@
 //! workspace `tests` crate.
 
 use magic_tensor::{gemm_into, gemm_nt_strided_into, gemm_tn_into, Tensor, Workspace};
+
+/// Lane sums of [`gemm_nt_strided_into`]'s dot products.
+const LANES: usize = 8;
+
+/// [`gemm_nt_strided_into`]'s fixed pairwise tree over its eight lane
+/// sums (see `magic_tensor::simd`, § Determinism).
+fn fold(s: &[f32]) -> f32 {
+    ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+}
 
 /// Output length of a 1-D convolution: `(len - k) / stride + 1`.
 ///
@@ -240,8 +255,8 @@ pub(crate) fn conv2d_out_dims(
 /// column range starting at `Σ_{i<j} hᵢ·wᵢ` of every row. Produces a
 /// `(c_in·kh·kw, Σ ohⱼ·owⱼ)` column buffer checked out of `ws` whose
 /// sample column ranges are laid out the same way; taps that fall in the
-/// zero padding stay at the buffer's zero fill, so padding costs nothing
-/// extra in the GEMM.
+/// zero padding are zero entries, so padding costs nothing extra in the
+/// GEMM.
 ///
 /// The caller owns the returned buffer and must recycle it.
 pub(crate) fn im2col_2d(
@@ -253,42 +268,82 @@ pub(crate) fn im2col_2d(
     pad: usize,
     ws: &mut Workspace,
 ) -> Vec<f32> {
-    let c_in = x.rows();
-    let total_in = x.cols();
-    debug_assert_eq!(total_in, dims.iter().map(|&(h, w)| h * w).sum::<usize>());
+    debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
     let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
     let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
-    let mut cols = ws.take(c_in * kh * kw * out_total);
-    let xs = x.as_slice();
+    let patches = Patches { x, kh, kw, stride, pad };
+    let mut cols = ws.take(x.rows() * kh * kw * out_total);
     let mut in_off = 0;
     let mut out_off = 0;
     for (&(h, w), &(oh, ow)) in dims.iter().zip(&out_dims) {
-        for ci in 0..c_in {
+        patches.gather(in_off, (h, w), ow, 0..oh, &mut cols[out_off..], out_total);
+        in_off += h * w;
+        out_off += oh * ow;
+    }
+    cols
+}
+
+/// The patch geometry of one 2-D convolution over a column-stacked
+/// `(c_in, Σ hⱼ·wⱼ)` input.
+struct Patches<'a> {
+    x: &'a Tensor,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl Patches<'_> {
+    /// Writes the patches of output rows `rows` of the sample whose
+    /// `(h, w)` map starts at column `in_off` (output width `ow`) into
+    /// `panel`, viewed as `c_in·kh·kw` rows of stride `ld`: entry
+    /// `((ci·kh + dy)·kw + dx)·ld + (oy − rows.start)·ow + ox` is the input
+    /// under tap `(ci, dy, dx)` of output cell `(oy, ox)`, or `0.0` in the
+    /// padding. Every entry of the band is written, so a reused panel
+    /// needs no clearing.
+    fn gather(
+        &self,
+        in_off: usize,
+        (h, w): (usize, usize),
+        ow: usize,
+        rows: std::ops::Range<usize>,
+        panel: &mut [f32],
+        ld: usize,
+    ) {
+        let (kh, kw, stride, pad) = (self.kh, self.kw, self.stride, self.pad);
+        let total_in = self.x.cols();
+        let xs = self.x.as_slice();
+        let band = rows.len() * ow;
+        for ci in 0..self.x.rows() {
             for dy in 0..kh {
                 for dx in 0..kw {
-                    let row =
-                        &mut cols[((ci * kh + dy) * kw + dx) * out_total + out_off..][..oh * ow];
-                    for oy in 0..oh {
+                    let row = &mut panel[((ci * kh + dy) * kw + dx) * ld..][..band];
+                    // Output columns whose tap lands inside the map:
+                    // `0 ≤ ox·stride + dx − pad < w`.
+                    let lo = pad.saturating_sub(dx).div_ceil(stride).min(ow);
+                    let hi = if w + pad > dx { ((w + pad - dx - 1) / stride + 1).min(ow) } else { 0 };
+                    for (oy, seg) in rows.clone().zip(row.chunks_exact_mut(ow)) {
                         let iy = (oy * stride + dy) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
+                        if iy < 0 || iy >= h as isize || lo >= hi {
+                            seg.fill(0.0);
                             continue;
                         }
-                        let x_row = ci * total_in + in_off + iy as usize * w;
-                        for ox in 0..ow {
-                            let ix = (ox * stride + dx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        let x_row = &xs[ci * total_in + in_off + iy as usize * w..][..w];
+                        seg[..lo].fill(0.0);
+                        seg[hi..].fill(0.0);
+                        let first = lo * stride + dx - pad;
+                        if stride == 1 {
+                            seg[lo..hi].copy_from_slice(&x_row[first..first + hi - lo]);
+                        } else {
+                            for (t, c) in seg[lo..hi].iter_mut().enumerate() {
+                                *c = x_row[first + t * stride];
                             }
-                            row[oy * ow + ox] = xs[x_row + ix as usize];
                         }
                     }
                 }
             }
         }
-        in_off += h * w;
-        out_off += oh * ow;
     }
-    cols
 }
 
 /// GEMM half of the im2col 2-D convolution. `cols` comes from
@@ -405,62 +460,284 @@ pub(crate) fn conv2d_backward(
     (gx, gw, gb)
 }
 
-/// Forward adaptive max pooling of a column-stacked batch: `x` is
-/// `(c, Σ hⱼ·wⱼ)`, the output is `(c, B·oh·ow)` with sample `j`'s pooled
-/// map in the column range `[j·oh·ow, (j+1)·oh·ow)`. Returns the output
-/// and, per output cell, the flat index of the winning input element,
-/// both checked out of `ws`. Argmax indices are pushed in ascending
-/// output flat order (channel-major, then sample), so the backward is
-/// one enumerate-scatter. Ties break to the *first* maximum in window
-/// scan order (`v > best`, strict), so reusing pooled buffers cannot
-/// change winners.
-pub(crate) fn adaptive_max_pool2d_forward(
+/// Output cells per band of the fused Conv2D → ReLU → AMP forward: a
+/// band of whole output rows is gathered, convolved and pooled at a time,
+/// so its column panel (`c_in·kh·kw` floats per cell) and conv outputs
+/// (`c_out` per cell) stay in cache instead of a whole
+/// `(c_out, oh·ow)` map going through memory.
+const BAND_CELLS: usize = 1024;
+
+/// Forward of `AMP(relu(conv2d(x)))` over a column-stacked batch: the
+/// 2-D convolution of [`conv2d_forward_gemm`] (stride, zero padding,
+/// bias), a ReLU, and adaptive max pooling of each sample's
+/// `(ohⱼ, owⱼ)` output map to a `gh × gw` grid (the paper's AMP layer,
+/// Section III-C). Returns the pooled `(c_out, B·gh·gw)` output (sample
+/// `j` in columns `[j·gh·gw, (j+1)·gh·gw)`) and, per output cell in the
+/// same flat order, the flat index of its winner in the conv map
+/// `(c_out, Σ ohⱼ·owⱼ)` — both checked out of `ws`.
+///
+/// The conv map is never materialised. Each sample is walked in bands of
+/// output rows: the band's patches are gathered into a small panel, the
+/// bias-filled panel goes through [`gemm_into`] (each element's chain is
+/// a function of its own position, so it is bitwise the full GEMM's),
+/// ReLU is `v.max(0.0)`, and every window the band overlaps updates its
+/// running maximum with a strict `>`. Bands run top to bottom and rows
+/// left to right, so each window sees its cells in `(iy, ix)` scan order
+/// and ties go to the first maximum, exactly as a scan of the full map.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv2d_relu_amp_forward(
     x: &Tensor,
+    wt: &Tensor,
+    b: &[f32],
+    stride: usize,
+    pad: usize,
     dims: &[(usize, usize)],
-    oh: usize,
-    ow: usize,
+    (gh, gw): (usize, usize),
     ws: &mut Workspace,
 ) -> (Tensor, Vec<usize>) {
-    let c = x.rows();
-    let total_in = x.cols();
-    debug_assert_eq!(total_in, dims.iter().map(|&(h, w)| h * w).sum::<usize>());
-    let out_cols = dims.len() * oh * ow;
-    let mut out = ws.take_tensor([c, out_cols]);
-    let mut argmax = ws.take_indices(c * out_cols);
-    let offsets: Vec<usize> = dims
-        .iter()
-        .scan(0usize, |acc, &(h, w)| {
-            let off = *acc;
-            *acc += h * w;
-            Some(off)
-        })
-        .collect();
-    let xs = x.as_slice();
-    for ci in 0..c {
-        for (s, (&(h, w), &in_off)) in dims.iter().zip(&offsets).enumerate() {
-            for oy in 0..oh {
-                let (y0, y1) = adaptive_window(oy, oh, h);
-                for ox in 0..ow {
-                    let (x0, x1) = adaptive_window(ox, ow, w);
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = ci * total_in + in_off + y0 * w + x0;
-                    for iy in y0..y1 {
-                        for ix in x0..x1 {
-                            let off = ci * total_in + in_off + iy * w + ix;
-                            let v = xs[off];
-                            if v > best {
-                                best = v;
-                                best_idx = off;
+    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
+    let ckk = x.rows() * kh * kw;
+    debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
+    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
+    let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
+    let cells = gh * gw;
+    let out_cols = dims.len() * cells;
+    let band_rows = |(oh, ow): (usize, usize)| (BAND_CELLS / ow).clamp(1, oh);
+    let max_band = out_dims.iter().map(|&d| band_rows(d) * d.1).max().unwrap_or(0);
+
+    let mut out = ws.take_tensor([c_out, out_cols]);
+    out.as_mut_slice().fill(f32::NEG_INFINITY);
+    let mut winners = ws.take_indices(c_out * out_cols);
+    winners.resize(c_out * out_cols, 0);
+    let mut cols = ws.take(ckk * max_band);
+    let mut panel = ws.take(c_out * max_band);
+    // Per sample: the gh row windows then the gw column windows.
+    let mut windows = ws.take_indices(2 * (gh + gw));
+    let patches = Patches { x, kh, kw, stride, pad };
+    let best = out.as_mut_slice();
+    let mut in_off = 0;
+    let mut out_off = 0;
+    for (s, (&(h, w), &(oh, ow))) in dims.iter().zip(&out_dims).enumerate() {
+        windows.clear();
+        for (i, n, len) in (0..gh).map(|i| (i, gh, oh)).chain((0..gw).map(|i| (i, gw, ow))) {
+            let (start, end) = adaptive_window(i, n, len);
+            windows.extend([start, end]);
+        }
+        let (ywin, xwin) = windows.split_at(2 * gh);
+        let rows_per_band = band_rows((oh, ow));
+        let mut oy0 = 0;
+        while oy0 < oh {
+            let oy1 = (oy0 + rows_per_band).min(oh);
+            let len = (oy1 - oy0) * ow;
+            patches.gather(in_off, (h, w), ow, oy0..oy1, &mut cols, len);
+            let maps = &mut panel[..c_out * len];
+            for (row, &bias) in maps.chunks_exact_mut(len).zip(b) {
+                row.fill(bias);
+            }
+            gemm_into(c_out, ckk, len, wt.as_slice(), &cols[..ckk * len], maps);
+            for v in maps.iter_mut() {
+                *v = v.max(0.0);
+            }
+            for (o, map) in maps.chunks_exact(len).enumerate() {
+                let first = o * out_cols + s * cells;
+                let (best, won) = (&mut best[first..][..cells], &mut winners[first..][..cells]);
+                let map_off = o * out_total + out_off;
+                for (oy, row) in (oy0..oy1).zip(map.chunks_exact(ow)) {
+                    for (gy, y) in ywin.chunks_exact(2).enumerate() {
+                        if oy < y[0] || oy >= y[1] {
+                            continue;
+                        }
+                        for (gx, xr) in xwin.chunks_exact(2).enumerate() {
+                            let cell = gy * gw + gx;
+                            let seg = &row[xr[0]..xr[1]];
+                            let m = max_of(seg);
+                            if m > best[cell] {
+                                // The first `v == m` is where a strict `>`
+                                // scan of the segment would stop rising.
+                                let ix = seg.iter().position(|&v| v == m).unwrap_or(0);
+                                best[cell] = seg[ix];
+                                won[cell] = map_off + oy * ow + xr[0] + ix;
                             }
                         }
                     }
-                    out.set2(ci, (s * oh + oy) * ow + ox, best);
-                    argmax.push(best_idx);
+                }
+            }
+            oy0 = oy1;
+        }
+        in_off += h * w;
+        out_off += oh * ow;
+    }
+    ws.recycle(cols);
+    ws.recycle(panel);
+    ws.recycle_indices(windows);
+    (out, winners)
+}
+
+/// The largest element of a NaN-free slice (`−∞` if empty): eight
+/// running maxima over chunks of eight — one packed `max` per chunk —
+/// then the lanes and the remainder. Which of `+0.0` and `−0.0` it
+/// returns when both are the maximum is unspecified; callers only
+/// compare with it.
+fn max_of(seg: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let mut chunks = seg.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v);
+        }
+    }
+    lanes.iter().chain(chunks.remainder()).fold(f32::NEG_INFINITY, |m, &v| m.max(v))
+}
+
+/// Backward of [`conv2d_relu_amp_forward`] for upstream gradient `gout`
+/// (`(c_out, B·gh·gw)`), given the forward's pooled output and winners.
+/// Returns pooled `(gx, gw, gb)`, bitwise equal to running the dense
+/// chain — AMP's scatter into a zero map, ReLU's backward, then
+/// [`conv2d_backward`] — for finite inputs.
+///
+/// Only winners whose pooled value is `> 0` carry a gradient: every other
+/// conv-map cell gets AMP's `+0.0` or ReLU's `g·0.0`, and each of those
+/// exact zeros would only be added to a chain that starts at `+0.0` and
+/// can never become `−0.0`, where it changes nothing. So, per sample:
+///
+/// * a winner's gradient is its cells' `gout` summed in cell order;
+/// * `gb[o]` adds the sample's winners of channel `o` in position order,
+///   then joins the sample-order chain;
+/// * `gW[o, tap]` is [`gemm_nt_strided_into`]'s per-sample dot — eight
+///   lane sums over positions (relative to the sample's start) in chunks
+///   of eight, a sequential tail, the fixed fold — added to a zeroed
+///   temp, then to the sample-order chain;
+/// * a winning position's column gradient is `Σ_o W[o, tap]·g[o]` in `o`
+///   order ([`gemm_tn_into`]'s chain), scattered into `gx` in col2im's
+///   `(ci, dy, dx)` tap order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv2d_relu_amp_backward(
+    x: &Tensor,
+    wt: &Tensor,
+    stride: usize,
+    pad: usize,
+    dims: &[(usize, usize)],
+    pooled: &Tensor,
+    winners: &[usize],
+    gout: &Tensor,
+    ws: &mut Workspace,
+) -> (Tensor, Tensor, Vec<f32>) {
+    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
+    let ckk = x.rows() * kh * kw;
+    let total_in = x.cols();
+    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
+    let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
+    let out_cols = pooled.cols();
+    let cells = out_cols / dims.len().max(1);
+    let (xs, wts, ps, gs) = (x.as_slice(), wt.as_slice(), pooled.as_slice(), gout.as_slice());
+
+    let mut gx = ws.take_tensor(x.shape().clone());
+    let mut gw = ws.take_tensor(wt.shape().clone());
+    let mut gb = ws.take(c_out);
+    // Per sample: winner keys `(p·c_out + o)·cells + cell`, merged in
+    // place to one `p·c_out + o` per winning (position, channel).
+    let mut keys = ws.take_indices(c_out * cells);
+    let mut scratch = ws.take(c_out * cells * (1 + ckk) + c_out * ckk * (LANES + 1) + c_out);
+    let (gz, rest) = scratch.split_at_mut(c_out * cells);
+    let (gcols, rest) = rest.split_at_mut(c_out * cells * ckk);
+    let (lanes, sums) = rest.split_at_mut(c_out * ckk * (LANES + 1));
+    let gxs = gx.as_mut_slice();
+    let mut in_off = 0;
+    let mut out_off = 0;
+    for (s, (&(h, w), &(oh, ow))) in dims.iter().zip(&out_dims).enumerate() {
+        keys.clear();
+        for o in 0..c_out {
+            let first = o * out_cols + s * cells;
+            for cell in 0..cells {
+                if ps[first + cell] > 0.0 {
+                    let p = winners[first + cell] - o * out_total - out_off;
+                    keys.push((p * c_out + o) * cells + cell);
                 }
             }
         }
+        keys.sort_unstable();
+        let mut n = 0;
+        let mut i = 0;
+        while i < keys.len() {
+            let po = keys[i] / cells;
+            let o = po % c_out;
+            let mut g = 0.0f32;
+            while i < keys.len() && keys[i] / cells == po {
+                g += gs[o * out_cols + s * cells + keys[i] % cells];
+                i += 1;
+            }
+            keys[n] = po;
+            gz[n] = g;
+            n += 1;
+        }
+        keys.truncate(n);
+
+        sums.fill(0.0);
+        for (&po, &g) in keys.iter().zip(gz.iter()) {
+            sums[po % c_out] += g;
+        }
+        for (acc, &sum) in gb.iter_mut().zip(sums.iter()) {
+            *acc += sum;
+        }
+
+        // The flat input index under tap `(ci, dy, dx)` of position `p`,
+        // if the tap lands inside the map rather than the padding.
+        let input_at = |p: usize, tap: usize| -> Option<usize> {
+            let (ci, dy, dx) = (tap / (kh * kw), tap / kw % kh, tap % kw);
+            let iy = ((p / ow) * stride + dy).checked_sub(pad)?;
+            let ix = ((p % ow) * stride + dx).checked_sub(pad)?;
+            (iy < h && ix < w).then(|| ci * total_in + in_off + iy * w + ix)
+        };
+
+        let full = oh * ow / LANES * LANES;
+        lanes.fill(0.0);
+        for (&po, &g) in keys.iter().zip(gz.iter()) {
+            let (p, o) = (po / c_out, po % c_out);
+            let lane = if p < full { p % LANES } else { LANES };
+            for tap in 0..ckk {
+                if let Some(xi) = input_at(p, tap) {
+                    lanes[(o * ckk + tap) * (LANES + 1) + lane] += g * xs[xi];
+                }
+            }
+        }
+        for (acc, l) in gw.as_mut_slice().iter_mut().zip(lanes.chunks_exact(LANES + 1)) {
+            let mut temp = 0.0f32;
+            temp += fold(&l[..LANES]) + l[LANES];
+            *acc += temp;
+        }
+
+        // Column gradient of each winning position (keys are sorted by
+        // position, so its channels are adjacent and in `o` order), then
+        // the scatter, tap-major as col2im adds them.
+        let mut npos = 0;
+        let mut e = 0;
+        while e < keys.len() {
+            let p = keys[e] / c_out;
+            let col = &mut gcols[npos * ckk..][..ckk];
+            col.fill(0.0);
+            while e < keys.len() && keys[e] / c_out == p {
+                let o = keys[e] % c_out;
+                for (c, &wv) in col.iter_mut().zip(&wts[o * ckk..][..ckk]) {
+                    *c += wv * gz[e];
+                }
+                e += 1;
+            }
+            keys[npos] = p;
+            npos += 1;
+        }
+        for tap in 0..ckk {
+            for (q, &p) in keys[..npos].iter().enumerate() {
+                if let Some(xi) = input_at(p, tap) {
+                    gxs[xi] += gcols[q * ckk + tap];
+                }
+            }
+        }
+        in_off += h * w;
+        out_off += oh * ow;
     }
-    (out, argmax)
+    ws.recycle_indices(keys);
+    ws.recycle(scratch);
+    (gx, gw, gb)
 }
 
 /// Forward 1-D max pooling with window `k` and stride `k`
@@ -621,11 +898,18 @@ mod tests {
         assert_eq!(y.get2(0, 0), 4.0);
     }
 
+    /// `AMP(relu(x))` of one channel through the fused op with a 1×1
+    /// identity kernel (no padding, zero bias).
+    fn amp(x: &Tensor, dims: &[(usize, usize)], grid: (usize, usize), ws: &mut Workspace) -> (Tensor, Vec<usize>) {
+        let identity = Tensor::from_vec(vec![1.0], [1, 1, 1, 1]);
+        conv2d_relu_amp_forward(x, &identity, &[0.0], 1, 0, dims, grid, ws)
+    }
+
     #[test]
     fn amp_forward_picks_window_maxima() {
         // Fig. 6 style: pool a 4x7 map (1 channel) into 3x3.
         let x = Tensor::from_vec((0..28).map(|v| v as f32).collect(), [1, 28]);
-        let (y, argmax) = adaptive_max_pool2d_forward(&x, &[(4, 7)], 3, 3, &mut Workspace::new());
+        let (y, argmax) = amp(&x, &[(4, 7)], (3, 3), &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[1, 9]);
         // Bottom-right window must contain the global max (27).
         assert_eq!(y.get2(0, 8), 27.0);
@@ -646,7 +930,7 @@ mod tests {
         // scan order, and pooled-buffer reuse must not change that.
         let mut ws = Workspace::new();
         let x = Tensor::ones([1, 16]);
-        let (y, argmax) = adaptive_max_pool2d_forward(&x, &[(4, 4)], 2, 2, &mut ws);
+        let (y, argmax) = amp(&x, &[(4, 4)], (2, 2), &mut ws);
         assert!(y.as_slice().iter().all(|&v| v == 1.0));
         assert_eq!(argmax, vec![0, 2, 8, 10]);
         // Recycle and pool a different tensor through the same workspace:
@@ -654,7 +938,7 @@ mod tests {
         ws.recycle_indices(argmax);
         ws.recycle_tensor(y);
         let x2 = Tensor::from_vec(vec![2.0; 16], [1, 16]);
-        let (y2, argmax2) = adaptive_max_pool2d_forward(&x2, &[(4, 4)], 2, 2, &mut ws);
+        let (y2, argmax2) = amp(&x2, &[(4, 4)], (2, 2), &mut ws);
         assert!(y2.as_slice().iter().all(|&v| v == 2.0));
         assert_eq!(argmax2, vec![0, 2, 8, 10]);
         assert!(ws.stats().hits >= 2, "second call should reuse pooled buffers");
@@ -1065,36 +1349,56 @@ mod tests {
 
     #[test]
     fn amp_batched_matches_per_sample_outputs_and_winners() {
+        // The fused conv → relu → AMP over a batch of three maps (one
+        // smaller than the grid) against three batches of one: pooled
+        // values, winners and all three gradients.
         let mut rng = Rng64::new(43);
         let mut ws = Workspace::new();
-        let (c, oh, ow) = (3, 3, 3);
-        let dims = [(4, 7), (3, 3), (2, 9)];
+        let (c_in, c_out, grid) = (2, 3, (3, 3));
+        let cells = 9;
+        let dims = [(4, 7), (2, 2), (5, 9)];
         let total_in: usize = dims.iter().map(|&(h, w)| h * w).sum();
         let samples: Vec<Tensor> =
-            dims.iter().map(|&(h, w)| Tensor::rand_uniform([c, h * w], -1.0, 1.0, &mut rng)).collect();
+            dims.iter().map(|&(h, w)| Tensor::rand_uniform([c_in, h * w], -1.0, 1.0, &mut rng)).collect();
+        let wt = Tensor::rand_uniform([c_out, c_in, 3, 3], -1.0, 1.0, &mut rng);
+        let b = [0.1, -0.2, 0.05];
         let x = hstack(&samples.iter().collect::<Vec<_>>());
-        let (out, argmax) = adaptive_max_pool2d_forward(&x, &dims, oh, ow, &mut ws);
+        let (out, argmax) = conv2d_relu_amp_forward(&x, &wt, &b, 1, 1, &dims, grid, &mut ws);
+        let gouts: Vec<Tensor> =
+            (0..dims.len()).map(|_| Tensor::rand_uniform([c_out, cells], -1.0, 1.0, &mut rng)).collect();
+        let gout = hstack(&gouts.iter().collect::<Vec<_>>());
+        let (gx, gw, gb) =
+            conv2d_relu_amp_backward(&x, &wt, 1, 1, &dims, &out, &argmax, &gout, &mut ws);
+        let (mut per_gw, mut per_gb) = (Vec::new(), Vec::new());
         let mut in_off = 0;
         for s in 0..dims.len() {
             let (h, w) = dims[s];
-            let (sout, sarg) = adaptive_max_pool2d_forward(&samples[s], &dims[s..=s], oh, ow, &mut ws);
-            for ci in 0..c {
-                assert_eq!(
-                    &out.row(ci)[s * oh * ow..(s + 1) * oh * ow],
-                    sout.row(ci),
-                    "out sample {s} channel {ci}"
-                );
-                for cell in 0..oh * ow {
-                    let local = sarg[ci * oh * ow + cell] - ci * h * w;
+            let one = &dims[s..=s];
+            let (sout, sarg) = conv2d_relu_amp_forward(&samples[s], &wt, &b, 1, 1, one, grid, &mut ws);
+            for o in 0..c_out {
+                assert_eq!(&out.row(o)[s * cells..(s + 1) * cells], sout.row(o), "out sample {s} channel {o}");
+                for cell in 0..cells {
+                    let local = sarg[o * cells + cell] - o * h * w;
                     assert_eq!(
-                        argmax[ci * dims.len() * oh * ow + s * oh * ow + cell],
-                        ci * total_in + in_off + local,
-                        "winner sample {s} channel {ci} cell {cell}"
+                        argmax[o * dims.len() * cells + s * cells + cell],
+                        o * total_in + in_off + local,
+                        "winner sample {s} channel {o} cell {cell}"
                     );
                 }
             }
+            let (sgx, sgw, sgb) =
+                conv2d_relu_amp_backward(&samples[s], &wt, 1, 1, one, &sout, &sarg, &gouts[s], &mut ws);
+            for ci in 0..c_in {
+                assert_eq!(&gx.row(ci)[in_off..in_off + h * w], sgx.row(ci), "gx sample {s} channel {ci}");
+            }
+            per_gw.push(sgw.as_slice().to_vec());
+            per_gb.push(sgb);
             in_off += h * w;
         }
+        let chained_gw = chain_add(&per_gw.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let chained_gb = chain_add(&per_gb.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        assert_eq!(gw.as_slice(), chained_gw.as_slice(), "gw chain");
+        assert_eq!(gb, chained_gb, "gb chain");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! The operation set is exactly what the MAGIC architecture needs:
 //! matrix products and row scaling for the graph convolution of Eq. (1),
 //! row gathering and padding for SortPooling, 1-D/2-D convolutions and
-//! adaptive max pooling for the two classification heads, plus the usual
+//! (fused with the convolution and ReLU before it) adaptive max pooling
+//! for the two classification heads, plus the usual
 //! activations, dropout and the negative log-likelihood loss of Eq. (5).
 //! The model-facing ops all run over a block-diagonal mini-batch; a
 //! single graph is a batch of one.

@@ -50,7 +50,7 @@
 //!   batched. `matmul_row_blocks` (also `gemm.batched`) charges
 //!   `2·B·block_rows·c` via `matmul_flops(B, block_rows, c)`. Data
 //!   movement (`gather_pad.batched`, `unstack_cols.batched`,
-//!   `max_pool1d.batched`, `adaptive_max_pool2d.batched`) counts zero
+//!   `max_pool1d.batched`) counts zero
 //!   FLOPs; `nll_loss.batched` counts one FLOP per row.
 //! * Cheap elementwise ops count one FLOP per output element;
 //!   transcendentals (`sigmoid`, `tanh`, `log_softmax`) count a few.
@@ -58,7 +58,12 @@
 //!   unstacking, pooling) counts zero FLOPs; `bytes_out` captures its
 //!   cost instead.
 //! * Backward steps are charged `2×` the forward FLOPs of their op (the
-//!   usual two-gradient heuristic for dense kernels).
+//!   usual two-gradient heuristic for dense kernels), except
+//!   `spmm_norm_t.batched` (above) and the fused
+//!   `conv2d_relu_amp.batched`, which runs through the pool winners only:
+//!   its forward is [`conv2d_relu_amp_flops`] over every map position, its
+//!   backward [`conv2d_relu_amp_backward_flops`] over the positive pooled
+//!   cells.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -94,6 +99,22 @@ pub fn conv1d_flops(c_out: usize, l_out: usize, c_in: usize, k: usize) -> u64 {
 /// input channels with a `kh × kw` kernel, bias included.
 pub fn conv2d_flops(c_out: usize, oh: usize, ow: usize, c_in: usize, kh: usize, kw: usize) -> u64 {
     (c_out as u64) * (oh as u64) * (ow as u64) * (2 * (c_in as u64) * (kh as u64) * (kw as u64) + 1)
+}
+
+/// Forward FLOPs of the fused Conv2D → ReLU → AMP block over `positions`
+/// conv-map positions (`Σ ohⱼ·owⱼ`): the [`conv2d_flops`] of the
+/// convolution plus one per map element for the ReLU. The pooling
+/// compares count zero, as every pooling does.
+pub fn conv2d_relu_amp_flops(c_out: usize, positions: usize, c_in: usize, kh: usize, kw: usize) -> u64 {
+    conv2d_flops(c_out, 1, positions, c_in, kh, kw) + (c_out as u64) * (positions as u64)
+}
+
+/// Backward FLOPs of the fused Conv2D → ReLU → AMP block: one
+/// multiply-add per tap into `gW` and one into the column gradient, for
+/// each of the `active` pooled cells whose value is positive (only
+/// those carry a gradient), with `ckk = c_in·kh·kw` taps.
+pub fn conv2d_relu_amp_backward_flops(ckk: usize, active: usize) -> u64 {
+    4 * (ckk as u64) * (active as u64)
 }
 
 /// Buckets an element count into a power-of-two shape class, so ops on

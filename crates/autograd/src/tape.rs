@@ -77,7 +77,19 @@ enum Op {
         pad: usize,
         dims: Arc<Vec<(usize, usize)>>,
     },
-    AdaptiveMaxPool2d { x: Var, argmax: Vec<usize> },
+    /// `AMP(relu(conv2d(x)))` of the adaptive head with the conv map
+    /// never materialised: the node value is the pooled output and
+    /// `winners` holds, per pooled cell, the flat index of its winner in
+    /// the `(c_out, Σ ohⱼ·owⱼ)` conv map.
+    Conv2dReluAmp {
+        x: Var,
+        w: Var,
+        b: Var,
+        stride: usize,
+        pad: usize,
+        dims: Arc<Vec<(usize, usize)>>,
+        winners: Vec<usize>,
+    },
     MaxPool1d { x: Var, argmax: Vec<usize> },
 }
 
@@ -114,7 +126,7 @@ impl Op {
             Op::NllLossRows(..) => "nll_loss.batched",
             Op::Conv1d { .. } => "conv1d.batched",
             Op::Conv2d { .. } => "conv2d.batched",
-            Op::AdaptiveMaxPool2d { .. } => "adaptive_max_pool2d.batched",
+            Op::Conv2dReluAmp { .. } => "conv2d_relu_amp.batched",
             Op::MaxPool1d { .. } => "max_pool1d.batched",
         }
     }
@@ -252,7 +264,7 @@ impl Tape {
         for node in nodes.drain(..) {
             match node.op {
                 Op::Dropout(_, mask) => workspace.recycle(mask),
-                Op::AdaptiveMaxPool2d { argmax, .. } | Op::MaxPool1d { argmax, .. } => {
+                Op::Conv2dReluAmp { winners: argmax, .. } | Op::MaxPool1d { argmax, .. } => {
                     workspace.recycle_indices(argmax)
                 }
                 _ => {}
@@ -312,7 +324,6 @@ impl Tape {
             | Op::GatherRowsPad(..)
             | Op::Reshape(_)
             | Op::UnstackColumns { .. }
-            | Op::AdaptiveMaxPool2d { .. }
             | Op::MaxPool1d { .. } => 0,
             Op::Matmul(a, b) | Op::MatmulBatched { a, b, .. } => profile::matmul_flops(
                 self.value(*a).rows(),
@@ -354,6 +365,17 @@ impl Tape {
                     ws.dim(2),
                     ws.dim(3),
                 )
+            }
+            // The convolution and the ReLU over every map position; the
+            // pooling compares count zero.
+            Op::Conv2dReluAmp { w, stride, pad, dims, .. } => {
+                let ws = self.value(*w).shape().clone();
+                let (c_out, c_in, kh, kw) = (ws.dim(0), ws.dim(1), ws.dim(2), ws.dim(3));
+                let positions = conv::conv2d_out_dims(dims, kh, kw, *stride, *pad)
+                    .iter()
+                    .map(|&(oh, ow)| oh * ow)
+                    .sum();
+                profile::conv2d_relu_amp_flops(c_out, positions, c_in, kh, kw)
             }
         }
     }
@@ -841,25 +863,59 @@ impl Tape {
         self.push_profiled(value, Op::Conv2d { x, w, b, stride, pad, dims }, rg, t)
     }
 
-    /// Adaptive max pooling — the paper's AMP layer (Section III-C) — of
-    /// a column-stacked `(c, Σ hⱼ·wⱼ)` batch with per-sample extents
-    /// `dims` to `(c, B·oh·ow)` (sample `j` in columns `[j·oh·ow, …)`).
-    /// Output and winner-index buffers are pooled; ties break to the
-    /// first maximum in scan order.
-    pub fn adaptive_max_pool2d(
+    /// The adaptive head's first block, `AMP(relu(conv2d(x)))`, as one
+    /// op: the 2-D convolution of [`Tape::conv2d`] (`(c_out, c_in, kh,
+    /// kw)` weights, stride, zero padding, bias) over a column-stacked
+    /// `x = (c_in, Σ hⱼ·wⱼ)` with per-sample extents `dims`, a ReLU, and
+    /// adaptive max pooling — the paper's AMP layer (Section III-C) — of
+    /// each sample's conv map to a `gh × gw` grid. The output is
+    /// `(c_out, B·gh·gw)`, sample `j` in columns `[j·gh·gw, …)`; ties break
+    /// to the first maximum in scan order.
+    ///
+    /// The `(c_out, Σ ohⱼ·owⱼ)` conv map is never materialised: the
+    /// forward convolves and pools one band of rows at a time, and the
+    /// backward runs only through the pool winners whose value is
+    /// positive. Values and gradients are bitwise those of
+    /// `conv2d` → `relu` → a scan of the full map (see DESIGN.md, "The
+    /// fused Conv2D → ReLU → AMP block").
+    #[allow(clippy::too_many_arguments)]
+    pub fn conv2d_relu_amp(
         &mut self,
         x: Var,
-        dims: &[(usize, usize)],
-        oh: usize,
-        ow: usize,
+        w: Var,
+        b: Var,
+        stride: usize,
+        pad: usize,
+        dims: Arc<Vec<(usize, usize)>>,
+        grid: (usize, usize),
     ) -> Var {
         let t = self.prof_start();
-        let (value, argmax) = {
+        let (value, winners) = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::adaptive_max_pool2d_forward(&nodes[x.0].value, dims, oh, ow, workspace)
+            conv::conv2d_relu_amp_forward(
+                &nodes[x.0].value,
+                &nodes[w.0].value,
+                nodes[b.0].value.as_slice(),
+                stride,
+                pad,
+                &dims,
+                grid,
+                workspace,
+            )
         };
-        let rg = self.any_requires(&[x]);
-        self.push_profiled(value, Op::AdaptiveMaxPool2d { x, argmax }, rg, t)
+        let rg = self.any_requires(&[x, w, b]);
+        self.push_profiled(value, Op::Conv2dReluAmp { x, w, b, stride, pad, dims, winners }, rg, t)
+    }
+
+    /// Winner indices of a [`Tape::conv2d_relu_amp`] node: per pooled
+    /// cell, in the output's flat order, the flat index of the winning
+    /// element of the `(c_out, Σ ohⱼ·owⱼ)` conv map. `None` for any other
+    /// node.
+    pub fn pool_winners(&self, v: Var) -> Option<&[usize]> {
+        match &self.nodes[v.0].op {
+            Op::Conv2dReluAmp { winners, .. } => Some(winners),
+            _ => None,
+        }
     }
 
     /// Non-overlapping 1-D max pooling with window `k` over
@@ -935,6 +991,12 @@ impl Tape {
                 // stays exact.
                 let flops = match &op {
                     Op::SpmmNorm { .. } => self.forward_flops(&op, out),
+                    // Runs through the positive pool winners only.
+                    Op::Conv2dReluAmp { w, .. } => {
+                        let ckk = self.value(*w).len() / self.value(*w).shape().dim(0);
+                        let active = out.as_slice().iter().filter(|&&v| v > 0.0).count();
+                        profile::conv2d_relu_amp_backward_flops(ckk, active)
+                    }
                     _ => 2 * self.forward_flops(&op, out),
                 };
                 (
@@ -1151,10 +1213,9 @@ impl Tape {
                         self.accumulate(a, gm);
                     }
                 }
-                Op::AdaptiveMaxPool2d { x, argmax } | Op::MaxPool1d { x, argmax } => {
+                Op::MaxPool1d { x, argmax } => {
                     // Winner indices were pushed in ascending output flat
-                    // order, so one enumerate-scatter serves both pooling
-                    // ops.
+                    // order, so the backward is one enumerate-scatter.
                     if self.needs(x) {
                         let shape = self.value(x).shape().clone();
                         let mut gx = self.workspace.take_tensor(shape);
@@ -1315,7 +1376,7 @@ impl Tape {
                     }
                 }
                 Op::Conv1d { x, w, b, k, stride, seg_len } => {
-                    let (gx, gw, gb) = {
+                    let grads = {
                         let Tape { nodes, workspace, .. } = &mut *self;
                         conv::conv1d_backward(
                             &nodes[x.0].value,
@@ -1327,25 +1388,10 @@ impl Tape {
                             workspace,
                         )
                     };
-                    if self.needs(x) {
-                        self.accumulate(x, gx);
-                    } else {
-                        self.workspace.recycle_tensor(gx);
-                    }
-                    if self.needs(w) {
-                        self.accumulate(w, gw);
-                    } else {
-                        self.workspace.recycle_tensor(gw);
-                    }
-                    if self.needs(b) {
-                        let n = gb.len();
-                        self.accumulate(b, Tensor::from_vec(gb, [n]));
-                    } else {
-                        self.workspace.recycle(gb);
-                    }
+                    self.accumulate_conv_grads([x, w, b], grads);
                 }
                 Op::Conv2d { x, w, b, stride, pad, dims } => {
-                    let (gx, gw, gb) = {
+                    let grads = {
                         let Tape { nodes, workspace, .. } = &mut *self;
                         conv::conv2d_backward(
                             &nodes[x.0].value,
@@ -1357,22 +1403,24 @@ impl Tape {
                             workspace,
                         )
                     };
-                    if self.needs(x) {
-                        self.accumulate(x, gx);
-                    } else {
-                        self.workspace.recycle_tensor(gx);
-                    }
-                    if self.needs(w) {
-                        self.accumulate(w, gw);
-                    } else {
-                        self.workspace.recycle_tensor(gw);
-                    }
-                    if self.needs(b) {
-                        let n = gb.len();
-                        self.accumulate(b, Tensor::from_vec(gb, [n]));
-                    } else {
-                        self.workspace.recycle(gb);
-                    }
+                    self.accumulate_conv_grads([x, w, b], grads);
+                }
+                Op::Conv2dReluAmp { x, w, b, stride, pad, ref dims, ref winners } => {
+                    let grads = {
+                        let Tape { nodes, workspace, .. } = &mut *self;
+                        conv::conv2d_relu_amp_backward(
+                            &nodes[x.0].value,
+                            &nodes[w.0].value,
+                            stride,
+                            pad,
+                            dims,
+                            &nodes[idx].value,
+                            winners,
+                            &gout,
+                            workspace,
+                        )
+                    };
+                    self.accumulate_conv_grads([x, w, b], grads);
                 }
             }
             // Put the gradient back so callers can still read it after
@@ -1387,6 +1435,19 @@ impl Tape {
 
     fn needs(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
+    }
+
+    /// Accumulates a convolution's pooled `(gx, gw, gb)` into `x`, `w`
+    /// and `b`, recycling each gradient whose input does not need it.
+    fn accumulate_conv_grads(&mut self, [x, w, b]: [Var; 3], (gx, gw, gb): (Tensor, Tensor, Vec<f32>)) {
+        let n = gb.len();
+        for (v, g) in [(x, gx), (w, gw), (b, Tensor::from_vec(gb, [n]))] {
+            if self.needs(v) {
+                self.accumulate(v, g);
+            } else {
+                self.workspace.recycle_tensor(g);
+            }
+        }
     }
 }
 

@@ -34,7 +34,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         let recorder = JsonlRecorder::create(path)
             .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
         magic_obs::install(Arc::new(recorder));
-        magic_obs::meta(format!("magic {}", args.join(" ")));
+        magic_obs::meta(format!("magic {}", args.join(" ")), magic_tensor::simd::isa().name());
         magic_tensor::mem::enable();
     }
 
@@ -605,7 +605,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let recorder = JsonlRecorder::create(&trace_path)
         .map_err(|e| format!("cannot create trace file {}: {e}", trace_path.display()))?;
     magic_obs::install(Arc::new(recorder));
-    magic_obs::meta(format!("magic profile {corpus}"));
+    magic_obs::meta(format!("magic profile {corpus}"), magic_tensor::simd::isa().name());
     magic_tensor::mem::enable();
 
     let outcome = run_training(&corpus, &knobs);
@@ -1206,7 +1206,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("valid.jsonl");
         let events = [
-            Event::Meta { command: "magic train".into() },
+            Event::Meta { command: "magic train".into(), isa: None },
             Event::SpanStart {
                 id: 1,
                 parent: None,

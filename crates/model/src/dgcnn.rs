@@ -204,8 +204,7 @@ impl Dgcnn {
                     Arc::new(bounds.windows(2).map(|w| (w[1] - w[0], concat)).collect());
                 let image = tape.reshape(z_concat, [1, batch.total_vertices() * concat]);
                 // 3×3 stride-1 pad-1 preserves each sample's extent.
-                let c1 = pre_conv.forward(tape, binding, image, Arc::clone(&dims));
-                let pooled = pool.forward(tape, c1, &dims); // (ch, B·gh·gw)
+                let pooled = pre_conv.forward_pooled(tape, binding, image, dims, *pool); // (ch, B·gh·gw)
                 let grid = Arc::new(vec![(pool.out_h(), pool.out_w()); b]);
                 let c2 = post_conv.forward(tape, binding, pooled, grid);
                 tape.unstack_columns(c2, pool.out_h() * pool.out_w()) // (B, ch·gh·gw)

@@ -1,6 +1,7 @@
 //! Trainable 1-D and 2-D convolution layers.
 
 use crate::param::{Binding, ParamId, ParamStore};
+use crate::AdaptiveMaxPool2d;
 use magic_autograd::{Tape, Var};
 use magic_tensor::{Rng64, Tensor};
 use std::sync::Arc;
@@ -128,6 +129,21 @@ impl Conv2dLayer {
     pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, dims: Arc<Vec<(usize, usize)>>) -> Var {
         let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.stride, self.pad, dims);
         tape.relu(y)
+    }
+
+    /// [`Conv2dLayer::forward`] followed by `pool`, as the one fused op
+    /// [`Tape::conv2d_relu_amp`]: the `(c_out, Σ h_j·w_j)` map between
+    /// them is never materialised. Returns `(c_out, batch·out_h·out_w)`.
+    pub fn forward_pooled(
+        &self,
+        tape: &mut Tape,
+        binding: &Binding,
+        x: Var,
+        dims: Arc<Vec<(usize, usize)>>,
+        pool: AdaptiveMaxPool2d,
+    ) -> Var {
+        let (w, b) = (binding.var(self.w), binding.var(self.b));
+        tape.conv2d_relu_amp(x, w, b, self.stride, self.pad, dims, (pool.out_h(), pool.out_w()))
     }
 }
 

@@ -107,7 +107,9 @@ impl WeightedVertices {
 /// Divides each `(h, w)` input map into an `H×W` grid of windows (sized
 /// adaptively per input, as in Fig. 6) and keeps the maximum of each
 /// window and channel, producing `H·W` cells per channel regardless of
-/// input size.
+/// input size. The pooling runs fused with the convolution and ReLU
+/// before it, through [`crate::Conv2dLayer::forward_pooled`], so the
+/// full-resolution map it reads is never materialised.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveMaxPool2d {
     out_h: usize,
@@ -133,13 +135,6 @@ impl AdaptiveMaxPool2d {
     /// Output grid width.
     pub fn out_w(&self) -> usize {
         self.out_w
-    }
-
-    /// Applies the pooling to a column-stacked batch: `x` is
-    /// `(c, Σ h_j·w_j)` with per-sample extents `dims`, pooled to
-    /// `(c, batch·out_h·out_w)`.
-    pub fn forward(&self, tape: &mut Tape, x: Var, dims: &[(usize, usize)]) -> Var {
-        tape.adaptive_max_pool2d(x, dims, self.out_h, self.out_w)
     }
 }
 
@@ -241,13 +236,16 @@ mod tests {
     #[test]
     fn amp_unifies_different_input_sizes() {
         // Fig. 6: a 5x7 and a 4x7 input both pool to 3x3.
+        let mut store = ParamStore::new();
+        let conv = crate::Conv2dLayer::new(&mut store, "c", 1, 2, 3, 1, 1, &mut Rng64::new(3));
         let pool = AdaptiveMaxPool2d::new(3, 3);
         for h in [5usize, 4] {
             let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h * 7]);
             let mut tape = Tape::new();
+            let binding = store.bind(&mut tape);
             let xv = tape.leaf(x, false);
-            let y = pool.forward(&mut tape, xv, &[(h, 7)]);
-            assert_eq!(tape.value(y).shape().dims(), &[1, 3 * 3]);
+            let y = conv.forward_pooled(&mut tape, &binding, xv, std::sync::Arc::new(vec![(h, 7)]), pool);
+            assert_eq!(tape.value(y).shape().dims(), &[2, 3 * 3]);
         }
     }
 }

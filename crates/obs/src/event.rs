@@ -34,6 +34,10 @@ pub enum Event {
         /// The command line (or free-form description) that produced the
         /// trace.
         command: String,
+        /// The kernel instance (`magic_tensor::simd::Isa` name, e.g.
+        /// `avx2`) the producing process ran. Absent from traces written
+        /// before the field existed.
+        isa: Option<String>,
     },
     /// A span opened: a named stage of the pipeline began.
     SpanStart {
@@ -171,10 +175,13 @@ impl Event {
         let mut map = Map::new();
         map.insert("v", Value::Number(SCHEMA_VERSION as f64));
         match self {
-            Event::Meta { command } => {
+            Event::Meta { command, isa } => {
                 map.insert("t", Value::String("meta".into()));
                 map.insert("schema", Value::String(SCHEMA_NAME.into()));
                 map.insert("command", Value::String(command.clone()));
+                if let Some(isa) = isa {
+                    map.insert("isa", Value::String(isa.clone()));
+                }
             }
             Event::SpanStart { id, parent, stage, ts_us, fields } => {
                 map.insert("t", Value::String("span_start".into()));
@@ -297,6 +304,7 @@ impl Event {
         match kind {
             "meta" => Ok(Event::Meta {
                 command: value["command"].as_str().unwrap_or_default().to_string(),
+                isa: value["isa"].as_str().map(str::to_string),
             }),
             "span_start" => Ok(Event::SpanStart {
                 id: value["id"].as_u64().ok_or("missing span id")?,
@@ -402,7 +410,8 @@ mod tests {
 
     #[test]
     fn every_event_kind_roundtrips_through_magic_json() {
-        roundtrip(Event::Meta { command: "magic train --corpus mskcfg".into() });
+        roundtrip(Event::Meta { command: "magic train --corpus mskcfg".into(), isa: None });
+        roundtrip(Event::Meta { command: "magic train".into(), isa: Some("avx2".into()) });
         roundtrip(Event::SpanStart {
             id: 3,
             parent: Some(1),

@@ -38,7 +38,7 @@
 //! // Stream a tiny trace to a file, as `magic train --trace` would.
 //! let path = std::env::temp_dir().join("magic-obs-doctest.jsonl");
 //! magic_obs::install(Arc::new(JsonlRecorder::create(&path)?));
-//! magic_obs::meta("doctest");
+//! magic_obs::meta("doctest", "baseline");
 //! {
 //!     let _run = magic_obs::span(stage::TRAIN);
 //!     let _epoch = magic_obs::span_fields(stage::TRAIN_EPOCH, &[("epoch", 0.0)]);

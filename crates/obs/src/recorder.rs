@@ -113,7 +113,7 @@ mod tests {
         let buf = SharedBuf::default();
         let recorder = JsonlRecorder::from_writer(Box::new(buf.clone()));
         let events = [
-            Event::Meta { command: "test".into() },
+            Event::Meta { command: "test".into(), isa: None },
             Event::Counter { name: "c".into(), ts_us: 1, delta: 2.0 },
             Event::SpanEnd { id: 1, stage: "s".into(), ts_us: 5, dur_us: 4 },
         ];
@@ -133,7 +133,7 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let _ = std::fs::remove_dir_all(&dir);
         let recorder = JsonlRecorder::create(&path).unwrap();
-        recorder.record(&Event::Meta { command: "t".into() });
+        recorder.record(&Event::Meta { command: "t".into(), isa: None });
         recorder.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);

@@ -73,6 +73,8 @@ pub struct OpProfileStats {
 pub struct TraceSummary {
     /// The `command` from the stream's meta header, if present.
     pub command: Option<String>,
+    /// The kernel instance from the stream's meta header, if recorded.
+    pub isa: Option<String>,
     /// Total events parsed.
     pub events: u64,
     /// Wall-clock between the first and last event timestamp, µs.
@@ -172,7 +174,10 @@ impl TraceSummary {
                 last_ts = last_ts.max(ts);
             }
             match event {
-                Event::Meta { command } => summary.command = Some(command),
+                Event::Meta { command, isa } => {
+                    summary.command = Some(command);
+                    summary.isa = isa;
+                }
                 Event::SpanStart { id, parent, stage, fields, .. } => {
                     if stage == crate::stage::TRAIN && summary.train_fields.is_empty() {
                         summary.train_fields = fields;
@@ -314,7 +319,10 @@ impl TraceSummary {
     pub fn render(&self) -> String {
         let mut out = String::new();
         if let Some(command) = &self.command {
-            out.push_str(&format!("trace of: {command}\n"));
+            match &self.isa {
+                Some(isa) => out.push_str(&format!("trace of: {command} (isa: {isa})\n")),
+                None => out.push_str(&format!("trace of: {command}\n")),
+            }
         }
         out.push_str(&format!(
             "{} events · wall {} · top-level span coverage {:.1}%\n",
@@ -472,7 +480,7 @@ mod tests {
 
     fn sample_trace() -> String {
         lines_of(&[
-            Event::Meta { command: "magic train --corpus mskcfg".into() },
+            Event::Meta { command: "magic train --corpus mskcfg".into(), isa: None },
             Event::SpanStart {
                 id: 1,
                 parent: None,
@@ -512,6 +520,17 @@ mod tests {
                 fields: vec![("worker".into(), 1.0)],
             },
         ])
+    }
+
+    #[test]
+    fn header_names_the_isa_when_the_meta_event_has_one() {
+        let with = lines_of(&[Event::Meta { command: "magic train".into(), isa: Some("avx2".into()) }]);
+        let summary = TraceSummary::from_lines(with.lines()).unwrap();
+        assert!(summary.render().starts_with("trace of: magic train (isa: avx2)\n"));
+        // A trace from before the field existed still reads, without it.
+        let summary = TraceSummary::from_lines(sample_trace().lines()).unwrap();
+        assert_eq!(summary.isa, None);
+        assert!(summary.render().starts_with("trace of: magic train --corpus mskcfg\n"));
     }
 
     #[test]

@@ -157,10 +157,10 @@ pub fn record(event: &Event) {
 }
 
 /// Emits the stream-header [`Event::Meta`] describing the command that
-/// produces the trace.
-pub fn meta(command: impl Into<String>) {
+/// produces the trace and the kernel instance (`isa`) it runs.
+pub fn meta(command: impl Into<String>, isa: &str) {
     if is_enabled() {
-        record(&Event::Meta { command: command.into() });
+        record(&Event::Meta { command: command.into(), isa: Some(isa.to_string()) });
     }
 }
 
@@ -404,7 +404,7 @@ mod tests {
     fn meta_and_flush_are_safe_without_a_recorder() {
         let _guard = GLOBAL.lock().unwrap();
         uninstall();
-        meta("magic test");
+        meta("magic test", "baseline");
         flush();
     }
 }

@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn non_access_events_are_counted_and_skipped() {
         let text = lines_of(&[
-            Event::Meta { command: "magic serve".into() },
+            Event::Meta { command: "magic serve".into(), isa: None },
             access(1, 200, 500, 10),
         ]);
         let summary = ServeLogSummary::from_lines(text.lines()).unwrap();

@@ -44,7 +44,8 @@ use magic_obs::timeseries::MonotonicClock;
 use magic_obs::{stage, Event, JsonlRecorder, Recorder};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -125,6 +126,8 @@ enum Reply {
     },
     /// The deadline passed before the job reached a forward pass.
     Expired,
+    /// The forward pass of this job's batch panicked.
+    Failed,
 }
 
 /// One queued prediction. The IO thread that enqueued it blocks on the
@@ -162,6 +165,9 @@ struct Shared {
     /// Test/bench knob: sleep this long inside every batch execution,
     /// making saturation (503) and drain behavior deterministic.
     inject_execute_delay: Duration,
+    /// Test hook: this many batch executions still to panic before the
+    /// forward pass, exercising the model workers' panic recovery.
+    inject_panics: AtomicU64,
 }
 
 impl Shared {
@@ -227,10 +233,17 @@ pub fn start(pipeline: MagicPipeline, config: ServeConfig) -> std::io::Result<Se
         .and_then(|v| v.parse::<u64>().ok())
         .map(Duration::from_millis)
         .unwrap_or(Duration::ZERO);
+    let inject_panics = std::env::var("MAGIC_SERVE_INJECT_PANIC_BATCHES")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0);
     let access_log = match &config.access_log {
         Some(path) => {
             let recorder = JsonlRecorder::create(path)?;
-            recorder.record(&Event::Meta { command: "magic serve".to_string() });
+            recorder.record(&Event::Meta {
+                command: "magic serve".to_string(),
+                isa: Some(magic_tensor::simd::isa().name().to_string()),
+            });
             Some(recorder)
         }
         None => None,
@@ -242,6 +255,7 @@ pub fn start(pipeline: MagicPipeline, config: ServeConfig) -> std::io::Result<Se
         bound_addr,
         access_log,
         inject_execute_delay,
+        inject_panics: AtomicU64::new(inject_panics),
         config,
         pipeline,
     });
@@ -526,6 +540,7 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
         Ok(Reply::Expired) => {
             (504, Vec::new(), encode_error("deadline exceeded before execution"))
         }
+        Ok(Reply::Failed) => (500, Vec::new(), encode_error("model worker panicked")),
         Err(_) => (500, Vec::new(), encode_error("model worker lost")),
     }
 }
@@ -553,12 +568,28 @@ fn model_worker_loop(shared: &Shared) {
         let inputs: Vec<&GraphInput> = live.iter().map(|j| &j.input).collect();
         let vertices: usize = inputs.iter().map(|i| i.vertex_count()).sum();
         let before = tape.workspace_stats();
-        let probs = {
+        // A panic in the forward pass costs only this batch: its jobs get
+        // a 500, the worker drops the tape the panic may have left
+        // half-recorded, and it goes on popping batches.
+        let probs = catch_unwind(AssertUnwindSafe(|| {
             let _span = magic_obs::span_fields(
                 stage::SERVE_BATCH_EXECUTE,
                 &[("batch", live.len() as f64), ("vertices", vertices as f64)],
             );
+            let inject = shared.inject_panics.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                n.checked_sub(1)
+            });
+            if inject.is_ok() {
+                panic!("injected model worker panic");
+            }
             shared.pipeline.model().predict_batch_sorted(&mut tape, &inputs)
+        }));
+        let Ok(probs) = probs else {
+            tape = Tape::new();
+            for job in live {
+                let _ = job.reply.send(Reply::Failed);
+            }
+            continue;
         };
         let execute_us = execute_start.elapsed().as_micros() as u64;
         let after = tape.workspace_stats();

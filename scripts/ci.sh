@@ -134,6 +134,31 @@ cmp "$RT_DIR/nocache.magic" "$RT_DIR/stream.magic"
 rm -rf "$RT_DIR"
 echo "checkpoints identical across no-cache / one-lane / traced / cache-ram / cache-stream paths"
 
+echo "==> reference checkpoint: bitwise equal to the committed golden"
+# The round-trip above compares training paths with each other, so a
+# kernel change that moves every path's bits the same way passes it.
+# This step pins the bits themselves: the reference run (mskcfg 0.01,
+# 3 epochs, seed 7) must write exactly the checkpoint whose md5 is
+# committed in tests/golden/reference-checkpoint.md5 — on one lane, on
+# two, and traced. A change meant to alter training re-records the file
+# and says why in CHANGES.md.
+REF_DIR="$(mktemp -d /tmp/magic_ref.XXXXXX)"
+REF_ARGS=(--corpus mskcfg --scale 0.01 --epochs 3 --seed 7 --log-level error)
+GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 1 --out "$REF_DIR/one.magic"
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 --out "$REF_DIR/two.magic"
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
+    --trace "$REF_DIR/train.trace.jsonl" --out "$REF_DIR/traced.magic"
+for ckpt in one two traced; do
+    got="$(md5sum "$REF_DIR/$ckpt.magic" | cut -d' ' -f1)"
+    if [[ "$got" != "$GOLDEN_MD5" ]]; then
+        echo "ERROR: $ckpt reference checkpoint md5 $got != golden $GOLDEN_MD5" >&2
+        exit 1
+    fi
+done
+rm -rf "$REF_DIR"
+echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes and traced"
+
 echo "==> access-log schema validation: magic report --serve on bench logs"
 # The serve_load bench streams a schema-v3 access log per window into
 # MAGIC_RESULTS_DIR (one ServeAccess line per request, plus a Meta

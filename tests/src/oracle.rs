@@ -1,6 +1,8 @@
 //! Reference oracles for parity tests: the scalar-loop convolution
-//! kernels, the dense `Â` graph convolution, and span-order scalar
-//! versions of the register-tiled GEMM and SpMM kernels.
+//! kernels, the scan-order adaptive max pooling and the dense
+//! Conv2D → ReLU → AMP chain the fused op replaces, the dense `Â` graph
+//! convolution, and span-order scalar versions of the register-tiled
+//! GEMM and SpMM kernels.
 //!
 //! None of these run in production. The convolution and graph oracles are
 //! the straightforward definitions the production kernels (im2col + GEMM
@@ -14,8 +16,9 @@
 // The loops index by channel on purpose: they spell out the definitions.
 #![allow(clippy::needless_range_loop)]
 
-use magic_autograd::{Tape, Var};
+use magic_autograd::{conv2d_shape, Tape, Var};
 use magic_tensor::Tensor;
+use std::sync::Arc;
 
 /// Naive 1-D convolution of one `(c_in, len)` signal by `(c_out, c_in, k)`
 /// weights plus a `c_out` bias. Returns `(c_out, out_len)`.
@@ -159,6 +162,105 @@ fn for_each_tap(
             }
         }
     }
+}
+
+/// The half-open input window `[start, end)` of output cell `i` of an
+/// adaptive pooling with `out` cells over `n` inputs — PyTorch's
+/// `AdaptiveMaxPool2d` rule, `floor(i·n/out)` to `ceil((i+1)·n/out)`.
+pub fn adaptive_window(i: usize, out: usize, n: usize) -> (usize, usize) {
+    (i * n / out, ((i + 1) * n).div_ceil(out))
+}
+
+/// Adaptive max pooling of a column-stacked `(c, Σ hⱼ·wⱼ)` batch with
+/// per-sample extents `dims` to `(c, B·oh·ow)`, by a plain scan of every
+/// window in `(iy, ix)` order with a strict `>` from `−∞` (ties go to the
+/// first maximum). Returns the output and, per output cell in flat
+/// order, the flat index of its winner in `x`.
+pub fn adaptive_max_pool2d(x: &Tensor, dims: &[(usize, usize)], oh: usize, ow: usize) -> (Tensor, Vec<usize>) {
+    let (c, total_in) = (x.rows(), x.cols());
+    let out_cols = dims.len() * oh * ow;
+    let mut out = Tensor::zeros([c, out_cols]);
+    let mut argmax = Vec::with_capacity(c * out_cols);
+    for ci in 0..c {
+        let mut in_off = 0;
+        for (s, &(h, w)) in dims.iter().enumerate() {
+            for gy in 0..oh {
+                let (y0, y1) = adaptive_window(gy, oh, h);
+                for gx in 0..ow {
+                    let (x0, x1) = adaptive_window(gx, ow, w);
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = ci * total_in + in_off + y0 * w + x0;
+                    for iy in y0..y1 {
+                        for ix in x0..x1 {
+                            let off = ci * total_in + in_off + iy * w + ix;
+                            if x.as_slice()[off] > best {
+                                best = x.as_slice()[off];
+                                best_idx = off;
+                            }
+                        }
+                    }
+                    out.set2(ci, (s * oh + gy) * ow + gx, best);
+                    argmax.push(best_idx);
+                }
+            }
+            in_off += h * w;
+        }
+    }
+    (out, argmax)
+}
+
+/// What the dense Conv2D → ReLU → AMP chain computes: the pooled output,
+/// the winners, and the gradients of the input, weights and bias.
+pub struct DenseAmp {
+    /// Pooled `(c_out, B·gh·gw)` output.
+    pub pooled: Tensor,
+    /// Per pooled cell, the flat index of its winner in the conv map.
+    pub winners: Vec<usize>,
+    /// Input gradient.
+    pub gx: Tensor,
+    /// Weight gradient.
+    pub gw: Tensor,
+    /// Bias gradient.
+    pub gb: Tensor,
+}
+
+/// The chain `Tape::conv2d_relu_amp` fuses, run unfused: the tape's
+/// im2col + GEMM `conv2d` and `relu` materialise the full
+/// `(c_out, Σ ohⱼ·owⱼ)` map, [`adaptive_max_pool2d`] scans it, and AMP's
+/// backward — `gout` scattered into a zero map in cell order — goes back
+/// through the tape's `relu` and `conv2d` backward (as the gradient of
+/// `Σ relu ⊙ map`, whose factor `1.0·g` is exactly `g`).
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_relu_amp_dense(
+    x: &Tensor,
+    wt: &Tensor,
+    b: &Tensor,
+    stride: usize,
+    pad: usize,
+    dims: &[(usize, usize)],
+    (gh, gw): (usize, usize),
+    gout: &Tensor,
+) -> DenseAmp {
+    let (kh, kw) = (wt.shape().dim(2), wt.shape().dim(3));
+    let out_dims: Vec<(usize, usize)> =
+        dims.iter().map(|&(h, w)| conv2d_shape(h, w, kh, kw, stride, pad)).collect();
+    let mut tape = Tape::new();
+    let xv = tape.leaf(x.clone(), true);
+    let wv = tape.leaf(wt.clone(), true);
+    let bv = tape.leaf(b.clone(), true);
+    let y = tape.conv2d(xv, wv, bv, stride, pad, Arc::new(dims.to_vec()));
+    let r = tape.relu(y);
+    let (pooled, winners) = adaptive_max_pool2d(tape.value(r), &out_dims, gh, gw);
+    let mut map = Tensor::zeros(tape.value(r).shape().clone());
+    for (cell, &src) in winners.iter().enumerate() {
+        map.as_mut_slice()[src] += gout.as_slice()[cell];
+    }
+    let mv = tape.leaf(map, false);
+    let weighted = tape.mul(r, mv);
+    let loss = tape.sum(weighted);
+    tape.backward(loss);
+    let grad = |v: Var| tape.grad(v).expect("leaf requires grad").clone();
+    DenseAmp { pooled, winners, gx: grad(xv), gw: grad(wv), gb: grad(bv) }
 }
 
 /// Eq. (1) with the dense augmented adjacency: `relu(D̂⁻¹ (Â (Z W)))`,

@@ -13,6 +13,7 @@ use magic_autograd::Tape;
 use magic_model::{GraphBatch, GraphInput};
 use magic_nn::{augment_adjacency, GraphConv, ParamStore, SortPooling, WeightedVertices};
 use magic_tensor::{Rng64, Tensor};
+use std::sync::Arc;
 
 /// A 5-vertex directed graph in the spirit of Fig. 2, with two attribute
 /// channels F1, F2.
@@ -156,7 +157,12 @@ fn figure6_adaptive_max_pooling_kernel_windows() {
         let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h * 7]);
         let mut tape = Tape::new();
         let xv = tape.leaf(x, false);
-        let out = tape.adaptive_max_pool2d(xv, &[(h, 7)], 3, 3);
+        // The model pools through the fused conv → relu → AMP op; a 1×1
+        // identity kernel with zero bias leaves these non-negative
+        // values as they are, so the op pools the input itself.
+        let identity = tape.leaf(Tensor::from_vec(vec![1.0], [1, 1, 1, 1]), false);
+        let zero = tape.leaf(Tensor::zeros([1]), false);
+        let out = tape.conv2d_relu_amp(xv, identity, zero, 1, 0, Arc::new(vec![(h, 7)]), (3, 3));
         let v = tape.value(out).reshape([1, 3, 3]);
         assert_eq!(v.shape().dims(), &[1, 3, 3]);
         // With row-major increasing values, every output cell is the

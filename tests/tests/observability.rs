@@ -112,7 +112,7 @@ fn training_trace_roundtrips_and_covers_the_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("coverage-trace.jsonl");
     magic_obs::install(Arc::new(JsonlRecorder::create(&path).unwrap()));
-    magic_obs::meta("magic-integration training_trace test");
+    magic_obs::meta("magic-integration training_trace test", magic_tensor::simd::isa().name());
     let _ = train_once(&inputs, &labels);
     magic_obs::uninstall();
 

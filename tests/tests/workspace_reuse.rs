@@ -1,10 +1,10 @@
 //! Steady-state allocation behavior of the tape workspace pool.
 //!
 //! The performance contract: after one warm-up pass over a fixed
-//! workload, every per-sample buffer (im2col columns, op outputs,
-//! gradients, dropout masks, pooling indices) is served from the tape's
-//! recycled pool — zero pool-miss heap allocations per steady-state
-//! epoch. This test drives a *single* reused tape through a manual
+//! workload, every per-sample buffer (im2col columns and band panels,
+//! op outputs, gradients, dropout masks, pooling indices) is served from
+//! the tape's recycled pool — zero pool-miss heap allocations per
+//! steady-state epoch. This test drives a *single* reused tape through a manual
 //! training-shaped loop (the trainer's work-stealing executor makes
 //! per-lane warm-up nondeterministic, which is why this is not asserted
 //! through `Trainer::train`).
@@ -30,8 +30,10 @@ fn fixed_size_input(seed: u64) -> GraphInput {
 
 #[test]
 fn steady_state_epochs_never_miss_the_pool() {
-    // The adaptive head exercises the deepest buffer set: conv2d im2col
-    // columns, AMP winner indices, dropout masks, dense grads.
+    // The adaptive head exercises the widest buffer set: the fused
+    // conv → relu → AMP block's band panels, winner indices and column
+    // gradients, the post-pool conv2d's im2col columns, dropout masks and
+    // dense grads.
     let config = DgcnnConfig::new(2, PoolingHead::adaptive_max_pool(3));
     let model = Dgcnn::new(&config, 3);
     let inputs: Vec<GraphInput> = (0..4).map(|i| fixed_size_input(50 + i)).collect();
