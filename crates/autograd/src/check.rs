@@ -114,24 +114,13 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_sigmoid_tanh() {
-        let mut rng = Rng64::new(11);
-        let input = Tensor::rand_uniform([2, 3], -2.0, 2.0, &mut rng);
-        check_op(input, |tape, x| {
-            let s = tape.sigmoid(x);
-            let t = tape.tanh(s);
-            tape.sum(t)
-        });
-    }
-
-    #[test]
     fn grad_check_log_softmax_nll() {
         let mut rng = Rng64::new(12);
         let input = Tensor::rand_uniform([4, 3], -1.0, 1.0, &mut rng);
         check_op(input, |tape, x| {
             let lp = tape.log_softmax_rows(x);
             let rows = tape.nll_loss_rows(lp, vec![0, 2, 1, 1]);
-            tape.mean(rows)
+            tape.sum(rows)
         });
     }
 
@@ -184,6 +173,8 @@ mod tests {
         });
     }
 
+    /// The SortPooling head's 1-D convolution: `(c_out, c_in, k)` weights
+    /// over `(1, seg_len)` maps, unpadded.
     #[test]
     fn grad_check_conv1d() {
         let mut rng = Rng64::new(15);
@@ -191,10 +182,11 @@ mod tests {
             let input = Tensor::rand_uniform([2, 8 * batch], -1.0, 1.0, &mut rng);
             let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform([3], -0.5, 0.5, &mut rng);
+            let dims = Arc::new(vec![(1, 8); batch]);
             check_op(input, move |tape, x| {
                 let wv = tape.leaf(w.clone(), false);
                 let bv = tape.leaf(b.clone(), false);
-                let y = tape.conv1d(x, wv, bv, 2, 8);
+                let y = tape.conv2d(x, wv, bv, 2, 0, Arc::clone(&dims));
                 let r = tape.relu(y);
                 tape.sum(r)
             });
@@ -307,16 +299,15 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_transpose_and_bias() {
+    fn grad_check_add_bias() {
         let mut rng = Rng64::new(18);
-        let input = Tensor::rand_uniform([2, 4], -1.0, 1.0, &mut rng);
+        let input = Tensor::rand_uniform([4, 2], -1.0, 1.0, &mut rng);
         let bias = Tensor::rand_uniform([2], -1.0, 1.0, &mut rng);
         check_op(input, move |tape, x| {
-            let t = tape.transpose(x);
             let b = tape.leaf(bias.clone(), false);
-            let y = tape.add_bias(t, b);
+            let y = tape.add_bias(x, b);
             let sq = tape.mul(y, y);
-            tape.mean(sq)
+            tape.sum(sq)
         });
     }
 

@@ -1,29 +1,31 @@
 //! Convolution and pooling kernels (forward and backward) shared by the
 //! tape operations.
 //!
-//! Layout conventions: 1-D signals are `(channels, length)` matrices; 2-D
-//! feature maps are rank-3 `(channels, height, width)` tensors; conv
-//! weights are `(out_channels, in_channels, k)` or
-//! `(out_channels, in_channels, kh, kw)`.
+//! Layout conventions: feature maps are column-stacked `(channels,
+//! Σ hⱼ·wⱼ)` matrices; conv weights are `(out_channels, in_channels, kh,
+//! kw)`. A 1-D convolution is the height-1 case: a `(c, B·seg_len)`
+//! signal is a batch of `(1, seg_len)` maps, and `(out_channels,
+//! in_channels, k)` weights read as a `1 × k` kernel (see
+//! [`kernel_extent`]), with the same memory layout.
 //!
 //! Every kernel runs a whole mini-batch in one call by stacking samples
-//! along the length/width axis (1-D: equal `seg_len` segments; 2-D:
-//! heterogeneous `(h, w)` segments of a column-stacked `(c, Σ hⱼ·wⱼ)`
-//! matrix); a single sample is a batch of one.
+//! along the width axis (heterogeneous `(h, w)` segments of a
+//! column-stacked `(c, Σ hⱼ·wⱼ)` matrix); a single sample is a batch of
+//! one.
 //!
 //! # im2col + GEMM lowering
 //!
-//! [`im2col_1d`]/[`im2col_2d`] gather input patches into a
-//! `(c_in·k, Σ out)` column buffer (zero padding becomes zero column
-//! entries), then the whole convolution is one register-tiled
-//! [`magic_tensor::gemm_into`] against the weight matrix viewed as
-//! `(c_out, c_in·k)`, with the bias pre-loaded into the output. The
-//! backward pass recomputes the columns and runs two transpose-GEMMs —
-//! `gW = gOut · colsᵀ` ([`magic_tensor::gemm_nt_strided_into`], reading
-//! each sample's column range of both operands in place) and
-//! `gCols = Wᵀ · gOut` ([`magic_tensor::gemm_tn_into`]) — followed by a
-//! col2im scatter-add for `gX`. All scratch and output buffers come from
-//! the caller's [`Workspace`], so steady-state training reuses them.
+//! [`im2col_2d`] gathers input patches into a `(c_in·kh·kw, Σ out)`
+//! column buffer (zero padding becomes zero column entries), then the
+//! whole convolution is one register-tiled [`magic_tensor::gemm_into`]
+//! against the weight matrix viewed as `(c_out, c_in·kh·kw)`, with the
+//! bias pre-loaded into the output. The backward pass recomputes the
+//! columns and runs two transpose-GEMMs — `gW = gOut · colsᵀ`
+//! ([`magic_tensor::gemm_nt_strided_into`], reading each sample's column
+//! range of both operands in place) and `gCols = Wᵀ · gOut`
+//! ([`magic_tensor::gemm_tn_into`]) — followed by a col2im scatter-add
+//! for `gX`. All scratch and output buffers come from the caller's
+//! [`Workspace`], so steady-state training reuses them.
 //!
 //! The adaptive head's first convolution runs fused with its ReLU and
 //! adaptive max pooling ([`conv2d_relu_amp_forward`] /
@@ -89,165 +91,28 @@ pub(crate) fn adaptive_window(i: usize, out: usize, n: usize) -> (usize, usize) 
     (start, end.max(start + 1).min(n.max(1)))
 }
 
-/// Gathers 1-D convolution patches of a batch of `x.cols() / seg_len`
-/// equal-length segments into a `(c_in·k, B·L)` column buffer checked
-/// out of `ws`: `cols[ci·k + j, s·L + t] = x[ci, s·seg_len + t·stride + j]`
-/// where `L` is the per-sample output length. Each sample's columns are
-/// the contiguous range `[s·L, (s+1)·L)` of every row, so one GEMM
-/// computes every sample's output side by side.
-///
-/// The caller owns the returned buffer and must recycle it.
-///
-/// # Panics
-///
-/// Panics if `x.cols()` is not a multiple of `seg_len`.
-pub(crate) fn im2col_1d(
-    x: &Tensor,
-    k: usize,
-    stride: usize,
-    seg_len: usize,
-    ws: &mut Workspace,
-) -> Vec<f32> {
-    let c_in = x.rows();
-    let total = x.cols();
-    assert!(
-        seg_len > 0 && total.is_multiple_of(seg_len),
-        "input width {total} is not a multiple of segment length {seg_len}"
-    );
-    let batch = total / seg_len;
-    let out_len = conv1d_shape(seg_len, k, stride);
-    let out_total = batch * out_len;
-    let mut cols = ws.take(c_in * k * out_total);
-    for ci in 0..c_in {
-        let xr = x.row(ci);
-        for j in 0..k {
-            let row = &mut cols[(ci * k + j) * out_total..(ci * k + j + 1) * out_total];
-            for s in 0..batch {
-                let seg = &mut row[s * out_len..(s + 1) * out_len];
-                let x_seg = &xr[s * seg_len..(s + 1) * seg_len];
-                for (t, c) in seg.iter_mut().enumerate() {
-                    *c = x_seg[t * stride + j];
-                }
-            }
-        }
+/// `(kh, kw)` of conv weights: `(c_out, c_in, kh, kw)`, or `(c_out, c_in,
+/// k)` read as a `1 × k` kernel — the 1-D convolution of the SortPooling
+/// head, which has the same memory layout.
+pub(crate) fn kernel_extent(w: &Tensor) -> (usize, usize) {
+    let s = w.shape();
+    match s.rank() {
+        3 => (1, s.dim(2)),
+        _ => (s.dim(2), s.dim(3)),
     }
-    cols
 }
 
-/// GEMM half of the im2col 1-D convolution: `out = b ⊕ W₂ @ cols` where
-/// `W₂` is the weight viewed as `(c_out, c_in·k)` and `cols` comes from
-/// [`im2col_1d`]. Returns a pooled `(c_out, out_len)` tensor, where
-/// `out_len` is the total output width over the batch.
-pub(crate) fn conv1d_forward_gemm(
-    cols: &[f32],
-    w: &Tensor,
-    b: &[f32],
-    out_len: usize,
-    ws: &mut Workspace,
-) -> Tensor {
-    let c_out = w.shape().dim(0);
-    let ck = w.shape().dim(1) * w.shape().dim(2);
-    debug_assert_eq!(cols.len(), ck * out_len);
-    let mut out = ws.take_tensor([c_out, out_len]);
-    let os = out.as_mut_slice();
-    for (o, row) in os.chunks_exact_mut(out_len).enumerate() {
-        row.fill(b[o]);
-    }
-    gemm_into(c_out, ck, out_len, w.as_slice(), cols, os);
-    out
-}
-
-/// Backward of the 1-D convolution (`x` is `(c_in, B·seg_len)`, `gout`
-/// is `(c_out, B·L)`). Input gradients scatter per sample segment in a
-/// fixed col2im order; the shared `gw`/`gb` are unstacked per sample and
-/// combined in sample order (see the module docs on determinism).
-/// Returns pooled `(gx, gw, gb)`.
-pub(crate) fn conv1d_backward(
-    x: &Tensor,
-    w: &Tensor,
-    k: usize,
-    stride: usize,
-    seg_len: usize,
-    gout: &Tensor,
-    ws: &mut Workspace,
-) -> (Tensor, Tensor, Vec<f32>) {
-    let c_in = x.rows();
-    let total = x.cols();
-    let c_out = w.shape().dim(0);
-    let batch = total / seg_len;
-    let out_len = conv1d_shape(seg_len, k, stride);
-    let out_total = batch * out_len;
-    debug_assert_eq!(gout.cols(), out_total);
-    let ck = c_in * k;
-    let cols = im2col_1d(x, k, stride, seg_len, ws);
-    let gs = gout.as_slice();
-
-    // gb: per-sample segment sums added in sample order — the reduction
-    // chain the trainer's per-sample gradient buffers use.
-    let mut gb = ws.take(c_out);
-    for s in 0..batch {
-        for (o, g) in gb.iter_mut().enumerate() {
-            *g += gs[o * out_total + s * out_len..][..out_len].iter().sum::<f32>();
-        }
-    }
-
-    // gW: per-sample GEMM into a re-zeroed temp, combined elementwise in
-    // sample order. The sample's gout/cols are column ranges of row-major
-    // matrices, read in place through their row stride.
-    let mut gw = ws.take_tensor(w.shape().clone());
-    let mut temp_gw = ws.take(w.len());
-    for s in 0..batch {
-        let off = s * out_len;
-        temp_gw.fill(0.0);
-        gemm_nt_strided_into(
-            c_out,
-            out_len,
-            ck,
-            &gs[off..],
-            out_total,
-            &cols[off..],
-            out_total,
-            &mut temp_gw,
-        );
-        for (acc, &g) in gw.as_mut_slice().iter_mut().zip(temp_gw.iter()) {
-            *acc += g;
-        }
-    }
-    ws.recycle(temp_gw);
-
-    // gCols: one full transpose-GEMM. Each output column reads only its
-    // own column of gOut, so every sample's chain is untouched.
-    let mut gcols = ws.take(ck * out_total);
-    gemm_tn_into(ck, c_out, out_total, w.as_slice(), gout.as_slice(), &mut gcols);
-
-    // gX: per-sample col2im scatter in the order (ci, j, t).
-    let mut gx = ws.take_tensor(x.shape().clone());
-    let gxs = gx.as_mut_slice();
-    for s in 0..batch {
-        for ci in 0..c_in {
-            let gxr = &mut gxs[ci * total + s * seg_len..][..seg_len];
-            for j in 0..k {
-                let row = &gcols[(ci * k + j) * out_total + s * out_len..][..out_len];
-                for (t, &g) in row.iter().enumerate() {
-                    gxr[t * stride + j] += g;
-                }
-            }
-        }
-    }
-    ws.recycle(cols);
-    ws.recycle(gcols);
-    (gx, gw, gb)
-}
-
-/// Per-sample output dims of a 2-D convolution over maps of `dims`.
+/// Per-sample output dims of a 2-D convolution over maps of `dims`, in
+/// sample order. An iterator, so the per-pass kernels allocate nothing
+/// for it.
 pub(crate) fn conv2d_out_dims(
     dims: &[(usize, usize)],
     kh: usize,
     kw: usize,
     stride: usize,
     pad: usize,
-) -> Vec<(usize, usize)> {
-    dims.iter().map(|&(h, w)| conv2d_shape(h, w, kh, kw, stride, pad)).collect()
+) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    dims.iter().map(move |&(h, w)| conv2d_shape(h, w, kh, kw, stride, pad))
 }
 
 /// Gathers 2-D convolution patches of a column-stacked batch: `x` is
@@ -270,12 +135,12 @@ pub(crate) fn im2col_2d(
 ) -> Vec<f32> {
     debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
     let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
-    let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
+    let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let patches = Patches { x, kh, kw, stride, pad };
     let mut cols = ws.take(x.rows() * kh * kw * out_total);
     let mut in_off = 0;
     let mut out_off = 0;
-    for (&(h, w), &(oh, ow)) in dims.iter().zip(&out_dims) {
+    for (&(h, w), (oh, ow)) in dims.iter().zip(out_dims) {
         patches.gather(in_off, (h, w), ow, 0..oh, &mut cols[out_off..], out_total);
         in_off += h * w;
         out_off += oh * ow;
@@ -357,7 +222,7 @@ pub(crate) fn conv2d_forward_gemm(
     ws: &mut Workspace,
 ) -> Tensor {
     let c_out = wt.shape().dim(0);
-    let ckk = wt.shape().dim(1) * wt.shape().dim(2) * wt.shape().dim(3);
+    let ckk = wt.len() / c_out;
     debug_assert_eq!(cols.len(), ckk * out_total);
     let mut out = ws.take_tensor([c_out, out_total]);
     let os = out.as_mut_slice();
@@ -369,8 +234,10 @@ pub(crate) fn conv2d_forward_gemm(
 }
 
 /// Backward of the 2-D convolution (`x` column-stacked as in
-/// [`im2col_2d`]). Same unstacking strategy as [`conv1d_backward`].
-/// Returns pooled `(gx, gw, gb)`.
+/// [`im2col_2d`]). Input gradients scatter per sample in a fixed col2im
+/// order; the shared `gw`/`gb` are unstacked per sample and combined in
+/// sample order (see the module docs on determinism). Returns pooled
+/// `(gx, gw, gb)`.
 pub(crate) fn conv2d_backward(
     x: &Tensor,
     wt: &Tensor,
@@ -382,17 +249,18 @@ pub(crate) fn conv2d_backward(
 ) -> (Tensor, Tensor, Vec<f32>) {
     let c_in = x.rows();
     let total_in = x.cols();
-    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
+    let c_out = wt.shape().dim(0);
+    let (kh, kw) = kernel_extent(wt);
     let ckk = c_in * kh * kw;
     let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
     let out_total = gout.cols();
-    debug_assert_eq!(out_total, out_dims.iter().map(|&(oh, ow)| oh * ow).sum::<usize>());
+    debug_assert_eq!(out_total, out_dims.clone().map(|(oh, ow)| oh * ow).sum::<usize>());
     let cols = im2col_2d(x, dims, kh, kw, stride, pad, ws);
     let gs = gout.as_slice();
 
     let mut gb = ws.take(c_out);
     let mut out_off = 0;
-    for &(oh, ow) in &out_dims {
+    for (oh, ow) in out_dims.clone() {
         for (o, g) in gb.iter_mut().enumerate() {
             *g += gs[o * out_total + out_off..][..oh * ow].iter().sum::<f32>();
         }
@@ -402,7 +270,7 @@ pub(crate) fn conv2d_backward(
     let mut gw = ws.take_tensor(wt.shape().clone());
     let mut temp_gw = ws.take(wt.len());
     let mut out_off = 0;
-    for &(oh, ow) in &out_dims {
+    for (oh, ow) in out_dims.clone() {
         let sz = oh * ow;
         temp_gw.fill(0.0);
         gemm_nt_strided_into(
@@ -429,7 +297,7 @@ pub(crate) fn conv2d_backward(
     let gxs = gx.as_mut_slice();
     let mut in_off = 0;
     let mut out_off = 0;
-    for (&(h, w), &(oh, ow)) in dims.iter().zip(&out_dims) {
+    for (&(h, w), (oh, ow)) in dims.iter().zip(out_dims) {
         // Per-sample col2im in the order (ci, dy, dx, oy, ox).
         for ci in 0..c_in {
             for dy in 0..kh {
@@ -499,11 +367,11 @@ pub(crate) fn conv2d_relu_amp_forward(
     let ckk = x.rows() * kh * kw;
     debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
     let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
-    let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
+    let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let cells = gh * gw;
     let out_cols = dims.len() * cells;
     let band_rows = |(oh, ow): (usize, usize)| (BAND_CELLS / ow).clamp(1, oh);
-    let max_band = out_dims.iter().map(|&d| band_rows(d) * d.1).max().unwrap_or(0);
+    let max_band = out_dims.clone().map(|d| band_rows(d) * d.1).max().unwrap_or(0);
 
     let mut out = ws.take_tensor([c_out, out_cols]);
     out.as_mut_slice().fill(f32::NEG_INFINITY);
@@ -517,7 +385,7 @@ pub(crate) fn conv2d_relu_amp_forward(
     let best = out.as_mut_slice();
     let mut in_off = 0;
     let mut out_off = 0;
-    for (s, (&(h, w), &(oh, ow))) in dims.iter().zip(&out_dims).enumerate() {
+    for (s, (&(h, w), (oh, ow))) in dims.iter().zip(out_dims).enumerate() {
         windows.clear();
         for (i, n, len) in (0..gh).map(|i| (i, gh, oh)).chain((0..gw).map(|i| (i, gw, ow))) {
             let (start, end) = adaptive_window(i, n, len);
@@ -626,7 +494,7 @@ pub(crate) fn conv2d_relu_amp_backward(
     let ckk = x.rows() * kh * kw;
     let total_in = x.cols();
     let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
-    let out_total: usize = out_dims.iter().map(|&(oh, ow)| oh * ow).sum();
+    let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let out_cols = pooled.cols();
     let cells = out_cols / dims.len().max(1);
     let (xs, wts, ps, gs) = (x.as_slice(), wt.as_slice(), pooled.as_slice(), gout.as_slice());
@@ -644,7 +512,7 @@ pub(crate) fn conv2d_relu_amp_backward(
     let gxs = gx.as_mut_slice();
     let mut in_off = 0;
     let mut out_off = 0;
-    for (s, (&(h, w), &(oh, ow))) in dims.iter().zip(&out_dims).enumerate() {
+    for (s, (&(h, w), (oh, ow))) in dims.iter().zip(out_dims).enumerate() {
         keys.clear();
         for o in 0..c_out {
             let first = o * out_cols + s * cells;
@@ -790,7 +658,13 @@ mod tests {
     use super::*;
     use magic_tensor::Rng64;
 
-    /// Forward 1-D convolution through the im2col + GEMM pair.
+    /// Per-sample `(1, seg_len)` map extents of a `(c, B·seg_len)` signal.
+    fn signal_dims(x: &Tensor, seg_len: usize) -> Vec<(usize, usize)> {
+        vec![(1, seg_len); x.cols() / seg_len]
+    }
+
+    /// Forward 1-D convolution of `(c_out, c_in, k)` weights: the
+    /// height-1, unpadded 2-D convolution.
     fn conv1d(
         x: &Tensor,
         w: &Tensor,
@@ -799,12 +673,19 @@ mod tests {
         seg_len: usize,
         ws: &mut Workspace,
     ) -> Tensor {
-        let k = w.shape().dim(2);
-        let out_len = x.cols() / seg_len * conv1d_shape(seg_len, k, stride);
-        let cols = im2col_1d(x, k, stride, seg_len, ws);
-        let out = conv1d_forward_gemm(&cols, w, b, out_len, ws);
-        ws.recycle(cols);
-        out
+        conv2d(x, &signal_dims(x, seg_len), w, b, stride, 0, ws)
+    }
+
+    /// Backward of [`conv1d`]: [`conv2d_backward`] over `(1, seg_len)` maps.
+    fn conv1d_backward(
+        x: &Tensor,
+        w: &Tensor,
+        stride: usize,
+        seg_len: usize,
+        gout: &Tensor,
+        ws: &mut Workspace,
+    ) -> (Tensor, Tensor, Vec<f32>) {
+        conv2d_backward(x, w, stride, 0, &signal_dims(x, seg_len), gout, ws)
     }
 
     /// Forward 2-D convolution of a column-stacked batch of `dims` maps.
@@ -817,9 +698,9 @@ mod tests {
         pad: usize,
         ws: &mut Workspace,
     ) -> Tensor {
-        let (kh, kw) = (wt.shape().dim(2), wt.shape().dim(3));
+        let (kh, kw) = kernel_extent(wt);
         let out_total =
-            conv2d_out_dims(dims, kh, kw, stride, pad).iter().map(|&(oh, ow)| oh * ow).sum();
+            conv2d_out_dims(dims, kh, kw, stride, pad).map(|(oh, ow)| oh * ow).sum();
         let cols = im2col_2d(x, dims, kh, kw, stride, pad, ws);
         let out = conv2d_forward_gemm(&cols, wt, b, out_total, ws);
         ws.recycle(cols);
@@ -1054,7 +935,7 @@ mod tests {
             assert_eq!(gemm.shape().dims(), &[c_out, out_len]);
             assert_close(gemm.as_slice(), &nout, 1e-5, &format!("fwd {case}"));
 
-            let (ggx, ggw, ggb) = conv1d_backward(&x, &w, k, stride, len, &gout, &mut ws);
+            let (ggx, ggw, ggb) = conv1d_backward(&x, &w, stride, len, &gout, &mut ws);
             assert_close(ggx.as_slice(), &ngx, 1e-4, &format!("gx {case}"));
             assert_close(ggw.as_slice(), &ngw, 1e-4, &format!("gw {case}"));
             assert_close(&ggb, &ngb, 1e-4, &format!("gb {case}"));
@@ -1141,12 +1022,12 @@ mod tests {
         let x = Tensor::rand_uniform([2, 8], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
         let gout = Tensor::rand_uniform([3, 4], -1.0, 1.0, &mut rng);
-        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 2, 4, &gout, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 4, &gout, &mut ws);
         ws.recycle_tensor(gx);
         ws.recycle_tensor(gw);
         ws.recycle(gb);
         let zero = Tensor::zeros([3, 4]);
-        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 2, 4, &zero, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 4, &zero, &mut ws);
         assert!(ws.stats().hits > 0, "second backward should reuse pooled buffers");
         let bits = |s: &[f32]| s.iter().all(|v| v.to_bits() == 0);
         assert!(bits(gx.as_slice()) && bits(gw.as_slice()) && bits(&gb));
@@ -1161,7 +1042,7 @@ mod tests {
         let b = vec![0.1, -0.2, 0.3];
         let y = conv1d(&x, &w, &b, 2, 6, &mut ws);
         let gout = Tensor::ones(y.shape().clone());
-        let (gx, gw, _gb) = conv1d_backward(&x, &w, 2, 2, 6, &gout, &mut ws);
+        let (gx, gw, _gb) = conv1d_backward(&x, &w, 2, 6, &gout, &mut ws);
 
         let eps = 1e-3;
         let mut loss = |x: &Tensor, w: &Tensor| conv1d(x, w, &b, 2, 6, &mut ws).sum();
@@ -1258,7 +1139,7 @@ mod tests {
         let x = hstack(&samples.iter().collect::<Vec<_>>());
         let out = conv1d(&x, &w, &b, stride, seg_len, &mut ws);
         let gout = hstack(&gouts.iter().collect::<Vec<_>>());
-        let (gx, gw, gb) = conv1d_backward(&x, &w, k, stride, seg_len, &gout, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, stride, seg_len, &gout, &mut ws);
 
         let mut per_gw = Vec::new();
         let mut per_gb = Vec::new();
@@ -1272,7 +1153,7 @@ mod tests {
                 );
             }
             let (sgx, sgw, sgb) =
-                conv1d_backward(&samples[s], &w, k, stride, seg_len, &gouts[s], &mut ws);
+                conv1d_backward(&samples[s], &w, stride, seg_len, &gouts[s], &mut ws);
             for ci in 0..c_in {
                 assert_eq!(
                     &gx.row(ci)[s * seg_len..(s + 1) * seg_len],
@@ -1301,7 +1182,7 @@ mod tests {
             .collect();
         let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
         let b: Vec<f32> = (0..c_out).map(|i| 0.05 * i as f32).collect();
-        let out_dims = conv2d_out_dims(&dims, kh, kw, stride, pad);
+        let out_dims: Vec<_> = conv2d_out_dims(&dims, kh, kw, stride, pad).collect();
         let gouts: Vec<Tensor> = out_dims
             .iter()
             .map(|&(oh, ow)| Tensor::rand_uniform([c_out, oh * ow], -1.0, 1.0, &mut rng))

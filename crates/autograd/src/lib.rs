@@ -8,12 +8,14 @@
 //! forward pass as a node; [`Tape::backward`] then walks the recording in
 //! reverse, accumulating gradients into every node that requires them.
 //!
-//! The operation set is exactly what the MAGIC architecture needs:
-//! matrix products and row scaling for the graph convolution of Eq. (1),
-//! row gathering and padding for SortPooling, 1-D/2-D convolutions and
-//! (fused with the convolution and ReLU before it) adaptive max pooling
-//! for the two classification heads, plus the usual
-//! activations, dropout and the negative log-likelihood loss of Eq. (5).
+//! The operation set is exactly what the MAGIC architecture records:
+//! matrix products and the sparse propagation of the graph convolution
+//! of Eq. (1), row gathering and padding for SortPooling, one 2-D
+//! convolution (the SortPooling head's 1-D convolution is its height-1
+//! case), 1-D max pooling, adaptive max pooling fused with the
+//! convolution and ReLU before it, plus ReLU, bias, concatenation,
+//! dropout, log-softmax and the negative log-likelihood loss of Eq. (5).
+//! Two more ops, `mul` and `scale_rows`, serve the tests' references.
 //! The model-facing ops all run over a block-diagonal mini-batch; a
 //! single graph is a batch of one.
 //!

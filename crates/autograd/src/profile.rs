@@ -29,20 +29,21 @@
 //!   backward step (`spmm_norm_t.batched`, the transpose-CSR product) has the
 //!   same nnz and is charged exactly 1× this count, not the dense 2×
 //!   heuristic.
-//! * [`conv1d_flops`]: `out_elems · (2·c_in·k + 1)` — the `+1` is the
-//!   bias add per output element.
-//! * [`conv2d_flops`]: `out_elems · (2·c_in·kh·kw + 1)`.
-//! * The im2col-GEMM convolutions (`conv1d.batched` / `conv2d.batched`)
-//!   are charged these formulas — the direct-convolution arithmetic,
-//!   whatever the loop order. The patch gather is profiled separately as
+//! * [`conv2d_flops`]: `out_elems · (2·c_in·kh·kw + 1)` — the `+1` is the
+//!   bias add per output element. A 1-D convolution (the SortPooling
+//!   head's, run as a height-1 `conv2d.batched` with a `1 × k` kernel)
+//!   is the `kh = 1` case, `out_elems · (2·c_in·k + 1)`.
+//! * The im2col-GEMM convolution (`conv2d.batched`) is charged this
+//!   formula — the direct-convolution arithmetic, whatever the loop
+//!   order. The patch gather is profiled separately as
 //!   a forward-only `im2col` row with 0 FLOPs and `bytes_out` =
 //!   column-buffer size. The backward
 //!   GEMM step *recomputes* im2col internally (cheaper than keeping the
 //!   buffer alive across the tape); that recompute is charged inside the
-//!   `conv*.batched` backward row's standard 2× heuristic, not as a
+//!   `conv2d.batched` backward row's standard 2× heuristic, not as a
 //!   second `im2col` row.
 //! * The batch op kinds (`gemm.batched`, `spmm_norm.batched` /
-//!   `spmm_norm_t.batched`, `conv1d.batched`, `conv2d.batched`) apply the
+//!   `spmm_norm_t.batched`, `conv2d.batched`) apply the
 //!   formulas above to the *concatenated* output — a block-diagonal
 //!   propagation over `Σ nnz_j` nonzeros or a column-stacked convolution
 //!   over `Σ out_j` positions performs exactly the members' FLOPs summed,
@@ -53,10 +54,9 @@
 //!   `max_pool1d.batched`) counts zero
 //!   FLOPs; `nll_loss.batched` counts one FLOP per row.
 //! * Cheap elementwise ops count one FLOP per output element;
-//!   transcendentals (`sigmoid`, `tanh`, `log_softmax`) count a few.
-//! * Data movement (`transpose`, `reshape`, `concat_cols`, gathers,
-//!   unstacking, pooling) counts zero FLOPs; `bytes_out` captures its
-//!   cost instead.
+//!   `log_softmax` counts five.
+//! * Data movement (`reshape`, `concat_cols`, gathers, unstacking,
+//!   pooling) counts zero FLOPs; `bytes_out` captures its cost instead.
 //! * Backward steps are charged `2×` the forward FLOPs of their op (the
 //!   usual two-gradient heuristic for dense kernels), except
 //!   `spmm_norm_t.batched` (above) and the fused
@@ -89,14 +89,10 @@ pub fn spmm_norm_flops(nnz: usize, rows: usize, cols: usize) -> u64 {
     2 * (nnz as u64) * (cols as u64) + (rows as u64) * (cols as u64)
 }
 
-/// FLOPs of a 1-D convolution producing `(c_out, l_out)` from `c_in`
-/// input channels with kernel width `k`, bias included.
-pub fn conv1d_flops(c_out: usize, l_out: usize, c_in: usize, k: usize) -> u64 {
-    (c_out as u64) * (l_out as u64) * (2 * (c_in as u64) * (k as u64) + 1)
-}
-
 /// FLOPs of a 2-D convolution producing `(c_out, oh, ow)` from `c_in`
-/// input channels with a `kh × kw` kernel, bias included.
+/// input channels with a `kh × kw` kernel, bias included. A 1-D
+/// convolution producing `(c_out, l_out)` with kernel width `k` is
+/// `conv2d_flops(c_out, 1, l_out, c_in, 1, k)`.
 pub fn conv2d_flops(c_out: usize, oh: usize, ow: usize, c_in: usize, kh: usize, kw: usize) -> u64 {
     (c_out as u64) * (oh as u64) * (ow as u64) * (2 * (c_in as u64) * (kh as u64) * (kw as u64) + 1)
 }
@@ -289,9 +285,10 @@ mod tests {
 
     #[test]
     fn conv1d_flops_counts_kernel_and_bias() {
-        // 2 out-channels × 10 positions, 3 in-channels, kernel 5:
-        // each output element costs 2·3·5 MACs-as-flops + 1 bias add.
-        assert_eq!(conv1d_flops(2, 10, 3, 5), 2 * 10 * (2 * 3 * 5 + 1));
+        // A 1-D conv is the height-1 2-D conv: 2 out-channels × 10
+        // positions, 3 in-channels, kernel 5 — each output element costs
+        // 2·3·5 MACs-as-flops + 1 bias add.
+        assert_eq!(conv2d_flops(2, 1, 10, 3, 1, 5), 2 * 10 * (2 * 3 * 5 + 1));
     }
 
     #[test]

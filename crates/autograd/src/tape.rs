@@ -21,34 +21,27 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Leaf,
     Matmul(Var, Var),
-    Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     AddBias(Var, Var),
-    Scale(Var, f32),
     Relu(Var),
-    Sigmoid(Var),
-    Tanh(Var),
     ScaleRows(Var, Vec<f32>),
     /// Fused `D̂⁻¹ (Â F)` of Eq. (1) over a (block-diagonal) CSR
     /// adjacency. The matrices and scale vector are batch constants
-    /// shared via `Arc`, so the backward sweep's op clone stays O(1).
+    /// shared via `Arc`.
     SpmmNorm {
         adj: Arc<CsrMatrix>,
         adj_t: Arc<CsrMatrix>,
         inv_degree: Arc<Vec<f32>>,
         f: Var,
     },
-    Transpose(Var),
     ConcatCols(Vec<Var>),
     Reshape(Var),
     LogSoftmaxRows(Var),
     Sum(Var),
-    Mean(Var),
     Dropout(Var, Vec<f32>),
     /// `a @ b` where `a` row-stacks one segment per sample (`bounds` are
     /// the `B+1` segment boundaries). The forward is a plain matmul; the
@@ -68,7 +61,8 @@ enum Op {
     UnstackColumns { a: Var, seg_len: usize },
     /// Per-row NLL: `out[j] = -lp[j, targets[j]]` as a `(B, 1)` column.
     NllLossRows(Var, Vec<usize>),
-    Conv1d { x: Var, w: Var, b: Var, k: usize, stride: usize, seg_len: usize },
+    /// 2-D convolution over a column-stacked batch of maps; a 1-D
+    /// convolution is the `(1, seg_len)`-map, `1 × k`-kernel case.
     Conv2d {
         x: Var,
         w: Var,
@@ -103,28 +97,20 @@ impl Op {
         match self {
             Op::Leaf => "leaf",
             Op::Matmul(..) => "matmul",
-            Op::Add(..) => "add",
-            Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
             Op::AddBias(..) => "add_bias",
-            Op::Scale(..) => "scale",
             Op::Relu(..) => "relu",
-            Op::Sigmoid(..) => "sigmoid",
-            Op::Tanh(..) => "tanh",
             Op::ScaleRows(..) => "scale_rows",
             Op::SpmmNorm { .. } => "spmm_norm.batched",
-            Op::Transpose(..) => "transpose",
             Op::ConcatCols(..) => "concat_cols",
             Op::Reshape(..) => "reshape",
             Op::LogSoftmaxRows(..) => "log_softmax",
             Op::Sum(..) => "sum",
-            Op::Mean(..) => "mean",
             Op::Dropout(..) => "dropout",
             Op::MatmulBatched { .. } | Op::MatmulRowBlocks { .. } => "gemm.batched",
             Op::GatherRowsPad(..) => "gather_pad.batched",
             Op::UnstackColumns { .. } => "unstack_cols.batched",
             Op::NllLossRows(..) => "nll_loss.batched",
-            Op::Conv1d { .. } => "conv1d.batched",
             Op::Conv2d { .. } => "conv2d.batched",
             Op::Conv2dReluAmp { .. } => "conv2d_relu_amp.batched",
             Op::MaxPool1d { .. } => "max_pool1d.batched",
@@ -206,15 +192,6 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Drops all recorded nodes and gradients, keeping allocations.
-    ///
-    /// The op profile is deliberately retained: it accumulates across
-    /// samples until drained with [`Tape::take_profile`].
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.grads.clear();
-    }
-
     /// Switches op-level profiling on or off. Off (the default), each op
     /// costs one branch on a plain bool; on, every forward op and
     /// backward step records `(kind, shape class, self_ns, flops,
@@ -254,11 +231,12 @@ impl Tape {
     ///
     /// This is the worker-reuse entry point: data-parallel training
     /// keeps one tape per worker lane and resets it between samples.
-    /// Unlike [`Tape::clear`] (which drops buffers), `reset` recycles
-    /// every node value, gradient, dropout mask and pooling index vector
-    /// into the tape's [`Workspace`], so the next sample's kernels are
-    /// served from the pool and steady-state training stops allocating.
-    /// The op profile is retained, as with `clear`.
+    /// `reset` recycles every node value, gradient, dropout mask and
+    /// pooling index vector into the tape's [`Workspace`], so the next
+    /// sample's kernels are served from the pool and steady-state
+    /// training stops allocating. The op profile is retained: it
+    /// accumulates across samples until drained with
+    /// [`Tape::take_profile`].
     pub fn reset(&mut self) {
         let Tape { nodes, grads, workspace, .. } = self;
         for node in nodes.drain(..) {
@@ -319,7 +297,6 @@ impl Tape {
     fn forward_flops(&self, op: &Op, out: &Tensor) -> u64 {
         match op {
             Op::Leaf
-            | Op::Transpose(_)
             | Op::ConcatCols(_)
             | Op::GatherRowsPad(..)
             | Op::Reshape(_)
@@ -336,35 +313,18 @@ impl Tape {
             Op::SpmmNorm { adj, .. } => {
                 profile::spmm_norm_flops(adj.nnz(), out.rows(), out.cols())
             }
-            Op::Add(..)
-            | Op::Sub(..)
-            | Op::Mul(..)
-            | Op::AddBias(..)
-            | Op::Scale(..)
-            | Op::Relu(_)
-            | Op::ScaleRows(..)
-            | Op::Dropout(..) => out.len() as u64,
-            Op::Sigmoid(_) | Op::Tanh(_) => 4 * out.len() as u64,
+            Op::Mul(..) | Op::AddBias(..) | Op::Relu(_) | Op::ScaleRows(..) | Op::Dropout(..) => {
+                out.len() as u64
+            }
             Op::LogSoftmaxRows(_) => 5 * out.len() as u64,
-            Op::Sum(a) | Op::Mean(a) => self.value(*a).len() as u64,
+            Op::Sum(a) => self.value(*a).len() as u64,
             Op::NllLossRows(_, targets) => targets.len() as u64,
-            Op::Conv1d { x, k, .. } => profile::conv1d_flops(
-                out.shape().dim(0),
-                out.shape().dim(1),
-                self.value(*x).shape().dim(0),
-                *k,
-            ),
             // Flat column-stacked output: same formula over oh·ow = Σ ohⱼ·owⱼ.
             Op::Conv2d { w, .. } => {
-                let ws = self.value(*w).shape().clone();
-                profile::conv2d_flops(
-                    out.shape().dim(0),
-                    1,
-                    out.shape().dim(1),
-                    ws.dim(1),
-                    ws.dim(2),
-                    ws.dim(3),
-                )
+                let wv = self.value(*w);
+                let (kh, kw) = conv::kernel_extent(wv);
+                let (c_out, c_in) = (out.shape().dim(0), wv.shape().dim(1));
+                profile::conv2d_flops(c_out, 1, out.shape().dim(1), c_in, kh, kw)
             }
             // The convolution and the ReLU over every map position; the
             // pooling compares count zero.
@@ -372,8 +332,7 @@ impl Tape {
                 let ws = self.value(*w).shape().clone();
                 let (c_out, c_in, kh, kw) = (ws.dim(0), ws.dim(1), ws.dim(2), ws.dim(3));
                 let positions = conv::conv2d_out_dims(dims, kh, kw, *stride, *pad)
-                    .iter()
-                    .map(|&(oh, ow)| oh * ow)
+                    .map(|(oh, ow)| oh * ow)
                     .sum();
                 profile::conv2d_relu_amp_flops(c_out, positions, c_in, kh, kw)
             }
@@ -407,22 +366,6 @@ impl Tape {
         self.push_profiled(value, Op::Matmul(a, b), rg, t)
     }
 
-    /// Elementwise sum.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).add(self.value(b));
-        let rg = self.any_requires(&[a, b]);
-        self.push_profiled(value, Op::Add(a, b), rg, t)
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).sub(self.value(b));
-        let rg = self.any_requires(&[a, b]);
-        self.push_profiled(value, Op::Sub(a, b), rg, t)
-    }
-
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let t = self.prof_start();
@@ -449,14 +392,6 @@ impl Tape {
         self.push_profiled(value, Op::AddBias(a, bias), rg, t)
     }
 
-    /// Multiplies every element by a constant.
-    pub fn scale(&mut self, a: Var, factor: f32) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).scale(factor);
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::Scale(a, factor), rg, t)
-    }
-
     /// Elementwise ReLU. The output comes from the workspace pool — on
     /// batched-size activations a fresh heap buffer means page faults on
     /// every pass, which costs more than the op itself.
@@ -473,22 +408,6 @@ impl Tape {
         };
         let rg = self.any_requires(&[a]);
         self.push_profiled(value, Op::Relu(a), rg, t)
-    }
-
-    /// Elementwise sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).sigmoid();
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::Sigmoid(a), rg, t)
-    }
-
-    /// Elementwise tanh.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).tanh();
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::Tanh(a), rg, t)
     }
 
     /// Scales row `i` by `factors[i]` (constant). This is the `D̂⁻¹ (·)`
@@ -543,14 +462,6 @@ impl Tape {
         self.push_profiled(value, Op::SpmmNorm { adj, adj_t, inv_degree, f }, rg, t)
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let t = self.prof_start();
-        let value = self.value(a).transpose();
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::Transpose(a), rg, t)
-    }
-
     /// Horizontal concatenation, forming `Z^{1:h} = [Z_1, ..., Z_h]`.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         let t = self.prof_start();
@@ -589,18 +500,10 @@ impl Tape {
         self.push_profiled(value, Op::Sum(a), rg, t)
     }
 
-    /// Mean of all elements (scalar output).
-    pub fn mean(&mut self, a: Var) -> Var {
-        let t = self.prof_start();
-        let value = Tensor::scalar(self.value(a).mean());
-        let rg = self.any_requires(&[a]);
-        self.push_profiled(value, Op::Mean(a), rg, t)
-    }
-
     /// Records the patch-gather half of a GEMM-lowered convolution as its
     /// own forward profile row: `im2col` is pure data movement (0 FLOPs,
     /// `bytes_out` = column buffer size), timed separately so the
-    /// `conv*.batched` rows cover only the GEMM + bias.
+    /// `conv2d.batched` rows cover only the GEMM + bias.
     fn record_im2col(&mut self, started: Option<Instant>, elems: usize) {
         if let Some(t0) = started {
             let key = OpKey {
@@ -785,45 +688,15 @@ impl Tape {
         self.push_profiled(masked, Op::Dropout(a, mask), rg, t)
     }
 
-    /// 1-D convolution of `(c_out, c_in, k)` weights plus a `c_out` bias
-    /// over `x = (c_in, B·seg_len)`, where every sample occupies one
-    /// `seg_len` column segment (windows never straddle a boundary).
-    /// Lowered to an im2col patch gather and one GEMM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x`'s width is not a multiple of `seg_len`.
-    pub fn conv1d(&mut self, x: Var, w: Var, b: Var, stride: usize, seg_len: usize) -> Var {
-        let k = self.value(w).shape().dim(2);
-        let rg = self.any_requires(&[x, w, b]);
-        let batch = self.value(x).cols() / seg_len;
-        let out_len = conv::conv1d_shape(seg_len, k, stride);
-        let t_cols = self.prof_start();
-        let cols = {
-            let Tape { nodes, workspace, .. } = &mut *self;
-            conv::im2col_1d(&nodes[x.0].value, k, stride, seg_len, workspace)
-        };
-        self.record_im2col(t_cols, cols.len());
-        let t = self.prof_start();
-        let value = {
-            let Tape { nodes, workspace, .. } = &mut *self;
-            conv::conv1d_forward_gemm(
-                &cols,
-                &nodes[w.0].value,
-                nodes[b.0].value.as_slice(),
-                batch * out_len,
-                workspace,
-            )
-        };
-        self.workspace.recycle(cols);
-        self.push_profiled(value, Op::Conv1d { x, w, b, k, stride, seg_len }, rg, t)
-    }
-
     /// 2-D convolution of `(c_out, c_in, kh, kw)` weights with the given
     /// stride and zero padding, plus a `c_out` bias, over a column-stacked
     /// `x = (c_in, Σ hⱼ·wⱼ)` with per-sample map dims in `dims`. The
     /// output is the flat `(c_out, Σ ohⱼ·owⱼ)` column-stacked matrix.
     /// Lowered to an im2col patch gather and one GEMM.
+    ///
+    /// `(c_out, c_in, k)` weights are read as a `1 × k` kernel, so a 1-D
+    /// convolution over `(c_in, B·seg_len)` is this op with `(1, seg_len)`
+    /// maps and `pad = 0`; windows never straddle a sample boundary.
     pub fn conv2d(
         &mut self,
         x: Var,
@@ -834,13 +707,9 @@ impl Tape {
         dims: Arc<Vec<(usize, usize)>>,
     ) -> Var {
         let rg = self.any_requires(&[x, w, b]);
-        let (kh, kw) = {
-            let ws = self.value(w).shape();
-            (ws.dim(2), ws.dim(3))
-        };
+        let (kh, kw) = conv::kernel_extent(self.value(w));
         let out_total: usize = conv::conv2d_out_dims(&dims, kh, kw, stride, pad)
-            .iter()
-            .map(|&(oh, ow)| oh * ow)
+            .map(|(oh, ow)| oh * ow)
             .sum();
         let t_cols = self.prof_start();
         let cols = {
@@ -975,7 +844,11 @@ impl Tape {
             let Some(gout) = self.grads[idx].take() else {
                 continue;
             };
-            let op = self.nodes[idx].op.clone();
+            // Borrow the op by moving it out of its node for the step
+            // (a `Leaf` stands in) and back after it: no per-node copy of
+            // the index, mask or factor vectors an op holds. The step only
+            // reads other nodes' values and this node's value.
+            let op = std::mem::replace(&mut self.nodes[idx].op, Op::Leaf);
             // Time each backward step individually so the profiler can
             // attribute the sweep to op kinds. Leaf steps are no-ops and
             // would only add noise rows, so they are skipped. Backward
@@ -1050,22 +923,6 @@ impl Tape {
                         self.accumulate(b, gb);
                     }
                 }
-                Op::Add(a, b) => {
-                    if self.needs(a) {
-                        self.accumulate(a, gout.clone());
-                    }
-                    if self.needs(b) {
-                        self.accumulate(b, gout.clone());
-                    }
-                }
-                Op::Sub(a, b) => {
-                    if self.needs(a) {
-                        self.accumulate(a, gout.clone());
-                    }
-                    if self.needs(b) {
-                        self.accumulate(b, gout.scale(-1.0));
-                    }
-                }
                 Op::Mul(a, b) => {
                     let av = self.value(a).clone();
                     let bv = self.value(b).clone();
@@ -1084,11 +941,6 @@ impl Tape {
                         let sums = gout.sum_rows();
                         let len = sums.len();
                         self.accumulate(bias, Tensor::from_vec(sums, [len]));
-                    }
-                }
-                Op::Scale(a, f) => {
-                    if self.needs(a) {
-                        self.accumulate(a, gout.scale(f));
                     }
                 }
                 Op::Relu(a) => {
@@ -1111,41 +963,22 @@ impl Tape {
                         self.accumulate(a, gx);
                     }
                 }
-                Op::Sigmoid(a) => {
+                Op::ScaleRows(a, ref factors) => {
                     if self.needs(a) {
-                        let y = self.nodes[idx].value.clone();
-                        let dy = y.zip_map(&y, |s, _| s * (1.0 - s));
-                        self.accumulate(a, gout.mul(&dy));
+                        self.accumulate(a, gout.scale_rows(factors));
                     }
                 }
-                Op::Tanh(a) => {
-                    if self.needs(a) {
-                        let y = self.nodes[idx].value.clone();
-                        let dy = y.map(|t| 1.0 - t * t);
-                        self.accumulate(a, gout.mul(&dy));
-                    }
-                }
-                Op::ScaleRows(a, factors) => {
-                    if self.needs(a) {
-                        self.accumulate(a, gout.scale_rows(&factors));
-                    }
-                }
-                Op::SpmmNorm { adj_t, inv_degree, f, .. } => {
+                Op::SpmmNorm { ref adj_t, ref inv_degree, f, .. } => {
                     if self.needs(f) {
                         // d/dF of D̂⁻¹ Â F is Âᵀ D̂⁻¹: scale the incoming
                         // gradient rows, then one transpose-CSR product.
-                        let scaled = gout.scale_rows(&inv_degree);
+                        let scaled = gout.scale_rows(inv_degree);
                         self.accumulate(f, adj_t.spmm(&scaled));
                     }
                 }
-                Op::Transpose(a) => {
-                    if self.needs(a) {
-                        self.accumulate(a, gout.transpose());
-                    }
-                }
-                Op::ConcatCols(parts) => {
+                Op::ConcatCols(ref parts) => {
                     let mut offset = 0;
-                    for p in parts {
+                    for &p in parts {
                         let c = self.value(p).cols();
                         if self.needs(p) {
                             let rows = self.value(p).rows();
@@ -1192,28 +1025,18 @@ impl Tape {
                         self.accumulate(a, ga);
                     }
                 }
-                Op::Mean(a) => {
-                    if self.needs(a) {
-                        let n = self.value(a).len() as f32;
-                        let g = gout.item() / n;
-                        let shape = self.value(a).shape().clone();
-                        let mut ga = self.workspace.take_tensor(shape);
-                        ga.as_mut_slice().fill(g);
-                        self.accumulate(a, ga);
-                    }
-                }
-                Op::Dropout(a, mask) => {
+                Op::Dropout(a, ref mask) => {
                     if self.needs(a) {
                         let mut gm = self.workspace.take_tensor(gout.shape().clone());
                         for ((o, &g), &m) in
-                            gm.as_mut_slice().iter_mut().zip(gout.as_slice()).zip(&mask)
+                            gm.as_mut_slice().iter_mut().zip(gout.as_slice()).zip(mask)
                         {
                             *o = g * m;
                         }
                         self.accumulate(a, gm);
                     }
                 }
-                Op::MaxPool1d { x, argmax } => {
+                Op::MaxPool1d { x, ref argmax } => {
                     // Winner indices were pushed in ascending output flat
                     // order, so the backward is one enumerate-scatter.
                     if self.needs(x) {
@@ -1225,7 +1048,7 @@ impl Tape {
                         self.accumulate(x, gx);
                     }
                 }
-                Op::MatmulBatched { a, b, bounds } => {
+                Op::MatmulBatched { a, b, ref bounds } => {
                     let (m, kk) = (self.value(a).rows(), self.value(a).cols());
                     let n = self.value(b).cols();
                     if self.needs(a) {
@@ -1326,7 +1149,7 @@ impl Tape {
                         self.accumulate(x, gx);
                     }
                 }
-                Op::GatherRowsPad(a, indices) => {
+                Op::GatherRowsPad(a, ref indices) => {
                     if self.needs(a) {
                         let shape = self.value(a).shape().clone();
                         let mut ga = self.workspace.take_tensor(shape);
@@ -1365,7 +1188,7 @@ impl Tape {
                         self.accumulate(a, ga);
                     }
                 }
-                Op::NllLossRows(lp, targets) => {
+                Op::NllLossRows(lp, ref targets) => {
                     if self.needs(lp) {
                         let shape = self.value(lp).shape().clone();
                         let mut glp = self.workspace.take_tensor(shape);
@@ -1375,22 +1198,7 @@ impl Tape {
                         self.accumulate(lp, glp);
                     }
                 }
-                Op::Conv1d { x, w, b, k, stride, seg_len } => {
-                    let grads = {
-                        let Tape { nodes, workspace, .. } = &mut *self;
-                        conv::conv1d_backward(
-                            &nodes[x.0].value,
-                            &nodes[w.0].value,
-                            k,
-                            stride,
-                            seg_len,
-                            &gout,
-                            workspace,
-                        )
-                    };
-                    self.accumulate_conv_grads([x, w, b], grads);
-                }
-                Op::Conv2d { x, w, b, stride, pad, dims } => {
+                Op::Conv2d { x, w, b, stride, pad, ref dims } => {
                     let grads = {
                         let Tape { nodes, workspace, .. } = &mut *self;
                         conv::conv2d_backward(
@@ -1398,7 +1206,7 @@ impl Tape {
                             &nodes[w.0].value,
                             stride,
                             pad,
-                            &dims,
+                            dims,
                             &gout,
                             workspace,
                         )
@@ -1427,6 +1235,7 @@ impl Tape {
             // the sweep (nothing writes to this slot in between: ops
             // only accumulate into their inputs, which precede `idx`).
             self.grads[idx] = Some(gout);
+            self.nodes[idx].op = op;
             if let (Some(t0), Some((key, flops, bytes))) = (t, prof_key) {
                 self.profile.record(key, t0.elapsed().as_nanos() as u64, flops, bytes);
             }
@@ -1605,20 +1414,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_allows_tape_reuse() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::ones([1, 1]), true);
-        let s = tape.sum(x);
-        tape.backward(s);
-        tape.clear();
-        assert!(tape.is_empty());
-        let y = tape.leaf(Tensor::ones([1, 1]), true);
-        let s2 = tape.sum(y);
-        tape.backward(s2);
-        assert_eq!(tape.grad(y).unwrap().item(), 1.0);
-    }
-
-    #[test]
     fn reset_behaves_like_clear() {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones([2, 2]), true);
@@ -1626,6 +1421,11 @@ mod tests {
         tape.backward(s);
         tape.reset();
         assert!(tape.is_empty());
+        // The emptied tape records and differentiates a new pass.
+        let y = tape.leaf(Tensor::ones([1, 1]), true);
+        let s2 = tape.sum(y);
+        tape.backward(s2);
+        assert_eq!(tape.grad(y).unwrap().item(), 1.0);
     }
 
     /// A small asymmetric sparse matrix plus its transpose, as the model
@@ -1764,7 +1564,7 @@ mod tests {
             true,
         );
         let b = tape.leaf(Tensor::from_vec(vec![0.1, -0.2, 0.3], [3]), true);
-        let y = tape.conv1d(x, w, b, 1, 8);
+        let y = tape.conv2d(x, w, b, 1, 0, Arc::new(vec![(1, 8)]));
         let r = tape.relu(y);
         tape.sum(r)
     }
@@ -1780,9 +1580,9 @@ mod tests {
         let find = |kind: &str, phase: &str| {
             rows.iter().find(|(k, _)| k.kind == kind && k.phase == phase).map(|(_, s)| *s)
         };
-        let fwd = find("conv1d.batched", profile::PHASE_FORWARD).expect("fwd conv1d row");
-        assert_eq!(fwd.flops, profile::conv1d_flops(3, 6, 2, 3));
-        let bwd = find("conv1d.batched", profile::PHASE_BACKWARD).expect("bwd conv1d row");
+        let fwd = find("conv2d.batched", profile::PHASE_FORWARD).expect("fwd conv row");
+        assert_eq!(fwd.flops, profile::conv2d_flops(3, 1, 6, 2, 1, 3));
+        let bwd = find("conv2d.batched", profile::PHASE_BACKWARD).expect("bwd conv row");
         assert_eq!(bwd.flops, 2 * fwd.flops);
         let cols = find("im2col", profile::PHASE_FORWARD).expect("im2col row");
         assert_eq!(cols.flops, 0, "im2col is pure data movement");
@@ -2117,7 +1917,7 @@ mod tests {
         let x = tape.leaf(Tensor::rand_uniform([1, 12], -1.0, 1.0, &mut rng), true);
         let w = tape.leaf(Tensor::rand_uniform([2, 1, 3], -1.0, 1.0, &mut rng), true);
         let b = tape.leaf(Tensor::rand_uniform([2], -1.0, 1.0, &mut rng), true);
-        let y = tape.conv1d(x, w, b, 3, 6); // (2, 2*2)
+        let y = tape.conv2d(x, w, b, 3, 0, Arc::new(vec![(1, 6); 2])); // (2, 2*2)
         let p = tape.max_pool1d(y, 2, 2); // (2, 2*1)
         let u = tape.unstack_columns(p, 1); // (2, 2)
         let lp = tape.log_softmax_rows(u);
@@ -2129,14 +1929,14 @@ mod tests {
         let find = |kind: &str, phase: &str| {
             rows.iter().find(|(k, _)| k.kind == kind && k.phase == phase).map(|(_, s)| *s)
         };
-        for kind in ["conv1d.batched", "max_pool1d.batched", "unstack_cols.batched", "nll_loss.batched"]
+        for kind in ["conv2d.batched", "max_pool1d.batched", "unstack_cols.batched", "nll_loss.batched"]
         {
             assert!(find(kind, profile::PHASE_FORWARD).is_some(), "missing fwd {kind}");
             assert!(find(kind, profile::PHASE_BACKWARD).is_some(), "missing bwd {kind}");
         }
         // The FLOP formula charges the concatenated output width, exactly
         // like one long single-sample convolution.
-        let fwd = find("conv1d.batched", profile::PHASE_FORWARD).unwrap();
-        assert_eq!(fwd.flops, profile::conv1d_flops(2, 4, 1, 3));
+        let fwd = find("conv2d.batched", profile::PHASE_FORWARD).unwrap();
+        assert_eq!(fwd.flops, profile::conv2d_flops(2, 1, 4, 1, 1, 3));
     }
 }

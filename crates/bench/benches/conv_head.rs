@@ -1,6 +1,8 @@
 //! im2col-GEMM convolution head kernels: sweeps channel count,
 //! sequence/image size, and kernel width for both `conv1d` and `conv2d`
-//! and records their cost in `results/BENCH_conv_head.json`.
+//! and records their cost in `results/BENCH_conv_head.json`. The `conv1d`
+//! cells run the SortPooling head's 1-D convolution as the model does:
+//! `Tape::conv2d` over one `(1, len)` map with a `1 × k` kernel.
 //!
 //! Each cell times one full forward+backward of a single convolution
 //! over one sample (a batch of one, plus ReLU and the scalar reduction
@@ -51,7 +53,7 @@ fn stats_json(stats: &Stats) -> magic_json::Value {
 }
 
 /// One 1-D head cell: `(c_in, len)` input through a `(c_out, c_in, k)`
-/// kernel at stride 1.
+/// kernel at stride 1, unpadded.
 struct Cell1d {
     c_in: usize,
     c_out: usize,
@@ -78,6 +80,7 @@ impl Cell1d {
 
     fn time(&self, budget: &Budget, inject_us: u64) -> Stats {
         let mut tape = Tape::new();
+        let dims = Arc::new(vec![(1, self.len)]);
         time_fn(
             || {
                 inject(inject_us);
@@ -85,7 +88,7 @@ impl Cell1d {
                 let x = tape.leaf(self.x.clone(), true);
                 let w = tape.leaf(self.w.clone(), true);
                 let b = tape.leaf(self.b.clone(), true);
-                let y = tape.conv1d(x, w, b, 1, self.len);
+                let y = tape.conv2d(x, w, b, 1, 0, Arc::clone(&dims));
                 let r = tape.relu(y);
                 let loss = tape.sum(r);
                 tape.backward(loss);

@@ -541,11 +541,6 @@ impl ShardReader {
         self.index.iter().map(|e| e.vertex_count as usize).collect()
     }
 
-    /// Shard file size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        HEADER_LEN + self.index.len() as u64 * INDEX_ENTRY_LEN + self.payload_len + FOOTER_LEN
-    }
-
     /// Reads and decodes one record by position (seek + single framed
     /// read). Emits the [`magic_obs::stage::C_CACHE_BYTES_READ`]
     /// counter.

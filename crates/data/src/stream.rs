@@ -239,21 +239,6 @@ impl StreamedCorpus {
         }
         Ok(out)
     }
-
-    /// Decodes one record by global index (raw, unscaled attributes).
-    ///
-    /// # Errors
-    ///
-    /// As for [`fetch`](StreamedCorpus::fetch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn fetch_record(&self, i: usize) -> Result<ShardRecord, CacheError> {
-        let (s, r) = self.map[i];
-        let mut reader = self.shards[s as usize].lock().expect("shard lock poisoned");
-        reader.read_record(r as usize)
-    }
 }
 
 #[cfg(test)]

@@ -63,9 +63,21 @@ impl Conv1dLayer {
     /// Applies the convolution followed by ReLU over a mini-batch whose
     /// samples occupy equal column segments of `seg_len` in `x` — the
     /// convolution runs per segment (windows never straddle a boundary),
-    /// with weight and bias gradients unstacked per sample.
+    /// with weight and bias gradients unstacked per sample. It runs as
+    /// [`Tape::conv2d`] over `(1, seg_len)` maps, which reads the
+    /// `(c_out, c_in, k)` weight as a `1 × k` kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`'s width is not a multiple of `seg_len`.
     pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, seg_len: usize) -> Var {
-        let y = tape.conv1d(x, binding.var(self.w), binding.var(self.b), self.stride, seg_len);
+        let width = tape.value(x).cols();
+        assert!(
+            seg_len > 0 && width.is_multiple_of(seg_len),
+            "input width {width} is not a multiple of segment length {seg_len}"
+        );
+        let dims = Arc::new(vec![(1, seg_len); width / seg_len]);
+        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.stride, 0, dims);
         tape.relu(y)
     }
 }

@@ -158,8 +158,9 @@ mod tests {
             store.zero_grads();
             let mut tape = Tape::new();
             let binding = store.bind(&mut tape);
-            let target = tape.leaf(Tensor::from_rows(&[&[3.0]]), false);
-            let diff = tape.sub(binding.var(w), target);
+            // `w + (-3)` is `w - 3` exactly.
+            let target = tape.leaf(Tensor::from_slice(&[-3.0]), false);
+            let diff = tape.add_bias(binding.var(w), target);
             let sq = tape.mul(diff, diff);
             let loss = tape.sum(sq);
             tape.backward(loss);

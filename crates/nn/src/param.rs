@@ -325,8 +325,7 @@ mod tests {
         {
             let mut tape = Tape::new();
             let binding = store.bind(&mut tape);
-            let s = tape.scale(binding.var(w), 1.0);
-            let t = tape.sum(s);
+            let t = tape.sum(binding.var(w));
             tape.backward(t);
             store.accumulate_grads(&tape, &binding);
         }
@@ -351,7 +350,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = magic_tensor::Rng64::new(77);
         let w = store.add("w", Tensor::rand_uniform([3, 2], -1.0, 1.0, &mut rng));
-        let b = store.add("b", Tensor::rand_uniform([1, 2], -1.0, 1.0, &mut rng));
+        let b = store.add("b", Tensor::rand_uniform([2], -1.0, 1.0, &mut rng));
         (store, w, b)
     }
 
@@ -364,9 +363,9 @@ mod tests {
         let binding = store.bind(&mut tape);
         let xv = tape.leaf(x, false);
         let h = tape.matmul(xv, binding.var(w));
-        let y = tape.add(h, binding.var(b));
-        let t = tape.tanh(y);
-        let loss = tape.sum(t);
+        let y = tape.add_bias(h, binding.var(b));
+        let sq = tape.mul(y, y);
+        let loss = tape.sum(sq);
         tape.backward(loss);
         sink(&tape, &binding);
     }

@@ -420,7 +420,8 @@ mod tests {
         // accounting a switch-heavy profile explodes combinatorially
         // (x14 was observed before the fix). Assert each pure-construct
         // profile stays within a small constant factor of its budget.
-        let cases: [(&str, fn(&mut FamilyProfile)); 3] = [
+        type Construct = fn(&mut FamilyProfile);
+        let cases: [(&str, Construct); 3] = [
             ("branch", |p| p.branch_weight = 1.0),
             ("loop", |p| p.loop_weight = 1.0),
             ("switch", |p| p.switch_weight = 1.0),

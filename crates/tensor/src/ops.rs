@@ -71,16 +71,6 @@ impl Tensor {
         self.map(|x| x.max(0.0))
     }
 
-    /// Elementwise sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
-    }
-
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
-    }
-
     /// Elementwise natural exponential.
     pub fn exp(&self) -> Tensor {
         self.map(f32::exp)
@@ -220,15 +210,6 @@ mod tests {
     fn relu_clamps_negatives() {
         let a = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
         assert_eq!(a.relu().as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn sigmoid_is_bounded_and_monotone() {
-        let a = Tensor::from_slice(&[-10.0, 0.0, 10.0]);
-        let s = a.sigmoid();
-        assert!(s.as_slice()[0] < 0.001);
-        assert!((s.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(s.as_slice()[2] > 0.999);
     }
 
     #[test]

@@ -84,10 +84,12 @@ impl Shape {
             index.len(),
             self.0.len()
         );
+        // Horner's rule over the row-major dims: the same offset as
+        // `Σ index·stride`, with no strides vector to allocate.
         let mut off = 0;
-        for ((&i, &d), s) in index.iter().zip(&self.0).zip(self.strides()) {
+        for (&i, &d) in index.iter().zip(&self.0) {
             assert!(i < d, "index {i} out of bounds for dimension of size {d}");
-            off += i * s;
+            off = off * d + i;
         }
         off
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: release build, full test suite, doctests, warning-free
-# rustdoc, and a warning-free clippy pass. Run from the repository root.
+# rustdoc, and a warning-free clippy pass over all targets. Run from the
+# repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,8 +23,10 @@ cargo test --doc -q
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# All targets: tests, benches, examples and binaries are linted like the
+# libraries, so test code cannot drift from the lint set unseen.
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Perf-regression gates: re-measure each quick benchmark and compare it
 # against its committed baseline. A gate only fires when the baseline

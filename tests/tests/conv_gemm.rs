@@ -111,7 +111,8 @@ fn assert_close(got: &[f32], want: &[f32], what: &str) {
 fn naive_and_gemm_lowerings_agree_end_to_end() {
     let mut rng = Rng64::new(21);
 
-    // 1-D: every sample is one equal-length column segment.
+    // 1-D: every sample is one equal-length column segment, run as the
+    // SortPooling head runs it — a height-1 conv2d with a `1 × k` kernel.
     let (c_in, c_out, k, stride, seg_len) = (2, 3, 3, 2, 9);
     let out_len = conv1d_shape(seg_len, k, stride);
     for batch in [1, 3] {
@@ -126,7 +127,7 @@ fn naive_and_gemm_lowerings_agree_end_to_end() {
         let x = tape.leaf(hstack(&samples), true);
         let wv = tape.leaf(w.clone(), true);
         let bv = tape.leaf(b.clone(), true);
-        let y = tape.conv1d(x, wv, bv, stride, seg_len);
+        let y = tape.conv2d(x, wv, bv, stride, 0, Arc::new(vec![(1, seg_len); batch]));
         let m = tape.leaf(hstack(&upstream), false);
         let p = tape.mul(y, m);
         let loss = tape.sum(p);

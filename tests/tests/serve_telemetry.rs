@@ -55,7 +55,7 @@ fn scraped_windowed_quantiles_agree_with_exact_percentiles_within_one_bucket() {
             state ^= state >> 7;
             state ^= state << 17;
             let base = 200 + state % 2_000; // 0.2–2.2 ms bulk
-            if state % 19 == 0 { base + 30_000 } else { base } // ~5% tail
+            if state.is_multiple_of(19) { base + 30_000 } else { base } // ~5% tail
         })
         .collect();
     for &s in &samples {
