@@ -375,19 +375,22 @@ impl Tape {
     }
 
     /// Adds a length-`c` bias vector to every row of an `(n, c)` matrix.
+    /// The output comes from the workspace pool.
     pub fn add_bias(&mut self, a: Var, bias: Var) -> Var {
         let t = self.prof_start();
-        let m = self.value(a);
-        let b = self.value(bias);
-        assert_eq!(m.cols(), b.len(), "bias length must match columns");
-        let cols = m.cols();
-        let mut value = m.clone();
-        for i in 0..value.rows() {
-            for j in 0..cols {
-                let cur = value.get2(i, j);
-                value.set2(i, j, cur + b.as_slice()[j]);
+        let value = {
+            let Tape { nodes, workspace, .. } = &mut *self;
+            let (m, b) = (&nodes[a.0].value, nodes[bias.0].value.as_slice());
+            assert_eq!(m.cols(), b.len(), "bias length must match columns");
+            let mut out = workspace.take_tensor(m.shape().clone());
+            for i in 0..m.rows() {
+                let o_row = &mut out.as_mut_slice()[i * b.len()..][..b.len()];
+                for ((o, &x), &bj) in o_row.iter_mut().zip(m.row(i)).zip(b) {
+                    *o = x + bj;
+                }
             }
-        }
+            out
+        };
         let rg = self.any_requires(&[a, bias]);
         self.push_profiled(value, Op::AddBias(a, bias), rg, t)
     }
@@ -935,12 +938,20 @@ impl Tape {
                 }
                 Op::AddBias(a, bias) => {
                     if self.needs(a) {
-                        self.accumulate(a, gout.clone());
+                        let ga = self.pooled_copy(&gout, gout.shape().clone());
+                        self.accumulate(a, ga);
                     }
                     if self.needs(bias) {
-                        let sums = gout.sum_rows();
-                        let len = sums.len();
-                        self.accumulate(bias, Tensor::from_vec(sums, [len]));
+                        // Column sums, rows added in order from zero: the
+                        // `Tensor::sum_rows` chain into a pooled buffer.
+                        let cols = gout.cols();
+                        let mut gb = self.workspace.take_tensor([cols]);
+                        for i in 0..gout.rows() {
+                            for (o, &g) in gb.as_mut_slice().iter_mut().zip(gout.row(i)) {
+                                *o += g;
+                            }
+                        }
+                        self.accumulate(bias, gb);
                     }
                 }
                 Op::Relu(a) => {
@@ -971,9 +982,20 @@ impl Tape {
                 Op::SpmmNorm { ref adj_t, ref inv_degree, f, .. } => {
                     if self.needs(f) {
                         // d/dF of D̂⁻¹ Â F is Âᵀ D̂⁻¹: scale the incoming
-                        // gradient rows, then one transpose-CSR product.
-                        let scaled = gout.scale_rows(inv_degree);
-                        self.accumulate(f, adj_t.spmm(&scaled));
+                        // gradient rows, then one transpose-CSR product,
+                        // both into pooled buffers.
+                        let c = gout.cols();
+                        let mut scaled = self.workspace.take(gout.len());
+                        for (i, &d) in inv_degree.iter().enumerate() {
+                            let row = &mut scaled[i * c..][..c];
+                            for (o, &x) in row.iter_mut().zip(gout.row(i)) {
+                                *o = x * d;
+                            }
+                        }
+                        let mut gf = self.workspace.take_tensor([adj_t.rows(), c]);
+                        adj_t.spmm_into(&scaled, c, gf.as_mut_slice());
+                        self.workspace.recycle(scaled);
+                        self.accumulate(f, gf);
                     }
                 }
                 Op::ConcatCols(ref parts) => {
@@ -995,24 +1017,27 @@ impl Tape {
                 Op::Reshape(a) => {
                     if self.needs(a) {
                         let shape = self.value(a).shape().clone();
-                        self.accumulate(a, gout.reshape(shape));
+                        let ga = self.pooled_copy(&gout, shape);
+                        self.accumulate(a, ga);
                     }
                 }
                 Op::LogSoftmaxRows(a) => {
                     if self.needs(a) {
-                        let y = self.nodes[idx].value.clone();
-                        let mut ga = self.workspace.take_tensor(y.shape().clone());
-                        for i in 0..y.rows() {
-                            let grow = gout.row(i);
-                            let gsum: f32 = grow.iter().sum();
-                            let row: Vec<f32> = y
-                                .row(i)
-                                .iter()
-                                .zip(grow)
-                                .map(|(&ly, &g)| g - ly.exp() * gsum)
-                                .collect();
-                            ga.set_row(i, &row);
-                        }
+                        let ga = {
+                            let Tape { nodes, workspace, .. } = &mut *self;
+                            let y = &nodes[idx].value;
+                            let mut ga = workspace.take_tensor(y.shape().clone());
+                            let c = y.cols();
+                            for i in 0..y.rows() {
+                                let out = &mut ga.as_mut_slice()[i * c..][..c];
+                                let grow = gout.row(i);
+                                let gsum: f32 = grow.iter().sum();
+                                for ((o, &ly), &g) in out.iter_mut().zip(y.row(i)).zip(grow) {
+                                    *o = g - ly.exp() * gsum;
+                                }
+                            }
+                            ga
+                        };
                         self.accumulate(a, ga);
                     }
                 }
@@ -1158,9 +1183,9 @@ impl Tape {
                             if src == usize::MAX {
                                 continue;
                             }
-                            for j in 0..cols {
-                                let cur = ga.get2(src, j);
-                                ga.set2(src, j, cur + gout.get2(dst, j));
+                            let row = &mut ga.as_mut_slice()[src * cols..][..cols];
+                            for (o, &g) in row.iter_mut().zip(gout.row(dst)) {
+                                *o += g;
                             }
                         }
                         self.accumulate(a, ga);
@@ -1244,6 +1269,13 @@ impl Tape {
 
     fn needs(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
+    }
+
+    /// A pooled copy of `src`'s elements under `shape`.
+    fn pooled_copy(&mut self, src: &Tensor, shape: Shape) -> Tensor {
+        let mut out = self.workspace.take_tensor(shape);
+        out.as_mut_slice().copy_from_slice(src.as_slice());
+        out
     }
 
     /// Accumulates a convolution's pooled `(gx, gw, gb)` into `x`, `w`

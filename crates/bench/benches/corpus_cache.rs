@@ -19,7 +19,6 @@
 //!   timed region, for testing that the regression gate actually fails.
 
 use magic::corpus_cache::{self, CacheSpec, CorpusKind, DEFAULT_SHARDS};
-use magic_bench::corpus::prepare_mskcfg;
 use magic_bench::results::{machine_info, write_result};
 use magic_json::json;
 use magic_microbench::{time_fn, Stats};
@@ -73,11 +72,15 @@ fn main() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Cold: generator + parallel extraction + GraphInput build, exactly
+    // Cold: parallel render + extraction + GraphInput build, exactly
     // what `magic train` does without --cache-dir.
+    let generate = || {
+        corpus_cache::generate(spec.corpus, seed, scale, spec.reduce, 0)
+            .expect("generated listings extract")
+    };
     let cold = time_fn(
         || {
-            let corpus = prepare_mskcfg(seed, scale);
+            let corpus = generate();
             std::hint::black_box(corpus.len());
         },
         budget.samples,
@@ -105,7 +108,7 @@ fn main() {
 
     // The cache must reproduce the cold corpus bitwise — a fast loader
     // that loads something else is not a cache.
-    let fresh = prepare_mskcfg(seed, scale);
+    let fresh = generate();
     let loaded = corpus_cache::load(&dir, Some(spec.fingerprint()), 0).expect("cache load failed");
     assert_eq!(fresh.labels, loaded.labels, "cached labels diverge from generated corpus");
     for (a, b) in fresh.inputs.iter().zip(&loaded.inputs) {

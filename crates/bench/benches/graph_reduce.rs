@@ -21,7 +21,7 @@
 //!   epoch region, for testing that the regression gate actually fails.
 
 use magic::trainer::{TrainConfig, Trainer};
-use magic_bench::corpus::prepare_mskcfg;
+use magic::CorpusKind;
 use magic_bench::results::{machine_info, write_result};
 use magic_graph::{Acfg, ReduceStrategy};
 use magic_json::json;
@@ -120,7 +120,8 @@ fn main() {
     } else {
         (0.01, Budget { samples: 10, target: Duration::from_millis(300), cap: Duration::from_secs(3) })
     };
-    let corpus = prepare_mskcfg(seed, scale);
+    let corpus = magic::generate_corpus(CorpusKind::Mskcfg, seed, scale, ReduceStrategy::None, 0)
+        .expect("generated listings extract");
     let classes = corpus.class_names.len();
     let (nodes_before, edges_before) = totals(&corpus.acfgs);
     println!(

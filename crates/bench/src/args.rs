@@ -1,6 +1,9 @@
 //! Minimal command-line argument handling shared by the experiment
 //! binaries (no external dependency needed for four flags).
 
+use magic::{CorpusKind, LoadedCorpus};
+use magic_graph::ReduceStrategy;
+
 /// Common experiment knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
@@ -44,6 +47,17 @@ impl RunArgs {
             }
         }
         out
+    }
+
+    /// The `kind` corpus at this run's seed and scale, unreduced, from
+    /// [`magic::generate_corpus`] across all cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a generated listing fails extraction (a generator bug).
+    pub fn corpus(&self, kind: CorpusKind) -> LoadedCorpus {
+        magic::generate_corpus(kind, self.seed, self.scale, ReduceStrategy::None, 0)
+            .expect("generated listings extract")
     }
 
     /// Defaults for quick CPU runs.

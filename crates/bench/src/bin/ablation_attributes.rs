@@ -12,7 +12,7 @@
 use magic::cv::cross_validate;
 use magic_bench::experiments::{best_params, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_yancfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_graph::{Acfg, Attribute};
 use magic_model::GraphInput;
 use magic_json::json;
@@ -34,7 +34,7 @@ fn main() {
         "=== Ablation: Table I attribute groups (YANCFG, scale {}, {} epochs) ===",
         args.scale, args.epochs
     );
-    let corpus = prepare_yancfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Yancfg);
     println!("corpus: {} samples\n", corpus.len());
 
     let structure_channels = [Attribute::Offspring as usize, Attribute::InstructionsInVertex as usize];

@@ -12,7 +12,7 @@
 use magic::cv::cross_validate;
 use magic_bench::experiments::{best_params, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_yancfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_data::stratified_kfold;
 use magic_metrics::{roc_auc, ConfusionMatrix};
 use magic_model::Dgcnn;
@@ -25,7 +25,7 @@ fn main() {
         "=== Extension: detection mode, benign vs malware (YANCFG, scale {}) ===",
         args.scale
     );
-    let corpus = prepare_yancfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Yancfg);
     let benign = corpus
         .class_names
         .iter()

@@ -2,35 +2,23 @@
 //! graph-reduction strategies.
 //!
 //! For every strategy (`none`, `chain`, `prune`, `coarsen:2`) on both
-//! corpora, this reduces every graph, cross-validates the Table II best
-//! model on the reduced corpus, and times a training epoch per-sample
+//! corpora, this builds the reduced corpus, cross-validates the Table II
+//! best model on it, and times a training epoch per-sample
 //! on fold 0 — quantifying how much structure each strategy removes,
 //! what that buys in epoch wall-clock, and what it costs in test
 //! accuracy/macro-F1. Results land in `results/ext_reduce_sweep.json`
 //! and as the markdown table in EXPERIMENTS.md ("Graph reduction").
 
 use magic::trainer::Trainer;
-use magic_bench::corpus::PreparedCorpus;
+use magic::LoadedCorpus;
 use magic_bench::experiments::{best_params, run_cv, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_mskcfg, prepare_yancfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_data::stratified_kfold;
 use magic_graph::{Acfg, ReduceStrategy};
-use magic_model::{Dgcnn, GraphInput};
+use magic_model::Dgcnn;
 use magic_json::json;
 use std::time::Instant;
-
-/// Reduces every graph of a prepared corpus, rebuilding the inputs.
-fn reduce_corpus(corpus: &PreparedCorpus, strategy: ReduceStrategy) -> PreparedCorpus {
-    let acfgs: Vec<Acfg> = corpus.acfgs.iter().map(|a| strategy.apply(a)).collect();
-    let inputs: Vec<GraphInput> = acfgs.iter().map(GraphInput::from_acfg).collect();
-    PreparedCorpus {
-        acfgs,
-        inputs,
-        labels: corpus.labels.clone(),
-        class_names: corpus.class_names.clone(),
-    }
-}
 
 fn totals(acfgs: &[Acfg]) -> (usize, usize) {
     acfgs.iter().fold((0, 0), |(n, e), a| (n + a.vertex_count(), e + a.edge_count()))
@@ -39,7 +27,7 @@ fn totals(acfgs: &[Acfg]) -> (usize, usize) {
 /// Seconds per training epoch of the Table II best model on fold 0,
 /// per-sample mode with one worker (the configuration EXPERIMENTS.md's
 /// 0.92 s/epoch mskcfg baseline was measured in).
-fn epoch_seconds(corpus: &PreparedCorpus, which: Corpus, seed: u64) -> f64 {
+fn epoch_seconds(corpus: &LoadedCorpus, which: Corpus, seed: u64) -> f64 {
     let params = best_params(which);
     let epochs = 2;
     let config = params.to_model_config(corpus.class_names.len(), &corpus.graph_sizes());
@@ -75,26 +63,21 @@ fn main() {
         ReduceStrategy::Coarsen { rounds: 2 },
     ];
     let mut out_rows = Vec::new();
-    for (which, name, base) in [
-        (Corpus::Mskcfg, "mskcfg", prepare_mskcfg(args.seed, args.scale)),
-        (Corpus::Yancfg, "yancfg", prepare_yancfg(args.seed, args.scale)),
-    ] {
-        let (nodes0, edges0) = totals(&base.acfgs);
-        println!(
-            "\n{name}: {} samples, {nodes0} nodes, {edges0} edges",
-            base.len()
-        );
-        println!(
-            "| corpus | reduce | nodes removed | edges removed | epoch s | speedup | accuracy | macro-F1 |"
-        );
-        println!("|---|---|---|---|---|---|---|---|");
-        let mut base_epoch_s = 0.0f64;
+    for which in [Corpus::Mskcfg, Corpus::Yancfg] {
+        let name = which.name();
+        let (mut nodes0, mut edges0, mut base_epoch_s) = (0, 0, 0.0f64);
         for strategy in strategies {
-            let reduced = reduce_corpus(&base, strategy);
+            let reduced = magic::generate_corpus(which, args.seed, args.scale, strategy, 0)
+                .expect("generated listings extract");
             let (nodes, edges) = totals(&reduced.acfgs);
             let epoch_s = epoch_seconds(&reduced, which, args.seed);
             if strategy.is_none() {
-                base_epoch_s = epoch_s;
+                (nodes0, edges0, base_epoch_s) = (nodes, edges, epoch_s);
+                println!("\n{name}: {} samples, {nodes0} nodes, {edges0} edges", reduced.len());
+                println!(
+                    "| corpus | reduce | nodes removed | edges removed | epoch s | speedup | accuracy | macro-F1 |"
+                );
+                println!("|---|---|---|---|---|---|---|---|");
             }
             let cv = run_cv(&reduced, &best_params(which), args.epochs, args.folds, args.seed);
             let accuracy = cv.confusion.accuracy();

@@ -13,7 +13,7 @@
 use magic_baselines::WlKernelKnn;
 use magic_bench::experiments::{best_params, run_cv, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_yancfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_data::stratified_kfold;
 use magic_metrics::ConfusionMatrix;
 use magic_model::Dgcnn;
@@ -26,7 +26,7 @@ fn main() {
         "=== Extension: DGCNN vs WL-kernel k-NN (YANCFG, scale {}) ===",
         args.scale
     );
-    let corpus = prepare_yancfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Yancfg);
     println!("corpus: {} samples\n", corpus.len());
 
     // --- classification quality, same folds ------------------------------

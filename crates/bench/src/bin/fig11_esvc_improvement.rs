@@ -8,7 +8,7 @@
 
 use magic_bench::experiments::{best_params, run_cv, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_yancfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_baselines::{Classifier, FeatureVector, LinearSvmEnsemble};
 use magic_data::stratified_kfold;
 use magic_metrics::{ConfusionMatrix, ScoreReport};
@@ -20,7 +20,7 @@ fn main() {
         "=== Fig. 11: MAGIC vs ESVC on YANCFG (scale {}, {} epochs, {}-fold CV) ===",
         args.scale, args.epochs, args.folds
     );
-    let corpus = prepare_yancfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Yancfg);
     println!("corpus: {} samples, 13 families\n", corpus.len());
 
     // MAGIC.

@@ -5,7 +5,8 @@
 //! distributions over a generated MSKCFG-like corpus slice.
 
 use magic::pipeline::extract_acfg;
-use magic_bench::{prepare_mskcfg, RunArgs};
+use magic_bench::experiments::Corpus;
+use magic_bench::RunArgs;
 use magic_graph::Attribute;
 use magic_json::json;
 
@@ -54,7 +55,7 @@ fn main() {
     }
 
     println!("\n--- attribute means over a generated MSKCFG-like slice ---");
-    let corpus = prepare_mskcfg(args.seed, args.scale.min(0.01));
+    let corpus = RunArgs { scale: args.scale.min(0.01), ..args.clone() }.corpus(Corpus::Mskcfg);
     let mut sums = vec![0.0f64; Attribute::ALL.len()];
     let mut vertices = 0usize;
     for acfg in &corpus.acfgs {

@@ -6,11 +6,13 @@
 //! settings) is swept; `--full` runs all 208 settings of the paper.
 
 use magic::tuning::{GridSearch, HyperParams};
+use magic::LoadedCorpus;
+use magic_bench::experiments::{best_params, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_mskcfg, prepare_yancfg, PreparedCorpus, RunArgs};
+use magic_bench::RunArgs;
 use magic_json::json;
 
-fn sweep(name: &str, corpus: &PreparedCorpus, args: &RunArgs) -> Vec<magic_json::Value> {
+fn sweep(name: &str, corpus: &LoadedCorpus, args: &RunArgs) -> Vec<magic_json::Value> {
     let grid = if args.full {
         HyperParams::full_grid()
     } else {
@@ -66,18 +68,14 @@ fn main() {
         if args.full { "FULL grid" } else { "reduced grid (pass --full for all 208)" }
     );
 
-    let msk = prepare_mskcfg(args.seed, args.scale);
+    let msk = args.corpus(Corpus::Mskcfg);
     let msk_results = sweep("MSKCFG", &msk, &args);
 
-    let yan = prepare_yancfg(args.seed, args.scale);
+    let yan = args.corpus(Corpus::Yancfg);
     let yan_results = sweep("YANCFG", &yan, &args);
 
-    println!(
-        "\npaper best models: MSKCFG = adaptive, ratio 0.64, (128,64,32,32), 16ch, drop 0.1, batch 10, l2 1e-4"
-    );
-    println!(
-        "                   YANCFG = adaptive, ratio 0.2, (32,32,32,32), 16ch, drop 0.5, batch 40, l2 5e-4"
-    );
+    println!("\npaper best models: MSKCFG = {}", best_params(Corpus::Mskcfg));
+    println!("                   YANCFG = {}", best_params(Corpus::Yancfg));
 
     write_result(
         "table2_hyperparams",

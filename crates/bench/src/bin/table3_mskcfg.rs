@@ -6,7 +6,7 @@
 
 use magic_bench::experiments::{best_params, run_cv, Corpus};
 use magic_bench::results::{bar, report_to_json, write_result};
-use magic_bench::{prepare_mskcfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_json::json;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
         "=== Table III / Fig. 9: MAGIC on MSKCFG (scale {}, {} epochs, {}-fold CV) ===",
         args.scale, args.epochs, args.folds
     );
-    let corpus = prepare_mskcfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Mskcfg);
     println!("corpus: {} samples, 9 families", corpus.len());
 
     let params = best_params(Corpus::Mskcfg);

@@ -12,7 +12,7 @@ use magic_bench::experiments::{
     best_params, run_cv, run_feature_baselines, run_sequence_baseline, Corpus,
 };
 use magic_bench::results::write_result;
-use magic_bench::{prepare_mskcfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_json::json;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         "=== Table IV: method comparison on MSKCFG (scale {}, {} epochs, {}-fold CV) ===",
         args.scale, args.epochs, args.folds
     );
-    let corpus = prepare_mskcfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Mskcfg);
     println!("corpus: {} samples, 9 families\n", corpus.len());
 
     let mut rows: Vec<(String, f64, f64)> = Vec::new();

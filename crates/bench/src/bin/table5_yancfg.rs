@@ -7,7 +7,7 @@
 
 use magic_bench::experiments::{best_params, run_cv, Corpus};
 use magic_bench::results::{bar, report_to_json, write_result};
-use magic_bench::{prepare_yancfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_json::json;
 
 /// Table V of the paper, for side-by-side printing.
@@ -33,7 +33,7 @@ fn main() {
         "=== Table V / Fig. 10: MAGIC on YANCFG (scale {}, {} epochs, {}-fold CV) ===",
         args.scale, args.epochs, args.folds
     );
-    let corpus = prepare_yancfg(args.seed, args.scale);
+    let corpus = args.corpus(Corpus::Yancfg);
     println!("corpus: {} samples, 13 families", corpus.len());
 
     let params = best_params(Corpus::Yancfg);

@@ -11,7 +11,7 @@ use magic::pipeline::extract_acfg;
 use magic::trainer::{TrainConfig, Trainer};
 use magic_bench::experiments::{best_params, Corpus};
 use magic_bench::results::write_result;
-use magic_bench::{prepare_mskcfg, RunArgs};
+use magic_bench::RunArgs;
 use magic_model::Dgcnn;
 use magic_synth::MskcfgGenerator;
 use magic_json::json;
@@ -51,7 +51,7 @@ fn main() {
     println!("  (paper: ~5800 ms/sample on their corpus of far larger real binaries)");
 
     // 2. Training time per instance (forward + backward + update share).
-    let corpus = prepare_mskcfg(args.seed, args.scale.min(0.01));
+    let corpus = RunArgs { scale: args.scale.min(0.01), ..args.clone() }.corpus(Corpus::Mskcfg);
     let params = best_params(Corpus::Mskcfg);
     let model_config = params.to_model_config(corpus.class_names.len(), &corpus.graph_sizes());
     let train_config = TrainConfig {

@@ -1,8 +1,8 @@
 //! Shared experiment runners behind the per-table binaries.
 
-use crate::corpus::PreparedCorpus;
+use magic::corpus_cache::LoadedCorpus;
 use magic::cv::{cross_validate, CvOutcome};
-use magic::tuning::{HeadKind, HyperParams};
+use magic::tuning::HyperParams;
 use magic_baselines::{
     Classifier, FeatureVector, GradientBoosting, LinearSvmEnsemble, RandomForest,
     SequenceClassifier,
@@ -10,49 +10,14 @@ use magic_baselines::{
 use magic_data::stratified_kfold;
 use magic_metrics::{mean_log_loss, ConfusionMatrix, ScoreReport};
 
-/// Which of the paper's two datasets an experiment targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corpus {
-    /// The Microsoft challenge corpus (Fig. 7).
-    Mskcfg,
-    /// The YANCFG corpus (Fig. 8).
-    Yancfg,
-}
+/// The corpus kind under the name the experiment binaries use.
+pub use magic::corpus_cache::CorpusKind as Corpus;
+/// The Table II best models, defined in [`magic::tuning`].
+pub use magic::tuning::best_params;
 
-/// The best-model hyperparameters that Table II reports per dataset.
-pub fn best_params(corpus: Corpus) -> HyperParams {
-    let mut params = HyperParams::paper_default();
-    match corpus {
-        // Table II "Best Model for MSKCFG": adaptive pooling, ratio 0.64,
-        // (128,64,32,32), 16 Conv2D channels, dropout 0.1, batch 10,
-        // L2 1e-4.
-        Corpus::Mskcfg => {
-            params.head = HeadKind::Adaptive;
-            params.pooling_ratio = 0.64;
-            params.conv_sizes = vec![128, 64, 32, 32];
-            params.conv2d_channels = 16;
-            params.dropout = 0.1;
-            params.batch_size = 10;
-            params.weight_decay = 1e-4;
-        }
-        // Table II "Best Model for YANCFG": adaptive pooling, ratio 0.2,
-        // (32,32,32,32), 16 channels, dropout 0.5, batch 40, L2 5e-4.
-        Corpus::Yancfg => {
-            params.head = HeadKind::Adaptive;
-            params.pooling_ratio = 0.2;
-            params.conv_sizes = vec![32, 32, 32, 32];
-            params.conv2d_channels = 16;
-            params.dropout = 0.5;
-            params.batch_size = 40;
-            params.weight_decay = 5e-4;
-        }
-    }
-    params
-}
-
-/// Cross-validates a hyperparameter setting on a prepared corpus.
+/// Cross-validates a hyperparameter setting on a corpus.
 pub fn run_cv(
-    corpus: &PreparedCorpus,
+    corpus: &LoadedCorpus,
     params: &HyperParams,
     epochs: usize,
     folds: usize,
@@ -78,7 +43,11 @@ pub struct BaselineResult {
 
 /// The feature-vector baselines compared in Table IV, cross-validated on
 /// the same stratified folds the DGCNN uses.
-pub fn run_feature_baselines(corpus: &PreparedCorpus, folds: usize, seed: u64) -> Vec<BaselineResult> {
+pub fn run_feature_baselines(
+    corpus: &LoadedCorpus,
+    folds: usize,
+    seed: u64,
+) -> Vec<BaselineResult> {
     let num_classes = corpus.class_names.len();
     let rich: Vec<Vec<f64>> = corpus.acfgs.iter().map(|a| FeatureVector::Rich.extract(a)).collect();
     let basic: Vec<Vec<f64>> = corpus.acfgs.iter().map(|a| FeatureVector::Basic.extract(a)).collect();
@@ -132,7 +101,7 @@ pub fn run_feature_baselines(corpus: &PreparedCorpus, folds: usize, seed: u64) -
 }
 
 /// The Strand-like sequence classifier, which consumes ACFGs directly.
-pub fn run_sequence_baseline(corpus: &PreparedCorpus, folds: usize, seed: u64) -> BaselineResult {
+pub fn run_sequence_baseline(corpus: &LoadedCorpus, folds: usize, seed: u64) -> BaselineResult {
     let num_classes = corpus.class_names.len();
     let splits = stratified_kfold(&corpus.labels, folds, seed);
     let mut confusion = ConfusionMatrix::new(num_classes);
@@ -173,25 +142,12 @@ fn argmax(p: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::prepare_yancfg;
-
-    #[test]
-    fn best_params_differ_per_dataset_as_in_table2() {
-        let m = best_params(Corpus::Mskcfg);
-        let y = best_params(Corpus::Yancfg);
-        assert_eq!(m.head, HeadKind::Adaptive);
-        assert_eq!(y.head, HeadKind::Adaptive);
-        assert_eq!(m.pooling_ratio, 0.64);
-        assert_eq!(y.pooling_ratio, 0.2);
-        assert_eq!(m.conv_sizes, vec![128, 64, 32, 32]);
-        assert_eq!(y.conv_sizes, vec![32, 32, 32, 32]);
-        assert_eq!(y.dropout, 0.5);
-        assert_eq!(y.batch_size, 40);
-    }
+    use magic_graph::ReduceStrategy;
 
     #[test]
     fn baselines_run_end_to_end_on_tiny_corpus() {
-        let mut corpus = prepare_yancfg(5, 0.001);
+        let mut corpus =
+            magic::generate_corpus(Corpus::Yancfg, 5, 0.001, ReduceStrategy::None, 0).unwrap();
         // Keep debug-mode runtime down: truncate to 4 samples per family.
         let mut keep = Vec::new();
         let mut counts = vec![0usize; corpus.class_names.len()];

@@ -2,18 +2,18 @@
 //!
 //! Every table and figure of the paper's evaluation (Section V) has a
 //! binary in `src/bin/` that regenerates it; this library holds the
-//! shared plumbing: corpus preparation (synthetic MSKCFG/YANCFG through
-//! the real extraction pipeline), the experiment runners, and result
-//! persistence under `results/`.
+//! shared plumbing: the experiment runners and result persistence under
+//! `results/`. Corpora come from [`magic::generate_corpus`], the one
+//! parallel listing → ACFG → model-input recipe.
 //!
 //! Default corpus scales are sized for a CPU laptop; pass `--scale` /
 //! `--epochs` / `--folds` to any binary to change them.
 
 pub mod args;
-pub mod corpus;
+#[cfg(test)]
+mod corpus;
 pub mod diff;
 pub mod experiments;
 pub mod results;
 
 pub use args::RunArgs;
-pub use corpus::{prepare_mskcfg, prepare_yancfg, PreparedCorpus};

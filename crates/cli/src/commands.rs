@@ -6,12 +6,11 @@ use crate::checkpoint_file::{deserialize_model, serialize_model, ModelHeader};
 use magic::corpus_cache::{self, CacheSpec, CorpusKind, DEFAULT_SHARDS};
 use magic::pipeline::{extract_acfg, parse_program, MagicPipeline};
 use magic::trainer::{TrainConfig, TrainOutcome, Trainer};
-use magic::tuning::{HeadKind, HyperParams};
+use magic::tuning::best_params;
 use magic_data::{stratified_kfold, CacheError, StreamedCorpus};
 use magic_graph::{GraphStats, ReduceStrategy, SizeHistogram};
 use magic_model::{Dgcnn, GraphInput};
 use magic_obs::{report::TraceSummary, JsonlRecorder};
-use magic_synth::{MskcfgGenerator, YancfgGenerator, MSKCFG_FAMILIES, YANCFG_FAMILIES};
 
 /// Parses the argument list and runs the matching subcommand.
 ///
@@ -70,18 +69,14 @@ magic — DGCNN malware classification over control flow graphs
 
 USAGE:
     magic extract <listing.asm> [--dot]
-    magic extract --corpus <mskcfg|yancfg> --cache-dir <dir> [--seed S]
-                [--scale S] [--reduce R] [--shards N] [--workers N] [--force]
-                (corpus mode: extract the whole synthetic corpus into a
-                 magic-acfg/1 shard cache — same as `magic cache build`;
-                 prints a node/edge decile histogram of what was cached)
     magic cache build --corpus <mskcfg|yancfg> --cache-dir <dir> [--seed S]
                 [--scale S] [--reduce R] [--shards N] [--workers N] [--force]
                 (shard generation + extraction across workers and write
                  binary ACFG shards keyed by the (corpus, seed, scale,
                  reduce) fingerprint; a rerun with a matching fingerprint
                  is a no-op. Shards store *reduced* graphs, so a cache
-                 built under one --reduce never serves another. Format
+                 built under one --reduce never serves another. Prints a
+                 node/edge decile histogram of what was cached. Format
                  spec: DESIGN.md)
     magic cache info --cache-dir <dir> [--corpus C [--seed S] [--scale S]
                 [--reduce R]]
@@ -196,13 +191,8 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
 
 fn cmd_extract(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    // Corpus mode: extract the whole synthetic corpus into a shard
-    // cache instead of one listing — equivalent to `magic cache build`.
-    if args.iter().any(|a| a == "--corpus") {
-        return cmd_cache_build(&args);
-    }
     let dot = take_switch(&mut args, "--dot");
-    let path = args.first().ok_or("extract requires a listing path or --corpus")?;
+    let path = args.first().ok_or("extract requires a listing path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
 
     if dot {
@@ -375,60 +365,6 @@ impl TrainKnobs {
     }
 }
 
-/// Model inputs, labels, and family names of a generated corpus.
-type CorpusData = (Vec<GraphInput>, Vec<usize>, Vec<String>);
-
-/// Generates a synthetic corpus and runs it through the real extraction
-/// pipeline (and the chosen reduction), yielding model inputs, labels,
-/// and family names.
-fn build_corpus(
-    corpus: &str,
-    seed: u64,
-    scale: f64,
-    reduce: ReduceStrategy,
-) -> Result<CorpusData, String> {
-    let input_for = |acfg: &magic_graph::Acfg| {
-        if reduce.is_none() {
-            GraphInput::from_acfg(acfg)
-        } else {
-            GraphInput::from_acfg(&reduce.apply(acfg))
-        }
-    };
-    match corpus {
-        "mskcfg" => {
-            let samples = {
-                let _span = magic_obs::span(magic_obs::stage::CORPUS_GENERATE);
-                MskcfgGenerator::new(seed, scale).generate()
-            };
-            let _span = magic_obs::span_fields(
-                magic_obs::stage::CORPUS_EXTRACT,
-                &[("listings", samples.len() as f64)],
-            );
-            let mut inputs = Vec::with_capacity(samples.len());
-            for s in &samples {
-                let acfg = extract_acfg(&s.listing).map_err(|e| e.to_string())?;
-                inputs.push(input_for(&acfg));
-            }
-            let labels = samples.iter().map(|s| s.label).collect();
-            Ok((inputs, labels, MSKCFG_FAMILIES.iter().map(|s| s.to_string()).collect()))
-        }
-        "yancfg" => {
-            let samples = {
-                let _span = magic_obs::span(magic_obs::stage::CORPUS_GENERATE);
-                YancfgGenerator::new(seed, scale).generate()
-            };
-            let _span = magic_obs::span_fields(
-                magic_obs::stage::CORPUS_EXTRACT,
-                &[("listings", samples.len() as f64)],
-            );
-            let inputs = samples.iter().map(|s| input_for(&s.acfg)).collect();
-            let labels = samples.iter().map(|s| s.label).collect();
-            Ok((inputs, labels, YANCFG_FAMILIES.iter().map(|s| s.to_string()).collect()))
-        }
-        other => Err(format!("unknown corpus {other:?} (mskcfg|yancfg)")),
-    }
-}
-
 /// Where training samples come from: decoded in RAM, or streamed from
 /// shard files with background prefetch.
 enum CorpusSource {
@@ -443,9 +379,10 @@ fn run_training(
     corpus: &str,
     knobs: &TrainKnobs,
 ) -> Result<(Dgcnn, ModelHeader, TrainOutcome), String> {
+    let corpus = CorpusKind::parse(corpus)?;
     let (source, labels, families) = if let Some(dir) = &knobs.cache_dir {
         let spec = CacheSpec {
-            corpus: CorpusKind::parse(corpus)?,
+            corpus,
             seed: knobs.seed,
             scale: knobs.scale,
             reduce: knobs.reduce,
@@ -481,9 +418,15 @@ fn run_training(
         if knobs.stream {
             return Err("--cache stream requires --cache-dir".into());
         }
-        let (inputs, labels, families) =
-            build_corpus(corpus, knobs.seed, knobs.scale, knobs.reduce)?;
-        (CorpusSource::Ram(inputs), labels, families)
+        let built = corpus_cache::generate(
+            corpus,
+            knobs.seed,
+            knobs.scale,
+            knobs.reduce,
+            knobs.train_workers,
+        )
+        .map_err(|e| e.to_string())?;
+        (CorpusSource::Ram(built.inputs), built.labels, built.class_names)
     };
     magic_obs::log(
         magic_obs::Level::Info,
@@ -495,18 +438,7 @@ fn run_training(
         ),
     );
 
-    // The Table II best architecture for the chosen corpus.
-    let mut params = HyperParams::paper_default();
-    params.head = HeadKind::Adaptive;
-    if corpus == "mskcfg" {
-        params.pooling_ratio = 0.64;
-        params.conv_sizes = vec![128, 64, 32, 32];
-    } else {
-        params.pooling_ratio = 0.2;
-        params.dropout = 0.5;
-        params.batch_size = 40;
-        params.weight_decay = 5e-4;
-    }
+    let params = best_params(corpus);
     let graph_sizes: Vec<usize> = match &source {
         CorpusSource::Ram(inputs) => inputs.iter().map(GraphInput::vertex_count).collect(),
         CorpusSource::Stream(streamed) => streamed.vertex_counts().to_vec(),
@@ -517,14 +449,8 @@ fn run_training(
     let folds = stratified_kfold(&labels, 5, knobs.seed);
     let split = &folds[0];
     let trainer = Trainer::new(TrainConfig {
-        epochs: knobs.epochs,
-        batch_size: params.batch_size,
-        weight_decay: params.weight_decay,
-        learning_rate: 5e-3,
-        lr_patience: 5,
-        seed: knobs.seed,
         train_workers: knobs.train_workers,
-        ..TrainConfig::default()
+        ..params.to_train_config(knobs.epochs, knobs.seed)
     });
     magic_obs::log(
         magic_obs::Level::Info,
@@ -554,7 +480,7 @@ fn run_training(
         ),
     );
     let header = ModelHeader {
-        corpus: corpus.to_string(),
+        corpus: corpus.name().to_string(),
         families,
         params,
         graph_sizes,

@@ -1,20 +1,22 @@
-//! Sharded binary ACFG corpus cache: parallel build, no-op reruns, and
-//! RAM/streaming load paths.
+//! The one corpus recipe — `(corpus, seed, scale, reduce)` to model
+//! inputs — plus the sharded binary ACFG cache that stores its output:
+//! parallel build, no-op reruns, and RAM/streaming load paths.
 //!
-//! The synthetic corpora are deterministic functions of `(generator,
-//! seed, scale)`, but regenerating them — listing synthesis plus the
-//! parse → CFG → ACFG front half — dominates short experiment loops.
-//! This module materializes a corpus once into `magic-acfg/1` shards
-//! (see [`magic_data::cache`]) keyed by the configuration fingerprint,
-//! so every later `train`/`profile`/`bench` run starts from decoded
-//! graphs instead of re-running extraction.
+//! [`generate`] is the recipe: the generator's serial
+//! [`plan`](magic_synth::MskcfgGenerator::plan), then render → parse →
+//! CFG → ACFG → reduce per sample across worker lanes. Everything that
+//! trains or evaluates on a synthetic corpus (the CLI, the experiment
+//! binaries, the examples) calls it. Regenerating a corpus dominates
+//! short experiment loops, so [`build`] runs the same render path once
+//! and writes its records into `magic-acfg/1` shards (see
+//! [`magic_data::cache`]) keyed by the configuration fingerprint; later
+//! `train`/`profile`/`bench` runs start from decoded graphs instead.
 //!
-//! Determinism contract: shards store raw (unscaled) Table I attribute
-//! counts in sample order, exactly as `generate()` would have produced
-//! them. [`build`] renders samples in parallel from the generator's
-//! serial [`plan`](magic_synth::MskcfgGenerator::plan), so the cached
-//! corpus is bitwise identical to the in-memory corpus regardless of
-//! worker count, and a rerun with a matching fingerprint is a no-op.
+//! Determinism contract: samples come out in `generate()` order with
+//! raw (unscaled) Table I attribute counts, bitwise identical to the
+//! generator's own serial `generate()` → extract → reduce chain for any
+//! worker count, so the cached corpus equals the in-memory one and a
+//! rerun with a matching fingerprint is a no-op.
 
 use crate::executor::Lanes;
 use crate::pipeline::extract_acfg;
@@ -115,7 +117,8 @@ pub struct BuildOutcome {
     pub bytes: u64,
 }
 
-/// A corpus fully decoded into RAM, ready for the in-memory trainer.
+/// A corpus fully in RAM, ready for the in-memory trainer: what
+/// [`generate`] builds and [`load`] decodes.
 #[derive(Debug)]
 pub struct LoadedCorpus {
     /// Raw-attribute ACFGs in canonical sample order.
@@ -128,40 +131,112 @@ pub struct LoadedCorpus {
     pub class_names: Vec<String>,
 }
 
-/// Renders every sample of `spec`'s corpus in parallel (including
-/// `spec.reduce` reduction — shards store reduced graphs) and returns
-/// the records in canonical (`generate()`) order.
-fn render_records(spec: &CacheSpec, workers: usize) -> Result<Vec<ShardRecord>, CacheError> {
-    let lanes = Lanes::new(workers);
-    let reduce = spec.reduce;
-    match spec.corpus {
+impl LoadedCorpus {
+    fn with_capacity(samples: usize, class_names: Vec<String>) -> Self {
+        LoadedCorpus {
+            acfgs: Vec::with_capacity(samples),
+            inputs: Vec::with_capacity(samples),
+            labels: Vec::with_capacity(samples),
+            class_names,
+        }
+    }
+
+    /// Appends `records`, building their [`GraphInput`]s across `lanes`
+    /// (the CSR/feature build is the compute-heavy part).
+    fn extend(&mut self, records: Vec<ShardRecord>, lanes: &Lanes) {
+        let inputs = lanes.run(records.len(), |_worker, i| records[i].to_graph_input());
+        for (record, input) in records.into_iter().zip(inputs) {
+            self.labels.push(record.label);
+            self.acfgs.push(record.acfg);
+            self.inputs.push(input);
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Whether the corpus holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Vertex count of every model input, used to resolve pooling ratios.
+    pub fn graph_sizes(&self) -> Vec<usize> {
+        self.inputs.iter().map(GraphInput::vertex_count).collect()
+    }
+}
+
+/// Renders every sample of a corpus across `lanes` — the generator's
+/// serial plan, then render → extract → `reduce` per sample — and
+/// returns the records in canonical (`generate()`) order.
+fn render_records(
+    corpus: CorpusKind,
+    seed: u64,
+    scale: f64,
+    reduce: ReduceStrategy,
+    lanes: &Lanes,
+) -> Result<Vec<ShardRecord>, CacheError> {
+    let _span = magic_obs::span(magic_obs::stage::CORPUS_GENERATE);
+    let reduced = |acfg: Acfg| if reduce.is_none() { acfg } else { reduce.apply(&acfg) };
+    let extract_span = |samples: usize| {
+        magic_obs::span_fields(
+            magic_obs::stage::CORPUS_EXTRACT,
+            &[("samples", samples as f64), ("workers", lanes.workers() as f64)],
+        )
+    };
+    let rendered = match corpus {
         CorpusKind::Mskcfg => {
-            let mut generator = MskcfgGenerator::new(spec.seed, spec.scale);
+            let mut generator = MskcfgGenerator::new(seed, scale);
             let plan = generator.plan();
             let profiles = generator.profiles();
-            let rendered = lanes.run(plan.len(), |_worker, i| {
+            let _span = extract_span(plan.len());
+            lanes.run(plan.len(), |_worker, i| {
                 let (label, mut rng) = plan[i].clone();
                 let sample = MskcfgGenerator::render(profiles, label, &mut rng);
                 extract_acfg(&sample.listing)
-                    .map(|acfg| ShardRecord { label, acfg: reduce.apply(&acfg) })
+                    .map(|acfg| ShardRecord { label, acfg: reduced(acfg) })
                     .map_err(|e| format!("sample {i}: {e}"))
-            });
-            rendered
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(CacheError::Corrupt)
+            })
         }
         CorpusKind::Yancfg => {
-            let mut generator = YancfgGenerator::new(spec.seed, spec.scale);
+            let mut generator = YancfgGenerator::new(seed, scale);
             let plan = generator.plan();
             let profiles = generator.profiles();
-            Ok(lanes.run(plan.len(), |_worker, i| {
+            let _span = extract_span(plan.len());
+            lanes.run(plan.len(), |_worker, i| {
                 let (label, mut rng) = plan[i].clone();
                 let sample = YancfgGenerator::render(profiles, label, &mut rng);
-                ShardRecord { label, acfg: reduce.apply(&sample.acfg) }
-            }))
+                Ok(ShardRecord { label, acfg: reduced(sample.acfg) })
+            })
         }
-    }
+    };
+    rendered.into_iter().collect::<Result<_, _>>().map_err(CacheError::Corrupt)
+}
+
+/// Builds `corpus` at `seed`/`scale` in RAM, every graph reduced by
+/// `reduce`, across `workers` lanes (0 = all cores): the render path
+/// [`build`] writes to shards, plus each sample's [`GraphInput`]. The
+/// result is bitwise what [`load`] returns from a cache built from the
+/// same inputs, and the same for any worker count.
+///
+/// # Errors
+///
+/// Returns [`CacheError::Corrupt`] if a generated listing fails
+/// extraction (which would indicate a generator bug).
+pub fn generate(
+    corpus: CorpusKind,
+    seed: u64,
+    scale: f64,
+    reduce: ReduceStrategy,
+    workers: usize,
+) -> Result<LoadedCorpus, CacheError> {
+    let lanes = Lanes::new(workers);
+    let records = render_records(corpus, seed, scale, reduce, &lanes)?;
+    let mut loaded = LoadedCorpus::with_capacity(records.len(), corpus.class_names());
+    loaded.extend(records, &lanes);
+    Ok(loaded)
 }
 
 /// Splits `n` samples into `shards` contiguous chunks whose sizes differ
@@ -197,7 +272,8 @@ pub fn build(dir: &Path, spec: &CacheSpec, workers: usize, force: bool) -> Resul
     }
     std::fs::create_dir_all(dir)?;
 
-    let records = render_records(spec, workers)?;
+    let lanes = Lanes::new(workers);
+    let records = render_records(spec.corpus, spec.seed, spec.scale, spec.reduce, &lanes)?;
     let sizes = shard_sizes(records.len(), spec.shards);
     let _span = magic_obs::span_fields(
         magic_obs::stage::CACHE_BUILD,
@@ -246,23 +322,13 @@ pub fn load(
 ) -> Result<LoadedCorpus, CacheError> {
     let (manifest, stream) = ShardStream::open(dir, expected_fingerprint)?;
     let lanes = Lanes::new(workers);
-    let mut acfgs = Vec::with_capacity(manifest.samples);
-    let mut inputs = Vec::with_capacity(manifest.samples);
-    let mut labels = Vec::with_capacity(manifest.samples);
+    let mut loaded = LoadedCorpus::with_capacity(manifest.samples, manifest.class_names);
+    // Each shard's inputs build across the lanes while the prefetch
+    // thread decodes the next shard.
     for shard in stream {
-        let shard = shard?;
-        // The CSR/feature build is the compute-heavy part of loading;
-        // run it across workers while the prefetch thread decodes the
-        // next shard.
-        let shard_inputs =
-            lanes.run(shard.records.len(), |_worker, i| shard.records[i].to_graph_input());
-        for (record, input) in shard.records.into_iter().zip(shard_inputs) {
-            labels.push(record.label);
-            acfgs.push(record.acfg);
-            inputs.push(input);
-        }
+        loaded.extend(shard?.records, &lanes);
     }
-    Ok(LoadedCorpus { acfgs, inputs, labels, class_names: manifest.class_names })
+    Ok(loaded)
 }
 
 /// Opens a cache for shard-at-a-time streaming (random access by global
@@ -291,6 +357,50 @@ mod tests {
 
     fn tiny_spec(corpus: CorpusKind) -> CacheSpec {
         CacheSpec { corpus, seed: 7, scale: 0.002, reduce: ReduceStrategy::None, shards: 3 }
+    }
+
+    /// Asserts `built` holds exactly `serial`'s `(label, acfg)` pairs,
+    /// bit for bit, with matching model inputs and every family named.
+    fn assert_matches(built: &LoadedCorpus, serial: &[(usize, Acfg)], families: usize) {
+        assert_eq!(built.class_names.len(), families);
+        assert_eq!(built.labels, serial.iter().map(|(label, _)| *label).collect::<Vec<_>>());
+        assert_eq!(built.len(), built.inputs.len());
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ((acfg, input), (_, fresh)) in built.acfgs.iter().zip(&built.inputs).zip(serial) {
+            assert_eq!(acfg.graph(), fresh.graph());
+            assert_eq!(bits(acfg.attributes().as_slice()), bits(fresh.attributes().as_slice()));
+            let expected = GraphInput::from_acfg(fresh);
+            assert_eq!(bits(input.attributes().as_slice()), bits(expected.attributes().as_slice()));
+        }
+    }
+
+    #[test]
+    fn generate_matches_the_serial_chain_on_any_lane_count() {
+        for reduce in [ReduceStrategy::None, ReduceStrategy::Coarsen { rounds: 2 }] {
+            let serial: Vec<(usize, Acfg)> = MskcfgGenerator::new(3, 0.002)
+                .generate()
+                .iter()
+                .map(|s| (s.label, reduce.apply(&extract_acfg(&s.listing).unwrap())))
+                .collect();
+            for workers in [1, 3] {
+                let built = generate(CorpusKind::Mskcfg, 3, 0.002, reduce, workers).unwrap();
+                assert_matches(&built, &serial, MSKCFG_FAMILIES.len());
+            }
+
+            let serial: Vec<(usize, Acfg)> = YancfgGenerator::new(3, 0.001)
+                .generate()
+                .iter()
+                .map(|s| (s.label, reduce.apply(&s.acfg)))
+                .collect();
+            for workers in [1, 3] {
+                let built = generate(CorpusKind::Yancfg, 3, 0.001, reduce, workers).unwrap();
+                assert_matches(&built, &serial, YANCFG_FAMILIES.len());
+                // The min-10 rule keeps every family in even a tiny corpus.
+                let mut seen = vec![false; YANCFG_FAMILIES.len()];
+                built.labels.iter().for_each(|&l| seen[l] = true);
+                assert!(seen.iter().all(|&s| s), "a yancfg family is missing");
+            }
+        }
     }
 
     #[test]

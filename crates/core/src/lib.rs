@@ -46,11 +46,11 @@ pub mod trainer;
 pub mod tuning;
 
 pub use corpus_cache::{
-    build as build_cache, load as load_cache, open_streaming, BuildOutcome, CacheSpec,
-    CorpusKind, LoadedCorpus, DEFAULT_SHARDS,
+    build as build_cache, generate as generate_corpus, load as load_cache, open_streaming,
+    BuildOutcome, CacheSpec, CorpusKind, LoadedCorpus, DEFAULT_SHARDS,
 };
 pub use cv::{cross_validate, CvOutcome};
 pub use executor::{workers_per_concurrent_run, Lanes};
 pub use pipeline::{extract_acfg, extract_acfgs_parallel, MagicPipeline, PipelineError};
 pub use trainer::{evaluate_with, EpochStats, TrainConfig, Trainer, TrainOutcome};
-pub use tuning::{GridSearch, HeadKind, HyperParams, SearchOutcome};
+pub use tuning::{best_params, GridSearch, HeadKind, HyperParams, SearchOutcome};

@@ -7,6 +7,7 @@
 //! [`HyperParams::reduced_grid`] is a CPU-sized subset for the shipped
 //! benches.
 
+use crate::corpus_cache::CorpusKind;
 use crate::cv::{cross_validate, CvOutcome};
 use crate::trainer::TrainConfig;
 use magic_model::{DgcnnConfig, GraphInput, PoolingHead};
@@ -226,6 +227,37 @@ impl HyperParams {
     }
 }
 
+/// The best model Table II reports for each dataset: adaptive pooling
+/// with 16 Conv2D channels on both.
+///
+/// * MSKCFG: ratio 0.64, `(128,64,32,32)`, dropout 0.1, batch 10, L2
+///   1e-4.
+/// * YANCFG: ratio 0.2, `(32,32,32,32)`, dropout 0.5, batch 40, L2
+///   5e-4.
+pub fn best_params(corpus: CorpusKind) -> HyperParams {
+    let base = HyperParams { head: HeadKind::Adaptive, ..HyperParams::paper_default() };
+    match corpus {
+        CorpusKind::Mskcfg => HyperParams {
+            pooling_ratio: 0.64,
+            conv_sizes: vec![128, 64, 32, 32],
+            conv2d_channels: 16,
+            dropout: 0.1,
+            batch_size: 10,
+            weight_decay: 1e-4,
+            ..base
+        },
+        CorpusKind::Yancfg => HyperParams {
+            pooling_ratio: 0.2,
+            conv_sizes: vec![32, 32, 32, 32],
+            conv2d_channels: 16,
+            dropout: 0.5,
+            batch_size: 40,
+            weight_decay: 5e-4,
+            ..base
+        },
+    }
+}
+
 /// The result of evaluating one grid point.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -372,6 +404,20 @@ mod tests {
         assert_eq!(progress_calls, 2);
         assert_eq!(ranked.len(), 2);
         assert!(ranked[0].cv.mean_val_loss <= ranked[1].cv.mean_val_loss);
+    }
+
+    #[test]
+    fn best_params_differ_per_dataset_as_in_table2() {
+        let m = best_params(CorpusKind::Mskcfg);
+        let y = best_params(CorpusKind::Yancfg);
+        assert_eq!(m.head, HeadKind::Adaptive);
+        assert_eq!(y.head, HeadKind::Adaptive);
+        assert_eq!(m.pooling_ratio, 0.64);
+        assert_eq!(y.pooling_ratio, 0.2);
+        assert_eq!(m.conv_sizes, vec![128, 64, 32, 32]);
+        assert_eq!(y.conv_sizes, vec![32, 32, 32, 32]);
+        assert_eq!(y.dropout, 0.5);
+        assert_eq!(y.batch_size, 40);
     }
 
     #[test]

@@ -397,6 +397,34 @@ impl Event {
     }
 }
 
+/// Decodes a JSONL trace or access log with the damage tolerance every
+/// reader shares: blank lines are ignored, an event type this reader
+/// does not know is skipped anywhere (a newer writer's addition), and an
+/// undecodable final line is skipped (the truncated tail of a killed
+/// run). Returns the events in order and the number of skipped lines.
+///
+/// # Errors
+///
+/// Returns `"line N: <why>"` for the first other malformed line —
+/// including any line with an unsupported schema version, which signals
+/// a reader too old for the whole file.
+pub fn read_events<'a>(lines: impl Iterator<Item = &'a str>) -> Result<(Vec<Event>, u64), String> {
+    let numbered: Vec<(usize, &str)> =
+        lines.enumerate().filter(|(_, line)| !line.trim().is_empty()).collect();
+    let last = numbered.len().saturating_sub(1);
+    let mut events = Vec::with_capacity(numbered.len());
+    let mut malformed = 0;
+    for (pos, &(lineno, line)) in numbered.iter().enumerate() {
+        match Event::from_jsonl_line_lenient(line) {
+            Ok(Some(event)) => events.push(event),
+            Ok(None) => malformed += 1,
+            Err(_) if pos == last => malformed += 1,
+            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
+        }
+    }
+    Ok((events, malformed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

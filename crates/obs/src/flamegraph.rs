@@ -14,7 +14,7 @@
 //! Lines are merged by path and emitted in lexicographic order, so the
 //! output is deterministic and diff-friendly.
 
-use crate::event::Event;
+use crate::event::{read_events, Event};
 use crate::stage;
 use std::collections::HashMap;
 
@@ -112,10 +112,10 @@ pub fn collapsed_from_events(events: impl Iterator<Item = Event>) -> Vec<String>
     lines
 }
 
-/// Builds collapsed-stack lines straight from JSONL trace lines, with
-/// the same damage tolerance as `TraceSummary::from_lines`: unknown
-/// event types are skipped anywhere, and an unparseable final line is
-/// skipped (truncated tail of a killed run).
+/// Builds collapsed-stack lines straight from JSONL trace lines, read
+/// with [`read_events`]' damage tolerance: unknown event types are
+/// skipped anywhere, and an unparseable final line is skipped (the
+/// truncated tail of a killed run).
 ///
 /// # Errors
 ///
@@ -123,18 +123,7 @@ pub fn collapsed_from_events(events: impl Iterator<Item = Event>) -> Vec<String>
 pub fn collapsed_from_lines<'a>(
     lines: impl Iterator<Item = &'a str>,
 ) -> Result<Vec<String>, String> {
-    let numbered: Vec<(usize, &str)> =
-        lines.enumerate().filter(|(_, line)| !line.trim().is_empty()).collect();
-    let last = numbered.len().saturating_sub(1);
-    let mut events = Vec::new();
-    for (pos, &(lineno, line)) in numbered.iter().enumerate() {
-        match Event::from_jsonl_line_lenient(line) {
-            Ok(Some(event)) => events.push(event),
-            Ok(None) => {}
-            Err(_) if pos == last => {}
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-        }
-    }
+    let (events, _) = read_events(lines)?;
     Ok(collapsed_from_events(events.into_iter()))
 }
 

@@ -64,7 +64,7 @@ pub mod serve_report;
 pub mod stage;
 pub mod timeseries;
 
-pub use event::{Event, MIN_SCHEMA_VERSION, SCHEMA_NAME, SCHEMA_VERSION};
+pub use event::{read_events, Event, MIN_SCHEMA_VERSION, SCHEMA_NAME, SCHEMA_VERSION};
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder};
 pub use runtime::{
     counter, flush, histogram, histogram_fields, install, is_enabled, log, log_enabled, log_level,

@@ -2,7 +2,7 @@
 //! stream into per-stage timing and per-op profile tables — the engine
 //! behind `magic report` and `magic profile`.
 
-use crate::event::Event;
+use crate::event::{read_events, Event};
 use std::collections::HashMap;
 
 /// Aggregated timings for one span stage.
@@ -136,29 +136,9 @@ impl TraceSummary {
         let mut histograms: HashMap<String, HistogramStats> = HashMap::new();
         let mut ops: HashMap<(String, String, String), OpProfileStats> = HashMap::new();
 
-        // Buffered so the truncated-tail rule can know which non-blank
-        // line is the last one.
-        let numbered: Vec<(usize, &str)> = lines
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
-            .collect();
-        let last = numbered.len().saturating_sub(1);
-
-        for (pos, &(lineno, line)) in numbered.iter().enumerate() {
-            let event = match Event::from_jsonl_line_lenient(line) {
-                Ok(Some(event)) => event,
-                Ok(None) => {
-                    // Unknown event type from a newer writer: skip.
-                    summary.malformed_lines += 1;
-                    continue;
-                }
-                Err(_) if pos == last => {
-                    // Truncated tail of a killed run: skip.
-                    summary.malformed_lines += 1;
-                    continue;
-                }
-                Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-            };
+        let (events, malformed_lines) = read_events(lines)?;
+        summary.malformed_lines = malformed_lines;
+        for event in events {
             summary.events += 1;
             let ts = match &event {
                 Event::Meta { .. } => None,

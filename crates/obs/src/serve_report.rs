@@ -9,7 +9,7 @@
 //! percentiles here are exact nearest-rank statistics — the offline
 //! ground truth to reconcile live telemetry against.
 
-use crate::event::Event;
+use crate::event::{read_events, Event};
 
 /// Exact percentile statistics over one lifecycle stage.
 #[derive(Debug, Clone)]
@@ -113,11 +113,8 @@ impl ServeLogSummary {
     ///
     /// Returns the first hard decode error, prefixed `line N:`.
     pub fn from_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Self, String> {
-        let numbered: Vec<(usize, &str)> =
-            lines.enumerate().filter(|(_, l)| !l.trim().is_empty()).collect();
-        let last = numbered.len().saturating_sub(1);
-
-        let mut summary = ServeLogSummary::default();
+        let (events, malformed_lines) = read_events(lines)?;
+        let mut summary = ServeLogSummary { malformed_lines, ..ServeLogSummary::default() };
         let mut statuses: Vec<(u16, u64)> = Vec::new();
         let mut parse = Vec::new();
         let mut extract = Vec::new();
@@ -127,19 +124,7 @@ impl ServeLogSummary {
         let mut total = Vec::new();
         let mut slow: Vec<SlowRow> = Vec::new();
 
-        for (pos, &(lineno, line)) in numbered.iter().enumerate() {
-            let event = match Event::from_jsonl_line_lenient(line) {
-                Ok(Some(event)) => event,
-                Ok(None) => {
-                    summary.malformed_lines += 1;
-                    continue;
-                }
-                Err(_) if pos == last => {
-                    summary.malformed_lines += 1;
-                    continue;
-                }
-                Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-            };
+        for event in events {
             let Event::ServeAccess {
                 id,
                 status,

@@ -35,10 +35,13 @@ pub const EXTRACT_ACFG: &str = "pipeline.extract_acfg";
 /// Emitted only when the strategy is not `none`.
 pub const REDUCE_APPLY: &str = "reduce.apply";
 
-/// Synthesize one corpus (`magic-synth` generators).
+/// Build one synthetic corpus (`magic::corpus_cache::generate` and
+/// `build`): the generator's serial plan, then [`CORPUS_EXTRACT`].
 pub const CORPUS_GENERATE: &str = "corpus.generate";
 
-/// Extract ACFGs for a whole corpus (wraps many [`EXTRACT_ACFG`]).
+/// Render, extract and reduce every planned sample of a corpus across
+/// worker lanes (wraps many [`EXTRACT_ACFG`]). Child of
+/// [`CORPUS_GENERATE`]; fields: `samples`, `workers`.
 pub const CORPUS_EXTRACT: &str = "corpus.extract";
 
 /// One full training run (`Trainer::train`).

@@ -262,6 +262,18 @@ impl CsrMatrix {
         self.spmm_impl(Some(row_scale), dense)
     }
 
+    /// [`spmm`](Self::spmm) of a row-major `(self.cols(), c)` slice into
+    /// `out`, `(self.rows(), c)`, which is fully overwritten — the same
+    /// kernel, so bitwise the same result, into a caller-owned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dense` or `out` has the wrong length.
+    pub fn spmm_into(&self, dense: &[f32], c: usize, out: &mut [f32]) {
+        assert_eq!(dense.len(), self.cols * c, "spmm inner dimension mismatch");
+        self.spmm_slices(None, dense, c, out);
+    }
+
     fn spmm_impl(&self, row_scale: Option<&[f32]>, dense: &Tensor) -> Tensor {
         assert_eq!(
             self.cols,
@@ -271,10 +283,14 @@ impl CsrMatrix {
             dense.rows()
         );
         let c = dense.cols();
-        let d = dense.as_slice();
         let mut out = Tensor::zeros([self.rows, c]);
+        self.spmm_slices(row_scale, dense.as_slice(), c, out.as_mut_slice());
+        out
+    }
+
+    fn spmm_slices(&self, row_scale: Option<&[f32]>, dense: &[f32], c: usize, out: &mut [f32]) {
         if self.rows == 0 || c == 0 {
-            return out;
+            return;
         }
         crate::simd::spmm(
             crate::simd::isa(),
@@ -282,11 +298,10 @@ impl CsrMatrix {
             &self.col_indices,
             &self.values,
             row_scale,
-            d,
+            dense,
             c,
-            out.as_mut_slice(),
+            out,
         );
-        out
     }
 
     /// Number of rows.

@@ -3,10 +3,9 @@
 //!
 //! Run with: `cargo run --release --example hyperparameter_search`
 
-use magic::pipeline::extract_acfgs_parallel;
 use magic::tuning::{GridSearch, HyperParams};
-use magic_model::GraphInput;
-use magic_synth::{MskcfgGenerator, MSKCFG_FAMILIES};
+use magic::CorpusKind;
+use magic_graph::ReduceStrategy;
 
 fn main() {
     println!(
@@ -15,16 +14,9 @@ fn main() {
         HyperParams::reduced_grid().len()
     );
 
-    let mut generator = MskcfgGenerator::new(31, 0.005);
-    let samples = generator.generate();
-    let listings: Vec<String> = samples.iter().map(|s| s.listing.clone()).collect();
-    let acfgs: Vec<_> = extract_acfgs_parallel(&listings, 8)
-        .into_iter()
-        .map(|r| r.expect("generated listings parse"))
-        .collect();
-    let inputs: Vec<GraphInput> = acfgs.iter().map(GraphInput::from_acfg).collect();
-    let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
-    println!("corpus: {} samples\n", inputs.len());
+    let corpus = magic::generate_corpus(CorpusKind::Mskcfg, 31, 0.005, ReduceStrategy::None, 0)
+        .expect("generated listings extract");
+    println!("corpus: {} samples\n", corpus.len());
 
     let search = GridSearch {
         grid: HyperParams::reduced_grid(),
@@ -32,7 +24,8 @@ fn main() {
         folds: 3,
         seed: 2,
     };
-    let ranked = search.run(&inputs, &labels, MSKCFG_FAMILIES.len(), |i, total, outcome| {
+    let classes = corpus.class_names.len();
+    let ranked = search.run(&corpus.inputs, &corpus.labels, classes, |i, total, outcome| {
         println!(
             "[{}/{}] mean val loss {:.4}  accuracy {:.4}  <- {}",
             i + 1,

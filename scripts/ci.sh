@@ -143,8 +143,9 @@ echo "==> reference checkpoint: bitwise equal to the committed golden"
 # This step pins the bits themselves: the reference run (mskcfg 0.01,
 # 3 epochs, seed 7) must write exactly the checkpoint whose md5 is
 # committed in tests/golden/reference-checkpoint.md5 — on one lane, on
-# two, and traced. A change meant to alter training re-records the file
-# and says why in CHANGES.md.
+# two, traced, from the shard cache in RAM, and streamed from the shard
+# cache. A change meant to alter training re-records the file and says
+# why in CHANGES.md.
 REF_DIR="$(mktemp -d /tmp/magic_ref.XXXXXX)"
 REF_ARGS=(--corpus mskcfg --scale 0.01 --epochs 3 --seed 7 --log-level error)
 GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
@@ -152,7 +153,11 @@ GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 --out "$REF_DIR/two.magic"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
     --trace "$REF_DIR/train.trace.jsonl" --out "$REF_DIR/traced.magic"
-for ckpt in one two traced; do
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
+    --cache-dir "$REF_DIR/cache" --out "$REF_DIR/cache-ram.magic"
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
+    --cache-dir "$REF_DIR/cache" --cache stream --out "$REF_DIR/cache-stream.magic"
+for ckpt in one two traced cache-ram cache-stream; do
     got="$(md5sum "$REF_DIR/$ckpt.magic" | cut -d' ' -f1)"
     if [[ "$got" != "$GOLDEN_MD5" ]]; then
         echo "ERROR: $ckpt reference checkpoint md5 $got != golden $GOLDEN_MD5" >&2
@@ -160,7 +165,7 @@ for ckpt in one two traced; do
     fi
 done
 rm -rf "$REF_DIR"
-echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes and traced"
+echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes, traced, cache-ram and cache-stream"
 
 echo "==> access-log schema validation: magic report --serve on bench logs"
 # The serve_load bench streams a schema-v3 access log per window into
