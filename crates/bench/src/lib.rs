@@ -12,7 +12,6 @@
 pub mod args;
 #[cfg(test)]
 mod corpus;
-pub mod diff;
 pub mod experiments;
 pub mod results;
 

@@ -7,14 +7,7 @@ use std::path::PathBuf;
 
 /// Directory where experiment outputs are stored (relative to the
 /// workspace root).
-///
-/// `MAGIC_RESULTS_DIR` overrides the location so CI can write candidate
-/// benchmark numbers somewhere disposable instead of clobbering the
-/// committed baselines under `results/`.
 pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("MAGIC_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
     // Under cargo, CARGO_MANIFEST_DIR = crates/bench and results/ lives
     // two levels up at the repo root. When the binary is invoked
     // directly, fall back to ./results relative to the working directory.
@@ -22,30 +15,6 @@ pub fn results_dir() -> PathBuf {
         Ok(manifest) => PathBuf::from(manifest).join("../../results"),
         Err(_) => PathBuf::from("results"),
     }
-}
-
-/// Describes the machine a benchmark ran on, for the `machine_info`
-/// stanza of `results/BENCH_*.json` files. `magic bench diff
-/// --require-same-machine` refuses to compare files whose stanzas
-/// differ (timings only transfer between identical hosts).
-pub fn machine_info() -> Value {
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    json!({
-        "os": std::env::consts::OS,
-        "arch": std::env::consts::ARCH,
-        "available_parallelism": std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        "cpu_model": cpu_model,
-    })
 }
 
 /// Serializes a [`ScoreReport`] to JSON.

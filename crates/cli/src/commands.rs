@@ -46,7 +46,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         Some("info") => cmd_info(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("help") | None => {
             println!("{USAGE}");
             Ok(())
@@ -126,10 +125,6 @@ USAGE:
                 (aggregate a `magic serve --access-log` file into
                 per-status counts, an exact stage-latency breakdown,
                 and a slowest-requests table)
-    magic bench diff <old.json> <new.json> [--threshold F]
-                [--require-same-machine]
-                (compare results/BENCH_*.json files; exit non-zero when
-                any row slows down more than F, default 0.20 = +20%)
 
 REDUCE VALUES (--reduce, default none):
     none                 leave graphs untouched
@@ -256,8 +251,8 @@ fn cmd_cache_build(args: &[String]) -> Result<(), String> {
         .unwrap_or(0);
     let force = take_switch(&mut args, "--force");
 
-    let outcome = corpus_cache::build(std::path::Path::new(&dir), &spec, workers, force)
-        .map_err(|e| e.to_string())?;
+    let path = std::path::Path::new(&dir);
+    let outcome = corpus_cache::build(path, &spec, workers, force).map_err(|e| e.to_string())?;
     let m = &outcome.manifest;
     println!(
         "{} cache {dir}: corpus {}, reduce {}, fingerprint {:016x}, \
@@ -271,11 +266,16 @@ fn cmd_cache_build(args: &[String]) -> Result<(), String> {
         outcome.bytes as f64 / (1024.0 * 1024.0),
     );
     // Per-corpus size distribution of what was cached (post-reduction):
-    // node/edge deciles over every graph in the shards.
-    let loaded =
-        corpus_cache::load(std::path::Path::new(&dir), Some(spec.fingerprint()), workers)
-            .map_err(|e| e.to_string())?;
-    println!("{}", SizeHistogram::of(&loaded.acfgs).render());
+    // node/edge deciles over every graph in the shards. A rebuild
+    // measured the graphs it wrote; an up-to-date cache is decoded.
+    let sizes = match outcome.sizes {
+        Some(sizes) => sizes,
+        None => SizeHistogram::of(
+            &corpus_cache::read_graphs(path, Some(spec.fingerprint()))
+                .map_err(|e| e.to_string())?,
+        ),
+    };
+    println!("{}", sizes.render());
     Ok(())
 }
 
@@ -656,69 +656,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `magic bench <subcommand>` — currently only `diff`.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("diff") => cmd_bench_diff(&args[1..]),
-        _ => Err("bench requires a subcommand: diff <old.json> <new.json>".into()),
-    }
-}
-
-/// Compares two `results/BENCH_*.json` files and fails when any
-/// comparable row slowed down beyond the threshold. This is the CI
-/// perf-regression gate (`scripts/ci.sh` runs it against the committed
-/// baselines).
-fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
-    use magic_bench::diff;
-
-    let mut args = args.to_vec();
-    let threshold: f64 = take_flag(&mut args, "--threshold")
-        .map(|s| s.parse().map_err(|_| "bad --threshold"))
-        .transpose()?
-        .unwrap_or(0.20);
-    let require_same_machine = take_switch(&mut args, "--require-same-machine");
-    let [old_path, new_path] = args.as_slice() else {
-        return Err("bench diff requires exactly <old.json> <new.json>".into());
-    };
-    let load = |path: &str| -> Result<magic_json::Value, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        magic_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let old = load(old_path)?;
-    let new = load(new_path)?;
-
-    if require_same_machine {
-        let old_fp = diff::machine_fingerprint(&old);
-        let new_fp = diff::machine_fingerprint(&new);
-        if old_fp.is_none() || old_fp != new_fp {
-            // A baseline recorded on another machine (or before machine
-            // stamping) can't gate this one: skip, succeeding, so CI
-            // stays green on fresh hosts until a local baseline lands.
-            println!(
-                "skipping comparison: baseline machine {} != this machine {}",
-                old_fp.as_deref().unwrap_or("(unstamped)"),
-                new_fp.as_deref().unwrap_or("(unstamped)"),
-            );
-            return Ok(());
-        }
-    }
-
-    let report = diff::diff(&old, &new, threshold);
-    print!("{}", report.render());
-    if report.rows.is_empty() {
-        return Err(format!("no comparable median_ns rows between {old_path} and {new_path}"));
-    }
-    let regressions = report.regressions().len();
-    if regressions > 0 {
-        return Err(format!(
-            "{regressions} benchmark row(s) regressed beyond +{:.0}%",
-            threshold * 100.0
-        ));
-    }
-    Ok(())
-}
-
 /// The reduction strategy for inference: an explicit `--reduce` CLI
 /// override if present, else whatever the model was trained with
 /// (recorded in its header) — serving a model with a different
@@ -836,6 +773,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Held by every test that installs the process-global trace
+    /// recorder through `--trace`, so their traces do not mix. A failed
+    /// test only poisons it; it guards no data.
+    static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn take_flag_extracts_pairs() {
@@ -970,67 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_gates_on_regressions() {
-        let dir = std::env::temp_dir().join("magic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = dir.join("bench-old.json");
-        let fast = dir.join("bench-fast.json");
-        let slow = dir.join("bench-slow.json");
-        std::fs::write(&old, "{\"serial\": {\"median_ns\": 100.0}}").unwrap();
-        std::fs::write(&fast, "{\"serial\": {\"median_ns\": 105.0}}").unwrap();
-        std::fs::write(&slow, "{\"serial\": {\"median_ns\": 200.0}}").unwrap();
-        let run = |new: &std::path::Path| {
-            let args: Vec<String> =
-                ["bench", "diff", old.to_str().unwrap(), new.to_str().unwrap()]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-            dispatch(&args)
-        };
-        assert!(run(&fast).is_ok());
-        assert!(run(&slow).unwrap_err().contains("regressed"));
-    }
-
-    #[test]
-    fn bench_diff_requires_same_machine_skips_on_mismatch() {
-        let dir = std::env::temp_dir().join("magic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = dir.join("bench-other-host.json");
-        let new = dir.join("bench-this-host.json");
-        // Baseline from another machine, candidate 10x slower: the gate
-        // must skip rather than fail.
-        std::fs::write(
-            &old,
-            "{\"machine_info\": {\"os\": \"plan9\", \"arch\": \"mips\", \
-              \"available_parallelism\": 64, \"cpu_model\": \"Imaginary\"}, \
-              \"serial\": {\"median_ns\": 10.0}}",
-        )
-        .unwrap();
-        let candidate = magic_json::json!({
-            "machine_info": magic_bench::results::machine_info(),
-            "serial": { "median_ns": 100.0 },
-        });
-        std::fs::write(&new, magic_json::to_string_pretty(&candidate)).unwrap();
-        let args: Vec<String> = [
-            "bench",
-            "diff",
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--require-same-machine",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert!(dispatch(&args).is_ok());
-    }
-
-    #[test]
-    fn bench_rejects_unknown_subcommand() {
-        let args: Vec<String> = ["bench", "run"].iter().map(|s| s.to_string()).collect();
-        assert!(dispatch(&args).unwrap_err().contains("bench requires"));
-    }
-
-    #[test]
     fn train_rejects_unknown_arguments() {
         for extra in [["--epoch", "5"], ["--threads", "2"]] {
             let args: Vec<String> = ["train", "--corpus", "yancfg", "--out", "unused.magic"]
@@ -1153,6 +1034,7 @@ mod tests {
 
     #[test]
     fn extract_with_trace_writes_a_parseable_jsonl_file() {
+        let _guard = TRACE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join("magic-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let listing = dir.join("traced.asm");
@@ -1178,6 +1060,55 @@ mod tests {
         assert!(summary.events >= 4, "meta + extraction spans, got {}", summary.events);
         assert!(summary.stages.iter().any(|s| s.stage == magic_obs::stage::EXTRACT_ACFG));
         assert!(summary.command.as_deref().unwrap_or("").starts_with("magic extract"));
+    }
+
+    #[test]
+    fn cache_build_reads_back_only_an_up_to_date_cache() {
+        let _guard = TRACE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let tmp = std::env::temp_dir().join(format!("magic-cli-cache-{}", std::process::id()));
+        let (dir, trace) = (tmp.join("cache"), tmp.join("cache-build-trace.jsonl"));
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(&tmp).unwrap();
+        // (cache.read spans, cache.bytes_read) of one traced `cache build`.
+        let traced_build = || {
+            let args: Vec<String> = [
+                "cache",
+                "build",
+                "--corpus",
+                "yancfg",
+                "--scale",
+                "0.002",
+                "--cache-dir",
+                dir.to_str().unwrap(),
+                "--trace",
+                trace.to_str().unwrap(),
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            dispatch(&args).unwrap();
+            let text = std::fs::read_to_string(&trace).unwrap();
+            let summary = TraceSummary::from_lines(text.lines()).unwrap();
+            let reads = summary
+                .stages
+                .iter()
+                .find(|s| s.stage == magic_obs::stage::CACHE_READ)
+                .map_or(0, |s| s.count);
+            let bytes = summary
+                .counters
+                .iter()
+                .find(|c| c.name == magic_obs::stage::C_CACHE_BYTES_READ)
+                .map_or(0.0, |c| c.total);
+            (reads, bytes)
+        };
+        // A fresh build histograms the graphs it just wrote.
+        assert_eq!(traced_build(), (0, 0.0));
+        // An up-to-date cache is decoded once, shard by shard.
+        let (reads, bytes) = traced_build();
+        let manifest = magic_data::CacheManifest::load(&dir).unwrap();
+        assert_eq!(reads, manifest.shards.len() as u64);
+        assert!(bytes > 0.0);
+        std::fs::remove_dir_all(&tmp).ok();
     }
 
     #[test]

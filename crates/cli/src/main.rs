@@ -10,7 +10,6 @@
 //! magic profile mskcfg|yancfg                per-op time/FLOP attribution
 //! magic report --trace trace.jsonl           aggregate a telemetry trace
 //! magic report --trace t.jsonl --flamegraph  collapsed stacks for flamegraphs
-//! magic bench diff old.json new.json         perf-regression gate
 //! ```
 //!
 //! Subcommands accept `--trace <path>` (stream a `magic-trace/2`

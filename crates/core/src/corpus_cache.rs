@@ -24,7 +24,7 @@ use magic_data::{
     cache_fingerprint, write_shard, CacheError, CacheManifest, ShardMeta, ShardRecord,
     ShardStream, StreamedCorpus,
 };
-use magic_graph::{Acfg, ReduceStrategy};
+use magic_graph::{Acfg, ReduceStrategy, SizeHistogram};
 use magic_model::GraphInput;
 use magic_synth::{MskcfgGenerator, YancfgGenerator, MSKCFG_FAMILIES, YANCFG_FAMILIES};
 use std::fmt;
@@ -115,6 +115,9 @@ pub struct BuildOutcome {
     pub rebuilt: bool,
     /// Total shard bytes on disk.
     pub bytes: u64,
+    /// Node/edge deciles of the graphs just rendered into the shards;
+    /// `None` when the cache was up to date and nothing was rendered.
+    pub sizes: Option<SizeHistogram>,
 }
 
 /// A corpus fully in RAM, ready for the in-memory trainer: what
@@ -266,7 +269,7 @@ pub fn build(dir: &Path, spec: &CacheSpec, workers: usize, force: bool) -> Resul
         if let Ok(manifest) = CacheManifest::load(dir) {
             if manifest.fingerprint == fingerprint {
                 let bytes = manifest.shards.iter().map(|s| s.bytes).sum();
-                return Ok(BuildOutcome { manifest, rebuilt: false, bytes });
+                return Ok(BuildOutcome { manifest, rebuilt: false, bytes, sizes: None });
             }
         }
     }
@@ -303,7 +306,9 @@ pub fn build(dir: &Path, spec: &CacheSpec, workers: usize, force: bool) -> Resul
         shards,
     };
     manifest.save(dir)?;
-    Ok(BuildOutcome { manifest, rebuilt: true, bytes: total_bytes })
+    let acfgs: Vec<Acfg> = records.into_iter().map(|r| r.acfg).collect();
+    let sizes = Some(SizeHistogram::of(&acfgs));
+    Ok(BuildOutcome { manifest, rebuilt: true, bytes: total_bytes, sizes })
 }
 
 /// Loads a cache directory fully into RAM, building [`GraphInput`]s in
@@ -329,6 +334,22 @@ pub fn load(
         loaded.extend(shard?.records, &lanes);
     }
     Ok(loaded)
+}
+
+/// Decodes every graph of a cache directory in sample order, without
+/// building any [`GraphInput`]: what a caller needs to describe a cache,
+/// not to train on it.
+///
+/// # Errors
+///
+/// Returns [`CacheError`] for a missing, damaged, or mismatched cache.
+pub fn read_graphs(dir: &Path, expected_fingerprint: Option<u64>) -> Result<Vec<Acfg>, CacheError> {
+    let (manifest, stream) = ShardStream::open(dir, expected_fingerprint)?;
+    let mut acfgs = Vec::with_capacity(manifest.samples);
+    for shard in stream {
+        acfgs.extend(shard?.records.into_iter().map(|r| r.acfg));
+    }
+    Ok(acfgs)
 }
 
 /// Opens a cache for shard-at-a-time streaming (random access by global

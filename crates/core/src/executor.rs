@@ -124,6 +124,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn serial_executor_runs_in_order() {
@@ -150,6 +151,26 @@ mod tests {
         let distinct: HashSet<usize> = ids.iter().copied().collect();
         assert!(distinct.iter().all(|&w| w < 3));
         assert!(!distinct.is_empty());
+    }
+
+    #[test]
+    fn two_lanes_run_two_jobs_at_once() {
+        // Each job waits until both have started. Two lanes meet at once;
+        // one lane would run the jobs in turn, so the first gives up at
+        // the deadline and the test fails instead of hanging.
+        let started = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let met = Lanes::new(2).run(2, |_, _| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 2 {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert_eq!(met, vec![true, true], "the two jobs never ran at the same time");
     }
 
     #[test]

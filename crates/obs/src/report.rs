@@ -79,10 +79,10 @@ pub struct TraceSummary {
     pub events: u64,
     /// Wall-clock between the first and last event timestamp, µs.
     pub wall_us: u64,
-    /// Sum of durations of *top-level* spans (no parent), µs. On a
-    /// single-threaded trace this is at most `wall_us`; spans opened
-    /// concurrently on worker threads are also parentless and can push
-    /// it past 100% of wall.
+    /// Wall-clock covered by *top-level* spans (no parent), µs: the
+    /// length of the union of their intervals, so at most `wall_us`.
+    /// Spans opened on worker threads have no parent either and overlap
+    /// the span that spawned them; the union counts that time once.
     pub top_level_us: u64,
     /// Per-stage timings, largest total first.
     pub stages: Vec<StageStats>,
@@ -126,8 +126,10 @@ impl TraceSummary {
         let mut last_ts: u64 = 0;
         // id -> (stage, parent)
         let mut open: HashMap<u64, (String, Option<u64>)> = HashMap::new();
-        // (stage, parent, dur) of every closed span
-        let mut closed: Vec<(String, Option<u64>, u64)> = Vec::new();
+        // (stage, dur) of every closed span
+        let mut closed: Vec<(String, u64)> = Vec::new();
+        // (start, end) of every closed top-level span, µs
+        let mut top_level: Vec<(u64, u64)> = Vec::new();
         // parent id -> sum of closed children durations
         let mut child_us: HashMap<u64, u64> = HashMap::new();
         // id -> index into `closed` (to look up own children afterwards)
@@ -164,13 +166,14 @@ impl TraceSummary {
                     }
                     open.insert(id, (stage, parent));
                 }
-                Event::SpanEnd { id, stage, dur_us, .. } => {
+                Event::SpanEnd { id, stage, ts_us, dur_us } => {
                     let (stage, parent) = open.remove(&id).unwrap_or((stage, None));
-                    if let Some(p) = parent {
-                        *child_us.entry(p).or_insert(0) += dur_us;
+                    match parent {
+                        Some(p) => *child_us.entry(p).or_insert(0) += dur_us,
+                        None => top_level.push((ts_us.saturating_sub(dur_us), ts_us)),
                     }
                     closed_by_id.insert(id, closed.len());
-                    closed.push((stage, parent, dur_us));
+                    closed.push((stage, dur_us));
                 }
                 Event::Counter { name, delta, .. } => {
                     let entry = counters
@@ -239,9 +242,10 @@ impl TraceSummary {
 
         summary.wall_us = last_ts.saturating_sub(first_ts.unwrap_or(0));
         summary.unclosed_spans = open.len() as u64;
+        summary.top_level_us = union_len(&mut top_level);
 
         let mut stages: HashMap<String, StageStats> = HashMap::new();
-        for (id, &(ref stage, parent, dur_us)) in
+        for (id, &(ref stage, dur_us)) in
             closed_by_id.iter().map(|(id, &i)| (id, &closed[i]))
         {
             let children = child_us.get(id).copied().unwrap_or(0);
@@ -258,9 +262,6 @@ impl TraceSummary {
             entry.self_us += dur_us.saturating_sub(children);
             entry.min_us = entry.min_us.min(dur_us);
             entry.max_us = entry.max_us.max(dur_us);
-            if parent.is_none() {
-                summary.top_level_us += dur_us;
-            }
         }
 
         summary.stages = stages.into_values().collect();
@@ -285,7 +286,7 @@ impl TraceSummary {
         self.ops.iter().map(|o| o.self_ns).sum()
     }
 
-    /// Fraction of wall-clock covered by top-level spans, in `[0, …)` —
+    /// Fraction of wall-clock covered by top-level spans, in `[0, 1]` —
     /// the acceptance metric for "the trace explains where time went".
     pub fn coverage(&self) -> f64 {
         if self.wall_us == 0 {
@@ -412,6 +413,21 @@ impl TraceSummary {
     }
 }
 
+/// Total length of the union of `[start, end]` intervals (sorts them).
+fn union_len(intervals: &mut [(u64, u64)]) -> u64 {
+    intervals.sort_unstable();
+    let mut total = 0;
+    let mut covered_to = 0;
+    for &(start, end) in intervals.iter() {
+        let start = start.max(covered_to);
+        if end > start {
+            total += end - start;
+            covered_to = end;
+        }
+    }
+    total
+}
+
 /// Formats a byte quantity at a human scale (`1.5GiB`, `32KiB`, …).
 fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;
@@ -535,6 +551,35 @@ mod tests {
         assert_eq!((samples.name.as_str(), samples.count, samples.total), ("train.samples", 2, 32.0));
         let busy = &summary.histograms[0];
         assert_eq!((busy.count, busy.total, busy.min, busy.max), (2, 60.0, 20.0, 40.0));
+    }
+
+    #[test]
+    fn coverage_counts_overlapping_top_level_spans_once() {
+        // Spans opened on worker lanes have no parent and overlap the
+        // top-level span that fanned them out: [0, 80] holds [10, 60]
+        // and [20, 70]. With [90, 100] that covers 90 of 100 µs; a sum
+        // of durations would claim 190.
+        let span = |id: u64, stage: &str, start: u64, end: u64| {
+            let (stage, fields) = (stage.to_string(), vec![]);
+            [
+                Event::SpanStart { id, parent: None, stage: stage.clone(), ts_us: start, fields },
+                Event::SpanEnd { id, stage, ts_us: end, dur_us: end - start },
+            ]
+        };
+        let events: Vec<Event> = [
+            span(1, "corpus.extract", 0, 80),
+            span(2, "pipeline.extract_acfg", 10, 60),
+            span(3, "pipeline.extract_acfg", 20, 70),
+            span(4, "train.run", 90, 100),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let summary = TraceSummary::from_lines(lines_of(&events).lines()).unwrap();
+        assert_eq!((summary.wall_us, summary.top_level_us), (100, 90));
+        assert!(summary.render().contains("top-level span coverage 90.0%"));
+        let extract = summary.stages.iter().find(|s| s.stage == "pipeline.extract_acfg").unwrap();
+        assert_eq!((extract.count, extract.total_us), (2, 100), "stage totals still sum");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A minimal HTTP/1.1 server-side codec — just enough protocol for the
 //! `magic serve` API, hand-rolled over `std::net` with no dependencies
-//! (the same discipline as `magic-json`/`magic-microbench`).
+//! (the same discipline as `magic-json`).
 //!
 //! Supported: request line + headers + `Content-Length` bodies,
 //! case-insensitive header lookup, and fixed-length responses. Not

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: release build, full test suite, doctests, warning-free
-# rustdoc, and a warning-free clippy pass over all targets. Run from the
-# repository root.
+# Tier-1 CI gate: release build, full test suite (with the exact work
+# counters in tests/tests/work_counters.rs), the end-to-end benchmark's
+# smoke tests, doctests, warning-free rustdoc, a warning-free clippy pass
+# over all targets, then CLI checks: the reduce-strategy cache gate, the
+# cache round-trip, the reference checkpoint md5, doc links and the
+# kernels' vectorization. Timing is measured by benchmark/run.sh, not
+# here: a paired `--compare` of two result sets is the speed check.
+# Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,64 +29,9 @@ echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-# All targets: tests, benches, examples and binaries are linted like the
+# All targets: tests, examples and binaries are linted like the
 # libraries, so test code cannot drift from the lint set unseen.
 cargo clippy --workspace --all-targets -- -D warnings
-
-# Perf-regression gates: re-measure each quick benchmark and compare it
-# against its committed baseline. A gate only fires when the baseline
-# was recorded on this same machine (cross-host timings don't compare);
-# on a fresh host it prints a skip notice and stays green until
-# `scripts/bench_snapshot.sh` commits a local baseline.
-#
-# perf_gate <bench> <baseline> <threshold>
-perf_gate() {
-    local bench="$1" baseline="$2" threshold="$3"
-    echo "==> perf gate: quick $bench bench vs committed baseline"
-    if [ ! -f "$baseline" ]; then
-        echo "no committed baseline at $baseline; skipping perf gate"
-        return
-    fi
-    # Absolute path: cargo runs bench binaries from the package dir,
-    # not the workspace root.
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench "$bench"
-    ./target/release/magic bench diff \
-        "$baseline" "target/ci-bench/$(basename "$baseline")" \
-        --threshold "$threshold" --require-same-machine
-}
-
-perf_gate train_parallel results/BENCH_train_parallel_quick.json 0.20
-perf_gate graph_conv results/BENCH_graph_conv_quick.json 0.20
-# Wider threshold than the other gates: the conv_head quick cells are
-# sub-millisecond and their medians swing ±30% run-to-run on a busy
-# 1-core container (measured band; the train_parallel ms-scale gate
-# stays within ±5%). 0.40 still fails hard on a ≥2x kernel slowdown
-# such as losing the GEMM lowering.
-perf_gate conv_head results/BENCH_conv_head_quick.json 0.40
-# Same wide threshold as conv_head: the quick cells are single-digit
-# millisecond training epochs (one per pooling head) on a 1-core
-# container and swing with host load. 0.40 still catches a step change
-# in the per-head epoch cost.
-perf_gate batched_forward results/BENCH_batched_forward_quick.json 0.40
-# Wide threshold like the other sub-ms gates: loopback HTTP latency on
-# a busy container swings run-to-run. The gated row is the p50 of the
-# closed-loop load generator; 0.40 still fails hard on the step change
-# of losing micro-batching or warm-tape reuse in the serving path.
-perf_gate serve_load results/BENCH_serve_quick.json 0.40
-# Wide threshold like the other quick gates: the warm-load cell is
-# single-digit milliseconds and tracks disk/page-cache state. 0.40
-# still fails hard on the step change of losing the parallel shard
-# decode or falling back to generate+extract.
-perf_gate corpus_cache results/BENCH_corpus_cache_quick.json 0.40
-# Widest threshold of the gates: the gated rows are 11-37 ms training
-# epochs whose *whole-run* medians swing up to ~1.7x with container
-# load (measured band; per-sample medians don't dampen a systemically
-# slow run). The step change this gate guards — reduction stopping to
-# shrink graphs, snapping the coarsen:2 epoch back to the unreduced
-# cost — is >=3x, so 1.00 still fails hard on it. The one-off
-# reduce-pass rows are deliberately not gated (keyed `pass_median_ns`).
-perf_gate graph_reduce results/BENCH_graph_reduce_quick.json 1.00
 
 echo "==> reduce gate: mismatched-strategy cache opens fail with a typed error"
 # A cache stores *reduced* graphs, so serving it under a different
@@ -166,33 +116,6 @@ for ckpt in one two traced cache-ram cache-stream; do
 done
 rm -rf "$REF_DIR"
 echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes, traced, cache-ram and cache-stream"
-
-echo "==> access-log schema validation: magic report --serve on bench logs"
-# The serve_load bench streams a schema-v3 access log per window into
-# MAGIC_RESULTS_DIR (one ServeAccess line per request, plus a Meta
-# header). Replaying each log through the offline reporter proves every
-# line round-trips under the bumped schema: a hard decode error fails
-# the command, and a silently-skipped line shows up as "malformed" in
-# the summary header and fails the grep below. If the serve perf gate
-# was skipped (no committed baseline), run the quick bench here just to
-# produce the logs.
-if ! ls target/ci-bench/serve_access_w*.jsonl >/dev/null 2>&1; then
-    MAGIC_RESULTS_DIR="$PWD/target/ci-bench" MAGIC_BENCH_QUICK=1 \
-        cargo bench -q -p magic-bench --bench serve_load
-fi
-for log in target/ci-bench/serve_access_w*.jsonl; do
-    out="$(./target/release/magic report --serve "$log")"
-    if echo "$out" | grep -q "malformed"; then
-        echo "ERROR: $log has malformed access-log lines" >&2
-        echo "$out" >&2
-        exit 1
-    fi
-    if ! echo "$out" | grep -Eq "^access log: [1-9][0-9]* request"; then
-        echo "ERROR: $log aggregated zero requests" >&2
-        exit 1
-    fi
-    echo "$log: $(echo "$out" | head -n 1)"
-done
 
 echo "==> doc link check: no dangling relative links in README.md / docs/"
 scripts/check_doc_links.sh

@@ -330,3 +330,62 @@ fn committed_v1_trace_report_matches_golden() {
     assert_eq!(summary.malformed_lines, 0, "committed trace is fully parseable");
     assert_eq!(summary.render(), std::fs::read_to_string(&golden).unwrap());
 }
+
+/// `corpus_cache::load` decodes shards; it never falls back to
+/// generating and extracting the corpus. Traced, it emits no
+/// `pipeline.extract_acfg` span, counts every record's framed bytes
+/// exactly once in `cache.bytes_read`, and decodes each shard on the
+/// prefetch thread, so no `cache.read` span sits under the caller's span.
+#[test]
+fn cache_load_decodes_shards_on_the_prefetch_thread_and_never_extracts() {
+    use magic::corpus_cache::{self, CacheSpec, CorpusKind};
+    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let dir = std::env::temp_dir()
+        .join(format!("magic-obs-integration-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = CacheSpec {
+        corpus: CorpusKind::Mskcfg,
+        seed: 7,
+        scale: 0.002,
+        reduce: magic_graph::ReduceStrategy::None,
+        shards: 3,
+    };
+    let built = corpus_cache::build(&dir, &spec, 2, false).unwrap();
+    // Each record is framed as a 4-byte length plus its encoding.
+    let mut record_bytes = 0u64;
+    for shard in &built.manifest.shards {
+        let mut reader = magic_data::ShardReader::open(&dir.join(&shard.file)).unwrap();
+        for record in reader.read_all().unwrap() {
+            record_bytes += 4 + magic_data::encode_record(&record).len() as u64;
+        }
+    }
+
+    let path = dir.join("load-trace.jsonl");
+    magic_obs::install(Arc::new(JsonlRecorder::create(&path).unwrap()));
+    let loaded = {
+        let _caller = magic_obs::span(stage::TRAIN);
+        corpus_cache::load(&dir, Some(spec.fingerprint()), 2).unwrap()
+    };
+    magic_obs::uninstall();
+    assert_eq!(loaded.len(), built.manifest.samples);
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let mut reads = 0;
+    for line in text.lines() {
+        match Event::from_jsonl_line(line).unwrap() {
+            Event::SpanStart { stage: name, parent, .. } if name == stage::CACHE_READ => {
+                assert_eq!(parent, None, "a shard was decoded on the caller's thread");
+                reads += 1;
+            }
+            Event::SpanStart { stage: name, .. } => {
+                assert_ne!(name, stage::EXTRACT_ACFG, "load extracted a listing")
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(reads, built.manifest.shards.len(), "one cache.read span per shard");
+    let summary = TraceSummary::from_lines(text.lines()).unwrap();
+    let bytes_read = summary.counters.iter().find(|c| c.name == stage::C_CACHE_BYTES_READ);
+    assert_eq!(bytes_read.map(|c| c.total), Some(record_bytes as f64));
+}
