@@ -30,8 +30,9 @@
 //! The adaptive head's first convolution runs fused with its ReLU and
 //! adaptive max pooling ([`conv2d_relu_amp_forward`] /
 //! [`conv2d_relu_amp_backward`]): the same patch gather and GEMM, one
-//! band of output rows at a time, with a backward through the pool
-//! winners only — bitwise equal to the unfused chain.
+//! band of output rows at a time, pooled by one column-maximum pass
+//! ([`ColumnMax`]), with a backward through the pool winners only —
+//! bitwise equal to the unfused chain.
 //!
 //! # Determinism
 //!
@@ -45,6 +46,7 @@
 //! scalar-loop reference kernels these are checked against live in the
 //! workspace `tests` crate.
 
+use magic_tensor::simd::{self, ColumnMax};
 use magic_tensor::{gemm_into, gemm_nt_strided_into, gemm_tn_into, Tensor, Workspace};
 
 /// Lane sums of [`gemm_nt_strided_into`]'s dot products.
@@ -348,10 +350,12 @@ const BAND_CELLS: usize = 1024;
 /// output rows: the band's patches are gathered into a small panel, the
 /// bias-filled panel goes through [`gemm_into`] (each element's chain is
 /// a function of its own position, so it is bitwise the full GEMM's),
-/// ReLU is `v.max(0.0)`, and every window the band overlaps updates its
-/// running maximum with a strict `>`. Bands run top to bottom and rows
-/// left to right, so each window sees its cells in `(iy, ix)` scan order
-/// and ties go to the first maximum, exactly as a scan of the full map.
+/// and one vertical pass of [`ColumnMax::rows`] applies the ReLU and
+/// updates, per channel, row window and column, a running maximum and
+/// the first row that reached it. Once the sample's last band is in,
+/// [`ColumnMax::fold`] gives each window the smallest `(iy, ix)` among
+/// its columns' maxima: the winner, and the value, of a strict-`>` scan
+/// of the ReLU'd window in `(iy, ix)` order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_relu_amp_forward(
     x: &Tensor,
@@ -372,17 +376,20 @@ pub(crate) fn conv2d_relu_amp_forward(
     let out_cols = dims.len() * cells;
     let band_rows = |(oh, ow): (usize, usize)| (BAND_CELLS / ow).clamp(1, oh);
     let max_band = out_dims.clone().map(|d| band_rows(d) * d.1).max().unwrap_or(0);
+    let max_ow = out_dims.clone().map(|d| d.1).max().unwrap_or(0);
 
     let mut out = ws.take_tensor([c_out, out_cols]);
-    out.as_mut_slice().fill(f32::NEG_INFINITY);
     let mut winners = ws.take_indices(c_out * out_cols);
     winners.resize(c_out * out_cols, 0);
     let mut cols = ws.take(ckk * max_band);
-    let mut panel = ws.take(c_out * max_band);
+    // The band's conv outputs, then the pool's column maxima and rows.
+    let mut scratch = ws.take(c_out * max_band + 2 * c_out * gh * max_ow);
+    let (panel, acc) = scratch.split_at_mut(c_out * max_band);
     // Per sample: the gh row windows then the gw column windows.
     let mut windows = ws.take_indices(2 * (gh + gw));
     let patches = Patches { x, kh, kw, stride, pad };
-    let best = out.as_mut_slice();
+    let isa = simd::isa();
+    let pooled = out.as_mut_slice();
     let mut in_off = 0;
     let mut out_off = 0;
     for (s, (&(h, w), (oh, ow))) in dims.iter().zip(out_dims).enumerate() {
@@ -392,6 +399,7 @@ pub(crate) fn conv2d_relu_amp_forward(
             windows.extend([start, end]);
         }
         let (ywin, xwin) = windows.split_at(2 * gh);
+        let mut pool = ColumnMax::new(c_out, ow, ywin, &mut acc[..2 * c_out * gh * ow]);
         let rows_per_band = band_rows((oh, ow));
         let mut oy0 = 0;
         while oy0 < oh {
@@ -403,58 +411,21 @@ pub(crate) fn conv2d_relu_amp_forward(
                 row.fill(bias);
             }
             gemm_into(c_out, ckk, len, wt.as_slice(), &cols[..ckk * len], maps);
-            for v in maps.iter_mut() {
-                *v = v.max(0.0);
-            }
-            for (o, map) in maps.chunks_exact(len).enumerate() {
-                let first = o * out_cols + s * cells;
-                let (best, won) = (&mut best[first..][..cells], &mut winners[first..][..cells]);
-                let map_off = o * out_total + out_off;
-                for (oy, row) in (oy0..oy1).zip(map.chunks_exact(ow)) {
-                    for (gy, y) in ywin.chunks_exact(2).enumerate() {
-                        if oy < y[0] || oy >= y[1] {
-                            continue;
-                        }
-                        for (gx, xr) in xwin.chunks_exact(2).enumerate() {
-                            let cell = gy * gw + gx;
-                            let seg = &row[xr[0]..xr[1]];
-                            let m = max_of(seg);
-                            if m > best[cell] {
-                                // The first `v == m` is where a strict `>`
-                                // scan of the segment would stop rising.
-                                let ix = seg.iter().position(|&v| v == m).unwrap_or(0);
-                                best[cell] = seg[ix];
-                                won[cell] = map_off + oy * ow + xr[0] + ix;
-                            }
-                        }
-                    }
-                }
-            }
+            pool.rows(isa, maps, oy0);
             oy0 = oy1;
+        }
+        for o in 0..c_out {
+            let first = o * out_cols + s * cells;
+            let (values, won) = (&mut pooled[first..][..cells], &mut winners[first..][..cells]);
+            pool.fold(isa, o, xwin, o * out_total + out_off, values, won);
         }
         in_off += h * w;
         out_off += oh * ow;
     }
     ws.recycle(cols);
-    ws.recycle(panel);
+    ws.recycle(scratch);
     ws.recycle_indices(windows);
     (out, winners)
-}
-
-/// The largest element of a NaN-free slice (`−∞` if empty): eight
-/// running maxima over chunks of eight — one packed `max` per chunk —
-/// then the lanes and the remainder. Which of `+0.0` and `−0.0` it
-/// returns when both are the maximum is unspecified; callers only
-/// compare with it.
-fn max_of(seg: &[f32]) -> f32 {
-    let mut lanes = [f32::NEG_INFINITY; LANES];
-    let mut chunks = seg.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (m, &v) in lanes.iter_mut().zip(chunk) {
-            *m = m.max(v);
-        }
-    }
-    lanes.iter().chain(chunks.remainder()).fold(f32::NEG_INFINITY, |m, &v| m.max(v))
 }
 
 /// Backward of [`conv2d_relu_amp_forward`] for upstream gradient `gout`

@@ -11,7 +11,7 @@
 //! instantly; when idle, a lone request only ever waits out the window.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why a [`BoundedQueue::try_push`] was refused.
@@ -58,7 +58,7 @@ impl<T> BoundedQueue<T> {
     /// the queue depth *including* the new job (the backlog it joined),
     /// for the `serve.queue_depth` histogram.
     pub fn try_push(&self, job: T) -> Result<usize, PushError> {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state();
         if state.closed {
             return Err(PushError::Closed);
         }
@@ -79,7 +79,7 @@ impl<T> BoundedQueue<T> {
     /// empty — the signal for a worker to exit after the drain.
     pub fn pop_batch(&self, max_batch: usize, window: Duration) -> Option<Vec<T>> {
         let max_batch = max_batch.max(1);
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state();
         // Phase 1: wait (indefinitely) for the first job.
         loop {
             if !state.jobs.is_empty() {
@@ -88,7 +88,7 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.available.wait(state).unwrap();
+            state = self.available.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
         let mut batch = Vec::with_capacity(max_batch.min(state.jobs.len()));
         while batch.len() < max_batch {
@@ -119,7 +119,10 @@ impl<T> BoundedQueue<T> {
                 else {
                     break;
                 };
-                let (next, timeout) = self.available.wait_timeout(state, remaining).unwrap();
+                let (next, timeout) = self
+                    .available
+                    .wait_timeout(state, remaining)
+                    .unwrap_or_else(PoisonError::into_inner);
                 state = next;
                 if timeout.timed_out() {
                     // One last sweep below, then give up on the window.
@@ -145,22 +148,29 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Closed`], and workers exit once the backlog is
     /// drained. Idempotent.
     pub fn close(&self) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state();
         state.closed = true;
         drop(state);
         self.available.notify_all();
     }
 
+    /// The queue state, even when a thread panicked holding it: every
+    /// critical section changes it by single whole steps (a push, a pop,
+    /// a flag), so a poisoned lock still guards a consistent queue.
+    fn state(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current number of queued jobs (diagnostic; racy by nature).
     pub fn depth(&self) -> usize {
-        self.state.lock().unwrap().jobs.len()
+        self.state().jobs.len()
     }
 
     /// Deepest the queue has ever been — how close the server came to
     /// shedding. Monotone; surfaced as `magic_serve_queue_high_water`
     /// in `/metrics`.
     pub fn high_water(&self) -> usize {
-        self.state.lock().unwrap().high_water
+        self.state().high_water
     }
 }
 

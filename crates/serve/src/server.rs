@@ -42,11 +42,12 @@ use magic_autograd::Tape;
 use magic_model::GraphInput;
 use magic_obs::timeseries::MonotonicClock;
 use magic_obs::{stage, Event, JsonlRecorder, Recorder};
+use std::cell::Cell;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -168,6 +169,10 @@ struct Shared {
     /// Test hook: this many batch executions still to panic before the
     /// forward pass, exercising the model workers' panic recovery.
     inject_panics: AtomicU64,
+    /// Test hook: this many predict requests still to panic on their IO
+    /// thread before extraction, exercising the IO threads' panic
+    /// recovery.
+    inject_request_panics: AtomicU64,
 }
 
 impl Shared {
@@ -233,10 +238,8 @@ pub fn start(pipeline: MagicPipeline, config: ServeConfig) -> std::io::Result<Se
         .and_then(|v| v.parse::<u64>().ok())
         .map(Duration::from_millis)
         .unwrap_or(Duration::ZERO);
-    let inject_panics = std::env::var("MAGIC_SERVE_INJECT_PANIC_BATCHES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
+    let injected =
+        |var: &str| std::env::var(var).ok().and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
     let access_log = match &config.access_log {
         Some(path) => {
             let recorder = JsonlRecorder::create(path)?;
@@ -255,7 +258,8 @@ pub fn start(pipeline: MagicPipeline, config: ServeConfig) -> std::io::Result<Se
         bound_addr,
         access_log,
         inject_execute_delay,
-        inject_panics: AtomicU64::new(inject_panics),
+        inject_panics: AtomicU64::new(injected("MAGIC_SERVE_INJECT_PANIC_BATCHES")),
+        inject_request_panics: AtomicU64::new(injected("MAGIC_SERVE_INJECT_PANIC_REQUESTS")),
         config,
         pipeline,
     });
@@ -314,15 +318,29 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, conn_tx: mpsc::Sender<Tc
 
 fn io_loop(shared: &Shared, conn_rx: &Mutex<mpsc::Receiver<TcpStream>>) {
     loop {
-        let stream = match conn_rx.lock().unwrap().recv() {
+        // A receive leaves the receiver whole, so a lock poisoned by a
+        // panicking holder still guards a usable channel.
+        let stream = match conn_rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
             Ok(s) => s,
             Err(_) => return, // accept loop gone: drain complete
         };
-        handle_connection(shared, stream);
+        // The IO thread parses, builds the CFG of and reduces untrusted
+        // listings. A panic there costs only its request: a 500 unless
+        // the response is already out, and the thread goes on serving.
+        let responded = Cell::new(false);
+        let served =
+            catch_unwind(AssertUnwindSafe(|| handle_connection(shared, &stream, &responded)));
+        if served.is_err() && !responded.get() {
+            shared.stats.record_response(500, false);
+            let body = encode_error("request handler panicked");
+            let _ = write_response_typed(&mut &stream, 500, "application/json", &[], &body);
+        }
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
+/// Reads one request from `stream`, answers it, and records it. Sets
+/// `responded` just before the response is written.
+fn handle_connection(shared: &Shared, stream: &TcpStream, responded: &Cell<bool>) {
     let _span = magic_obs::span(stage::SERVE_REQUEST);
     let accepted = Instant::now();
     if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
@@ -330,10 +348,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     {
         return;
     }
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let mut trace = RequestTrace {
         id: shared.stats.next_request_id(),
@@ -369,6 +384,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         }
     };
     shared.stats.record_response(status, trace.path == PREDICT_PATH);
+    responded.set(true);
     let write_start = Instant::now();
     let _ = write_response_typed(&mut writer, status, content_type, &extra, &body);
     let write_us = write_start.elapsed().as_micros() as u64;
@@ -481,6 +497,12 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
     // Extraction (parse → CFG → ACFG) runs here on the IO thread, in
     // parallel across the IO pool; only the forward pass is batched.
     let extract_start = Instant::now();
+    let inject = shared.inject_request_panics.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+        n.checked_sub(1)
+    });
+    if inject.is_ok() {
+        panic!("injected IO thread panic");
+    }
     let acfg = match input {
         RequestInput::Listing(listing) => match magic::extract_acfg(&listing) {
             Ok(acfg) => acfg,

@@ -33,7 +33,7 @@ use magic_obs::timeseries::{
     Clock, MonotonicClock, WindowSnapshot, WindowedCounter, WindowedHistogram,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Slots retained in the slow-request exemplar ring.
 const SLOW_CAPACITY: usize = 16;
@@ -156,6 +156,8 @@ pub struct ServeStats {
     started_us: u64,
     latency_window: WindowedHistogram,
     stage_windows: [WindowedHistogram; 5],
+    /// Slow-request exemplars. Every update is one push or one slot
+    /// write, so a lock poisoned by a panicking holder is recovered.
     slow: Mutex<Vec<SlowExemplar>>,
 }
 
@@ -290,7 +292,7 @@ impl ServeStats {
     /// ring has room or the request is slower than the current fastest
     /// retained exemplar (top-K by `total_us`, K = 16).
     pub fn offer_slow(&self, exemplar: SlowExemplar) {
-        let mut slow = self.slow.lock().unwrap();
+        let mut slow = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
         if slow.len() < SLOW_CAPACITY {
             slow.push(exemplar);
             return;
@@ -321,7 +323,7 @@ impl ServeStats {
     /// Renders the `GET /debug/slow` JSON document: retained slow
     /// exemplars, slowest first.
     pub fn render_slow(&self) -> String {
-        let mut slow = self.slow.lock().unwrap().clone();
+        let mut slow = self.slow.lock().unwrap_or_else(PoisonError::into_inner).clone();
         slow.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.id.cmp(&b.id)));
         let rows: Vec<Value> = slow
             .iter()

@@ -1,7 +1,8 @@
 //! The register-tiled kernels behind every GEMM and the CSR SpMM, written
 //! once and compiled twice.
 //!
-//! [`gemm`], [`gemm_tn`], [`gemm_nt`] and [`spmm`] each have one
+//! [`gemm`], [`gemm_tn`], [`gemm_nt`], [`spmm`] and the two pooling
+//! steps [`ColumnMax::rows`] and [`ColumnMax::fold`] each have one
 //! `#[inline(always)]` body. That body is instantiated twice: once in a
 //! plain function built for the target's baseline (SSE2 on x86-64), and
 //! once inside a `#[target_feature(enable = "avx2")]` function on x86 and
@@ -43,11 +44,25 @@
 //! lowering rounds once where these chains round twice, so an FMA build
 //! would train different weights than a baseline build of the same code.
 //!
+//! # Pooling
+//!
+//! [`ColumnMax`] is the adaptive max pooling of the fused Conv2D → ReLU →
+//! AMP forward, done as one vertical pass over each band of conv output
+//! rows: per map, row window and column, a running maximum and the first
+//! row that reached it. Its body only compares and selects — no
+//! arithmetic touches a value — so its results are the same bits in
+//! every instance, whatever the lowering: `v > max` picks, lane by lane,
+//! between the old and the new value and row. ReLU is folded in by
+//! starting every column at `+0.0`, which only a strictly positive value
+//! can beat: ReLU is `if v > 0.0 { v } else { 0.0 }`, what an optimized
+//! `v.max(0.0)` computes for every `v`, `−0.0` and NaN included.
+//!
 //! This module is deliberately **dependency-free** (it imports nothing
 //! outside `std`, not even from this crate) so `scripts/ci.sh` can compile
 //! it standalone with `rustc --emit asm` and check both instances: packed
-//! SSE multiplies in the baseline one, packed `ymm` multiplies and adds in
-//! the AVX2 one, and no `vfmadd` anywhere. Keep it that way.
+//! SSE multiplies in the baseline one, packed `ymm` multiplies, adds and
+//! compare/select (or max) in the AVX2 one, and no `vfmadd` anywhere.
+//! Keep it that way.
 
 use std::sync::OnceLock;
 
@@ -64,6 +79,14 @@ const NT_COLS: usize = 2;
 
 /// Column groups of [`LANES`] a [`spmm`] row tile holds in registers.
 const SPMM_GROUPS: usize = 4;
+
+/// Column groups of [`LANES`] a [`ColumnMax::rows`] tile holds in
+/// registers down a band's rows.
+const POOL_GROUPS: usize = 4;
+
+/// Rows a [`ColumnMax`] map may have: row numbers below this are exact
+/// in an `f32`.
+const ROWS_EXACT: usize = 1 << 24;
 
 /// Floats of `b` per column panel: 64 KiB, small enough for the panel to
 /// stay in L2 while every row tile sweeps it.
@@ -240,6 +263,248 @@ pub fn spmm(
     dispatch(isa, Spmm { row_offsets, col_indices, values, row_scale, dense, c, out });
 }
 
+/// Adaptive max pooling of ReLU'd maps by running column maxima: the
+/// pool pass of the fused Conv2D → ReLU → AMP forward (see the module
+/// docs, § Pooling).
+///
+/// For each of `c` maps `ow` wide and each of its `gh` row windows, it
+/// keeps per column the largest ReLU'd value seen so far and the first
+/// row that reached it. [`ColumnMax::rows`] feeds it the maps' rows top
+/// to bottom, a band at a time; [`ColumnMax::fold`] then reduces each
+/// `(row window, column window)` cell to its value and winner, exactly as
+/// a strict-`>` scan of the ReLU'd window in `(iy, ix)` order would.
+pub struct ColumnMax<'a> {
+    c: usize,
+    ow: usize,
+    ywin: &'a [usize],
+    /// `(c, gh, ow)` running maxima.
+    best: &'a mut [f32],
+    /// `(c, gh, ow)` row numbers (as `f32`, exact below 2²⁴) of the first
+    /// value that reached each maximum.
+    first: &'a mut [f32],
+}
+
+impl<'a> ColumnMax<'a> {
+    /// Starts the maxima of `c` maps `ow` wide over the row windows
+    /// `ywin` (`gh` flattened `[start, end)` pairs) in `acc`, which must
+    /// hold `2·c·gh·ow` floats: every column at ReLU's floor `+0.0`, held
+    /// by its window's first row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` or `ow` is zero, a window ends past row 2²⁴, or `acc`
+    /// has the wrong length.
+    pub fn new(c: usize, ow: usize, ywin: &'a [usize], acc: &'a mut [f32]) -> Self {
+        assert!(c > 0 && ow > 0, "ColumnMax: empty maps");
+        assert!(ywin.iter().all(|&y| y <= ROWS_EXACT), "ColumnMax: map too tall");
+        let len = c * ywin.len() / 2 * ow;
+        assert_eq!(acc.len(), 2 * len, "ColumnMax: accumulator length mismatch");
+        let (best, first) = acc.split_at_mut(len);
+        best.fill(0.0);
+        for (f, y) in first.chunks_exact_mut(ow).zip(ywin.chunks_exact(2).cycle()) {
+            f.fill(y[0] as f32);
+        }
+        ColumnMax { c, ow, ywin, best, first }
+    }
+
+    /// Takes rows `oy0 ..` of every map into the maxima, run by instance
+    /// `isa`: `band` holds the `c` maps' rows, `r·ow` floats per map,
+    /// row-major. A value `v` of row `oy` replaces the maximum of its
+    /// column in every row window holding `oy` when `v > max`, and `oy`
+    /// becomes that column's row; so a column keeps its first maximum.
+    /// Bands must come top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `band` is not whole rows of `c` maps.
+    pub fn rows(&mut self, isa: Isa, band: &[f32], oy0: usize) {
+        let per_map = band.len() / self.c;
+        assert_eq!(per_map * self.c, band.len(), "ColumnMax: band length mismatch");
+        assert_eq!(per_map % self.ow, 0, "ColumnMax: band of partial rows");
+        if per_map > 0 {
+            dispatch(isa, ColumnRows { pool: self, band, oy0 });
+        }
+    }
+
+    /// Writes map `o`'s `gh × gw` pooled cells, for the column windows
+    /// `xwin` (`gw` flattened non-empty `[start, end)` pairs), run by
+    /// instance `isa`: cell `gy·gw + gx` gets its window's maximum in
+    /// `values` and, in `winners`, `base + iy·ow + ix` of the smallest
+    /// `(iy, ix)` holding that maximum. Each column holds its first
+    /// maximum, so that is the cell where a strict-`>` scan of the window
+    /// in `(iy, ix)` order stops rising.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `o` is out of range, a window is empty or past `ow`, or
+    /// `values`/`winners` are not `gh·gw` long.
+    pub fn fold(
+        &self,
+        isa: Isa,
+        o: usize,
+        xwin: &[usize],
+        base: usize,
+        values: &mut [f32],
+        winners: &mut [usize],
+    ) {
+        let cells = (self.ywin.len() / 2) * (xwin.len() / 2);
+        assert!(o < self.c, "ColumnMax: map {o} out of range");
+        assert_eq!(values.len(), cells, "ColumnMax: values length mismatch");
+        assert_eq!(winners.len(), cells, "ColumnMax: winners length mismatch");
+        let fits = |x: &[usize]| x[0] < x[1] && x[1] <= self.ow;
+        assert!(xwin.chunks_exact(2).all(fits), "ColumnMax: bad column window");
+        dispatch(isa, ColumnFold { pool: self, o, xwin, base, values, winners });
+    }
+}
+
+/// One [`ColumnMax::rows`] call.
+struct ColumnRows<'p, 'a> {
+    pool: &'p mut ColumnMax<'a>,
+    band: &'p [f32],
+    oy0: usize,
+}
+
+impl Kernel for ColumnRows<'_, '_> {
+    #[inline(always)]
+    fn run(self) {
+        let ColumnMax { c, ow, ywin, ref mut best, ref mut first } = *self.pool;
+        let gh = ywin.len() / 2;
+        let per_map = self.band.len() / c;
+        let (oy0, oy1) = (self.oy0, self.oy0 + per_map / ow);
+        for (o, map) in self.band.chunks_exact(per_map).enumerate() {
+            for (gy, y) in ywin.chunks_exact(2).enumerate() {
+                let (lo, hi) = (y[0].max(oy0), y[1].min(oy1));
+                if lo < hi {
+                    let at = (o * gh + gy) * ow;
+                    let rows = &map[(lo - oy0) * ow..(hi - oy0) * ow];
+                    column_max(rows, ow, lo, &mut best[at..][..ow], &mut first[at..][..ow]);
+                }
+            }
+        }
+    }
+}
+
+/// Whole rows `ow` wide, the first being row `oy`, into one window's
+/// running column maxima: [`POOL_GROUPS`] groups of [`LANES`] columns at
+/// a time, held in registers down every row (independent chains, so the
+/// compares overlap), then single groups, then the remaining columns one
+/// by one.
+#[inline(always)]
+fn column_max(rows: &[f32], ow: usize, oy: usize, best: &mut [f32], first: &mut [f32]) {
+    let mut j = 0;
+    while j + POOL_GROUPS * LANES <= ow {
+        column_max_tile::<POOL_GROUPS, LANES>(rows, ow, oy, &mut best[j..], &mut first[j..], j);
+        j += POOL_GROUPS * LANES;
+    }
+    while j + LANES <= ow {
+        column_max_tile::<1, LANES>(rows, ow, oy, &mut best[j..], &mut first[j..], j);
+        j += LANES;
+    }
+    while j < ow {
+        column_max_tile::<1, 1>(rows, ow, oy, &mut best[j..], &mut first[j..], j);
+        j += 1;
+    }
+}
+
+/// Columns `j .. j + G·W` of every row: where `v > max`, the value and
+/// its row replace the column's maximum and row, as branch-free
+/// lane-wise selects.
+#[inline(always)]
+fn column_max_tile<const G: usize, const W: usize>(
+    rows: &[f32],
+    ow: usize,
+    oy: usize,
+    best: &mut [f32],
+    first: &mut [f32],
+    j: usize,
+) {
+    let mut m: [Lanes<W>; G] = std::array::from_fn(|g| Lanes::load(&best[g * W..]));
+    let mut f: [Lanes<W>; G] = std::array::from_fn(|g| Lanes::load(&first[g * W..]));
+    for (oy, row) in (oy..).zip(rows.chunks_exact(ow)) {
+        let oy = Lanes::splat(oy as f32);
+        for (g, (m, f)) in m.iter_mut().zip(f.iter_mut()).enumerate() {
+            let v = Lanes::<W>::load(&row[j + g * W..]);
+            *f = v.if_gt(*m, oy, *f);
+            *m = v.if_gt(*m, v, *m);
+        }
+    }
+    for (g, (m, f)) in m.into_iter().zip(f).enumerate() {
+        m.store(&mut best[g * W..]);
+        f.store(&mut first[g * W..]);
+    }
+}
+
+/// One [`ColumnMax::fold`] call.
+struct ColumnFold<'p, 'a> {
+    pool: &'p ColumnMax<'a>,
+    o: usize,
+    xwin: &'p [usize],
+    base: usize,
+    values: &'p mut [f32],
+    winners: &'p mut [usize],
+}
+
+impl Kernel for ColumnFold<'_, '_> {
+    #[inline(always)]
+    fn run(self) {
+        let ow = self.pool.ow;
+        let band = self.pool.ywin.len() / 2 * ow;
+        let at = self.o * band;
+        let (best, first) = (&self.pool.best[at..][..band], &self.pool.first[at..][..band]);
+        let rows = best.chunks_exact(ow).zip(first.chunks_exact(ow));
+        let windows =
+            rows.flat_map(|(best, first)| self.xwin.chunks_exact(2).map(move |x| (best, first, x)));
+        let cells = self.values.iter_mut().zip(self.winners.iter_mut());
+        for ((value, winner), (best, first, x)) in cells.zip(windows) {
+            let (m, row, ix) = window_max(&best[x[0]..x[1]], &first[x[0]..x[1]]);
+            *value = m;
+            *winner = self.base + row * ow + x[0] + ix;
+        }
+    }
+}
+
+/// A window's maximum, the smallest row holding it, and the first column
+/// holding both: `(value, row, column)`. Lane `l` keeps the maximum of
+/// columns `l, l + 8, …` (the last chunk padded with `−∞`) and the
+/// smallest row among its ties; three rounds then merge each lane with
+/// the one 4, 2 and 1 lanes over. Maximum and smallest row are the same
+/// for any split of the columns, so they need no column order; the
+/// column is then the first that holds both.
+#[inline(always)]
+fn window_max(best: &[f32], first: &[f32]) -> (f32, usize, usize) {
+    let mut m = Lanes::<LANES>::splat(f32::NEG_INFINITY);
+    let mut r = Lanes::<LANES>::splat(f32::INFINITY);
+    let mut j = 0;
+    while j < best.len() {
+        let (v, f) = if j + LANES <= best.len() {
+            (Lanes::load(&best[j..]), Lanes::load(&first[j..]))
+        } else {
+            let pad = |s: &[f32], x| Lanes(std::array::from_fn(|l| s.get(j + l).copied().unwrap_or(x)));
+            (pad(best, f32::NEG_INFINITY), pad(first, f32::INFINITY))
+        };
+        (m, r) = max_row(m, r, v, f);
+        j += LANES;
+    }
+    for k in [4, 2, 1] {
+        (m, r) = max_row(m, r, m.rotate(k), r.rotate(k));
+    }
+    let (value, row) = (m.0[0], r.0[0]);
+    let column = (0..best.len()).position(|ix| best[ix] == value && first[ix] == row).unwrap_or(0);
+    (value, row as usize, column)
+}
+
+/// Lane-wise merge of two `(maximum, smallest row holding it)` pairs.
+#[inline(always)]
+fn max_row<const W: usize>(
+    m: Lanes<W>,
+    r: Lanes<W>,
+    v: Lanes<W>,
+    f: Lanes<W>,
+) -> (Lanes<W>, Lanes<W>) {
+    let tie = v.if_eq(m, r.if_gt(f, f, r), r);
+    (v.if_gt(m, v, m), v.if_gt(m, f, tie))
+}
+
 /// Dot product of two equal-length spans through eight independent
 /// accumulators, combined pairwise:
 /// `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail`, with the sub-8
@@ -277,10 +542,10 @@ fn fold(s: &[f32; LANES]) -> f32 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 }
 
-/// `W` lanes handled by value. Lane-wise `+` and `*` on whole values,
-/// rather than loops over borrowed arrays, are what lets LLVM keep a tile
-/// in registers and lower each operation to one packed instruction per
-/// register in every instance.
+/// `W` lanes handled by value. Lane-wise `+`, `*` and selects on whole
+/// values, rather than loops over borrowed arrays, are what lets LLVM
+/// keep a tile in registers and lower each operation to one packed
+/// instruction per register in every instance.
 #[derive(Clone, Copy)]
 struct Lanes<const W: usize>([f32; W]);
 
@@ -298,6 +563,24 @@ impl<const W: usize> Lanes<W> {
     #[inline(always)]
     fn store(self, s: &mut [f32]) {
         s[..W].copy_from_slice(&self.0);
+    }
+
+    /// Lane-wise `if self > o { a } else { b }`.
+    #[inline(always)]
+    fn if_gt(self, o: Self, a: Self, b: Self) -> Self {
+        Lanes(std::array::from_fn(|l| if self.0[l] > o.0[l] { a.0[l] } else { b.0[l] }))
+    }
+
+    /// Lane `l` takes lane `l + k` (mod `W`).
+    #[inline(always)]
+    fn rotate(self, k: usize) -> Self {
+        Lanes(std::array::from_fn(|l| self.0[(l + k) % W]))
+    }
+
+    /// Lane-wise `if self == o { a } else { b }`.
+    #[inline(always)]
+    fn if_eq(self, o: Self, a: Self, b: Self) -> Self {
+        Lanes(std::array::from_fn(|l| if self.0[l] == o.0[l] { a.0[l] } else { b.0[l] }))
     }
 }
 

@@ -127,13 +127,16 @@ echo "==> vectorization check: both kernel instances emit packed FP math, none f
 # `mulps`/`addps`, the AVX2 instance (`run_avx2`) packed `ymm`
 # `vmulps`/`vaddps`, and no `vfmadd` may appear anywhere: a fused
 # multiply-add would round differently and break bitwise equality
-# between the instances. Guards against a refactor silently
+# between the instances. The AVX2 instances of the two pooling bodies
+# (`ColumnRows`, `ColumnFold`; v0 mangling puts the kernel type in the
+# `run_avx2` symbol) must each hold a packed `ymm` compare with a packed
+# `ymm` blend, or a packed `ymm` max. Guards against a refactor silently
 # de-vectorizing a kernel or enabling `fma`. Skipped, not failed, if
 # rustc can't emit asm for this target.
 SIMD_DIR="$(mktemp -d /tmp/simd_probe.XXXXXX)"
 trap 'rm -rf "$SIMD_DIR"' EXIT
-if rustc --edition 2021 --crate-type lib -C opt-level=3 --emit asm \
-    -o "$SIMD_DIR/simd.s" crates/tensor/src/simd.rs 2>/dev/null; then
+if rustc --edition 2021 --crate-type lib -C opt-level=3 -C symbol-mangling-version=v0 \
+    --emit asm -o "$SIMD_DIR/simd.s" crates/tensor/src/simd.rs 2>/dev/null; then
     if grep -Eq '\bvfmadd' "$SIMD_DIR/simd.s"; then
         echo "ERROR: fused multiply-add (vfmadd) in kernel asm" >&2
         exit 1
@@ -141,12 +144,21 @@ if rustc --edition 2021 --crate-type lib -C opt-level=3 --emit asm \
     case "$(uname -m)" in
     x86_64 | i?86)
         # Split the listing per function: labels of non-local symbols
-        # start a function; `run_avx2` ones go to avx2.s.
+        # start a function; `run_avx2` ones go to avx2.s, and the pooling
+        # ones also to their own file.
         : > "$SIMD_DIR/baseline.s"
         : > "$SIMD_DIR/avx2.s"
+        : > "$SIMD_DIR/ColumnRows.s"
+        : > "$SIMD_DIR/ColumnFold.s"
         awk -v dir="$SIMD_DIR" '
-            /^[_A-Za-z][^ \t]*:$/ { out = ($0 ~ /run_avx2/) ? "avx2.s" : "baseline.s" }
-            out { print > (dir "/" out) }' "$SIMD_DIR/simd.s"
+            /^[_A-Za-z][^ \t]*:$/ {
+                out = ($0 ~ /run_avx2/) ? "avx2.s" : "baseline.s"
+                pool = ""
+                if ($0 ~ /run_avx2.*ColumnRows/) pool = "ColumnRows.s"
+                if ($0 ~ /run_avx2.*ColumnFold/) pool = "ColumnFold.s"
+            }
+            out { print > (dir "/" out) }
+            pool { print > (dir "/" pool) }' "$SIMD_DIR/simd.s"
         for op in mulps addps; do
             if ! grep -Eq "^\s+$op\s" "$SIMD_DIR/baseline.s"; then
                 echo "ERROR: no packed SSE $op in the baseline kernel instance" >&2
@@ -157,7 +169,15 @@ if rustc --edition 2021 --crate-type lib -C opt-level=3 --emit asm \
                 exit 1
             fi
         done
-        echo "baseline instance: packed SSE; AVX2 instance: packed ymm; no vfmadd"
+        packed() { grep -Eq "^\s+$1\s.*%ymm" "$SIMD_DIR/$2.s"; }
+        for body in ColumnRows ColumnFold; do
+            if ! packed vmaxps "$body" \
+                && ! { packed 'vcmp[a-z]*ps' "$body" && packed vblendvps "$body"; }; then
+                echo "ERROR: no packed ymm compare/select or max in the AVX2 $body instance" >&2
+                exit 1
+            fi
+        done
+        echo "baseline instance: packed SSE; AVX2 instance: packed ymm, pooling included; no vfmadd"
         ;;
     *)
         if grep -Eq '\b(mulps|fmla|fmul)\b' "$SIMD_DIR/simd.s"; then

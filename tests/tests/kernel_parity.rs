@@ -1,7 +1,8 @@
 //! Both instances of the register-tiled kernels — the baseline build and
 //! the AVX2 build of the same source — against each other and against
 //! the span-order scalar references in [`magic_integration::oracle`],
-//! bitwise, over every tile remainder.
+//! bitwise, over every tile remainder; and both instances of the pooling
+//! pass against the scan-order adaptive max pooling of the ReLU'd map.
 //!
 //! The instances are called directly through an explicit
 //! [`magic_tensor::simd::Isa`], so the fallback stays covered on an AVX2
@@ -9,7 +10,7 @@
 //! without AVX2.
 
 use magic_integration::oracle;
-use magic_tensor::simd::{self, Isa};
+use magic_tensor::simd::{self, ColumnMax, Isa};
 use magic_tensor::{gemm_nt_strided_into, CsrMatrix, Rng64, Tensor};
 
 /// Every instance this CPU can run, baseline first.
@@ -176,6 +177,88 @@ fn spmm_instances_match_span_order_on_every_remainder() {
             check_instances(&format!("spmm c={c}"), &init, &want, |isa, out| {
                 simd::spmm(isa, offs, cols, vals, scale, &dense, c, out)
             });
+        }
+    }
+}
+
+/// `c` maps of `(oh, ow)` pooled to `(gh, gw)` by instance `isa` of
+/// [`ColumnMax`], fed bands of `band` rows: the pooled `(c, gh·gw)`
+/// values and, per cell, the flat index of its winner in the maps.
+fn column_max_pool(
+    isa: Isa,
+    maps: &[f32],
+    c: usize,
+    (oh, ow): (usize, usize),
+    (gh, gw): (usize, usize),
+    band: usize,
+) -> (Vec<f32>, Vec<usize>) {
+    let windows = |n: usize, len: usize| -> Vec<usize> {
+        (0..n).flat_map(|i| <[usize; 2]>::from(oracle::adaptive_window(i, n, len))).collect()
+    };
+    let (ywin, xwin) = (windows(gh, oh), windows(gw, ow));
+    let mut acc = vec![f32::NAN; 2 * c * gh * ow];
+    let mut pool = ColumnMax::new(c, ow, &ywin, &mut acc);
+    let mut rows = Vec::new();
+    for oy0 in (0..oh).step_by(band) {
+        let oy1 = (oy0 + band).min(oh);
+        rows.clear();
+        for map in maps.chunks_exact(oh * ow) {
+            rows.extend_from_slice(&map[oy0 * ow..oy1 * ow]);
+        }
+        pool.rows(isa, &rows, oy0);
+    }
+    let cells = gh * gw;
+    let (mut values, mut winners) = (vec![f32::NAN; c * cells], vec![usize::MAX; c * cells]);
+    let maps = values.chunks_exact_mut(cells).zip(winners.chunks_exact_mut(cells));
+    for (o, (v, w)) in maps.enumerate() {
+        pool.fold(isa, o, &xwin, o * oh * ow, v, w);
+    }
+    (values, winners)
+}
+
+#[test]
+fn pool_instances_match_the_scan_of_the_relu_map() {
+    let mut rng = Rng64::new(7);
+    // Widths off the 8-lane tile and the 32-column group; `oh < gh` and
+    // `ow < gw`, where neighbouring windows share rows or columns.
+    let shapes = [
+        ((7, 13), (3, 3)),
+        ((2, 5), (4, 3)),
+        ((9, 3), (2, 6)),
+        ((1, 1), (2, 2)),
+        ((16, 45), (6, 6)),
+        ((12, 77), (5, 4)),
+        ((5, 8), (2, 2)),
+        ((33, 256), (6, 6)),
+    ];
+    // Uniform values; a few exact values, so windows hold ties, `+0.0`
+    // and `−0.0`; and nothing positive, so every window pools ReLU's
+    // `+0.0`.
+    let ties = [-1.0, -0.0, 0.0, 0.5, 1.0];
+    let draws: [&dyn Fn(&mut Rng64) -> f32; 3] = [
+        &|rng| rng.next_f32() * 4.0 - 2.0,
+        &|rng| ties[rng.next_below(ties.len())],
+        &|rng| [-2.0, -0.0, 0.0][rng.next_below(3)],
+    ];
+    let c = 3;
+    for ((oh, ow), grid) in shapes {
+        for draw in draws {
+            let maps: Vec<f32> = (0..c * oh * ow).map(|_| draw(&mut rng)).collect();
+            // ReLU as the optimized `v.max(0.0)` computes it: `+0.0` for
+            // `−0.0` too (an unoptimized `f32::max` may keep `−0.0`; Rust
+            // leaves that sign unspecified).
+            let relu: Vec<f32> = maps.iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
+            let relu = Tensor::from_vec(relu, [c, oh * ow]);
+            let (want, want_winners) =
+                oracle::adaptive_max_pool2d(&relu, &[(oh, ow)], grid.0, grid.1);
+            for isa in instances() {
+                for band in [1, 3, oh] {
+                    let (values, winners) = column_max_pool(isa, &maps, c, (oh, ow), grid, band);
+                    let what = format!("pool {oh}x{ow} -> {grid:?}, band {band}, {}", isa.name());
+                    assert_eq!(bits(&values), bits(want.as_slice()), "{what}: values");
+                    assert_eq!(winners, want_winners, "{what}: winners");
+                }
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! These tests install process-global recorders, so they serialize on a
 //! local mutex and live in their own integration binary.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use magic::pipeline::extract_acfg;
 use magic::trainer::{TrainConfig, TrainOutcome, Trainer};
@@ -18,7 +18,9 @@ use magic_synth::codegen::CodeGenerator;
 use magic_synth::profile::FamilyProfile;
 use magic_tensor::Rng64;
 
-/// The global recorder slot is shared by every test in this binary.
+/// The global recorder slot is shared by every test in this binary. A
+/// test that fails while holding it poisons it; the others recover it
+/// rather than fail too.
 static GLOBAL_RECORDER: Mutex<()> = Mutex::new(());
 
 fn corpus() -> (Vec<GraphInput>, Vec<usize>) {
@@ -81,7 +83,7 @@ fn assert_same_run(a: &(TrainOutcome, Dgcnn), b: &(TrainOutcome, Dgcnn), what: &
 /// telemetry observes training, it never perturbs it.
 #[test]
 fn tracing_does_not_perturb_training_bitwise() {
-    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let (inputs, labels) = corpus();
 
     magic_obs::uninstall();
@@ -105,7 +107,7 @@ fn tracing_does_not_perturb_training_bitwise() {
 /// `magic-json`, covers the training stages, and closes every span.
 #[test]
 fn training_trace_roundtrips_and_covers_the_run() {
-    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let (inputs, labels) = corpus();
 
     let dir = std::env::temp_dir().join("magic-obs-integration");
@@ -152,7 +154,7 @@ fn training_trace_roundtrips_and_covers_the_run() {
 /// the trace renders to well-formed collapsed-stack lines.
 #[test]
 fn profiled_run_attributes_epoch_wall_clock() {
-    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let (inputs, labels) = corpus();
 
     let dir = std::env::temp_dir().join("magic-obs-integration");
@@ -234,7 +236,7 @@ fn traced_run(file: &str, grad_clip: f32) -> String {
 /// time). With clipping off, no `grad.clip` row is emitted at all.
 #[test]
 fn host_rows_and_epoch_histograms_count_their_units_of_work() {
-    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let (samples, batches, epochs, lanes) = (12 * 3, 3 * 3, 3, 2);
     let host_calls = |text: &str| -> Vec<(String, u64)> {
         let summary = TraceSummary::from_lines(text.lines()).unwrap();
@@ -280,7 +282,7 @@ fn host_rows_and_epoch_histograms_count_their_units_of_work() {
 /// `docs/OBSERVABILITY.md`.
 #[test]
 fn names_emitted_by_training_are_registered_and_documented() {
-    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let text = traced_run("registry-trace.jsonl", 5.0);
     let mut emitted = std::collections::BTreeSet::new();
     for line in text.lines() {
@@ -339,7 +341,7 @@ fn committed_v1_trace_report_matches_golden() {
 #[test]
 fn cache_load_decodes_shards_on_the_prefetch_thread_and_never_extracts() {
     use magic::corpus_cache::{self, CacheSpec, CorpusKind};
-    let _guard = GLOBAL_RECORDER.lock().unwrap();
+    let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir()
         .join(format!("magic-obs-integration-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
