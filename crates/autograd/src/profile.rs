@@ -7,7 +7,7 @@
 //! into the tape-owned [`OpProfile`]. Tapes are per-worker-lane, so
 //! aggregation is contention-free; the trainer drains lane profiles at
 //! epoch boundaries and flushes them as `op_profile` events in the
-//! `magic-trace/2` schema.
+//! `magic-trace/3` schema.
 //!
 //! With profiling off (the default) each op costs a single branch on a
 //! plain `bool` — cheaper than the relaxed atomic load budget the

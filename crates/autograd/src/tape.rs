@@ -88,7 +88,7 @@ enum Op {
 }
 
 impl Op {
-    /// Stable kind name used by the profiler and the `magic-trace/2`
+    /// Stable kind name used by the profiler and the `magic-trace/3`
     /// `op_profile` event. These strings are part of the trace schema:
     /// renaming one is a reader-visible change and belongs in
     /// `docs/OBSERVABILITY.md`'s op-kind registry. The `.batched` suffix
@@ -405,7 +405,7 @@ impl Tape {
             let x = &nodes[a.0].value;
             let mut out = workspace.take_tensor(x.shape().clone());
             for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-                *o = v.max(0.0);
+                *o = magic_tensor::relu(v);
             }
             out
         };
@@ -1322,6 +1322,18 @@ mod tests {
         let s = tape.sum(y);
         tape.backward(s);
         assert_eq!(tape.grad(x).unwrap().as_slice(), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn relu_maps_negative_zero_and_nan_to_positive_zero_in_every_build() {
+        let xs = [-0.0, f32::NAN, -2.0, 0.0, 1.5];
+        let want = [0.0f32, 0.0, 0.0, 0.0, 1.5].map(f32::to_bits);
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_slice(&xs).reshape([1, 5]), false);
+        let y = tape.relu(x);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tape.value(y)), want);
+        assert_eq!(bits(&Tensor::from_slice(&xs).relu()), want);
     }
 
     #[test]

@@ -95,7 +95,9 @@ USAGE:
                  --cache-dir trains from the shard cache, building it
                  first if missing; --cache stream keeps shards on disk
                  and prefetches batches on a background thread — bitwise
-                 identical to the in-memory path)
+                 identical to the in-memory path in bounded memory, but
+                 slower when no core is spare: about +33 % per epoch at
+                 2 lanes on 2 cores, docs/PERFORMANCE.md § 7)
     magic predict --model <model.magic> [--reduce R] <listing.asm>...
                 (--reduce overrides the training-time strategy recorded
                  in the model header; default is to match training)
@@ -137,7 +139,7 @@ REDUCE VALUES (--reduce, default none):
     and the determinism contract are specified in DESIGN.md.
 
 GLOBAL OPTIONS:
-    --trace <path>       stream a magic-trace/2 JSONL telemetry trace to
+    --trace <path>       stream a magic-trace/3 JSONL telemetry trace to
                          <path> (convention: results/logs/trace-<run>.jsonl);
                          aggregate it with `magic report --trace <path>`.
                          Not taken by `report` (names its input there) or
@@ -779,6 +781,19 @@ mod tests {
     /// test only poisons it; it guards no data.
     static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    /// README's "`magic help` prints:" block is the help text, verbatim.
+    #[test]
+    fn readme_help_block_is_the_usage_text() {
+        let readme = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md"),
+        )
+        .unwrap();
+        let marker = "`magic help` prints:\n\n```text\n";
+        let start = readme.find(marker).expect("README has the help block") + marker.len();
+        let len = readme[start..].find("\n```\n").expect("help block is closed");
+        assert_eq!(&readme[start..start + len], USAGE);
+    }
+
     #[test]
     fn take_flag_extracts_pairs() {
         let mut args: Vec<String> =
@@ -1103,10 +1118,9 @@ mod tests {
         };
         // A fresh build histograms the graphs it just wrote.
         assert_eq!(traced_build(), (0, 0.0));
-        // An up-to-date cache is decoded once, shard by shard.
+        // An up-to-date cache is decoded once, in one pass.
         let (reads, bytes) = traced_build();
-        let manifest = magic_data::CacheManifest::load(&dir).unwrap();
-        assert_eq!(reads, manifest.shards.len() as u64);
+        assert_eq!(reads, 1);
         assert!(bytes > 0.0);
         std::fs::remove_dir_all(&tmp).ok();
     }

@@ -12,7 +12,7 @@
 //! magic report --trace t.jsonl --flamegraph  collapsed stacks for flamegraphs
 //! ```
 //!
-//! Subcommands accept `--trace <path>` (stream a `magic-trace/2`
+//! Subcommands accept `--trace <path>` (stream a `magic-trace/3`
 //! JSONL telemetry trace, see `docs/OBSERVABILITY.md`; `report` and
 //! `profile` handle the trace themselves) and
 //! `--log-level <off|error|info|debug|trace>`.

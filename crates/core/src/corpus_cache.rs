@@ -22,7 +22,7 @@ use crate::executor::Lanes;
 use crate::pipeline::extract_acfg;
 use magic_data::{
     cache_fingerprint, write_shard, CacheError, CacheManifest, ShardMeta, ShardRecord,
-    ShardStream, StreamedCorpus,
+    StreamedCorpus,
 };
 use magic_graph::{Acfg, ReduceStrategy, SizeHistogram};
 use magic_model::GraphInput;
@@ -311,8 +311,25 @@ pub fn build(dir: &Path, spec: &CacheSpec, workers: usize, force: bool) -> Resul
     Ok(BuildOutcome { manifest, rebuilt: true, bytes: total_bytes, sizes })
 }
 
-/// Loads a cache directory fully into RAM, building [`GraphInput`]s in
-/// parallel per shard while the next shard decodes in the background.
+/// Opens the cache at `dir` and decodes every record in sample order
+/// on the caller's thread, under one [`magic_obs::stage::CACHE_READ`]
+/// span.
+fn read_records(
+    dir: &Path,
+    expected_fingerprint: Option<u64>,
+) -> Result<(StreamedCorpus, Vec<ShardRecord>), CacheError> {
+    let corpus = StreamedCorpus::open(dir, expected_fingerprint)?;
+    let _span = magic_obs::span_fields(
+        magic_obs::stage::CACHE_READ,
+        &[("records", corpus.len() as f64), ("bytes", corpus.payload_bytes() as f64)],
+    );
+    let every: Vec<usize> = (0..corpus.len()).collect();
+    let records = corpus.records(&every)?;
+    Ok((corpus, records))
+}
+
+/// Loads a cache directory fully into RAM: one decode pass in sample
+/// order, then the [`GraphInput`]s built across `workers` lanes.
 ///
 /// Pass `expected_fingerprint` to reject caches built for a different
 /// configuration; `None` accepts whatever the manifest describes.
@@ -325,14 +342,9 @@ pub fn load(
     expected_fingerprint: Option<u64>,
     workers: usize,
 ) -> Result<LoadedCorpus, CacheError> {
-    let (manifest, stream) = ShardStream::open(dir, expected_fingerprint)?;
-    let lanes = Lanes::new(workers);
-    let mut loaded = LoadedCorpus::with_capacity(manifest.samples, manifest.class_names);
-    // Each shard's inputs build across the lanes while the prefetch
-    // thread decodes the next shard.
-    for shard in stream {
-        loaded.extend(shard?.records, &lanes);
-    }
+    let (corpus, records) = read_records(dir, expected_fingerprint)?;
+    let mut loaded = LoadedCorpus::with_capacity(records.len(), corpus.class_names().to_vec());
+    loaded.extend(records, &Lanes::new(workers));
     Ok(loaded)
 }
 
@@ -344,12 +356,8 @@ pub fn load(
 ///
 /// Returns [`CacheError`] for a missing, damaged, or mismatched cache.
 pub fn read_graphs(dir: &Path, expected_fingerprint: Option<u64>) -> Result<Vec<Acfg>, CacheError> {
-    let (manifest, stream) = ShardStream::open(dir, expected_fingerprint)?;
-    let mut acfgs = Vec::with_capacity(manifest.samples);
-    for shard in stream {
-        acfgs.extend(shard?.records.into_iter().map(|r| r.acfg));
-    }
-    Ok(acfgs)
+    let (_, records) = read_records(dir, expected_fingerprint)?;
+    Ok(records.into_iter().map(|r| r.acfg).collect())
 }
 
 /// Opens a cache for shard-at-a-time streaming (random access by global

@@ -51,6 +51,6 @@ pub use corpus_cache::{
 };
 pub use cv::{cross_validate, CvOutcome};
 pub use executor::{workers_per_concurrent_run, Lanes};
-pub use pipeline::{extract_acfg, extract_acfgs_parallel, MagicPipeline, PipelineError};
+pub use pipeline::{extract_acfg, MagicPipeline, PipelineError};
 pub use trainer::{evaluate_with, EpochStats, TrainConfig, Trainer, TrainOutcome};
 pub use tuning::{best_params, GridSearch, HeadKind, HyperParams, SearchOutcome};

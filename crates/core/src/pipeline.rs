@@ -1,7 +1,6 @@
 //! The MAGIC front half: listing → CFG → ACFG, plus the assembled
 //! classify-one-binary pipeline.
 
-use crate::executor::Lanes;
 use magic_asm::{parse_listing, CfgBuilder, ParseError, Program};
 use magic_graph::{Acfg, ReduceStrategy};
 use magic_model::{Dgcnn, GraphInput};
@@ -68,16 +67,6 @@ pub fn parse_program(listing: &str) -> Result<Program<'_>, PipelineError> {
         return Err(PipelineError::EmptyProgram);
     }
     Ok(program)
-}
-
-/// Extracts ACFGs for many listings across `workers` lanes (`0` =
-/// auto) — MAGIC "can generate multiple ACFGs in parallel" (Section
-/// IV-C). Order is preserved; failures are reported per listing.
-pub fn extract_acfgs_parallel(
-    listings: &[String],
-    workers: usize,
-) -> Vec<Result<Acfg, PipelineError>> {
-    Lanes::new(workers).run(listings.len(), |_, i| extract_acfg(&listings[i]))
 }
 
 /// The assembled end-to-end system: a trained DGCNN plus family names.
@@ -215,43 +204,6 @@ mod tests {
         let err = extract_acfg(".text:  mov eax, 1").unwrap_err();
         assert!(matches!(err, PipelineError::Parse(_)));
         assert!(std::error::Error::source(&err).is_some());
-    }
-
-    #[test]
-    fn parallel_extraction_preserves_order_and_results() {
-        let listings: Vec<String> = (0..20)
-            .map(|i| {
-                format!(
-                    ".text:00401000    mov eax, {i}\n.text:00401005    retn\n"
-                )
-            })
-            .collect();
-        let serial: Vec<_> = listings.iter().map(|l| extract_acfg(l)).collect();
-        // `0` is auto, like every other worker knob.
-        for workers in [4, 0] {
-            let parallel = extract_acfgs_parallel(&listings, workers);
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(
-                    s.as_ref().unwrap().vertex_count(),
-                    p.as_ref().unwrap().vertex_count(),
-                    "workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_extraction_reports_failures_in_place() {
-        let listings = vec![
-            ".text:00401000  retn\n".to_string(),
-            String::new(),
-            ".text:00401000  nop\n".to_string(),
-        ];
-        let results = extract_acfgs_parallel(&listings, 2);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
     }
 
     #[test]

@@ -90,8 +90,8 @@ impl SampleSource<'_> {
 /// Iterates `idx` in `chunk_size` chunks, decoding each chunk's records
 /// into [`GraphInput`]s on a background thread one chunk ahead of the
 /// consumer (double-buffering through a bounded channel of depth 1), so
-/// the consumer stays compute-bound while the next chunk's IO + decode
-/// overlaps it.
+/// the next chunk's IO + decode overlaps the consumer's compute when a
+/// core is spare.
 ///
 /// # Panics
 ///
@@ -263,8 +263,9 @@ impl Trainer {
     /// mini-batch's records are decoded by a background prefetch thread
     /// one batch ahead of the compute (double-buffered through a
     /// bounded channel), so resident memory stays bounded by two
-    /// batches plus the shard indices while epoch time stays
-    /// compute-bound.
+    /// batches plus the shard indices. The prefetch hides the decode
+    /// only when a core is spare; with every core training, a streamed
+    /// epoch is slower than one from RAM (docs/PERFORMANCE.md § 7).
     ///
     /// Because samples are addressed by the same global indices as the
     /// in-memory path — same shuffle, same batch composition, same

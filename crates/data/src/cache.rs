@@ -398,10 +398,7 @@ struct IndexEntry {
 #[derive(Debug)]
 pub struct ShardReader {
     file: File,
-    path: PathBuf,
     fingerprint: u64,
-    shard_index: usize,
-    shard_count: usize,
     index: Vec<IndexEntry>,
     payload_start: u64,
     payload_len: u64,
@@ -432,8 +429,6 @@ impl ShardReader {
             return Err(CacheError::UnsupportedVersion { found: version });
         }
         let fingerprint = u64_at(16);
-        let shard_index = u32_at(24) as usize;
-        let shard_count = u32_at(28) as usize;
         let record_count = u32_at(32) as usize;
         let payload_len = u64_at(40);
         if record_count == 0 {
@@ -484,10 +479,7 @@ impl ShardReader {
 
         Ok(ShardReader {
             file,
-            path: path.to_path_buf(),
             fingerprint,
-            shard_index,
-            shard_count,
             index,
             payload_start: HEADER_LEN + index_len,
             payload_len,
@@ -517,16 +509,6 @@ impl ShardReader {
     /// Configuration fingerprint from the header.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// This shard's position in the cache.
-    pub fn shard_index(&self) -> usize {
-        self.shard_index
-    }
-
-    /// Total shards in the cache this shard belongs to.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
     }
 
     /// Per-record class labels, straight from the index (no record
@@ -576,57 +558,9 @@ impl ShardReader {
         Ok(record)
     }
 
-    /// Reads and decodes every record in shard order with one
-    /// sequential payload read. Emits a
-    /// [`magic_obs::stage::CACHE_READ`] span and the
-    /// [`magic_obs::stage::C_CACHE_BYTES_READ`] counter.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Corrupt`] on framing/consistency violations,
-    /// [`CacheError::Io`] on filesystem failure.
-    pub fn read_all(&mut self) -> Result<Vec<ShardRecord>, CacheError> {
-        let _span = obs::span_fields(
-            obs::stage::CACHE_READ,
-            &[
-                ("shard", self.shard_index as f64),
-                ("records", self.index.len() as f64),
-                ("bytes", self.payload_len as f64),
-            ],
-        );
-        self.file.seek(SeekFrom::Start(self.payload_start))?;
-        let mut payload = vec![0u8; self.payload_len as usize];
-        self.file.read_exact(&mut payload)?;
-        let mut records = Vec::with_capacity(self.index.len());
-        for (i, entry) in self.index.iter().enumerate() {
-            let start = entry.offset as usize;
-            let len = u32::from_le_bytes(
-                payload
-                    .get(start..start + 4)
-                    .ok_or_else(|| CacheError::Corrupt(format!("record {i} frame missing")))?
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            let body = payload
-                .get(start + 4..start + 4 + len)
-                .ok_or_else(|| CacheError::Corrupt(format!("record {i} overruns payload")))?;
-            let record = decode_record(body)?;
-            if record.label != entry.label as usize
-                || record.acfg.vertex_count() != entry.vertex_count as usize
-            {
-                return Err(CacheError::Corrupt(format!(
-                    "record {i} disagrees with its index entry"
-                )));
-            }
-            records.push(record);
-        }
-        obs::counter(obs::stage::C_CACHE_BYTES_READ, self.payload_len as f64);
-        Ok(records)
-    }
-
-    /// Path this reader was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Framed record bytes (the payload between index and footer).
+    pub(crate) fn payload_len(&self) -> u64 {
+        self.payload_len
     }
 }
 
@@ -826,15 +760,12 @@ mod tests {
         reader.expect_fingerprint(fp).unwrap();
         assert_eq!(reader.len(), 6);
         assert_eq!(reader.labels(), vec![0, 1, 2, 0, 1, 2]);
-        let all = reader.read_all().unwrap();
-        for (a, b) in all.iter().zip(&records) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.acfg.attributes().as_slice(), b.acfg.attributes().as_slice());
+        // Random access, out of order, returns each record as written.
+        for i in [4, 0, 5, 1, 3, 2] {
+            let one = reader.read_record(i).unwrap();
+            assert_eq!(one.label, records[i].label);
+            assert_eq!(one.acfg.attributes().as_slice(), records[i].acfg.attributes().as_slice());
         }
-        // Random access agrees with the sequential read.
-        let one = reader.read_record(4).unwrap();
-        assert_eq!(one.label, all[4].label);
-        assert_eq!(one.acfg.attributes().as_slice(), all[4].acfg.attributes().as_slice());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -873,8 +804,9 @@ mod tests {
     }
 
     fn read_cache(dir: &Path, fp: u64) -> Vec<usize> {
-        let (_, stream) = crate::ShardStream::open(dir, Some(fp)).unwrap();
-        stream.flat_map(|s| s.unwrap().records).map(|r| r.label).collect()
+        let corpus = crate::StreamedCorpus::open(dir, Some(fp)).unwrap();
+        let every: Vec<usize> = (0..corpus.len()).collect();
+        corpus.records(&every).unwrap().into_iter().map(|r| r.label).collect()
     }
 
     #[test]

@@ -1,33 +1,29 @@
 #![warn(missing_docs)]
 
-//! Dataset containers and cross-validation splitters for the MAGIC
+//! Cross-validation splitters and the shard cache for the MAGIC
 //! reproduction.
 //!
 //! The paper evaluates with stratified five-fold cross-validation
 //! (Section V-B): "the dataset is splitted into five equal-size subsets
 //! ... the training process never sees the testing samples". This crate
-//! provides the labeled dataset container, deterministic stratified
-//! K-fold splitting, and mini-batch iteration — plus the `magic-acfg/1`
-//! sharded binary ACFG cache ([`cache`]) and its streaming readers
-//! ([`stream`]) that let training and serving start from pre-extracted
-//! graphs instead of re-running listing → CFG → ACFG extraction.
+//! provides deterministic stratified K-fold splitting and mini-batch
+//! iteration over label vectors — plus the `magic-acfg/1` sharded binary
+//! ACFG cache ([`cache`]) and its one reader ([`StreamedCorpus`]) that
+//! let training and serving start from pre-extracted graphs instead of
+//! re-running listing → CFG → ACFG extraction.
 //!
 //! # Example
 //!
 //! ```
-//! use magic_data::Dataset;
+//! use magic_data::stratified_kfold;
 //!
-//! let ds = Dataset::new(
-//!     vec!["a", "b", "c", "d"],
-//!     vec![0, 1, 0, 1],
-//!     vec!["FamA".into(), "FamB".into()],
-//! );
-//! let folds = ds.stratified_kfold(2, 99);
+//! let labels = [0, 1, 0, 1];
+//! let folds = stratified_kfold(&labels, 2, 99);
 //! assert_eq!(folds.len(), 2);
+//! assert_eq!(folds[0].train.len() + folds[0].validation.len(), labels.len());
 //! ```
 
 pub mod cache;
-mod dataset;
 mod split;
 pub mod stream;
 
@@ -35,6 +31,5 @@ pub use cache::{
     cache_fingerprint, decode_record, encode_record, write_shard, CacheError, CacheManifest,
     ShardMeta, ShardReader, ShardRecord, CACHE_SCHEMA_NAME, CACHE_VERSION,
 };
-pub use dataset::Dataset;
 pub use split::{batches, stratified_kfold, Fold};
-pub use stream::{DecodedShard, ShardStream, StreamedCorpus};
+pub use stream::StreamedCorpus;

@@ -1,126 +1,36 @@
-//! Streaming readers over a `magic-acfg/1` cache directory.
+//! The one reader of a `magic-acfg/1` cache directory.
 //!
-//! Two granularities:
+//! [`StreamedCorpus`] gives random access by global sample index: shard
+//! indices are held in memory (labels and graph sizes come straight
+//! from them), record payloads are decoded on demand with one seek +
+//! one framed read each through [`ShardReader::read_record`], so
+//! resident memory stays bounded by the working set instead of the
+//! corpus. The streamed trainer fetches mini-batches from it on its
+//! prefetch thread; a full RAM load is one [`records`] pass over every
+//! index in sample order.
 //!
-//! * [`ShardStream`] — sequential corpus loading with double-buffering:
-//!   a background thread reads + decodes shard `k+1` while the consumer
-//!   processes shard `k`, so a load that does per-record compute (e.g.
-//!   CSR building) stays compute-bound instead of alternating IO and
-//!   CPU phases.
-//! * [`StreamedCorpus`] — random access by global sample index for the
-//!   streamed trainer: shard indices are held in memory (labels and
-//!   graph sizes come straight from them), record payloads are fetched
-//!   on demand with one seek + one framed read each, so resident memory
-//!   stays bounded by the working set instead of the corpus.
+//! Every shard is validated against the manifest fingerprint and the
+//! full checksum pass of [`ShardReader::open`] before any record is
+//! decoded.
 //!
-//! Both validate every shard against the manifest fingerprint and the
-//! full checksum pass of [`ShardReader::open`] before yielding any
-//! record.
+//! [`records`]: StreamedCorpus::records
 
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 use magic_model::GraphInput;
 
 use crate::cache::{CacheError, CacheManifest, ShardReader, ShardRecord};
-
-/// One fully decoded shard, in canonical sample order.
-#[derive(Debug)]
-pub struct DecodedShard {
-    /// Position of this shard in the cache.
-    pub shard_index: usize,
-    /// Decoded records in shard order.
-    pub records: Vec<ShardRecord>,
-}
-
-/// Sequential shard iterator with one shard of read-ahead.
-///
-/// The iterator yields shards in manifest order; decoding of the next
-/// shard overlaps the consumer's processing of the current one through
-/// a bounded channel of depth 1 (classic double-buffering: at most two
-/// decoded shards are alive at once).
-#[derive(Debug)]
-pub struct ShardStream {
-    rx: Option<Receiver<Result<DecodedShard, CacheError>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl ShardStream {
-    /// Opens the cache at `dir` and starts the prefetch thread.
-    ///
-    /// When `expected_fingerprint` is given, the manifest (and through
-    /// it every shard) must carry that fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Manifest`] / [`CacheError::FingerprintMismatch`]
-    /// on an unusable cache directory; per-shard errors surface through
-    /// the iterator.
-    pub fn open(
-        dir: &Path,
-        expected_fingerprint: Option<u64>,
-    ) -> Result<(CacheManifest, Self), CacheError> {
-        let manifest = CacheManifest::load(dir)?;
-        if let Some(expected) = expected_fingerprint {
-            if manifest.fingerprint != expected {
-                return Err(CacheError::FingerprintMismatch {
-                    expected,
-                    found: manifest.fingerprint,
-                });
-            }
-        }
-        let fingerprint = manifest.fingerprint;
-        let paths: Vec<std::path::PathBuf> =
-            manifest.shards.iter().map(|s| dir.join(&s.file)).collect();
-        let (tx, rx) = sync_channel::<Result<DecodedShard, CacheError>>(1);
-        let handle = std::thread::spawn(move || {
-            for (shard_index, path) in paths.iter().enumerate() {
-                let result = (|| {
-                    let mut reader = ShardReader::open(path)?;
-                    reader.expect_fingerprint(fingerprint)?;
-                    let records = reader.read_all()?;
-                    Ok(DecodedShard { shard_index, records })
-                })();
-                let stop = result.is_err();
-                if tx.send(result).is_err() || stop {
-                    break;
-                }
-            }
-        });
-        Ok((manifest, ShardStream { rx: Some(rx), handle: Some(handle) }))
-    }
-}
-
-impl Iterator for ShardStream {
-    type Item = Result<DecodedShard, CacheError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.rx.as_ref()?.recv().ok()
-    }
-}
-
-impl Drop for ShardStream {
-    fn drop(&mut self) {
-        // Unblock a sender waiting on the bounded channel, then reap the
-        // thread.
-        drop(self.rx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
 
 /// Random-access view of a cache directory, indexed by global sample
 /// position (manifest shard order, then record order within the shard —
 /// the same canonical order the in-memory pipeline produces).
 ///
 /// Labels and per-sample graph sizes are served from the shard indices
-/// without decoding any record; [`fetch`](StreamedCorpus::fetch)
-/// decodes exactly the requested records. Shard handles sit behind
-/// mutexes so a prefetch thread and the consumer can fetch
-/// concurrently.
+/// without decoding any record; [`records`](StreamedCorpus::records)
+/// and [`fetch`](StreamedCorpus::fetch) decode exactly the requested
+/// records. Shard handles sit behind mutexes so a prefetch thread and
+/// the consumer can fetch concurrently.
 #[derive(Debug)]
 pub struct StreamedCorpus {
     manifest: CacheManifest,
@@ -215,8 +125,15 @@ impl StreamedCorpus {
         &self.manifest.class_names
     }
 
+    /// Framed record bytes across every shard: what decoding the whole
+    /// corpus adds to [`magic_obs::stage::C_CACHE_BYTES_READ`].
+    pub fn payload_bytes(&self) -> u64 {
+        self.shards.iter().map(|s| s.lock().expect("shard lock poisoned").payload_len()).sum()
+    }
+
     /// Decodes the records at the given global indices, in the order
-    /// given, straight into model-ready [`GraphInput`]s.
+    /// given. Each record costs one seek + one framed read and adds its
+    /// framed bytes to [`magic_obs::stage::C_CACHE_BYTES_READ`].
     ///
     /// # Errors
     ///
@@ -227,24 +144,38 @@ impl StreamedCorpus {
     /// # Panics
     ///
     /// Panics if an index is out of range.
+    pub fn records(&self, indices: &[usize]) -> Result<Vec<ShardRecord>, CacheError> {
+        self.decode(indices).collect()
+    }
+
+    /// [`records`](StreamedCorpus::records) converted into model-ready
+    /// [`GraphInput`]s, with the same errors and panics. Each record is
+    /// converted as soon as it is decoded, so only one is alive at once.
     pub fn fetch(&self, indices: &[usize]) -> Result<Vec<GraphInput>, CacheError> {
         let mut out = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let (s, r) = self.map[i];
-            let record = {
-                let mut reader = self.shards[s as usize].lock().expect("shard lock poisoned");
-                reader.read_record(r as usize)?
-            };
-            out.push(record.to_graph_input());
+        for record in self.decode(indices) {
+            out.push(record?.to_graph_input());
         }
         Ok(out)
+    }
+
+    /// The one record-decode loop behind [`records`](StreamedCorpus::records)
+    /// and [`fetch`](StreamedCorpus::fetch).
+    fn decode<'a>(
+        &'a self,
+        indices: &'a [usize],
+    ) -> impl Iterator<Item = Result<ShardRecord, CacheError>> + 'a {
+        indices.iter().map(|&i| {
+            let (s, r) = self.map[i];
+            self.shards[s as usize].lock().expect("shard lock poisoned").read_record(r as usize)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{cache_fingerprint, write_shard, CacheManifest, ShardMeta};
+    use crate::cache::{cache_fingerprint, encode_record, write_shard, CacheManifest, ShardMeta};
     use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
     use magic_tensor::{Rng64, Tensor};
 
@@ -295,39 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_stream_yields_every_shard_in_order() {
-        let dir = std::env::temp_dir().join("magic-stream-test-seq");
-        std::fs::remove_dir_all(&dir).ok();
-        let all = write_toy_cache(&dir, &[3, 4, 2]);
-        let (manifest, stream) = ShardStream::open(&dir, None).unwrap();
-        assert_eq!(manifest.samples, 9);
-        let mut seen = Vec::new();
-        for (k, shard) in stream.enumerate() {
-            let shard = shard.unwrap();
-            assert_eq!(shard.shard_index, k);
-            seen.extend(shard.records);
-        }
-        assert_eq!(seen.len(), all.len());
-        for (a, b) in seen.iter().zip(&all) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.acfg.attributes().as_slice(), b.acfg.attributes().as_slice());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_stream_drop_mid_iteration_does_not_hang() {
-        let dir = std::env::temp_dir().join("magic-stream-test-drop");
-        std::fs::remove_dir_all(&dir).ok();
-        write_toy_cache(&dir, &[2, 2, 2, 2]);
-        let (_, mut stream) = ShardStream::open(&dir, None).unwrap();
-        let first = stream.next().unwrap().unwrap();
-        assert_eq!(first.shard_index, 0);
-        drop(stream); // must not deadlock against the blocked sender
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn streamed_corpus_random_access_matches_sequential() {
         let dir = std::env::temp_dir().join("magic-stream-test-random");
         std::fs::remove_dir_all(&dir).ok();
@@ -347,6 +245,23 @@ mod tests {
             assert_eq!(input.vertex_count(), expected.vertex_count());
             assert_eq!(input.attributes().as_slice(), expected.attributes().as_slice());
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn records_decode_every_shard_in_sample_order() {
+        let dir = std::env::temp_dir().join("magic-stream-test-seq");
+        std::fs::remove_dir_all(&dir).ok();
+        let all = write_toy_cache(&dir, &[3, 4, 2]);
+        let corpus = StreamedCorpus::open(&dir, None).unwrap();
+        let every: Vec<usize> = (0..corpus.len()).collect();
+        let records = corpus.records(&every).unwrap();
+        assert_eq!(records.len(), all.len());
+        for (a, b) in records.iter().zip(&all) {
+            assert_eq!(encode_record(a), encode_record(b));
+        }
+        let framed: usize = all.iter().map(|r| 4 + encode_record(r).len()).sum();
+        assert_eq!(corpus.payload_bytes(), framed as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -170,7 +170,7 @@ fn fields_from_json(value: &Value) -> Vec<(String, f64)> {
 
 impl Event {
     /// Encodes the event as a JSON [`Value`] following the
-    /// `magic-trace/1` schema.
+    /// `magic-trace/3` schema.
     pub fn to_json(&self) -> Value {
         let mut map = Map::new();
         map.insert("v", Value::Number(SCHEMA_VERSION as f64));

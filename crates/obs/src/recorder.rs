@@ -33,7 +33,7 @@ impl Recorder for NullRecorder {
     fn record(&self, _event: &Event) {}
 }
 
-/// Streams events as JSON Lines (`magic-trace/1` schema) to a writer.
+/// Streams events as JSON Lines (`magic-trace/3` schema) to a writer.
 ///
 /// One event becomes exactly one `\n`-terminated line, serialized with
 /// the `magic-json` compact writer, so a trace file is parseable line by

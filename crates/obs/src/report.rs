@@ -1,6 +1,6 @@
-//! Trace aggregation: fold a `magic-trace/1` or `magic-trace/2` JSONL
-//! stream into per-stage timing and per-op profile tables — the engine
-//! behind `magic report` and `magic profile`.
+//! Trace aggregation: fold a `magic-trace/3` JSONL stream (or an older
+//! `/1` or `/2` one) into per-stage timing and per-op profile tables —
+//! the engine behind `magic report` and `magic profile`.
 
 use crate::event::{read_events, Event};
 use std::collections::HashMap;

@@ -82,9 +82,10 @@ pub const CACHE_BUILD: &str = "cache.build";
 /// the checksum footer. Fields: `shard`, `records`, `bytes`.
 pub const CACHE_WRITE: &str = "cache.write";
 
-/// Read and decode one binary ACFG shard back into `Acfg` records
-/// (header + index validation, payload decode, checksum verify).
-/// Fields: `shard`, `records`, `bytes`.
+/// Decode every record of a shard cache back into `Acfg` records, in
+/// sample order, after the shards were opened and checksummed: one
+/// span per full cache load (`corpus_cache::load` / `read_graphs`), on
+/// the caller's thread. Fields: `records`, `bytes`.
 pub const CACHE_READ: &str = "cache.read";
 
 // ---- counters ----------------------------------------------------------

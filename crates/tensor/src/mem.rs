@@ -33,12 +33,6 @@ static PEAK: AtomicI64 = AtomicI64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Cumulative allocated element bytes since the last [`reset`].
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Cumulative [`crate::Workspace`] checkouts served from a recycled
-/// buffer since the last [`reset`].
-static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-/// Cumulative [`crate::Workspace`] checkouts that had to fall back to a
-/// fresh heap allocation since the last [`reset`].
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the accounting counters, all in bytes of `f32` elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,10 +45,6 @@ pub struct MemStats {
     pub allocations: u64,
     /// Cumulative element bytes allocated since accounting was reset.
     pub allocated_bytes: u64,
-    /// Workspace checkouts served from the pool since the last reset.
-    pub pool_hits: u64,
-    /// Workspace checkouts that heap-allocated since the last reset.
-    pub pool_misses: u64,
 }
 
 /// Turns accounting on. Counters start from their current values; call
@@ -81,8 +71,6 @@ pub fn stats() -> MemStats {
         peak_bytes: PEAK.load(Ordering::Relaxed).max(0) as u64,
         allocations: ALLOCS.load(Ordering::Relaxed),
         allocated_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
-        pool_hits: POOL_HITS.load(Ordering::Relaxed),
-        pool_misses: POOL_MISSES.load(Ordering::Relaxed),
     }
 }
 
@@ -99,8 +87,6 @@ pub fn reset() {
     PEAK.store(0, Ordering::Relaxed);
     ALLOCS.store(0, Ordering::Relaxed);
     ALLOC_BYTES.store(0, Ordering::Relaxed);
-    POOL_HITS.store(0, Ordering::Relaxed);
-    POOL_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// Reports a tensor buffer of `elems` elements coming alive.
@@ -136,24 +122,6 @@ pub(crate) fn on_free_bytes(bytes: usize) {
         return;
     }
     CURRENT.fetch_sub(bytes as i64, Ordering::Relaxed);
-}
-
-/// Reports a [`crate::Workspace`] checkout served from the pool.
-#[inline]
-pub(crate) fn on_pool_hit() {
-    if !is_enabled() {
-        return;
-    }
-    POOL_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Reports a [`crate::Workspace`] checkout that heap-allocated.
-#[inline]
-pub(crate) fn on_pool_miss() {
-    if !is_enabled() {
-        return;
-    }
-    POOL_MISSES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Serializes tests (across this crate) that toggle the process-global

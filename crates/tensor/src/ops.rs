@@ -3,6 +3,20 @@
 
 use crate::tensor::Tensor;
 
+/// Rectified linear unit of one value: `v` if it is greater than zero,
+/// else `+0.0` (`−0.0` and NaN included). This is the select
+/// [`crate::simd::ColumnMax`] folds into its pooling; unlike
+/// `v.max(0.0)`, whose sign on `−0.0` Rust leaves unspecified, it gives
+/// the same bits in debug and release builds.
+#[inline]
+pub fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
 impl Tensor {
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
@@ -65,10 +79,10 @@ impl Tensor {
         self.map(|x| x * value)
     }
 
-    /// Elementwise rectified linear unit, `max(x, 0)` — the activation used
+    /// Elementwise rectified linear unit ([`relu`]) — the activation used
     /// throughout the paper's graph convolution layers (Fig. 3).
     pub fn relu(&self) -> Tensor {
-        self.map(|x| x.max(0.0))
+        self.map(relu)
     }
 
     /// Elementwise natural exponential.

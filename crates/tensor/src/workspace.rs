@@ -34,13 +34,13 @@
 //!
 //! # Accounting
 //!
-//! Per-instance [`WorkspaceStats`] counts hits and misses unconditionally
-//! (used by tests asserting zero-miss steady state). When
-//! [`crate::mem`] accounting is enabled, hits/misses are additionally
-//! mirrored into the process-wide [`crate::MemStats`] `pool_hits` /
-//! `pool_misses` counters so `magic profile` can report them.
+//! Per-instance [`WorkspaceStats`] counts hits and misses
+//! unconditionally. It is the one pool counter: the trainer sums it over
+//! its tape lanes into `train.pool_hits` / `train.pool_misses`, `magic
+//! serve` into its `pool_*` totals, and tests assert zero-miss steady
+//! state on it.
 
-use crate::{mem, Shape, Tensor};
+use crate::{Shape, Tensor};
 
 /// Most buffers kept per size class for classes of ≤ 2^16 elements.
 const SMALL_CLASS_CAP: usize = 32;
@@ -103,13 +103,13 @@ impl Workspace {
         let class = take_class(len);
         match self.float_classes.get_mut(class).and_then(Vec::pop) {
             Some(mut buf) => {
-                self.on_hit();
+                self.hits += 1;
                 buf.clear();
                 buf.resize(len, 0.0);
                 buf
             }
             None => {
-                self.on_miss();
+                self.misses += 1;
                 let mut buf = Vec::with_capacity(1usize << class);
                 buf.resize(len, 0.0);
                 buf
@@ -139,12 +139,12 @@ impl Workspace {
         let class = take_class(len);
         match self.index_classes.get_mut(class).and_then(Vec::pop) {
             Some(mut buf) => {
-                self.on_hit();
+                self.hits += 1;
                 buf.clear();
                 buf
             }
             None => {
-                self.on_miss();
+                self.misses += 1;
                 Vec::with_capacity(1usize << class)
             }
         }
@@ -178,16 +178,6 @@ impl Workspace {
     /// Recycles a tensor's backing buffer into the pool.
     pub fn recycle_tensor(&mut self, tensor: Tensor) {
         self.recycle(tensor.into_vec());
-    }
-
-    fn on_hit(&mut self) {
-        self.hits += 1;
-        mem::on_pool_hit();
-    }
-
-    fn on_miss(&mut self) {
-        self.misses += 1;
-        mem::on_pool_miss();
     }
 }
 
@@ -278,25 +268,5 @@ mod tests {
         let a = ws.take(0);
         assert!(a.is_empty());
         ws.recycle(a); // capacity may be 1 (class 0) — fine either way
-    }
-
-    #[test]
-    fn pool_counters_mirror_into_mem_when_enabled() {
-        let _guard = mem::TEST_LOCK.lock().unwrap();
-        mem::disable();
-        mem::reset();
-        let mut ws = Workspace::new();
-        let warm = ws.take(8); // disabled: invisible to global counters
-        ws.recycle(warm);
-        assert_eq!(mem::stats().pool_misses, 0);
-        mem::enable();
-        let a = ws.take(8); // hit
-        let b = ws.take(8); // miss
-        let s = mem::stats();
-        assert_eq!((s.pool_hits, s.pool_misses), (1, 1));
-        ws.recycle(a);
-        ws.recycle(b);
-        mem::disable();
-        mem::reset();
     }
 }

@@ -1,6 +1,6 @@
 //! The telemetry non-perturbation contract: recording a trace must not
 //! change anything about a training run, and a recorded trace must be a
-//! well-formed, aggregatable `magic-trace/2` stream whose op-level
+//! well-formed, aggregatable `magic-trace/3` stream whose op-level
 //! profile explains where the epoch wall-clock went.
 //!
 //! These tests install process-global recorders, so they serialize on a
@@ -336,10 +336,10 @@ fn committed_v1_trace_report_matches_golden() {
 /// `corpus_cache::load` decodes shards; it never falls back to
 /// generating and extracting the corpus. Traced, it emits no
 /// `pipeline.extract_acfg` span, counts every record's framed bytes
-/// exactly once in `cache.bytes_read`, and decodes each shard on the
-/// prefetch thread, so no `cache.read` span sits under the caller's span.
+/// exactly once in `cache.bytes_read`, and wraps its one decode pass in
+/// one `cache.read` span on the caller's thread.
 #[test]
-fn cache_load_decodes_shards_on_the_prefetch_thread_and_never_extracts() {
+fn cache_load_decodes_in_one_caller_span_and_never_extracts() {
     use magic::corpus_cache::{self, CacheSpec, CorpusKind};
     let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir()
@@ -357,7 +357,8 @@ fn cache_load_decodes_shards_on_the_prefetch_thread_and_never_extracts() {
     let mut record_bytes = 0u64;
     for shard in &built.manifest.shards {
         let mut reader = magic_data::ShardReader::open(&dir.join(&shard.file)).unwrap();
-        for record in reader.read_all().unwrap() {
+        for i in 0..reader.len() {
+            let record = reader.read_record(i).unwrap();
             record_bytes += 4 + magic_data::encode_record(&record).len() as u64;
         }
     }
@@ -373,11 +374,12 @@ fn cache_load_decodes_shards_on_the_prefetch_thread_and_never_extracts() {
 
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let mut reads = 0;
+    let (mut caller, mut reads) = (None, 0);
     for line in text.lines() {
         match Event::from_jsonl_line(line).unwrap() {
+            Event::SpanStart { id, stage: name, .. } if name == stage::TRAIN => caller = Some(id),
             Event::SpanStart { stage: name, parent, .. } if name == stage::CACHE_READ => {
-                assert_eq!(parent, None, "a shard was decoded on the caller's thread");
+                assert_eq!(parent, caller, "the decode ran off the caller's span");
                 reads += 1;
             }
             Event::SpanStart { stage: name, .. } => {
@@ -386,7 +388,7 @@ fn cache_load_decodes_shards_on_the_prefetch_thread_and_never_extracts() {
             _ => {}
         }
     }
-    assert_eq!(reads, built.manifest.shards.len(), "one cache.read span per shard");
+    assert_eq!(reads, 1, "one cache.read span per load");
     let summary = TraceSummary::from_lines(text.lines()).unwrap();
     let bytes_read = summary.counters.iter().find(|c| c.name == stage::C_CACHE_BYTES_READ);
     assert_eq!(bytes_read.map(|c| c.total), Some(record_bytes as f64));
