@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn grad_check_conv2d_relu_amp_weights() {
-        check_conv2d_weights(17, |tape, x, w, b, dims| tape.conv2d_relu_amp(x, w, b, 1, 1, dims, (2, 3)));
+        check_conv2d_weights(17, |tape, x, w, b, dims| tape.conv2d_relu_amp(x, w, b, 1, dims, (2, 3)));
     }
 
     #[test]
@@ -278,7 +278,7 @@ mod tests {
             check_op(input, move |tape, x| {
                 let wv = tape.leaf(w.clone(), false);
                 let bv = tape.leaf(b.clone(), false);
-                let p = tape.conv2d_relu_amp(x, wv, bv, 1, 1, Arc::clone(&dims), (2, 3));
+                let p = tape.conv2d_relu_amp(x, wv, bv, 1, Arc::clone(&dims), (2, 3));
                 tape.sum(p)
             });
         }

@@ -29,10 +29,11 @@
 //!
 //! The adaptive head's first convolution runs fused with its ReLU and
 //! adaptive max pooling ([`conv2d_relu_amp_forward`] /
-//! [`conv2d_relu_amp_backward`]): the same patch gather and GEMM, one
-//! band of output rows at a time, pooled by one column-maximum pass
-//! ([`ColumnMax`]), with a backward through the pool winners only —
-//! bitwise equal to the unfused chain.
+//! [`conv2d_relu_amp_backward`]): a direct stride-1 convolution
+//! ([`simd::conv_band`], no patch gather and no GEMM, with the GEMM's
+//! per-element chain), one band of output rows at a time, pooled by one
+//! column-maximum pass ([`ColumnMax`]), with a backward through the pool
+//! winners only — bitwise equal to the unfused chain.
 //!
 //! # Determinism
 //!
@@ -143,7 +144,7 @@ pub(crate) fn im2col_2d(
     let mut in_off = 0;
     let mut out_off = 0;
     for (&(h, w), (oh, ow)) in dims.iter().zip(out_dims) {
-        patches.gather(in_off, (h, w), ow, 0..oh, &mut cols[out_off..], out_total);
+        patches.gather(in_off, (h, w), (oh, ow), &mut cols[out_off..], out_total);
         in_off += h * w;
         out_off += oh * ow;
     }
@@ -151,7 +152,9 @@ pub(crate) fn im2col_2d(
 }
 
 /// The patch geometry of one 2-D convolution over a column-stacked
-/// `(c_in, Σ hⱼ·wⱼ)` input.
+/// `(c_in, Σ hⱼ·wⱼ)` input, at any stride: the im2col gather behind
+/// [`Tape::conv2d`](crate::Tape::conv2d). The fused Conv2D → ReLU → AMP
+/// forward reads its taps in place instead ([`simd::conv_band`]).
 struct Patches<'a> {
     x: &'a Tensor,
     kh: usize,
@@ -161,35 +164,33 @@ struct Patches<'a> {
 }
 
 impl Patches<'_> {
-    /// Writes the patches of output rows `rows` of the sample whose
-    /// `(h, w)` map starts at column `in_off` (output width `ow`) into
-    /// `panel`, viewed as `c_in·kh·kw` rows of stride `ld`: entry
-    /// `((ci·kh + dy)·kw + dx)·ld + (oy − rows.start)·ow + ox` is the input
-    /// under tap `(ci, dy, dx)` of output cell `(oy, ox)`, or `0.0` in the
-    /// padding. Every entry of the band is written, so a reused panel
+    /// Writes the patches of the sample whose `(h, w)` map starts at
+    /// column `in_off` (output extent `(oh, ow)`) into `panel`, viewed as
+    /// `c_in·kh·kw` rows of stride `ld`: entry
+    /// `((ci·kh + dy)·kw + dx)·ld + oy·ow + ox` is the input under tap
+    /// `(ci, dy, dx)` of output cell `(oy, ox)`, or `0.0` in the padding.
+    /// Every entry of the sample's columns is written, so a reused panel
     /// needs no clearing.
     fn gather(
         &self,
         in_off: usize,
         (h, w): (usize, usize),
-        ow: usize,
-        rows: std::ops::Range<usize>,
+        (oh, ow): (usize, usize),
         panel: &mut [f32],
         ld: usize,
     ) {
         let (kh, kw, stride, pad) = (self.kh, self.kw, self.stride, self.pad);
         let total_in = self.x.cols();
         let xs = self.x.as_slice();
-        let band = rows.len() * ow;
         for ci in 0..self.x.rows() {
             for dy in 0..kh {
                 for dx in 0..kw {
-                    let row = &mut panel[((ci * kh + dy) * kw + dx) * ld..][..band];
+                    let row = &mut panel[((ci * kh + dy) * kw + dx) * ld..][..oh * ow];
                     // Output columns whose tap lands inside the map:
                     // `0 ≤ ox·stride + dx − pad < w`.
                     let lo = pad.saturating_sub(dx).div_ceil(stride).min(ow);
                     let hi = if w + pad > dx { ((w + pad - dx - 1) / stride + 1).min(ow) } else { 0 };
-                    for (oy, seg) in rows.clone().zip(row.chunks_exact_mut(ow)) {
+                    for (oy, seg) in row.chunks_exact_mut(ow).enumerate() {
                         let iy = (oy * stride + dy) as isize - pad as isize;
                         if iy < 0 || iy >= h as isize || lo >= hi {
                             seg.fill(0.0);
@@ -331,14 +332,44 @@ pub(crate) fn conv2d_backward(
 }
 
 /// Output cells per band of the fused Conv2D → ReLU → AMP forward: a
-/// band of whole output rows is gathered, convolved and pooled at a time,
-/// so its column panel (`c_in·kh·kw` floats per cell) and conv outputs
-/// (`c_out` per cell) stay in cache instead of a whole
-/// `(c_out, oh·ow)` map going through memory.
+/// band of whole output rows is convolved and pooled at a time, so its
+/// zero-bordered input rows (`c_in` planes of the band's rows plus
+/// `kh − 1` halo rows) and its conv outputs (`c_out` per cell) stay in
+/// cache instead of a whole `(c_out, oh·ow)` map going through memory.
 const BAND_CELLS: usize = 1024;
 
+/// Copies input rows `oy0 − pad .. oy1 + kh − 1 − pad` of every channel
+/// of the sample whose `(h, w)` map starts at column `in_off` of `x` into
+/// `halo`, each between `pad` zeros on both sides, and rows outside the
+/// map as zero rows: the zero-bordered band [`simd::conv_band`] reads
+/// for output rows `rows` of a stride-1 convolution. Returns its length.
+fn halo_band(
+    x: &Tensor,
+    in_off: usize,
+    (h, w): (usize, usize),
+    (kh, pad): (usize, usize),
+    rows: std::ops::Range<usize>,
+    halo: &mut [f32],
+) -> usize {
+    let (pw, total_in) = (w + 2 * pad, x.cols());
+    let len = x.rows() * (rows.len() + kh - 1) * pw;
+    let planes = halo[..len].chunks_exact_mut(len / x.rows());
+    for (plane, xc) in planes.zip(x.as_slice().chunks_exact(total_in)) {
+        for (iy, row) in (rows.start as isize - pad as isize..).zip(plane.chunks_exact_mut(pw)) {
+            if iy < 0 || iy >= h as isize {
+                row.fill(0.0);
+                continue;
+            }
+            row[..pad].fill(0.0);
+            row[pad + w..].fill(0.0);
+            row[pad..pad + w].copy_from_slice(&xc[in_off + iy as usize * w..][..w]);
+        }
+    }
+    len
+}
+
 /// Forward of `AMP(relu(conv2d(x)))` over a column-stacked batch: the
-/// 2-D convolution of [`conv2d_forward_gemm`] (stride, zero padding,
+/// stride-1 2-D convolution of [`conv2d_forward_gemm`] (zero padding,
 /// bias), a ReLU, and adaptive max pooling of each sample's
 /// `(ohⱼ, owⱼ)` output map to a `gh × gw` grid (the paper's AMP layer,
 /// Section III-C). Returns the pooled `(c_out, B·gh·gw)` output (sample
@@ -347,47 +378,45 @@ const BAND_CELLS: usize = 1024;
 /// `(c_out, Σ ohⱼ·owⱼ)` — both checked out of `ws`.
 ///
 /// The conv map is never materialised. Each sample is walked in bands of
-/// output rows: the band's patches are gathered into a small panel, the
-/// bias-filled panel goes through [`gemm_into`] (each element's chain is
-/// a function of its own position, so it is bitwise the full GEMM's),
-/// and one vertical pass of [`ColumnMax::rows`] applies the ReLU and
-/// updates, per channel, row window and column, a running maximum and
-/// the first row that reached it. Once the sample's last band is in,
-/// [`ColumnMax::fold`] gives each window the smallest `(iy, ix)` among
-/// its columns' maxima: the winner, and the value, of a strict-`>` scan
-/// of the ReLU'd window in `(iy, ix)` order.
-#[allow(clippy::too_many_arguments)]
+/// output rows: the band's input rows are copied with their halo into a
+/// small zero-bordered buffer, [`simd::conv_band`] convolves it straight
+/// into a `(c_out, band)` panel (each element's chain is [`gemm_into`]'s
+/// on the bias-filled panel of gathered patches, so it is bitwise the
+/// im2col convolution's), and one vertical pass of [`ColumnMax::rows`]
+/// applies the ReLU and updates, per channel, row window and column, a
+/// running maximum and the first row that reached it. Once the sample's
+/// last band is in, [`ColumnMax::fold`] gives each window the smallest
+/// `(iy, ix)` among its columns' maxima: the winner, and the value, of a
+/// strict-`>` scan of the ReLU'd window in `(iy, ix)` order.
 pub(crate) fn conv2d_relu_amp_forward(
     x: &Tensor,
     wt: &Tensor,
     b: &[f32],
-    stride: usize,
     pad: usize,
     dims: &[(usize, usize)],
     (gh, gw): (usize, usize),
     ws: &mut Workspace,
 ) -> (Tensor, Vec<usize>) {
-    let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
-    let ckk = x.rows() * kh * kw;
+    let (c_out, c_in, kh, kw) = (wt.shape().dim(0), x.rows(), wt.shape().dim(2), wt.shape().dim(3));
     debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
-    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, 1, pad);
     let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let cells = gh * gw;
     let out_cols = dims.len() * cells;
     let band_rows = |(oh, ow): (usize, usize)| (BAND_CELLS / ow).clamp(1, oh);
     let max_band = out_dims.clone().map(|d| band_rows(d) * d.1).max().unwrap_or(0);
+    let max_halo = out_dims.clone().map(|d| (band_rows(d) + kh - 1) * (d.1 + kw - 1)).max().unwrap_or(0);
     let max_ow = out_dims.clone().map(|d| d.1).max().unwrap_or(0);
 
     let mut out = ws.take_tensor([c_out, out_cols]);
     let mut winners = ws.take_indices(c_out * out_cols);
     winners.resize(c_out * out_cols, 0);
-    let mut cols = ws.take(ckk * max_band);
+    let mut halo = ws.take(c_in * max_halo);
     // The band's conv outputs, then the pool's column maxima and rows.
     let mut scratch = ws.take(c_out * max_band + 2 * c_out * gh * max_ow);
     let (panel, acc) = scratch.split_at_mut(c_out * max_band);
     // Per sample: the gh row windows then the gw column windows.
     let mut windows = ws.take_indices(2 * (gh + gw));
-    let patches = Patches { x, kh, kw, stride, pad };
     let isa = simd::isa();
     let pooled = out.as_mut_slice();
     let mut in_off = 0;
@@ -404,13 +433,9 @@ pub(crate) fn conv2d_relu_amp_forward(
         let mut oy0 = 0;
         while oy0 < oh {
             let oy1 = (oy0 + rows_per_band).min(oh);
-            let len = (oy1 - oy0) * ow;
-            patches.gather(in_off, (h, w), ow, oy0..oy1, &mut cols, len);
-            let maps = &mut panel[..c_out * len];
-            for (row, &bias) in maps.chunks_exact_mut(len).zip(b) {
-                row.fill(bias);
-            }
-            gemm_into(c_out, ckk, len, wt.as_slice(), &cols[..ckk * len], maps);
+            let n = halo_band(x, in_off, (h, w), (kh, pad), oy0..oy1, &mut halo);
+            let maps = &mut panel[..c_out * (oy1 - oy0) * ow];
+            simd::conv_band(isa, c_in, (kh, kw), ow, &halo[..n], wt.as_slice(), b, maps);
             pool.rows(isa, maps, oy0);
             oy0 = oy1;
         }
@@ -422,7 +447,7 @@ pub(crate) fn conv2d_relu_amp_forward(
         in_off += h * w;
         out_off += oh * ow;
     }
-    ws.recycle(cols);
+    ws.recycle(halo);
     ws.recycle(scratch);
     ws.recycle_indices(windows);
     (out, winners)
@@ -453,7 +478,6 @@ pub(crate) fn conv2d_relu_amp_forward(
 pub(crate) fn conv2d_relu_amp_backward(
     x: &Tensor,
     wt: &Tensor,
-    stride: usize,
     pad: usize,
     dims: &[(usize, usize)],
     pooled: &Tensor,
@@ -464,7 +488,7 @@ pub(crate) fn conv2d_relu_amp_backward(
     let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
     let ckk = x.rows() * kh * kw;
     let total_in = x.cols();
-    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, 1, pad);
     let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let out_cols = pooled.cols();
     let cells = out_cols / dims.len().max(1);
@@ -523,8 +547,8 @@ pub(crate) fn conv2d_relu_amp_backward(
         // if the tap lands inside the map rather than the padding.
         let input_at = |p: usize, tap: usize| -> Option<usize> {
             let (ci, dy, dx) = (tap / (kh * kw), tap / kw % kh, tap % kw);
-            let iy = ((p / ow) * stride + dy).checked_sub(pad)?;
-            let ix = ((p % ow) * stride + dx).checked_sub(pad)?;
+            let iy = (p / ow + dy).checked_sub(pad)?;
+            let ix = (p % ow + dx).checked_sub(pad)?;
             (iy < h && ix < w).then(|| ci * total_in + in_off + iy * w + ix)
         };
 
@@ -754,7 +778,7 @@ mod tests {
     /// identity kernel (no padding, zero bias).
     fn amp(x: &Tensor, dims: &[(usize, usize)], grid: (usize, usize), ws: &mut Workspace) -> (Tensor, Vec<usize>) {
         let identity = Tensor::from_vec(vec![1.0], [1, 1, 1, 1]);
-        conv2d_relu_amp_forward(x, &identity, &[0.0], 1, 0, dims, grid, ws)
+        conv2d_relu_amp_forward(x, &identity, &[0.0], 0, dims, grid, ws)
     }
 
     #[test]
@@ -1215,18 +1239,18 @@ mod tests {
         let wt = Tensor::rand_uniform([c_out, c_in, 3, 3], -1.0, 1.0, &mut rng);
         let b = [0.1, -0.2, 0.05];
         let x = hstack(&samples.iter().collect::<Vec<_>>());
-        let (out, argmax) = conv2d_relu_amp_forward(&x, &wt, &b, 1, 1, &dims, grid, &mut ws);
+        let (out, argmax) = conv2d_relu_amp_forward(&x, &wt, &b, 1, &dims, grid, &mut ws);
         let gouts: Vec<Tensor> =
             (0..dims.len()).map(|_| Tensor::rand_uniform([c_out, cells], -1.0, 1.0, &mut rng)).collect();
         let gout = hstack(&gouts.iter().collect::<Vec<_>>());
         let (gx, gw, gb) =
-            conv2d_relu_amp_backward(&x, &wt, 1, 1, &dims, &out, &argmax, &gout, &mut ws);
+            conv2d_relu_amp_backward(&x, &wt, 1, &dims, &out, &argmax, &gout, &mut ws);
         let (mut per_gw, mut per_gb) = (Vec::new(), Vec::new());
         let mut in_off = 0;
         for s in 0..dims.len() {
             let (h, w) = dims[s];
             let one = &dims[s..=s];
-            let (sout, sarg) = conv2d_relu_amp_forward(&samples[s], &wt, &b, 1, 1, one, grid, &mut ws);
+            let (sout, sarg) = conv2d_relu_amp_forward(&samples[s], &wt, &b, 1, one, grid, &mut ws);
             for o in 0..c_out {
                 assert_eq!(&out.row(o)[s * cells..(s + 1) * cells], sout.row(o), "out sample {s} channel {o}");
                 for cell in 0..cells {
@@ -1239,7 +1263,7 @@ mod tests {
                 }
             }
             let (sgx, sgw, sgb) =
-                conv2d_relu_amp_backward(&samples[s], &wt, 1, 1, one, &sout, &sarg, &gouts[s], &mut ws);
+                conv2d_relu_amp_backward(&samples[s], &wt, 1, one, &sout, &sarg, &gouts[s], &mut ws);
             for ci in 0..c_in {
                 assert_eq!(&gx.row(ci)[in_off..in_off + h * w], sgx.row(ci), "gx sample {s} channel {ci}");
             }

@@ -79,7 +79,6 @@ enum Op {
         x: Var,
         w: Var,
         b: Var,
-        stride: usize,
         pad: usize,
         dims: Arc<Vec<(usize, usize)>>,
         winners: Vec<usize>,
@@ -328,10 +327,10 @@ impl Tape {
             }
             // The convolution and the ReLU over every map position; the
             // pooling compares count zero.
-            Op::Conv2dReluAmp { w, stride, pad, dims, .. } => {
+            Op::Conv2dReluAmp { w, pad, dims, .. } => {
                 let ws = self.value(*w).shape().clone();
                 let (c_out, c_in, kh, kw) = (ws.dim(0), ws.dim(1), ws.dim(2), ws.dim(3));
-                let positions = conv::conv2d_out_dims(dims, kh, kw, *stride, *pad)
+                let positions = conv::conv2d_out_dims(dims, kh, kw, 1, *pad)
                     .map(|(oh, ow)| oh * ow)
                     .sum();
                 profile::conv2d_relu_amp_flops(c_out, positions, c_in, kh, kw)
@@ -736,8 +735,8 @@ impl Tape {
     }
 
     /// The adaptive head's first block, `AMP(relu(conv2d(x)))`, as one
-    /// op: the 2-D convolution of [`Tape::conv2d`] (`(c_out, c_in, kh,
-    /// kw)` weights, stride, zero padding, bias) over a column-stacked
+    /// op: the stride-1 2-D convolution of [`Tape::conv2d`] (`(c_out,
+    /// c_in, kh, kw)` weights, zero padding, bias) over a column-stacked
     /// `x = (c_in, Σ hⱼ·wⱼ)` with per-sample extents `dims`, a ReLU, and
     /// adaptive max pooling — the paper's AMP layer (Section III-C) — of
     /// each sample's conv map to a `gh × gw` grid. The output is
@@ -745,18 +744,17 @@ impl Tape {
     /// to the first maximum in scan order.
     ///
     /// The `(c_out, Σ ohⱼ·owⱼ)` conv map is never materialised: the
-    /// forward convolves and pools one band of rows at a time, and the
+    /// forward convolves (directly, reading each tap in place rather than
+    /// through an im2col panel) and pools one band of rows at a time, and the
     /// backward runs only through the pool winners whose value is
     /// positive. Values and gradients are bitwise those of
     /// `conv2d` → `relu` → a scan of the full map (see DESIGN.md, "The
     /// fused Conv2D → ReLU → AMP block").
-    #[allow(clippy::too_many_arguments)]
     pub fn conv2d_relu_amp(
         &mut self,
         x: Var,
         w: Var,
         b: Var,
-        stride: usize,
         pad: usize,
         dims: Arc<Vec<(usize, usize)>>,
         grid: (usize, usize),
@@ -768,7 +766,6 @@ impl Tape {
                 &nodes[x.0].value,
                 &nodes[w.0].value,
                 nodes[b.0].value.as_slice(),
-                stride,
                 pad,
                 &dims,
                 grid,
@@ -776,7 +773,7 @@ impl Tape {
             )
         };
         let rg = self.any_requires(&[x, w, b]);
-        self.push_profiled(value, Op::Conv2dReluAmp { x, w, b, stride, pad, dims, winners }, rg, t)
+        self.push_profiled(value, Op::Conv2dReluAmp { x, w, b, pad, dims, winners }, rg, t)
     }
 
     /// Winner indices of a [`Tape::conv2d_relu_amp`] node: per pooled
@@ -1238,13 +1235,12 @@ impl Tape {
                     };
                     self.accumulate_conv_grads([x, w, b], grads);
                 }
-                Op::Conv2dReluAmp { x, w, b, stride, pad, ref dims, ref winners } => {
+                Op::Conv2dReluAmp { x, w, b, pad, ref dims, ref winners } => {
                     let grads = {
                         let Tape { nodes, workspace, .. } = &mut *self;
                         conv::conv2d_relu_amp_backward(
                             &nodes[x.0].value,
                             &nodes[w.0].value,
-                            stride,
                             pad,
                             dims,
                             &nodes[idx].value,

@@ -146,6 +146,11 @@ impl Conv2dLayer {
     /// [`Conv2dLayer::forward`] followed by `pool`, as the one fused op
     /// [`Tape::conv2d_relu_amp`]: the `(c_out, Σ h_j·w_j)` map between
     /// them is never materialised. Returns `(c_out, batch·out_h·out_w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer's stride is not 1: the fused op convolves at
+    /// stride 1 only.
     pub fn forward_pooled(
         &self,
         tape: &mut Tape,
@@ -154,8 +159,9 @@ impl Conv2dLayer {
         dims: Arc<Vec<(usize, usize)>>,
         pool: AdaptiveMaxPool2d,
     ) -> Var {
+        assert_eq!(self.stride, 1, "forward_pooled: stride {} is not 1", self.stride);
         let (w, b) = (binding.var(self.w), binding.var(self.b));
-        tape.conv2d_relu_amp(x, w, b, self.stride, self.pad, dims, (pool.out_h(), pool.out_w()))
+        tape.conv2d_relu_amp(x, w, b, self.pad, dims, (pool.out_h(), pool.out_w()))
     }
 }
 
@@ -185,6 +191,17 @@ mod tests {
         let x = tape.leaf(Tensor::ones([1, 5 * 6]), false);
         let y = layer.forward(&mut tape, &binding, x, Arc::new(vec![(5, 6)]));
         assert_eq!(tape.value(y).shape().dims(), &[8, 5 * 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride 2 is not 1")]
+    fn forward_pooled_rejects_a_strided_layer() {
+        let mut store = ParamStore::new();
+        let layer = Conv2dLayer::new(&mut store, "c2", 1, 2, 3, 2, 1, &mut Rng64::new(4));
+        let mut tape = Tape::new();
+        let binding = store.bind(&mut tape);
+        let x = tape.leaf(Tensor::ones([1, 5 * 6]), false);
+        layer.forward_pooled(&mut tape, &binding, x, Arc::new(vec![(5, 6)]), AdaptiveMaxPool2d::new(2, 2));
     }
 
     #[test]

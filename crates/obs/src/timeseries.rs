@@ -25,11 +25,15 @@
 //!   far tighter than a pure power-of-two histogram's upper bounds.
 //!
 //! Concurrency contract: records and reads are lock-free relaxed
-//! atomics. When the clock crosses a slot boundary, the first writer to
-//! observe the stale slot re-zeroes it; writers racing with that reset
-//! in the same instant can lose a bounded handful of events. Within a
-//! window where the clock is stable (as in tests driving a
-//! [`ManualClock`]), totals reconcile exactly.
+//! atomics, apart from a slot's rollover. When the clock crosses a slot
+//! boundary, exactly one writer claims the stale slot (a
+//! `compare_exchange` of its epoch tag to a rolling sentinel), re-zeroes
+//! it and then publishes the new tag; writers that meet the sentinel
+//! wait for that tag, and readers skip the slot until it appears. So no
+//! observation of the current window is ever erased, and totals
+//! reconcile exactly whenever writers agree on the window. A writer
+//! whose timestamp is a whole ring older than a slot's tag records
+//! nothing: its window has already aged out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -178,6 +182,35 @@ fn slot_tag(slot_idx: u64) -> u64 {
     slot_idx + 1
 }
 
+/// The epoch of a slot one writer is re-zeroing; no slot index maps to
+/// it.
+const ROLLING: u64 = u64::MAX;
+
+/// Makes `epoch`'s slot hold window `tag`, re-zeroing it through `reset`
+/// if it holds an older window: one writer claims the rollover, the
+/// others wait for the new tag. Returns `false`, leaving the slot alone,
+/// if it already holds a newer window.
+///
+/// The `Release` store of the new tag pairs with the `Acquire` loads of
+/// writers and readers that see it, so they see the slot zeroed; the
+/// claim's `Acquire` pairs with the previous tag's `Release`.
+fn enter_window(epoch: &AtomicU64, tag: u64, reset: impl FnOnce()) -> bool {
+    loop {
+        match epoch.load(Ordering::Acquire) {
+            e if e == tag => return true,
+            ROLLING => std::thread::yield_now(),
+            e if e > tag => return false,
+            e => {
+                if epoch.compare_exchange(e, ROLLING, Ordering::Acquire, Ordering::Relaxed).is_ok() {
+                    reset();
+                    epoch.store(tag, Ordering::Release);
+                    return true;
+                }
+            }
+        }
+    }
+}
+
 /// A sliding-window event counter: `add` on the hot path, `sum`/`rate`
 /// for rendering.
 ///
@@ -227,12 +260,9 @@ impl WindowedCounter {
         let slot_idx = now_us / self.slot_width_us;
         let pos = (slot_idx % self.slots.len() as u64) as usize;
         let slot = &self.slots[pos];
-        let tag = slot_tag(slot_idx);
-        if slot.epoch.load(Ordering::Acquire) != tag {
-            slot.value.store(0, Ordering::Relaxed);
-            slot.epoch.store(tag, Ordering::Release);
+        if enter_window(&slot.epoch, slot_tag(slot_idx), || slot.value.store(0, Ordering::Relaxed)) {
+            slot.value.fetch_add(delta, Ordering::Relaxed);
         }
-        slot.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Sum of events recorded within the window ending at `now_us`.
@@ -316,18 +346,18 @@ impl WindowedHistogram {
         let slot_idx = now_us / self.slot_width_us;
         let pos = (slot_idx % self.slots.len() as u64) as usize;
         let slot = &self.slots[pos];
-        let tag = slot_tag(slot_idx);
-        if slot.epoch.load(Ordering::Acquire) != tag {
+        let reset = || {
             for b in slot.buckets.iter() {
                 b.store(0, Ordering::Relaxed);
             }
             slot.count.store(0, Ordering::Relaxed);
             slot.sum.store(0, Ordering::Relaxed);
-            slot.epoch.store(tag, Ordering::Release);
+        };
+        if enter_window(&slot.epoch, slot_tag(slot_idx), reset) {
+            slot.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+            slot.count.fetch_add(1, Ordering::Relaxed);
+            slot.sum.fetch_add(value, Ordering::Relaxed);
         }
-        slot.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Merges the live slots of the window ending at `now_us` into an
@@ -572,5 +602,60 @@ mod tests {
         }
         assert_eq!(h.snapshot(0).count(), 8_000);
         assert_eq!(c.sum(0), 8_000);
+    }
+
+    #[test]
+    fn concurrent_writers_rolling_slots_over_lose_nothing() {
+        // Four writers step through 48 windows of a 3-slot ring together,
+        // so every step re-zeroes a slot that holds an older window while
+        // all four race to record into it. After each step the ring must
+        // hold exactly the observations of its last three windows.
+        const SLOTS: u64 = 3;
+        const WRITERS: u64 = 4;
+        const PER_STEP: u64 = 200;
+        let h = Arc::new(WindowedHistogram::new(SLOTS as usize, 1_000));
+        let c = Arc::new(WindowedCounter::new(SLOTS as usize, 1_000));
+        let step = Arc::new(std::sync::Barrier::new(WRITERS as usize + 1));
+        let threads: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let (h, c, step) = (Arc::clone(&h), Arc::clone(&c), Arc::clone(&step));
+                std::thread::spawn(move || {
+                    for window in 0..48u64 {
+                        step.wait();
+                        for i in 0..PER_STEP {
+                            h.record(window * 1_000 + i % 1_000, t + i);
+                            c.add(window * 1_000 + i % 1_000, 1);
+                        }
+                        step.wait();
+                    }
+                })
+            })
+            .collect();
+        for window in 0..48u64 {
+            step.wait();
+            step.wait();
+            let now = window * 1_000 + 999;
+            let want = (window + 1).min(SLOTS) * WRITERS * PER_STEP;
+            assert_eq!(h.snapshot(now).count(), want, "histogram after window {window}");
+            assert_eq!(c.sum(now), want, "counter after window {window}");
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_writer_a_whole_ring_late_records_nothing() {
+        let c = WindowedCounter::new(2, 1_000);
+        let h = WindowedHistogram::new(2, 1_000);
+        c.add(2_500, 5);
+        h.record(2_500, 5);
+        // Window 0 shares the slot of window 2, which is newer: the late
+        // observation has aged out and must not reset window 2.
+        c.add(500, 7);
+        h.record(500, 7);
+        assert_eq!(c.sum(2_500), 5);
+        assert_eq!(h.snapshot(2_500).count(), 1);
+        assert_eq!(h.snapshot(2_500).sum(), 5);
     }
 }

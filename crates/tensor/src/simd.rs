@@ -1,8 +1,9 @@
-//! The register-tiled kernels behind every GEMM and the CSR SpMM, written
-//! once and compiled twice.
+//! The register-tiled kernels behind every GEMM, the CSR SpMM and the
+//! fused Conv2D → ReLU → AMP forward, written once and compiled twice.
 //!
-//! [`gemm`], [`gemm_tn`], [`gemm_nt`], [`spmm`] and the two pooling
-//! steps [`ColumnMax::rows`] and [`ColumnMax::fold`] each have one
+//! [`gemm`], [`gemm_tn`], [`gemm_nt`], [`spmm`], the direct stride-1
+//! convolution [`conv_band`] and the two pooling steps
+//! [`ColumnMax::rows`] and [`ColumnMax::fold`] each have one
 //! `#[inline(always)]` body. That body is instantiated twice: once in a
 //! plain function built for the target's baseline (SSE2 on x86-64), and
 //! once inside a `#[target_feature(enable = "avx2")]` function on x86 and
@@ -20,6 +21,13 @@
 //! them. Rows, columns and `k` values that do not fill a tile run through
 //! the same body instantiated at width 1.
 //!
+//! [`conv_band`] reads its taps in place instead of from a gathered
+//! patch panel. For a chunk of 32 output columns (then 8, then 1) it
+//! copies up to `TAP_BLOCK` (16) tap spans — each a contiguous load at a
+//! fixed offset of the zero-bordered input — next to each other once,
+//! then runs every output channel's whole chain over them in registers
+//! and stores it once: one weight broadcast feeds four `ymm` multiplies.
+//!
 //! # Determinism
 //!
 //! Tiling only decides which elements share registers. Each output
@@ -36,6 +44,11 @@
 //! * [`gemm_nt`] (`out += a·bᵀ`): [`dot_span`]'s grouping — eight lane
 //!   sums over `k` in chunks of eight, a sequential tail, folded as
 //!   `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail` — then `o += dot`.
+//! * [`conv_band`]: `o = bias`, then [`gemm`]'s chain over the taps in
+//!   `(ci, dy, dx)` order, a padding tap reading `+0.0` — exactly what
+//!   [`gemm`] computes on a bias-filled panel of gathered patches, where
+//!   the gather writes `+0.0` for padding. So the direct convolution is
+//!   the im2col one bit for bit, `−0.0` products included.
 //!
 //! So batching independent operands side by side, or stacking them, never
 //! changes a bit of any element, and the baseline and AVX2 instances agree
@@ -61,7 +74,8 @@
 //! outside `std`, not even from this crate) so `scripts/ci.sh` can compile
 //! it standalone with `rustc --emit asm` and check both instances: packed
 //! SSE multiplies in the baseline one, packed `ymm` multiplies, adds and
-//! compare/select (or max) in the AVX2 one, and no `vfmadd` anywhere.
+//! compare/select (or max) in the AVX2 one — packed multiplies and adds
+//! in the convolution body itself — and no `vfmadd` anywhere.
 //! Keep it that way.
 
 use std::sync::OnceLock;
@@ -87,6 +101,11 @@ const POOL_GROUPS: usize = 4;
 /// Rows a [`ColumnMax`] map may have: row numbers below this are exact
 /// in an `f32`.
 const ROWS_EXACT: usize = 1 << 24;
+
+/// Taps of a [`conv_band`] chunk held side by side at a time: a
+/// multiple of four, so no four-term group of the chain straddles two
+/// blocks.
+const TAP_BLOCK: usize = 16;
 
 /// Floats of `b` per column panel: 64 KiB, small enough for the panel to
 /// stay in L2 while every row tile sweeps it.
@@ -261,6 +280,145 @@ pub fn spmm(
         assert_eq!(s.len(), rows, "spmm: one scale factor per row");
     }
     dispatch(isa, Spmm { row_offsets, col_indices, values, row_scale, dense, c, out });
+}
+
+/// Direct stride-1 convolution of one band of output rows, bias
+/// included: the convolution of the fused Conv2D → ReLU → AMP forward,
+/// run by instance `isa`.
+///
+/// `x` is the band's zero-bordered input: `c_in` planes of
+/// `rows + kh − 1` rows, each `ow + kw − 1` floats wide, where `rows` is
+/// the band's output row count. Output cell `(r, ox)` under tap
+/// `(ci, dy, dx)` reads row `r + dy`, column `ox + dx` of plane `ci`, so
+/// every tap of an output row is one contiguous span. `w` is the
+/// `(c_out, c_in·kh·kw)` weight matrix, `bias` the `c_out` biases, and
+/// `out` the `(c_out, rows·ow)` panel, fully overwritten. Each element's
+/// chain is [`gemm`]'s on a bias-filled panel, taps in `(ci, dy, dx)`
+/// order (see the module docs, § Determinism).
+///
+/// # Panics
+///
+/// Panics if a dimension is zero or a slice length disagrees with them.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_band(
+    isa: Isa,
+    c_in: usize,
+    (kh, kw): (usize, usize),
+    ow: usize,
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let c_out = bias.len();
+    assert!(c_in > 0 && kh > 0 && kw > 0 && ow > 0 && c_out > 0, "conv_band: empty dimension");
+    let rows = out.len() / (c_out * ow);
+    assert_eq!(out.len(), c_out * rows * ow, "conv_band: out length mismatch");
+    assert_eq!(w.len(), c_out * c_in * kh * kw, "conv_band: w length mismatch");
+    let plane = (rows + kh - 1) * (ow + kw - 1);
+    assert_eq!(x.len(), c_in * plane, "conv_band: x length mismatch");
+    if rows > 0 {
+        dispatch(isa, ConvBand { c_in, kh, kw, ow, rows, x, w, bias, out });
+    }
+}
+
+/// One [`conv_band`] call.
+struct ConvBand<'a> {
+    c_in: usize,
+    kh: usize,
+    kw: usize,
+    ow: usize,
+    rows: usize,
+    x: &'a [f32],
+    w: &'a [f32],
+    bias: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl Kernel for ConvBand<'_> {
+    /// Every output row in chunks of 32 columns, then of eight, then
+    /// single columns.
+    #[inline(always)]
+    fn run(mut self) {
+        // Tap spans, one block per chunk width, set up once per call.
+        let mut wide = [Lanes::<{ 4 * LANES }>::splat(0.0); TAP_BLOCK];
+        let mut lanes = [Lanes::<LANES>::splat(0.0); TAP_BLOCK];
+        let mut single = [Lanes::<1>::splat(0.0); TAP_BLOCK];
+        for r in 0..self.rows {
+            let mut j = 0;
+            while j + 4 * LANES <= self.ow {
+                self.chunk(&mut wide, r, j);
+                j += 4 * LANES;
+            }
+            while j + LANES <= self.ow {
+                self.chunk(&mut lanes, r, j);
+                j += LANES;
+            }
+            while j < self.ow {
+                self.chunk(&mut single, r, j);
+                j += 1;
+            }
+        }
+    }
+}
+
+impl ConvBand<'_> {
+    /// Columns `j .. j + W` of output row `r`, every channel. Taps go in
+    /// blocks of [`TAP_BLOCK`]: a block's tap spans are copied into
+    /// `taps` once, then every channel runs the block's chain on them —
+    /// starting at its bias for the first block, at its partial sum in
+    /// the panel for later ones.
+    #[inline(always)]
+    fn chunk<const W: usize>(&mut self, taps: &mut [Lanes<W>; TAP_BLOCK], r: usize, j: usize) {
+        let (kh, kw, ow) = (self.kh, self.kw, self.ow);
+        let (band, ckk) = (self.rows * ow, self.c_in * kh * kw);
+        let pw = ow + kw - 1;
+        let plane = (self.rows + kh - 1) * pw;
+        let x = &self.x[r * pw + j..];
+        let at = r * ow + j;
+        let (w, bias) = (self.w, self.bias);
+        // Taps in `(ci, dy, dx)` order, each at a fixed offset from the
+        // chunk's top-left input.
+        let (mut base, mut dy, mut dx) = (0, 0, 0);
+        let mut p0 = 0;
+        while p0 < ckk {
+            let n = (ckk - p0).min(TAP_BLOCK);
+            for span in &mut taps[..n] {
+                *span = Lanes::load(&x[base + dy * pw + dx..]);
+                dx += 1;
+                if dx == kw {
+                    dx = 0;
+                    dy += 1;
+                    if dy == kh {
+                        dy = 0;
+                        base += plane;
+                    }
+                }
+            }
+            let taps = &taps[..n];
+            let channels = w.chunks_exact(ckk).zip(self.out.chunks_exact_mut(band)).zip(bias);
+            for ((w, out), &b) in channels {
+                let w = &w[p0..p0 + n];
+                let mut acc = if p0 == 0 { Lanes::splat(b) } else { Lanes::load(&out[at..]) };
+                let mut t = 0;
+                while t + 4 <= n {
+                    let s = |i: usize| Lanes::splat(w[t + i]);
+                    let v = |i: usize| taps[t + i];
+                    acc = acc + ((s(0) * v(0) + s(1) * v(1)) + (s(2) * v(2) + s(3) * v(3)));
+                    t += 4;
+                }
+                // At most three leftover taps, unrolled.
+                for _ in 0..3 {
+                    if t < n {
+                        acc = acc + Lanes::splat(w[t]) * taps[t];
+                        t += 1;
+                    }
+                }
+                acc.store(&mut out[at..]);
+            }
+            p0 += n;
+        }
+    }
 }
 
 /// Adaptive max pooling of ReLU'd maps by running column maxima: the

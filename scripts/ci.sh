@@ -127,12 +127,13 @@ echo "==> vectorization check: both kernel instances emit packed FP math, none f
 # `mulps`/`addps`, the AVX2 instance (`run_avx2`) packed `ymm`
 # `vmulps`/`vaddps`, and no `vfmadd` may appear anywhere: a fused
 # multiply-add would round differently and break bitwise equality
-# between the instances. The AVX2 instances of the two pooling bodies
-# (`ColumnRows`, `ColumnFold`; v0 mangling puts the kernel type in the
-# `run_avx2` symbol) must each hold a packed `ymm` compare with a packed
-# `ymm` blend, or a packed `ymm` max. Guards against a refactor silently
-# de-vectorizing a kernel or enabling `fma`. Skipped, not failed, if
-# rustc can't emit asm for this target.
+# between the instances. The AVX2 instance of the direct convolution
+# body (`ConvBand`; v0 mangling puts the kernel type in the `run_avx2`
+# symbol) must itself hold packed `ymm` `vmulps` and `vaddps`, and those
+# of the two pooling bodies (`ColumnRows`, `ColumnFold`) must each hold a
+# packed `ymm` compare with a packed `ymm` blend, or a packed `ymm` max.
+# Guards against a refactor silently de-vectorizing a kernel or enabling
+# `fma`. Skipped, not failed, if rustc can't emit asm for this target.
 SIMD_DIR="$(mktemp -d /tmp/simd_probe.XXXXXX)"
 trap 'rm -rf "$SIMD_DIR"' EXIT
 if rustc --edition 2021 --crate-type lib -C opt-level=3 -C symbol-mangling-version=v0 \
@@ -144,21 +145,23 @@ if rustc --edition 2021 --crate-type lib -C opt-level=3 -C symbol-mangling-versi
     case "$(uname -m)" in
     x86_64 | i?86)
         # Split the listing per function: labels of non-local symbols
-        # start a function; `run_avx2` ones go to avx2.s, and the pooling
-        # ones also to their own file.
+        # start a function; `run_avx2` ones go to avx2.s, and the
+        # convolution and pooling ones also to their own file.
         : > "$SIMD_DIR/baseline.s"
         : > "$SIMD_DIR/avx2.s"
+        : > "$SIMD_DIR/ConvBand.s"
         : > "$SIMD_DIR/ColumnRows.s"
         : > "$SIMD_DIR/ColumnFold.s"
         awk -v dir="$SIMD_DIR" '
             /^[_A-Za-z][^ \t]*:$/ {
                 out = ($0 ~ /run_avx2/) ? "avx2.s" : "baseline.s"
-                pool = ""
-                if ($0 ~ /run_avx2.*ColumnRows/) pool = "ColumnRows.s"
-                if ($0 ~ /run_avx2.*ColumnFold/) pool = "ColumnFold.s"
+                body = ""
+                if ($0 ~ /run_avx2.*ConvBand/) body = "ConvBand.s"
+                if ($0 ~ /run_avx2.*ColumnRows/) body = "ColumnRows.s"
+                if ($0 ~ /run_avx2.*ColumnFold/) body = "ColumnFold.s"
             }
             out { print > (dir "/" out) }
-            pool { print > (dir "/" pool) }' "$SIMD_DIR/simd.s"
+            body { print > (dir "/" body) }' "$SIMD_DIR/simd.s"
         for op in mulps addps; do
             if ! grep -Eq "^\s+$op\s" "$SIMD_DIR/baseline.s"; then
                 echo "ERROR: no packed SSE $op in the baseline kernel instance" >&2
@@ -170,6 +173,12 @@ if rustc --edition 2021 --crate-type lib -C opt-level=3 -C symbol-mangling-versi
             fi
         done
         packed() { grep -Eq "^\s+$1\s.*%ymm" "$SIMD_DIR/$2.s"; }
+        for op in vmulps vaddps; do
+            if ! packed "$op" ConvBand; then
+                echo "ERROR: no packed ymm $op in the AVX2 ConvBand instance" >&2
+                exit 1
+            fi
+        done
         for body in ColumnRows ColumnFold; do
             if ! packed vmaxps "$body" \
                 && ! { packed 'vcmp[a-z]*ps' "$body" && packed vblendvps "$body"; }; then
@@ -177,7 +186,7 @@ if rustc --edition 2021 --crate-type lib -C opt-level=3 -C symbol-mangling-versi
                 exit 1
             fi
         done
-        echo "baseline instance: packed SSE; AVX2 instance: packed ymm, pooling included; no vfmadd"
+        echo "baseline instance: packed SSE; AVX2 instance: packed ymm, convolution and pooling included; no vfmadd"
         ;;
     *)
         if grep -Eq '\b(mulps|fmla|fmul)\b' "$SIMD_DIR/simd.s"; then

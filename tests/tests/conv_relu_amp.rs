@@ -39,7 +39,7 @@ fn fused(
     let xv = tape.leaf(x.clone(), true);
     let wv = tape.leaf(wt.clone(), true);
     let bv = tape.leaf(b.clone(), true);
-    let p = tape.conv2d_relu_amp(xv, wv, bv, 1, case.pad, Arc::new(case.dims.to_vec()), case.grid);
+    let p = tape.conv2d_relu_amp(xv, wv, bv, case.pad, Arc::new(case.dims.to_vec()), case.grid);
     let winners = tape.pool_winners(p).expect("a fused node has winners").to_vec();
     // d(Σ p ⊙ gout)/dp = 1.0·gout, which is gout bit for bit.
     let g = tape.leaf(gout.clone(), false);

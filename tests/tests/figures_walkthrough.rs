@@ -162,7 +162,7 @@ fn figure6_adaptive_max_pooling_kernel_windows() {
         // values as they are, so the op pools the input itself.
         let identity = tape.leaf(Tensor::from_vec(vec![1.0], [1, 1, 1, 1]), false);
         let zero = tape.leaf(Tensor::zeros([1]), false);
-        let out = tape.conv2d_relu_amp(xv, identity, zero, 1, 0, Arc::new(vec![(h, 7)]), (3, 3));
+        let out = tape.conv2d_relu_amp(xv, identity, zero, 0, Arc::new(vec![(h, 7)]), (3, 3));
         let v = tape.value(out).reshape([1, 3, 3]);
         assert_eq!(v.shape().dims(), &[1, 3, 3]);
         // With row-major increasing values, every output cell is the

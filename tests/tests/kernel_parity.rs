@@ -1,17 +1,21 @@
 //! Both instances of the register-tiled kernels — the baseline build and
 //! the AVX2 build of the same source — against each other and against
 //! the span-order scalar references in [`magic_integration::oracle`],
-//! bitwise, over every tile remainder; and both instances of the pooling
-//! pass against the scan-order adaptive max pooling of the ReLU'd map.
+//! bitwise, over every tile remainder; both instances of the direct
+//! convolution against the im2col + GEMM lowering; and both instances of
+//! the pooling pass against the scan-order adaptive max pooling of the
+//! ReLU'd map.
 //!
 //! The instances are called directly through an explicit
 //! [`magic_tensor::simd::Isa`], so the fallback stays covered on an AVX2
 //! machine. The AVX2 cases are skipped, with a note, only on a CPU
 //! without AVX2.
 
+use magic_autograd::Tape;
 use magic_integration::oracle;
 use magic_tensor::simd::{self, ColumnMax, Isa};
 use magic_tensor::{gemm_nt_strided_into, CsrMatrix, Rng64, Tensor};
+use std::sync::Arc;
 
 /// Every instance this CPU can run, baseline first.
 fn instances() -> Vec<Isa> {
@@ -177,6 +181,77 @@ fn spmm_instances_match_span_order_on_every_remainder() {
             check_instances(&format!("spmm c={c}"), &init, &want, |isa, out| {
                 simd::spmm(isa, offs, cols, vals, scale, &dense, c, out)
             });
+        }
+    }
+}
+
+/// The zero-bordered input [`simd::conv_band`] reads for output rows
+/// `rows` of a stride-1 convolution of the `(c_in, h·w)` map `x` with
+/// `kh` kernel rows and padding `pad`.
+fn halo(x: &[f32], c_in: usize, (h, w): (usize, usize), (kh, pad): (usize, usize), rows: std::ops::Range<usize>) -> Vec<f32> {
+    let mut band = Vec::new();
+    for ci in 0..c_in {
+        for iy in rows.start as isize - pad as isize..(rows.end + kh - 1) as isize - pad as isize {
+            for ix in -(pad as isize)..(w + pad) as isize {
+                let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                band.push(if inside { x[ci * h * w + iy as usize * w + ix as usize] } else { 0.0 });
+            }
+        }
+    }
+    band
+}
+
+#[test]
+fn conv_band_instances_match_the_im2col_gemm_lowering() {
+    // `Tape::conv2d` gathers patches into an im2col panel and runs
+    // `gemm_into` on the bias-filled output; every band of the direct
+    // body must give the same bits. Draws hold `±0.0` inputs, biases and
+    // weights, and negative weights, whose products with the padding's
+    // `+0.0` are `−0.0`.
+    let mut rng = Rng64::new(8);
+    let h = 5;
+    let c_out = 5;
+    let signed = [-1.5, -0.0, 0.0, 0.75];
+    let draw = |rng: &mut Rng64, len: usize| -> Vec<f32> {
+        let mixed = |rng: &mut Rng64| {
+            if rng.next_below(3) == 0 { signed[rng.next_below(signed.len())] } else { rng.next_f32() * 4.0 - 2.0 }
+        };
+        (0..len).map(|_| mixed(rng)).collect()
+    };
+    for c_in in [1, 2] {
+        for k in [2, 3] {
+            for pad in [0, 1] {
+                for w in [1, 7, 8, 9, 11, 256, 257] {
+                    if k > w + 2 * pad {
+                        continue;
+                    }
+                    let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
+                    let x = draw(&mut rng, c_in * h * w);
+                    let wt = draw(&mut rng, c_out * c_in * k * k);
+                    let bias = draw(&mut rng, c_out);
+                    let mut tape = Tape::new();
+                    let xv = tape.leaf(Tensor::from_vec(x.clone(), [c_in, h * w]), false);
+                    let wv = tape.leaf(Tensor::from_vec(wt.clone(), [c_out, c_in, k, k]), false);
+                    let bv = tape.leaf(Tensor::from_vec(bias.clone(), [c_out]), false);
+                    let map = tape.conv2d(xv, wv, bv, 1, pad, Arc::new(vec![(h, w)]));
+                    let want = tape.value(map).as_slice();
+                    for band in [1, 3, oh] {
+                        for oy0 in (0..oh).step_by(band) {
+                            let oy1 = (oy0 + band).min(oh);
+                            let input = halo(&x, c_in, (h, w), (k, pad), oy0..oy1);
+                            let rows: Vec<f32> = want
+                                .chunks_exact(oh * ow)
+                                .flat_map(|m| m[oy0 * ow..oy1 * ow].iter().copied())
+                                .collect();
+                            let init = vec![f32::NAN; rows.len()];
+                            let what = format!("conv c_in {c_in}, k {k}, pad {pad}, {h}x{w}, rows {oy0}..{oy1}");
+                            check_instances(&what, &init, &rows, |isa, out| {
+                                simd::conv_band(isa, c_in, (k, k), ow, &input, &wt, &bias, out)
+                            });
+                        }
+                    }
+                }
+            }
         }
     }
 }
