@@ -174,7 +174,7 @@ mod tests {
     }
 
     /// The SortPooling head's 1-D convolution: `(c_out, c_in, k)` weights
-    /// over `(1, seg_len)` maps, unpadded.
+    /// along the rows of `(rows, k)` maps, unpadded — one output per row.
     #[test]
     fn grad_check_conv1d() {
         let mut rng = Rng64::new(15);
@@ -182,11 +182,11 @@ mod tests {
             let input = Tensor::rand_uniform([2, 8 * batch], -1.0, 1.0, &mut rng);
             let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform([3], -0.5, 0.5, &mut rng);
-            let dims = Arc::new(vec![(1, 8); batch]);
+            let dims = Arc::new(vec![(4, 2); batch]);
             check_op(input, move |tape, x| {
                 let wv = tape.leaf(w.clone(), false);
                 let bv = tape.leaf(b.clone(), false);
-                let y = tape.conv2d(x, wv, bv, 2, 0, Arc::clone(&dims));
+                let y = tape.conv2d(x, wv, bv, 0, Arc::clone(&dims));
                 let r = tape.relu(y);
                 tape.sum(r)
             });
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn grad_check_conv2d_input() {
-        // Padded, strided conv over maps of different extents: exercises
+        // Padded conv over maps of different extents: exercises
         // the per-sample col2im scatter.
         let mut rng = Rng64::new(21);
         let w = Tensor::rand_uniform([3, 2, 3, 3], -1.0, 1.0, &mut rng);
@@ -208,7 +208,7 @@ mod tests {
             check_op(input, move |tape, x| {
                 let wv = tape.leaf(w.clone(), false);
                 let bv = tape.leaf(b.clone(), false);
-                let y = tape.conv2d(x, wv, bv, 2, 1, Arc::clone(&dims));
+                let y = tape.conv2d(x, wv, bv, 1, Arc::clone(&dims));
                 // Square instead of ReLU: smooth everywhere, so the
                 // central difference cannot straddle an activation kink.
                 let sq = tape.mul(y, y);
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn grad_check_conv2d_weights() {
-        check_conv2d_weights(16, |tape, x, w, b, dims| tape.conv2d(x, w, b, 1, 1, dims));
+        check_conv2d_weights(16, |tape, x, w, b, dims| tape.conv2d(x, w, b, 1, dims));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! Layout conventions: feature maps are column-stacked `(channels,
 //! Σ hⱼ·wⱼ)` matrices; conv weights are `(out_channels, in_channels, kh,
-//! kw)`. A 1-D convolution is the height-1 case: a `(c, B·seg_len)`
-//! signal is a batch of `(1, seg_len)` maps, and `(out_channels,
-//! in_channels, k)` weights read as a `1 × k` kernel (see
-//! [`kernel_extent`]), with the same memory layout.
+//! kw)`. Every convolution runs at stride 1. A 1-D convolution is the
+//! `1 × k`-kernel case: `(out_channels, in_channels, k)` weights read as
+//! a `1 × k` kernel (see [`kernel_extent`]), with the same memory layout,
+//! sliding along the rows of each sample's map.
 //!
 //! Every kernel runs a whole mini-batch in one call by stacking samples
 //! along the width axis (heterogeneous `(h, w)` segments of a
@@ -15,25 +15,29 @@
 //!
 //! # im2col + GEMM lowering
 //!
-//! [`im2col_2d`] gathers input patches into a `(c_in·kh·kw, Σ out)`
-//! column buffer (zero padding becomes zero column entries), then the
-//! whole convolution is one register-tiled [`magic_tensor::gemm_into`]
-//! against the weight matrix viewed as `(c_out, c_in·kh·kw)`, with the
-//! bias pre-loaded into the output. The backward pass recomputes the
-//! columns and runs two transpose-GEMMs — `gW = gOut · colsᵀ`
-//! ([`magic_tensor::gemm_nt_strided_into`], reading each sample's column
-//! range of both operands in place) and `gCols = Wᵀ · gOut`
-//! ([`magic_tensor::gemm_tn_into`]) — followed by a col2im scatter-add
-//! for `gX`. All scratch and output buffers come from the caller's
-//! [`Workspace`], so steady-state training reuses them.
+//! [`im2col_2d`] copies each sample's map into a zero-bordered halo
+//! ([`halo_band`]) and gathers its patches into a `(c_in·kh·kw, Σ out)`
+//! column buffer, one contiguous halo span per `(tap, output row)`; then
+//! the whole convolution is one register-tiled
+//! [`magic_tensor::gemm_into`] against the weight matrix viewed as
+//! `(c_out, c_in·kh·kw)`, with the bias pre-loaded into the output. The
+//! backward pass recomputes the columns and runs two transpose-GEMMs —
+//! `gW = gOut · colsᵀ` ([`magic_tensor::gemm_nt_strided_into`], reading
+//! each sample's column range of both operands in place) and
+//! `gCols = Wᵀ · gOut` ([`magic_tensor::gemm_tn_into`]) — followed by a
+//! col2im that adds each `(tap, output row)` span into a zero-bordered
+//! gradient halo and copies its interior into `gX`. All scratch and
+//! output buffers come from the caller's [`Workspace`], so steady-state
+//! training reuses them.
 //!
 //! The adaptive head's first convolution runs fused with its ReLU and
 //! adaptive max pooling ([`conv2d_relu_amp_forward`] /
-//! [`conv2d_relu_amp_backward`]): a direct stride-1 convolution
+//! [`conv2d_relu_amp_backward`]): a direct convolution
 //! ([`simd::conv_band`], no patch gather and no GEMM, with the GEMM's
-//! per-element chain), one band of output rows at a time, pooled by one
-//! column-maximum pass ([`ColumnMax`]), with a backward through the pool
-//! winners only — bitwise equal to the unfused chain.
+//! per-element chain) over the same zero-bordered halo, one band of
+//! output rows at a time, pooled by one column-maximum pass
+//! ([`ColumnMax`]), with a backward through the pool winners only —
+//! bitwise equal to the unfused chain.
 //!
 //! # Determinism
 //!
@@ -59,28 +63,16 @@ fn fold(s: &[f32]) -> f32 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 }
 
-/// Output length of a 1-D convolution: `(len - k) / stride + 1`.
+/// Output height/width of a 2-D convolution with symmetric zero padding.
 ///
 /// # Panics
 ///
-/// Panics if the kernel is larger than the input or `stride == 0`.
-pub fn conv1d_shape(len: usize, k: usize, stride: usize) -> usize {
-    assert!(stride > 0, "stride must be positive");
-    assert!(k <= len, "kernel {k} larger than input length {len}");
-    (len - k) / stride + 1
-}
-
-/// Output height/width of a 2-D convolution with symmetric padding.
-///
-/// # Panics
-///
-/// Panics if the (padded) input is smaller than the kernel or `stride == 0`.
-pub fn conv2d_shape(h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> (usize, usize) {
-    assert!(stride > 0, "stride must be positive");
+/// Panics if the padded input is smaller than the kernel.
+pub fn conv2d_shape(h: usize, w: usize, kh: usize, kw: usize, pad: usize) -> (usize, usize) {
     let ph = h + 2 * pad;
     let pw = w + 2 * pad;
     assert!(kh <= ph && kw <= pw, "kernel {kh}x{kw} larger than padded input {ph}x{pw}");
-    ((ph - kh) / stride + 1, (pw - kw) / stride + 1)
+    (ph - kh + 1, pw - kw + 1)
 }
 
 /// The half-open input window `[start, end)` that output cell `i` of an
@@ -112,106 +104,59 @@ pub(crate) fn conv2d_out_dims(
     dims: &[(usize, usize)],
     kh: usize,
     kw: usize,
-    stride: usize,
     pad: usize,
 ) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
-    dims.iter().map(move |&(h, w)| conv2d_shape(h, w, kh, kw, stride, pad))
+    dims.iter().map(move |&(h, w)| conv2d_shape(h, w, kh, kw, pad))
 }
 
 /// Gathers 2-D convolution patches of a column-stacked batch: `x` is
 /// `(c_in, Σ hⱼ·wⱼ)` with sample `j`'s `(hⱼ, wⱼ)` map flattened into the
-/// column range starting at `Σ_{i<j} hᵢ·wᵢ` of every row. Produces a
-/// `(c_in·kh·kw, Σ ohⱼ·owⱼ)` column buffer checked out of `ws` whose
-/// sample column ranges are laid out the same way; taps that fall in the
-/// zero padding are zero entries, so padding costs nothing extra in the
-/// GEMM.
+/// column range starting at `Σ_{i<j} hᵢ·wᵢ` of every row. Returns one
+/// buffer checked out of `ws`: its first `c_in·kh·kw·Σ ohⱼ·owⱼ` entries
+/// are the column panel, whose sample column ranges are laid out the
+/// same way, and the rest is the halo the gather copied each map into —
+/// scratch that [`conv2d_backward`] reuses for its col2im.
+///
+/// Each map is copied once between zero borders ([`halo_band`]), so a
+/// panel row `(ci, dy, dx)` of output row `oy` is the contiguous halo
+/// span at row `oy + dy`, column `dx`, and taps that fall in the padding
+/// read the border's zeros: padding costs nothing extra in the GEMM.
 ///
 /// The caller owns the returned buffer and must recycle it.
 pub(crate) fn im2col_2d(
     x: &Tensor,
     dims: &[(usize, usize)],
-    kh: usize,
-    kw: usize,
-    stride: usize,
+    (kh, kw): (usize, usize),
     pad: usize,
     ws: &mut Workspace,
 ) -> Vec<f32> {
     debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
-    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
+    let c_in = x.rows();
+    let out_dims = conv2d_out_dims(dims, kh, kw, pad);
     let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
-    let patches = Patches { x, kh, kw, stride, pad };
-    let mut cols = ws.take(x.rows() * kh * kw * out_total);
+    let panel_len = c_in * kh * kw * out_total;
+    let halo_len = c_in * dims.iter().map(|&(h, w)| (h + 2 * pad) * (w + 2 * pad)).max().unwrap_or(0);
+    let mut cols = ws.take(panel_len + halo_len);
+    let (panel, halo) = cols.split_at_mut(panel_len);
     let mut in_off = 0;
     let mut out_off = 0;
     for (&(h, w), (oh, ow)) in dims.iter().zip(out_dims) {
-        patches.gather(in_off, (h, w), (oh, ow), &mut cols[out_off..], out_total);
-        in_off += h * w;
-        out_off += oh * ow;
-    }
-    cols
-}
-
-/// The patch geometry of one 2-D convolution over a column-stacked
-/// `(c_in, Σ hⱼ·wⱼ)` input, at any stride: the im2col gather behind
-/// [`Tape::conv2d`](crate::Tape::conv2d). The fused Conv2D → ReLU → AMP
-/// forward reads its taps in place instead ([`simd::conv_band`]).
-struct Patches<'a> {
-    x: &'a Tensor,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-}
-
-impl Patches<'_> {
-    /// Writes the patches of the sample whose `(h, w)` map starts at
-    /// column `in_off` (output extent `(oh, ow)`) into `panel`, viewed as
-    /// `c_in·kh·kw` rows of stride `ld`: entry
-    /// `((ci·kh + dy)·kw + dx)·ld + oy·ow + ox` is the input under tap
-    /// `(ci, dy, dx)` of output cell `(oy, ox)`, or `0.0` in the padding.
-    /// Every entry of the sample's columns is written, so a reused panel
-    /// needs no clearing.
-    fn gather(
-        &self,
-        in_off: usize,
-        (h, w): (usize, usize),
-        (oh, ow): (usize, usize),
-        panel: &mut [f32],
-        ld: usize,
-    ) {
-        let (kh, kw, stride, pad) = (self.kh, self.kw, self.stride, self.pad);
-        let total_in = self.x.cols();
-        let xs = self.x.as_slice();
-        for ci in 0..self.x.rows() {
+        let n = halo_band(x, in_off, (h, w), (kh, pad), 0..oh, halo);
+        let pw = w + 2 * pad;
+        for (ci, plane) in halo[..n].chunks_exact(n / c_in).enumerate() {
             for dy in 0..kh {
                 for dx in 0..kw {
-                    let row = &mut panel[((ci * kh + dy) * kw + dx) * ld..][..oh * ow];
-                    // Output columns whose tap lands inside the map:
-                    // `0 ≤ ox·stride + dx − pad < w`.
-                    let lo = pad.saturating_sub(dx).div_ceil(stride).min(ow);
-                    let hi = if w + pad > dx { ((w + pad - dx - 1) / stride + 1).min(ow) } else { 0 };
+                    let row = &mut panel[((ci * kh + dy) * kw + dx) * out_total + out_off..][..oh * ow];
                     for (oy, seg) in row.chunks_exact_mut(ow).enumerate() {
-                        let iy = (oy * stride + dy) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize || lo >= hi {
-                            seg.fill(0.0);
-                            continue;
-                        }
-                        let x_row = &xs[ci * total_in + in_off + iy as usize * w..][..w];
-                        seg[..lo].fill(0.0);
-                        seg[hi..].fill(0.0);
-                        let first = lo * stride + dx - pad;
-                        if stride == 1 {
-                            seg[lo..hi].copy_from_slice(&x_row[first..first + hi - lo]);
-                        } else {
-                            for (t, c) in seg[lo..hi].iter_mut().enumerate() {
-                                *c = x_row[first + t * stride];
-                            }
-                        }
+                        seg.copy_from_slice(&plane[(oy + dy) * pw + dx..][..ow]);
                     }
                 }
             }
         }
+        in_off += h * w;
+        out_off += oh * ow;
     }
+    cols
 }
 
 /// GEMM half of the im2col 2-D convolution. `cols` comes from
@@ -226,13 +171,12 @@ pub(crate) fn conv2d_forward_gemm(
 ) -> Tensor {
     let c_out = wt.shape().dim(0);
     let ckk = wt.len() / c_out;
-    debug_assert_eq!(cols.len(), ckk * out_total);
     let mut out = ws.take_tensor([c_out, out_total]);
     let os = out.as_mut_slice();
     for (o, row) in os.chunks_exact_mut(out_total).enumerate() {
         row.fill(b[o]);
     }
-    gemm_into(c_out, ckk, out_total, wt.as_slice(), cols, os);
+    gemm_into(c_out, ckk, out_total, wt.as_slice(), &cols[..ckk * out_total], os);
     out
 }
 
@@ -244,7 +188,6 @@ pub(crate) fn conv2d_forward_gemm(
 pub(crate) fn conv2d_backward(
     x: &Tensor,
     wt: &Tensor,
-    stride: usize,
     pad: usize,
     dims: &[(usize, usize)],
     gout: &Tensor,
@@ -255,10 +198,11 @@ pub(crate) fn conv2d_backward(
     let c_out = wt.shape().dim(0);
     let (kh, kw) = kernel_extent(wt);
     let ckk = c_in * kh * kw;
-    let out_dims = conv2d_out_dims(dims, kh, kw, stride, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, pad);
     let out_total = gout.cols();
     debug_assert_eq!(out_total, out_dims.clone().map(|(oh, ow)| oh * ow).sum::<usize>());
-    let cols = im2col_2d(x, dims, kh, kw, stride, pad, ws);
+    let mut cols = im2col_2d(x, dims, (kh, kw), pad, ws);
+    let (cols_panel, halo) = cols.split_at_mut(ckk * out_total);
     let gs = gout.as_slice();
 
     let mut gb = ws.take(c_out);
@@ -282,7 +226,7 @@ pub(crate) fn conv2d_backward(
             ckk,
             &gs[out_off..],
             out_total,
-            &cols[out_off..],
+            &cols_panel[out_off..],
             out_total,
             &mut temp_gw,
         );
@@ -296,31 +240,31 @@ pub(crate) fn conv2d_backward(
     let mut gcols = ws.take(ckk * out_total);
     gemm_tn_into(ckk, c_out, out_total, wt.as_slice(), gout.as_slice(), &mut gcols);
 
+    // Per-sample col2im in the order (ci, dy, dx, oy, ox), into a
+    // zero-bordered gradient halo whose interior is then `gx`'s map: each
+    // input element gets the same adds in the same order as a scatter
+    // that skips the padding, and the border's adds are dropped.
     let mut gx = ws.take_tensor(x.shape().clone());
     let gxs = gx.as_mut_slice();
     let mut in_off = 0;
     let mut out_off = 0;
     for (&(h, w), (oh, ow)) in dims.iter().zip(out_dims) {
-        // Per-sample col2im in the order (ci, dy, dx, oy, ox).
-        for ci in 0..c_in {
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        let grad_halo = &mut halo[..c_in * ph * pw];
+        grad_halo.fill(0.0);
+        for (ci, plane) in grad_halo.chunks_exact_mut(ph * pw).enumerate() {
             for dy in 0..kh {
                 for dx in 0..kw {
                     let row = &gcols[((ci * kh + dy) * kw + dx) * out_total + out_off..][..oh * ow];
-                    for oy in 0..oh {
-                        let iy = (oy * stride + dy) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let x_row = ci * total_in + in_off + iy as usize * w;
-                        for ox in 0..ow {
-                            let ix = (ox * stride + dx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            gxs[x_row + ix as usize] += row[oy * ow + ox];
+                    for (oy, seg) in row.chunks_exact(ow).enumerate() {
+                        for (g, &v) in plane[(oy + dy) * pw + dx..][..ow].iter_mut().zip(seg) {
+                            *g += v;
                         }
                     }
                 }
+            }
+            for iy in 0..h {
+                gxs[ci * total_in + in_off + iy * w..][..w].copy_from_slice(&plane[(iy + pad) * pw + pad..][..w]);
             }
         }
         in_off += h * w;
@@ -341,8 +285,10 @@ const BAND_CELLS: usize = 1024;
 /// Copies input rows `oy0 − pad .. oy1 + kh − 1 − pad` of every channel
 /// of the sample whose `(h, w)` map starts at column `in_off` of `x` into
 /// `halo`, each between `pad` zeros on both sides, and rows outside the
-/// map as zero rows: the zero-bordered band [`simd::conv_band`] reads
-/// for output rows `rows` of a stride-1 convolution. Returns its length.
+/// map as zero rows: the zero-bordered band that output rows `rows` of a
+/// convolution read — [`simd::conv_band`]'s input, and, for all output
+/// rows, the whole-map halo [`im2col_2d`] gathers from. Returns its
+/// length.
 fn halo_band(
     x: &Tensor,
     in_off: usize,
@@ -369,7 +315,7 @@ fn halo_band(
 }
 
 /// Forward of `AMP(relu(conv2d(x)))` over a column-stacked batch: the
-/// stride-1 2-D convolution of [`conv2d_forward_gemm`] (zero padding,
+/// 2-D convolution of [`conv2d_forward_gemm`] (zero padding,
 /// bias), a ReLU, and adaptive max pooling of each sample's
 /// `(ohⱼ, owⱼ)` output map to a `gh × gw` grid (the paper's AMP layer,
 /// Section III-C). Returns the pooled `(c_out, B·gh·gw)` output (sample
@@ -399,7 +345,7 @@ pub(crate) fn conv2d_relu_amp_forward(
 ) -> (Tensor, Vec<usize>) {
     let (c_out, c_in, kh, kw) = (wt.shape().dim(0), x.rows(), wt.shape().dim(2), wt.shape().dim(3));
     debug_assert_eq!(x.cols(), dims.iter().map(|&(h, w)| h * w).sum::<usize>());
-    let out_dims = conv2d_out_dims(dims, kh, kw, 1, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, pad);
     let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let cells = gh * gw;
     let out_cols = dims.len() * cells;
@@ -488,7 +434,7 @@ pub(crate) fn conv2d_relu_amp_backward(
     let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
     let ckk = x.rows() * kh * kw;
     let total_in = x.cols();
-    let out_dims = conv2d_out_dims(dims, kh, kw, 1, pad);
+    let out_dims = conv2d_out_dims(dims, kh, kw, pad);
     let out_total: usize = out_dims.clone().map(|(oh, ow)| oh * ow).sum();
     let out_cols = pooled.cols();
     let cells = out_cols / dims.len().max(1);
@@ -653,34 +599,26 @@ mod tests {
     use super::*;
     use magic_tensor::Rng64;
 
-    /// Per-sample `(1, seg_len)` map extents of a `(c, B·seg_len)` signal.
-    fn signal_dims(x: &Tensor, seg_len: usize) -> Vec<(usize, usize)> {
-        vec![(1, seg_len); x.cols() / seg_len]
+    /// Equal `(rows, width)` map extents of a `(c, B·rows·width)` batch.
+    fn map_dims(x: &Tensor, (rows, width): (usize, usize)) -> Vec<(usize, usize)> {
+        vec![(rows, width); x.cols() / (rows * width)]
     }
 
     /// Forward 1-D convolution of `(c_out, c_in, k)` weights: the
-    /// height-1, unpadded 2-D convolution.
-    fn conv1d(
-        x: &Tensor,
-        w: &Tensor,
-        b: &[f32],
-        stride: usize,
-        seg_len: usize,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        conv2d(x, &signal_dims(x, seg_len), w, b, stride, 0, ws)
+    /// unpadded `1 × k`-kernel 2-D convolution over `(rows, width)` maps.
+    fn conv1d(x: &Tensor, w: &Tensor, b: &[f32], map: (usize, usize), ws: &mut Workspace) -> Tensor {
+        conv2d(x, &map_dims(x, map), w, b, 0, ws)
     }
 
-    /// Backward of [`conv1d`]: [`conv2d_backward`] over `(1, seg_len)` maps.
+    /// Backward of [`conv1d`]: [`conv2d_backward`] over `(rows, width)` maps.
     fn conv1d_backward(
         x: &Tensor,
         w: &Tensor,
-        stride: usize,
-        seg_len: usize,
+        map: (usize, usize),
         gout: &Tensor,
         ws: &mut Workspace,
     ) -> (Tensor, Tensor, Vec<f32>) {
-        conv2d_backward(x, w, stride, 0, &signal_dims(x, seg_len), gout, ws)
+        conv2d_backward(x, w, 0, &map_dims(x, map), gout, ws)
     }
 
     /// Forward 2-D convolution of a column-stacked batch of `dims` maps.
@@ -689,36 +627,33 @@ mod tests {
         dims: &[(usize, usize)],
         wt: &Tensor,
         b: &[f32],
-        stride: usize,
         pad: usize,
         ws: &mut Workspace,
     ) -> Tensor {
         let (kh, kw) = kernel_extent(wt);
-        let out_total =
-            conv2d_out_dims(dims, kh, kw, stride, pad).map(|(oh, ow)| oh * ow).sum();
-        let cols = im2col_2d(x, dims, kh, kw, stride, pad, ws);
+        let out_total = conv2d_out_dims(dims, kh, kw, pad).map(|(oh, ow)| oh * ow).sum();
+        let cols = im2col_2d(x, dims, (kh, kw), pad, ws);
         let out = conv2d_forward_gemm(&cols, wt, b, out_total, ws);
         ws.recycle(cols);
         out
     }
 
     #[test]
-    fn conv1d_shape_basic() {
-        assert_eq!(conv1d_shape(10, 3, 1), 8);
-        assert_eq!(conv1d_shape(10, 5, 5), 2);
-        assert_eq!(conv1d_shape(10, 10, 10), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "larger than input")]
-    fn conv1d_shape_rejects_big_kernel() {
-        conv1d_shape(3, 5, 1);
-    }
-
-    #[test]
     fn conv2d_shape_with_padding() {
-        assert_eq!(conv2d_shape(5, 7, 3, 3, 1, 1), (5, 7));
-        assert_eq!(conv2d_shape(4, 4, 2, 2, 2, 0), (2, 2));
+        assert_eq!(conv2d_shape(5, 7, 3, 3, 1), (5, 7));
+        assert_eq!(conv2d_shape(4, 4, 2, 2, 0), (3, 3));
+        // A map smaller than the kernel's padded reach.
+        assert_eq!(conv2d_shape(1, 1, 3, 3, 1), (1, 1));
+        assert_eq!(conv2d_shape(2, 3, 2, 2, 1), (3, 4));
+        // A `1 × k` kernel: one output per row when `k` is the width.
+        assert_eq!(conv2d_shape(1, 10, 1, 3, 0), (1, 8));
+        assert_eq!(conv2d_shape(2, 5, 1, 5, 0), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn conv2d_shape_rejects_a_kernel_past_the_padded_input() {
+        conv2d_shape(1, 3, 1, 5, 0);
     }
 
     #[test]
@@ -743,15 +678,17 @@ mod tests {
     fn conv1d_identity_kernel() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0]]);
         let w = Tensor::from_vec(vec![1.0], [1, 1, 1]);
-        let y = conv1d(&x, &w, &[0.0], 1, 3, &mut Workspace::new());
+        let y = conv1d(&x, &w, &[0.0], (1, 3), &mut Workspace::new());
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
     #[test]
     fn conv1d_sums_window() {
+        // Kernel 2 along each row of a 2x2 map: the paper's kernel-2,
+        // stride-2 Conv1D over the signal of length 4.
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
         let w = Tensor::from_vec(vec![1.0, 1.0], [1, 1, 2]);
-        let y = conv1d(&x, &w, &[0.0], 2, 4, &mut Workspace::new());
+        let y = conv1d(&x, &w, &[0.0], (2, 2), &mut Workspace::new());
         assert_eq!(y.as_slice(), &[3.0, 7.0]);
     }
 
@@ -759,7 +696,7 @@ mod tests {
     fn conv2d_averaging_kernel() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
         let w = Tensor::from_vec(vec![0.25; 4], [1, 1, 2, 2]);
-        let y = conv2d(&x, &[(2, 2)], &w, &[0.0], 1, 0, &mut Workspace::new());
+        let y = conv2d(&x, &[(2, 2)], &w, &[0.0], 0, &mut Workspace::new());
         assert_eq!(y.as_slice(), &[2.5]);
     }
 
@@ -767,7 +704,7 @@ mod tests {
     fn conv2d_padding_preserves_size() {
         let x = Tensor::ones([1, 9]);
         let w = Tensor::from_vec(vec![1.0; 9], [1, 1, 3, 3]);
-        let y = conv2d(&x, &[(3, 3)], &w, &[0.0], 1, 1, &mut Workspace::new());
+        let y = conv2d(&x, &[(3, 3)], &w, &[0.0], 1, &mut Workspace::new());
         assert_eq!(y.shape().dims(), &[1, 9]);
         // Center cell sees all nine ones; corner sees four.
         assert_eq!(y.get2(0, 4), 9.0);
@@ -831,28 +768,27 @@ mod tests {
     /// Visits every in-bounds tap of a zero-padded 2-D convolution of one
     /// `(c_in, h·w)` map by `(c_out, c_in, kh, kw)` weights: calls `f` with
     /// the output channel, the flat output cell, the flat input index and
-    /// the flat weight index. A 1-D convolution is the `h = kh = 1`,
+    /// the flat weight index. A 1-D convolution is the `kh = 1`,
     /// `pad = 0` case, since `(c_out, c_in, k)` weights share the layout.
     fn for_each_tap(
         c_in: usize,
         (h, w): (usize, usize),
         (c_out, kh, kw): (usize, usize, usize),
-        stride: usize,
         pad: usize,
         mut f: impl FnMut(usize, usize, usize, usize),
     ) {
-        let (oh, ow) = conv2d_shape(h, w, kh, kw, stride, pad);
+        let (oh, ow) = conv2d_shape(h, w, kh, kw, pad);
         for o in 0..c_out {
             for oy in 0..oh {
                 for ox in 0..ow {
                     for ci in 0..c_in {
                         for dy in 0..kh {
-                            let iy = (oy * stride + dy) as isize - pad as isize;
+                            let iy = (oy + dy) as isize - pad as isize;
                             if iy < 0 || iy >= h as isize {
                                 continue;
                             }
                             for dx in 0..kw {
-                                let ix = (ox * stride + dx) as isize - pad as isize;
+                                let ix = (ox + dx) as isize - pad as isize;
                                 if ix < 0 || ix >= w as isize {
                                     continue;
                                 }
@@ -879,19 +815,18 @@ mod tests {
         wt: &[f32],
         (c_out, kh, kw): (usize, usize, usize),
         b: &[f32],
-        stride: usize,
         pad: usize,
         gout: &[f32],
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
         let c_in = x.rows();
-        let (oh, ow) = conv2d_shape(h, w, kh, kw, stride, pad);
+        let (oh, ow) = conv2d_shape(h, w, kh, kw, pad);
         let cells = oh * ow;
         let xs = x.as_slice();
         let mut out: Vec<f32> = (0..c_out * cells).map(|i| b[i / cells]).collect();
         let mut gx = vec![0.0; xs.len()];
         let mut gw = vec![0.0; wt.len()];
         let mut gb = vec![0.0; c_out];
-        for_each_tap(c_in, (h, w), (c_out, kh, kw), stride, pad, |o, cell, xi, wi| {
+        for_each_tap(c_in, (h, w), (c_out, kh, kw), pad, |o, cell, xi, wi| {
             let g = gout[o * cells + cell];
             out[o * cells + cell] += wt[wi] * xs[xi];
             gw[wi] += g * xs[xi];
@@ -914,23 +849,25 @@ mod tests {
     fn conv1d_gemm_matches_naive_forward_and_backward() {
         let mut rng = Rng64::new(21);
         let mut ws = Workspace::new();
-        for (c_in, len, c_out, k, stride) in
-            [(1, 5, 1, 1, 1), (2, 8, 3, 2, 2), (3, 9, 4, 3, 1), (1, 12, 16, 4, 4), (2, 7, 2, 7, 7)]
+        // `(rows, width)` maps: a kernel as wide as the rows is the
+        // paper's stride = kernel Conv1D over the `rows·width` signal.
+        for (c_in, (rows, width), c_out, k) in
+            [(1, (1, 5), 1, 1), (2, (4, 2), 3, 2), (3, (1, 9), 4, 3), (1, (3, 4), 16, 4), (2, (1, 7), 2, 7)]
         {
-            let x = Tensor::rand_uniform([c_in, len], -1.0, 1.0, &mut rng);
+            let x = Tensor::rand_uniform([c_in, rows * width], -1.0, 1.0, &mut rng);
             let w = Tensor::rand_uniform([c_out, c_in, k], -1.0, 1.0, &mut rng);
             let b: Vec<f32> = (0..c_out).map(|i| 0.1 * i as f32 - 0.2).collect();
-            let out_len = conv1d_shape(len, k, stride);
+            let out_len = rows * (width - k + 1);
             let gout = Tensor::rand_uniform([c_out, out_len], -1.0, 1.0, &mut rng);
-            let case = format!("({c_in},{len},{c_out},{k},{stride})");
+            let case = format!("({c_in},{rows}x{width},{c_out},{k})");
 
             let (nout, ngx, ngw, ngb) =
-                naive_conv(&x, (1, len), w.as_slice(), (c_out, 1, k), &b, stride, 0, gout.as_slice());
-            let gemm = conv1d(&x, &w, &b, stride, len, &mut ws);
+                naive_conv(&x, (rows, width), w.as_slice(), (c_out, 1, k), &b, 0, gout.as_slice());
+            let gemm = conv1d(&x, &w, &b, (rows, width), &mut ws);
             assert_eq!(gemm.shape().dims(), &[c_out, out_len]);
             assert_close(gemm.as_slice(), &nout, 1e-5, &format!("fwd {case}"));
 
-            let (ggx, ggw, ggb) = conv1d_backward(&x, &w, stride, len, &gout, &mut ws);
+            let (ggx, ggw, ggb) = conv1d_backward(&x, &w, (rows, width), &gout, &mut ws);
             assert_close(ggx.as_slice(), &ngx, 1e-4, &format!("gx {case}"));
             assert_close(ggw.as_slice(), &ngw, 1e-4, &format!("gw {case}"));
             assert_close(&ggb, &ngb, 1e-4, &format!("gb {case}"));
@@ -945,36 +882,32 @@ mod tests {
     fn conv2d_gemm_matches_naive_forward_and_backward() {
         let mut rng = Rng64::new(22);
         let mut ws = Workspace::new();
-        for (c_in, h, w_dim, c_out, kh, kw, stride, pad) in [
-            (1, 3, 3, 1, 1, 1, 1, 0),
-            (2, 5, 5, 3, 3, 3, 1, 1),
-            (1, 6, 4, 2, 3, 3, 2, 1),
-            (3, 4, 7, 2, 2, 4, 1, 0),
-            (2, 5, 5, 4, 3, 3, 2, 2),
+        for (c_in, h, w_dim, c_out, kh, kw, pad) in [
+            (1, 3, 3, 1, 1, 1, 0),
+            (2, 5, 5, 3, 3, 3, 1),
+            (1, 6, 4, 2, 3, 3, 1),
+            (3, 4, 7, 2, 2, 4, 0),
+            (2, 5, 5, 4, 3, 3, 2),
+            // Maps smaller than the kernel's padded reach.
+            (2, 1, 1, 3, 3, 3, 1),
+            (1, 2, 3, 2, 2, 2, 1),
+            (2, 2, 2, 3, 3, 3, 2),
         ] {
             let x = Tensor::rand_uniform([c_in, h * w_dim], -1.0, 1.0, &mut rng);
             let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
             let b: Vec<f32> = (0..c_out).map(|i| 0.05 * i as f32 + 0.1).collect();
-            let (oh, ow) = conv2d_shape(h, w_dim, kh, kw, stride, pad);
+            let (oh, ow) = conv2d_shape(h, w_dim, kh, kw, pad);
             let gout = Tensor::rand_uniform([c_out, oh * ow], -1.0, 1.0, &mut rng);
-            let case = format!("({c_in},{h},{w_dim},{c_out},{kh},{kw},{stride},{pad})");
+            let case = format!("({c_in},{h},{w_dim},{c_out},{kh},{kw},{pad})");
 
-            let (nout, ngx, ngw, ngb) = naive_conv(
-                &x,
-                (h, w_dim),
-                wt.as_slice(),
-                (c_out, kh, kw),
-                &b,
-                stride,
-                pad,
-                gout.as_slice(),
-            );
+            let (nout, ngx, ngw, ngb) =
+                naive_conv(&x, (h, w_dim), wt.as_slice(), (c_out, kh, kw), &b, pad, gout.as_slice());
             let dims = [(h, w_dim)];
-            let gemm = conv2d(&x, &dims, &wt, &b, stride, pad, &mut ws);
+            let gemm = conv2d(&x, &dims, &wt, &b, pad, &mut ws);
             assert_eq!(gemm.shape().dims(), &[c_out, oh * ow]);
             assert_close(gemm.as_slice(), &nout, 1e-5, &format!("fwd {case}"));
 
-            let (ggx, ggw, ggb) = conv2d_backward(&x, &wt, stride, pad, &dims, &gout, &mut ws);
+            let (ggx, ggw, ggb) = conv2d_backward(&x, &wt, pad, &dims, &gout, &mut ws);
             assert_close(ggx.as_slice(), &ngx, 1e-4, &format!("gx {case}"));
             assert_close(ggw.as_slice(), &ngw, 1e-4, &format!("gw {case}"));
             assert_close(&ggb, &ngb, 1e-4, &format!("gb {case}"));
@@ -996,7 +929,7 @@ mod tests {
             let mut ws = Workspace::new();
             let mut last = None;
             for _ in 0..2 {
-                let out = conv2d(&x, &[(6, 6)], &wt, &b, 1, 1, &mut ws);
+                let out = conv2d(&x, &[(6, 6)], &wt, &b, 1, &mut ws);
                 if let Some(prev) = last.take() {
                     assert_eq!(prev, out, "warm pool changed the numbers");
                 }
@@ -1017,12 +950,12 @@ mod tests {
         let x = Tensor::rand_uniform([2, 8], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
         let gout = Tensor::rand_uniform([3, 4], -1.0, 1.0, &mut rng);
-        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 4, &gout, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, (2, 2), &gout, &mut ws);
         ws.recycle_tensor(gx);
         ws.recycle_tensor(gw);
         ws.recycle(gb);
         let zero = Tensor::zeros([3, 4]);
-        let (gx, gw, gb) = conv1d_backward(&x, &w, 2, 4, &zero, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, (2, 2), &zero, &mut ws);
         assert!(ws.stats().hits > 0, "second backward should reuse pooled buffers");
         let bits = |s: &[f32]| s.iter().all(|v| v.to_bits() == 0);
         assert!(bits(gx.as_slice()) && bits(gw.as_slice()) && bits(&gb));
@@ -1035,12 +968,12 @@ mod tests {
         let x = Tensor::rand_uniform([2, 6], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut rng);
         let b = vec![0.1, -0.2, 0.3];
-        let y = conv1d(&x, &w, &b, 2, 6, &mut ws);
+        let y = conv1d(&x, &w, &b, (3, 2), &mut ws);
         let gout = Tensor::ones(y.shape().clone());
-        let (gx, gw, _gb) = conv1d_backward(&x, &w, 2, 6, &gout, &mut ws);
+        let (gx, gw, _gb) = conv1d_backward(&x, &w, (3, 2), &gout, &mut ws);
 
         let eps = 1e-3;
-        let mut loss = |x: &Tensor, w: &Tensor| conv1d(x, w, &b, 2, 6, &mut ws).sum();
+        let mut loss = |x: &Tensor, w: &Tensor| conv1d(x, w, &b, (3, 2), &mut ws).sum();
         // Check one x element and one w element by central differences.
         let mut xp = x.clone();
         xp.as_mut_slice()[3] += eps;
@@ -1065,13 +998,13 @@ mod tests {
         let x = Tensor::rand_uniform([2, 16], -1.0, 1.0, &mut rng);
         let w = Tensor::rand_uniform([2, 2, 3, 3], -1.0, 1.0, &mut rng);
         let b = vec![0.0, 0.0];
-        let y = conv2d(&x, &dims, &w, &b, 1, 1, &mut ws);
+        let y = conv2d(&x, &dims, &w, &b, 1, &mut ws);
         let gout = Tensor::ones(y.shape().clone());
-        let (gx, gw, gb) = conv2d_backward(&x, &w, 1, 1, &dims, &gout, &mut ws);
+        let (gx, gw, gb) = conv2d_backward(&x, &w, 1, &dims, &gout, &mut ws);
         assert_eq!(gb, vec![16.0, 16.0]);
 
         let eps = 1e-2;
-        let mut loss = |x: &Tensor, w: &Tensor| conv2d(x, &dims, w, &b, 1, 1, &mut ws).sum();
+        let mut loss = |x: &Tensor, w: &Tensor| conv2d(x, &dims, w, &b, 1, &mut ws).sum();
         for &idx in &[0usize, 7, 20] {
             let mut xp = x.clone();
             xp.as_mut_slice()[idx] += eps;
@@ -1122,8 +1055,8 @@ mod tests {
     fn conv1d_batched_is_bitwise_equal_to_per_sample() {
         let mut rng = Rng64::new(41);
         let mut ws = Workspace::new();
-        let (c_in, c_out, k, stride, seg_len, batch) = (2, 3, 3, 1, 9, 3);
-        let out_len = conv1d_shape(seg_len, k, stride);
+        let (c_in, c_out, k, seg_len, batch) = (2, 3, 3, 9, 3);
+        let out_len = seg_len - k + 1;
         let samples: Vec<Tensor> =
             (0..batch).map(|_| Tensor::rand_uniform([c_in, seg_len], -1.0, 1.0, &mut rng)).collect();
         let w = Tensor::rand_uniform([c_out, c_in, k], -1.0, 1.0, &mut rng);
@@ -1132,14 +1065,14 @@ mod tests {
             (0..batch).map(|_| Tensor::rand_uniform([c_out, out_len], -1.0, 1.0, &mut rng)).collect();
 
         let x = hstack(&samples.iter().collect::<Vec<_>>());
-        let out = conv1d(&x, &w, &b, stride, seg_len, &mut ws);
+        let out = conv1d(&x, &w, &b, (1, seg_len), &mut ws);
         let gout = hstack(&gouts.iter().collect::<Vec<_>>());
-        let (gx, gw, gb) = conv1d_backward(&x, &w, stride, seg_len, &gout, &mut ws);
+        let (gx, gw, gb) = conv1d_backward(&x, &w, (1, seg_len), &gout, &mut ws);
 
         let mut per_gw = Vec::new();
         let mut per_gb = Vec::new();
         for s in 0..batch {
-            let sout = conv1d(&samples[s], &w, &b, stride, seg_len, &mut ws);
+            let sout = conv1d(&samples[s], &w, &b, (1, seg_len), &mut ws);
             for o in 0..c_out {
                 assert_eq!(
                     &out.row(o)[s * out_len..(s + 1) * out_len],
@@ -1147,8 +1080,7 @@ mod tests {
                     "fwd sample {s} channel {o}"
                 );
             }
-            let (sgx, sgw, sgb) =
-                conv1d_backward(&samples[s], &w, stride, seg_len, &gouts[s], &mut ws);
+            let (sgx, sgw, sgb) = conv1d_backward(&samples[s], &w, (1, seg_len), &gouts[s], &mut ws);
             for ci in 0..c_in {
                 assert_eq!(
                     &gx.row(ci)[s * seg_len..(s + 1) * seg_len],
@@ -1169,7 +1101,7 @@ mod tests {
     fn conv2d_batched_is_bitwise_equal_to_per_sample_with_varied_dims() {
         let mut rng = Rng64::new(42);
         let mut ws = Workspace::new();
-        let (c_in, c_out, kh, kw, stride, pad) = (2, 3, 3, 3, 1, 1);
+        let (c_in, c_out, kh, kw, pad) = (2, 3, 3, 3, 1);
         let dims = [(4, 5), (3, 3), (5, 2)];
         let samples: Vec<Tensor> = dims
             .iter()
@@ -1177,16 +1109,16 @@ mod tests {
             .collect();
         let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
         let b: Vec<f32> = (0..c_out).map(|i| 0.05 * i as f32).collect();
-        let out_dims: Vec<_> = conv2d_out_dims(&dims, kh, kw, stride, pad).collect();
+        let out_dims: Vec<_> = conv2d_out_dims(&dims, kh, kw, pad).collect();
         let gouts: Vec<Tensor> = out_dims
             .iter()
             .map(|&(oh, ow)| Tensor::rand_uniform([c_out, oh * ow], -1.0, 1.0, &mut rng))
             .collect();
 
         let x = hstack(&samples.iter().collect::<Vec<_>>());
-        let out = conv2d(&x, &dims, &wt, &b, stride, pad, &mut ws);
+        let out = conv2d(&x, &dims, &wt, &b, pad, &mut ws);
         let gout = hstack(&gouts.iter().collect::<Vec<_>>());
-        let (gx, gw, gb) = conv2d_backward(&x, &wt, stride, pad, &dims, &gout, &mut ws);
+        let (gx, gw, gb) = conv2d_backward(&x, &wt, pad, &dims, &gout, &mut ws);
 
         let mut per_gw = Vec::new();
         let mut per_gb = Vec::new();
@@ -1195,7 +1127,7 @@ mod tests {
         for s in 0..dims.len() {
             let (h, w) = dims[s];
             let (oh, ow) = out_dims[s];
-            let sout = conv2d(&samples[s], &dims[s..=s], &wt, &b, stride, pad, &mut ws);
+            let sout = conv2d(&samples[s], &dims[s..=s], &wt, &b, pad, &mut ws);
             for o in 0..c_out {
                 assert_eq!(
                     &out.row(o)[out_off..out_off + oh * ow],
@@ -1203,8 +1135,7 @@ mod tests {
                     "fwd sample {s} channel {o}"
                 );
             }
-            let (sgx, sgw, sgb) =
-                conv2d_backward(&samples[s], &wt, stride, pad, &dims[s..=s], &gouts[s], &mut ws);
+            let (sgx, sgw, sgb) = conv2d_backward(&samples[s], &wt, pad, &dims[s..=s], &gouts[s], &mut ws);
             for ci in 0..c_in {
                 assert_eq!(
                     &gx.row(ci)[in_off..in_off + h * w],

@@ -10,9 +10,9 @@
 //!
 //! The operation set is exactly what the MAGIC architecture records:
 //! matrix products and the sparse propagation of the graph convolution
-//! of Eq. (1), row gathering and padding for SortPooling, one 2-D
-//! convolution (the SortPooling head's 1-D convolution is its height-1
-//! case), 1-D max pooling, adaptive max pooling fused with the
+//! of Eq. (1), row gathering and padding for SortPooling, one stride-1
+//! 2-D convolution (the SortPooling head's 1-D convolutions are its
+//! `1 × k`-kernel case), 1-D max pooling, adaptive max pooling fused with the
 //! convolution and ReLU before it, plus ReLU, bias, concatenation,
 //! dropout, log-softmax and the negative log-likelihood loss of Eq. (5).
 //! Two more ops, `mul` and `scale_rows`, serve the tests' references.
@@ -41,6 +41,6 @@ pub mod profile;
 mod tape;
 
 pub use check::{finite_difference_gradient, first_bitwise_mismatch, max_grad_error};
-pub use conv::{conv1d_shape, conv2d_shape};
+pub use conv::conv2d_shape;
 pub use profile::{OpKey, OpProfile, OpStat};
 pub use tape::{Tape, Var};

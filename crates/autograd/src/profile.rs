@@ -31,13 +31,14 @@
 //!   heuristic.
 //! * [`conv2d_flops`]: `out_elems · (2·c_in·kh·kw + 1)` — the `+1` is the
 //!   bias add per output element. A 1-D convolution (the SortPooling
-//!   head's, run as a height-1 `conv2d.batched` with a `1 × k` kernel)
+//!   head's, run as a `conv2d.batched` with a `1 × k` kernel)
 //!   is the `kh = 1` case, `out_elems · (2·c_in·k + 1)`.
 //! * The im2col-GEMM convolution (`conv2d.batched`) is charged this
 //!   formula — the direct-convolution arithmetic, whatever the loop
 //!   order. The patch gather is profiled separately as
 //!   a forward-only `im2col` row with 0 FLOPs and `bytes_out` =
-//!   column-buffer size. The backward
+//!   column-panel size (the zero-bordered copy of each map it gathers
+//!   through is not counted). The backward
 //!   GEMM step *recomputes* im2col internally (cheaper than keeping the
 //!   buffer alive across the tape); that recompute is charged inside the
 //!   `conv2d.batched` backward row's standard 2× heuristic, not as a
@@ -285,7 +286,7 @@ mod tests {
 
     #[test]
     fn conv1d_flops_counts_kernel_and_bias() {
-        // A 1-D conv is the height-1 2-D conv: 2 out-channels × 10
+        // A 1-D conv is the `1 × k`-kernel 2-D conv: 2 out-channels × 10
         // positions, 3 in-channels, kernel 5 — each output element costs
         // 2·3·5 MACs-as-flops + 1 bias add.
         assert_eq!(conv2d_flops(2, 1, 10, 3, 1, 5), 2 * 10 * (2 * 3 * 5 + 1));

@@ -61,13 +61,12 @@ enum Op {
     UnstackColumns { a: Var, seg_len: usize },
     /// Per-row NLL: `out[j] = -lp[j, targets[j]]` as a `(B, 1)` column.
     NllLossRows(Var, Vec<usize>),
-    /// 2-D convolution over a column-stacked batch of maps; a 1-D
-    /// convolution is the `(1, seg_len)`-map, `1 × k`-kernel case.
+    /// Stride-1 2-D convolution over a column-stacked batch of maps; a
+    /// 1-D convolution is the `1 × k`-kernel case.
     Conv2d {
         x: Var,
         w: Var,
         b: Var,
-        stride: usize,
         pad: usize,
         dims: Arc<Vec<(usize, usize)>>,
     },
@@ -330,7 +329,7 @@ impl Tape {
             Op::Conv2dReluAmp { w, pad, dims, .. } => {
                 let ws = self.value(*w).shape().clone();
                 let (c_out, c_in, kh, kw) = (ws.dim(0), ws.dim(1), ws.dim(2), ws.dim(3));
-                let positions = conv::conv2d_out_dims(dims, kh, kw, 1, *pad)
+                let positions = conv::conv2d_out_dims(dims, kh, kw, *pad)
                     .map(|(oh, ow)| oh * ow)
                     .sum();
                 profile::conv2d_relu_amp_flops(c_out, positions, c_in, kh, kw)
@@ -690,35 +689,39 @@ impl Tape {
         self.push_profiled(masked, Op::Dropout(a, mask), rg, t)
     }
 
-    /// 2-D convolution of `(c_out, c_in, kh, kw)` weights with the given
-    /// stride and zero padding, plus a `c_out` bias, over a column-stacked
+    /// Stride-1 2-D convolution of `(c_out, c_in, kh, kw)` weights with
+    /// zero padding `pad`, plus a `c_out` bias, over a column-stacked
     /// `x = (c_in, Σ hⱼ·wⱼ)` with per-sample map dims in `dims`. The
-    /// output is the flat `(c_out, Σ ohⱼ·owⱼ)` column-stacked matrix.
-    /// Lowered to an im2col patch gather and one GEMM.
+    /// output is the flat `(c_out, Σ ohⱼ·owⱼ)` column-stacked matrix,
+    /// `ohⱼ × owⱼ = (hⱼ + 2·pad − kh + 1) × (wⱼ + 2·pad − kw + 1)`.
+    /// Lowered to an im2col patch gather through a zero-bordered copy of
+    /// each map and one GEMM.
     ///
-    /// `(c_out, c_in, k)` weights are read as a `1 × k` kernel, so a 1-D
-    /// convolution over `(c_in, B·seg_len)` is this op with `(1, seg_len)`
-    /// maps and `pad = 0`; windows never straddle a sample boundary.
+    /// `(c_out, c_in, k)` weights are read as a `1 × k` kernel, so with
+    /// `pad = 0` this is a 1-D convolution along each row of each map;
+    /// windows never straddle a row or a sample boundary. The paper's
+    /// kernel = stride = `Σcₜ` Conv1D over a `k·Σcₜ` signal is the
+    /// `(k, Σcₜ)`-map case: one output per row.
     pub fn conv2d(
         &mut self,
         x: Var,
         w: Var,
         b: Var,
-        stride: usize,
         pad: usize,
         dims: Arc<Vec<(usize, usize)>>,
     ) -> Var {
         let rg = self.any_requires(&[x, w, b]);
         let (kh, kw) = conv::kernel_extent(self.value(w));
-        let out_total: usize = conv::conv2d_out_dims(&dims, kh, kw, stride, pad)
+        let out_total: usize = conv::conv2d_out_dims(&dims, kh, kw, pad)
             .map(|(oh, ow)| oh * ow)
             .sum();
+        let panel_len = self.value(x).rows() * kh * kw * out_total;
         let t_cols = self.prof_start();
         let cols = {
             let Tape { nodes, workspace, .. } = &mut *self;
-            conv::im2col_2d(&nodes[x.0].value, &dims, kh, kw, stride, pad, workspace)
+            conv::im2col_2d(&nodes[x.0].value, &dims, (kh, kw), pad, workspace)
         };
-        self.record_im2col(t_cols, cols.len());
+        self.record_im2col(t_cols, panel_len);
         let t = self.prof_start();
         let value = {
             let Tape { nodes, workspace, .. } = &mut *self;
@@ -731,7 +734,7 @@ impl Tape {
             )
         };
         self.workspace.recycle(cols);
-        self.push_profiled(value, Op::Conv2d { x, w, b, stride, pad, dims }, rg, t)
+        self.push_profiled(value, Op::Conv2d { x, w, b, pad, dims }, rg, t)
     }
 
     /// The adaptive head's first block, `AMP(relu(conv2d(x)))`, as one
@@ -1220,13 +1223,12 @@ impl Tape {
                         self.accumulate(lp, glp);
                     }
                 }
-                Op::Conv2d { x, w, b, stride, pad, ref dims } => {
+                Op::Conv2d { x, w, b, pad, ref dims } => {
                     let grads = {
                         let Tape { nodes, workspace, .. } = &mut *self;
                         conv::conv2d_backward(
                             &nodes[x.0].value,
                             &nodes[w.0].value,
-                            stride,
                             pad,
                             dims,
                             &gout,
@@ -1604,7 +1606,7 @@ mod tests {
             true,
         );
         let b = tape.leaf(Tensor::from_vec(vec![0.1, -0.2, 0.3], [3]), true);
-        let y = tape.conv2d(x, w, b, 1, 0, Arc::new(vec![(1, 8)]));
+        let y = tape.conv2d(x, w, b, 0, Arc::new(vec![(1, 8)]));
         let r = tape.relu(y);
         tape.sum(r)
     }
@@ -1957,7 +1959,9 @@ mod tests {
         let x = tape.leaf(Tensor::rand_uniform([1, 12], -1.0, 1.0, &mut rng), true);
         let w = tape.leaf(Tensor::rand_uniform([2, 1, 3], -1.0, 1.0, &mut rng), true);
         let b = tape.leaf(Tensor::rand_uniform([2], -1.0, 1.0, &mut rng), true);
-        let y = tape.conv2d(x, w, b, 3, 0, Arc::new(vec![(1, 6); 2])); // (2, 2*2)
+        // Kernel 3 along the rows of two 2x3 maps: kernel = stride 3 over
+        // two length-6 signals.
+        let y = tape.conv2d(x, w, b, 0, Arc::new(vec![(2, 3); 2])); // (2, 2*2)
         let p = tape.max_pool1d(y, 2, 2); // (2, 2*1)
         let u = tape.unstack_columns(p, 1); // (2, 2)
         let lp = tape.log_softmax_rows(u);

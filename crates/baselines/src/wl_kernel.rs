@@ -134,12 +134,6 @@ impl WlKernelKnn {
             .map(|(i, _)| i)
             .unwrap_or(0)
     }
-
-    /// Number of memorized training graphs (prediction cost is linear in
-    /// this).
-    pub fn training_size(&self) -> usize {
-        self.features.len()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +215,6 @@ mod tests {
         let labels: Vec<usize> = (0..12).map(|i| i / 6).collect();
         let mut knn = WlKernelKnn::new(3, 3);
         knn.fit(&refs, &labels, 2);
-        assert_eq!(knn.training_size(), 12);
         assert_eq!(knn.predict(&chain_acfg(8, 1.0, 999)), 0);
         assert_eq!(knn.predict(&loop_acfg(8, 6.0, 998)), 1);
         let p = knn.predict_proba(&chain_acfg(8, 1.0, 997));

@@ -15,4 +15,4 @@ mod corpus;
 pub mod experiments;
 pub mod results;
 
-pub use args::RunArgs;
+pub use args::{ArgsError, RunArgs};

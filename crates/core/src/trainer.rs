@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use magic_autograd::{profile, OpProfile, Tape};
 use magic_data::{batches, StreamedCorpus};
 use magic_model::{Dgcnn, GraphBatch, GraphInput};
-use magic_nn::{Adam, GradBuffer, Optimizer, ReduceLrOnPlateau};
+use magic_nn::{Adam, GradBuffer, ReduceLrOnPlateau};
 use magic_tensor::Rng64;
 
 use crate::executor::Lanes;

@@ -163,16 +163,6 @@ impl Acfg {
         self.attributes.map(|x| (1.0 + x).ln())
     }
 
-    /// Dense adjacency matrix `A ∈ {0,1}^{n×n}`.
-    pub fn adjacency_tensor(&self) -> Tensor {
-        let n = self.vertex_count();
-        let mut a = Tensor::zeros([n, n]);
-        for (u, v) in self.graph.edges() {
-            a.set2(u, v, 1.0);
-        }
-        a
-    }
-
     /// Serializes to a compact line format (for caching corpora):
     /// `n m` / `m` edge lines `u v` / `n` attribute lines.
     pub fn to_text(&self) -> String {
@@ -300,20 +290,6 @@ mod tests {
             .find(|&v| acfg.attribute(v, Attribute::TerminationInstructions) > 0.0)
             .expect("some block has a return");
         assert_eq!(acfg.attribute(term_block, Attribute::MovInstructions), 1.0);
-    }
-
-    #[test]
-    fn adjacency_tensor_matches_edges() {
-        let acfg = sample_acfg();
-        let a = acfg.adjacency_tensor();
-        let mut count = 0.0;
-        for x in a.as_slice() {
-            count += x;
-        }
-        assert_eq!(count as usize, acfg.edge_count());
-        for (u, v) in acfg.graph().edges() {
-            assert_eq!(a.get2(u, v), 1.0);
-        }
     }
 
     #[test]

@@ -213,15 +213,6 @@ impl ReduceReport {
     pub fn edges_removed(&self) -> usize {
         self.edges_before.saturating_sub(self.edges_after)
     }
-
-    /// Fraction of vertices removed (0 for empty graphs).
-    pub fn node_reduction(&self) -> f64 {
-        if self.nodes_before == 0 {
-            0.0
-        } else {
-            self.nodes_removed() as f64 / self.nodes_before as f64
-        }
-    }
 }
 
 /// Builds the reduced ACFG from a `vertex → group id` assignment where
@@ -582,7 +573,6 @@ mod tests {
         assert_eq!(reduced, acfg);
         assert_eq!(report.nodes_removed(), 0);
         assert_eq!(report.edges_removed(), 0);
-        assert_eq!(report.node_reduction(), 0.0);
     }
 
     #[test]

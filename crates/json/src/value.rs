@@ -113,18 +113,6 @@ impl Value {
         }
     }
 
-    /// The payload as a signed integer, if it is one exactly.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(n)
-                if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 =>
-            {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -307,7 +295,6 @@ mod tests {
         assert_eq!(Value::Number(3.0).as_u64(), Some(3));
         assert_eq!(Value::Number(3.5).as_u64(), None);
         assert_eq!(Value::Number(-1.0).as_u64(), None);
-        assert_eq!(Value::Number(-1.0).as_i64(), Some(-1));
     }
 
     #[test]

@@ -5,10 +5,12 @@ use magic_graph::NUM_ATTRIBUTES;
 /// The readout architecture placed after the graph convolution stack.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolingHead {
-    /// SortPooling followed by the original DGCNN Conv1D column:
-    /// a kernel-`Σc_t`/stride-`Σc_t` Conv1D, 2-wide max pooling, then a
-    /// second Conv1D of `kernel` width (Table II tunes 5 or 7) with the
-    /// given channel pair (Table II: `(16, 32)`).
+    /// SortPooling followed by the original DGCNN Conv1D column: a
+    /// Conv1D of kernel and stride `Σc_t` over each sample's flattened
+    /// `k × Σc_t` sort output — run as a `1 × Σc_t` kernel over the
+    /// `(k, Σc_t)` map, one output per retained vertex — then 2-wide max
+    /// pooling and a second Conv1D of `kernel` width (Table II tunes 5 or
+    /// 7) with the given channel pair (Table II: `(16, 32)`).
     SortPoolConv1d {
         /// Number of vertices retained by SortPooling.
         k: usize,

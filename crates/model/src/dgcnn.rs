@@ -68,10 +68,11 @@ impl Dgcnn {
 
         let (head, feature_len) = match &config.head {
             PoolingHead::SortPoolConv1d { k, channels, kernel } => {
-                let conv1 = Conv1dLayer::new(&mut store, "head.conv1", 1, channels.0, concat, concat, &mut rng);
-                let conv2 = Conv1dLayer::new(&mut store, "head.conv2", channels.0, channels.1, *kernel, 1, &mut rng);
-                // conv1 over the flattened (1, k*concat) signal gives k
-                // positions; maxpool 2 halves; conv2 slides kernel.
+                let conv1 = Conv1dLayer::new(&mut store, "head.conv1", 1, channels.0, concat, &mut rng);
+                let conv2 = Conv1dLayer::new(&mut store, "head.conv2", channels.0, channels.1, *kernel, &mut rng);
+                // conv1 over each sample's (k, concat) map gives one
+                // position per row, k in all; maxpool 2 halves; conv2
+                // slides kernel.
                 let after_pool = k / 2;
                 let after_conv2 = after_pool - kernel + 1;
                 let head = HeadLayers::SortPoolConv1d { sort: SortPooling::new(*k), conv1, conv2 };
@@ -83,9 +84,8 @@ impl Dgcnn {
                 (head, concat)
             }
             PoolingHead::AdaptiveMaxPool { grid, channels } => {
-                let pre_conv = Conv2dLayer::new(&mut store, "head.pre", 1, *channels, 3, 1, 1, &mut rng);
-                let post_conv =
-                    Conv2dLayer::new(&mut store, "head.post", *channels, *channels, 3, 1, 1, &mut rng);
+                let pre_conv = Conv2dLayer::new(&mut store, "head.pre", 1, *channels, 3, 1, &mut rng);
+                let post_conv = Conv2dLayer::new(&mut store, "head.post", *channels, *channels, 3, 1, &mut rng);
                 let head = HeadLayers::AdaptiveMaxPool {
                     pre_conv,
                     pool: AdaptiveMaxPool2d::new(grid.0, grid.1),
@@ -184,12 +184,12 @@ impl Dgcnn {
             HeadLayers::SortPoolConv1d { sort, conv1, conv2 } => {
                 let z_sp = sort.forward(tape, z_concat, bounds); // (B·k, concat)
                 let k = sort.k();
-                // Row-major flatten of the row-stacked sort output is the
-                // per-sample flattened signals laid end to end.
-                let flat = tape.reshape(z_sp, [1, b * k * concat]);
-                let c1 = conv1.forward(tape, binding, flat, k * concat); // (ch0, B·k)
+                // The row-major (B·k, concat) sort output *is* the
+                // column-stacked (1, B·k·concat) batch of (k, concat) maps.
+                let maps = tape.reshape(z_sp, [1, b * k * concat]);
+                let c1 = conv1.forward(tape, binding, maps, (k, concat)); // (ch0, B·k)
                 let pooled = tape.max_pool1d(c1, 2, k); // (ch0, B·(k/2))
-                let c2 = conv2.forward(tape, binding, pooled, k / 2); // (ch1, B·L)
+                let c2 = conv2.forward(tape, binding, pooled, (1, k / 2)); // (ch1, B·L)
                 let seg = tape.value(c2).cols() / b;
                 tape.unstack_columns(c2, seg) // (B, ch1·L)
             }
@@ -203,7 +203,7 @@ impl Dgcnn {
                 let dims: Arc<Vec<(usize, usize)>> =
                     Arc::new(bounds.windows(2).map(|w| (w[1] - w[0], concat)).collect());
                 let image = tape.reshape(z_concat, [1, batch.total_vertices() * concat]);
-                // 3×3 stride-1 pad-1 preserves each sample's extent.
+                // 3×3 pad-1 preserves each sample's extent.
                 let pooled = pre_conv.forward_pooled(tape, binding, image, dims, *pool); // (ch, B·gh·gw)
                 let grid = Arc::new(vec![(pool.out_h(), pool.out_w()); b]);
                 let c2 = post_conv.forward(tape, binding, pooled, grid);
@@ -273,24 +273,13 @@ impl Dgcnn {
         let mut probs = self.predict_batch_with(tape, &GraphBatch::single(input));
         probs.pop().expect("a batch of one yields one row")
     }
-
-    /// Most probable class for one graph.
-    pub fn predict_class(&self, input: &GraphInput) -> usize {
-        let probs = self.predict(input);
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
-    use magic_nn::{Adam, Optimizer};
+    use magic_nn::Adam;
     use magic_tensor::Tensor;
 
     fn tiny_input(n: usize, seed: u64) -> GraphInput {
@@ -412,7 +401,10 @@ mod tests {
         // The model actually separates the two classes.
         let correct = data
             .iter()
-            .filter(|(input, label)| model.predict_class(input) == *label)
+            .filter(|(input, label)| {
+                let probs = model.predict(input);
+                usize::from(probs[1] > probs[0]) == *label
+            })
             .count();
         assert!(correct >= 14, "{correct}/16 correct");
     }

@@ -6,9 +6,11 @@ use magic_autograd::{Tape, Var};
 use magic_tensor::{Rng64, Tensor};
 use std::sync::Arc;
 
-/// A 1-D convolution over `(c_in, len)` signals, used by the original
-/// DGCNN head that MAGIC compares against (Table II's "1D Convolution"
-/// rows).
+/// A 1-D convolution: a `1 × k` kernel sliding along the rows of
+/// `(rows, width)` maps of `c_in` channels, used by the original DGCNN
+/// head that MAGIC compares against (Table II's "1D Convolution" rows).
+/// The head's kernel = stride = `Σcₜ` Conv1D over a `k·Σcₜ` signal is a
+/// kernel of `Σcₜ` over the `(k, Σcₜ)` map: one output per row.
 #[derive(Debug, Clone)]
 pub struct Conv1dLayer {
     w: ParamId,
@@ -16,7 +18,6 @@ pub struct Conv1dLayer {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    stride: usize,
 }
 
 impl Conv1dLayer {
@@ -28,7 +29,6 @@ impl Conv1dLayer {
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
-        stride: usize,
         rng: &mut Rng64,
     ) -> Self {
         let fan_in = in_channels * kernel;
@@ -37,7 +37,7 @@ impl Conv1dLayer {
             crate::init::he_uniform([out_channels, in_channels, kernel], fan_in, rng),
         );
         let b = store.add(format!("{name}.bias"), Tensor::zeros([out_channels]));
-        Conv1dLayer { w, b, in_channels, out_channels, kernel, stride }
+        Conv1dLayer { w, b, in_channels, out_channels, kernel }
     }
 
     /// Input channel count.
@@ -55,29 +55,26 @@ impl Conv1dLayer {
         self.kernel
     }
 
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Applies the convolution followed by ReLU over a mini-batch whose
-    /// samples occupy equal column segments of `seg_len` in `x` — the
-    /// convolution runs per segment (windows never straddle a boundary),
-    /// with weight and bias gradients unstacked per sample. It runs as
-    /// [`Tape::conv2d`] over `(1, seg_len)` maps, which reads the
-    /// `(c_out, c_in, k)` weight as a `1 × k` kernel.
+    /// samples are equal `(rows, width)` maps, column-stacked in `x` —
+    /// the kernel slides along each row (windows never straddle a row or
+    /// a sample boundary), giving `(c_out, B·rows·(width − k + 1))`, with
+    /// weight and bias gradients unstacked per sample. It runs as
+    /// [`Tape::conv2d`], which reads the `(c_out, c_in, k)` weight as a
+    /// `1 × k` kernel.
     ///
     /// # Panics
     ///
-    /// Panics if `x`'s width is not a multiple of `seg_len`.
-    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, seg_len: usize) -> Var {
-        let width = tape.value(x).cols();
+    /// Panics if `x`'s width is not a multiple of `rows·width`.
+    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, (rows, width): (usize, usize)) -> Var {
+        let cols = tape.value(x).cols();
+        let map = rows * width;
         assert!(
-            seg_len > 0 && width.is_multiple_of(seg_len),
-            "input width {width} is not a multiple of segment length {seg_len}"
+            map > 0 && cols.is_multiple_of(map),
+            "input width {cols} is not a multiple of the {rows}x{width} map"
         );
-        let dims = Arc::new(vec![(1, seg_len); width / seg_len]);
-        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.stride, 0, dims);
+        let dims = Arc::new(vec![(rows, width); cols / map]);
+        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), 0, dims);
         tape.relu(y)
     }
 }
@@ -92,7 +89,6 @@ pub struct Conv2dLayer {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    stride: usize,
     pad: usize,
 }
 
@@ -106,7 +102,6 @@ impl Conv2dLayer {
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
-        stride: usize,
         pad: usize,
         rng: &mut Rng64,
     ) -> Self {
@@ -116,7 +111,7 @@ impl Conv2dLayer {
             crate::init::he_uniform([out_channels, in_channels, kernel, kernel], fan_in, rng),
         );
         let b = store.add(format!("{name}.bias"), Tensor::zeros([out_channels]));
-        Conv2dLayer { w, b, in_channels, out_channels, kernel, stride, pad }
+        Conv2dLayer { w, b, in_channels, out_channels, kernel, pad }
     }
 
     /// Input channel count.
@@ -139,18 +134,13 @@ impl Conv2dLayer {
     /// gives each sample's spatial extent. Weight and bias gradients are
     /// unstacked per sample.
     pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var, dims: Arc<Vec<(usize, usize)>>) -> Var {
-        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.stride, self.pad, dims);
+        let y = tape.conv2d(x, binding.var(self.w), binding.var(self.b), self.pad, dims);
         tape.relu(y)
     }
 
     /// [`Conv2dLayer::forward`] followed by `pool`, as the one fused op
     /// [`Tape::conv2d_relu_amp`]: the `(c_out, Σ h_j·w_j)` map between
     /// them is never materialised. Returns `(c_out, batch·out_h·out_w)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer's stride is not 1: the fused op convolves at
-    /// stride 1 only.
     pub fn forward_pooled(
         &self,
         tape: &mut Tape,
@@ -159,7 +149,6 @@ impl Conv2dLayer {
         dims: Arc<Vec<(usize, usize)>>,
         pool: AdaptiveMaxPool2d,
     ) -> Var {
-        assert_eq!(self.stride, 1, "forward_pooled: stride {} is not 1", self.stride);
         let (w, b) = (binding.var(self.w), binding.var(self.b));
         tape.conv2d_relu_amp(x, w, b, self.pad, dims, (pool.out_h(), pool.out_w()))
     }
@@ -173,11 +162,11 @@ mod tests {
     fn conv1d_layer_output_shape() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(0);
-        let layer = Conv1dLayer::new(&mut store, "c1", 1, 16, 4, 4, &mut rng);
+        let layer = Conv1dLayer::new(&mut store, "c1", 1, 16, 4, &mut rng);
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
         let x = tape.leaf(Tensor::ones([1, 12]), false);
-        let y = layer.forward(&mut tape, &binding, x, 12);
+        let y = layer.forward(&mut tape, &binding, x, (3, 4));
         assert_eq!(tape.value(y).shape().dims(), &[16, 3]);
     }
 
@@ -185,7 +174,7 @@ mod tests {
     fn conv2d_layer_padding_keeps_spatial_size() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(1);
-        let layer = Conv2dLayer::new(&mut store, "c2", 1, 8, 3, 1, 1, &mut rng);
+        let layer = Conv2dLayer::new(&mut store, "c2", 1, 8, 3, 1, &mut rng);
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
         let x = tape.leaf(Tensor::ones([1, 5 * 6]), false);
@@ -194,27 +183,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stride 2 is not 1")]
-    fn forward_pooled_rejects_a_strided_layer() {
-        let mut store = ParamStore::new();
-        let layer = Conv2dLayer::new(&mut store, "c2", 1, 2, 3, 2, 1, &mut Rng64::new(4));
-        let mut tape = Tape::new();
-        let binding = store.bind(&mut tape);
-        let x = tape.leaf(Tensor::ones([1, 5 * 6]), false);
-        layer.forward_pooled(&mut tape, &binding, x, Arc::new(vec![(5, 6)]), AdaptiveMaxPool2d::new(2, 2));
-    }
-
-    #[test]
     fn conv_layers_receive_gradients() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::new(2);
-        let c1 = Conv1dLayer::new(&mut store, "c1", 2, 3, 2, 2, &mut rng);
-        let c2 = Conv2dLayer::new(&mut store, "c2", 1, 2, 3, 1, 1, &mut rng);
+        let c1 = Conv1dLayer::new(&mut store, "c1", 2, 3, 2, &mut rng);
+        let c2 = Conv2dLayer::new(&mut store, "c2", 1, 2, 3, 1, &mut rng);
 
         let mut tape = Tape::new();
         let binding = store.bind(&mut tape);
         let x1 = tape.leaf(Tensor::ones([2, 8]), false);
-        let y1 = c1.forward(&mut tape, &binding, x1, 8);
+        let y1 = c1.forward(&mut tape, &binding, x1, (4, 2));
         let y1m = tape.reshape(y1, [1, 3 * 4]);
         let y2 = c2.forward(&mut tape, &binding, y1m, Arc::new(vec![(3, 4)]));
         let loss = tape.sum(y2);

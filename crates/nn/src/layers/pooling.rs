@@ -237,7 +237,7 @@ mod tests {
     fn amp_unifies_different_input_sizes() {
         // Fig. 6: a 5x7 and a 4x7 input both pool to 3x3.
         let mut store = ParamStore::new();
-        let conv = crate::Conv2dLayer::new(&mut store, "c", 1, 2, 3, 1, 1, &mut Rng64::new(3));
+        let conv = crate::Conv2dLayer::new(&mut store, "c", 1, 2, 3, 1, &mut Rng64::new(3));
         let pool = AdaptiveMaxPool2d::new(3, 3);
         for h in [5usize, 4] {
             let x = Tensor::from_vec((0..(h * 7)).map(|v| v as f32).collect(), [1, h * 7]);

@@ -42,6 +42,6 @@ pub use layers::{
     augment_adjacency, AdaptiveMaxPool2d, Conv1dLayer, Conv2dLayer, Dropout, GraphConv, Linear,
     SortPooling, WeightedVertices,
 };
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use param::{Binding, GradBuffer, ParamId, ParamStore};
 pub use sched::ReduceLrOnPlateau;

@@ -13,7 +13,7 @@ pub struct ParamId(usize);
 /// MAGIC trains on graphs of different sizes, so a mini-batch is processed
 /// as a sequence of per-graph tapes whose parameter gradients are
 /// *accumulated* here and applied once per batch by an
-/// [`crate::Optimizer`].
+/// [`crate::Adam`].
 ///
 /// The serial lifecycle per batch is:
 /// 1. [`ParamStore::zero_grads`],

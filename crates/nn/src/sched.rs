@@ -4,7 +4,7 @@
 //! continuous epochs, we decrease the learning rate by a factor of ten to
 //! prevent the model from overfitting."
 
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 
 /// Reduce-on-plateau schedule: divides the learning rate by `factor`
 /// whenever the monitored validation loss has risen for `patience`
@@ -45,7 +45,7 @@ impl ReduceLrOnPlateau {
     /// Records this epoch's validation loss; lowers the optimizer's
     /// learning rate if the plateau condition fires. Returns `true` when a
     /// reduction happened.
-    pub fn observe(&mut self, validation_loss: f32, optimizer: &mut dyn Optimizer) -> bool {
+    pub fn observe(&mut self, validation_loss: f32, optimizer: &mut Adam) -> bool {
         let rising = match self.last_loss {
             Some(prev) => validation_loss > prev,
             None => false,
@@ -74,7 +74,7 @@ impl ReduceLrOnPlateau {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
 
     #[test]
     fn two_rising_epochs_cut_lr_by_ten() {

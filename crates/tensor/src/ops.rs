@@ -69,11 +69,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a / b)
     }
 
-    /// Adds `value` to every element.
-    pub fn add_scalar(&self, value: f32) -> Tensor {
-        self.map(|x| x + value)
-    }
-
     /// Multiplies every element by `value`.
     pub fn scale(&self, value: f32) -> Tensor {
         self.map(|x| x * value)

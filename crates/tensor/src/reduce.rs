@@ -157,7 +157,7 @@ mod tests {
         let t = Tensor::from_slice(&[1.0, 2.0, 3.0]);
         let s = t.softmax();
         assert!((s.sum() - 1.0).abs() < 1e-6);
-        let shifted = t.add_scalar(100.0).softmax();
+        let shifted = Tensor::from_slice(&[101.0, 102.0, 103.0]).softmax();
         assert!(s.approx_eq(&shifted, 1e-5));
     }
 

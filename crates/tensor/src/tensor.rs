@@ -115,15 +115,6 @@ impl Tensor {
         Tensor::tracked(data, shape)
     }
 
-    /// Samples a tensor with elements drawn from a normal distribution.
-    pub fn rand_normal(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut Rng64) -> Self {
-        let shape = shape.into();
-        let data = (0..shape.len())
-            .map(|_| mean + std * rng.next_normal())
-            .collect();
-        Tensor::tracked(data, shape)
-    }
-
     /// The shape of this tensor.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -370,16 +361,6 @@ mod tests {
         let mut rng = Rng64::new(42);
         let t = Tensor::rand_uniform([100], -0.5, 0.5, &mut rng);
         assert!(t.as_slice().iter().all(|&x| (-0.5..0.5).contains(&x)));
-    }
-
-    #[test]
-    fn rand_normal_has_plausible_moments() {
-        let mut rng = Rng64::new(7);
-        let t = Tensor::rand_normal([10_000], 2.0, 3.0, &mut rng);
-        let mean = t.as_slice().iter().sum::<f32>() / 10_000.0;
-        let var = t.as_slice().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / 10_000.0;
-        assert!((mean - 2.0).abs() < 0.15, "mean {mean}");
-        assert!((var.sqrt() - 3.0).abs() < 0.2, "std {}", var.sqrt());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 # Tier-1 CI gate: release build, full test suite (with the exact work
 # counters in tests/tests/work_counters.rs), the end-to-end benchmark's
 # smoke tests, doctests, warning-free rustdoc, a warning-free clippy pass
-# over all targets, then CLI checks: the reduce-strategy cache gate, the
+# over all targets, then CLI checks: the experiment binaries' flag
+# handling, the reduce-strategy cache gate, the
 # cache round-trip, the reference checkpoint md5, doc links and the
 # kernels' vectorization. Timing is measured by benchmark/run.sh, not
 # here: a paired `--compare` of two result sets is the speed check.
@@ -32,6 +33,29 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # All targets: tests, examples and binaries are linted like the
 # libraries, so test code cannot drift from the lint set unseen.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> experiment binary flags: --help exits 0, an unknown flag exits 2 without a panic"
+# Every experiment binary parses its flags with magic_bench::RunArgs.
+# `--help` must print the usage to stdout and exit 0; a misspelt flag
+# must print the usage to stderr and exit 2, not panic with a backtrace.
+EXP_BIN=./target/release/table3_mskcfg
+if ! OUT="$("$EXP_BIN" --help)"; then
+    echo "ERROR: $EXP_BIN --help exited non-zero" >&2
+    exit 1
+fi
+if ! echo "$OUT" | grep -q -- "--epochs N"; then
+    echo "ERROR: $EXP_BIN --help printed no usage: $OUT" >&2
+    exit 1
+fi
+set +e
+ERR="$("$EXP_BIN" --no-such-flag 2>&1 >/dev/null)"
+STATUS=$?
+set -e
+if [[ $STATUS -ne 2 ]] || echo "$ERR" | grep -q panicked; then
+    echo "ERROR: $EXP_BIN --no-such-flag exited $STATUS (want 2): $ERR" >&2
+    exit 1
+fi
+echo "--help exits 0 with the usage; an unknown flag exits 2 without a panic"
 
 echo "==> reduce gate: mismatched-strategy cache opens fail with a typed error"
 # A cache stores *reduced* graphs, so serving it under a different

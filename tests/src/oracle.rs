@@ -7,7 +7,9 @@
 //! None of these run in production. The convolution and graph oracles are
 //! the straightforward definitions the production kernels (im2col + GEMM
 //! convolution over a column-stacked batch, fused CSR propagation over a
-//! block-diagonal batch) are checked against, to float-reassociation
+//! block-diagonal batch) are checked against — the 1-D oracle at any
+//! stride, as the paper defines its Conv1D, the 2-D oracle at the
+//! production's stride 1 — to float-reassociation
 //! tolerance: the loop orders differ, so agreement is close, not bitwise.
 //! The `*_span_order` kernels instead spell out, one element at a time,
 //! the exact accumulation chain `magic_tensor::simd` promises, so the
@@ -21,7 +23,8 @@ use magic_tensor::Tensor;
 use std::sync::Arc;
 
 /// Naive 1-D convolution of one `(c_in, len)` signal by `(c_out, c_in, k)`
-/// weights plus a `c_out` bias. Returns `(c_out, out_len)`.
+/// weights at `stride`, plus a `c_out` bias. Returns `(c_out, out_len)`,
+/// `out_len = (len − k) / stride + 1`.
 pub fn conv1d_forward(x: &Tensor, w: &Tensor, b: &[f32], stride: usize) -> Tensor {
     let (c_in, len) = (x.rows(), x.cols());
     let (c_out, k) = (w.shape().dim(0), w.shape().dim(2));
@@ -74,26 +77,25 @@ pub fn conv1d_backward(
     (gx, gw, gb)
 }
 
-/// Naive zero-padded 2-D convolution of one `(c_in, h·w)` map of extent
-/// `(h, w)` by `(c_out, c_in, kh, kw)` weights plus a `c_out` bias.
-/// Returns `(c_out, oh·ow)` and the output extent.
+/// Naive zero-padded stride-1 2-D convolution of one `(c_in, h·w)` map
+/// of extent `(h, w)` by `(c_out, c_in, kh, kw)` weights plus a `c_out`
+/// bias. Returns `(c_out, oh·ow)` and the output extent.
 pub fn conv2d_forward(
     x: &Tensor,
     (h, w): (usize, usize),
     wt: &Tensor,
     b: &[f32],
-    stride: usize,
     pad: usize,
 ) -> (Tensor, (usize, usize)) {
     let c_in = x.rows();
     let (c_out, kh, kw) = (wt.shape().dim(0), wt.shape().dim(2), wt.shape().dim(3));
-    let (oh, ow) = ((h + 2 * pad - kh) / stride + 1, (w + 2 * pad - kw) / stride + 1);
+    let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
     let mut out = Tensor::zeros([c_out, oh * ow]);
     for o in 0..c_out {
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut acc = b[o];
-                for_each_tap(c_in, (h, w), (kh, kw), stride, pad, (oy, ox), |ci, x_off, w_off| {
+                for_each_tap(c_in, (h, w), (kh, kw), pad, (oy, ox), |ci, x_off, w_off| {
                     acc += wt.as_slice()[o * c_in * kh * kw + ci * kh * kw + w_off]
                         * x.get2(ci, x_off);
                 });
@@ -109,7 +111,6 @@ pub fn conv2d_backward(
     x: &Tensor,
     (h, w): (usize, usize),
     wt: &Tensor,
-    stride: usize,
     pad: usize,
     gout: &Tensor,
     (oh, ow): (usize, usize),
@@ -124,7 +125,7 @@ pub fn conv2d_backward(
             for ox in 0..ow {
                 let g = gout.get2(o, oy * ow + ox);
                 gb[o] += g;
-                for_each_tap(c_in, (h, w), (kh, kw), stride, pad, (oy, ox), |ci, x_off, w_off| {
+                for_each_tap(c_in, (h, w), (kh, kw), pad, (oy, ox), |ci, x_off, w_off| {
                     let w_off = o * c_in * kh * kw + ci * kh * kw + w_off;
                     gw.as_mut_slice()[w_off] += g * x.get2(ci, x_off);
                     gx.as_mut_slice()[ci * h * w + x_off] += g * wt.as_slice()[w_off];
@@ -142,19 +143,18 @@ fn for_each_tap(
     c_in: usize,
     (h, w): (usize, usize),
     (kh, kw): (usize, usize),
-    stride: usize,
     pad: usize,
     (oy, ox): (usize, usize),
     mut f: impl FnMut(usize, usize, usize),
 ) {
     for ci in 0..c_in {
         for dy in 0..kh {
-            let iy = (oy * stride + dy) as isize - pad as isize;
+            let iy = (oy + dy) as isize - pad as isize;
             if iy < 0 || iy >= h as isize {
                 continue;
             }
             for dx in 0..kw {
-                let ix = (ox * stride + dx) as isize - pad as isize;
+                let ix = (ox + dx) as isize - pad as isize;
                 if ix < 0 || ix >= w as isize {
                     continue;
                 }
@@ -235,7 +235,6 @@ pub fn conv2d_relu_amp_dense(
     x: &Tensor,
     wt: &Tensor,
     b: &Tensor,
-    stride: usize,
     pad: usize,
     dims: &[(usize, usize)],
     (gh, gw): (usize, usize),
@@ -243,12 +242,12 @@ pub fn conv2d_relu_amp_dense(
 ) -> DenseAmp {
     let (kh, kw) = (wt.shape().dim(2), wt.shape().dim(3));
     let out_dims: Vec<(usize, usize)> =
-        dims.iter().map(|&(h, w)| conv2d_shape(h, w, kh, kw, stride, pad)).collect();
+        dims.iter().map(|&(h, w)| conv2d_shape(h, w, kh, kw, pad)).collect();
     let mut tape = Tape::new();
     let xv = tape.leaf(x.clone(), true);
     let wv = tape.leaf(wt.clone(), true);
     let bv = tape.leaf(b.clone(), true);
-    let y = tape.conv2d(xv, wv, bv, stride, pad, Arc::new(dims.to_vec()));
+    let y = tape.conv2d(xv, wv, bv, pad, Arc::new(dims.to_vec()));
     let r = tape.relu(y);
     let (pooled, winners) = adaptive_max_pool2d(tape.value(r), &out_dims, gh, gw);
     let mut map = Tensor::zeros(tape.value(r).shape().clone());

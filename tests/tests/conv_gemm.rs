@@ -10,11 +10,12 @@
 //! float-reassociation tolerance, not bitwise — the loop orders differ.
 
 use magic::trainer::{TrainConfig, Trainer};
-use magic_autograd::{conv1d_shape, first_bitwise_mismatch, Tape};
+use magic_autograd::{first_bitwise_mismatch, Tape};
 use magic_integration::oracle;
 use std::sync::Arc;
 use magic_graph::{Acfg, DiGraph, NUM_ATTRIBUTES};
 use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
+use magic_nn::{Conv1dLayer, ParamStore};
 use magic_tensor::{Rng64, Tensor};
 
 fn random_input(n: usize, seed: u64) -> GraphInput {
@@ -103,6 +104,57 @@ fn assert_close(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// Runs `Tape::conv2d` over the column-stacked maps of `dims` and checks
+/// its output and all three gradients against the naive 2-D oracle, per
+/// sample, with the shared weight and bias gradients summed over samples.
+fn check_conv2d_against_oracle(
+    dims: &[(usize, usize)],
+    (c_in, c_out, kh, kw): (usize, usize, usize, usize),
+    pad: usize,
+    rng: &mut Rng64,
+) {
+    let samples: Vec<Tensor> =
+        dims.iter().map(|&(h, w)| Tensor::rand_uniform([c_in, h * w], -1.0, 1.0, rng)).collect();
+    let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, rng);
+    let b = Tensor::rand_uniform([c_out], -0.5, 0.5, rng);
+    let outs: Vec<(Tensor, (usize, usize))> = samples
+        .iter()
+        .zip(dims)
+        .map(|(xs, &d)| oracle::conv2d_forward(xs, d, &wt, b.as_slice(), pad))
+        .collect();
+    let upstream: Vec<Tensor> =
+        outs.iter().map(|(o, _)| Tensor::rand_uniform(o.shape().clone(), -1.0, 1.0, rng)).collect();
+
+    let mut tape = Tape::new();
+    let x = tape.leaf(hstack(&samples), true);
+    let wv = tape.leaf(wt.clone(), true);
+    let bv = tape.leaf(b.clone(), true);
+    let y = tape.conv2d(x, wv, bv, pad, Arc::new(dims.to_vec()));
+    let m = tape.leaf(hstack(&upstream), false);
+    let p = tape.mul(y, m);
+    let loss = tape.sum(p);
+    tape.backward(loss);
+
+    let case = format!("{kh}x{kw} pad {pad} over {dims:?}");
+    let (mut in_off, mut out_off) = (0, 0);
+    let mut gw_sum = Tensor::zeros(wt.shape().clone());
+    let mut gb_sum = vec![0.0; c_out];
+    for (s, ((xs, (want, od)), gs)) in samples.iter().zip(&outs).zip(&upstream).enumerate() {
+        let (h, w) = dims[s];
+        let got = columns(tape.value(y), out_off, od.0 * od.1);
+        assert_close(got.as_slice(), want.as_slice(), &format!("{case}: out {s}"));
+        let (gx, gw, gb) = oracle::conv2d_backward(xs, (h, w), &wt, pad, gs, *od);
+        let got = columns(tape.grad(x).unwrap(), in_off, h * w);
+        assert_close(got.as_slice(), gx.as_slice(), &format!("{case}: gx {s}"));
+        gw_sum = gw_sum.add(&gw);
+        gb_sum.iter_mut().zip(&gb).for_each(|(a, g)| *a += g);
+        in_off += h * w;
+        out_off += od.0 * od.1;
+    }
+    assert_close(tape.grad(wv).unwrap().as_slice(), gw_sum.as_slice(), &format!("{case}: gw"));
+    assert_close(tape.grad(bv).unwrap().as_slice(), &gb_sum, &format!("{case}: gb"));
+}
+
 /// The im2col + GEMM convolutions on the tape agree with the naive
 /// reference kernels — outputs, input gradients and the shared weight and
 /// bias gradients — for a batch of one and a batch of three, to
@@ -111,10 +163,10 @@ fn assert_close(got: &[f32], want: &[f32], what: &str) {
 fn naive_and_gemm_lowerings_agree_end_to_end() {
     let mut rng = Rng64::new(21);
 
-    // 1-D: every sample is one equal-length column segment, run as the
-    // SortPooling head runs it — a height-1 conv2d with a `1 × k` kernel.
-    let (c_in, c_out, k, stride, seg_len) = (2, 3, 3, 2, 9);
-    let out_len = conv1d_shape(seg_len, k, stride);
+    // 1-D: every sample is one `(1, seg_len)` map under a `1 × k` kernel,
+    // against the 1-D oracle at stride 1.
+    let (c_in, c_out, k, seg_len) = (2, 3, 3, 9);
+    let out_len = seg_len - k + 1;
     for batch in [1, 3] {
         let samples: Vec<Tensor> =
             (0..batch).map(|_| Tensor::rand_uniform([c_in, seg_len], -1.0, 1.0, &mut rng)).collect();
@@ -127,7 +179,7 @@ fn naive_and_gemm_lowerings_agree_end_to_end() {
         let x = tape.leaf(hstack(&samples), true);
         let wv = tape.leaf(w.clone(), true);
         let bv = tape.leaf(b.clone(), true);
-        let y = tape.conv2d(x, wv, bv, stride, 0, Arc::new(vec![(1, seg_len); batch]));
+        let y = tape.conv2d(x, wv, bv, 0, Arc::new(vec![(1, seg_len); batch]));
         let m = tape.leaf(hstack(&upstream), false);
         let p = tape.mul(y, m);
         let loss = tape.sum(p);
@@ -136,10 +188,10 @@ fn naive_and_gemm_lowerings_agree_end_to_end() {
         let mut gw_sum = Tensor::zeros(w.shape().clone());
         let mut gb_sum = vec![0.0; c_out];
         for (s, (xs, gs)) in samples.iter().zip(&upstream).enumerate() {
-            let want = oracle::conv1d_forward(xs, &w, b.as_slice(), stride);
+            let want = oracle::conv1d_forward(xs, &w, b.as_slice(), 1);
             let got = columns(tape.value(y), s * out_len, out_len);
             assert_close(got.as_slice(), want.as_slice(), &format!("conv1d B={batch} out {s}"));
-            let (gx, gw, gb) = oracle::conv1d_backward(xs, &w, stride, gs);
+            let (gx, gw, gb) = oracle::conv1d_backward(xs, &w, 1, gs);
             let got = columns(tape.grad(x).unwrap(), s * seg_len, seg_len);
             assert_close(got.as_slice(), gx.as_slice(), &format!("conv1d B={batch} gx {s}"));
             gw_sum = gw_sum.add(&gw);
@@ -149,50 +201,81 @@ fn naive_and_gemm_lowerings_agree_end_to_end() {
         assert_close(tape.grad(bv).unwrap().as_slice(), &gb_sum, "conv1d gb");
     }
 
-    // 2-D: padded, strided, over maps of different extents.
-    let (c_in, c_out, kh, kw, stride, pad) = (2, 3, 3, 3, 2, 1);
+    // 2-D: padded, over maps of different extents.
     for dims in [vec![(5, 4)], vec![(5, 4), (3, 3), (4, 7)]] {
+        check_conv2d_against_oracle(&dims, (2, 3, 3, 3), 1, &mut rng);
+    }
+}
+
+/// Maps smaller than the kernel's padded reach: every output reads some
+/// padding, and some outputs read nothing else.
+#[test]
+fn maps_smaller_than_the_padded_kernel_agree_with_the_oracle() {
+    let mut rng = Rng64::new(22);
+    for dims in [vec![(1, 1)], vec![(1, 1), (2, 2), (1, 1)]] {
+        check_conv2d_against_oracle(&dims, (2, 3, 3, 3), 1, &mut rng);
+    }
+    for dims in [vec![(2, 3)], vec![(2, 3), (1, 1), (3, 2)]] {
+        check_conv2d_against_oracle(&dims, (2, 3, 2, 2), 1, &mut rng);
+    }
+    for dims in [vec![(3, 3)], vec![(1, 2), (3, 3), (2, 1)]] {
+        check_conv2d_against_oracle(&dims, (1, 2, 3, 3), 2, &mut rng);
+    }
+}
+
+/// The paper's first SortPooling-head Conv1D has kernel = stride = `Σcₜ`
+/// over each sample's flattened `k × Σcₜ` sort output. `Conv1dLayer`
+/// runs it at stride 1 over the `(k, Σcₜ)` map; that must be the 1-D
+/// oracle at stride = kernel — outputs and all three gradients, through
+/// the layer's ReLU — for a batch of one and a batch of three.
+#[test]
+fn conv1d_layer_over_row_maps_is_the_stride_kernel_conv1d() {
+    let mut rng = Rng64::new(23);
+    let (c_out, rows, width) = (4, 5, 6);
+    let len = rows * width;
+    for batch in [1, 3] {
+        let mut store = ParamStore::new();
+        let layer = Conv1dLayer::new(&mut store, "c", 1, c_out, width, &mut rng);
+        store.value_mut_by_name("c.bias").as_mut_slice().copy_from_slice(&[0.1, -0.2, 0.05, 0.0]);
+        let w = store.value(store.find("c.weight").unwrap()).clone();
+        let b = store.value(store.find("c.bias").unwrap()).clone();
         let samples: Vec<Tensor> =
-            dims.iter().map(|&(h, w)| Tensor::rand_uniform([c_in, h * w], -1.0, 1.0, &mut rng)).collect();
-        let wt = Tensor::rand_uniform([c_out, c_in, kh, kw], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform([c_out], -0.5, 0.5, &mut rng);
-        let outs: Vec<(Tensor, (usize, usize))> = samples
-            .iter()
-            .zip(&dims)
-            .map(|(xs, &d)| oracle::conv2d_forward(xs, d, &wt, b.as_slice(), stride, pad))
-            .collect();
-        let upstream: Vec<Tensor> = outs
-            .iter()
-            .map(|(o, _)| Tensor::rand_uniform(o.shape().clone(), -1.0, 1.0, &mut rng))
-            .collect();
+            (0..batch).map(|_| Tensor::rand_uniform([1, len], -1.0, 1.0, &mut rng)).collect();
+        let upstream: Vec<Tensor> =
+            (0..batch).map(|_| Tensor::rand_uniform([c_out, rows], -1.0, 1.0, &mut rng)).collect();
 
         let mut tape = Tape::new();
+        let binding = store.bind(&mut tape);
         let x = tape.leaf(hstack(&samples), true);
-        let wv = tape.leaf(wt.clone(), true);
-        let bv = tape.leaf(b.clone(), true);
-        let y = tape.conv2d(x, wv, bv, stride, pad, Arc::new(dims.clone()));
+        let y = layer.forward(&mut tape, &binding, x, (rows, width));
         let m = tape.leaf(hstack(&upstream), false);
         let p = tape.mul(y, m);
         let loss = tape.sum(p);
         tape.backward(loss);
+        store.accumulate_grads(&tape, &binding);
 
-        let (mut in_off, mut out_off) = (0, 0);
-        let mut gw_sum = Tensor::zeros(wt.shape().clone());
+        let mut gw_sum = Tensor::zeros(w.shape().clone());
         let mut gb_sum = vec![0.0; c_out];
-        for (s, ((xs, (want, od)), gs)) in samples.iter().zip(&outs).zip(&upstream).enumerate() {
-            let (h, w) = dims[s];
-            let got = columns(tape.value(y), out_off, od.0 * od.1);
-            assert_close(got.as_slice(), want.as_slice(), &format!("conv2d {dims:?} out {s}"));
-            let (gx, gw, gb) = oracle::conv2d_backward(xs, (h, w), &wt, stride, pad, gs, *od);
-            let got = columns(tape.grad(x).unwrap(), in_off, h * w);
-            assert_close(got.as_slice(), gx.as_slice(), &format!("conv2d {dims:?} gx {s}"));
+        for (s, (xs, gs)) in samples.iter().zip(&upstream).enumerate() {
+            let pre = oracle::conv1d_forward(xs, &w, b.as_slice(), width);
+            let want = pre.relu();
+            let got = columns(tape.value(y), s * rows, rows);
+            assert_close(got.as_slice(), want.as_slice(), &format!("B={batch} out {s}"));
+            // ReLU's backward: the upstream gradient where the output is positive.
+            let mut masked = gs.clone();
+            for (g, &v) in masked.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+                if v <= 0.0 {
+                    *g = 0.0;
+                }
+            }
+            let (gx, gw, gb) = oracle::conv1d_backward(xs, &w, width, &masked);
+            let got = columns(tape.grad(x).unwrap(), s * len, len);
+            assert_close(got.as_slice(), gx.as_slice(), &format!("B={batch} gx {s}"));
             gw_sum = gw_sum.add(&gw);
             gb_sum.iter_mut().zip(&gb).for_each(|(a, g)| *a += g);
-            in_off += h * w;
-            out_off += od.0 * od.1;
         }
-        assert_close(tape.grad(wv).unwrap().as_slice(), gw_sum.as_slice(), "conv2d gw");
-        assert_close(tape.grad(bv).unwrap().as_slice(), &gb_sum, "conv2d gb");
+        assert_close(store.grad(store.find("c.weight").unwrap()).as_slice(), gw_sum.as_slice(), "gw");
+        assert_close(store.grad(store.find("c.bias").unwrap()).as_slice(), &gb_sum, "gb");
     }
 }
 

@@ -60,7 +60,7 @@ fn check(case: &Case, x: &Tensor, wt: &Tensor, b: &Tensor, rng: &mut Rng64) {
     let cells = case.grid.0 * case.grid.1;
     let gout = Tensor::rand_uniform([case.c_out, case.dims.len() * cells], -1.0, 1.0, rng);
     let (pooled, winners, gx, gw, gb) = fused(x, wt, b, case, &gout);
-    let dense = oracle::conv2d_relu_amp_dense(x, wt, b, 1, case.pad, case.dims, case.grid, &gout);
+    let dense = oracle::conv2d_relu_amp_dense(x, wt, b, case.pad, case.dims, case.grid, &gout);
     let name = case.name;
     assert_bitwise(&pooled, &dense.pooled, &format!("{name}: pooled"));
     assert_eq!(winners, dense.winners, "{name}: winners");
