@@ -645,8 +645,15 @@ mod tests {
         // A map smaller than the kernel's padded reach.
         assert_eq!(conv2d_shape(1, 1, 3, 3, 1), (1, 1));
         assert_eq!(conv2d_shape(2, 3, 2, 2, 1), (3, 4));
-        // A `1 × k` kernel: one output per row when `k` is the width.
+    }
+
+    #[test]
+    fn conv1d_shape_basic() {
+        // A 1-D convolution is a `1 × k` kernel over a `(rows, len)` map.
         assert_eq!(conv2d_shape(1, 10, 1, 3, 0), (1, 8));
+        assert_eq!(conv2d_shape(1, 10, 1, 10, 0), (1, 1));
+        // The SortPool head's first Conv1D: one output per row when `k`
+        // is the width.
         assert_eq!(conv2d_shape(2, 5, 1, 5, 0), (2, 1));
     }
 
