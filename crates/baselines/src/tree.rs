@@ -206,12 +206,7 @@ impl DecisionTree {
 
     /// Most probable class for one sample.
     pub fn predict(&self, x: &[f64]) -> usize {
-        let p = self.predict_proba(x);
-        p.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        magic_tensor::argmax(&self.predict_proba(x)).unwrap_or(0)
     }
 }
 

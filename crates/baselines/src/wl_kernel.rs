@@ -127,12 +127,7 @@ impl WlKernelKnn {
 
     /// Most similar class.
     pub fn predict(&self, acfg: &Acfg) -> usize {
-        self.predict_proba(acfg)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        magic_tensor::argmax(&self.predict_proba(acfg)).unwrap_or(0)
     }
 }
 

@@ -65,8 +65,7 @@ pub fn run_feature_baselines(
             model.fit(&train_x, &train_y, num_classes);
             for &i in &split.validation {
                 let p = model.predict_proba(&features[i]);
-                let predicted = argmax(&p);
-                confusion.record(corpus.labels[i], predicted);
+                confusion.record(corpus.labels[i], magic_tensor::argmax(&p).unwrap_or(0));
                 probs.push(p);
                 targets.push(corpus.labels[i]);
             }
@@ -115,7 +114,7 @@ pub fn run_sequence_baseline(corpus: &LoadedCorpus, folds: usize, seed: u64) -> 
         clf.fit(&train_graphs, &train_y, num_classes);
         for &i in &split.validation {
             let p = clf.predict_proba(&corpus.acfgs[i]);
-            confusion.record(corpus.labels[i], argmax(&p));
+            confusion.record(corpus.labels[i], magic_tensor::argmax(&p).unwrap_or(0));
             probs.push(p);
             targets.push(corpus.labels[i]);
         }
@@ -129,14 +128,6 @@ pub fn run_sequence_baseline(corpus: &LoadedCorpus, folds: usize, seed: u64) -> 
         log_loss,
         report,
     }
-}
-
-fn argmax(p: &[f64]) -> usize {
-    p.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -94,10 +94,10 @@ USAGE:
                  model header so predict/serve reduce identically.
                  --cache-dir trains from the shard cache, building it
                  first if missing; --cache stream keeps shards on disk
-                 and prefetches batches on a background thread — bitwise
-                 identical to the in-memory path in bounded memory, but
-                 slower when no core is spare: about +33 % per epoch at
-                 2 lanes on 2 cores, docs/PERFORMANCE.md § 7)
+                 and each training lane decodes its own samples —
+                 bitwise identical to the in-memory path in bounded
+                 memory, about +7 % per epoch at 2 lanes on 2 cores,
+                 docs/PERFORMANCE.md § 7)
     magic predict --model <model.magic> [--reduce R] <listing.asm>...
                 (--reduce overrides the training-time strategy recorded
                  in the model header; default is to match training)
@@ -368,7 +368,7 @@ impl TrainKnobs {
 }
 
 /// Where training samples come from: decoded in RAM, or streamed from
-/// shard files with background prefetch.
+/// shard files, each sample decoded on the lane that trains it.
 enum CorpusSource {
     Ram(Vec<GraphInput>),
     Stream(StreamedCorpus),

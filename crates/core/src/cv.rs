@@ -86,13 +86,7 @@ pub fn cross_validate(
     for (best_val_loss, predictions) in fold_results {
         fold_val_losses.push(best_val_loss);
         for (i, p) in predictions {
-            let predicted = p
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            confusion.record(labels[i], predicted);
+            confusion.record(labels[i], magic_tensor::argmax(&p).unwrap_or(0));
             probs.push(p);
             targets.push(labels[i]);
         }

@@ -155,12 +155,8 @@ impl MagicPipeline {
     /// Classifies a pre-extracted ACFG.
     pub fn classify_acfg(&self, acfg: &Acfg) -> (&str, f32) {
         let probs = self.model.predict(&self.input_for(acfg));
-        let (best, p) = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty probability vector");
-        (&self.family_names[best], *p)
+        let best = magic_tensor::argmax(&probs).expect("non-empty probability vector");
+        (&self.family_names[best], probs[best])
     }
 
     /// Full probability distribution over families for an ACFG.

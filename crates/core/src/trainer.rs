@@ -12,24 +12,26 @@
 //! additions happen in the same order as the serial loop, and dropout
 //! noise comes from per-sample [`Rng64::for_sample`] streams rather than
 //! a shared generator, training is bitwise identical for any
-//! `train_workers` value. The kernels themselves are single-threaded:
-//! all parallelism is across samples.
+//! `train_workers` value. A streamed sample is decoded from its cache
+//! shard inside its own lane job, so the lanes are the trainer's only
+//! threads. The kernels themselves are single-threaded: all parallelism
+//! is across samples.
 //!
 //! # Telemetry
 //!
 //! Host rows are timed by one helper, [`profile::time_host`]: lane work
-//! (`param.bind`, `grad.accumulate`) records into the lane tape's
-//! profile via [`Tape::host`], the serial reduce, clip, step and
-//! evaluation into one trainer-owned [`OpProfile`] merged with the lanes
-//! at epoch end. The only other epoch timer is the fan-out wall-clock.
-//! Untraced, a timed region is one branch and a direct call.
+//! (`sample.decode`, `param.bind`, `grad.accumulate`) records into the
+//! lane tape's profile via [`Tape::host`], the serial reduce, clip, step
+//! and evaluation into one trainer-owned [`OpProfile`] merged with the
+//! lanes at epoch end. The only other epoch timer is the fan-out
+//! wall-clock. Untraced, a timed region is one branch and a direct call.
 
-use std::sync::mpsc::sync_channel;
+use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use magic_autograd::{profile, OpProfile, Tape};
-use magic_data::{batches, StreamedCorpus};
+use magic_data::StreamedCorpus;
 use magic_model::{Dgcnn, GraphBatch, GraphInput};
 use magic_nn::{Adam, GradBuffer, ReduceLrOnPlateau};
 use magic_tensor::Rng64;
@@ -52,7 +54,7 @@ enum SampleSource<'a> {
     Stream(&'a StreamedCorpus),
 }
 
-impl SampleSource<'_> {
+impl<'a> SampleSource<'a> {
     fn len(&self) -> usize {
         match self {
             SampleSource::Ram(inputs) => inputs.len(),
@@ -60,68 +62,27 @@ impl SampleSource<'_> {
         }
     }
 
-    /// Runs `consume` over `idx` in `chunk_size` chunks, handing in each
-    /// chunk's global indices and its inputs (parallel to the indices):
-    /// borrowed from the resident slice, or decoded by the prefetch
-    /// thread for a streamed source.
-    fn for_each_chunk(
-        self,
-        idx: &[usize],
-        chunk_size: usize,
-        mut consume: impl FnMut(&[usize], &[&GraphInput]),
-    ) {
+    /// Sample `i` for a job on a lane's `tape`: borrowed from the
+    /// resident slice, or decoded from its shard on the lane itself and
+    /// timed as the tape's `sample.decode` host row. A streamed source
+    /// thus holds one decoded sample per busy lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record fails to decode mid-run (shards are fully
+    /// validated when the corpus is opened, so this means the cache
+    /// changed underneath the trainer).
+    fn sample(self, tape: &mut Tape, i: usize) -> Cow<'a, GraphInput> {
         match self {
-            SampleSource::Ram(inputs) => {
-                for chunk in batches(idx, chunk_size) {
-                    let chunk_inputs: Vec<&GraphInput> =
-                        chunk.iter().map(|&i| &inputs[i]).collect();
-                    consume(&chunk, &chunk_inputs);
-                }
-            }
+            SampleSource::Ram(inputs) => Cow::Borrowed(&inputs[i]),
             SampleSource::Stream(corpus) => {
-                with_prefetched_chunks(corpus, idx, chunk_size, |chunk, fetched| {
-                    consume(chunk, &fetched.iter().collect::<Vec<_>>())
+                let mut fetched = tape.host(magic_obs::stage::OP_HOST_DECODE, |_| {
+                    corpus.fetch(&[i]).expect("validated cache shard failed mid-epoch")
                 });
+                Cow::Owned(fetched.pop().expect("one input per index"))
             }
         }
     }
-}
-
-/// Iterates `idx` in `chunk_size` chunks, decoding each chunk's records
-/// into [`GraphInput`]s on a background thread one chunk ahead of the
-/// consumer (double-buffering through a bounded channel of depth 1), so
-/// the next chunk's IO + decode overlaps the consumer's compute when a
-/// core is spare.
-///
-/// # Panics
-///
-/// Panics if a record fails to decode mid-run (shards are fully
-/// validated when the corpus is opened, so this means the cache changed
-/// underneath the trainer).
-fn with_prefetched_chunks(
-    corpus: &StreamedCorpus,
-    idx: &[usize],
-    chunk_size: usize,
-    mut consume: impl FnMut(&[usize], &[GraphInput]),
-) {
-    let chunk_list: Vec<Vec<usize>> = batches(idx, chunk_size);
-    std::thread::scope(|scope| {
-        let (tx, rx) = sync_channel::<Vec<GraphInput>>(1);
-        let fetch_list = chunk_list.clone();
-        scope.spawn(move || {
-            for chunk in &fetch_list {
-                let fetched =
-                    corpus.fetch(chunk).expect("validated cache shard failed mid-epoch");
-                if tx.send(fetched).is_err() {
-                    break;
-                }
-            }
-        });
-        for chunk in &chunk_list {
-            let fetched = rx.recv().expect("prefetch thread delivers every chunk");
-            consume(chunk, &fetched);
-        }
-    });
 }
 
 /// Training hyperparameters not covered by the model architecture.
@@ -139,8 +100,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Cap on the global gradient norm (0 disables clipping).
     pub grad_clip: f32,
-    /// Learning-rate decay divisor on plateau (paper: 10).
-    pub lr_decay_factor: f32,
     /// Consecutive rising-validation-loss epochs before decaying
     /// (paper: 2). On very small validation splits the loss is noisy
     /// enough that the paper's setting fires spuriously; raise this when
@@ -162,7 +121,6 @@ impl Default for TrainConfig {
             weight_decay: 1e-4,
             seed: 0,
             grad_clip: 5.0,
-            lr_decay_factor: 10.0,
             lr_patience: 2,
             train_workers: 0,
         }
@@ -259,13 +217,12 @@ impl Trainer {
     }
 
     /// [`train`](Self::train), but streaming samples from a validated
-    /// `magic-acfg/1` cache instead of a resident slice: each
-    /// mini-batch's records are decoded by a background prefetch thread
-    /// one batch ahead of the compute (double-buffered through a
-    /// bounded channel), so resident memory stays bounded by two
-    /// batches plus the shard indices. The prefetch hides the decode
-    /// only when a core is spare; with every core training, a streamed
-    /// epoch is slower than one from RAM (docs/PERFORMANCE.md § 7).
+    /// `magic-acfg/1` cache instead of a resident slice: each lane job
+    /// decodes its own sample by global index, on the lane, before
+    /// training on it, so resident memory stays bounded by one sample
+    /// per lane plus the shard indices, and the decode work splits
+    /// across the lanes like the rest of the per-sample work
+    /// (docs/PERFORMANCE.md § 7).
     ///
     /// Because samples are addressed by the same global indices as the
     /// in-memory path — same shuffle, same batch composition, same
@@ -318,8 +275,7 @@ impl Trainer {
 
         let mut rng = Rng64::new(self.config.seed);
         let mut optimizer = Adam::new(self.config.learning_rate, self.config.weight_decay);
-        let mut scheduler =
-            ReduceLrOnPlateau::new(self.config.lr_decay_factor, self.config.lr_patience, 1e-7);
+        let mut scheduler = ReduceLrOnPlateau::new(self.config.lr_patience, 1e-7);
         let mut history = Vec::with_capacity(self.config.epochs);
         let mut best_val_loss = f32::INFINITY;
 
@@ -362,7 +318,7 @@ impl Trainer {
             // reduction orders — depends only on the global indices in
             // `batch`, which is what keeps the two sources bitwise
             // identical.
-            source.for_each_chunk(&order, self.config.batch_size, |batch, inputs| {
+            for batch in order.chunks(self.config.batch_size) {
                 let store = model.store();
                 let fanout_start = traced.then(Instant::now);
                 let losses: Vec<f32> = lanes.run(batch.len(), |worker, j| {
@@ -370,6 +326,7 @@ impl Trainer {
                     lane.job(|tape| {
                         let i = batch[j];
                         tape.reset();
+                        let input = source.sample(tape, i);
                         let binding =
                             tape.host(magic_obs::stage::OP_HOST_BIND, |tape| store.bind(tape));
                         // Dropout draws come from a stream keyed on
@@ -381,7 +338,7 @@ impl Trainer {
                         let lp = model.forward(
                             tape,
                             &binding,
-                            &GraphBatch::single(inputs[j]),
+                            &GraphBatch::single(&input),
                             true,
                             std::slice::from_mut(&mut sample_rng),
                         );
@@ -420,7 +377,7 @@ impl Trainer {
                 host.time_host(traced, magic_obs::stage::OP_HOST_STEP, || {
                     optimizer.step(store, batch.len())
                 });
-            });
+            }
             let train_loss = train_loss_total / train_idx.len().max(1) as f32;
             // So far this epoch `host` holds exactly the reduce, clip and
             // step rows.
@@ -437,15 +394,7 @@ impl Trainer {
                     for lane in &lane_state {
                         lane.lock().expect("unpoisoned lane").tape.set_profiling(false);
                     }
-                    evaluate_source(
-                        lanes,
-                        &lane_state,
-                        self.config.batch_size,
-                        model,
-                        source,
-                        labels,
-                        val_idx,
-                    )
+                    evaluate_source(lanes, &lane_state, model, source, labels, val_idx)
                 });
             let learning_rate = optimizer.learning_rate();
             scheduler.observe(val_loss, &mut optimizer);
@@ -628,22 +577,19 @@ pub fn evaluate_with(
 ) -> (f32, f64) {
     let lanes = Lanes::new(workers);
     let lane_state: Vec<Mutex<Lane>> = (0..lanes.workers()).map(|_| Mutex::default()).collect();
-    evaluate_source(lanes, &lane_state, idx.len(), model, SampleSource::Ram(inputs), labels, idx)
+    evaluate_source(lanes, &lane_state, model, SampleSource::Ram(inputs), labels, idx)
 }
 
 /// The one evaluation loop: mean loss and accuracy of `model` on `idx`,
 /// each sample predicted as a batch of one on a worker lane's tape (warm
 /// trainer tapes serve inference from their recycled pools; pooled
 /// buffers are zero-filled on checkout, so reuse never changes a bit).
-/// A streamed source is decoded `chunk_size` records at a time, one
-/// chunk ahead of the compute. Chunking only bounds how many records are
-/// alive at once: losses are accumulated in `idx` order across chunk
-/// boundaries, so the result is bitwise identical for every source,
-/// chunk size and lane count.
+/// A streamed sample is decoded on the lane that predicts it. Losses are
+/// summed in `idx` order afterwards, so the result is bitwise identical
+/// for every source and lane count.
 fn evaluate_source(
     lanes: Lanes,
     lane_state: &[Mutex<Lane>],
-    chunk_size: usize,
     model: &Dgcnn,
     source: SampleSource<'_>,
     labels: &[usize],
@@ -654,27 +600,20 @@ fn evaluate_source(
     }
     let _span =
         magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
+    let per_sample: Vec<(f32, bool)> = lanes.run(idx.len(), |worker, j| {
+        let i = idx[j];
+        let mut lane = lane_state[worker].lock().expect("unpoisoned lane");
+        let input = source.sample(&mut lane.tape, i);
+        let probs = model.predict_with(&mut lane.tape, &input);
+        let p = probs[labels[i]].clamp(1e-15, 1.0);
+        (-p.ln(), magic_tensor::argmax(&probs) == Some(labels[i]))
+    });
     let mut loss_total = 0.0f32;
     let mut correct = 0usize;
-    source.for_each_chunk(idx, chunk_size, |chunk, inputs| {
-        let per_sample: Vec<(f32, bool)> = lanes.run(chunk.len(), |worker, j| {
-            let label = labels[chunk[j]];
-            let mut lane = lane_state[worker].lock().expect("unpoisoned lane");
-            let probs = model.predict_with(&mut lane.tape, inputs[j]);
-            let p = probs[label].clamp(1e-15, 1.0);
-            let arg = probs
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(c, _)| c)
-                .unwrap_or(0);
-            (-p.ln(), arg == label)
-        });
-        for &(loss, hit) in &per_sample {
-            loss_total += loss;
-            correct += usize::from(hit);
-        }
-    });
+    for &(loss, hit) in &per_sample {
+        loss_total += loss;
+        correct += usize::from(hit);
+    }
     (loss_total / idx.len() as f32, correct as f64 / idx.len() as f64)
 }
 
@@ -738,23 +677,29 @@ mod tests {
         let (inputs, labels) = toy_data();
         let config = DgcnnConfig::new(2, PoolingHead::sort_pool_weighted(8));
         let mut model = Dgcnn::new(&config, 10);
-        // Absurdly high LR forces the validation loss to bounce, which
-        // must trigger the 10x decay.
+        // A high rate with patience 1 makes the validation loss rise
+        // within a few epochs, which must cut the rate tenfold.
         let trainer = Trainer::new(TrainConfig {
             epochs: 10,
             batch_size: 4,
-            learning_rate: 1.0,
+            learning_rate: 0.1,
             weight_decay: 0.0,
             seed: 2,
             grad_clip: 0.0,
+            lr_patience: 1,
             train_workers: 1,
-            ..TrainConfig::default()
         });
         let idx: Vec<usize> = (0..20).collect();
-        let outcome = trainer.train(&mut model, &inputs, &labels, &idx, &idx);
-        let first = outcome.history.first().unwrap().learning_rate;
-        let last = outcome.history.last().unwrap().learning_rate;
-        assert!(last <= first, "lr {first} -> {last}");
+        let history = trainer.train(&mut model, &inputs, &labels, &idx, &idx).history;
+        let rates: Vec<f32> = history.iter().map(|e| e.learning_rate).collect();
+        assert_eq!(rates[0], 0.1);
+        let cut = rates
+            .iter()
+            .position(|&lr| lr < rates[0])
+            .unwrap_or_else(|| panic!("the decay never fired: {rates:?}"));
+        assert_eq!(rates[cut], rates[0] / magic_nn::LR_DECAY_FACTOR, "{rates:?}");
+        // The cut follows an epoch whose validation loss rose.
+        assert!(history[cut - 1].val_loss > history[cut - 2].val_loss, "{history:?}");
     }
 
     /// The core determinism guarantee of the data-parallel engine: the

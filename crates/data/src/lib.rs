@@ -6,8 +6,8 @@
 //! The paper evaluates with stratified five-fold cross-validation
 //! (Section V-B): "the dataset is splitted into five equal-size subsets
 //! ... the training process never sees the testing samples". This crate
-//! provides deterministic stratified K-fold splitting and mini-batch
-//! iteration over label vectors — plus the `magic-acfg/1` sharded binary
+//! provides deterministic stratified K-fold splitting over label
+//! vectors — plus the `magic-acfg/1` sharded binary
 //! ACFG cache ([`cache`]) and its one reader ([`StreamedCorpus`]) that
 //! let training and serving start from pre-extracted graphs instead of
 //! re-running listing → CFG → ACFG extraction.
@@ -31,5 +31,5 @@ pub use cache::{
     cache_fingerprint, decode_record, encode_record, write_shard, CacheError, CacheManifest,
     ShardMeta, ShardReader, ShardRecord, CACHE_SCHEMA_NAME, CACHE_VERSION,
 };
-pub use split::{batches, stratified_kfold, Fold};
+pub use split::{stratified_kfold, Fold};
 pub use stream::StreamedCorpus;

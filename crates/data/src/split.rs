@@ -1,4 +1,4 @@
-//! Stratified K-fold splitting and batching.
+//! Stratified K-fold splitting.
 
 use magic_tensor::Rng64;
 
@@ -59,17 +59,6 @@ pub fn stratified_kfold(labels: &[usize], k: usize, seed: u64) -> Vec<Fold> {
         .collect()
 }
 
-/// Splits `indices` into consecutive mini-batches of at most
-/// `batch_size`.
-///
-/// # Panics
-///
-/// Panics if `batch_size == 0`.
-pub fn batches(indices: &[usize], batch_size: usize) -> Vec<Vec<usize>> {
-    assert!(batch_size > 0, "batch size must be positive");
-    indices.chunks(batch_size).map(<[usize]>::to_vec).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,12 +117,5 @@ mod tests {
     #[should_panic(expected = "k >= 2")]
     fn rejects_k_of_one() {
         stratified_kfold(&[0, 1], 1, 0);
-    }
-
-    #[test]
-    fn batches_chunk_and_cover() {
-        let idx = vec![5, 6, 7, 8, 9];
-        let b = batches(&idx, 2);
-        assert_eq!(b, vec![vec![5, 6], vec![7, 8], vec![9]]);
     }
 }

@@ -5,9 +5,9 @@
 //! from them), record payloads are decoded on demand with one seek +
 //! one framed read each through [`ShardReader::read_record`], so
 //! resident memory stays bounded by the working set instead of the
-//! corpus. The streamed trainer fetches mini-batches from it on its
-//! prefetch thread; a full RAM load is one [`records`] pass over every
-//! index in sample order.
+//! corpus. The streamed trainer's lanes fetch one sample each, by
+//! global index, inside their own jobs; a full RAM load is one
+//! [`records`] pass over every index in sample order.
 //!
 //! Every shard is validated against the manifest fingerprint and the
 //! full checksum pass of [`ShardReader::open`] before any record is
@@ -29,8 +29,8 @@ use crate::cache::{CacheError, CacheManifest, ShardReader, ShardRecord};
 /// Labels and per-sample graph sizes are served from the shard indices
 /// without decoding any record; [`records`](StreamedCorpus::records)
 /// and [`fetch`](StreamedCorpus::fetch) decode exactly the requested
-/// records. Shard handles sit behind mutexes so a prefetch thread and
-/// the consumer can fetch concurrently.
+/// records. Shard handles sit behind per-shard mutexes, so training
+/// lanes can fetch concurrently.
 #[derive(Debug)]
 pub struct StreamedCorpus {
     manifest: CacheManifest,

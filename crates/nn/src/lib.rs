@@ -44,4 +44,4 @@ pub use layers::{
 };
 pub use optim::Adam;
 pub use param::{Binding, GradBuffer, ParamId, ParamStore};
-pub use sched::ReduceLrOnPlateau;
+pub use sched::{ReduceLrOnPlateau, LR_DECAY_FACTOR};

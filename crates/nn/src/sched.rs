@@ -6,12 +6,14 @@
 
 use crate::optim::Adam;
 
-/// Reduce-on-plateau schedule: divides the learning rate by `factor`
-/// whenever the monitored validation loss has risen for `patience`
-/// consecutive epochs.
+/// The learning-rate divisor of a plateau (Section V-B: a factor of ten).
+pub const LR_DECAY_FACTOR: f32 = 10.0;
+
+/// Reduce-on-plateau schedule: divides the learning rate by
+/// [`LR_DECAY_FACTOR`] whenever the monitored validation loss has risen
+/// for `patience` consecutive epochs.
 #[derive(Debug, Clone)]
 pub struct ReduceLrOnPlateau {
-    factor: f32,
     patience: usize,
     rising_epochs: usize,
     last_loss: Option<f32>,
@@ -19,22 +21,20 @@ pub struct ReduceLrOnPlateau {
 }
 
 impl ReduceLrOnPlateau {
-    /// Creates the paper's schedule: factor 10, patience 2.
+    /// Creates the paper's schedule: patience 2.
     pub fn paper_default() -> Self {
-        Self::new(10.0, 2, 1e-7)
+        Self::new(2, 1e-7)
     }
 
-    /// Creates a schedule dividing by `factor` after `patience` rising
-    /// epochs, never going below `min_lr`.
+    /// Creates a schedule dividing by [`LR_DECAY_FACTOR`] after
+    /// `patience` rising epochs, never going below `min_lr`.
     ///
     /// # Panics
     ///
-    /// Panics if `factor <= 1` or `patience == 0`.
-    pub fn new(factor: f32, patience: usize, min_lr: f32) -> Self {
-        assert!(factor > 1.0, "factor must exceed 1");
+    /// Panics if `patience == 0`.
+    pub fn new(patience: usize, min_lr: f32) -> Self {
         assert!(patience > 0, "patience must be positive");
         ReduceLrOnPlateau {
-            factor,
             patience,
             rising_epochs: 0,
             last_loss: None,
@@ -58,7 +58,7 @@ impl ReduceLrOnPlateau {
         }
         if self.rising_epochs >= self.patience {
             self.rising_epochs = 0;
-            let new_lr = (optimizer.learning_rate() / self.factor).max(self.min_lr);
+            let new_lr = (optimizer.learning_rate() / LR_DECAY_FACTOR).max(self.min_lr);
             optimizer.set_learning_rate(new_lr);
             return true;
         }
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn lr_never_drops_below_min() {
         let mut opt = Adam::new(1e-6, 0.0);
-        let mut sched = ReduceLrOnPlateau::new(10.0, 1, 1e-7);
+        let mut sched = ReduceLrOnPlateau::new(1, 1e-7);
         sched.observe(1.0, &mut opt);
         sched.observe(2.0, &mut opt);
         sched.observe(3.0, &mut opt);
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn first_observation_never_fires() {
         let mut opt = Adam::new(0.1, 0.0);
-        let mut sched = ReduceLrOnPlateau::new(10.0, 1, 0.0);
+        let mut sched = ReduceLrOnPlateau::new(1, 0.0);
         assert!(!sched.observe(f32::INFINITY, &mut opt));
     }
 }

@@ -210,11 +210,16 @@ pub const H_SERVE_WRITE_US: &str = "serve.write_us";
 
 /// Host-side pseudo-op kinds used by `op_profile` events (phase
 /// `"host"`) to attribute per-epoch wall-clock that falls outside the
-/// tape: parameter binding, gradient accumulation/reduction, gradient
-/// clipping, the optimizer step, and split evaluation. Tape op kinds
-/// (`"matmul"`, `"conv2d"`, …) are defined by the autograd op registry;
-/// the full list lives in `docs/OBSERVABILITY.md`.
+/// tape: parameter binding, streamed-sample decoding, gradient
+/// accumulation/reduction, gradient clipping, the optimizer step, and
+/// split evaluation. Tape op kinds (`"matmul"`, `"conv2d"`, …) are
+/// defined by the autograd op registry; the full list lives in
+/// `docs/OBSERVABILITY.md`.
 pub const OP_HOST_BIND: &str = "param.bind";
+/// Decoding a streamed sample's cache record into a model input, on
+/// the lane that trains it; one call per training sample (phase
+/// `"host"`).
+pub const OP_HOST_DECODE: &str = "sample.decode";
 /// Per-sample gradient accumulation into batch slots (phase `"host"`).
 pub const OP_HOST_ACCUMULATE: &str = "grad.accumulate";
 /// Zeroing the store's gradients and the batch-order gradient reduction

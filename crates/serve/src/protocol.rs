@@ -238,18 +238,14 @@ pub fn encode_prediction(
     request_id: u64,
 ) -> String {
     assert_eq!(families.len(), probs.len(), "one probability per family");
-    let (best, p) = probs
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("non-empty probability vector");
+    let best = magic_tensor::argmax(probs).expect("non-empty probability vector");
     let mut scores = magic_json::Map::new();
     for (name, &prob) in families.iter().zip(probs) {
         scores.insert(name.clone(), json!(prob as f64));
     }
     let body = json!({
         "family": families[best].clone(),
-        "probability": *p as f64,
+        "probability": probs[best] as f64,
         "scores": Value::Object(scores),
         "batch_size": batch_size as u64,
         "queue_us": queue_us,

@@ -549,14 +549,8 @@ fn handle_predict(shared: &Shared, request: &Request, trace: &mut RequestTrace) 
                 queue_us,
                 trace.id,
             );
-            trace.family = {
-                let names = shared.pipeline.family_names();
-                probs
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| names[i].clone())
-            };
+            trace.family =
+                magic_tensor::argmax(&probs).map(|i| shared.pipeline.family_names()[i].clone());
             (200, Vec::new(), body)
         }
         Ok(Reply::Expired) => {

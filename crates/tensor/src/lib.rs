@@ -35,6 +35,7 @@ mod workspace;
 pub use linalg::{gemm_into, gemm_nt_into, gemm_nt_strided_into, gemm_tn_into};
 pub use mem::MemStats;
 pub use ops::relu;
+pub use reduce::argmax;
 pub use rng::Rng64;
 pub use shape::Shape;
 pub use sparse::CsrMatrix;

@@ -1,6 +1,23 @@
 //! Reductions, argmax/argsort and the softmax family.
 
+use std::cmp::Ordering;
+
 use crate::tensor::Tensor;
+
+/// Index of the largest of `values`, or `None` when there are none.
+///
+/// Ties go to the **last** maximum, and an incomparable pair (a NaN)
+/// counts as a tie: this is `Iterator::max_by` over `partial_cmp`.
+/// Every predicted class (pipeline verdicts, served families, confusion
+/// counts, validation accuracy, the baselines) goes through this one
+/// rule.
+pub fn argmax<T: PartialOrd>(values: &[T]) -> Option<usize> {
+    values
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
+        .map(|(i, _)| i)
+}
 
 impl Tensor {
     /// Sum of all elements.
@@ -35,21 +52,6 @@ impl Tensor {
     pub fn min(&self) -> f32 {
         assert!(!self.is_empty(), "min() of empty tensor");
         self.as_slice().iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Index of the maximum element (first occurrence).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn argmax(&self) -> usize {
-        assert!(!self.is_empty(), "argmax() of empty tensor");
-        self.as_slice()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap()
     }
 
     /// Per-column sums of a matrix, returned as a length-`cols` vector.
@@ -142,7 +144,15 @@ mod tests {
         let t = Tensor::from_slice(&[1.0, 5.0, -2.0]);
         assert_eq!(t.max(), 5.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.argmax(), 1);
+        assert_eq!(argmax(t.as_slice()), Some(1));
+        assert_eq!(argmax::<f32>(&[]), None);
+    }
+
+    #[test]
+    fn argmax_ties_go_to_the_last_maximum() {
+        assert_eq!(argmax(&[1.0f32, 3.0, 3.0, 2.0]), Some(2));
+        assert_eq!(argmax(&[0.25f64, 0.25, 0.25, 0.25]), Some(3));
+        assert_eq!(argmax(&[7.0f32]), Some(0));
     }
 
     #[test]

@@ -89,8 +89,8 @@ echo "==> cache round-trip: streamed training is bitwise-identical to in-memory"
 # lanes; the traced run is the CLI-level proof that turning telemetry on
 # leaves training bitwise unchanged. This is the end-to-end
 # proof of the magic-acfg/1 determinism contract (DESIGN.md): the cache
-# and the prefetching shard stream change where bytes come from, never
-# what the trainer computes.
+# and the shard stream decoded on the training lanes change where bytes
+# come from, never what the trainer computes.
 RT_DIR="$(mktemp -d /tmp/magic_cache_rt.XXXXXX)"
 RT_ARGS=(--corpus yancfg --scale 0.002 --epochs 2 --seed 7 --log-level error)
 ./target/release/magic train "${RT_ARGS[@]}" --out "$RT_DIR/nocache.magic"
@@ -118,8 +118,10 @@ echo "==> reference checkpoint: bitwise equal to the committed golden"
 # 3 epochs, seed 7) must write exactly the checkpoint whose md5 is
 # committed in tests/golden/reference-checkpoint.md5 — on one lane, on
 # two, traced, from the shard cache in RAM, and streamed from the shard
-# cache. A change meant to alter training re-records the file and says
-# why in CHANGES.md.
+# cache on two lanes and on one. A streamed sample is decoded on the lane
+# that trains it, and one lane runs inline on the calling thread, so the
+# one-lane stream is a decode path of its own. A change meant to alter
+# training re-records the file and says why in CHANGES.md.
 REF_DIR="$(mktemp -d /tmp/magic_ref.XXXXXX)"
 REF_ARGS=(--corpus mskcfg --scale 0.01 --epochs 3 --seed 7 --log-level error)
 GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
@@ -131,7 +133,9 @@ GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
     --cache-dir "$REF_DIR/cache" --out "$REF_DIR/cache-ram.magic"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
     --cache-dir "$REF_DIR/cache" --cache stream --out "$REF_DIR/cache-stream.magic"
-for ckpt in one two traced cache-ram cache-stream; do
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 1 \
+    --cache-dir "$REF_DIR/cache" --cache stream --out "$REF_DIR/cache-stream-one.magic"
+for ckpt in one two traced cache-ram cache-stream cache-stream-one; do
     got="$(md5sum "$REF_DIR/$ckpt.magic" | cut -d' ' -f1)"
     if [[ "$got" != "$GOLDEN_MD5" ]]; then
         echo "ERROR: $ckpt reference checkpoint md5 $got != golden $GOLDEN_MD5" >&2
@@ -139,7 +143,7 @@ for ckpt in one two traced cache-ram cache-stream; do
     fi
 done
 rm -rf "$REF_DIR"
-echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes, traced, cache-ram and cache-stream"
+echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes, traced, cache-ram, and cache-stream at 2 and 1 lanes"
 
 echo "==> doc link check: no dangling relative links in README.md / docs/"
 scripts/check_doc_links.sh

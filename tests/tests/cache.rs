@@ -6,7 +6,7 @@
 //! both engines.
 
 use magic::corpus_cache::{self, CacheSpec, CorpusKind};
-use magic::trainer::{TrainConfig, Trainer};
+use magic::trainer::{EpochStats, TrainConfig, Trainer};
 use magic_autograd::first_bitwise_mismatch;
 use magic_data::{CacheError, CacheManifest, ShardReader, StreamedCorpus};
 use magic_model::{Dgcnn, DgcnnConfig, PoolingHead};
@@ -111,14 +111,33 @@ fn zero_record_shard_is_an_empty_shard_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The bits of every field of an epoch history: epoch, train loss,
+/// validation loss, validation accuracy and learning rate.
+type HistoryBits = Vec<(usize, u32, u32, u64, u32)>;
+
+fn history_bits(history: &[EpochStats]) -> HistoryBits {
+    history
+        .iter()
+        .map(|e| {
+            (
+                e.epoch,
+                e.train_loss.to_bits(),
+                e.val_loss.to_bits(),
+                e.val_accuracy.to_bits(),
+                e.learning_rate.to_bits(),
+            )
+        })
+        .collect()
+}
+
 /// Trains one model either from RAM or streamed from shards and
-/// returns the per-epoch loss bits plus the trained model.
+/// returns the bits of its epoch history plus the trained model.
 fn train_once(
     dir: &Path,
     spec: &CacheSpec,
     streamed: bool,
     workers: usize,
-) -> (Vec<u32>, Dgcnn) {
+) -> (HistoryBits, Dgcnn) {
     let config = DgcnnConfig::new(13, PoolingHead::sort_pool_weighted(8));
     let mut model = Dgcnn::new(&config, 17);
     let trainer = Trainer::new(TrainConfig {
@@ -144,20 +163,19 @@ fn train_once(
         let val_idx: Vec<usize> = (n * 3 / 4..n).collect();
         trainer.train(&mut model, &loaded.inputs, &loaded.labels, &train_idx, &val_idx)
     };
-    let losses = outcome.history.iter().map(|e| e.train_loss.to_bits()).collect();
-    (losses, model)
+    (history_bits(&outcome.history), model)
 }
 
 #[test]
 fn streamed_training_is_bitwise_identical_to_in_memory() {
     let (dir, spec) = built_cache("parity");
-    let (ram_losses, ram_model) = train_once(&dir, &spec, false, 1);
+    let (ram_history, ram_model) = train_once(&dir, &spec, false, 1);
 
     for workers in [1, 2, 4] {
-        let (losses, model) = train_once(&dir, &spec, true, workers);
+        let (history, model) = train_once(&dir, &spec, true, workers);
         assert_eq!(
-            ram_losses, losses,
-            "streamed loss curve diverged (workers={workers})"
+            ram_history, history,
+            "streamed epoch history diverged (workers={workers})"
         );
         for (name, value) in model.store().iter() {
             let id = ram_model.store().find(name).expect("same parameter set");

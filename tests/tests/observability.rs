@@ -8,9 +8,11 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
+use magic::corpus_cache::{self, CacheSpec, CorpusKind};
 use magic::pipeline::extract_acfg;
 use magic::trainer::{TrainConfig, TrainOutcome, Trainer};
 use magic_autograd::first_bitwise_mismatch;
+use magic_data::StreamedCorpus;
 use magic_model::{Dgcnn, DgcnnConfig, GraphInput, PoolingHead};
 use magic_obs::report::TraceSummary;
 use magic_obs::{stage, Event, JsonlRecorder, NullRecorder};
@@ -230,10 +232,47 @@ fn traced_run(file: &str, grad_clip: f32) -> String {
     std::fs::read_to_string(&path).unwrap()
 }
 
+/// The trace text of 2 epochs on 2 lanes streamed from a small shard
+/// cache, and the number of training samples per epoch.
+fn streamed_traced_run(file: &str) -> (String, u64) {
+    let dir = std::env::temp_dir().join("magic-obs-integration");
+    let cache = dir.join(format!("stream-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    let spec = CacheSpec {
+        corpus: CorpusKind::Yancfg,
+        seed: 9,
+        scale: 0.002,
+        reduce: magic_graph::ReduceStrategy::None,
+        shards: 3,
+    };
+    corpus_cache::build(&cache, &spec, 2, false).expect("cache build");
+    let corpus = StreamedCorpus::open(&cache, Some(spec.fingerprint())).expect("open stream");
+    let n = corpus.len();
+    let train_idx: Vec<usize> = (0..n * 3 / 4).collect();
+    let val_idx: Vec<usize> = (n * 3 / 4..n).collect();
+    let config = DgcnnConfig::new(corpus.class_names().len(), PoolingHead::sort_pool_weighted(8));
+    let mut model = Dgcnn::new(&config, 17);
+    let trainer = Trainer::new(TrainConfig {
+        epochs: 2,
+        batch_size: 8,
+        learning_rate: 0.01,
+        seed: 23,
+        train_workers: 2,
+        ..TrainConfig::default()
+    });
+    let path = dir.join(file);
+    magic_obs::install(Arc::new(JsonlRecorder::create(&path).unwrap()));
+    trainer.train_streamed(&mut model, &corpus, corpus.labels(), &train_idx, &val_idx);
+    magic_obs::uninstall();
+    let _ = std::fs::remove_dir_all(&cache);
+    (std::fs::read_to_string(&path).unwrap(), train_idx.len() as u64)
+}
+
 /// The host-row contract: each host `op_profile` row counts its own
 /// unit of work — per sample, per mini-batch, or per epoch — and each
 /// epoch histogram has one observation per epoch (per lane for busy
-/// time). With clipping off, no `grad.clip` row is emitted at all.
+/// time). With clipping off, no `grad.clip` row is emitted at all; only
+/// a streamed run emits `sample.decode`.
 #[test]
 fn host_rows_and_epoch_histograms_count_their_units_of_work() {
     let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
@@ -274,18 +313,26 @@ fn host_rows_and_epoch_histograms_count_their_units_of_work() {
     let unclipped = traced_run("host-rows-unclipped-trace.jsonl", 0.0);
     expected.retain(|(kind, _)| kind != stage::OP_HOST_CLIP);
     assert_eq!(host_calls(&unclipped), expected, "no grad.clip row with clipping off");
+
+    // Streamed, each training sample is decoded once per epoch on its
+    // lane; the RAM runs above have no decode row.
+    let (streamed, stream_samples) = streamed_traced_run("host-rows-stream-trace.jsonl");
+    let decode = host_calls(&streamed).into_iter().find(|(kind, _)| kind == stage::OP_HOST_DECODE);
+    assert_eq!(decode, Some((stage::OP_HOST_DECODE.to_string(), stream_samples * 2)));
 }
 
 /// Every span, counter and histogram name and every host `op_profile`
-/// kind a traced training run emits is a registered `pub const` in
+/// kind a traced training run emits (from RAM and streamed) is a
+/// registered `pub const` in
 /// `crates/obs/src/stage.rs` and is documented in a table row of
 /// `docs/OBSERVABILITY.md`.
 #[test]
 fn names_emitted_by_training_are_registered_and_documented() {
     let _guard = GLOBAL_RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let text = traced_run("registry-trace.jsonl", 5.0);
+    let (streamed, _) = streamed_traced_run("registry-stream-trace.jsonl");
     let mut emitted = std::collections::BTreeSet::new();
-    for line in text.lines() {
+    for line in text.lines().chain(streamed.lines()) {
         match Event::from_jsonl_line(line).expect("well-formed event line") {
             Event::SpanStart { stage, .. } | Event::SpanEnd { stage, .. } => emitted.insert(stage),
             Event::Counter { name, .. } | Event::Histogram { name, .. } => emitted.insert(name),
@@ -294,6 +341,7 @@ fn names_emitted_by_training_are_registered_and_documented() {
         };
     }
     assert!(emitted.contains(stage::TRAIN) && emitted.contains(stage::OP_HOST_STEP));
+    assert!(emitted.contains(stage::OP_HOST_DECODE));
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     // `pub const NAME: &str = "value";`
