@@ -233,6 +233,13 @@ impl OpProfile {
     pub fn time_host<R>(&mut self, on: bool, kind: &'static str, f: impl FnOnce() -> R) -> R {
         time_host(self, on, kind, |p| p, |_| f())
     }
+
+    /// Records one [`PHASE_HOST`] call of `kind` that took `self_ns`,
+    /// for host work timed elsewhere (such as the summed lane time of a
+    /// job split across lanes).
+    pub fn record_host(&mut self, kind: &'static str, self_ns: u64) {
+        self.record(OpKey { kind, phase: PHASE_HOST, shape_bucket: 0 }, self_ns, 0, 0);
+    }
 }
 
 /// The one host-row timer: runs `f(state)` and, when `on`, records its
@@ -253,8 +260,7 @@ pub fn time_host<S: ?Sized, R>(
     }
     let start = Instant::now();
     let out = f(state);
-    let self_ns = start.elapsed().as_nanos() as u64;
-    profile(state).record(OpKey { kind, phase: PHASE_HOST, shape_bucket: 0 }, self_ns, 0, 0);
+    profile(state).record_host(kind, start.elapsed().as_nanos() as u64);
     out
 }
 

@@ -129,9 +129,29 @@ impl Op {
 
 #[derive(Debug)]
 struct Node {
-    value: Tensor,
+    value: Value,
     op: Op,
     requires_grad: bool,
+}
+
+/// A node's forward value: a buffer the tape owns (and recycles on
+/// [`Tape::reset`]), or a tensor shared with its owner, such as a model
+/// parameter or a graph's attribute matrix, which the tape only reads.
+#[derive(Debug)]
+enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl std::ops::Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
 }
 
 /// A gradient tape: records a forward computation, then differentiates it.
@@ -229,12 +249,13 @@ impl Tape {
     ///
     /// This is the worker-reuse entry point: data-parallel training
     /// keeps one tape per worker lane and resets it between samples.
-    /// `reset` recycles every node value, gradient, dropout mask and
-    /// pooling index vector into the tape's [`Workspace`], so the next
-    /// sample's kernels are served from the pool and steady-state
-    /// training stops allocating. The op profile is retained: it
-    /// accumulates across samples until drained with
-    /// [`Tape::take_profile`].
+    /// `reset` recycles every owned node value, gradient, dropout mask
+    /// and pooling index vector into the tape's [`Workspace`], so the
+    /// next sample's kernels are served from the pool and steady-state
+    /// training stops allocating. Shared leaves are dropped, not
+    /// recycled: the buffer belongs to its owner, and a reset tape holds
+    /// no reference to it. The op profile is retained: it accumulates
+    /// across samples until drained with [`Tape::take_profile`].
     pub fn reset(&mut self) {
         let Tape { nodes, grads, workspace, .. } = self;
         for node in nodes.drain(..) {
@@ -245,7 +266,9 @@ impl Tape {
                 }
                 _ => {}
             }
-            workspace.recycle_tensor(node.value);
+            if let Value::Owned(value) = node.value {
+                workspace.recycle_tensor(value);
+            }
         }
         for t in grads.drain(..).flatten() {
             workspace.recycle_tensor(t);
@@ -253,6 +276,10 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
+        self.push_value(Value::Owned(value), op, requires_grad)
+    }
+
+    fn push_value(&mut self, value: Value, op: Op, requires_grad: bool) -> Var {
         self.nodes.push(Node { value, op, requires_grad });
         self.grads.push(None);
         Var(self.nodes.len() - 1)
@@ -346,6 +373,13 @@ impl Tape {
         self.push(value, Op::Leaf, requires_grad)
     }
 
+    /// Records an input value the tape shares with its owner instead of
+    /// copying: one reference count, no buffer. The tape only reads it,
+    /// and [`Tape::reset`] drops the reference.
+    pub fn leaf_shared(&mut self, value: Arc<Tensor>, requires_grad: bool) -> Var {
+        self.push_value(Value::Shared(value), Op::Leaf, requires_grad)
+    }
+
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
@@ -354,6 +388,23 @@ impl Tape {
     /// The gradient accumulated at `v` by [`Tape::backward`], if any.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads[v.0].as_ref()
+    }
+
+    /// Moves the gradient of `v` into `slot`, with no copy, and files the
+    /// slot's previous buffer in the tape's pool in its place, so the
+    /// pool keeps its size. Returns `false`, leaving `slot` as it was,
+    /// when [`Tape::backward`] left no gradient at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gradient's shape differs from the slot's.
+    pub fn move_grad(&mut self, v: Var, slot: &mut Tensor) -> bool {
+        let Some(g) = self.grads[v.0].take() else {
+            return false;
+        };
+        assert_eq!(g.shape(), slot.shape(), "gradient moved into a slot of another shape");
+        self.workspace.recycle_tensor(std::mem::replace(slot, g));
+        true
     }
 
     /// Matrix product.

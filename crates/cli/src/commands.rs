@@ -119,7 +119,8 @@ USAGE:
                 [--cache-dir <dir>] [--cache <ram|stream>]
                 [--trace <out.jsonl>]
                 (train under the op profiler; print per-op time/FLOP
-                attribution, unattributed remainder, and peak memory)
+                attribution, lane wait, unattributed remainder, and
+                peak memory)
     magic report --trace <trace.jsonl> [--flamegraph]
                 (aggregate a trace; --flamegraph emits collapsed-stack
                 lines for flamegraph.pl / inferno / speedscope)
@@ -507,7 +508,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 
 /// Trains under the op profiler and prints where the time went: a
 /// per-op table (self time share, calls, FLOP/s), the unattributed
-/// remainder of epoch wall-clock, and peak tensor memory.
+/// remainder of epoch wall-clock split into lane wait and the rest, and
+/// peak tensor memory.
 ///
 /// The command installs its own [`JsonlRecorder`] (to `--trace <path>`
 /// if given, else a deleted-afterwards temp file) and enables tensor
@@ -593,6 +595,23 @@ fn render_profile(summary: &TraceSummary) -> String {
         summary.ops.len(),
         100.0 - attributed_pct,
     ));
+    let hist = |name: &str| summary.histograms.iter().find(|h| h.name == name);
+    if let (Some(fanout), Some(busy)) =
+        (hist(magic_obs::stage::H_EPOCH_FANOUT_US), hist(magic_obs::stage::H_WORKER_BUSY_US))
+    {
+        // Lanes that finished their share of a mini-batch wait at its
+        // barrier: fan-out wall-clock × lanes, less the time they ran jobs.
+        let wait_pct = if lane_us > 0.0 {
+            100.0 * (fanout.total * lanes - busy.total) / lane_us
+        } else {
+            0.0
+        };
+        out.push_str(&format!(
+            "  of which lane wait (fan-out x lanes - lane busy): {wait_pct:+.1}%, \
+             remainder: {:+.1}%\n",
+            100.0 - attributed_pct - wait_pct,
+        ));
+    }
     if let Some(peak) =
         summary.histograms.iter().find(|h| h.name == magic_obs::stage::H_MEM_PEAK_BYTES)
     {
@@ -602,7 +621,6 @@ fn render_profile(summary: &TraceSummary) -> String {
             peak.count,
         ));
     }
-    let hist = |name: &str| summary.histograms.iter().find(|h| h.name == name);
     if let Some(allocs) = hist(magic_obs::stage::H_ALLOC_COUNT) {
         // The first epoch pays the pool warm-up; the min over epochs is
         // what a steady-state epoch allocates.
@@ -1019,6 +1037,60 @@ mod tests {
             .collect();
         let rendered = render_profile(&TraceSummary::from_lines(over.lines()).unwrap());
         assert!(rendered.contains("other (unattributed): -25.0%"), "{rendered}");
+    }
+
+    #[test]
+    fn profile_splits_the_residual_into_lane_wait_and_remainder() {
+        use magic_obs::Event;
+        let hist = |name: &str, value: f64| Event::Histogram {
+            name: name.into(),
+            ts_us: 900,
+            value,
+            fields: vec![],
+        };
+        // Two lanes over a 1 ms epoch: a 0.8 ms fan-out in which the lanes
+        // ran jobs for 0.7 and 0.5 ms, so 0.4 ms of the 2 ms of lane time
+        // is wait. 1.5 ms is in op rows, which leaves 0.1 ms unexplained.
+        let events = [
+            Event::SpanStart {
+                id: 1,
+                parent: None,
+                stage: "train.run".into(),
+                ts_us: 0,
+                fields: vec![("workers".into(), 2.0)],
+            },
+            Event::SpanStart {
+                id: 2,
+                parent: Some(1),
+                stage: "train.epoch".into(),
+                ts_us: 0,
+                fields: vec![("epoch".into(), 0.0)],
+            },
+            Event::OpProfile {
+                kind: "conv2d.batched".into(),
+                phase: "fwd".into(),
+                shape_class: "≤1Ki".into(),
+                ts_us: 900,
+                calls: 1,
+                self_ns: 1_500_000,
+                flops: 0,
+                bytes_out: 0,
+                fields: vec![],
+            },
+            hist(magic_obs::stage::H_EPOCH_FANOUT_US, 800.0),
+            hist(magic_obs::stage::H_WORKER_BUSY_US, 700.0),
+            hist(magic_obs::stage::H_WORKER_BUSY_US, 500.0),
+            Event::SpanEnd { id: 2, stage: "train.epoch".into(), ts_us: 1_000, dur_us: 1_000 },
+            Event::SpanEnd { id: 1, stage: "train.run".into(), ts_us: 1_000, dur_us: 1_000 },
+        ];
+        let text: String = events.iter().map(|e| e.to_jsonl_line() + "\n").collect();
+        let rendered = render_profile(&TraceSummary::from_lines(text.lines()).unwrap());
+        assert!(rendered.contains("other (unattributed): +25.0%"), "{rendered}");
+        assert!(
+            rendered.contains("of which lane wait (fan-out x lanes - lane busy): +20.0%, \
+                               remainder: +5.0%"),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The training loop, evaluation, ACFG extraction, the shard cache and
 //! cross-validation folds all share the same shape — run one job per
 //! item, collect results by item index. [`Lanes`] runs those jobs on the
-//! calling thread (one lane) or on scoped worker threads pulling indices
-//! from an atomic cursor, so the numeric code is written once and the
-//! lane count is a runtime knob. Kernels themselves are single-threaded.
+//! calling thread (one lane) or on it and scoped worker threads, all
+//! pulling indices from an atomic cursor, so the numeric code is written
+//! once and the lane count is a runtime knob. Kernels themselves are
+//! single-threaded.
 //!
 //! # Determinism contract
 //!
@@ -35,10 +36,10 @@ use std::sync::Mutex;
 
 /// A fixed number of worker lanes for running independent jobs.
 ///
-/// Threads are spawned per [`run`](Self::run) call
-/// (`std::thread::scope`), which keeps the type free of lifetime
-/// plumbing; for mini-batch training the spawn cost is dwarfed by a
-/// single forward/backward pass.
+/// The calling thread is lane 0; the other lanes are threads spawned per
+/// [`run`](Self::run) call (`std::thread::scope`), which keeps the type
+/// free of lifetime plumbing. A spawn costs tens of microseconds, well
+/// under one sample's forward/backward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lanes {
     workers: usize,
@@ -82,17 +83,21 @@ impl Lanes {
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let (f, slots_ref, next) = (&f, &slots, &next);
-        std::thread::scope(|scope| {
-            for lane in 0..threads {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = f(lane, i);
-                    *slots_ref[i].lock().expect("unpoisoned result slot") = Some(result);
-                });
+        let work = move |lane: usize| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            let result = f(lane, i);
+            *slots_ref[i].lock().expect("unpoisoned result slot") = Some(result);
+        };
+        // The calling thread is lane 0, so a run spawns one thread fewer
+        // than it has lanes.
+        std::thread::scope(|scope| {
+            for lane in 1..threads {
+                scope.spawn(move || work(lane));
+            }
+            work(0);
         });
         slots
             .into_iter()

@@ -4,27 +4,33 @@
 //! # Threading model
 //!
 //! The mini-batch loop fans its samples across [`Lanes`], MAGIC's one
-//! parallelism mechanism; each lane runs its sample through the model's
-//! one forward pass as a [`GraphBatch`] of one. Lanes share the read-only
-//! parameter store (`ParamStore::bind` takes `&self`) and each batch
-//! position owns a [`GradBuffer`] that is folded back into the store
-//! **in batch order** once all samples finish. Because the float
-//! additions happen in the same order as the serial loop, and dropout
-//! noise comes from per-sample [`Rng64::for_sample`] streams rather than
-//! a shared generator, training is bitwise identical for any
+//! parallelism mechanism, largest graph first; each lane runs its sample
+//! through the model's one forward pass as a [`GraphBatch`] of one. Lanes
+//! share the parameter store: `ParamStore::bind` leafs each parameter as
+//! a shared reference, not a copy. Each batch position owns a
+//! [`GradBuffer`] that the lane moves the sample's gradients into, and
+//! the lane tape drops its binding at the end of the job. Once all
+//! samples finish, the buffers are folded back into the store **in batch
+//! order** and Adam steps, both split across the lanes by element range,
+//! while the clip norm sums on one thread in its serial order. Because
+//! every float addition happens in the same order as the serial loop,
+//! and dropout noise comes from per-sample [`Rng64::for_sample`] streams
+//! rather than a shared generator, training is bitwise identical for any
 //! `train_workers` value. A streamed sample is decoded from its cache
 //! shard inside its own lane job, so the lanes are the trainer's only
 //! threads. The kernels themselves are single-threaded: all parallelism
-//! is across samples.
+//! is across samples and, in the update, across weights.
 //!
 //! # Telemetry
 //!
 //! Host rows are timed by one helper, [`profile::time_host`]: lane work
 //! (`sample.decode`, `param.bind`, `grad.accumulate`) records into the
-//! lane tape's profile via [`Tape::host`], the serial reduce, clip, step
-//! and evaluation into one trainer-owned [`OpProfile`] merged with the
-//! lanes at epoch end. The only other epoch timer is the fan-out
-//! wall-clock. Untraced, a timed region is one branch and a direct call.
+//! lane tape's profile via [`Tape::host`], the clip and evaluation into
+//! one trainer-owned [`OpProfile`] merged with the lanes at epoch end.
+//! The reduce and step rows are charged the lane time their element
+//! ranges took, summed over the lanes. The only other epoch timer is the
+//! fan-out wall-clock. Untraced, a timed region is one branch and a
+//! direct call.
 
 use std::borrow::Cow;
 use std::sync::Mutex;
@@ -33,7 +39,7 @@ use std::time::{Duration, Instant};
 use magic_autograd::{profile, OpProfile, Tape};
 use magic_data::StreamedCorpus;
 use magic_model::{Dgcnn, GraphBatch, GraphInput};
-use magic_nn::{Adam, GradBuffer, ReduceLrOnPlateau};
+use magic_nn::{Adam, GradBuffer, PartJob, ReduceLrOnPlateau};
 use magic_tensor::Rng64;
 
 use crate::executor::Lanes;
@@ -60,6 +66,23 @@ impl<'a> SampleSource<'a> {
             SampleSource::Ram(inputs) => inputs.len(),
             SampleSource::Stream(corpus) => corpus.len(),
         }
+    }
+
+    /// Vertex count of sample `i`, without decoding it.
+    fn vertex_count(&self, i: usize) -> usize {
+        match self {
+            SampleSource::Ram(inputs) => inputs[i].vertex_count(),
+            SampleSource::Stream(corpus) => corpus.vertex_counts()[i],
+        }
+    }
+
+    /// Positions of `indices` in the order the lanes are dealt them:
+    /// largest graph first, ties in position order, so the lane that
+    /// draws the last job draws a small one.
+    fn largest_first(&self, indices: &[usize]) -> Vec<usize> {
+        let mut deal: Vec<usize> = (0..indices.len()).collect();
+        deal.sort_by_key(|&j| std::cmp::Reverse(self.vertex_count(indices[j])));
+        deal
     }
 
     /// Sample `i` for a job on a lane's `tape`: borrowed from the
@@ -267,11 +290,24 @@ impl Trainer {
         // buffer per batch position, so the reduction below can replay
         // the serial float-addition order exactly.
         let lane_state: Vec<Mutex<Lane>> = (0..lanes.workers()).map(|_| Mutex::default()).collect();
-        let grad_slots: Vec<Mutex<GradBuffer>> = (0..self.config.batch_size)
+        let mut grad_slots: Vec<Mutex<GradBuffer>> = (0..self.config.batch_size)
             .map(|_| Mutex::new(GradBuffer::for_store(model.store())))
             .collect();
-        // Host rows timed on this thread: reduce, clip, step, evaluate.
+        // Host rows of the update and evaluation: reduce, clip, step,
+        // evaluate.
         let mut host = OpProfile::new();
+        // The reduce and the step run as one element range per lane; when
+        // traced, a row is charged the lane time its ranges took in total.
+        let on_lanes = |traced: bool| {
+            move |parts: usize, job: PartJob<'_>| -> u64 {
+                let lane_ns = lanes.run(parts, |_, p| {
+                    let start = traced.then(Instant::now);
+                    job(p);
+                    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
+                });
+                lane_ns.iter().sum()
+            }
+        };
 
         let mut rng = Rng64::new(self.config.seed);
         let mut optimizer = Adam::new(self.config.learning_rate, self.config.weight_decay);
@@ -320,12 +356,12 @@ impl Trainer {
             // identical.
             for batch in order.chunks(self.config.batch_size) {
                 let store = model.store();
+                let deal = source.largest_first(batch);
                 let fanout_start = traced.then(Instant::now);
-                let losses: Vec<f32> = lanes.run(batch.len(), |worker, j| {
+                let losses = run_dealt(lanes, &deal, |worker, j| {
                     let mut lane = lane_state[worker].lock().expect("unpoisoned lane");
                     lane.job(|tape| {
                         let i = batch[j];
-                        tape.reset();
                         let input = source.sample(tape, i);
                         let binding =
                             tape.host(magic_obs::stage::OP_HOST_BIND, |tape| store.bind(tape));
@@ -347,10 +383,12 @@ impl Trainer {
                         let item = tape.value(loss).item();
                         tape.backward(loss);
                         tape.host(magic_obs::stage::OP_HOST_ACCUMULATE, |tape| {
-                            let mut buffer = grad_slots[j].lock().expect("unpoisoned grad slot");
-                            buffer.zero();
-                            buffer.accumulate(tape, &binding);
+                            let mut slot = grad_slots[j].lock().expect("unpoisoned grad slot");
+                            slot.take_from(tape, &binding);
                         });
+                        // Drop the shared parameter leaves, so the step
+                        // below updates every parameter in place.
+                        tape.reset();
                         item
                     })
                 });
@@ -359,28 +397,34 @@ impl Trainer {
                 }
 
                 let store = model.store_mut();
-                host.time_host(traced, magic_obs::stage::OP_HOST_REDUCE, || {
-                    store.zero_grads();
-                    for (j, loss) in losses.iter().enumerate() {
-                        train_loss_total += loss;
-                        // Reduce in batch order — this is what makes the
-                        // sum bitwise identical to the serial loop.
-                        store.reduce(&grad_slots[j].lock().expect("unpoisoned grad slot"));
-                    }
-                });
+                for loss in &losses {
+                    train_loss_total += loss;
+                }
+                let slots: Vec<&GradBuffer> = grad_slots[..batch.len()]
+                    .iter_mut()
+                    .map(|slot| &*slot.get_mut().expect("unpoisoned grad slot"))
+                    .collect();
+                // Reduce in batch order — this is what makes the sum
+                // bitwise identical to the serial loop.
+                let reduce_ns = store.reduce(&slots, lanes.workers(), on_lanes(traced));
+                if traced {
+                    host.record_host(magic_obs::stage::OP_HOST_REDUCE, reduce_ns);
+                }
                 if self.config.grad_clip > 0.0 {
                     let clip = self.config.grad_clip * batch.len() as f32;
                     host.time_host(traced, magic_obs::stage::OP_HOST_CLIP, || {
                         store.clip_grad_norm(clip)
                     });
                 }
-                host.time_host(traced, magic_obs::stage::OP_HOST_STEP, || {
-                    optimizer.step(store, batch.len())
-                });
+                let step_ns =
+                    optimizer.step_parts(store, batch.len(), lanes.workers(), on_lanes(traced));
+                if traced {
+                    host.record_host(magic_obs::stage::OP_HOST_STEP, step_ns);
+                }
             }
             let train_loss = train_loss_total / train_idx.len().max(1) as f32;
             // So far this epoch `host` holds exactly the reduce, clip and
-            // step rows.
+            // step rows (reduce and step in lane time).
             let update_ns = host.total_self_ns();
 
             let (val_loss, val_accuracy) =
@@ -551,6 +595,19 @@ fn flush_op_profiles(
     }
 }
 
+/// Runs `f(lane, j)` for every batch position `j`, dealing the positions
+/// to the lanes in `deal`'s order, and returns the results by position,
+/// so what the caller sums does not depend on the deal.
+fn run_dealt<T: Send>(
+    lanes: Lanes,
+    deal: &[usize],
+    f: impl Fn(usize, usize) -> T + Sync,
+) -> Vec<T> {
+    let mut dealt = lanes.run(deal.len(), |lane, k| (deal[k], f(lane, deal[k])));
+    dealt.sort_unstable_by_key(|&(j, _)| j);
+    dealt.into_iter().map(|(_, out)| out).collect()
+}
+
 /// Formats a projected remaining duration at a human scale.
 fn fmt_eta(seconds: f64) -> String {
     if seconds >= 3600.0 {
@@ -600,11 +657,14 @@ fn evaluate_source(
     }
     let _span =
         magic_obs::span_fields(magic_obs::stage::EVALUATE, &[("samples", idx.len() as f64)]);
-    let per_sample: Vec<(f32, bool)> = lanes.run(idx.len(), |worker, j| {
+    let deal = source.largest_first(idx);
+    let per_sample: Vec<(f32, bool)> = run_dealt(lanes, &deal, |worker, j| {
         let i = idx[j];
         let mut lane = lane_state[worker].lock().expect("unpoisoned lane");
         let input = source.sample(&mut lane.tape, i);
         let probs = model.predict_with(&mut lane.tape, &input);
+        // Drop the shared parameter leaves before the next step.
+        lane.tape.reset();
         let p = probs[labels[i]].clamp(1e-15, 1.0);
         (-p.ln(), magic_tensor::argmax(&probs) == Some(labels[i]))
     });
@@ -744,6 +804,117 @@ mod tests {
                     "weights for {name} diverged with {workers} workers"
                 );
             }
+        }
+    }
+
+    /// Twenty chain graphs of 4 to 40 vertices, so one batch holds
+    /// graphs a tenfold apart and largest-first dealing reorders it.
+    fn uneven_data() -> (Vec<GraphInput>, Vec<usize>) {
+        let mut inputs = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..20 {
+            let n = [4, 40, 7, 22, 13, 31, 5, 18][i % 8] + i / 8;
+            let mut g = DiGraph::new(n);
+            for v in 0..n - 1 {
+                g.add_edge(v, v + 1);
+            }
+            if i % 3 == 0 {
+                g.add_edge(n - 1, 0);
+            }
+            let mut rng = Rng64::new(900 + i as u64);
+            let attrs = Tensor::rand_uniform([n, NUM_ATTRIBUTES], 0.0, 4.0, &mut rng);
+            inputs.push(GraphInput::from_acfg(&Acfg::new(g, attrs)));
+            labels.push(usize::from(i % 3 == 0));
+        }
+        (inputs, labels)
+    }
+
+    /// Largest-first dealing and the range-split reduce and step leave
+    /// no trace in the result: 1, 2 and 3 lanes (3 cuts the weights into
+    /// uneven parts) train bitwise alike, for a SortPool head and the
+    /// adaptive head.
+    #[test]
+    fn uneven_batches_train_bitwise_alike_at_1_2_and_3_lanes() {
+        let (inputs, labels) = uneven_data();
+        let train_idx: Vec<usize> = (0..15).collect();
+        let val_idx: Vec<usize> = (15..20).collect();
+        for head in [PoolingHead::sort_pool_weighted(8), PoolingHead::adaptive_max_pool(3)] {
+            let run = |workers: usize| {
+                let mut model = Dgcnn::new(&DgcnnConfig::new(2, head.clone()), 21);
+                let trainer = Trainer::new(TrainConfig {
+                    epochs: 3,
+                    batch_size: 5,
+                    learning_rate: 0.01,
+                    seed: 4,
+                    train_workers: workers,
+                    ..TrainConfig::default()
+                });
+                let outcome = trainer.train(&mut model, &inputs, &labels, &train_idx, &val_idx);
+                let weights: Vec<u32> = model
+                    .store()
+                    .iter()
+                    .flat_map(|(_, t)| t.as_slice().iter().map(|x| x.to_bits()))
+                    .collect();
+                (outcome.history, weights)
+            };
+            let serial = run(1);
+            for workers in [2, 3] {
+                assert!(run(workers) == serial, "{head:?}: {workers} lanes diverged");
+            }
+        }
+    }
+
+    /// Dealing sets the order the lanes take the jobs in, never where a
+    /// result lands: losses are summed by batch position.
+    #[test]
+    fn run_dealt_runs_in_deal_order_and_returns_by_position() {
+        let ran = Mutex::new(Vec::new());
+        let deal = [2, 0, 3, 1];
+        let out = run_dealt(Lanes::new(1), &deal, |_, j| {
+            ran.lock().unwrap().push(j);
+            j * 10
+        });
+        assert_eq!(*ran.lock().unwrap(), deal);
+        assert_eq!(out, [0, 10, 20, 30]);
+        assert_eq!(run_dealt(Lanes::new(3), &deal, |_, j| j * 10), [0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn largest_first_deals_by_vertex_count_then_position() {
+        let (inputs, _) = uneven_data();
+        // Vertex counts 4, 40, 7, 22 and, at index 8, 4 + 1 = 5.
+        let deal = SampleSource::Ram(&inputs).largest_first(&[0, 1, 2, 3, 8, 0]);
+        assert_eq!(deal, [1, 3, 2, 4, 0, 5]);
+    }
+
+    /// Lane tapes drop their binding after every job and evaluation, so
+    /// `Arc::make_mut` in the step never finds a parameter shared: each
+    /// one keeps its buffer across 2-lane epochs. Batches of 5 fan out
+    /// on both lanes; batches of 1 run on lane 0 alone, so lane 1 goes
+    /// from one epoch's evaluation into the next epoch's steps.
+    #[test]
+    fn two_lane_epochs_update_every_parameter_in_place() {
+        let (inputs, labels) = uneven_data();
+        let config = DgcnnConfig::new(2, PoolingHead::adaptive_max_pool(3));
+        let buffers = |model: &Dgcnn| -> Vec<*const f32> {
+            model.store().iter().map(|(_, t)| t.as_slice().as_ptr()).collect()
+        };
+        for batch_size in [5, 1] {
+            let mut model = Dgcnn::new(&config, 8);
+            let before = buffers(&model);
+            let weights = model.store().iter().map(|(_, t)| t.clone()).collect::<Vec<_>>();
+            let trainer = Trainer::new(TrainConfig {
+                epochs: 2,
+                batch_size,
+                train_workers: 2,
+                ..TrainConfig::default()
+            });
+            let train_idx: Vec<usize> = (0..15).collect();
+            trainer.train(&mut model, &inputs, &labels, &train_idx, &[15, 16, 17]);
+            assert_eq!(buffers(&model), before, "batches of {batch_size}: a step copied");
+            let store = model.store();
+            let moved = store.iter().zip(&weights).filter(|((_, now), was)| now != was).count();
+            assert!(moved > 0, "batches of {batch_size}: no weight changed");
         }
     }
 

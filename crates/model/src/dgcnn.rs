@@ -163,7 +163,7 @@ impl Dgcnn {
 
         // Graph convolution stack (Eq. 1) over the block-diagonal system,
         // with per-layer outputs kept.
-        let mut z = tape.leaf(batch.attributes().clone(), false);
+        let mut z = tape.leaf_shared(Arc::clone(batch.attributes()), false);
         let mut per_layer = Vec::with_capacity(self.graph_convs.len());
         for conv in &self.graph_convs {
             z = conv.forward(

@@ -203,8 +203,9 @@ impl GraphBatch {
         &self.inv_degree
     }
 
-    /// The row-stacked attribute matrix `(Σ n_j, c_in)`.
-    pub fn attributes(&self) -> &Tensor {
+    /// The row-stacked attribute matrix `(Σ n_j, c_in)`, shared (a tape
+    /// leafs it without a copy).
+    pub fn attributes(&self) -> &Arc<Tensor> {
         &self.attributes
     }
 
@@ -311,7 +312,7 @@ mod tests {
         assert!(Arc::ptr_eq(one.adj_hat(), input.adj_hat()));
         assert!(Arc::ptr_eq(one.adj_hat_t(), input.adj_hat_t()));
         assert!(Arc::ptr_eq(one.inv_degree_arc(), input.inv_degree_arc()));
-        assert!(std::ptr::eq(one.attributes(), input.attributes()));
+        assert!(std::ptr::eq(&**one.attributes(), input.attributes()));
         assert_eq!(one.bounds().as_slice(), &[0, 3]);
         // Same content as assembling the batch of one the general way.
         let general = GraphBatch::new(&[&input]);

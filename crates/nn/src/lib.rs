@@ -43,5 +43,5 @@ pub use layers::{
     SortPooling, WeightedVertices,
 };
 pub use optim::Adam;
-pub use param::{Binding, GradBuffer, ParamId, ParamStore};
+pub use param::{Binding, GradBuffer, ParamId, ParamStore, PartJob};
 pub use sched::{ReduceLrOnPlateau, LR_DECAY_FACTOR};

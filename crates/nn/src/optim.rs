@@ -1,7 +1,7 @@
 //! The parameter optimizer: the Adam algorithm the paper uses (Section
 //! IV-B, [33]).
 
-use crate::param::ParamStore;
+use crate::param::{ParamStore, PartJob};
 use magic_tensor::Tensor;
 
 /// The Adam optimizer ([Kingma & Ba 2014], the paper's choice) with
@@ -44,34 +44,39 @@ impl Adam {
     /// Applies one update. `batch_size` divides the accumulated gradients
     /// so per-example tapes can simply sum into the store.
     pub fn step(&mut self, store: &mut ParamStore, batch_size: usize) {
+        self.step_parts(store, batch_size, 1, |n, job| (0..n).for_each(job));
+    }
+
+    /// [`Adam::step`] over `parts` element ranges of the weights that
+    /// `run` executes, possibly on several threads (see
+    /// [`crate::PartJob`]). Every element's update reads only its own
+    /// weight, gradient and moments, so the result is bitwise the same
+    /// for every `parts`. Returns what `run` returns.
+    pub fn step_parts<R>(
+        &mut self,
+        store: &mut ParamStore,
+        batch_size: usize,
+        parts: usize,
+        run: impl FnOnce(usize, PartJob<'_>) -> R,
+    ) -> R {
         self.t += 1;
         let scale = 1.0 / batch_size.max(1) as f32;
         let (b1, b2) = (self.beta1, self.beta2);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
         let (lr, eps, wd) = (self.lr, self.eps, self.weight_decay);
-        let (m, v) = (&mut self.m, &mut self.v);
-        store.update_each(|i, value, grad| {
-            if m.len() <= i {
-                m.push(Tensor::zeros(value.shape().clone()));
-                v.push(Tensor::zeros(value.shape().clone()));
-            }
-            let (mi, vi) = (&mut m[i], &mut v[i]);
-            for (((w, g), mm), vv) in value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad.as_slice())
-                .zip(mi.as_mut_slice())
-                .zip(vi.as_mut_slice())
-            {
-                let g = g * scale + wd * *w;
-                *mm = b1 * *mm + (1.0 - b1) * g;
-                *vv = b2 * *vv + (1.0 - b2) * g * g;
-                let m_hat = *mm / bc1;
-                let v_hat = *vv / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-        });
+        for (_, value) in store.iter().skip(self.m.len()) {
+            self.m.push(Tensor::zeros(value.shape().clone()));
+            self.v.push(Tensor::zeros(value.shape().clone()));
+        }
+        store.update([&mut self.m, &mut self.v], parts, run, |w, g, mm, vv| {
+            let g = g * scale + wd * *w;
+            *mm = b1 * *mm + (1.0 - b1) * g;
+            *vv = b2 * *vv + (1.0 - b2) * g * g;
+            let m_hat = *mm / bc1;
+            let v_hat = *vv / bc2;
+            *w -= lr * m_hat / (v_hat.sqrt() + eps);
+        })
     }
 
     /// Current learning rate.
@@ -160,5 +165,50 @@ mod tests {
             store.value(w).as_slice()[0]
         };
         assert!((run(1) - run(2)).abs() < 1e-6);
+    }
+
+    /// A split step updates every element exactly as the whole step
+    /// does, for even and uneven cuts, in place (no parameter copied).
+    #[test]
+    fn split_step_is_bitwise_equal_for_every_part_count() {
+        let mut rng = magic_tensor::Rng64::new(5);
+        let mut base = ParamStore::new();
+        for (name, len) in [("a", 37), ("b", 3), ("c", 101)] {
+            base.add(name, Tensor::rand_uniform([len], -1.0, 1.0, &mut rng));
+        }
+        let run = |parts: usize| {
+            let mut store = base.clone();
+            let mut opt = Adam::new(0.1, 1e-3);
+            for step in 0..3 {
+                store.zero_grads();
+                for name in ["a", "b", "c"] {
+                    let mut tape = Tape::new();
+                    let binding = store.bind(&mut tape);
+                    let v = binding.var(store.find(name).unwrap());
+                    let sq = tape.mul(v, v);
+                    let loss = tape.sum(sq);
+                    tape.backward(loss);
+                    store.accumulate_grads(&tape, &binding);
+                }
+                let before: Vec<_> = store.iter().map(|(_, t)| t.as_slice().as_ptr()).collect();
+                opt.step_parts(&mut store, 2 + step, parts, |n, job| {
+                    std::thread::scope(|scope| {
+                        for p in 0..n {
+                            scope.spawn(move || job(p));
+                        }
+                    })
+                });
+                let after: Vec<_> = store.iter().map(|(_, t)| t.as_slice().as_ptr()).collect();
+                // The first step copies: the clone shares `base`'s values.
+                // From then on the store is their only owner.
+                assert_eq!(step == 0, before != after, "step {step}: copy on write broke");
+            }
+            let weights = store.iter().flat_map(|(_, t)| t.as_slice().to_vec());
+            weights.map(f32::to_bits).collect::<Vec<_>>()
+        };
+        let whole = run(1);
+        for parts in [2, 3, 7] {
+            assert_eq!(run(parts), whole, "{parts} parts");
+        }
     }
 }

@@ -133,15 +133,16 @@ pub const C_REDUCE_EDGES_REMOVED: &str = "reduce.edges_removed";
 pub const H_WORKER_BUSY_US: &str = "train.worker_busy_us";
 
 /// Wall-clock the epoch spent inside mini-batch fan-out (the parallel
-/// region), in microseconds. Fields: `epoch`. Compare against
-/// [`H_WORKER_BUSY_US`] to see queueing/idle overhead.
+/// region), in microseconds. Fields: `epoch`. Fan-out × lanes less the
+/// summed [`H_WORKER_BUSY_US`] is the time lanes waited at batch
+/// barriers (`magic profile` prints it as lane wait).
 pub const H_EPOCH_FANOUT_US: &str = "train.fanout_us";
 
-/// Wall-clock the epoch spent in the serial gradient reduce + clip +
-/// optimizer step, in microseconds: the sum of the epoch's
-/// [`OP_HOST_REDUCE`], [`OP_HOST_CLIP`] and [`OP_HOST_STEP`] rows.
-/// Fields: `epoch`. This is the Amdahl bound on the data-parallel
-/// speedup.
+/// Time the epoch spent in the gradient reduce + clip + optimizer step,
+/// in microseconds: the sum of the epoch's [`OP_HOST_REDUCE`],
+/// [`OP_HOST_CLIP`] and [`OP_HOST_STEP`] rows. The reduce and the step
+/// run split across the lanes and count their summed lane time; the
+/// clip norm runs on one thread. Fields: `epoch`.
 pub const H_EPOCH_UPDATE_US: &str = "train.update_us";
 
 /// High-water mark of live tensor element bytes over one epoch, as
@@ -220,15 +221,18 @@ pub const OP_HOST_BIND: &str = "param.bind";
 /// the lane that trains it; one call per training sample (phase
 /// `"host"`).
 pub const OP_HOST_DECODE: &str = "sample.decode";
-/// Per-sample gradient accumulation into batch slots (phase `"host"`).
+/// Per-sample move of the parameter gradients into their batch slot
+/// (phase `"host"`).
 pub const OP_HOST_ACCUMULATE: &str = "grad.accumulate";
-/// Zeroing the store's gradients and the batch-order gradient reduction
-/// across slots, one call per mini-batch (phase `"host"`).
+/// The batch-order gradient reduction across slots into the store, from
+/// zero, one call per mini-batch split across the lanes; its time is
+/// their summed lane time (phase `"host"`).
 pub const OP_HOST_REDUCE: &str = "grad.reduce";
 /// Global gradient-norm clipping, one call per mini-batch; absent when
 /// clipping is off (phase `"host"`).
 pub const OP_HOST_CLIP: &str = "grad.clip";
-/// Optimizer parameter update (phase `"host"`).
+/// Optimizer parameter update, one call per mini-batch split across the
+/// lanes; its time is their summed lane time (phase `"host"`).
 pub const OP_HOST_STEP: &str = "optimizer.step";
 /// Train/validation split evaluation (phase `"host"`).
 pub const OP_HOST_EVALUATE: &str = "evaluate";

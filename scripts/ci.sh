@@ -117,16 +117,19 @@ echo "==> reference checkpoint: bitwise equal to the committed golden"
 # This step pins the bits themselves: the reference run (mskcfg 0.01,
 # 3 epochs, seed 7) must write exactly the checkpoint whose md5 is
 # committed in tests/golden/reference-checkpoint.md5 — on one lane, on
-# two, traced, from the shard cache in RAM, and streamed from the shard
-# cache on two lanes and on one. A streamed sample is decoded on the lane
-# that trains it, and one lane runs inline on the calling thread, so the
-# one-lane stream is a decode path of its own. A change meant to alter
-# training re-records the file and says why in CHANGES.md.
+# two, on three, traced, from the shard cache in RAM, and streamed from
+# the shard cache on two lanes and on one. Three lanes cut the weights
+# into uneven ranges for the split gradient reduce and Adam step. A
+# streamed sample is decoded on the lane that trains it, and one lane
+# runs inline on the calling thread, so the one-lane stream is a decode
+# path of its own. A change meant to alter training re-records the file
+# and says why in CHANGES.md.
 REF_DIR="$(mktemp -d /tmp/magic_ref.XXXXXX)"
 REF_ARGS=(--corpus mskcfg --scale 0.01 --epochs 3 --seed 7 --log-level error)
 GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 1 --out "$REF_DIR/one.magic"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 --out "$REF_DIR/two.magic"
+./target/release/magic train "${REF_ARGS[@]}" --train-workers 3 --out "$REF_DIR/three.magic"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
     --trace "$REF_DIR/train.trace.jsonl" --out "$REF_DIR/traced.magic"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 2 \
@@ -135,7 +138,7 @@ GOLDEN_MD5="$(cut -d' ' -f1 tests/golden/reference-checkpoint.md5)"
     --cache-dir "$REF_DIR/cache" --cache stream --out "$REF_DIR/cache-stream.magic"
 ./target/release/magic train "${REF_ARGS[@]}" --train-workers 1 \
     --cache-dir "$REF_DIR/cache" --cache stream --out "$REF_DIR/cache-stream-one.magic"
-for ckpt in one two traced cache-ram cache-stream cache-stream-one; do
+for ckpt in one two three traced cache-ram cache-stream cache-stream-one; do
     got="$(md5sum "$REF_DIR/$ckpt.magic" | cut -d' ' -f1)"
     if [[ "$got" != "$GOLDEN_MD5" ]]; then
         echo "ERROR: $ckpt reference checkpoint md5 $got != golden $GOLDEN_MD5" >&2
@@ -143,7 +146,7 @@ for ckpt in one two traced cache-ram cache-stream cache-stream-one; do
     fi
 done
 rm -rf "$REF_DIR"
-echo "reference checkpoint md5 $GOLDEN_MD5 at 1 and 2 lanes, traced, cache-ram, and cache-stream at 2 and 1 lanes"
+echo "reference checkpoint md5 $GOLDEN_MD5 at 1, 2 and 3 lanes, traced, cache-ram, and cache-stream at 2 and 1 lanes"
 
 echo "==> doc link check: no dangling relative links in README.md / docs/"
 scripts/check_doc_links.sh
